@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.activity.access import HourIndex
-from repro.activity.viewport import Viewport, grid_layout
+from repro.activity.viewport import GridPlacement, Viewport
+# Kept importable here: the e2e benchmark traces grid_layout as bound here.
+from repro.activity.viewport import grid_layout  # noqa: F401
 from repro.core.history import HistoryRecord
 from repro.core.thread import DesignThread
 from repro.errors import ObjectNotFound, TaskAborted
@@ -44,6 +46,8 @@ class ActivityManager:
         #: ("facility" tasks such as printing, §5.4).
         self.filters: set[str] = set()
         self.viewport = Viewport()
+        #: Places each committed record's cell once, incrementally.
+        self._placement = GridPlacement(thread.stream)
         self.hour_index = HourIndex()
         #: In-flight invocation paths: maps a PendingInvocation to the tip of
         #: its logical path, advanced as its records commit.
@@ -149,12 +153,14 @@ class ActivityManager:
                 if other.epoch == pending.epoch and other.path_tip == tip:
                     other.path_tip = point
             pending.path_tip = point
-        self.viewport.add_item(point, self._grid_coords(point))
+        # The new record prefers its parent's row; a parent this manager
+        # never placed (committed through the thread API) counts as row 0.
+        parent = self.thread.stream.node(point).parents[0]
+        placement = self._placement
+        self.viewport.add_item(point, placement.place(
+            point, placement.rows.get(parent, 0)))
         self.hour_index.add(point, record.recorded_at)
         return point
-
-    def _grid_coords(self, point: int):
-        return grid_layout(self.thread.stream)[point]
 
     # ------------------------------------------------------------ navigation
 
@@ -167,6 +173,7 @@ class ActivityManager:
                 self.thread.stream
             ]:
                 self.viewport.remove_item(missing)
+                self._placement.rows.pop(missing, None)
                 self.hour_index.remove(missing)
 
     def go_to_time(self, when: float) -> int | None:

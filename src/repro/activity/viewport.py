@@ -3,7 +3,11 @@
 Two pieces survive the Tk-ectomy intact:
 
 * **grid layout** — each history record is assigned a square grid cell by a
-  topological, level-by-level placement;
+  topological, level-by-level placement.  The activity manager places a
+  record once, when it commits, at a cost independent of history length:
+  a cell is assigned once and never reused, and items already placed never
+  move.  The per-point level memo follows the ``scope_epoch`` contract
+  (see :class:`GridPlacement`);
 * **lazy pan/zoom compression** — the Tcl/Tk canvas of the era could not
   report item coordinates, so the activity manager tracked them itself and,
   to avoid retraversing every item per pan/zoom, *compressed* the pending
@@ -152,43 +156,80 @@ class EagerViewport(Viewport):
 GRID = 16  # pixels per grid cell
 
 
-def grid_layout(stream: ControlStream) -> dict[int, Point]:
-    """Topological level-by-level placement of history records.
+class GridPlacement:
+    """The grid placement rule, applied one point at a time.
 
-    Column = the record's level (longest distance from the root); row = a
-    greedy per-level slot assignment that keeps sibling branches apart.
+    Column = the point's level, the longest path from the root over
+    ``parents``; row = ``max(preferred row, next free row at that level)``.
+    The next free row of a level only grows, so a cell, once assigned, is
+    never assigned again: not after its point is erased, nor after a splice
+    changes the levels of points already placed.
+
+    Levels are memoized per point.  The memo follows the ``scope_epoch``
+    contract: every mutation that can change an existing point's level
+    (splice, erase, ``splice_out``, ``replace_region``) bumps it, and the
+    memo is dropped; ``append``, ``add_junction`` and ``graft`` never do.
+    So placing a record appended below a placed parent costs O(1) in the
+    length of the history.
     """
-    levels: dict[int, int] = {INITIAL_POINT: 0}
-    for point in stream.points():
-        if point == INITIAL_POINT:
-            continue
-        node = stream.node(point)
-        levels[point] = 1 + max(
-            (levels.get(p, 0) for p in node.parents), default=0
-        )
-    rows: dict[int, int] = {}
-    used_per_level: dict[int, int] = {}
 
-    def place(point: int, preferred_row: int) -> int:
-        level = levels[point]
-        row = max(preferred_row, used_per_level.get(level, 0))
-        rows[point] = row
-        used_per_level[level] = row + 1
-        return row
+    def __init__(self, stream: ControlStream):
+        self.stream = stream
+        #: Row of every placed point.
+        self.rows: dict[int, int] = {}
+        self._next_row: dict[int, int] = {}
+        self._levels: dict[int, int] = {INITIAL_POINT: 0}
+        self._levels_epoch = stream.scope_epoch
 
+    def level(self, point: int) -> int:
+        if self.stream.scope_epoch != self._levels_epoch:
+            self._levels = {INITIAL_POINT: 0}
+            self._levels_epoch = self.stream.scope_epoch
+        levels = self._levels
+        # Iterative: control streams can be thousands of records deep.
+        stack = [point]
+        while stack:
+            current = stack[-1]
+            if current in levels:
+                stack.pop()
+                continue
+            parents = self.stream.node(current).parents
+            missing = [p for p in parents if p not in levels]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            levels[current] = 1 + max((levels[p] for p in parents),
+                                      default=0)
+        return levels[point]
+
+    def place(self, point: int, preferred_row: int = 0) -> Point:
+        """Assign ``point`` its cell; returns the cell's coordinates."""
+        level = self.level(point)
+        row = max(preferred_row, self._next_row.get(level, 0))
+        self.rows[point] = row
+        self._next_row[level] = row + 1
+        return (level * GRID, row * GRID)
+
+
+def grid_layout(stream: ControlStream) -> dict[int, Point]:
+    """Every point's cell, by :class:`GridPlacement` applied in DFS preorder
+    from the root, children in ascending order, each child preferring the
+    row of the point it was reached from (so sibling branches stay apart).
+    """
+    placement = GridPlacement(stream)
+    cells: dict[int, Point] = {}
     # Iterative DFS: control streams can be thousands of records deep.
     stack: list[tuple[int, int]] = [(INITIAL_POINT, 0)]
     while stack:
         point, preferred_row = stack.pop()
-        if point in rows:
+        if point in cells:
             continue
-        row = place(point, preferred_row)
+        cells[point] = placement.place(point, preferred_row)
+        row = placement.rows[point]
         for child in sorted(stream.node(point).children, reverse=True):
             stack.append((child, row))
-    return {
-        point: (levels[point] * GRID, rows[point] * GRID)
-        for point in stream.points()
-    }
+    return {point: cells[point] for point in stream.points()}
 
 
 def render_stream(

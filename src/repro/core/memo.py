@@ -283,25 +283,31 @@ class DerivationCache:
                 self._size_gauge().dec()
         self._entries[key] = entry
 
-    def populate(self, record: "HistoryRecord",
-                 db: "DesignDatabase") -> int:
+    def populate(self, record: "HistoryRecord", db: "DesignDatabase",
+                 keys: tuple[MemoKey | None, ...] = ()) -> int:
         """Seed the cache from one *committed* task's step records.
 
         Called by the task manager at commit time; failed steps (non-zero
         status) never seed, and aborted tasks never reach here at all.
+        ``keys`` are the steps' memo keys from dispatch, aligned with
+        ``record.steps``; a step without one (an interactive tool, or a
+        record restored from disk) is keyed here from its input payloads.
         Returns the number of entries added.
         """
         added = 0
-        for step in record.steps:
+        keys = keys or (None,) * len(record.steps)
+        for step, key in zip(record.steps, keys):
             if step.status != 0 or not step.outputs:
                 continue
-            try:
-                payloads = tuple(db.get(name).payload for name in step.inputs)
-            except Exception:
-                continue                     # inputs reclaimed: not cacheable
             output_bases = tuple(parse_name(n).base for n in step.outputs)
-            key = self.key_for(step.tool, step.options, step.inputs,
-                               payloads, output_bases)
+            if key is None:
+                try:
+                    payloads = tuple(db.get(name).payload
+                                     for name in step.inputs)
+                except Exception:
+                    continue                 # inputs reclaimed: not cacheable
+                key = self.key_for(step.tool, step.options, step.inputs,
+                                   payloads, output_bases)
             if key is None:
                 continue
             self.store(key, MemoEntry(

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cad.registry import Tool, ToolCall, ToolRegistry, ToolResult
 from repro.core.history import StepRecord
-from repro.core.memo import DerivationCache, MemoEntry
+from repro.core.memo import DerivationCache, MemoEntry, MemoKey
 from repro.obs import METRICS, TRACER
 from repro.obs.runtime import PROFILER
 from repro.errors import (
@@ -147,6 +147,8 @@ class _Pending:
     result: ToolResult | None = None
     record: StepRecord | None = None
     handled_failure: bool = False
+    #: Derivation-cache key computed at dispatch, reused at commit.
+    memo_key: MemoKey | None = None
 
     @property
     def key(self) -> tuple[InternalId, int]:
@@ -684,8 +686,9 @@ class TaskExecution:
             # pure function of (options, inputs), so they always execute.
             METRICS.counter("memo.bypasses").inc()
             return False
-        key = memo.key_for(call.tool, call.options, call.input_names,
-                           call.inputs, call.output_names)
+        key = pending.memo_key = memo.key_for(
+            call.tool, call.options, call.input_names, call.inputs,
+            call.output_names)
         if key is None:
             METRICS.counter("memo.bypasses").inc()
             return False
@@ -1155,6 +1158,13 @@ class TaskExecution:
     def step_records(self) -> tuple[StepRecord, ...]:
         return tuple(
             p.record for p in self.completed if p.record is not None
+        )
+
+    def step_keys(self) -> tuple[MemoKey | None, ...]:
+        """Each step record's memo key from dispatch (None where the cache
+        was not consulted), aligned with :meth:`step_records`."""
+        return tuple(
+            p.memo_key for p in self.completed if p.record is not None
         )
 
     def intermediate_names(self) -> list[str]:

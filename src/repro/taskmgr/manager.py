@@ -126,7 +126,7 @@ class TaskManager:
         # Only committed records ever get here: aborted tasks raised already,
         # and populate() itself skips failed steps.
         if memo is not None:
-            memo.populate(record, self.db)
+            memo.populate(record, self.db, execution.step_keys())
         if not keep_intermediates:
             for name_ in execution.intermediate_names():
                 if self.db.exists(name_) and not self.db.is_deleted(name_):

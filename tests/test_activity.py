@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.activity import ActivityManager, Reclaimer, render_stream
 from repro.activity.access import HourIndex
 from repro.activity.viewport import (
+    GRID,
     EagerViewport,
     PanZoomOp,
     Viewport,
@@ -26,8 +27,7 @@ from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.workloads import seed_designs, standard_library
 
 
-@pytest.fixture
-def env():
+def make_env():
     clk = VirtualClock()
     lwt = LWTSystem(clock=clk)
     seed = seed_designs(lwt.db)
@@ -38,6 +38,25 @@ def env():
     )
     thread = lwt.create_thread("T", owner="chiueh")
     return ActivityManager(thread, tm), lwt, seed, clk
+
+
+@pytest.fixture
+def env():
+    return make_env()
+
+
+def splice_scenario(am):
+    """Fig 5.6: a task begun at ``p1`` completes after a rework to ``p1``
+    grew a branch there, so its record is spliced above the branch."""
+    p1 = am.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                   {"Outcell": "a.logic"})
+    slow = am.begin("Standard_Cell_PR", {"Incell": "a.logic"},
+                    {"Outcell": "a.sc"})
+    am.move_cursor(p1)
+    branch = am.invoke("Logic_Simulator",
+                       {"Incell": "a.logic", "Command": "musa.cmd"},
+                       {"Report": "a.sim"})
+    return p1, branch, am.complete(slow)
 
 
 def shifter_scenario(am):
@@ -94,17 +113,9 @@ class TestInvocation:
         """If the rework branched off the invocation path's tip, the late
         record is spliced before the branch (§5.3)."""
         am, lwt, seed, _ = env
-        p1 = am.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
-                       {"Outcell": "a.logic"})
-        slow = am.begin("Standard_Cell_PR", {"Incell": "a.logic"},
-                        {"Outcell": "a.sc"})
         # an explicit rework to p1 starts a NEW path; the task invoked on it
         # becomes a branch below the slow invocation's path tip
-        am.move_cursor(p1)
-        branch = am.invoke("Logic_Simulator",
-                           {"Incell": "a.logic", "Command": "musa.cmd"},
-                           {"Report": "a.sim"})
-        point = am.complete(slow)
+        p1, branch, point = splice_scenario(am)
         # spliced: the late record sits between p1 and the branch record
         assert am.thread.stream.node(branch).parents == [point]
         assert am.thread.stream.node(point).parents == [p1]
@@ -248,16 +259,55 @@ class TestViewport:
         with pytest.raises(ValueError):
             PanZoomOp.zoom(0)
 
-    def test_grid_layout_unique_cells(self, env):
+    def test_grid_layout_unique_cells(self):
+        # The splice scenario's spliced record is numbered after the
+        # branch below it: levels must not follow point numbers.
+        for scenario in (shifter_scenario, splice_scenario):
+            am = make_env()[0]
+            scenario(am)
+            layout = grid_layout(am.thread.stream)
+            assert len(set(layout.values())) == len(layout)
+            # levels increase along parent chains
+            stream = am.thread.stream
+            for point in stream.points():
+                for child in stream.node(point).children:
+                    assert layout[child][0] > layout[point][0]
+
+    def test_grid_layout_fig37_golden(self, env):
+        """The splice-free layout is unchanged, and the viewport's cells,
+        placed one commit at a time, agree with it."""
         am, lwt, seed, _ = env
         shifter_scenario(am)
-        layout = grid_layout(am.thread.stream)
-        assert len(set(layout.values())) == len(layout)
-        # levels increase along parent chains
+        golden = {0: (0, 0), 1: (16, 0), 2: (32, 0), 3: (48, 0),
+                  4: (64, 0), 5: (48, 16), 6: (64, 16)}
+        assert grid_layout(am.thread.stream) == golden
+        assert am.viewport._items == {p: c for p, c in golden.items()
+                                      if p != INITIAL_POINT}
+
+    def test_viewport_cells_unique_after_rework(self, env):
+        """Regression: a new record was placed by the current full layout
+        while older items kept their cells, so ``e`` and ``d`` shared
+        (32, 16)."""
+        am, lwt, seed, _ = env
+
+        def run(name):
+            return am.invoke("Padp", {"Incell": "adder.net"},
+                             {"Outcell": f"{name}.pad"})
+
+        a = run("a")
+        run("b")
+        am.move_cursor(INITIAL_POINT)
+        run("c")
+        run("e")
+        am.move_cursor(a)
+        run("d")
+        cells = am.viewport._items
+        assert len(set(cells.values())) == len(cells) == 5
         stream = am.thread.stream
-        for point in stream.points():
-            for child in stream.node(point).children:
-                assert layout[child][0] > layout[point][0]
+        for point, (x, _y) in cells.items():
+            parent = stream.node(point).parents[0]
+            parent_x = cells[parent][0] if parent in cells else 0
+            assert x == parent_x + GRID
 
     def test_render_stream(self, env):
         am, lwt, seed, _ = env
@@ -266,6 +316,39 @@ class TestViewport:
         assert "PLA_Generation" in text
         assert "<= cursor" in text
         assert "The Start of PLA Approach" in text
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(("invoke", "rework", "splice", "erase")),
+    st.integers(0, 1000)), max_size=10))
+def test_viewport_cells_stay_unique(ops):
+    """Property: over any mix of invokes, reworks, §5.3 splices and
+    erase-on-rework, no two viewport items share a cell."""
+    am = make_env()[0]
+    stream = am.thread.stream
+
+    def run(i):
+        am.invoke("Padp", {"Incell": "adder.net"}, {"Outcell": f"o{i}.pad"})
+
+    for i, (op, pick) in enumerate(ops):
+        if op == "invoke":
+            run(i)
+        elif op == "rework":
+            points = stream.points()
+            am.move_cursor(points[pick % len(points)])
+        elif op == "splice":
+            cursor = am.thread.current_cursor
+            slow = am.begin("Padp", {"Incell": "adder.net"},
+                            {"Outcell": f"s{i}.pad"})
+            am.move_cursor(cursor)
+            run(i)
+            am.complete(slow)
+        else:
+            above = stream.ancestors(am.thread.current_cursor)
+            am.move_cursor(above[pick % len(above)], erase=True)
+        cells = list(am.viewport._items.values())
+        assert len(set(cells)) == len(cells)
 
 
 class TestReclamation:

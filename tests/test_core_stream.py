@@ -296,7 +296,7 @@ class TestDeepStreams:
         state = scope.thread_state(tip)
         assert "o2999@1" in state
         layout = grid_layout(cs)
-        assert len(layout) == 3001
+        assert layout == {i: (16 * i, 0) for i in range(3001)}
         text = render_stream(cs, cursor=tip)
         assert "t2999" in text
 

@@ -58,6 +58,24 @@ def record_at(am: ActivityManager, point: int):
 
 
 class TestReuse:
+    def test_replay_fingerprints_each_input_once(self, env, monkeypatch):
+        """A step's memo key is computed once, at dispatch; the commit
+        stores that key instead of fingerprinting every input again."""
+        from repro.core import memo as memo_module
+        from tests.test_activity import shifter_scenario
+
+        am, lwt, seed, _ = env
+        shifter_scenario(am)
+        am.move_cursor(INITIAL_POINT)
+        prints = []
+        real = memo_module.fingerprint
+        monkeypatch.setattr(memo_module, "fingerprint",
+                            lambda payload: prints.append(1) or real(payload))
+        replay = shifter_scenario(am)
+        steps = [s for p in replay.values() for s in record_at(am, p).steps]
+        assert sum(s.reused for s in steps) >= 0.8 * len(steps)
+        assert len(prints) == sum(len(s.inputs) for s in steps)
+
     def test_rework_reuses_unchanged_step(self, env):
         am, lwt, seed, _ = env
         p1 = am.invoke("Standard_Cell_PR", {"Incell": "shifter.net"},
