@@ -10,13 +10,12 @@ four claims the chunk-store + write-ahead-journal design makes:
   costs new-chunks + journal-append, ≥10× fewer bytes than the cold
   checkpoint;
 * **O(touched) restore** — restoring and touching 1% of objects decodes
-  ≤2% of chunks and beats a format-1 full rebuild by ≥5×;
+  ≤2% of chunks, within an absolute wall-clock ceiling;
 * **compaction** — ``compact`` after reclamation physically deletes the
   orphaned chunks.
 
-All counts are deterministic (seeded payload pool, virtual clock);
-wall-clock ratios compare two code paths in the same process, so they are
-machine-independent enough to gate.
+All counts are deterministic (seeded payload pool, virtual clock); the
+restore wall time gets a loose absolute ceiling.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from benchmarks.common import banner, export_observability, note_run_meta, table
 from repro import obs
-from repro.activity.persistence import PersistentSession, load_system, save_system
+from repro.activity.persistence import PersistentSession, load_system
 from repro.clock import VirtualClock
 from repro.core import LWTSystem
 from repro.core.history import HistoryRecord, StepRecord
@@ -164,20 +163,9 @@ def measure(root: Path) -> dict:
     # O(touched) claim is about versions, and dedup makes the chunk count a
     # moving denominator.
     rows["lazy_decode_fraction"] = decodes / max(1, total_versions)
-
-    # ---- restore: format-1 full rebuild (the old code path) --------------
-    # Pre-chunk-store behavior: parse the monolithic JSON, rebuild every
-    # chain eagerly, and warm the derivation cache up front (len() forces
-    # the now-deferred warm, reproducing the old eager load).
-    save_system(lwt, root / "v1", fmt=1)
-    start = time.perf_counter()
-    rebuilt = load_system(root / "v1", LWTSystem(clock=VirtualClock()))
-    rows["memo_entries_warmed"] = len(rebuilt.thread("mega").memo)
-    for name in sample:
-        rebuilt.db.get(name)
-    rows["full_rebuild_seconds"] = time.perf_counter() - start
-    rows["restore_speedup"] = \
-        rows["full_rebuild_seconds"] / max(1e-9, rows["restore_touch_seconds"])
+    # The restored derivation cache warms on first use; len() forces it
+    # (and decodes historical inputs, hence only after the fraction above).
+    rows["memo_entries_warmed"] = len(restored.thread("mega").memo)
 
     # ---- reclamation + compaction ----------------------------------------
     # The patched versions carry unique payloads, so reclaiming them leaves
@@ -216,8 +204,6 @@ def main() -> None:
             ["cold/incremental ratio", rows["incremental_bytes_ratio"]],
             ["journal entries appended", rows["journal_entries"]],
             ["1%-touch restore (s)", rows["restore_touch_seconds"]],
-            ["full v1 rebuild (s)", rows["full_rebuild_seconds"]],
-            ["restore speedup", rows["restore_speedup"]],
             ["chunks decoded / total",
              f"{int(rows['lazy_decodes'])}/{rows['chunk_count']}"],
             ["lazy decode fraction", rows["lazy_decode_fraction"]],

@@ -284,9 +284,9 @@ def _bigdag_template(chains: int, depth: int) -> str:
     return "\n".join(lines)
 
 
-def _run_bigdag(chains: int, depth: int, scheduler: str, hosts: int = 8,
+def _run_bigdag(chains: int, depth: int, hosts: int = 8,
                 trace: bool = False) -> dict:
-    """One bigdag task instantiation under the chosen execution engine."""
+    """One bigdag task instantiation."""
     from repro.cad.registry import ToolRegistry, ToolResult
     from repro.octdb import DesignDatabase
     from repro.taskmgr import TaskManager
@@ -308,7 +308,6 @@ def _run_bigdag(chains: int, depth: int, scheduler: str, hosts: int = 8,
     manager = TaskManager(
         db, registry, library,
         cluster=Cluster.homogeneous(hosts, clock=clock), clock=clock,
-        scheduler=scheduler,
     )
     wakes_before = obs.METRICS.value("engine.wake_checks")
     start = time.perf_counter()
@@ -320,33 +319,23 @@ def _run_bigdag(chains: int, depth: int, scheduler: str, hosts: int = 8,
         "makespan_seconds": clock.now,
         "wall_seconds": wall,
         "wake_checks": obs.METRICS.value("engine.wake_checks") - wakes_before,
-        "payload": db.get("final@1").payload,
     }
 
 
-def measure_bigdag(chains: int = 10, depth: int = 1000,
-                   compare_chains: int = 2, compare_depth: int = 200) -> dict:
+def measure_bigdag(chains: int = 10, depth: int = 1000) -> dict:
     """E-SCALE bigdag: a 10k+-step task through the DAG execution engine.
 
-    ``engine.wake_checks`` counts every waiter examined on a wake (DAG
-    engine) or every suspended step re-checked in a rescan pass (list
-    engine), so it is the per-completion wakeup cost made deterministic: on
-    a chain-shaped graph the DAG engine pays ~1 check per dependency edge
-    total, while the list engine pays a full Suspending rescan per
-    completion (quadratic).  The list engine is therefore measured at a
-    reduced scale and the two engines' counts are compared per-step there;
-    the full-scale run reports absolute wake checks plus wall-clock
+    ``engine.wake_checks`` counts every waiter examined on a wake, so it is
+    the per-completion wakeup cost made deterministic: on a chain-shaped
+    graph a completion wakes only its dependents, ~1 check per dependency
+    edge in total.  The run reports absolute wake checks plus wall-clock
     scheduler overhead (the whole run is virtual-time simulation, so wall
     seconds *is* interpreter+scheduler+simulator bookkeeping).
     """
     was_enabled = obs.TRACER.enabled
     if was_enabled:
-        obs.TRACER.disable()
-    small_dag = _run_bigdag(compare_chains, compare_depth, "dag")
-    small_list = _run_bigdag(compare_chains, compare_depth, "list")
-    if was_enabled:
         obs.TRACER.clear()
-    full = _run_bigdag(chains, depth, "dag", trace=was_enabled)
+    full = _run_bigdag(chains, depth, trace=was_enabled)
     note_run_meta(seed=0)
     return {
         "chains": chains,
@@ -356,16 +345,6 @@ def measure_bigdag(chains: int = 10, depth: int = 1000,
         "scheduler_overhead_seconds": full["wall_seconds"],
         "wake_checks": full["wake_checks"],
         "wake_checks_per_step": full["wake_checks"] / full["steps"],
-        "compare_steps": compare_chains * compare_depth + 1,
-        "compare_dag_wake_checks": small_dag["wake_checks"],
-        "compare_list_wake_checks": small_list["wake_checks"],
-        "wake_ratio": small_list["wake_checks"] /
-        max(1.0, small_dag["wake_checks"]),
-        "engines_agree": 1.0 if (
-            small_dag["steps"] == small_list["steps"]
-            and small_dag["makespan_seconds"] == small_list["makespan_seconds"]
-            and small_dag["payload"] == small_list["payload"]
-        ) else 0.0,
     }
 
 
@@ -374,26 +353,20 @@ def check_bigdag(result: dict, steps: int) -> None:
     assert result["steps"] == steps, result
     # ~1 wake check per dependency edge; 3 is a generous structural bound.
     assert result["wake_checks_per_step"] <= 3.0, result
-    # The list engine's rescans cost >=10x more checks at identical scale.
-    assert result["wake_ratio"] >= 10, result
-    # Both engines produce the same steps, makespan and final payload.
-    assert result["engines_agree"] == 1.0, result
 
 
 def test_scale_bigdag_dag_scheduler(benchmark):
     result = benchmark.pedantic(
         measure_bigdag, rounds=1, iterations=1,
-        kwargs={"chains": 4, "depth": 50,
-                "compare_chains": 2, "compare_depth": 40},
+        kwargs={"chains": 4, "depth": 50},
     )
 
-    banner("E-SCALE — bigdag: DAG scheduler wakeup cost vs list rescans")
+    banner("E-SCALE — bigdag: DAG scheduler wakeup cost")
     table(
-        ["steps", "makespan (s)", "overhead wall (s)", "wake/step",
-         "list/dag wake ratio"],
+        ["steps", "makespan (s)", "overhead wall (s)", "wake/step"],
         [[result["steps"], result["makespan_seconds"],
           result["scheduler_overhead_seconds"],
-          result["wake_checks_per_step"], result["wake_ratio"]]],
+          result["wake_checks_per_step"]]],
     )
     check_bigdag(result, steps=4 * 50 + 1)
     export_observability("scale_bigdag", {"bigdag": result})
@@ -466,9 +439,7 @@ if __name__ == "__main__":
     print(f"bigdag: {big['steps']} steps, "
           f"makespan {big['makespan_seconds']:.1f}s virtual, "
           f"overhead {big['scheduler_overhead_seconds']:.2f}s wall, "
-          f"wake_checks/step {big['wake_checks_per_step']:.2f}, "
-          f"list/dag wake ratio {big['wake_ratio']:.0f}x "
-          f"at {big['compare_steps']} steps")
+          f"wake_checks/step {big['wake_checks_per_step']:.2f}")
     check_bigdag(big, steps=10 * 1000 + 1)
     print("bigdag DAG-scheduler smoke OK")
     if path:

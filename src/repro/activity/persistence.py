@@ -5,7 +5,7 @@ communication (the reclaimer runs as a separate process) and to survive
 session restarts.  Two generations of the on-disk layout coexist:
 
 * **format 1** — one monolithic ``history.json`` + ``database.json`` with
-  every payload embedded.  Still readable; no longer written by default.
+  every payload embedded.  Still readable; no longer written.
 * **format 2** — the scale-out layout: ``database.json`` is a thin manifest
   over a content-addressed ``objects/`` chunk store, ``history.json`` holds
   the thread/SDS/audit snapshot, and ``journal.jsonl`` is a write-ahead
@@ -132,12 +132,6 @@ def _nodes_from_doc(data: dict) -> tuple[dict, int]:
     return nodes, data["next"]
 
 
-def stream_from_dict(data: dict) -> ControlStream:
-    stream = ControlStream()
-    stream._nodes, stream._next = _nodes_from_doc(data)
-    return stream
-
-
 class LazyStream(ControlStream):
     """A restored control stream that decodes its nodes on first access.
 
@@ -154,10 +148,6 @@ class LazyStream(ControlStream):
     def __init__(self, doc: dict):
         super().__init__()
         self._raw = doc
-
-    @property
-    def hydrated(self) -> bool:
-        return self._raw is None
 
     def _hydrate(self) -> None:
         raw, self._raw = self._raw, None
@@ -227,9 +217,9 @@ def thread_from_dict(data: dict, lwt: LWTSystem) -> DesignThread:
 # ------------------------------------------------------------------ system
 
 
-def _system_doc(lwt: LWTSystem, fmt: int) -> dict[str, Any]:
+def _system_doc(lwt: LWTSystem) -> dict[str, Any]:
     doc: dict[str, Any] = {
-        "format": fmt,
+        "format": FORMAT_VERSION,
         "now": lwt.clock.now,
         "threads": [thread_to_dict(t) for t in lwt.threads.values()],
         "spaces": [
@@ -250,30 +240,21 @@ def _system_doc(lwt: LWTSystem, fmt: int) -> dict[str, Any]:
 def save_system(
     lwt: LWTSystem,
     directory: str | Path,
-    fmt: int = FORMAT_VERSION,
     store: ChunkStore | None = None,
 ) -> Path:
     """Persist a whole LWT installation (database + threads + SDS links).
 
-    This is a full *checkpoint*: format 2 (the default) writes the thin
-    manifests plus any chunks not already in the ``objects/`` store and
-    truncates the write-ahead journal; ``fmt=1`` writes the legacy
-    single-JSON layout.  For incremental saves use
+    This is a full format-2 *checkpoint*: it writes the thin manifests plus
+    any chunks not already in the ``objects/`` store and truncates the
+    write-ahead journal.  For incremental saves use
     :class:`PersistentSession`.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if fmt == FORMAT_V1:
-        save_database(lwt.db, directory / "database.json")
-        doc = _system_doc(lwt, FORMAT_V1)
-        (directory / "history.json").write_text(json.dumps(doc, indent=1))
-        return directory
-    if fmt != FORMAT_VERSION:
-        raise ThreadError(f"unsupported history format {fmt!r}")
     if store is None:
         store = ChunkStore(directory / "objects")
     save_database(lwt.db, directory / "database.json", store=store)
-    doc = _system_doc(lwt, FORMAT_VERSION)
+    doc = _system_doc(lwt)
     (directory / "history.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True)
     )

@@ -101,10 +101,6 @@ class MetadataError(PapyrusError):
     """Metadata inference failure (unknown tool TSD, bad attribute spec...)."""
 
 
-class ReclamationError(PapyrusError):
-    """Storage reclamation was asked to reclaim a live or pinned object."""
-
-
 class PersistenceError(PapyrusError):
     """A saved session is inconsistent (dangling alias, missing chunk...)."""
 

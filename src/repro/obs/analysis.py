@@ -513,6 +513,43 @@ def scheduler_gaps(timelines: dict[str, HostTimeline],
     return [g for g in gaps if g.dur >= min_dur]
 
 
+@dataclass
+class GapReplay:
+    """Scheduler-gap seconds within a window, and the timelines behind them."""
+
+    total: float
+    #: Seconds each host sat idle inside a gap (a gap counts toward every
+    #: host idle through it).
+    per_host: dict[str, float]
+    timelines: dict[str, HostTimeline]
+
+
+def replay_gaps(events: list[dict[str, Any]], now: float,
+                since: float | None = None) -> GapReplay | None:
+    """Replay the ``cluster`` events up to ``now`` and sum scheduler-gap
+    seconds clipped to ``[since, now]`` (``since=None``: from the start).
+
+    Replaying up to ``now``, not to the last cluster event, keeps a stall
+    that is still open in the count.  Returns None when there are no cluster
+    events.
+    """
+    cluster_events = [e for e in events if e.get("cat") == "cluster"]
+    if not cluster_events:
+        return None
+    timelines = utilization(TraceModel(cluster_events), end=now)
+    total = 0.0
+    per_host: dict[str, float] = {}
+    for gap in scheduler_gaps(timelines):
+        start = gap.start if since is None else max(gap.start, since)
+        seconds = min(gap.end, now) - start
+        if seconds <= 0:
+            continue
+        total += seconds
+        for host in gap.idle_hosts:
+            per_host[host] = per_host.get(host, 0.0) + seconds
+    return GapReplay(total, per_host, timelines)
+
+
 def render_gantt(timelines: dict[str, HostTimeline], width: int = 64,
                  extent: tuple[float, float] | None = None) -> list[str]:
     """A plain-text Gantt chart: one row per host, one column per bucket.

@@ -263,9 +263,6 @@ class HealthMonitor:
 
     # -------------------------------------------------------------- wiring
 
-    def add_rule(self, rule: AlertRule) -> None:
-        self.rules.append(rule)
-
     def add_registry(self, registry: MetricsRegistry) -> None:
         if registry not in self.registries:
             self.registries.append(registry)
@@ -381,31 +378,20 @@ class HealthMonitor:
                                                              dict[str, float]]:
         """(total, per-host) scheduler-gap seconds in the recent window.
 
-        Derived by replaying the trace's ``cluster.*`` events into host
-        timelines (``repro.obs.analysis``); gap windows are clipped to the
-        last ``gap_window`` virtual seconds so old sins age out.  Each gap
-        is attributed to every host that sat idle through it.
+        Derived by replaying the trace's ``cluster.*`` events up to ``now``
+        (:func:`repro.obs.analysis.replay_gaps`), so a stall still in
+        progress counts; gap windows are clipped to the last ``gap_window``
+        virtual seconds so old sins age out.  Each gap is attributed to
+        every host that sat idle through it.
         """
-        from repro.obs.analysis import TraceModel, scheduler_gaps, utilization
+        from repro.obs.analysis import replay_gaps
 
         now = self._now() if now is None else now
-        events = [e for e in self.tracer.events
-                  if e.get("cat") == "cluster"]
-        if not events:
+        replay = replay_gaps(self.tracer.events, now,
+                             since=now - self.gap_window)
+        if replay is None:
             return 0.0, {}
-        gaps = scheduler_gaps(utilization(TraceModel(events)))
-        horizon = now - self.gap_window
-        total = 0.0
-        per_host: dict[str, float] = {}
-        for gap in gaps:
-            start = max(gap.start, horizon)
-            end = min(gap.end, now)
-            if end <= start:
-                continue
-            total += end - start
-            for host in gap.idle_hosts:
-                per_host[host] = per_host.get(host, 0.0) + (end - start)
-        return total, per_host
+        return replay.total, replay.per_host
 
     def signal_value(self, rule: AlertRule, now: float) -> float | None:
         kind, _, body = rule.signal.partition(":")

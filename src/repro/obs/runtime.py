@@ -7,25 +7,17 @@ needs numbers: how many real seconds go to the scheduler pump, to scope
 synchronization, to memo fingerprinting, to chunk encode/decode, to journal
 fsyncs — and how much of the total the observability layer itself costs.
 
-Three pieces:
-
-* :class:`RuntimeProfiler` — near-zero-cost scoped wall-time meters.  Hot
-  paths wrap themselves in ``with PROFILER.section("engine.pump"):``; when
-  the profiler is disabled the context manager is a shared no-op singleton
-  (one method call, no allocation, exceptions propagate untouched).  When
-  enabled, each section records **exclusive** (self) wall seconds — a
-  section's time excludes its nested children — so the per-section sums can
-  never exceed total wall time, and the tracer's own emission cost (folded
-  in via :meth:`RuntimeProfiler.account` from ``Tracer._append``) is never
-  double-counted inside an enclosing section.  Sections publish
-  ``runtime.wall_seconds{section=}`` / ``runtime.calls{section=}`` into the
-  process-wide metrics registry.
-* :class:`SamplingProfiler` — an optional thread-based statistical sampler
-  (``sys._current_frames``) producing collapsed-stack flamegraph lines, for
-  the cases scoped meters don't cover.
-* allocation snapshots — an opt-in ``tracemalloc`` wrapper
-  (:meth:`RuntimeProfiler.track_allocations` /
-  :meth:`RuntimeProfiler.allocation_top`).
+:class:`RuntimeProfiler` provides near-zero-cost scoped wall-time meters.
+Hot paths wrap themselves in ``with PROFILER.section("engine.pump"):``; when
+the profiler is disabled the context manager is a shared no-op singleton
+(one method call, no allocation, exceptions propagate untouched).  When
+enabled, each section records **exclusive** (self) wall seconds — a
+section's time excludes its nested children — so the per-section sums can
+never exceed total wall time, and the tracer's own emission cost (folded in
+via :meth:`RuntimeProfiler.account` from ``Tracer._append``) is never
+double-counted inside an enclosing section.  Sections publish
+``runtime.wall_seconds{section=}`` / ``runtime.calls{section=}`` into the
+process-wide metrics registry.
 
 The module is import-light (no Papyrus subsystem): hot paths import
 :data:`PROFILER` at module level exactly like they import ``TRACER``.
@@ -35,14 +27,12 @@ from __future__ import annotations
 
 import json
 import sys
-import threading
 import time as _time
 from typing import IO, Any
 
 __all__ = [
     "PROFILER",
     "RuntimeProfiler",
-    "SamplingProfiler",
     "max_rss_bytes",
     "process_wall_seconds",
     "render_report",
@@ -148,7 +138,6 @@ class RuntimeProfiler:
         self._counters: dict[str, tuple[Any, Any]] = {}
         self._t0: float | None = None
         self._accumulated = 0.0
-        self._sampler: SamplingProfiler | None = None
         if enabled:
             self.enable()
 
@@ -266,103 +255,11 @@ class RuntimeProfiler:
             "obs_overhead_fraction": (overhead / total) if total > 0 else 0.0,
         }
 
-    # ---------------------------------------------------- optional deep tools
-
-    def start_sampler(self, interval: float = 0.005) -> "SamplingProfiler":
-        """Start the statistical stack sampler (idempotent)."""
-        if self._sampler is None or not self._sampler.running:
-            self._sampler = SamplingProfiler(interval=interval)
-            self._sampler.start()
-        return self._sampler
-
-    def stop_sampler(self) -> dict[tuple[str, ...], int]:
-        """Stop the sampler; returns collapsed-stack sample counts."""
-        if self._sampler is None:
-            return {}
-        return self._sampler.stop()
-
-    def track_allocations(self) -> None:
-        """Opt in to allocation snapshots (starts ``tracemalloc``)."""
-        import tracemalloc
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-
-    def allocation_top(self, top: int = 10) -> list[dict[str, Any]]:
-        """Top allocation sites by live bytes (empty unless tracking)."""
-        import tracemalloc
-        if not tracemalloc.is_tracing():
-            return []
-        snapshot = tracemalloc.take_snapshot()
-        out = []
-        for stat in snapshot.statistics("lineno")[:top]:
-            frame = stat.traceback[0]
-            out.append({"site": f"{frame.filename}:{frame.lineno}",
-                        "size_bytes": stat.size, "count": stat.count})
-        return out
-
 
 #: The process-wide profiler every hot path reports to (mutated in place,
 #: never rebound — ``from repro.obs.runtime import PROFILER`` is safe at
 #: module level everywhere, mirroring ``TRACER``).
 PROFILER = RuntimeProfiler()
-
-
-class SamplingProfiler:
-    """Thread-based statistical sampler of the main thread's stack.
-
-    Pure stdlib: a daemon thread wakes every ``interval`` seconds, reads
-    ``sys._current_frames()`` for the main thread, and counts the collapsed
-    stack ``(outermost;...;innermost)``.  Coarse by design — the scoped
-    meters answer "how much", this answers "where inside" when a section is
-    unexpectedly hot.
-    """
-
-    def __init__(self, interval: float = 0.005,
-                 target_ident: int | None = None):
-        self.interval = interval
-        self.target_ident = (target_ident if target_ident is not None
-                             else threading.main_thread().ident)
-        self.samples: dict[tuple[str, ...], int] = {}
-        self.running = False
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-runtime-sampler")
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            frame = sys._current_frames().get(self.target_ident)
-            if frame is None:
-                continue
-            stack: list[str] = []
-            while frame is not None:
-                code = frame.f_code
-                stack.append(f"{code.co_name} "
-                             f"({code.co_filename.rsplit('/', 1)[-1]})")
-                frame = frame.f_back
-            key = tuple(reversed(stack))
-            self.samples[key] = self.samples.get(key, 0) + 1
-
-    def stop(self) -> dict[tuple[str, ...], int]:
-        if self.running:
-            self._stop.set()
-            assert self._thread is not None
-            self._thread.join(timeout=2.0)
-            self.running = False
-        return dict(self.samples)
-
-    def collapsed(self) -> list[str]:
-        """``a;b;c count`` lines (the flamegraph.pl collapsed format)."""
-        return [";".join(stack) + f" {count}"
-                for stack, count in sorted(self.samples.items(),
-                                           key=lambda kv: -kv[1])]
 
 
 # -------------------------------------------------------------- BENCH block

@@ -279,15 +279,10 @@ class SLOEngine:
     def _gap_total(self, now: float) -> float | None:
         """Cumulative scheduler-gap seconds in [0, now], by replaying the
         trace's cluster events (None when there are none yet)."""
-        from repro.obs.analysis import TraceModel, scheduler_gaps, utilization
+        from repro.obs.analysis import replay_gaps
 
-        events = [e for e in self.tracer.events if e.get("cat") == "cluster"]
-        if not events:
-            return None
-        timelines = utilization(TraceModel(events), end=now)
-        return sum(min(gap.end, now) - gap.start
-                   for gap in scheduler_gaps(timelines)
-                   if gap.start < now)
+        replay = replay_gaps(self.tracer.events, now)
+        return None if replay is None else replay.total
 
     def source_value(self, expr: str, now: float) -> float | None:
         """Evaluate one cumulative source expression at time ``now``."""
@@ -629,9 +624,7 @@ class TopView:
                     "name": slo.name, "objective": slo.objective,
                     "budget": state.get("budget"),
                     "burns": dict(state.get("burns", {}))})
-        cluster_events = [e for e in monitor.tracer.events
-                          if e.get("cat") == "cluster"]
-        view._fill_hosts(cluster_events, view.now)
+        view._fill_hosts(monitor.tracer.events, view.now)
         hits = monitor._metric_value("memo.hits")
         misses = monitor._metric_value("memo.misses")
         if hits is not None or misses is not None:
@@ -676,8 +669,7 @@ class TopView:
                                      for a in view.firing)
                        else "warn" if view.firing else "ok")
         view.slos = [slo_state[k] for k in sorted(slo_state)]
-        view._fill_hosts([e for e in events if e.get("cat") == "cluster"],
-                         view.now)
+        view._fill_hosts(events, view.now)
         step_spans = [e for e in events
                       if e.get("kind") == "span" and e.get("cat") == "step"]
         reused = sum(1 for s in step_spans if s["args"].get("reused"))
@@ -738,18 +730,13 @@ class TopView:
             view.runtime = raw["runtime"]
         return view
 
-    def _fill_hosts(self, cluster_events: list[dict[str, Any]],
-                    now: float) -> None:
-        from repro.obs.analysis import (TraceModel, scheduler_gaps,
-                                        utilization)
+    def _fill_hosts(self, events: list[dict[str, Any]], now: float) -> None:
+        from repro.obs.analysis import replay_gaps
 
-        if not cluster_events:
+        replay = replay_gaps(events, now)
+        if replay is None:
             return
-        timelines = utilization(TraceModel(cluster_events), end=now)
-        per_host: dict[str, float] = {}
-        for gap in scheduler_gaps(timelines):
-            for host in gap.idle_hosts:
-                per_host[host] = per_host.get(host, 0.0) + gap.dur
+        timelines = replay.timelines
         start = min((tl.intervals[0][0] for tl in timelines.values()
                      if tl.intervals), default=0.0)
         self.extent = (start, now)
@@ -759,7 +746,7 @@ class TopView:
                 "host": host,
                 "busy_seconds": tl.busy_seconds,
                 "busy_span": tl.busy_span,
-                "gap_seconds": per_host.get(host, 0.0)})
+                "gap_seconds": replay.per_host.get(host, 0.0)})
 
 
 def render_top(view: TopView, width: int = 72) -> list[str]:

@@ -329,10 +329,6 @@ class Tracer:
         })
         return span_id
 
-    @property
-    def current_span_id(self) -> int | None:
-        return self._stack[-1] if self._stack else None
-
     # --------------------------------------------------------------- queries
 
     def sorted_events(self) -> list[dict[str, Any]]:

@@ -79,11 +79,10 @@ class DesignDatabase:
         self.clock = clock or GLOBAL_CLOCK
         self._versions: dict[str, list[_Entry]] = {}
         self._bytes_live = 0
-        #: Reuse back-links: alias version → source version (and the reverse
-        #: index).  Without them a memo-materialized version is a lineage
-        #: orphan — nothing records which committed computation it reuses.
+        #: Reuse back-links: alias version → source version.  Without them a
+        #: memo-materialized version is a lineage orphan — nothing records
+        #: which committed computation it reuses.
         self._alias_sources: dict[str, str] = {}
-        self._aliased_by: dict[str, list[str]] = {}
         #: Journal hook: called as ``on_mutation(kind, details)`` after every
         #: state change (put/alias/delete/undelete/pin/reclaim).  A
         #: persistent session uses it to append write-ahead journal entries.
@@ -171,7 +170,6 @@ class DesignDatabase:
     def _note_alias(self, alias: str, source: str) -> None:
         if alias not in self._alias_sources:
             self._alias_sources[alias] = source
-            self._aliased_by.setdefault(source, []).append(alias)
 
     # ---------------------------------------------------------- reuse lineage
 
@@ -179,11 +177,6 @@ class DesignDatabase:
         """The versioned name this version aliases, or None if original."""
         oname = parse_name(name) if isinstance(name, str) else name
         return self._alias_sources.get(str(oname))
-
-    def aliases_of(self, name: str | ObjectName) -> list[str]:
-        """Versions that reuse this version's payload (creation order)."""
-        oname = parse_name(name) if isinstance(name, str) else name
-        return list(self._aliased_by.get(str(oname), ()))
 
     def aliases(self) -> dict[str, str]:
         """The full alias → source mapping (provenance join input)."""

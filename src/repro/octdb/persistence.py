@@ -5,13 +5,14 @@ communication between the task and activity managers (§5.3) and so that
 reclamation can run as an independent process.  Here persistence is JSON:
 payload classes register a codec (``to_dict``/``from_dict``) under a type tag.
 
-Two on-disk database formats coexist:
+Two on-disk database formats are readable:
 
 * **format 1** — the original monolithic snapshot: every payload of every
-  version embedded into one ``database.json``.  Still written when no chunk
-  store is supplied, and always readable (old saved sessions keep loading).
-* **format 2** — a thin manifest of content digests: payloads live in a
-  content-addressed :class:`~repro.octdb.chunkstore.ChunkStore`
+  version embedded into one ``database.json``.  No longer written, but old
+  saved sessions keep loading.
+* **format 2** — the only format written: a thin manifest of content
+  digests.  Payloads live in a content-addressed
+  :class:`~repro.octdb.chunkstore.ChunkStore`
   (``objects/<digest[:2]>/<digest>``) and the manifest records only
   ``(base, version, chunk, size, ...)`` rows.  Loading rebuilds the database
   with :class:`~repro.octdb.chunkstore.LazyPayload` handles, so restore cost
@@ -95,49 +96,11 @@ def decode_payload(blob: Any) -> Any:
 # --------------------------------------------------------------------- saving
 
 
-def save_database(
-    db: DesignDatabase,
-    path: str | Path,
-    store: ChunkStore | None = None,
-) -> None:
-    """Serialize the database (including tombstones) to a JSON file.
-
-    With a ``store``, payloads go to content-addressed chunks and ``path``
-    receives a thin format-2 manifest; without one, the original format-1
-    snapshot (payloads embedded) is written.
-    """
-    if store is None:
-        _save_v1(db, path)
-    else:
-        _save_v2(db, path, store)
-
-
-def _save_v1(db: DesignDatabase, path: str | Path) -> None:
-    doc: dict[str, Any] = {"now": db.clock.now, "objects": []}
-    for base, chain in db._versions.items():
-        for entry in chain:
-            record: dict[str, Any] = {
-                "base": base,
-                "deleted_at": entry.deleted_at,
-                "pinned": entry.pinned,
-            }
-            if entry.obj is None:
-                record["reclaimed"] = True
-            else:
-                record.update(
-                    version=entry.obj.version,
-                    created_at=entry.obj.created_at,
-                    creator=entry.obj.creator,
-                    payload=encode_payload(entry.obj.payload),
-                )
-            doc["objects"].append(record)
-    aliases = db.aliases()
-    if aliases:
-        doc["aliases"] = aliases
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
-
-
-def _save_v2(db: DesignDatabase, path: str | Path, store: ChunkStore) -> None:
+def save_database(db: DesignDatabase, path: str | Path,
+                  store: ChunkStore) -> None:
+    """Serialize the database (including tombstones) as a format-2 manifest
+    at ``path``, with payloads written to ``store`` as content-addressed
+    chunks."""
     # Deterministic row order (sorted base, then version) makes the manifest
     # byte-identical across save → load → save round trips.
     objects: list[dict[str, Any]] = []
@@ -196,7 +159,7 @@ def load_database(
     db: DesignDatabase | None = None,
     store: ChunkStore | None = None,
 ) -> DesignDatabase:
-    """Reconstruct a database saved by :func:`save_database` (either format).
+    """Reconstruct a saved database (format 1 or format 2).
 
     Format-2 manifests need their chunk store; when ``store`` is omitted it
     defaults to the ``objects/`` directory next to the manifest.

@@ -32,9 +32,5 @@ class SimProcess:
     evictions: int = 0
 
     @property
-    def is_running(self) -> bool:
-        return self.state is ProcessState.RUNNING
-
-    @property
     def is_at_home(self) -> bool:
         return self.host == self.home

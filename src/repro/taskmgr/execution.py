@@ -16,10 +16,6 @@ dependents, never a scan of everything suspended.  The thesis's three lists
 * **Suspending** — nodes in PENDING (data or control dependencies unmet),
 * **Result** — objects produced so far, each tagged with its creating node.
 
-The original list-walking scheduler (re-scan Suspending on every completion)
-is retained as ``scheduler="list"`` so the two engines can be compared
-step-record-for-step-record; see ``tests/test_engine_dag.py``.
-
 Programmable aborts follow §4.3.4: every top-level command of a template
 body carries an internal ID (subtask bodies get a prefixed ID path);
 aborting a step restarts interpretation from the resumed step's task state
@@ -176,10 +172,7 @@ class TaskExecution:
         on_restart: RestartHook | None = None,
         max_restarts: int = 3,
         memo: DerivationCache | None = None,
-        scheduler: str = "dag",
     ):
-        if scheduler not in ("dag", "list"):
-            raise TemplateError(f"unknown scheduler {scheduler!r}")
         self.template = template
         self.db = db
         self.registry = registry
@@ -190,7 +183,6 @@ class TaskExecution:
         self.on_restart = on_restart
         self.max_restarts = max_restarts
         self.memo = memo
-        self.scheduler = scheduler
         self.instance = next(_instances)
 
         self.interp = Interp()
@@ -248,13 +240,13 @@ class TaskExecution:
         #: the per-node dependent lists — a completion fires only the keys
         #: it satisfies, so wakeup cost is proportional to the dependents.
         self._waiters: dict[DepKey, list[_Pending]] = {}
-        #: The ready queue, ordered by admission so dispatch order matches
-        #: the list engine's suspend-order scan exactly.
+        #: The ready queue, ordered by admission: ready steps dispatch in
+        #: program order.
         self._ready_heap: list[tuple[int, _Pending]] = []
         self._pumping = False
         #: Slot keys that may be satisfied by an object appearing directly
         #: in the database (no in-template producer promised them yet);
-        #: rechecked on each completion, mirroring the list engine's rescan.
+        #: rechecked on each completion.
         self._external_waits: dict[DepKey, tuple[_Scope, str]] = {}
         #: Deferred programmable aborts, one per failed programmed-abort
         #: step: (failed node, reason).  A queue, not a single slot — two
@@ -439,21 +431,15 @@ class TaskExecution:
             # candidate for direct-database satisfaction.
             self._external_waits.pop(("slot", owner.id, name), None)
             self._slot_for(scope, formal)  # allocate the slot eagerly
-        if self.scheduler == "dag":
-            unmet = self._collect_unmet(pending)
-            if unmet:
-                pending.unmet = unmet
-                for dep_key in unmet:
-                    self._waiters.setdefault(dep_key, []).append(pending)
-                self._suspend(pending)
-            else:
-                self._enqueue_ready(pending)
-            self._pump()
+        unmet = self._collect_unmet(pending)
+        if unmet:
+            pending.unmet = unmet
+            for dep_key in unmet:
+                self._waiters.setdefault(dep_key, []).append(pending)
+            self._suspend(pending)
         else:
-            if self._ready(pending):
-                self._dispatch(pending)
-            else:
-                self._suspend(pending)
+            self._enqueue_ready(pending)
+        self._pump()
 
     def _suspend(self, pending: _Pending) -> None:
         pending.state = NodeState.PENDING
@@ -540,9 +526,9 @@ class TaskExecution:
     def _recheck_external(self) -> None:
         """Re-probe dangling direct-database references (rare).
 
-        Mirrors the list engine's behaviour: an input that is neither bound
-        nor promised may be satisfied by an object another concurrent
-        instantiation commits under exactly that name.
+        An input that is neither bound nor promised may be satisfied by an
+        object another concurrent instantiation commits under exactly that
+        name.
         """
         if not self._external_waits:
             return
@@ -561,62 +547,12 @@ class TaskExecution:
 
     def _on_step_success(self, pending: _Pending) -> None:
         """Wake exactly the dependents of one successful completion."""
-        if self.scheduler != "dag":
-            self._wake_suspended()
-            return
         self._fire_key(("done", pending.internal_id))
         for formal in pending.spec.outputs:
             owner, name = pending.scope.resolve(formal)
             self._fire_key(("slot", owner.id, name))
         self._recheck_external()
         self._pump()
-
-    # ------------------------------------------------ list-engine readiness
-
-    def _ready(self, pending: _Pending) -> bool:
-        for formal in pending.spec.inputs:
-            owner, name = pending.scope.resolve(formal)
-            slot = owner.slots.get(name)
-            if slot is not None and slot.version is not None:
-                continue
-            if (owner.id, name) in self.promised:
-                return False
-            # Neither bound nor promised: maybe a direct database reference.
-            if self.db.exists(name):
-                owner.slots[name] = _Slot(
-                    base=parse_name(name).base,
-                    version=self.db.get(name).version,
-                    kind="external",
-                )
-                continue
-            return False
-        for dep in pending.spec.control_deps:
-            internal = self.declared.get((pending.scope.prefix, dep))
-            if internal is None or internal not in self.completed_ok:
-                return False
-        return True
-
-    def _wake_suspended(self) -> None:
-        """The list engine's wake path: rescan Suspending until quiescent."""
-        with PROFILER.section("engine.wake"):
-            progressed = True
-            while progressed:
-                progressed = False
-                checked = 0
-                for pending in list(self.suspending.values()):
-                    # A dispatch may hit the derivation cache and complete
-                    # synchronously, recursing into this method — the
-                    # recursive call may already have drained entries of our
-                    # snapshot.
-                    if self.suspending.get(pending.key) is not pending:
-                        continue
-                    checked += 1
-                    if self._ready(pending):
-                        del self.suspending[pending.key]
-                        self._dispatch(pending)
-                        progressed = True
-                if checked:
-                    METRICS.counter("engine.wake_checks").inc(checked)
 
     # --------------------------------------------------------------- dispatch
 
@@ -1011,7 +947,7 @@ class TaskExecution:
             del self._admitted[key]
         for iid in [i for i in self._by_internal if later(i)]:
             del self._by_internal[iid]
-        if self.scheduler == "dag" and (unbound or undone_ids):
+        if unbound or undone_ids:
             self._rearm_survivors(unbound, undone_ids)
         self._last_admitted = None
 

@@ -37,7 +37,6 @@ class TaskManager:
         on_restart: RestartHook | None = None,
         max_restarts: int = 3,
         labels: dict[str, str] | None = None,
-        scheduler: str = "dag",
     ):
         self.db = db
         self.registry = registry
@@ -48,10 +47,6 @@ class TaskManager:
         self.navigator = navigator
         self.on_restart = on_restart
         self.max_restarts = max_restarts
-        #: Execution-engine selection, passed through to every
-        #: :class:`TaskExecution`: ``"dag"`` (dependency-graph scheduler) or
-        #: ``"list"`` (the original rescan engine, kept for comparison).
-        self.scheduler = scheduler
         self.executions: list[TaskExecution] = []
         #: Metric labels stamped on this manager's instruments (e.g.
         #: ``{"tenant": "alice"}``) — a multi-tenant server gives each
@@ -99,7 +94,6 @@ class TaskManager:
             on_restart=self.on_restart,
             max_restarts=self.max_restarts,
             memo=memo,
-            scheduler=self.scheduler,
         )
         self.executions.append(execution)
         execution.run()   # raises TaskAborted on failure
@@ -165,7 +159,6 @@ class TaskManager:
                 library=self.library, attrdb=self.attrdb,
                 navigator=self.navigator, on_restart=self.on_restart,
                 max_restarts=self.max_restarts, memo=memo,
-                scheduler=self.scheduler,
             )
             self.executions.append(execution)
             executions.append(execution)

@@ -6,7 +6,6 @@ braces grouping elements that themselves contain white space.
 
 from __future__ import annotations
 
-from repro.errors import TdlError
 from repro.tdl.tokenizer import BARE, BRACED, QUOTED, split_words, unescape
 
 
@@ -56,10 +55,3 @@ def format_element(element: str) -> str:
 def format_list(elements: list[str]) -> str:
     """Join elements into a Tcl list string."""
     return " ".join(format_element(e) for e in elements)
-
-
-def list_index(text: str, index: int) -> str:
-    elements = parse_list(text)
-    if not 0 <= index < len(elements):
-        raise TdlError(f"list index {index} out of range")
-    return elements[index]

@@ -11,7 +11,6 @@ lists into :class:`StepSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import TemplateError
 from repro.tdl.lists import parse_list
@@ -126,9 +125,6 @@ class TemplateLibrary:
         template = parse_template(source)
         self._templates[template.name] = template
         return template
-
-    def add_file(self, path: str | Path) -> TaskTemplate:
-        return self.add_source(Path(path).read_text())
 
     def get(self, name: str) -> TaskTemplate:
         try:

@@ -1,4 +1,4 @@
-"""DAG execution engine: abort-path regression tests and engine parity.
+"""DAG execution engine: abort-path regression tests and golden records.
 
 Three regression tests pin the §4.3.4 bugs fixed alongside the DAG rewrite
 (each fails against the pre-fix logic):
@@ -12,18 +12,20 @@ Three regression tests pin the §4.3.4 bugs fixed alongside the DAG rewrite
   largest internal ID, not the most recent *completion* (out-of-order
   harvest makes those differ).
 
-A hypothesis property then checks the DAG scheduler against the retained
-list-walking engine: identical step records, intermediates and final
-payloads on random templates.
+The engine then replays ``tests/fixtures/engine_golden.json``: step
+records, intermediates and final payloads on 24 seeded random templates and
+the three abort scenarios, frozen when the DAG scheduler and the original
+list-walking engine were checked to agree on every case.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cad.registry import ToolRegistry, ToolResult
 from repro.clock import VirtualClock
@@ -34,7 +36,9 @@ from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
 from repro.tdl.template import TemplateLibrary, parse_template
 
-from tests.test_engine_property import StepPlan, dags, run_template
+from tests.test_engine_property import StepPlan, make_registry, run_template
+
+GOLDEN = Path(__file__).parent / "fixtures" / "engine_golden.json"
 
 
 def make_flaky_registry() -> tuple[ToolRegistry, Counter]:
@@ -81,11 +85,19 @@ def make_flaky_registry() -> tuple[ToolRegistry, Counter]:
     return registry, runs
 
 
-def make_env(sources: list[str], hosts: int = 4, **mgr_kwargs):
+def add_fixed_option(execution, spec):
+    """Restart hook: repair the failed step by adding ``-fixed``."""
+    execution.option_overrides.setdefault(spec.name, []).append("-fixed")
+
+
+def make_env(sources: list[str], hosts: int = 4, registry=None,
+             **mgr_kwargs):
     clock = VirtualClock()
     db = DesignDatabase(clock=clock)
     db.put("seed", "S")
-    registry, runs = make_flaky_registry()
+    runs: Counter = Counter()
+    if registry is None:
+        registry, runs = make_flaky_registry()
     library = TemplateLibrary()
     for source in sources:
         library.add_source(source)
@@ -150,8 +162,7 @@ class TestAbortPathRegressions:
 
         def fix(execution, spec):
             repaired.append(spec.name)
-            execution.option_overrides.setdefault(spec.name, []) \
-                .append("-fixed")
+            add_fixed_option(execution, spec)
 
         manager, db, _ = make_env([outer, sub], on_restart=fix)
         record = manager.run_task("Outer", inputs={"In": "seed@1"},
@@ -216,46 +227,43 @@ class TestDuplicateDeclaredIds:
         assert template.name == "Ok"
 
 
+def normalise(value) -> str:
+    """Collapse intermediate base names' instance/scope counters
+    (``name.t<instance>s<scope>``), which depend on global counters."""
+    return re.sub(r"\.t\d+s\d+", ".tXsY", str(value))
+
+
 class TestEngineParity:
-    @settings(max_examples=30, deadline=None)
-    @given(dags(), st.integers(min_value=1, max_value=5))
-    def test_dag_and_list_runs_are_identical(self, steps, hosts):
-        db_dag, rec_dag = run_template(steps, hosts, scheduler="dag")
-        db_list, rec_list = run_template(steps, hosts, scheduler="list")
-
-        def norm(value: str) -> str:
-            # Intermediate base names carry global instance/scope counters
-            # (``name.t<instance>s<scope>``) that differ between the two
-            # runs; collapse them before comparing.
-            return re.sub(r"\.t\d+s\d+", ".tXsY", str(value))
-
-        def shape(record):
-            return [
-                (s.name, s.tool, tuple(norm(o) for o in s.options),
-                 tuple(norm(i) for i in s.inputs),
-                 tuple(norm(o) for o in s.outputs),
-                 s.host, s.started_at, s.completed_at, s.status)
+    def test_dag_matches_golden_records(self):
+        golden = json.loads(GOLDEN.read_text())
+        assert len(golden["cases"]) == 27
+        for case in golden["cases"]:
+            registry = (make_registry() if case["registry"] == "combine"
+                        else make_flaky_registry()[0])
+            hook = add_fixed_option if case["repair_on_restart"] else None
+            manager, db, _ = make_env(case["sources"], hosts=case["hosts"],
+                                      registry=registry, on_restart=hook)
+            record = manager.run_task(case["task"], inputs={"In": "seed@1"},
+                                      outputs={"Out": "result"})
+            steps = [
+                [s.name, s.tool, [normalise(o) for o in s.options],
+                 [normalise(i) for i in s.inputs],
+                 [normalise(o) for o in s.outputs],
+                 s.host, s.started_at, s.completed_at, s.status]
                 for s in record.steps
             ]
-
-        assert shape(rec_dag) == shape(rec_list)
-        assert sorted(norm(n) for n in rec_dag.intermediates()) == \
-            sorted(norm(n) for n in rec_list.intermediates())
-        assert db_dag.get("result").payload == db_list.get("result").payload
+            expected = case["expected"]
+            assert steps == expected["steps"], case["name"]
+            assert sorted(normalise(n) for n in record.intermediates()) == \
+                expected["intermediates"], case["name"]
+            assert db.get("result").payload == expected["payload"], \
+                case["name"]
 
     def test_chain_wakeups_touch_only_dependents(self):
-        """On a 30-step chain each completion wakes exactly one dependent
-        under the DAG engine; the list engine rescans everything pending."""
+        """On a 30-step chain each completion wakes exactly one dependent."""
         n = 30
         steps = [StepPlan(index=i, inputs=(i - 1,), control=(),
                           weight=1, migratable=True) for i in range(n)]
-
-        def wake_checks(scheduler: str) -> float:
-            before = METRICS.value("engine.wake_checks")
-            run_template(steps, hosts=2, scheduler=scheduler)
-            return METRICS.value("engine.wake_checks") - before
-
-        dag = wake_checks("dag")
-        legacy = wake_checks("list")
-        assert dag <= 2 * n          # ~1 check per chain edge
-        assert legacy >= 5 * dag     # rescans are super-linear in chain length
+        before = METRICS.value("engine.wake_checks")
+        run_template(steps, hosts=2)
+        assert METRICS.value("engine.wake_checks") - before <= 2 * n

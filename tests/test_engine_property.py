@@ -106,7 +106,7 @@ def expected_outputs(steps: list[StepPlan], task_input: str) -> dict[int, str]:
     return values
 
 
-def run_template(steps: list[StepPlan], hosts: int, scheduler: str = "dag"):
+def run_template(steps: list[StepPlan], hosts: int):
     clock = VirtualClock()
     db = DesignDatabase(clock=clock)
     db.put("seed", "S")
@@ -115,7 +115,6 @@ def run_template(steps: list[StepPlan], hosts: int, scheduler: str = "dag"):
     manager = TaskManager(
         db, make_registry(), library,
         cluster=Cluster.homogeneous(hosts, clock=clock), clock=clock,
-        scheduler=scheduler,
     )
     record = manager.run_task("Rand", inputs={"In": "seed@1"},
                               outputs={"Out": "result"})

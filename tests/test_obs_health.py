@@ -195,6 +195,32 @@ class TestTraceSignals:
         # feedback push: the idle host carries the gap history
         assert cluster.gap_seconds == {"ws01": pytest.approx(20.0)}
 
+    def test_open_stall_counts_before_it_ends(self, clock):
+        """Mid-stall (t=35, owner gone since t=20, home still timesharing
+        all four jobs) the gap so far is 15s: the replay runs to ``now``,
+        not to the last cluster event, so the alert and the placement
+        feedback do not wait for the stall to end."""
+        hosts = [Workstation("home"),
+                 Workstation("ws01",
+                             schedule=OwnerSchedule(period=40, busy=20))]
+        cluster = Cluster(hosts, clock=clock, remigration=False)
+        obs.TRACER.clear()
+        obs.TRACER.enable(clock=clock)
+        try:
+            monitor = HealthMonitor()
+            monitor.attach_cluster(cluster)
+            for i in range(4):
+                cluster.submit(f"job{i}", work=10.0)
+            cluster.run_until(35)
+            summary = monitor.evaluate()
+        finally:
+            obs.TRACER.disable()
+            obs.TRACER.clear()
+        firing = {f["rule"]: f for f in summary["firing"]}
+        assert "scheduler_gap" in firing
+        assert firing["scheduler_gap"]["value"] == pytest.approx(15.0)
+        assert cluster.gap_seconds == {"ws01": pytest.approx(15.0)}
+
     def test_gap_window_ages_out_old_gaps(self, clock):
         hosts = [Workstation("home"),
                  Workstation("ws01",

@@ -172,6 +172,7 @@ class TestDatabase:
 
 class TestPersistence:
     def test_roundtrip(self, db, clock, tmp_path):
+        from repro.octdb.chunkstore import ChunkStore
         from repro.octdb.persistence import load_database, save_database
         from repro.cad import BehavioralSpec  # registers codecs
 
@@ -180,7 +181,7 @@ class TestPersistence:
         db.put("note", "second version")
         db.delete("note@1")
         path = tmp_path / "db.json"
-        save_database(db, path)
+        save_database(db, path, ChunkStore(tmp_path / "objects"))
         restored = load_database(path, DesignDatabase(clock=clock))
         assert restored.get("note").payload == "second version"
         assert restored.is_deleted("note@1")
@@ -188,6 +189,7 @@ class TestPersistence:
         assert spec.kind == "shifter" and spec.width == 4
 
     def test_reclaimed_slot_preserved(self, db, clock, tmp_path):
+        from repro.octdb.chunkstore import ChunkStore
         from repro.octdb.persistence import load_database, save_database
 
         db.put("a", 1)
@@ -196,7 +198,7 @@ class TestPersistence:
         clock.advance(1)
         db.reclaim()
         path = tmp_path / "db.json"
-        save_database(db, path)
+        save_database(db, path, ChunkStore(tmp_path / "objects"))
         restored = load_database(path, DesignDatabase(clock=clock))
         # version numbering continues after the hole
         assert restored.latest_version("a") == 2

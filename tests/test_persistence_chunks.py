@@ -5,6 +5,7 @@ format never had to face."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,8 @@ from repro.obs import METRICS
 from repro.octdb import DesignDatabase
 from repro.octdb.chunkstore import ChunkStore, LazyPayload
 from repro.octdb.persistence import load_database, save_database
+
+FORMAT1_DIR = Path(__file__).parent / "fixtures" / "format1"
 
 
 def make_record(task: str, inputs=(), outputs=(), at: float = 0.0) -> HistoryRecord:
@@ -231,18 +234,24 @@ class TestSystemRoundTripEdges:
         assert "beta" not in restored.threads
         assert not restored.thread("alpha").imports
 
-    def test_format1_snapshot_still_loads(self, lwt, tmp_path):
-        thread = lwt.create_thread("alpha", owner="a")
-        obj = lwt.db.put("cell", {"k": 1})
-        thread.commit_record(make_record("synth", outputs=(str(obj.name),)))
-        save_system(lwt, tmp_path / "v1", fmt=1)
-        doc = json.loads((tmp_path / "v1" / "history.json").read_text())
-        assert doc["format"] == 1
-
-        restored = load_system(tmp_path / "v1",
-                               LWTSystem(clock=VirtualClock()))
-        assert restored.db.get("cell@1").payload == {"k": 1}
-        assert len(restored.thread("alpha").stream) == len(thread.stream)
+    def test_format1_snapshot_still_loads(self):
+        # A directory written by the retired format-1 writer: a codec-tagged
+        # payload, a deleted version, two reclaimed stubs, an alias of a
+        # live source and an alias whose source was reclaimed.
+        restored = load_system(FORMAT1_DIR, LWTSystem(clock=VirtualClock()))
+        db = restored.db
+        assert db.get("cell@1").payload == {"k": 1}
+        assert db.get("spec@1").payload.kind == "shifter"
+        assert db.is_deleted("note@1")
+        assert db.get("note").payload == "second"
+        assert not db.exists("scratch@1") and not db.exists("tmp@1")
+        assert db.aliases() == {"final@1": "cell@1", "kept@1": "tmp@1"}
+        assert db.get("final@1").payload is db.get("cell@1").payload
+        assert db.get("kept@1").payload == {"shared": 1}
+        alpha = restored.thread("alpha")
+        assert len(alpha.stream) == 2 and alpha.current_cursor == 2
+        assert restored.sds("lib").objects() == frozenset({"cell@1"})
+        assert "alpha" in restored.thread("beta").imports
 
     def test_restore_defers_memo_warming(self, lwt, tmp_path):
         thread = lwt.create_thread("alpha", owner="a")
