@@ -12,7 +12,6 @@ home-only execution.
 from __future__ import annotations
 
 from benchmarks.common import banner, table
-from repro import obs
 from repro.clock import VirtualClock
 from repro.sprite import Cluster
 
@@ -70,18 +69,15 @@ def test_remigration_recovers_evicted_work(benchmark):
 def run_feedback(gap_feedback: bool, waves: int = 3, jobs: int = 8,
                  hosts: int = 5, work: float = 6.0,
                  owner_busy_fraction: float = 0.5):
-    """Several waves of work on an owner-churned network, with a health
-    monitor deriving per-host scheduler-gap seconds from the live trace and
-    pushing them into the cluster.  With ``gap_feedback=True`` the cluster
-    prefers idle hosts with the least recent gap history, so wave N+1's
-    placement learns from wave N's stalls.  Re-migration is off — that is
-    the regime where stranded work actually produces scheduler gaps (with
-    re-migration on, the gap signal stays empty and the feedback is inert,
-    which is itself part of the A/B story).  Clears the global trace buffer
-    (the gap signal is derived from this run's events alone).
+    """Several waves of work on an owner-churned network.  The cluster
+    counts per-host scheduler-gap seconds as it runs
+    (``stats.gap_seconds``); with ``gap_feedback=True`` it prefers idle
+    hosts with the least gap history, so wave N+1's placement learns from
+    wave N's stalls.  Re-migration is off — that is the regime where
+    stranded work actually produces scheduler gaps (with re-migration on,
+    the gap counters stay empty and the feedback is inert, which is itself
+    part of the A/B story).
     """
-    from repro.obs.health import HealthMonitor
-
     clock = VirtualClock()
     period = 30.0
     cluster = Cluster.homogeneous(
@@ -89,19 +85,10 @@ def run_feedback(gap_feedback: bool, waves: int = 3, jobs: int = 8,
         owner_period=period, owner_busy=period * owner_busy_fraction,
         remigration=False, gap_feedback=gap_feedback,
     )
-    was_enabled = obs.TRACER.enabled
-    obs.TRACER.clear()
-    obs.TRACER.enable(clock=clock)
-    monitor = HealthMonitor(gap_window=2 * period)
-    monitor.attach_clock(clock, interval=period / 6)
-    monitor.attach_cluster(cluster)
     for wave in range(waves):
         for i in range(jobs):
             cluster.submit(f"w{wave}j{i}", work=work)
         cluster.drain()
-    monitor.evaluate(reason="drain")
-    if not was_enabled:
-        obs.TRACER.disable()
     return clock.now, cluster
 
 
@@ -120,8 +107,8 @@ def test_gap_feedback_placement(benchmark):
           fb_cluster.stats.remigrations]],
     )
 
-    # The monitor actually pushed per-host gap history into the cluster...
-    assert fb_cluster.gap_seconds, "no gap seconds reached the cluster"
+    # The cluster actually recorded per-host gap history...
+    assert fb_cluster.stats.gap_seconds, "the cluster recorded no gap seconds"
     # ...and steering by it never materially hurts the makespan (it helps
     # whenever the gap history separates churned hosts from quiet ones).
     assert fb_makespan <= base_makespan * 1.10 + 1e-9

@@ -185,17 +185,18 @@ def measure_stall(jobs: int = 4, work: float = 10.0,
     home timeshares ``jobs`` processes — with the defaults, exactly 20
     virtual seconds of scheduler gap on a 40-second makespan.  The default
     ``scheduler_gap`` rule (>10s) must fire, and the per-host gap seconds
-    must land in ``cluster.gap_seconds`` via the monitor's feedback push.
+    must land in the cluster's ``cluster.gap_seconds{host=...}`` counters.
 
     With ``rules_path`` the monitor is built from that site ruleset file
-    (``HealthMonitor.from_config``), which also attaches the windowed SLO
-    engine: the run is driven in ``work/2`` virtual-second slices
-    (``cluster.run_until``) so the engine samples a dense budget
+    (``HealthMonitor.from_config``), which also loads its objectives: the
+    run is driven in ``work/2`` virtual-second slices
+    (``cluster.run_until``) so the monitor samples a dense budget
     trajectory, and the result carries the firing burn alerts plus the
     ``scheduler_gap`` objective's budget samples.
 
-    Clears the global trace buffer (the gap signal is derived from this
-    run's ``cluster.*`` events alone).
+    Tracing is on only for the exported ``profile`` block; the alerts and
+    the gap numbers come from cluster counters.  Clears the global trace
+    buffer.
     """
     from repro.obs.health import HealthMonitor
 
@@ -216,28 +217,27 @@ def measure_stall(jobs: int = 4, work: float = 10.0,
     for i in range(jobs):
         cluster.submit(f"stall{i}", work=work)
     # Fixed-cadence drive: one clock advance per work/2 virtual seconds,
-    # so the throttled monitor (and the SLO engine's sampler) observes the
-    # stall as it develops rather than only at event boundaries.
+    # so the throttled monitor samples the objectives as the stall
+    # develops rather than only at event boundaries.
     while cluster.running():
         cluster.run_until(clock.now + work / 2)
     summary = monitor.evaluate(reason="drain")
-    gap_total, gap_by_host = monitor.gap_signals()
+    gap_by_host = dict(cluster.stats.gap_seconds)
     result = {
         "jobs": jobs,
         "work_seconds": work,
         "makespan_seconds": clock.now,
-        "gap_seconds": gap_total,
+        "gap_seconds": cluster.stats.registry.value("cluster.gap_seconds"),
         "gap_by_host": gap_by_host,
         "alerts": sorted(f["rule"] for f in summary["firing"]),
         "health": summary["status"],
-        "pushed_gap_seconds": dict(cluster.gap_seconds),
+        "pushed_gap_seconds": dict(gap_by_host),
     }
-    engine = monitor.slo_engine
-    if engine is not None:
+    if monitor.slos:
         slo_alerts = sorted(a for a in result["alerts"]
                             if a.startswith("slo:"))
         samples = [(round(ts, 3), round(budget, 6))
-                   for ts, budget in engine.history.get("scheduler_gap", [])]
+                   for ts, budget in monitor.history.get("scheduler_gap", [])]
         monotonic = all(b2 <= b1 + 1e-9 for (_, b1), (_, b2)
                         in zip(samples, samples[1:]))
         result.update({

@@ -540,24 +540,20 @@ class Shell:
 
     def _health_monitor(self, rules_path: str | None = None):
         """The installation's monitor, wired on first use: clock-throttled
-        re-evaluation, an evaluation at every task commit, and a default
-        SLO engine.  ``rules_path`` replaces the monitor with one built
-        from a site ruleset file (the previous clock observer is
+        re-evaluation, an evaluation at every task commit, and the stock
+        rules and objectives.  ``rules_path`` replaces the monitor with one
+        built from a site ruleset file (the previous clock observer is
         cancelled so only one monitor evaluates)."""
         from repro.obs import health
 
-        if rules_path is not None:
-            if self._health is not None:
-                self._health.detach()
-            try:
-                monitor = health.HealthMonitor.from_config(rules_path)
-            except health.HealthError as exc:
-                raise ShellError(str(exc))
-        elif self._health is None:
-            monitor = health.HealthMonitor()
-            monitor.attach_slos()
-        else:
+        if rules_path is None and self._health is not None:
             return self._health
+        if self._health is not None:
+            self._health.detach()
+        try:
+            monitor = health.HealthMonitor.from_config(rules_path)
+        except health.HealthError as exc:
+            raise ShellError(str(exc))
         monitor.attach_clock(self.papyrus.clock)
         monitor.attach_taskmgr(self.papyrus.taskmgr)
         self._health = monitor
@@ -594,13 +590,12 @@ class Shell:
                     f"({state})")
         elif action == "slos":
             monitor = self._health_monitor(rules_path)
-            engine = monitor.slo_engine
-            if engine is None:
-                self._print("no SLO engine attached")
+            if not monitor.slos:
+                self._print("no objectives configured")
                 return
             monitor.evaluate(reason="shell")
-            for slo in engine.slos:
-                state = engine.state.get(slo.name, {})
+            for slo in monitor.slos:
+                state = monitor.state.get(slo.name, {})
                 budget = state.get("budget")
                 budget_text = ("n/a" if budget is None
                                else f"{budget:.1%} budget left")

@@ -61,10 +61,9 @@ __all__ = [
 ]
 
 # repro.obs.analysis (span-tree model, critical path, utilization, diff) and
-# repro.obs.slo (windowed SLO engine + the `top` console) are imported lazily
-# by their consumers — they depend only on the tracer's event record and the
-# registry, and keeping them out of the package root keeps `import repro`
-# lean.
+# repro.obs.slo (the `top` console) are imported lazily by their consumers —
+# they depend only on the tracer's event record and the registry, and keeping
+# them out of the package root keeps `import repro` lean.
 
 #: The process-wide tracer every subsystem reports to.
 TRACER = Tracer()

@@ -515,7 +515,7 @@ def scheduler_gaps(timelines: dict[str, HostTimeline],
 
 @dataclass
 class GapReplay:
-    """Scheduler-gap seconds within a window, and the timelines behind them."""
+    """Scheduler-gap seconds up to a time, and the timelines behind them."""
 
     total: float
     #: Seconds each host sat idle inside a gap (a gap counts toward every
@@ -524,10 +524,10 @@ class GapReplay:
     timelines: dict[str, HostTimeline]
 
 
-def replay_gaps(events: list[dict[str, Any]], now: float,
-                since: float | None = None) -> GapReplay | None:
+def replay_gaps(events: list[dict[str, Any]],
+                now: float) -> GapReplay | None:
     """Replay the ``cluster`` events up to ``now`` and sum scheduler-gap
-    seconds clipped to ``[since, now]`` (``since=None``: from the start).
+    seconds.
 
     Replaying up to ``now``, not to the last cluster event, keeps a stall
     that is still open in the count.  Returns None when there are no cluster
@@ -540,8 +540,7 @@ def replay_gaps(events: list[dict[str, Any]], now: float,
     total = 0.0
     per_host: dict[str, float] = {}
     for gap in scheduler_gaps(timelines):
-        start = gap.start if since is None else max(gap.start, since)
-        seconds = min(gap.end, now) - start
+        seconds = min(gap.end, now) - gap.start
         if seconds <= 0:
             continue
         total += seconds

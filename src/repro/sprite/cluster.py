@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from typing import Any, Callable, Iterator
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
@@ -24,42 +24,35 @@ from repro.sprite.process import ProcessState, SimProcess
 _EPS = 1e-9
 
 
-class _BusySeconds(MutableMapping):
-    """Dict-facing view over the ``cluster.busy_seconds{host=...}`` gauges.
+class _PerHost(Mapping):
+    """Dict-facing view over one ``NAME{host=...}`` instrument per host.
 
-    Preserves the old ``stats.busy_seconds[host]`` API while the storage
-    lives in the metrics registry (one labelled gauge per host).
+    Keeps the ``stats.busy_seconds[host]`` / ``stats.gap_seconds[host]``
+    read API while the storage lives in the metrics registry.
     """
 
-    def __init__(self, registry: MetricsRegistry):
-        self._registry = registry
-        self._gauges: dict[str, Any] = {}   # host -> Gauge (hot-path cache)
+    def __init__(self, make: Callable[..., Any], name: str):
+        self._make = make                   # registry.gauge / .counter
+        self._name = name
+        self._instruments: dict[str, Any] = {}   # host -> instrument
 
-    def _gauge(self, host: str):
-        gauge = self._gauges.get(host)
-        if gauge is None:
-            gauge = self._registry.gauge("cluster.busy_seconds", host=host)
-            self._gauges[host] = gauge
-        return gauge
-
-    def __setitem__(self, host: str, value: float) -> None:
-        self._gauge(host).set(value)
+    def instrument(self, host: str):
+        instrument = self._instruments.get(host)
+        if instrument is None:
+            instrument = self._make(self._name, host=host)
+            self._instruments[host] = instrument
+        return instrument
 
     def __getitem__(self, host: str) -> float:
-        if host not in self._gauges:
+        if host not in self._instruments:
             raise KeyError(host)
-        return self._gauges[host].value
-
-    def __delitem__(self, host: str) -> None:
-        if host not in self._gauges:
-            raise KeyError(host)
-        del self._gauges[host]
+        return self._instruments[host].value
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._gauges))
+        return iter(sorted(self._instruments))
 
     def __len__(self) -> int:
-        return len(self._gauges)
+        return len(self._instruments)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -72,6 +65,11 @@ class ClusterStats:
     ``stats.busy_seconds[host]``...) is preserved; the storage is named
     instruments in ``stats.registry``, so the shell's ``stats`` command and
     benchmark snapshots see the same numbers the benchmarks print.
+
+    ``cluster.gap_seconds`` counts scheduler-gap seconds: time during which
+    some host timeshared two or more processes while another host sat
+    empty with its owner away.  The label-less counter adds each such span
+    once; ``stats.gap_seconds[host]`` adds it to every host idle through it.
     """
 
     FIELDS = ("submitted", "completed", "killed", "migrations", "evictions",
@@ -83,14 +81,24 @@ class ClusterStats:
             name: self.registry.counter(f"cluster.{name}")
             for name in self.FIELDS
         }
-        self.busy_seconds = _BusySeconds(self.registry)
+        self.busy_seconds = _PerHost(self.registry.gauge,
+                                     "cluster.busy_seconds")
+        self.gap_seconds = _PerHost(self.registry.counter,
+                                    "cluster.gap_seconds")
+        self._gap_total = self.registry.counter("cluster.gap_seconds")
 
     def inc(self, field: str, amount: float = 1.0) -> None:
         self._counters[field].inc(amount)
 
     def add_busy(self, host: str, seconds: float) -> None:
         """Accumulate busy time for ``host`` (hot path: cached gauge)."""
-        self.busy_seconds._gauge(host).inc(seconds)
+        self.busy_seconds.instrument(host).inc(seconds)
+
+    def add_gap(self, idle_hosts: list[str], seconds: float) -> None:
+        """Charge one scheduler-gap span to the total and each idle host."""
+        self._gap_total.inc(seconds)
+        for host in idle_hosts:
+            self.gap_seconds.instrument(host).inc(seconds)
 
     def __getattr__(self, name: str) -> int:
         counters = self.__dict__.get("_counters")
@@ -128,15 +136,13 @@ class Cluster:
             self.add_host(host)
         self.remigration = remigration
         #: History feedback into placement: when enabled, ``find_idle_host``
-        #: prefers the idle host with the fewest *recent* scheduler-gap
-        #: seconds (windows it sat idle while another host timeshared work —
-        #: on owner-prone machines that is the signature of eviction churn:
-        #: the host keeps going empty and stranding its work elsewhere).
-        #: The per-host numbers are pushed by a ``repro.obs.health``
-        #: monitor via :meth:`note_gap_seconds`; with nothing pushed the
-        #: scan stays the plain name-ordered one.
+        #: prefers the idle host with the fewest scheduler-gap seconds
+        #: (``stats.gap_seconds``: time it sat idle while another host
+        #: timeshared work — on owner-prone machines that is the signature
+        #: of eviction churn: the host keeps going empty and stranding its
+        #: work elsewhere).  Ties, including no gap history at all, keep
+        #: the plain name order.
         self.gap_feedback = gap_feedback
-        self.gap_seconds: dict[str, float] = {}
         self.stats = ClusterStats()
         #: pid → process.  Pids increase monotonically and entries are
         #: inserted at submission, so iteration order is pid order — views
@@ -190,26 +196,11 @@ class Cluster:
             return False
         return not host.is_owner_busy(self.clock.now) and host.load() == 0
 
-    def note_gap_seconds(self, per_host: dict[str, float]) -> None:
-        """Receive recent scheduler-gap seconds per host (health feedback).
-
-        Called by a ``repro.obs.health`` monitor each time it re-derives
-        gap windows from the trace; the map replaces the previous one, so
-        the placement bias always reflects the monitor's newest window.
-        """
-        self.gap_seconds = dict(per_host)
-
     def find_idle_host(self) -> Workstation | None:
-        if self.gap_feedback and self.gap_seconds:
-            best: Workstation | None = None
-            best_key: tuple[float, str] | None = None
-            for host in self._hosts_sorted:
-                if not self.is_idle(host):
-                    continue
-                key = (self.gap_seconds.get(host.name, 0.0), host.name)
-                if best_key is None or key < best_key:
-                    best, best_key = host, key
-            return best
+        if self.gap_feedback:
+            gaps = self.stats.gap_seconds
+            return min((h for h in self._hosts_sorted if self.is_idle(h)),
+                       key=lambda h: gaps.get(h.name, 0.0), default=None)
         for host in self._hosts_sorted:
             if self.is_idle(host):
                 return host
@@ -283,9 +274,11 @@ class Cluster:
 
     # ------------------------------------------------------------- accounting
 
-    def _charge_elapsed(self) -> None:
-        """Charge compute progress for the span since the last charge."""
-        now = self.clock.now
+    def _charge_elapsed(self, now: float | None = None) -> None:
+        """Charge compute progress (and any scheduler gap) for the span
+        from the last charge to ``now`` (default: the clock's time)."""
+        if now is None:
+            now = self.clock.now
         span = now - self._last_charge
         if span > _EPS:
             # Timeshared rates are per *host*, not per process: resolve each
@@ -300,7 +293,38 @@ class Cluster:
                     rates[proc.host] = rate
                 proc.work -= span * rate
                 self.stats.add_busy(proc.host, span)
+            # No event falls inside a span, so residency and owner state
+            # hold throughout it: the same rule as trace replay's
+            # ``repro.obs.analysis.scheduler_gaps``.  ``rates`` holds every
+            # host with a resident, so a gap needs a host outside it.
+            if len(rates) < len(self._hosts_sorted) and any(
+                    len(self.hosts[name].resident) > 1 for name in rates):
+                idle = [host.name for host in self._hosts_sorted
+                        if not host.resident
+                        and not host.is_owner_busy(self._last_charge)]
+                if idle:
+                    self.stats.add_gap(idle, span)
         self._last_charge = now
+
+    def _advance_to(self, when: float) -> None:
+        """Charge up to ``when``, move the clock there, and trace every
+        console that changed hands on the way.
+
+        Charging first means clock observers (a health monitor's throttled
+        evaluation) read counters that already cover the span.  The
+        ``cluster.owner`` events let trace replay tell an *available* idle
+        host from one whose owner is at the keyboard, and see hosts that
+        never ran a process at all.
+        """
+        since = self.clock.now
+        self._charge_elapsed(max(when, since))
+        self.clock.advance_to(when)
+        if TRACER.enabled:
+            for host in self._hosts_sorted:
+                busy = host.is_owner_busy(self.clock.now)
+                if busy != host.is_owner_busy(since):
+                    TRACER.event("cluster.owner", cat="cluster",
+                                 host=host.name, busy=busy)
 
     def _next_completion(self) -> tuple[float, SimProcess | None]:
         best_t, best_p = math.inf, None
@@ -379,6 +403,13 @@ class Cluster:
                              step=proc.label, host=source, to=idle.name)
         return moved
 
+    def _owner_transition(self, when: float) -> None:
+        """Advance to an owner arrival/departure: evict, then re-migrate."""
+        self._advance_to(when)
+        self._evict()
+        if self.remigration:
+            self.remigrate()
+
     def step(self) -> list[SimProcess]:
         """Advance simulated time to the next event; return any completions.
 
@@ -391,26 +422,10 @@ class Cluster:
         t_done, proc = self._next_completion()
         t_owner = self._next_owner_transition()
         if t_owner < t_done - _EPS:
-            old_now = self.clock.now
-            self.clock.advance_to(t_owner)
-            self._charge_elapsed()
-            if TRACER.enabled:
-                # Record which consoles changed hands: trace replay needs
-                # owner windows to tell an *available* idle host from one
-                # whose owner is at the keyboard (scheduler-gap detection),
-                # and to see hosts that never ran a process at all.
-                for host in self._hosts_sorted:
-                    busy = host.is_owner_busy(self.clock.now)
-                    if busy != host.is_owner_busy(old_now):
-                        TRACER.event("cluster.owner", cat="cluster",
-                                     host=host.name, busy=busy)
-            self._evict()
-            if self.remigration:
-                self.remigrate()
+            self._owner_transition(t_owner)
             return []
         assert proc is not None
-        self.clock.advance_to(t_done)
-        self._charge_elapsed()
+        self._advance_to(t_done)
         done: list[SimProcess] = []
         for candidate in list(self._procs.values()):
             if candidate.work <= _EPS * 10:
@@ -465,12 +480,13 @@ class Cluster:
         """
         finished: list[SimProcess] = []
         while self.clock.now < when - _EPS:
-            if self._procs:
-                t_done, _ = self._next_completion()
-                t_next = min(t_done, self._next_owner_transition())
-                if t_next <= when + _EPS:
+            t_done, _ = self._next_completion()
+            t_next = min(t_done, self._next_owner_transition())
+            if t_next <= when + _EPS:
+                if self._procs:
                     finished.extend(self.step())
-                    continue
-            self.clock.advance_to(when)
-            self._charge_elapsed()
+                else:
+                    self._owner_transition(t_next)
+                continue
+            self._advance_to(when)
         return finished

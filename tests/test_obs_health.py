@@ -29,6 +29,7 @@ from repro.obs.health import (
     resolve_path,
     write_snapshot,
 )
+from repro.obs.analysis import replay_gaps
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.octdb import DesignDatabase
@@ -170,8 +171,8 @@ class TestTraceSignals:
     def test_induced_stall_fires_scheduler_gap(self, clock):
         """The acceptance scenario: owner at the console through dispatch,
         re-migration off — ws01 idles while home timeshares, the default
-        scheduler_gap rule fires, and the per-host seconds are pushed back
-        into the cluster."""
+        scheduler_gap rule fires, and the cluster carries the per-host
+        seconds."""
         hosts = [Workstation("home"),
                  Workstation("ws01",
                              schedule=OwnerSchedule(period=40, busy=20))]
@@ -192,14 +193,14 @@ class TestTraceSignals:
         firing = {f["rule"]: f for f in summary["firing"]}
         assert "scheduler_gap" in firing
         assert firing["scheduler_gap"]["value"] == pytest.approx(20.0)
-        # feedback push: the idle host carries the gap history
-        assert cluster.gap_seconds == {"ws01": pytest.approx(20.0)}
+        # the idle host carries the gap history placement reads
+        assert dict(cluster.stats.gap_seconds) == {"ws01": pytest.approx(20.0)}
 
     def test_open_stall_counts_before_it_ends(self, clock):
         """Mid-stall (t=35, owner gone since t=20, home still timesharing
-        all four jobs) the gap so far is 15s: the replay runs to ``now``,
-        not to the last cluster event, so the alert and the placement
-        feedback do not wait for the stall to end."""
+        all four jobs) the gap so far is 15s: the cluster charges the
+        span up to ``now``, not to the last cluster event, so the alert and
+        the placement feedback do not wait for the stall to end."""
         hosts = [Workstation("home"),
                  Workstation("ws01",
                              schedule=OwnerSchedule(period=40, busy=20))]
@@ -219,9 +220,9 @@ class TestTraceSignals:
         firing = {f["rule"]: f for f in summary["firing"]}
         assert "scheduler_gap" in firing
         assert firing["scheduler_gap"]["value"] == pytest.approx(15.0)
-        assert cluster.gap_seconds == {"ws01": pytest.approx(15.0)}
+        assert dict(cluster.stats.gap_seconds) == {"ws01": pytest.approx(15.0)}
 
-    def test_gap_window_ages_out_old_gaps(self, clock):
+    def test_trailing_window_ages_out_old_gaps(self, clock):
         hosts = [Workstation("home"),
                  Workstation("ws01",
                              schedule=OwnerSchedule(period=40, busy=20))]
@@ -229,18 +230,21 @@ class TestTraceSignals:
         obs.TRACER.clear()
         obs.TRACER.enable(clock=clock)
         try:
-            monitor = HealthMonitor(gap_window=30.0)
+            monitor = HealthMonitor(rules=[AlertRule(
+                "scheduler_gap", "delta:cluster.gap_seconds:30", 10.0)])
             monitor.attach_cluster(cluster)
             for i in range(4):
                 cluster.submit(f"job{i}", work=10.0)
             cluster.drain()               # gap [20, 40]
+            monitor.evaluate(reason="drain")
             clock.advance(60)             # now=100: gap left the window
-            total, per_host = monitor.gap_signals()
+            summary = monitor.evaluate()
+            value = monitor.signal_value(monitor.rules[0].signal, clock.now)
         finally:
             obs.TRACER.disable()
             obs.TRACER.clear()
-        assert total == 0.0
-        assert per_host == {}
+        assert value == 0.0
+        assert summary["firing"] == []
 
     def test_commit_hook_evaluates(self, tracer):
         clk = VirtualClock()
@@ -258,6 +262,107 @@ class TestTraceSignals:
                     outputs={"Outcell": "sh.pad"})
         assert obs.METRICS.counter("health.evaluations").value > evaluations
         assert monitor.last["reason"] == "commit"
+
+
+# ------------------------------------------- gap seconds as cluster state
+
+
+def coincident_arrival(clock: VirtualClock,
+                       monitor: HealthMonitor | None = None) -> Cluster:
+    """ws01's owner arrives at t=10, exactly when ``a`` completes there,
+    and stays through [10, 30); three 6-second jobs timeshare home until
+    t=18.  ws01 is never available while home is crowded: zero gap."""
+    hosts = [Workstation("home"),
+             Workstation("ws01", schedule=OwnerSchedule(period=40, busy=20,
+                                                        offset=10))]
+    cluster = Cluster(hosts, clock=clock, remigration=False)
+    if monitor is not None:
+        monitor.attach_cluster(cluster)
+    cluster.submit("a", work=10.0)
+    for i in range(3):
+        cluster.submit(f"b{i}", work=6.0)
+    cluster.drain()
+    return cluster
+
+
+def gap_counters(cluster: Cluster) -> tuple[float, dict[str, float]]:
+    return (cluster.stats.registry.value("cluster.gap_seconds"),
+            dict(cluster.stats.gap_seconds))
+
+
+class TestGapCounters:
+    @pytest.fixture(autouse=True)
+    def _tracing(self, clock):
+        obs.TRACER.clear()
+        obs.TRACER.enable(clock=clock)
+        yield
+        obs.TRACER.disable()
+        obs.TRACER.clear()
+
+    def test_owner_arrival_at_completion_is_no_gap(self, clock):
+        monitor = HealthMonitor()
+        cluster = coincident_arrival(clock, monitor)
+        monitor.evaluate()
+        assert clock.now == 18.0
+        assert gap_counters(cluster) == (0.0, {})
+        rule = next(r for r in monitor.rules if r.name == "scheduler_gap")
+        assert monitor.signal_value(rule.signal, clock.now) == 0.0
+
+    def test_replay_sees_owner_arrival_at_completion(self, clock):
+        coincident_arrival(clock)
+        owner = [(e["ts"], e["args"]["busy"]) for e in obs.TRACER.events
+                 if e["name"] == "cluster.owner"]
+        assert owner == [(10.0, True)]
+        assert replay_gaps(obs.TRACER.events, 18.0).per_host == {}
+
+    def test_idle_run_until_traces_owner_transitions(self, clock):
+        hosts = [Workstation("home"),
+                 Workstation("ws01", schedule=OwnerSchedule(period=40,
+                                                            busy=20,
+                                                            offset=10))]
+        cluster = Cluster(hosts, clock=clock)
+        cluster.run_until(50.0)
+        owner = [(e["ts"], e["args"]["busy"]) for e in obs.TRACER.events
+                 if e["name"] == "cluster.owner"]
+        assert owner == [(10.0, True), (30.0, False), (50.0, True)]
+        assert clock.now == 50.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        schedules=st.lists(
+            st.tuples(st.integers(10, 60), st.floats(0.1, 0.9),
+                      st.integers(0, 40)),
+            min_size=1, max_size=4),
+        remigration=st.booleans(),
+        batches=st.lists(
+            st.tuples(st.lists(st.integers(1, 20), min_size=1, max_size=6),
+                      st.one_of(st.none(), st.integers(1, 40))),
+            min_size=1, max_size=4))
+    def test_counters_match_trace_replay(self, schedules, remigration,
+                                         batches):
+        """The cluster's gap counters and an offline replay of its trace
+        agree, per host and in total: the trace records every owner
+        transition the simulator crosses."""
+        clock = VirtualClock()
+        obs.TRACER.clear()
+        obs.TRACER.enable(clock=clock)
+        hosts = [Workstation("home")] + [
+            Workstation(f"ws{i + 1:02d}", schedule=OwnerSchedule(
+                period=period, busy=round(period * busy), offset=offset))
+            for i, (period, busy, offset) in enumerate(schedules)]
+        cluster = Cluster(hosts, clock=clock, remigration=remigration)
+        for b, (works, run_for) in enumerate(batches):
+            for j, work in enumerate(works):
+                cluster.submit(f"b{b}j{j}", work=float(work))
+            if run_for is None:
+                cluster.drain()
+            else:
+                cluster.run_until(clock.now + run_for)
+        replay = replay_gaps(obs.TRACER.events, clock.now)
+        total, per_host = gap_counters(cluster)
+        assert (replay.total if replay else 0.0) == pytest.approx(total)
+        assert (replay.per_host if replay else {}) == pytest.approx(
+            {host: s for host, s in per_host.items() if s > 1e-9})
 
 
 # ------------------------------------------------------- snapshot diffing
@@ -592,23 +697,46 @@ class TestGapAwarePlacement:
         return [Workstation("home"), Workstation("ws01"),
                 Workstation("ws02")]
 
+    def timeshare_home(self, cluster):
+        """Two long pinned jobs keep home timesharing, so every empty
+        colleague host accrues scheduler-gap seconds."""
+        for i in range(2):
+            cluster.submit(f"home{i}", work=1000.0, migratable=False)
+
+    def stall(self, cluster, idle: str, seconds: float):
+        """Pin work on every colleague host but ``idle`` for ``seconds``:
+        ``idle`` alone accrues that much gap."""
+        for name in cluster.hosts:
+            if name not in ("home", idle):
+                cluster.submit(f"pin-{name}", work=seconds,
+                               migratable=False, home=name)
+        cluster.run_until(cluster.clock.now + seconds)
+
     def test_prefers_host_with_least_gap_history(self, clock):
         cluster = Cluster(self.hosts(), clock=clock, gap_feedback=True)
-        cluster.note_gap_seconds({"ws01": 12.0, "ws02": 1.0})
+        self.timeshare_home(cluster)
+        self.stall(cluster, "ws01", 12.0)
+        self.stall(cluster, "ws02", 1.0)
+        assert dict(cluster.stats.gap_seconds) == {"ws01": 12.0,
+                                                   "ws02": 1.0}
         assert cluster.find_idle_host().name == "ws02"
-        cluster.note_gap_seconds({"ws01": 0.5, "ws02": 3.0})
+        self.stall(cluster, "ws02", 12.0)            # ws01 12 < ws02 13
         assert cluster.find_idle_host().name == "ws01"
 
     def test_flag_off_or_no_history_keeps_name_order(self, clock):
         cluster = Cluster(self.hosts(), clock=clock, gap_feedback=False)
-        cluster.note_gap_seconds({"ws01": 12.0})
+        self.timeshare_home(cluster)
+        self.stall(cluster, "ws01", 12.0)
         assert cluster.find_idle_host().name == "ws01"
-        enabled = Cluster(self.hosts(), clock=clock, gap_feedback=True)
-        assert enabled.find_idle_host().name == "ws01"   # nothing pushed
+        enabled = Cluster(self.hosts(), clock=VirtualClock(),
+                          gap_feedback=True)
+        assert enabled.find_idle_host().name == "ws01"   # no history
 
     def test_busy_hosts_are_never_candidates(self, clock):
         cluster = Cluster(self.hosts(), clock=clock, gap_feedback=True)
-        cluster.note_gap_seconds({"ws01": 9.0, "ws02": 1.0})
+        self.timeshare_home(cluster)
+        self.stall(cluster, "ws01", 9.0)
+        self.stall(cluster, "ws02", 1.0)
         cluster.submit("pin", work=100.0)                # lands on ws02
         assert cluster.find_idle_host().name == "ws01"
 

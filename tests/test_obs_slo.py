@@ -1,8 +1,9 @@
-"""Tests for ``repro.obs.slo``: the windowed series substrate, burn-rate
-and error-budget math (with a hypothesis integral property), ruleset/SLO
-config loading, HealthMonitor integration, the band-regeneration
-satellite, the tracer's self-observability metrics, and the ``papyrus
-top`` console (including byte-identical renders across identical runs)."""
+"""Tests for objectives and the ``papyrus top`` console: the windowed
+series substrate, burn-rate and error-budget math in ``HealthMonitor``
+(with a hypothesis integral property), ruleset/SLO config loading, the
+stall scenario end to end, the band-regeneration satellite, the tracer's
+self-observability metrics, and ``repro.obs.slo``'s console (including
+byte-identical renders across identical runs)."""
 
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.clock import VirtualClock
-from repro.obs.health import (HealthError, HealthMonitor, default_ruleset,
+from repro.obs.health import (SLO, BurnWindow, HealthError, HealthMonitor,
+                              default_ruleset, default_slos, load_ruleset,
                               regenerate_bands)
+from repro.obs.health import main as health_main
 from repro.obs.metrics import MetricError, MetricsRegistry, WindowedSeries
-from repro.obs.slo import (SLO, BurnWindow, Ruleset, SLOEngine, TopView,
-                           default_slos, load_ruleset, main, render_top,
-                           view_from_file)
+from repro.obs.slo import TopView, main, render_top, view_from_file
 from repro.obs.tracer import Tracer
 from repro.sprite import Cluster
 from repro.sprite.host import OwnerSchedule, Workstation
@@ -49,8 +50,19 @@ def tracer(clock: VirtualClock) -> Tracer:
     return Tracer(clock=clock, enabled=True)
 
 
-def engine_for(slos, registry, tracer) -> SLOEngine:
-    return SLOEngine(slos, registry=registry, tracer=tracer)
+def engine_for(slos, registry, tracer, clock) -> HealthMonitor:
+    """A monitor evaluating only ``slos`` on ``clock``."""
+    monitor = HealthMonitor(rules=[], slos=slos, registry=registry,
+                            tracer=tracer)
+    monitor.clock = clock
+    return monitor
+
+
+def observe(monitor: HealthMonitor, clock: VirtualClock,
+            t: float) -> dict:
+    """Advance to ``t`` and evaluate (sample + burn rates + transitions)."""
+    clock.advance_to(t)
+    return monitor.evaluate()
 
 
 # ------------------------------------------------------- windowed series
@@ -154,10 +166,10 @@ class TestSLOValidation:
         with pytest.raises(HealthError):
             BurnWindow(short=5.0, long=60.0, severity="fatal")
 
-    def test_duplicate_slo_names_rejected(self, registry, tracer):
+    def test_duplicate_slo_names_rejected(self, registry, tracer, clock):
         slo = SLO("x", bad="metric:b", objective=0.9, total="elapsed")
         with pytest.raises(HealthError):
-            engine_for([slo, slo], registry, tracer)
+            engine_for([slo, slo], registry, tracer, clock)
 
     def test_default_slos_are_well_formed(self):
         names = [slo.name for slo in default_slos()]
@@ -178,113 +190,120 @@ def counter_slo(objective=0.9, windows=(WINDOW,), budget_window=100.0) -> SLO:
 
 
 class TestBurnRate:
-    def test_burn_rate_math(self, registry, tracer):
-        engine = engine_for([counter_slo(objective=0.9)], registry, tracer)
+    def test_burn_rate_math(self, registry, tracer, clock):
+        engine = engine_for([counter_slo(objective=0.9)], registry, tracer,
+                            clock)
         good, bad = registry.counter("svc.good"), registry.counter("svc.bad")
         good.inc(90)
-        engine.sample(0.0)
+        observe(engine, clock, 0.0)
         good.inc(5)
         bad.inc(5)
-        engine.sample(10.0)
+        observe(engine, clock, 10.0)
         # window delta: 5 bad of 10 total -> fraction 0.5, budget 0.1
         assert engine.burn_rate(engine.slos[0], 20.0, 10.0) == \
             pytest.approx(5.0)
 
-    def test_burn_rate_none_before_two_samples(self, registry, tracer):
-        engine = engine_for([counter_slo()], registry, tracer)
+    def test_burn_rate_none_before_two_samples(self, registry, tracer,
+                                               clock):
+        engine = engine_for([counter_slo()], registry, tracer, clock)
         registry.counter("svc.good").inc()
-        engine.sample(0.0)
+        observe(engine, clock, 0.0)
         assert engine.burn_rate(engine.slos[0], 20.0, 0.0) is None
 
-    def test_sample_skipped_when_any_source_missing(self, registry, tracer):
+    def test_sample_skipped_when_any_source_missing(self, registry, tracer,
+                                                    clock):
         # Atomic pairs: if good is missing the bad sample is not recorded
         # either, so the two series always share timestamps.
-        engine = engine_for([counter_slo()], registry, tracer)
+        engine = engine_for([counter_slo()], registry, tracer, clock)
         registry.counter("svc.bad").inc()
-        engine.sample(0.0)
-        assert len(engine._series(engine.slos[0], "bad")) == 0
+        observe(engine, clock, 0.0)
+        assert len(engine._window("slo", slo="svc", src="bad")) == 0
 
-    def test_multi_window_and_semantics(self, registry, tracer):
+    def test_multi_window_and_semantics(self, registry, tracer, clock):
         # A short burst inside a quiet long window must NOT fire: both the
         # short and the long window have to exceed the factor.
-        engine = engine_for([counter_slo(objective=0.5)], registry, tracer)
+        engine = engine_for([counter_slo(objective=0.5)], registry, tracer,
+                            clock)
         good, bad = registry.counter("svc.good"), registry.counter("svc.bad")
         for t in range(0, 16):
             good.inc(10)
-            engine.observe(float(t))
+            observe(engine, clock, float(t))
         bad.inc(10)                      # one bad second at t=16
-        firing, _ = engine.observe(16.0)
+        firing = observe(engine, clock, 16.0)["firing"]
         key = "slo:svc:5s/20s"
         assert key not in [f["rule"] for f in firing]
         # now sustain the burn so the long window catches up
         for t in range(17, 37):
             bad.inc(10)
-            firing, _ = engine.observe(float(t))
+            firing = observe(engine, clock, float(t))["firing"]
         assert key in [f["rule"] for f in firing]
 
     def test_transitions_emit_alert_events(self, registry, tracer, clock):
-        engine = engine_for([counter_slo(objective=0.5)], registry, tracer)
+        engine = engine_for([counter_slo(objective=0.5)], registry, tracer,
+                            clock)
         good, bad = registry.counter("svc.good"), registry.counter("svc.bad")
         good.inc(1)
         bad.inc(0)
-        engine.observe(0.0)
+        observe(engine, clock, 0.0)
         for t in range(1, 30):
             bad.inc(10)
-            engine.observe(float(t))
+            observe(engine, clock, float(t))
         names = [e["name"] for e in tracer.events]
         assert "alert.fired" in names
         # recovery: only good events from here on clears the alert
         for t in range(30, 90):
             good.inc(50)
-            engine.observe(float(t))
+            observe(engine, clock, float(t))
         names = [e["name"] for e in tracer.events]
         assert "alert.cleared" in names
 
-    def test_budget_remaining_and_history(self, registry, tracer):
+    def test_budget_remaining_and_history(self, registry, tracer, clock):
         engine = engine_for([counter_slo(objective=0.9,
                                          budget_window=100.0)],
-                            registry, tracer)
+                            registry, tracer, clock)
         good, bad = registry.counter("svc.good"), registry.counter("svc.bad")
         good.inc(10)
-        engine.observe(0.0)
+        observe(engine, clock, 0.0)
         bad.inc(10)
         good.inc(0)
-        engine.observe(10.0)
+        observe(engine, clock, 10.0)
         # 10 bad / 10 total over the window: fraction 1.0, budget 0.1
         assert engine.budget_remaining(engine.slos[0], 10.0) == \
             pytest.approx(1.0 - 1.0 / 0.1)
         trajectory = engine.history["svc"]
         assert trajectory[-1][0] == 10.0
         # re-observing at the same instant must not duplicate the point
-        engine.observe(10.0)
+        observe(engine, clock, 10.0)
         assert len(trajectory) == len(engine.history["svc"])
 
-    def test_elapsed_and_trace_sources(self, registry, tracer):
+    def test_elapsed_and_trace_sources(self, registry, tracer, clock):
         slo = SLO("gap", bad="trace:dropped", total="elapsed",
                   objective=0.75, windows=(WINDOW,))
-        engine = engine_for([slo], registry, tracer)
-        assert engine.source_value("elapsed", 42.0) == 42.0
-        assert engine.source_value("trace:dropped", 0.0) == 0.0
-        # no cluster events yet -> gap source not evaluable
-        assert engine.source_value("trace:gap_seconds", 10.0) is None
+        engine = engine_for([slo], registry, tracer, clock)
+        assert engine.signal_value("elapsed", 42.0) == 42.0
+        assert engine.signal_value("trace:dropped", 0.0) == 0.0
+        # unknown trace signals fail when the objective is built, naming
+        # the cluster counters that replaced trace-replayed gap seconds
+        with pytest.raises(HealthError, match="metric:cluster.gap_seconds"):
+            SLO("gap", bad="trace:bogus", total="elapsed", objective=0.75)
         with pytest.raises(HealthError):
-            engine.source_value("trace:bogus", 0.0)
+            engine.signal_value("trace:bogus", 0.0)
         with pytest.raises(HealthError):
-            engine.source_value("wat:thing", 0.0)
+            engine.signal_value("wat:thing", 0.0)
 
-    def test_histogram_tail_sources(self, registry, tracer):
+    def test_histogram_tail_sources(self, registry, tracer, clock):
         slo = SLO("lat", good="under:step.latency:600",
                   bad="over:step.latency:600", objective=0.99,
                   windows=(WINDOW,))
-        engine = engine_for([slo], registry, tracer)
-        assert engine.source_value("over:step.latency:600", 0.0) is None
+        engine = engine_for([slo], registry, tracer, clock)
+        assert engine.signal_value("over:step.latency:600", 0.0) is None
         histogram = registry.histogram("step.latency", tool="esim")
         for value in (1.0, 5.0, 50.0, 3000.0):
             histogram.observe(value)
         # label-less refs merge every label set under the name
-        assert engine.source_value("over:step.latency:600", 0.0) == 1.0
-        assert engine.source_value("under:step.latency:600", 0.0) == 3.0
-        assert engine.source_value("sum:step.latency{tool=esim}", 0.0) == \
+        assert engine.signal_value("over:step.latency:600", 0.0) == 1.0
+        assert engine.signal_value("under:step.latency:600", 0.0) == 3.0
+        assert engine.signal_value("sum:step.latency{tool=esim}", 0.0) == \
             pytest.approx(3056.0)
 
 
@@ -304,19 +323,19 @@ def test_budget_consumed_equals_rate_integral(steps):
     equal  sum_i(rate_i * dt_i) / (elapsed * budget)  exactly — no
     wall-clock anywhere.
     """
-    registry, tracer = MetricsRegistry(), Tracer()
+    registry, tracer, clock = MetricsRegistry(), Tracer(), VirtualClock()
     slo = SLO("f", bad="metric:f.bad", total="elapsed", objective=0.8,
               windows=(WINDOW,), budget_window=1e9)
-    engine = SLOEngine([slo], registry=registry, tracer=tracer)
+    engine = engine_for([slo], registry, tracer, clock)
     bad = registry.counter("f.bad")
     now = 0.0
-    engine.sample(now)
+    observe(engine, clock, now)
     integral = 0.0
     for dt, rate in steps:
         bad.inc(rate * dt)
         integral += rate * dt
         now += dt
-        engine.sample(now)
+        observe(engine, clock, now)
     remaining = engine.budget_remaining(slo, now)
     assert remaining is not None
     consumed = (1.0 - remaining) * slo.budget          # bad fraction
@@ -331,20 +350,21 @@ class TestConfigLoading:
         path = tmp_path / "site.json"
         path.write_text(json.dumps({
             "rules": [{"name": "scheduler_gap",
-                       "signal": "trace:gap_seconds", "threshold": 5.0}],
-            "slos": [{"name": "scheduler_gap", "bad": "trace:gap_seconds",
+                       "signal": "delta:cluster.gap_seconds:120",
+                       "threshold": 5.0}],
+            "slos": [{"name": "scheduler_gap",
+                      "bad": "metric:cluster.gap_seconds",
                       "total": "elapsed", "objective": 0.75,
                       "windows": [{"short": 5, "long": 20, "factor": 1.5}]}],
         }))
-        ruleset = load_ruleset(str(path))
-        assert ruleset.source == str(path)
-        gap_rules = [r for r in ruleset.rules if r.name == "scheduler_gap"]
+        rules, slos = load_ruleset(str(path))
+        gap_rules = [r for r in rules if r.name == "scheduler_gap"]
         assert len(gap_rules) == 1 and gap_rules[0].threshold == 5.0
-        assert len(ruleset.rules) == len(default_ruleset())
-        gap_slos = [s for s in ruleset.slos if s.name == "scheduler_gap"]
+        assert len(rules) == len(default_ruleset())
+        gap_slos = [s for s in slos if s.name == "scheduler_gap"]
         assert len(gap_slos) == 1
         assert gap_slos[0].windows[0].factor == 1.5
-        assert len(ruleset.slos) == len(default_slos())
+        assert len(slos) == len(default_slos())
 
     def test_disable_and_no_merge(self, tmp_path):
         path = tmp_path / "site.json"
@@ -356,9 +376,9 @@ class TestConfigLoading:
                       {"name": "nope", "signal": "metric:y",
                        "threshold": 2.0}],
         }))
-        ruleset = load_ruleset(str(path))
-        assert [r.name for r in ruleset.rules] == ["only"]
-        assert ruleset.slos == []
+        rules, slos = load_ruleset(str(path))
+        assert [r.name for r in rules] == ["only"]
+        assert slos == []
 
     def test_malformed_configs_raise(self, tmp_path):
         bad_json = tmp_path / "bad.json"
@@ -391,32 +411,35 @@ class TestConfigLoading:
             'merge_default = false\n'
             '[[slos]]\n'
             'name = "gap"\n'
-            'bad = "trace:gap_seconds"\n'
+            'bad = "metric:cluster.gap_seconds"\n'
             'total = "elapsed"\n'
             'objective = 0.75\n'
         )
-        ruleset = load_ruleset(str(path))
-        assert [s.name for s in ruleset.slos] == ["gap"]
+        _rules, slos = load_ruleset(str(path))
+        assert [s.name for s in slos] == ["gap"]
 
     def test_site_ruleset_file_is_valid(self):
-        ruleset = load_ruleset(SITE_RULESET)
-        names = [s.name for s in ruleset.slos]
+        _rules, slos = load_ruleset(SITE_RULESET)
+        names = [s.name for s in slos]
         assert "scheduler_gap" in names
-        gap = next(s for s in ruleset.slos if s.name == "scheduler_gap")
+        gap = next(s for s in slos if s.name == "scheduler_gap")
         assert gap.windows[0].label == "5s/20s"
 
 
 # ------------------------------------------------- monitor integration
 
 
-def run_stall(rules_path: str | None = SITE_RULESET,
-              work: float = 10.0) -> tuple[HealthMonitor, VirtualClock]:
+def run_stall(rules_path: str | None = SITE_RULESET, work: float = 10.0,
+              trace: bool = True) -> tuple[HealthMonitor, VirtualClock]:
     """The deterministic induced-stall scenario (mirrors
-    benchmarks.bench_scale.measure_stall): the cluster emits to the global
-    tracer, so that is what the monitor's gap signal must watch."""
+    benchmarks.bench_scale.measure_stall).  With ``trace`` the cluster
+    emits to the global tracer, which the console's host rows replay."""
     clock = VirtualClock()
     obs.TRACER.clear()
-    obs.TRACER.enable(clock=clock)
+    if trace:
+        obs.TRACER.enable(clock=clock)
+    else:
+        obs.TRACER.disable()
     monitor = (HealthMonitor.from_config(rules_path) if rules_path
                else HealthMonitor())
     hosts = [
@@ -445,11 +468,11 @@ class TestMonitorIntegration:
         assert "scheduler_gap" in rules
         assert "slo:scheduler_gap:5s/20s" in rules
         assert summary["status"] == "warn"
-        assert summary["slos"] == len(monitor.slo_engine.slos)
+        assert summary["slos"] == len(monitor.slos)
 
     def test_budget_decreases_monotonically_during_stall(self):
         monitor, _clock = run_stall()
-        trajectory = monitor.slo_engine.history["scheduler_gap"]
+        trajectory = monitor.history["scheduler_gap"]
         budgets = [budget for _, budget in trajectory]
         assert len(budgets) >= 4
         assert all(b2 <= b1 + 1e-9 for b1, b2 in zip(budgets, budgets[1:]))
@@ -462,11 +485,10 @@ class TestMonitorIntegration:
         assert obs.METRICS.get("slo.budget_remaining",
                                slo="scheduler_gap") is not None
 
-    def test_attach_slos_defaults_and_detach(self, clock):
+    def test_default_slos_and_detach(self, clock):
         monitor = HealthMonitor(registry=MetricsRegistry(),
-                                tracer=Tracer(clock=clock))
-        engine = monitor.attach_slos()
-        assert engine.registries is monitor.registries
+                                tracer=Tracer(clock=clock),
+                                slos=default_slos())
         monitor.attach_clock(clock, interval=5.0)
         evaluations = monitor.last
         clock.advance(6.0)
@@ -483,6 +505,60 @@ class TestMonitorIntegration:
         assert summary["slos"] == 0
         assert all(not f["rule"].startswith("slo:")
                    for f in summary["firing"])
+
+
+class TestNotLoadBearing:
+    """Signals the system acts on come from state it maintains: with the
+    tracer off, the gap alert, the gap objective and gap-aware placement
+    still work, and evaluation never replays the trace."""
+
+    @pytest.fixture(autouse=True)
+    def _no_replay(self, monkeypatch):
+        from repro.obs import analysis
+
+        def replay(*args, **kwargs):
+            raise AssertionError("health evaluation replayed the trace")
+
+        monkeypatch.setattr(analysis, "replay_gaps", replay)
+
+    def test_stall_alert_and_budget_with_tracing_off(self):
+        monitor, clock = run_stall(trace=False)
+        assert not obs.TRACER.enabled and not obs.TRACER.events
+        firing = {f["rule"]: f for f in monitor.summary()["firing"]}
+        assert firing["scheduler_gap"]["value"] == 20.0
+        assert "slo:scheduler_gap:5s/20s" in firing
+        per_host = {host: monitor.signal_value(
+            f"metric:cluster.gap_seconds{{host={host}}}", clock.now)
+            for host in ("home", "ws01")}
+        assert per_host == {"home": None, "ws01": 20.0}
+        budget = monitor.history["scheduler_gap"][-1][1]
+        assert budget == pytest.approx(1.0 - (20 / 35) / 0.25)
+
+    def test_default_rules_and_slos_never_replay(self, tmp_path):
+        defaults = tmp_path / "defaults.json"
+        defaults.write_text("{}")
+        monitor, _clock = run_stall(str(defaults), trace=False)
+        assert monitor.rules == default_ruleset()
+        assert monitor.slos == default_slos()
+        rules = [f["rule"] for f in monitor.summary()["firing"]]
+        assert "scheduler_gap" in rules
+
+    def test_gap_feedback_steers_with_tracing_off(self, clock):
+        # ws02's owner holds the console through [0, 20): job0 runs on
+        # ws01 until t=10, then ws01 idles while home timeshares — 20s of
+        # gap on ws01, 10s on ws02 once its owner leaves.
+        obs.TRACER.disable()
+        hosts = [Workstation("home"), Workstation("ws01"),
+                 Workstation("ws02", schedule=OwnerSchedule(period=40,
+                                                            busy=20))]
+        cluster = Cluster(hosts, clock=clock, remigration=False,
+                          gap_feedback=True)
+        for i in range(4):
+            cluster.submit(f"job{i}", work=10.0)
+        cluster.drain()
+        assert dict(cluster.stats.gap_seconds) == {"ws01": 20.0,
+                                                   "ws02": 10.0}
+        assert cluster.find_idle_host().name == "ws02"
 
 
 # ------------------------------------------------------------ the console
@@ -543,9 +619,10 @@ class TestConsole:
         assert main(["top", str(path), "--once"]) == 0
         out = capsys.readouterr().out
         assert "papyrus top" in out and "scheduler_gap" in out
-        assert main(["rules", "--rules", SITE_RULESET]) == 0
+        assert health_main(["rules", "--rules", SITE_RULESET]) == 0
         out = capsys.readouterr().out
         assert "slo  scheduler_gap" in out
+        assert main(["rules"]) == 2
         assert main([]) == 2
         assert main(["top"]) == 2
         assert main(["top", str(tmp_path / "nope.jsonl"), "--once"]) == 2
@@ -573,7 +650,7 @@ class TestShellIntegration:
         out = "\n".join(shell.execute(f"health --rules {SITE_RULESET} rules"))
         assert "scheduler_gap" in out and "> 5" in out
         assert shell._health is not first
-        assert shell._health.slo_engine is not None
+        assert shell._health.slos
 
     def test_health_bands_command(self, tmp_path):
         from repro.cli import Shell
@@ -665,10 +742,10 @@ class TestTracerSelfObservability:
         tracer = Tracer(clock=clock, enabled=True, capacity=4)
         slo = SLO("trace_loss", bad="trace:dropped", total="elapsed",
                   objective=0.9, windows=(WINDOW,), budget_window=100.0)
-        engine = SLOEngine([slo], registry=MetricsRegistry(), tracer=tracer)
-        engine.sample(0.0)
+        engine = engine_for([slo], MetricsRegistry(), tracer, clock)
+        engine.evaluate()
         for i in range(10):
             tracer.event(f"e{i}", cat="task")
         clock.advance(10.0)
-        engine.sample(10.0)
+        engine.evaluate()
         assert engine.burn_rate(slo, 20.0, 10.0) == pytest.approx(6.0)
