@@ -1,13 +1,13 @@
 """Experiment E-RUNTIME: what does observing the system cost the system?
 
-The whole obs stack exists on a promise: tracing, metrics, and the runtime
-profiler are cheap enough to leave on.  This benchmark prices that promise
-on real hardware.  It runs the rework ping-pong workload (the event-dense
-scenario from ``bench_scale``) three ways —
+The whole obs stack exists on a promise: tracing and metrics are cheap
+enough to leave on.  This benchmark prices that promise on real hardware.
+It runs the rework ping-pong workload (the event-dense scenario from
+``bench_scale``) three ways —
 
-* **off** — tracer disabled, runtime profiler disabled (the bare system),
-* **on** — tracer buffering events + runtime profiler metering sections +
-  metrics (the "leave it on in production" configuration),
+* **off** — tracer disabled (the bare system; metrics are always live),
+* **on** — tracer buffering events + metrics (the "leave it on in
+  production" configuration),
 * **streaming** — everything above plus per-event JSONL streaming to disk
   (the exporter configuration used when a trace file is requested),
 
@@ -17,11 +17,9 @@ best-of-N wall clock each, and reports the overhead fraction
 reported (and loosely bounded) but not tightly gated — disk throughput
 varies too much across runners for a tight band, and streaming is opt-in.
 
-The run also exercises the profiler end to end: the final observed pass
-leaves the runtime profiler's per-section table populated, so the exported
-``BENCH_runtime_overhead.json`` carries a meaningful ``runtime`` block
-(sections, RSS, obs-overhead fraction), and the profiler's self-test —
-per-section sums can never exceed total wall time — is asserted in-process.
+Per-layer wall attribution is not measured here; it comes from the
+repository benchmark's outside-in tracer
+(``python -m benchmarks.e2e --workload W --trace spans``).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.obs.runtime import PROFILER, self_test
 
 from benchmarks.bench_scale import measure_ping_pong
 from benchmarks.common import (banner, export_observability, note_run_meta,
@@ -47,18 +44,15 @@ def _reset_obs() -> None:
     obs.TRACER.close_stream()
     obs.TRACER.clear()
     obs.TRACER.disable()
-    if PROFILER.enabled:
-        PROFILER.disable()
-    PROFILER.clear()
 
 
 def _one_run(mode: str, stream_path: str | None = None) -> float:
     """One measured workload pass; returns wall seconds."""
     _reset_obs()
     if mode == "on":
-        obs.enable_tracing(runtime=True)
+        obs.enable_tracing()
     elif mode == "streaming":
-        obs.enable_tracing(stream_to=stream_path, runtime=True)
+        obs.enable_tracing(stream_to=stream_path)
     start = time.perf_counter()
     measure_ping_pong(commits=COMMITS, moves=MOVES)
     elapsed = time.perf_counter() - start
@@ -121,17 +115,10 @@ def test_runtime_overhead(benchmark):
     )
 
 
-def test_profiler_self_test():
-    """The accounting invariant: per-section sums <= total wall."""
-    report = self_test()
-    assert report["section_sum_seconds"] <= \
-        report["total_wall_seconds"] + 1e-9
-
-
 if __name__ == "__main__":
     # CI runtime-overhead entry point (no pytest needed): measure, assert
     # the bands hold locally, then run one fully-observed pass so the
-    # exported BENCH file carries a populated runtime block to gate.
+    # exported trace and BENCH file have a run to describe.
     path = trace_out()
     if path:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -142,15 +129,8 @@ if __name__ == "__main__":
           f"{result['streaming_wall_seconds']:.3f}s "
           f"({result['streaming_fraction']:.1%})")
     check_overhead(result)
-    report = self_test()
-    print(f"self-test: {len(report['sections'])} sections, "
-          f"sum {report['section_sum_seconds']:.6f}s <= "
-          f"total {report['total_wall_seconds']:.6f}s")
     print("runtime overhead smoke OK")
     if path:
-        obs.enable_tracing(stream_to=path, runtime=True)
+        obs.enable_tracing(stream_to=path)
         measure_ping_pong(commits=COMMITS, moves=MOVES)
-        sections = PROFILER.report()["sections"]
-        result["sections_observed"] = len(sections)
-        print(f"observed sections: {', '.join(sorted(sections))}")
         export_observability("runtime_overhead", {"overhead": result})

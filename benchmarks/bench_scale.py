@@ -222,16 +222,14 @@ def measure_stall(jobs: int = 4, work: float = 10.0,
     while cluster.running():
         cluster.run_until(clock.now + work / 2)
     summary = monitor.evaluate(reason="drain")
-    gap_by_host = dict(cluster.stats.gap_seconds)
     result = {
         "jobs": jobs,
         "work_seconds": work,
         "makespan_seconds": clock.now,
         "gap_seconds": cluster.stats.registry.value("cluster.gap_seconds"),
-        "gap_by_host": gap_by_host,
+        "gap_by_host": dict(cluster.stats.gap_seconds),
         "alerts": sorted(f["rule"] for f in summary["firing"]),
         "health": summary["status"],
-        "pushed_gap_seconds": dict(gap_by_host),
     }
     if monitor.slos:
         slo_alerts = sorted(a for a in result["alerts"]
@@ -257,7 +255,7 @@ def check_stall(result: dict) -> None:
     assert "scheduler_gap" in result["alerts"], (
         f"scheduler_gap did not fire: {result}")
     assert result["gap_seconds"] > 10, result
-    assert result["pushed_gap_seconds"].get("ws01", 0.0) > 10, result
+    assert result["gap_by_host"].get("ws01", 0.0) > 10, result
     if "slo_alerts" in result:
         # The config-loaded objective must burn: a firing slo:* rule, a
         # spent (negative) budget, and a monotonically non-increasing
@@ -405,7 +403,7 @@ if __name__ == "__main__":
     # BENCH_*.json sidecar carries the analysis profile.
     path = trace_out()
     if path:
-        obs.enable_tracing(stream_to=path, runtime=True)
+        obs.enable_tracing(stream_to=path)
     result = measure_ping_pong(commits=60, moves=20)
     hits = obs.METRICS.value("datascope.cache_hits")
     print(f"ping-pong: {result['cached_visits']} cached vs "

@@ -16,10 +16,9 @@ import time
 from pathlib import Path
 
 from repro import Papyrus, obs
-from repro.obs.runtime import PROFILER, max_rss_bytes, runtime_block
 
 #: Wall clock at harness import — the origin for the always-recorded
-#: ``wall_seconds`` meta key (real process time, profiling or not).
+#: ``wall_seconds`` meta key (real process time).
 _T0 = time.perf_counter()
 
 #: Run metadata embedded as the ``meta`` block of every ``BENCH_*.json`` —
@@ -27,10 +26,26 @@ _T0 = time.perf_counter()
 #: version, host count, workload seed).  Benchmarks add keys via
 #: :func:`note_run_meta`; :func:`fresh_papyrus` records the host count.
 #: ``wall_seconds`` and ``max_rss_bytes`` are refreshed on every call so
-#: the meta block always carries real-clock figures even when runtime
-#: profiling is off (the gate only compares ``hosts``/``schema``, so these
-#: machine-varying keys never break comparability).
+#: the meta block always carries real-clock figures (the gate only compares
+#: ``hosts``/``schema``, so these machine-varying keys never break
+#: comparability).
 _RUN_META: dict = {}
+
+
+def max_rss_bytes() -> int:
+    """Peak resident set size of this process in bytes (0 if unknown).
+
+    ``resource.getrusage`` reports kilobytes on Linux and bytes on macOS;
+    platforms without the module (Windows) report 0 rather than failing.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-posix
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - macOS units
+        return int(peak)
+    return int(peak) * 1024
 
 
 def note_run_meta(**kwargs) -> None:
@@ -66,10 +81,7 @@ def fresh_papyrus(hosts: int = 4, **kwargs) -> Papyrus:
     if path:
         # Stream events to disk as they happen: long benchmark runs stay
         # complete on file even if the in-memory buffer hits capacity.
-        # Observed benchmark runs also profile the real system (runtime=True)
-        # so every BENCH file carries a meaningful per-section breakdown.
-        obs.enable_tracing(papyrus.clock, observe_clock=True, stream_to=path,
-                           runtime=True)
+        obs.enable_tracing(papyrus.clock, observe_clock=True, stream_to=path)
     return papyrus
 
 
@@ -92,15 +104,11 @@ def export_observability(bench_name: str, extra: dict | None = None) -> Path | N
     else:
         events_written = obs.TRACER.export_jsonl(path)
     note_run_meta()    # refresh wall_seconds / max_rss_bytes at export time
-    runtime = runtime_block()
     payload = {
         "bench": bench_name,
         "meta": {"schema": SNAPSHOT_SCHEMA, **_RUN_META},
         "metrics": obs.metrics_snapshot(),
-        "profile": profile_summary(
-            TraceModel.from_tracer(obs.TRACER),
-            runtime=PROFILER.report() if PROFILER.enabled else None),
-        "runtime": runtime,
+        "profile": profile_summary(TraceModel.from_tracer(obs.TRACER)),
         "trace": {"path": path, "events": events_written,
                   "buffered": len(obs.TRACER.events),
                   "dropped": obs.TRACER.dropped},

@@ -31,7 +31,6 @@ from repro.core.lwt import LWTSystem
 from repro.core.thread import DesignThread
 from repro.errors import PersistenceError, ThreadError
 from repro.obs import METRICS, TRACER
-from repro.obs.runtime import PROFILER
 from repro.octdb.chunkstore import ChunkStore, LazyPayload
 from repro.octdb.database import VersionedObject, _Entry
 from repro.octdb.naming import ObjectName, parse_name
@@ -755,33 +754,31 @@ class PersistentSession:
         return self.directory
 
     def _checkpoint(self) -> None:
-        with PROFILER.section("persist.checkpoint"):
-            save_system(self.lwt, self.directory, store=self.store)
-            self._buffer.clear()
-            self._dirty = False
-            self._has_snapshot = True
-            self._audit_seen = len(_audit())
+        save_system(self.lwt, self.directory, store=self.store)
+        self._buffer.clear()
+        self._dirty = False
+        self._has_snapshot = True
+        self._audit_seen = len(_audit())
 
     def _flush_journal(self) -> None:
-        with PROFILER.section("persist.journal"):
-            lines = [json.dumps({"op": "clock", "now": self.lwt.clock.now},
-                                sort_keys=True)]
-            for buffered in self._buffer:
-                lines.append(json.dumps(self._serialize(buffered),
-                                        sort_keys=True))
-            audit_delta = _audit().to_dicts()[self._audit_seen:]
-            if audit_delta:
-                lines.append(json.dumps(
-                    {"op": "audit", "entries": audit_delta}, sort_keys=True))
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self.directory / "journal.jsonl", "a",
-                      encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            METRICS.counter("persist.journal_entries").inc(len(lines))
-            self._buffer.clear()
-            self._audit_seen = len(_audit())
+        lines = [json.dumps({"op": "clock", "now": self.lwt.clock.now},
+                            sort_keys=True)]
+        for buffered in self._buffer:
+            lines.append(json.dumps(self._serialize(buffered),
+                                    sort_keys=True))
+        audit_delta = _audit().to_dicts()[self._audit_seen:]
+        if audit_delta:
+            lines.append(json.dumps(
+                {"op": "audit", "entries": audit_delta}, sort_keys=True))
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with open(self.directory / "journal.jsonl", "a",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        METRICS.counter("persist.journal_entries").inc(len(lines))
+        self._buffer.clear()
+        self._audit_seen = len(_audit())
 
     # --------------------------------------------------------------- compact
 

@@ -91,7 +91,6 @@ class Shell:
             "impact": self._cmd_impact,
             "audit": self._cmd_audit,
             "trace": self._cmd_trace,
-            "runtime": self._cmd_runtime,
             "health": self._cmd_health,
             "top": self._cmd_top,
             "stats": self._cmd_stats,
@@ -171,8 +170,6 @@ class Shell:
             "trace diff <a.jsonl> <b.jsonl>": "compare two runs' span trees",
             "trace diff --metrics <a.json> <b.json>": "diff metric snapshots",
             "trace flame [path] [width]": "merge critical paths by step name",
-            "runtime [on|off|report|flame [width]]":
-                "wall-clock profiling of the system's own hot paths",
             "health [--rules site.json] [rules|slos]":
                 "evaluate alert rules + SLO burn rates (ok/warn/crit)",
             "health diff <a.json> <b.json>": "diff two metrics snapshots",
@@ -492,37 +489,6 @@ class Shell:
                                           width=width)
             for line in lines:
                 self._print(line)
-
-    def _cmd_runtime(self, args: list[str]) -> None:
-        """Wall-clock self-profiling: meter the real system under the
-        simulation (scheduler pump, scope sync, memo, chunk store,
-        journal) and report where the hardware seconds go."""
-        from repro.obs import runtime
-
-        usage = "usage: runtime [on|off|report|flame [width]]"
-        action = args[0] if args else "report"
-        if action == "on":
-            runtime.PROFILER.enable()
-            self._print("runtime profiling enabled (wall-clock sections)")
-        elif action == "off":
-            runtime.PROFILER.disable()
-            self._print("runtime profiling disabled")
-        elif action == "report":
-            report = runtime.PROFILER.report()
-            if not report["sections"]:
-                state = "on" if runtime.PROFILER.enabled else "off"
-                self._print(f"runtime profiling {state}: no sections "
-                            "recorded yet (try: runtime on, then invoke)")
-                return
-            for line in runtime.render_report(report):
-                self._print(line)
-        elif action == "flame":
-            width = int(args[-1]) if args[-1:] and args[-1].isdigit() else 40
-            sections = runtime.PROFILER.report()["sections"]
-            for line in runtime.render_wall_flame(sections, width=width):
-                self._print(line)
-        else:
-            raise ShellError(usage)
 
     def _metrics_diff(self, args: list[str]) -> None:
         from repro.obs import health

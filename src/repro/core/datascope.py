@@ -36,7 +36,6 @@ from collections import defaultdict
 from repro.core.control_stream import INITIAL_POINT, ControlStream
 from repro.errors import ObjectNotFound
 from repro.obs import METRICS
-from repro.obs.runtime import PROFILER
 from repro.octdb.naming import ObjectName, parse_name
 
 
@@ -81,15 +80,12 @@ class DataScope:
         if (stream is self._seen_stream
                 and stream.scope_epoch == self._seen_scope_epoch):
             return
-        # The in-sync fast path above is two attribute compares — metering
-        # it would measure the meter; only the invalidation work is timed.
-        with PROFILER.section("datascope.sync"):
-            if self._state_cache or self._vv_cache:
-                METRICS.counter("datascope.invalidations").inc()
-            self._state_cache.clear()
-            self._vv_cache.clear()
-            self._seen_stream = stream
-            self._seen_scope_epoch = stream.scope_epoch
+        if self._state_cache or self._vv_cache:
+            METRICS.counter("datascope.invalidations").inc()
+        self._state_cache.clear()
+        self._vv_cache.clear()
+        self._seen_stream = stream
+        self._seen_scope_epoch = stream.scope_epoch
 
     def invalidate(self, point: int | None = None) -> None:
         """Drop cached states (all, or on the forward closure of a point).
@@ -159,52 +155,51 @@ class DataScope:
                 METRICS.counter("datascope.cache_hits").inc()
                 return hit
             METRICS.counter("datascope.cache_misses").inc()
-        # Cache hits return above in O(1); only the backward traversal —
-        # the cost the stride/result caches exist to amortize — is metered.
-        with PROFILER.section("datascope.thread_state"):
-            memo: dict[int, frozenset[str]] = {}
+        # Cache hits return above in O(1); the backward traversal below is
+        # the cost the stride/result caches exist to amortize.
+        memo: dict[int, frozenset[str]] = {}
 
-            def resolved(p: int) -> frozenset[str] | None:
-                if p in memo:
-                    return memo[p]
-                if use_cache:
-                    state = self._state_cache.get(p)
-                    if state is not None:
-                        return state
-                    return self.stream.node(p).cached_scope
-                return None
-
-            stack = [point]
-            while stack:
-                current = stack[-1]
-                if resolved(current) is not None:
-                    stack.pop()
-                    continue
-                node = self.stream.node(current)
-                pending = [p for p in node.parents if resolved(p) is None]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                self.nodes_visited += 1
-                collected: set[str] = set()
-                for p in node.parents:
-                    parent_state = resolved(p)
-                    assert parent_state is not None
-                    collected |= parent_state
-                if node.record is not None:
-                    collected.update(node.record.touched)
-                state = frozenset(collected)
-                memo[current] = state
-                if (use_cache and self.cache_stride
-                        and current != INITIAL_POINT
-                        and current % self.cache_stride == 0):
-                    node.cached_scope = state
-                stack.pop()
-            result = resolved(point)
-            assert result is not None
+        def resolved(p: int) -> frozenset[str] | None:
+            if p in memo:
+                return memo[p]
             if use_cache:
-                self._remember(self._state_cache, point, result)
-            return result
+                state = self._state_cache.get(p)
+                if state is not None:
+                    return state
+                return self.stream.node(p).cached_scope
+            return None
+
+        stack = [point]
+        while stack:
+            current = stack[-1]
+            if resolved(current) is not None:
+                stack.pop()
+                continue
+            node = self.stream.node(current)
+            pending = [p for p in node.parents if resolved(p) is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            self.nodes_visited += 1
+            collected: set[str] = set()
+            for p in node.parents:
+                parent_state = resolved(p)
+                assert parent_state is not None
+                collected |= parent_state
+            if node.record is not None:
+                collected.update(node.record.touched)
+            state = frozenset(collected)
+            memo[current] = state
+            if (use_cache and self.cache_stride
+                    and current != INITIAL_POINT
+                    and current % self.cache_stride == 0):
+                node.cached_scope = state
+            stack.pop()
+        result = resolved(point)
+        assert result is not None
+        if use_cache:
+            self._remember(self._state_cache, point, result)
+        return result
 
     # ------------------------------------------------------------- resolution
 

@@ -55,7 +55,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.obs import METRICS, TRACER
-from repro.obs.runtime import PROFILER
 from repro.octdb.naming import parse_name
 
 if TYPE_CHECKING:
@@ -189,14 +188,13 @@ class DerivationCache:
         output_bases: tuple[str, ...],
     ) -> MemoKey | None:
         """The memo key for one dispatch-ready call (None if unhashable)."""
-        with PROFILER.section("memo.fingerprint"):
-            try:
-                prints = tuple(fingerprint(p) for p in input_payloads)
-            except Exception:
-                return None
-            return (tool,
-                    canonical_options(options, input_names, output_bases),
-                    prints)
+        try:
+            prints = tuple(fingerprint(p) for p in input_payloads)
+        except Exception:
+            return None
+        return (tool,
+                canonical_options(options, input_names, output_bases),
+                prints)
 
     # ---------------------------------------------------------- deferred warm
 
@@ -247,24 +245,23 @@ class DerivationCache:
         An entry only counts when every cached output version is still
         fetchable; a stale local entry is dropped on the spot.
         """
-        with PROFILER.section("memo.lookup"):
-            self._resolve_deferred()
-            self._sync()
-            entry = self._entries.get(key)
-            if entry is not None:
-                if all(db.exists(name) for _, name in entry.outputs):
-                    # Refresh recency so a hot entry never becomes the
-                    # victim.
-                    self._entries[key] = self._entries.pop(key)
-                    return entry
-                del self._entries[key]
-                METRICS.counter("memo.invalidations").inc()
-                self._size_gauge().dec()
-            for parent in self.parents:
-                found = parent.lookup(key, db)
-                if found is not None:
-                    return found
-            return None
+        self._resolve_deferred()
+        self._sync()
+        entry = self._entries.get(key)
+        if entry is not None:
+            if all(db.exists(name) for _, name in entry.outputs):
+                # Refresh recency so a hot entry never becomes the
+                # victim.
+                self._entries[key] = self._entries.pop(key)
+                return entry
+            del self._entries[key]
+            METRICS.counter("memo.invalidations").inc()
+            self._size_gauge().dec()
+        for parent in self.parents:
+            found = parent.lookup(key, db)
+            if found is not None:
+                return found
+        return None
 
     # ------------------------------------------------------------ population
 

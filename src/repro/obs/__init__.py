@@ -10,12 +10,6 @@ Two process-wide singletons thread through every subsystem:
   counters/gauges/histograms.  Always live (increments are one dict probe
   plus a float add); snapshot with :func:`metrics_snapshot`.
 
-A third singleton, :data:`repro.obs.runtime.PROFILER`, meters the *real*
-system under the simulation: scoped wall-clock section timers threaded
-through the hot paths (scheduler pump, scope sync, memo, chunk store,
-journal), publishing ``runtime.*`` metrics into :data:`METRICS`.  Enable it
-with ``enable_tracing(..., runtime=True)`` or ``PROFILER.enable()``.
-
 Both singletons are mutated in place (``TRACER.enable()``), never rebound,
 so ``from repro.obs import TRACER`` is safe at module level everywhere.
 
@@ -75,34 +69,24 @@ METRICS = MetricsRegistry()
 
 def enable_tracing(clock: VirtualClock | None = None,
                    observe_clock: bool = False,
-                   stream_to: str | None = None,
-                   runtime: bool = False) -> Tracer:
+                   stream_to: str | None = None) -> Tracer:
     """Turn the global tracer on, timestamped by ``clock``.
 
     ``observe_clock=True`` additionally emits a ``clock.advance`` event each
     time the clock moves (verbose; off by default).  ``stream_to=PATH``
     appends every event to PATH as it is emitted, so long runs stay complete
     on disk even if the in-memory buffer hits ``capacity``.
-    ``runtime=True`` also enables the wall-clock runtime profiler
-    (:data:`repro.obs.runtime.PROFILER`), so hot-path sections and the
-    tracer's own emission cost are metered on the real clock.
     """
     TRACER.enable(clock=clock)
     if observe_clock and clock is not None:
         TRACER.observe_clock(clock)
     if stream_to is not None:
         TRACER.stream_to(stream_to)
-    if runtime:
-        from repro.obs.runtime import PROFILER
-        PROFILER.enable()
     return TRACER
 
 
 def disable_tracing() -> None:
     TRACER.disable()
-    from repro.obs.runtime import PROFILER
-    if PROFILER.enabled:
-        PROFILER.disable()
 
 
 def metrics_snapshot() -> dict:

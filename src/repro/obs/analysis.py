@@ -167,16 +167,6 @@ class TraceModel:
         return sorted(self.spans(cat="task"),
                       key=lambda n: (-n.dur, n.ts))
 
-    @property
-    def extent(self) -> tuple[float, float]:
-        """(first, last) timestamp covered by any span or event."""
-        if not self.all_events:
-            return (0.0, 0.0)
-        start = min(e.get("ts", 0.0) for e in self.all_events)
-        end = max(e.get("ts", 0.0) + e.get("dur", 0.0)
-                  for e in self.all_events)
-        return (start, end)
-
 
 # ------------------------------------------------------------- critical path
 
@@ -745,22 +735,9 @@ def flame(model: TraceModel) -> list[FlameFrame]:
     return sorted(frames.values(), key=lambda f: (-f.total, f.label))
 
 
-def render_flame(model: TraceModel, width: int = 40, mode: str = "virtual",
-                 sections: dict[str, dict[str, Any]] | None = None
-                 ) -> list[str]:
-    """Plain-text flame profile: one bar per merged step name.
-
-    ``mode="virtual"`` (default) profiles the simulated world: critical-path
-    seconds on the virtual clock per step name.  ``mode="wall"`` profiles
-    the *system*: real seconds per runtime section, from ``sections`` (a
-    BENCH ``runtime.sections`` mapping) or, when omitted, the live
-    :data:`repro.obs.runtime.PROFILER`.
-    """
-    if mode == "wall":
-        from repro.obs.runtime import PROFILER, render_wall_flame
-        if sections is None:
-            sections = PROFILER.report()["sections"]
-        return render_wall_flame(sections, width=width)
+def render_flame(model: TraceModel, width: int = 40) -> list[str]:
+    """Plain-text flame profile: one bar per merged step name, sized by
+    critical-path seconds on the virtual clock."""
     frames = flame(model)
     if not frames:
         return ["no task spans in trace (was tracing on during the run?)"]
@@ -886,18 +863,10 @@ def render_diff(model_a: TraceModel, model_b: TraceModel,
     return lines
 
 
-def profile_summary(model: TraceModel,
-                    runtime: dict[str, Any] | None = None) -> dict[str, Any]:
+def profile_summary(model: TraceModel) -> dict[str, Any]:
     """The profile block benchmarks attach to their ``BENCH_*.json``:
     critical-path shape, per-host utilization, and overhead fraction —
-    so the perf trajectory of a run is self-explaining.
-
-    With a runtime profiler report (``runtime=PROFILER.report()``), the
-    summary also joins the two clocks: per-section real seconds spent per
-    virtual second simulated (``real_per_virtual``) and the observability
-    layer's own share of wall time — the hardware-truth axis next to the
-    simulated one.
-    """
+    so the perf trajectory of a run is self-explaining."""
     summary: dict[str, Any] = {"tasks": len(model.spans(cat="task"))}
     tasks = model.task_spans()
     if tasks:
@@ -923,21 +892,6 @@ def profile_summary(model: TraceModel,
         }
         gaps = scheduler_gaps(timelines)
         summary["scheduler_gap_seconds"] = sum(g.dur for g in gaps)
-    if runtime is not None and runtime.get("sections"):
-        start, end = model.extent
-        virtual = max(0.0, end - start)
-        block: dict[str, Any] = {
-            "total_wall_seconds": runtime.get("total_wall_seconds", 0.0),
-            "obs_overhead_fraction":
-                runtime.get("obs_overhead_fraction", 0.0),
-        }
-        if virtual > 0:
-            block["virtual_seconds"] = virtual
-            block["real_per_virtual"] = {
-                name: stats["wall_seconds"] / virtual
-                for name, stats in runtime["sections"].items()
-            }
-        summary["runtime"] = block
     return summary
 
 
@@ -949,7 +903,7 @@ def main(argv: list[str] | None = None) -> int:
     usage = ("usage: python -m repro.obs.analysis "
              "report <trace.jsonl> | timeline <trace.jsonl> [width] | "
              "diff <a.jsonl> <b.jsonl> | "
-             "flame <trace.jsonl> [width] | flame <BENCH.json> --wall")
+             "flame <trace.jsonl> [width]")
     if not argv:
         print(usage, file=sys.stderr)
         return 2
@@ -977,17 +931,6 @@ def _dispatch(command: str, rest: list[str], usage: str) -> int:
             print(line)
         return 0 if timelines else 1
     if command == "flame" and rest:
-        # `flame <BENCH.json|trace.jsonl> --wall [width]` renders real
-        # seconds per runtime section instead of the virtual-clock profile.
-        if "--wall" in rest:
-            rest = [a for a in rest if a != "--wall"]
-            from repro.obs.runtime import _load_block, render_wall_flame
-            width = int(rest[1]) if len(rest) > 1 else 40
-            block = _load_block(rest[0])
-            for line in render_wall_flame(block.get("sections", block),
-                                          width=width):
-                print(line)
-            return 0 if block.get("sections") else 1
         model = TraceModel.from_jsonl(rest[0])
         width = int(rest[1]) if len(rest) > 1 else 40
         for line in render_flame(model, width=width):

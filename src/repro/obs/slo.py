@@ -63,11 +63,6 @@ class TopView:
     memo: dict[str, float] | None = None
     #: trace bookkeeping: {events, dropped}.
     trace: dict[str, Any] = field(default_factory=dict)
-    #: Wall-clock runtime panel data (a profiler report or a BENCH
-    #: ``runtime`` block); None when the runtime profiler never ran — the
-    #: panel only appears when real-clock data exists, keeping default
-    #: frames byte-identical across same-seed runs.
-    runtime: dict[str, Any] | None = None
 
     # ------------------------------------------------------------- builders
 
@@ -93,9 +88,6 @@ class TopView:
             view.memo = {"hits": hits or 0.0, "misses": misses or 0.0}
         view.trace = {"events": len(monitor.tracer.events),
                       "dropped": monitor.tracer.dropped}
-        from repro.obs.runtime import PROFILER
-        if PROFILER.enabled:
-            view.runtime = PROFILER.report()
         return view
 
     @classmethod
@@ -181,15 +173,6 @@ class TopView:
         if isinstance(hits, (int, float)) or isinstance(misses, (int, float)):
             view.memo = {"hits": float(hits or 0.0),
                          "misses": float(misses or 0.0)}
-        # A BENCH document carries a `runtime` block next to the metrics —
-        # surface it as the runtime panel.
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            raw = None
-        if isinstance(raw, dict) and isinstance(raw.get("runtime"), dict):
-            view.runtime = raw["runtime"]
         return view
 
     def _fill_hosts(self, events: list[dict[str, Any]], now: float) -> None:
@@ -213,9 +196,7 @@ class TopView:
 
 def render_top(view: TopView, width: int = 72) -> list[str]:
     """Render one console frame as plain text (deterministic: everything
-    shown is a virtual-clock quantity or an event count — except the
-    runtime panel, which only appears when the wall-clock profiler ran and
-    real-seconds data exists)."""
+    shown is a virtual-clock quantity or an event count)."""
     lines = [
         f"papyrus top — t={view.now:.1f}s   health: {view.status.upper()}"
         f"   (source: {view.source})",
@@ -274,28 +255,6 @@ def render_top(view: TopView, width: int = 72) -> list[str]:
         dropped = view.trace.get("dropped")
         lines.append(f"trace: {view.trace.get('events', 0)} events"
                      + (f", {dropped:.0f} dropped" if dropped else ""))
-    if view.runtime is not None:
-        rep = view.runtime
-        total = float(rep.get("total_wall_seconds",
-                              rep.get("wall_seconds", 0.0)))
-        header = f"runtime: {total:.2f}s wall"
-        rss = rep.get("max_rss_bytes")
-        if rss:
-            header += f"  rss={float(rss) / (1 << 20):.0f}MiB"
-        fraction = rep.get("obs_overhead_fraction")
-        if fraction is not None:
-            header += f"  obs-overhead={float(fraction):.1%}"
-        lines.append("")
-        lines.append(header)
-        sections = rep.get("sections") or {}
-        ranked = sorted(sections.items(),
-                        key=lambda kv: (-float(kv[1].get("wall_seconds",
-                                                         0.0)), kv[0]))[:5]
-        for name, stats in ranked:
-            wall = float(stats.get("wall_seconds", 0.0))
-            share = wall / total if total > 0 else None
-            lines.append(f"  {name:<24} {_bar(share)} {wall:8.4f}s "
-                         f"{int(stats.get('calls', 0)):8}x")
     return lines
 
 

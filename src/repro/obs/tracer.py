@@ -146,9 +146,6 @@ class Tracer:
         #: ``trace.emit_seconds`` counter).
         self.emit_seconds = 0.0
         self._self_metrics: tuple[Any, Any, Any] | None = None
-        #: Runtime profiler to fold emission cost into (see
-        #: :meth:`attach_profiler`); ``None`` until one attaches.
-        self._profiler: Any | None = None
         self._atexit_registered = False
 
     # ------------------------------------------------------------- lifecycle
@@ -161,17 +158,6 @@ class Tracer:
 
     def disable(self) -> None:
         self.enabled = False
-
-    def attach_profiler(self, profiler: Any | None) -> None:
-        """Fold emission cost into ``profiler``'s wall-time accounting.
-
-        With a :class:`repro.obs.runtime.RuntimeProfiler` attached, every
-        ``_append`` charges its measured wall seconds to the profiler's
-        ``trace.emit`` section — which also subtracts them from whatever
-        section was open at the time, so tracing cost is counted exactly
-        once (never inside ``engine.pump`` *and* ``trace.emit``).
-        """
-        self._profiler = profiler
 
     def clear(self) -> None:
         """Drop buffered events and reset IDs (a fresh, deterministic run).
@@ -278,9 +264,6 @@ class Tracer:
         emit_counter.inc(elapsed)
         event_counter.inc()
         fill_gauge.set(len(self.events) / self.capacity)
-        profiler = self._profiler
-        if profiler is not None and profiler.enabled:
-            profiler.account("trace.emit", elapsed)
 
     def span(self, name: str, cat: str = "task", **args: Any) -> Span | _NullSpan:
         """Open a hierarchical span (use as a context manager)."""

@@ -28,7 +28,6 @@ from typing import Any, Iterator
 from repro.core.memo import fingerprint
 from repro.errors import PersistenceError
 from repro.obs import METRICS
-from repro.obs.runtime import PROFILER
 
 
 def canonical_chunk_bytes(blob: Any) -> bytes:
@@ -136,47 +135,44 @@ class ChunkStore:
         its chunk is already on disk, so no encode happens at all — this is
         what makes re-saving a lazily restored installation O(new data).
         """
-        with PROFILER.section("chunk.put"):
-            if isinstance(payload, LazyPayload) and not payload.loaded:
-                if self.has(payload.digest):
-                    METRICS.counter("persist.chunks_deduped").inc()
-                    return payload.digest
-                # Saving into a different store (or a damaged one):
-                # reference alone would dangle, so copy the raw chunk bytes
-                # across.
-                return self.put_blob(payload.store.load_blob(payload.digest))
-            from repro.octdb.persistence import encode_payload
+        if isinstance(payload, LazyPayload) and not payload.loaded:
+            if self.has(payload.digest):
+                METRICS.counter("persist.chunks_deduped").inc()
+                return payload.digest
+            # Saving into a different store (or a damaged one):
+            # reference alone would dangle, so copy the raw chunk bytes
+            # across.
+            return self.put_blob(payload.store.load_blob(payload.digest))
+        from repro.octdb.persistence import encode_payload
 
-            blob = encode_payload(unwrap_payload(payload))
-            return self.put_blob(blob)
+        blob = encode_payload(unwrap_payload(payload))
+        return self.put_blob(blob)
 
     def put_blob(self, blob: Any) -> str:
-        with PROFILER.section("chunk.encode"):
-            digest = chunk_digest(blob)
-            if self.has(digest):
-                METRICS.counter("persist.chunks_deduped").inc()
-                return digest
-            path = self._path(digest)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            data = canonical_chunk_bytes(blob)
-            path.write_bytes(data)
-            self._known.add(digest)
-            self.bytes_written += len(data)
-            METRICS.counter("persist.chunks_written").inc()
+        digest = chunk_digest(blob)
+        if self.has(digest):
+            METRICS.counter("persist.chunks_deduped").inc()
             return digest
+        path = self._path(digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        data = canonical_chunk_bytes(blob)
+        path.write_bytes(data)
+        self._known.add(digest)
+        self.bytes_written += len(data)
+        METRICS.counter("persist.chunks_written").inc()
+        return digest
 
     # ------------------------------------------------------------------- read
 
     def load_blob(self, digest: str) -> Any:
-        with PROFILER.section("chunk.decode"):
-            path = self._path(digest)
-            try:
-                return json.loads(path.read_text())
-            except FileNotFoundError:
-                raise PersistenceError(
-                    f"chunk {digest} is referenced but missing from "
-                    f"{self.root}"
-                ) from None
+        path = self._path(digest)
+        try:
+            return json.loads(path.read_text())
+        except FileNotFoundError:
+            raise PersistenceError(
+                f"chunk {digest} is referenced but missing from "
+                f"{self.root}"
+            ) from None
 
     def load_payload(self, digest: str) -> Any:
         """Decode one chunk into a payload (memoized per digest)."""
@@ -184,8 +180,7 @@ class ChunkStore:
             return self._decoded[digest]
         from repro.octdb.persistence import decode_payload
 
-        with PROFILER.section("chunk.decode"):
-            payload = decode_payload(self.load_blob(digest))
+        payload = decode_payload(self.load_blob(digest))
         self._decoded[digest] = payload
         METRICS.counter("persist.lazy_decodes").inc()
         return payload

@@ -36,7 +36,6 @@ from repro.cad.registry import Tool, ToolCall, ToolRegistry, ToolResult
 from repro.core.history import StepRecord
 from repro.core.memo import DerivationCache, MemoEntry, MemoKey
 from repro.obs import METRICS, TRACER
-from repro.obs.runtime import PROFILER
 from repro.errors import (
     RestartSignal,
     TaskAborted,
@@ -502,12 +501,11 @@ class TaskExecution:
             return
         self._pumping = True
         try:
-            with PROFILER.section("engine.pump"):
-                while self._ready_heap:
-                    _, node = heapq.heappop(self._ready_heap)
-                    if node.state is not NodeState.READY:
-                        continue
-                    self._dispatch(node)
+            while self._ready_heap:
+                _, node = heapq.heappop(self._ready_heap)
+                if node.state is not NodeState.READY:
+                    continue
+                self._dispatch(node)
         finally:
             self._pumping = False
 
@@ -516,12 +514,11 @@ class TaskExecution:
         waiters = self._waiters.pop(dep_key, None)
         if not waiters:
             return
-        with PROFILER.section("engine.wake"):
-            METRICS.counter("engine.wake_checks").inc(len(waiters))
-            for node in waiters:
-                if node.state is not NodeState.PENDING:
-                    continue
-                self._satisfy(node, dep_key)
+        METRICS.counter("engine.wake_checks").inc(len(waiters))
+        for node in waiters:
+            if node.state is not NodeState.PENDING:
+                continue
+            self._satisfy(node, dep_key)
 
     def _recheck_external(self) -> None:
         """Re-probe dangling direct-database references (rare).

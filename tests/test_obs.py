@@ -1,5 +1,6 @@
 """Tests for the observability substrate: tracer, metrics, exporters,
-clock hooks, shell surfacing, and the abort-chain integration trace."""
+clock hooks, shell surfacing, the abort-chain integration trace, the
+tracer's stream lifecycle, and the benchmark harness's run metadata."""
 
 from __future__ import annotations
 
@@ -366,3 +367,51 @@ class TestShellSurface:
         finally:
             obs.TRACER.disable()
             obs.TRACER.clear()
+
+
+class TestStreamLifecycle:
+    def test_stream_to_returns_context_manager(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(enabled=True)
+        with tracer.stream_to(str(path)):
+            tracer.event("cursor.move", cat="thread")
+        assert tracer.stream_path is None          # closed on exit
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert events and events[0]["name"] == "cursor.move"
+
+    def test_stream_close_is_registered_atexit(self, tmp_path):
+        tracer = Tracer(enabled=True)
+        assert not tracer._atexit_registered
+        tracer.stream_to(str(tmp_path / "t.jsonl"))
+        assert tracer._atexit_registered
+        tracer.close_stream()
+        # Registration is one-time; a second stream doesn't re-register.
+        tracer.stream_to(str(tmp_path / "u.jsonl"))
+        assert tracer._atexit_registered
+        tracer.close_stream()
+
+    def test_repoint_same_path_is_still_noop(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        tracer = Tracer(enabled=True)
+        tracer.stream_to(path)
+        tracer.event("a", cat="thread")
+        tracer.stream_to(path)                     # must not truncate
+        tracer.event("b", cat="thread")
+        tracer.close_stream()
+        with open(path, "r", encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 2
+
+
+class TestBenchMeta:
+    def test_note_run_meta_always_records_wall_and_rss(self):
+        from benchmarks import common
+
+        common.note_run_meta(seed=99)
+        assert common._RUN_META["wall_seconds"] > 0
+        assert common._RUN_META["max_rss_bytes"] > 0
+        assert common._RUN_META["seed"] == 99
+
+    def test_max_rss_is_plausible(self):
+        from benchmarks.common import max_rss_bytes
+
+        assert max_rss_bytes() > 1 << 20   # a Python process exceeds 1 MiB
