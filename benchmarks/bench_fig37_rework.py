@@ -137,8 +137,6 @@ def measure_memoized_replay() -> dict:
     # original producing record.
     from repro.obs.provenance import ProvenanceGraph, check_lineage
 
-    for manager in papyrus.activities.values():
-        papyrus.observe_history(manager)
     graph = ProvenanceGraph.from_papyrus(papyrus)
     target = "sh.pla.pad@2"
     chain = graph.why(target)
@@ -147,8 +145,7 @@ def measure_memoized_replay() -> dict:
         "provenance_hops": len(chain),
         "provenance_reused_hops": sum(1 for h in chain if h.reused),
         "provenance_sources": graph.primary_sources(target),
-        "provenance_problems":
-            check_lineage(graph, target, papyrus.inference.adg),
+        "provenance_problems": check_lineage(graph, target),
         "steps": len(warm_steps),
         "reused_steps": reused,
         "reused_fraction": reused / len(warm_steps),

@@ -69,7 +69,6 @@ class Papyrus:
         self.clock = clock
         self.inference = inference or MetadataInferenceEngine(lwt.db)
         self.activities: dict[str, ActivityManager] = {}
-        self._observed: set[int] = set()
 
     @classmethod
     def standard(
@@ -110,11 +109,8 @@ class Papyrus:
     def reclaimer(self, thread_name: str, **kwargs) -> Reclaimer:
         return Reclaimer(self.lwt.thread(thread_name), **kwargs)
 
-    def observe_history(self, manager: ActivityManager) -> None:
-        """Feed a thread's committed history to the inference engine
-        (incrementally: records already observed are skipped)."""
-        for record in manager.thread.stream.records():
-            if record.instance in self._observed or not record.steps:
-                continue
-            self._observed.add(record.instance)
-            self.inference.observe(record)
+    def observe_history(self, manager: ActivityManager | None = None) -> None:
+        """Feed committed history to the inference engine, incrementally.
+        Every thread is synced, not only ``manager``'s: cascade and join
+        share records, and a record leaves the ADG once no thread holds it."""
+        self.inference.sync(self.lwt.threads)

@@ -522,7 +522,7 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
                 entry["other"] not in thread.imports:
             thread.import_thread(lwt.threads[entry["other"]])
     elif op == "abstract":
-        lwt.thread(entry["thread"]).stream.record(entry["point"]).abstract()
+        lwt.thread(entry["thread"]).stream.abstract(entry["point"])
     elif op == "audit":
         _audit().append_dicts(entry["entries"])
     else:

@@ -27,14 +27,6 @@ from repro.core.thread import DesignThread
 from repro.obs import METRICS
 
 
-def _audit():
-    # Lazy: keeps `python -m repro.obs.provenance` clear of runpy's
-    # double-import warning (importing repro pulls this module in).
-    from repro.obs.provenance import AUDIT
-
-    return AUDIT
-
-
 #: Approval callback: given a human-readable description, allow or deny.
 Approval = Callable[[str], bool]
 
@@ -115,12 +107,9 @@ class Reclaimer:
                 report.denied += 1
                 continue
             self._delete_objects(record.intermediates(), report)
-            record.abstract()
+            with self.thread.audit_reason("vertical aging"):
+                self.thread.stream.abstract(point)
             report.records_abstracted += 1
-            self.thread.journal_op("abstract", point=point, at=now)
-            _audit().record("abstract", thread=self.thread.name,
-                            actor=self.thread.owner, reason="vertical aging",
-                            at=now, point=point, task=record.task)
         return report
 
     # ------------------------------------------------------ horizontal aging
@@ -358,7 +347,11 @@ class Reclaimer:
             METRICS.counter("reclaim.versions_erased").inc(len(reclaimed))
         if bytes_reclaimed:
             METRICS.counter("reclaim.bytes_reclaimed").inc(bytes_reclaimed)
-        _audit().record(
+        # Lazy: keeps `python -m repro.obs.provenance` clear of runpy's
+        # double-import warning (importing repro pulls this module in).
+        from repro.obs.provenance import AUDIT
+
+        AUDIT.record(
             "reclaim", thread=self.thread.name, actor=self.thread.owner,
             reason="background sweep", at=self.thread.clock.now,
             objects_swept=len(report.objects_deleted),

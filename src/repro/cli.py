@@ -32,6 +32,8 @@ from repro.activity.viewport import render_stream
 from repro.core.lwt import LWTSystem
 from repro.clock import VirtualClock
 from repro.errors import PapyrusError
+from repro.obs import provenance
+from repro.octdb.naming import parse_name
 
 
 class ShellError(PapyrusError):
@@ -314,64 +316,32 @@ class Shell:
 
     # ------------------------------------------------------------- provenance
 
-    def _provenance(self):
-        """The unified lineage graph over the whole installation.
-
-        Feeds every thread's history through the inference engine first so
-        ``impact`` can be cross-checked against the live ADG.
-        """
-        from repro.obs.provenance import ProvenanceGraph
-
-        for manager in self.papyrus.activities.values():
-            self.papyrus.observe_history(manager)
-        return ProvenanceGraph.from_papyrus(self.papyrus)
+    def _lineage(self, args: list[str], usage: str, render: Callable,
+                 name: Callable[[str], str] = str) -> None:
+        if len(args) != 1:
+            raise ShellError(usage)
+        graph = provenance.ProvenanceGraph.from_papyrus(self.papyrus)
+        for line in render(graph, name(args[0])):
+            self._print(line)
 
     def _cmd_why(self, args: list[str]) -> None:
-        from repro.obs import provenance
-
-        if len(args) != 1:
-            raise ShellError("usage: why <object@version>")
-        for line in provenance.render_why(self._provenance(), args[0]):
-            self._print(line)
+        self._lineage(args, "usage: why <object@version>",
+                      provenance.render_why)
 
     def _cmd_blame(self, args: list[str]) -> None:
-        from repro.obs import provenance
-        from repro.octdb.naming import parse_name
-
-        if len(args) != 1:
-            raise ShellError("usage: blame <object>")
-        base = parse_name(args[0]).base
-        for line in provenance.render_blame(self._provenance(), base):
-            self._print(line)
+        self._lineage(args, "usage: blame <object>", provenance.render_blame,
+                      lambda arg: parse_name(arg).base)
 
     def _cmd_impact(self, args: list[str]) -> None:
-        from repro.obs import provenance
-
-        if len(args) != 1:
-            raise ShellError("usage: impact <object@version>")
-        graph = self._provenance()
-        for line in provenance.render_impact(graph, args[0]):
-            self._print(line)
-        # Cross-check the forward closure against the live ADG: the two are
-        # built from different evidence and should agree.
-        adg = self.papyrus.inference.adg
-        name = args[0]
-        if name in adg.objects():
-            ours = graph.impact(name, include_aliases=False)
-            theirs = adg.affected_set(name)
-            if ours != theirs:
-                self._print(f"  ! disagrees with adg.affected_set: "
-                            f"only-provenance={sorted(ours - theirs)} "
-                            f"only-adg={sorted(theirs - ours)}")
+        self._lineage(args, "usage: impact <object@version>",
+                      provenance.render_impact)
 
     def _cmd_audit(self, args: list[str]) -> None:
-        from repro.obs.provenance import AUDIT
-
         usage = "usage: audit [n] | audit kind <kind> | audit export <path>"
         if args and args[0] == "export":
             if len(args) != 2:
                 raise ShellError(usage)
-            count = AUDIT.export_jsonl(args[1])
+            count = provenance.AUDIT.export_jsonl(args[1])
             self._print(f"wrote {count} audit entries to {args[1]}")
             return
         kind = None
@@ -384,7 +354,7 @@ class Shell:
             if not args[0].isdigit():
                 raise ShellError(usage)
             limit = int(args[0])
-        lines = AUDIT.render(limit=limit, kind=kind)
+        lines = provenance.AUDIT.render(limit=limit, kind=kind)
         if not lines:
             self._print("audit journal is empty")
             return

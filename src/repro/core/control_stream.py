@@ -57,10 +57,11 @@ class ControlStream:
         self._scope_epoch = 0
         #: Audit hook: called as ``on_destructive(kind, details)`` after a
         #: destructive mutation (``remove_points``, ``splice_out``,
-        #: ``replace_region``) succeeds.  Installing it here — at the single
-        #: choke point every erase/abstraction path funnels through — is what
-        #: makes the audit journal's exactly-once guarantee hold no matter
-        #: which caller (rework, reclamation, shell) triggered the mutation.
+        #: ``replace_region``, ``abstract``) succeeds.  Installing it here —
+        #: at the single choke point every erase/abstraction path funnels
+        #: through — is what makes the audit journal's exactly-once
+        #: guarantee hold no matter which caller (rework, reclamation,
+        #: shell) triggered the mutation.
         self.on_destructive: Callable[[str, dict], None] | None = None
         #: Journal hook: called as ``on_mutation(kind, details)`` after *any*
         #: structural mutation, with replay-grade details (full records where
@@ -141,6 +142,11 @@ class ControlStream:
 
     def records(self) -> list[HistoryRecord]:
         return [n.record for n in self._nodes.values() if n.record is not None]
+
+    def points_since(self, mark: int) -> list[int]:
+        """Live points numbered ``mark`` or above, ascending: everything
+        created since a reader last saw point ``mark - 1``."""
+        return [p for p in range(mark, self._next) if p in self._nodes]
 
     def frontier(self) -> list[int]:
         """Design points without following records (§3.3.3)."""
@@ -396,6 +402,16 @@ class ControlStream:
         self._audit("splice_out", point=point, task=node.record.task)
         self._mutated("splice_out", point=point)
         return node.record
+
+    def abstract(self, point: int) -> HistoryRecord:
+        """Vertical aging (Fig 5.7): forget a record's internal steps in
+        place.  Thread states hold task inputs and outputs only, so no
+        cached scope changes."""
+        record = self.record(point)
+        record.abstract()
+        self._audit("abstract", point=point, task=record.task)
+        self._mutated("abstract", point=point)
+        return record
 
     def replace_region(
         self, points: set[int], summary: HistoryRecord

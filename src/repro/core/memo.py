@@ -60,7 +60,6 @@ from repro.octdb.naming import parse_name
 if TYPE_CHECKING:
     from repro.core.control_stream import ControlStream
     from repro.core.history import HistoryRecord
-    from repro.metadata.adg import AugmentedDerivationGraph
     from repro.octdb.database import DesignDatabase
 
 #: Placeholder prefix: cannot collide with user option tokens.
@@ -141,8 +140,8 @@ class MemoEntry:
     #: Recorded simulated cost of the original execution (seconds).
     cost: float = 0.0
     step: str = ""
-    #: ``HistoryRecord.instance`` of the committing record; None when the
-    #: entry was warmed from the ADG (no stream anchoring → db checks only).
+    #: ``HistoryRecord.instance`` of the committing record; None for an
+    #: entry with no record anchor (db liveness checks only).
     record_instance: int | None = None
 
 
@@ -318,36 +317,4 @@ class DerivationCache:
         if added and TRACER.enabled:
             TRACER.event("memo.populate", cat="memo", task=record.task,
                          entries=added)
-        return added
-
-    def warm_from_adg(self, adg: "AugmentedDerivationGraph",
-                      db: "DesignDatabase") -> int:
-        """Seed the cache from an augmented derivation graph.
-
-        The ADG stores one edge per output; edges sharing (tool, options,
-        inputs, step, time) are regrouped into their originating step so
-        multi-output steps hit as a unit.  Entries carry no record anchor
-        (the ADG is thread-independent), so only database liveness gates
-        their reuse.
-        """
-        grouped: dict[tuple, list[str]] = {}
-        for edge in adg.edges():
-            ident = (edge.tool, edge.options, edge.inputs, edge.step, edge.at)
-            grouped.setdefault(ident, []).append(edge.output)
-        added = 0
-        for (tool, options, inputs, step, _at), outputs in grouped.items():
-            try:
-                payloads = tuple(db.get(name).payload for name in inputs)
-            except Exception:
-                continue
-            output_bases = tuple(parse_name(n).base for n in outputs)
-            key = self.key_for(tool, options, inputs, payloads, output_bases)
-            if key is None:
-                continue
-            self.store(key, MemoEntry(
-                tool=tool,
-                outputs=tuple(zip(output_bases, tuple(outputs))),
-                step=step,
-            ))
-            added += 1
         return added

@@ -76,6 +76,10 @@ class DesignThread:
         #: their internal stream mutations and emit one replayable entry.
         self.journal_hook = None
         self._journal_suppress = 0
+        #: Lineage hook: ``lineage_hook(thread_name, kind, details)`` after
+        #: each destructive stream mutation, installed by the metadata
+        #: engine so the ADG forgets records the history no longer holds.
+        self.lineage_hook = None
         self.wire_audit()
 
     # ---------------------------------------------------------------- auditing
@@ -94,6 +98,8 @@ class DesignThread:
 
         AUDIT.record(kind, thread=self.name, actor=self.owner,
                      reason=self._audit_reason, at=self.clock.now, **details)
+        if self.lineage_hook is not None:
+            self.lineage_hook(self.name, kind, details)
 
     def _on_stream_mutation(self, kind: str, details: dict) -> None:
         self._journal(kind, **details)
@@ -101,11 +107,6 @@ class DesignThread:
     def _journal(self, kind: str, **details) -> None:
         if self.journal_hook is not None and self._journal_suppress == 0:
             self.journal_hook(self.name, kind, details)
-
-    #: Public journal entry point for callers outside this class that mutate
-    #: thread state a persistent session must replay (e.g. the reclaimer's
-    #: vertical aging abstracting a record in place).
-    journal_op = _journal
 
     @contextlib.contextmanager
     def _suppress_journal(self):

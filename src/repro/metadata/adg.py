@@ -28,6 +28,8 @@ class DerivationEdge:
     task: str                      # owning task template
     at: float                      # completion time
     reused: bool = False           # derivation-cache hit, not an execution
+    host: str = ""                 # where it ran
+    started: float = 0.0           # start time (``at - started`` = duration)
 
 
 class AugmentedDerivationGraph:
@@ -36,11 +38,14 @@ class AugmentedDerivationGraph:
     def __init__(self):
         self._producer: dict[str, DerivationEdge] = {}      # output -> edge
         self._consumers: dict[str, list[DerivationEdge]] = {}
-        self._objects: set[str] = set()
         #: Reuse links (alias version → source version): a memo hit's output
         #: is a real node whose derivation is "same as the source's" — these
         #: links keep it attached to the graph instead of orphaned.
         self._reuse_source: dict[str, str] = {}
+        self._reused_by: dict[str, list[str]] = {}
+        #: Edges per observed record instance: what :meth:`forget_record`
+        #: drops when the history loses the record.
+        self._by_record: dict[int, list[DerivationEdge]] = {}
 
     # ----------------------------------------------------------- construction
 
@@ -70,11 +75,11 @@ class AugmentedDerivationGraph:
                 task=task,
                 at=step.completed_at,
                 reused=bool(getattr(step, "reused", False)),
+                host=step.host,
+                started=step.started_at,
             )
             self._producer[output] = edge
-            self._objects.add(output)
             for name in step.inputs:
-                self._objects.add(name)
                 self._consumers.setdefault(name, []).append(edge)
             edges.append(edge)
         return edges
@@ -84,41 +89,64 @@ class AugmentedDerivationGraph:
         edges = []
         for step in record.steps:
             edges.extend(self.add_step(step, task=record.task))
+        self._by_record.setdefault(record.instance, []).extend(edges)
         return edges
+
+    def forget_record(self, instance: int) -> None:
+        """Drop the edges, and their reuse links, that one observed record
+        added: the history erased, spliced out, collapsed or abstracted it."""
+        for edge in self._by_record.pop(instance, ()):
+            if self._producer.get(edge.output) is edge:
+                del self._producer[edge.output]
+            for name in set(edge.inputs):
+                kept = [e for e in self._consumers[name] if e is not edge]
+                if kept:
+                    self._consumers[name] = kept
+                else:
+                    del self._consumers[name]
+            source = self._reuse_source.pop(edge.output, None)
+            if source is not None:
+                self._reused_by[source].remove(edge.output)
+                if not self._reused_by[source]:
+                    del self._reused_by[source]
 
     def note_alias(self, alias: str, source: str) -> None:
         """Attach a reuse link: ``alias`` is a fresh version materialized
         from ``source``'s payload by a derivation-cache hit."""
         if alias not in self._reuse_source:
             self._reuse_source[alias] = source
-            self._objects.update((alias, source))
+            self._reused_by.setdefault(source, []).append(alias)
 
     def reuse_source(self, name: str) -> str | None:
         """The version a reused output aliases (None if an original)."""
         return self._reuse_source.get(name)
 
+    def reuse_links(self) -> dict[str, str]:
+        """Every reuse link, alias → source."""
+        return dict(self._reuse_source)
+
     # ---------------------------------------------------------------- queries
 
+    def _names(self) -> set[str]:
+        return (set(self._producer) | set(self._consumers)
+                | set(self._reuse_source) | set(self._reused_by))
+
     def __contains__(self, name: str) -> bool:
-        return name in self._objects
+        return (name in self._producer or name in self._consumers
+                or name in self._reuse_source or name in self._reused_by)
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._names())
 
     def objects(self) -> list[str]:
-        return sorted(self._objects)
+        return sorted(self._names())
 
     def producer(self, name: str) -> DerivationEdge | None:
         """The tool application that created an object (None for sources)."""
         return self._producer.get(name)
 
     def edges(self) -> list[DerivationEdge]:
-        """Every derivation edge, in registration order (one per output).
-
-        The derivation cache's ``warm_from_adg`` regroups these into steps;
-        anything else that wants the flat tool-application list (exports,
-        statistics) can use it too.
-        """
+        """Every derivation edge, in registration order (one per output)."""
         return list(self._producer.values())
 
     def consumers(self, name: str) -> list[DerivationEdge]:
@@ -132,7 +160,7 @@ class AugmentedDerivationGraph:
         edge names them as an output.
         """
         return sorted(
-            self._objects - set(self._producer) - set(self._reuse_source)
+            self._names() - set(self._producer) - set(self._reuse_source)
         )
 
     def derivation_history(self, name: str) -> list[DerivationEdge]:
@@ -161,21 +189,27 @@ class AugmentedDerivationGraph:
                     stack.append((parent, False))
         return ordered
 
-    def affected_set(self, name: str) -> list[str]:
+    def affected_set(self, name: str,
+                     include_aliases: bool = False) -> list[str]:
         """Every object downstream of ``name`` (VOV-retracing's question:
-        what must be regenerated if this object changes?)."""
-        affected: list[str] = []
+        what must be regenerated if this object changes?).
+
+        With ``include_aliases`` the closure also follows reuse links: a
+        memo alias of an affected version is affected too.
+        """
         seen: set[str] = set()
         stack = [name]
         while stack:
             current = stack.pop()
-            for edge in self._consumers.get(current, ()):
-                if edge.output in seen:
-                    continue
-                seen.add(edge.output)
-                affected.append(edge.output)
-                stack.append(edge.output)
-        return sorted(affected)
+            following = [edge.output
+                         for edge in self._consumers.get(current, ())]
+            if include_aliases:
+                following.extend(self._reused_by.get(current, ()))
+            for obj in following:
+                if obj not in seen:
+                    seen.add(obj)
+                    stack.append(obj)
+        return sorted(seen)
 
     def retrace_plan(self, changed: str) -> list[DerivationEdge]:
         """The tool applications to re-run, in dependency order, after
@@ -205,7 +239,7 @@ class AugmentedDerivationGraph:
         """Derivation must be acyclic under single assignment; verify it."""
         WHITE, GREY, BLACK = 0, 1, 2
         state: dict[str, int] = {}
-        for start in self._objects:
+        for start in self._names():
             if state.get(start, WHITE) != WHITE:
                 continue
             stack: list[tuple[str, bool]] = [(start, False)]
@@ -236,7 +270,7 @@ class AugmentedDerivationGraph:
         import networkx as nx
 
         graph = nx.DiGraph()
-        graph.add_nodes_from(self._objects)
+        graph.add_nodes_from(self._names())
         for output, edge in self._producer.items():
             for name in edge.inputs:
                 graph.add_edge(name, output, tool=edge.tool)

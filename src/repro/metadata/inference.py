@@ -11,7 +11,7 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.history import HistoryRecord
 from repro.errors import MetadataError
@@ -30,6 +30,12 @@ from repro.metadata.typesys import (
     standard_types,
 )
 from repro.octdb.database import DesignDatabase
+
+if TYPE_CHECKING:
+    from repro.core.thread import DesignThread
+
+#: Where a record sits in the history: (thread name, design point, record).
+Placement = tuple[str, int, HistoryRecord]
 
 
 @dataclass
@@ -93,6 +99,16 @@ class MetadataInferenceEngine:
         #: Ablation knobs: evaluate everything eagerly / everything lazily.
         self.force_immediate = force_immediate
         self.force_lazy = force_lazy
+        #: Commit placements of the records :meth:`sync` observed.  A record
+        #: grafted into several threads (cascade, join) has several.
+        self._placed: dict[tuple[str, int], HistoryRecord] = {}
+        self._places: dict[int, set[tuple[str, int]]] = {}
+        self._committed: dict[str, list[HistoryRecord]] = {}
+        #: Per thread name: the stream last scanned and the first point
+        #: number not yet seen in it.
+        self._synced: dict[str, tuple[object, int]] = {}
+        self._order: dict[str, int] = {}
+        self._dirty: dict[int, HistoryRecord] = {}
 
     # ---------------------------------------------------------- type probing
 
@@ -145,6 +161,90 @@ class MetadataInferenceEngine:
                 source = self.db.alias_source(output)
                 if source is not None:
                     self.adg.note_alias(output, source)
+
+    # ------------------------------------------------------ history sync
+
+    def sync(self, threads: dict[str, "DesignThread"]) -> None:
+        """Observe every record the threads committed since the last sync.
+
+        Each stream is scanned only from its first unseen point number.
+        Destructive mutations arrive through each thread's lineage hook as
+        they happen; a record that no thread holds any more, or whose steps
+        vertical aging forgot, leaves the ADG here.
+        """
+        for name in set(self._synced) - set(threads):
+            self._unplace_thread(name)
+        for name, thread in threads.items():
+            stream, mark = self._synced.get(name, (None, 0))
+            if stream is not thread.stream:
+                if stream is not None:      # the thread's stream was replaced
+                    self._unplace_thread(name)
+                thread.lineage_hook = self._follow
+                stream, mark = thread.stream, 0
+            for point in stream.points_since(mark):
+                mark = point + 1
+                record = stream.node(point).record
+                if record is not None:
+                    self._place(name, point, record)
+            self._synced[name] = (stream, mark)
+        self._order = {name: index for index, name in enumerate(threads)}
+        for instance, record in self._dirty.items():
+            alive = bool(self._places.get(instance))
+            if not alive or not record.steps:
+                self.adg.forget_record(instance)
+            if not alive:
+                del self._places[instance]
+                for name in _committed_names(record):
+                    self._committed[name].remove(record)
+                    if not self._committed[name]:
+                        del self._committed[name]
+        self._dirty.clear()
+
+    def _place(self, thread: str, point: int, record: HistoryRecord) -> None:
+        self._placed[(thread, point)] = record
+        if record.instance not in self._places:
+            self._places[record.instance] = set()
+            for name in _committed_names(record):
+                self._committed.setdefault(name, []).append(record)
+            if record.steps:
+                self.observe(record)
+        self._places[record.instance].add((thread, point))
+
+    def _unplace_thread(self, thread: str) -> None:
+        self._follow(thread, "erase",
+                     {"points": [p for t, p in self._placed if t == thread]})
+        self._synced.pop(thread, None)
+
+    def _follow(self, thread: str, kind: str, details: dict) -> None:
+        """Lineage hook: drop the placements a destructive mutation removed
+        (an abstracted record keeps its placement but loses its edges)."""
+        for point in details.get("points", [details.get("point")]):
+            record = self._placed.get((thread, point))
+            if record is not None:
+                self._dirty[record.instance] = record
+                if kind != "abstract":
+                    del self._placed[(thread, point)]
+                    self._places[record.instance].discard((thread, point))
+
+    def placement(self, name: str, produced: bool = False) -> Placement | None:
+        """Where ``name`` entered the history: the first thread (in thread
+        order) and point whose record commits it.  ``produced`` restricts
+        the search to the record whose step created it."""
+        best = None
+        for record in self._committed.get(name, ()):
+            by_step = any(name in step.outputs for step in record.steps)
+            if not by_step and (produced or name not in record.outputs):
+                continue
+            for thread, point in self._places.get(record.instance, ()):
+                key = (self._order.get(thread, len(self._order)), point)
+                if best is None or key < best[0]:
+                    best = (key, (thread, point, record))
+        return None if best is None else best[1]
+
+    def committed(self) -> list[str]:
+        """Every version a live record commits."""
+        return [name for name in self._committed
+                if self.placement(name) is not None]
 
     def observe_step(self, step, task: str = "") -> None:
         for edge in self.adg.add_step(step, task=task):
@@ -309,3 +409,11 @@ class MetadataInferenceEngine:
             "relationships": float(len(self.relationships)),
             "violations": float(len(self.stats.type_violations)),
         }
+
+
+def _committed_names(record: HistoryRecord) -> set[str]:
+    """The versions a record commits: task outputs plus step outputs."""
+    names = set(record.outputs)
+    for step in record.steps:
+        names.update(step.outputs)
+    return names

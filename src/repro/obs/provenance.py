@@ -1,35 +1,33 @@
 """Provenance & audit: queryable design-history lineage (§6.3 exposed).
 
-Papyrus already produces four lineage records but keeps them siloed: the ADG
-derivation edges (``metadata/adg.py``), the control-stream history records
-(which record committed which version, on which branch), the derivation
-cache's reuse chains (memo hits materialized via ``DesignDatabase.alias``),
-and the trace spans (timing/host/pid of the producing step).  This module
-joins them into one :class:`ProvenanceGraph` with the three questions a
-history-based system must answer about any object version:
+:class:`ProvenanceGraph` is a view over the augmented derivation graph
+(``metadata/adg.py``) plus a commit-placement lookup (which thread and design
+point committed a version, with its annotation).  It answers the three
+questions a history-based system must answer about any object version:
 
 * :meth:`ProvenanceGraph.why` — the derivation chain back to primary
-  sources, with per-hop tool/options/host/duration and reuse attribution
+  sources, with per-edge tool/options/host/duration and reuse attribution
   (a memo hit points at the version it aliased, hence at the record that
   originally paid for the computation);
 * :meth:`ProvenanceGraph.blame` — the per-version producing record, thread,
   design point and annotation of a base name;
 * :meth:`ProvenanceGraph.impact` — the forward closure (what breaks if this
-  version changes), cross-checkable against ``adg.affected_set``.
+  version changes), memo aliases included.
 
-The graph builds from a live installation (:meth:`from_papyrus`) or from a
-streamed JSONL trace (:meth:`from_jsonl`) — the latter is what CI uses to
-prove the trace alone carries complete lineage.  Exports: DOT and JSONL.
+A live view (:meth:`from_papyrus`) reads the ADG the metadata engine keeps
+in step with every thread's history; :meth:`from_jsonl` builds an ADG from a
+streamed trace's step spans, which is what CI uses to prove the trace alone
+carries complete lineage.  Exports: DOT and JSONL.
 
 The module also owns the **audit journal**: an append-only record of every
 destructive history mutation (erase-on-rework, splice-out, region
-replacement, reclamation sweeps, fork/cascade/join, SDS ``MOVE``) with
-actor, virtual timestamp and reason.  History is the primary artifact here;
-anything that rewrites it must leave a trail.  Entries mirror to ``audit.*``
-trace events, survive session save/restore (``activity/persistence``), and
-the hooks are installed at the :class:`~repro.core.control_stream.ControlStream`
-mutator level so each mutation is journaled exactly once no matter which
-caller triggered it.
+replacement, abstraction, reclamation sweeps, fork/cascade/join, SDS
+``MOVE``) with actor, virtual timestamp and reason.  History is the primary
+artifact here; anything that rewrites it must leave a trail.  Entries mirror
+to ``audit.*`` trace events, survive session save/restore
+(``activity/persistence``), and the hooks are installed at the
+:class:`~repro.core.control_stream.ControlStream` mutator level so each
+mutation is journaled exactly once no matter which caller triggered it.
 """
 
 from __future__ import annotations
@@ -37,16 +35,15 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable
 
 from repro.clock import GLOBAL_CLOCK
 from repro.octdb.naming import parse_name
 
 if TYPE_CHECKING:
-    from repro.core.thread import DesignThread
-    from repro.metadata.adg import AugmentedDerivationGraph
-    from repro.octdb.database import DesignDatabase
+    from repro.metadata.adg import AugmentedDerivationGraph, DerivationEdge
+    from repro.metadata.inference import Placement
 
 
 # ------------------------------------------------------------- audit journal
@@ -76,9 +73,6 @@ class AuditEntry:
     thread: str           # thread whose history was mutated ("" for SDS-level)
     reason: str           # why ("erase-on-rework", "horizontal aging", ...)
     details: dict[str, Any] = field(default_factory=dict)
-
-    def detail(self, key: str, default: Any = None) -> Any:
-        return self.details.get(key, default)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -174,13 +168,8 @@ class AuditJournal:
     def __iter__(self):
         return iter(self._entries)
 
-    def entries(self, kind: str | None = None,
-                thread: str | None = None) -> list[AuditEntry]:
-        return [
-            e for e in self._entries
-            if (kind is None or e.kind == kind)
-            and (thread is None or e.thread == thread)
-        ]
+    def entries(self, kind: str | None = None) -> list[AuditEntry]:
+        return [e for e in self._entries if kind is None or e.kind == kind]
 
     def render(self, limit: int | None = None,
                kind: str | None = None) -> list[str]:
@@ -196,16 +185,8 @@ class AuditJournal:
 
     def restore(self, dicts: Iterable[dict[str, Any]]) -> None:
         """Replace the journal with a persisted trail (session restore)."""
-        self._entries = [
-            AuditEntry(
-                seq=d["seq"], kind=d["kind"], at=d["at"],
-                actor=d.get("actor", ""), thread=d.get("thread", ""),
-                reason=d.get("reason", ""), details=dict(d.get("details", {})),
-            )
-            for d in dicts
-        ]
-        top = max((e.seq for e in self._entries), default=0)
-        self._seq = itertools.count(top + 1)
+        self._entries = []
+        self.append_dicts(dicts)
 
     def append_dicts(self, dicts: Iterable[dict[str, Any]]) -> int:
         """Append persisted entries after the current tail (journal replay).
@@ -214,18 +195,16 @@ class AuditJournal:
         snapshot's audit plus the write-ahead journal's audit deltas rebuild
         the live trail incrementally.  Returns the number appended.
         """
-        added = 0
-        for d in dicts:
-            self._entries.append(AuditEntry(
-                seq=d["seq"], kind=d["kind"], at=d["at"],
-                actor=d.get("actor", ""), thread=d.get("thread", ""),
-                reason=d.get("reason", ""),
-                details=dict(d.get("details", {})),
-            ))
-            added += 1
+        before = len(self._entries)
+        self._entries.extend(
+            AuditEntry(seq=d["seq"], kind=d["kind"], at=d["at"],
+                       actor=d.get("actor", ""), thread=d.get("thread", ""),
+                       reason=d.get("reason", ""),
+                       details=dict(d.get("details", {})))
+            for d in dicts)
         top = max((e.seq for e in self._entries), default=0)
         self._seq = itertools.count(top + 1)
-        return added
+        return len(self._entries) - before
 
     def export_jsonl(self, target: str | IO[str]) -> int:
         if isinstance(target, str):
@@ -248,154 +227,38 @@ AUDIT = AuditJournal()
 # ---------------------------------------------------------- provenance graph
 
 
-@dataclass(frozen=True)
-class Hop:
-    """One derivation hop: a tool application that produced ``output``."""
+class _TraceCommits(dict):
+    """Commit placements read from a trace: version → placement."""
 
-    output: str
-    inputs: tuple[str, ...]
-    tool: str
-    options: tuple[str, ...]
-    step: str
-    task: str
-    host: str
-    started: float
-    completed: float
-    reused: bool = False
-    #: Versioned name of the committed version a memo hit aliased (reuse
-    #: attribution: the original producing record is ``commit_of(reused_from)``).
-    reused_from: str | None = None
-    thread: str = ""
-    point: int = -1
-    pid: int | None = None
+    def placement(self, name: str,
+                  produced: bool = False) -> "Placement | None":
+        return self.get(name)
 
-    @property
-    def duration(self) -> float:
-        return self.completed - self.started
-
-
-@dataclass(frozen=True)
-class Commit:
-    """Where a version entered the design history."""
-
-    thread: str
-    point: int
-    task: str
-    annotation: str = ""
-    recorded_at: float = 0.0
-    spliced: bool = False
+    def committed(self) -> list[str]:
+        return list(self)
 
 
 class ProvenanceGraph:
-    """The unified lineage graph over ADG edges, history records, memo reuse
-    chains and trace spans."""
+    """Lineage queries over an ADG plus a commit-placement lookup.
 
-    def __init__(self):
-        self._hops: dict[str, Hop] = {}            # output -> producing hop
-        self._commits: dict[str, Commit] = {}      # version -> commit info
-        self._aliases: dict[str, str] = {}         # reused version -> source
-        self._aliased_by: dict[str, list[str]] = {}
-        self._consumers: dict[str, list[str]] = {}  # input -> outputs
-        self._objects: set[str] = set()
+    ``commits`` answers ``placement(name, produced)`` and ``committed()``:
+    the metadata engine live, the trace's commit events in
+    :meth:`from_jsonl` (which also fills the trace-only ``pids``).
+    """
 
-    # ----------------------------------------------------------- construction
-
-    def add_hop(self, hop: Hop) -> None:
-        """Register a producing hop (first producer wins: records grafted
-        into several threads share the same immutable step)."""
-        if hop.output in self._hops:
-            return
-        self._hops[hop.output] = hop
-        self._objects.add(hop.output)
-        for name in hop.inputs:
-            self._objects.add(name)
-            self._consumers.setdefault(name, []).append(hop.output)
-
-    def note_alias(self, alias: str, source: str) -> None:
-        if alias in self._aliases:
-            return
-        self._aliases[alias] = source
-        self._aliased_by.setdefault(source, []).append(alias)
-        self._objects.update((alias, source))
-
-    def note_commit(self, name: str, commit: Commit) -> None:
-        if name not in self._commits:
-            self._commits[name] = commit
-            self._objects.add(name)
+    def __init__(self, adg: "AugmentedDerivationGraph", commits,
+                 pids: dict[str, int] | None = None):
+        self.adg = adg
+        self._commits = commits
+        self._pids = pids or {}
 
     # ---------------------------------------------------------------- sources
 
     @classmethod
-    def from_threads(
-        cls,
-        threads: Iterable["DesignThread"],
-        db: "DesignDatabase | None" = None,
-        events: list[dict[str, Any]] | None = None,
-    ) -> "ProvenanceGraph":
-        """Build from live control streams, joining the database's alias
-        back-links (memo reuse) and, when available, buffered trace events."""
-        graph = cls()
-        for thread in threads:
-            stream = thread.stream
-            for point in stream.points():
-                record = stream.node(point).record
-                if record is None:
-                    continue
-                commit = Commit(
-                    thread=thread.name, point=point, task=record.task,
-                    annotation=record.annotation,
-                    recorded_at=record.recorded_at,
-                )
-                for name in record.outputs:
-                    graph.note_commit(name, commit)
-                for step in record.steps:
-                    if step.status != 0:
-                        continue
-                    for name in step.outputs:
-                        graph.note_commit(name, commit)
-                        source = None
-                        if step.reused and db is not None:
-                            source = db.alias_source(name)
-                        graph.add_hop(Hop(
-                            output=name, inputs=step.inputs, tool=step.tool,
-                            options=step.options, step=step.name,
-                            task=record.task, host=step.host,
-                            started=step.started_at,
-                            completed=step.completed_at,
-                            reused=step.reused, reused_from=source,
-                            thread=thread.name, point=point,
-                        ))
-        if db is not None:
-            for alias, source in db.aliases().items():
-                graph.note_alias(alias, source)
-        if events:
-            graph._merge_trace(events)
-        return graph
-
-    @classmethod
     def from_papyrus(cls, papyrus) -> "ProvenanceGraph":
-        """Build from a wired installation (threads + db + trace buffer)."""
-        from repro.obs import TRACER
-
-        events = TRACER.events if TRACER.enabled and TRACER.events else None
-        return cls.from_threads(papyrus.lwt.threads.values(),
-                                db=papyrus.db, events=events)
-
-    def _merge_trace(self, events: list[dict[str, Any]]) -> None:
-        """Join trace-only detail (pid of the producing process) onto hops."""
-        for event in events:
-            if event.get("kind") != "span":
-                continue
-            if not str(event.get("name", "")).startswith("step:"):
-                continue
-            args = event.get("args", {})
-            pid = args.get("pid")
-            if pid is None:
-                continue
-            for output in args.get("outputs", ()):
-                hop = self._hops.get(output)
-                if hop is not None and hop.pid is None:
-                    self._hops[output] = replace(hop, pid=pid)
+        """The view over a wired installation's ADG, synced first."""
+        papyrus.observe_history()
+        return cls(papyrus.inference.adg, papyrus.inference)
 
     @classmethod
     def from_jsonl(cls, path: str | IO[str]) -> "ProvenanceGraph":
@@ -406,191 +269,108 @@ class ProvenanceGraph:
         ``outputs``): the CI smoke proves a streamed run's trace is a
         complete lineage record with no live objects in hand.
         """
+        from repro.core.history import HistoryRecord, StepRecord
+        from repro.metadata.adg import AugmentedDerivationGraph
         from repro.obs.tracer import read_jsonl
 
         events = read_jsonl(path)
-        graph = cls()
+        adg = AugmentedDerivationGraph()
+        commits = _TraceCommits()
+        pids: dict[str, int] = {}
         span_names: dict[int, str] = {}
-        commit_of: dict[str, Commit] = {}
+        commit_of: dict[str, Placement] = {}
         task_outputs: dict[int, list[str]] = {}
         for event in events:
             name = event.get("name", "")
             args = event.get("args", {})
             if event.get("kind") == "span" and event.get("id") is not None:
                 span_names[event["id"]] = name
-            if name == "db.version":
-                graph._objects.add(args["object"])
-            elif name == "db.alias":
-                graph.note_alias(args["object"], args["source"])
+            if name == "db.alias":
+                adg.note_alias(args["object"], args["source"])
             elif name == "thread.commit":
-                commit = Commit(
-                    thread=args.get("thread", ""),
-                    point=args.get("point", -1),
-                    task=args.get("task", ""),
-                    recorded_at=event.get("ts", 0.0),
-                    spliced=bool(args.get("spliced", False)),
-                )
+                placement = (args.get("thread", ""), args.get("point", -1),
+                             HistoryRecord(task=args.get("task", ""),
+                                           inputs=(), outputs=(), steps=(),
+                                           recorded_at=event.get("ts", 0.0)))
                 for output in args.get("outputs", ()):
-                    commit_of.setdefault(output, commit)
+                    commit_of.setdefault(output, placement)
             elif name == "task.commit" and "instance" in args:
                 task_outputs[args["instance"]] = list(args.get("outputs", ()))
         for event in events:
-            if event.get("kind") != "span":
-                continue
             name = str(event.get("name", ""))
-            if not name.startswith("step:"):
-                continue
             args = event.get("args", {})
-            if args.get("status", 0) != 0:
+            if event.get("kind") != "span" or not name.startswith("step:") \
+                    or args.get("status", 0) != 0:
                 continue
-            outputs = args.get("outputs", ())
-            if not outputs:
-                continue
-            parent = span_names.get(event.get("parent"), "")
-            task = parent[5:] if parent.startswith("task:") else ""
-            commit = None
-            for output in task_outputs.get(args.get("instance"), ()):
-                commit = commit_of.get(output)
-                if commit is not None:
-                    break
+            placement = next(
+                (commit_of[o] for o in task_outputs.get(args.get("instance"),
+                                                        ())
+                 if o in commit_of), None)
+            if placement is None:   # no thread commit: aborted or unbound
+                parent = span_names.get(event.get("parent"), "")
+                task = parent[5:] if parent.startswith("task:") else ""
+                placement = ("", -1, HistoryRecord(task=task, inputs=(),
+                                                   outputs=(), steps=()))
             started = event.get("ts", 0.0)
-            completed = started + event.get("dur", 0.0)
-            for output in outputs:
-                graph.note_commit(output, commit or Commit(
-                    thread="", point=-1, task=task))
-                graph.add_hop(Hop(
-                    output=output,
-                    inputs=tuple(args.get("inputs", ())),
-                    tool=args.get("tool", ""),
+            for output in args.get("outputs", ()):
+                commits.setdefault(output, placement)
+                if adg.producer(output) is not None:
+                    continue
+                if args.get("pid") is not None:
+                    pids[output] = args["pid"]
+                adg.add_step(StepRecord(
+                    name=name[5:], tool=args.get("tool", ""),
                     options=tuple(args.get("options", ())),
-                    step=name[5:],
-                    task=(commit.task if commit else task),
-                    host=args.get("host", ""),
-                    started=started,
-                    completed=completed,
+                    inputs=tuple(args.get("inputs", ())), outputs=(output,),
+                    host=args.get("host", ""), started_at=started,
+                    completed_at=started + event.get("dur", 0.0),
                     reused=bool(args.get("reused", False)),
-                    reused_from=graph._aliases.get(output),
-                    thread=(commit.thread if commit else ""),
-                    point=(commit.point if commit else -1),
-                    pid=args.get("pid"),
-                ))
-        return graph
+                ), task=placement[2].task)
+        return cls(adg, commits, pids)
 
     # ---------------------------------------------------------------- queries
 
     def __contains__(self, name: str) -> bool:
-        return name in self._objects
+        return name in self.adg or self.placement(name) is not None
 
     def objects(self) -> list[str]:
-        return sorted(self._objects)
+        return sorted(set(self.adg.objects()) | set(self._commits.committed()))
 
-    def producer(self, name: str) -> Hop | None:
-        return self._hops.get(name)
-
-    def commit_of(self, name: str) -> Commit | None:
-        return self._commits.get(name)
+    def placement(self, name: str,
+                  produced: bool = False) -> "Placement | None":
+        """Thread, point and record that committed ``name`` (``produced``:
+        the record whose step created it)."""
+        return self._commits.placement(name, produced)
 
     def alias_source(self, name: str) -> str | None:
-        return self._aliases.get(name)
+        return self.adg.reuse_source(name)
 
-    def hops(self) -> list[Hop]:
-        """Every hop, in registration (stream/trace) order."""
-        return list(self._hops.values())
-
-    def why(self, name: str) -> list[Hop]:
-        """The derivation chain of ``name`` in dependency order: every hop
-        needed to rebuild it, ending with its own producing hop."""
-        ordered: list[Hop] = []
-        seen: set[str] = set()
-        stack: list[tuple[str, bool]] = [(name, False)]
-        while stack:
-            obj, expanded = stack.pop()
-            hop = self._hops.get(obj)
-            if hop is None:
-                continue
-            if expanded:
-                ordered.append(hop)
-                continue
-            if obj in seen:
-                continue
-            seen.add(obj)
-            stack.append((obj, True))
-            for parent in reversed(hop.inputs):
-                if parent not in seen:
-                    stack.append((parent, False))
-        return ordered
+    def why(self, name: str) -> list["DerivationEdge"]:
+        """The derivation chain of ``name`` in dependency order: every edge
+        needed to rebuild it, ending with its own producing edge."""
+        return self.adg.derivation_history(name)
 
     def primary_sources(self, name: str) -> list[str]:
         """The terminals of the derivation chain: versions with no recorded
         producer (seed designs, external check-ins)."""
-        sources: set[str] = set()
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            obj = stack.pop()
-            if obj in seen:
-                continue
-            seen.add(obj)
-            hop = self._hops.get(obj)
-            if hop is None:
-                sources.add(obj)
-                continue
-            stack.extend(hop.inputs)
-        return sorted(sources)
+        chain = self.why(name)
+        if not chain:
+            return [name]
+        return sorted({i for edge in chain for i in edge.inputs}
+                      - {edge.output for edge in chain})
 
-    def blame(self, base: str) -> list[tuple[str, Hop | None, Commit | None]]:
+    def blame(self, base: str) -> list[tuple[str, "DerivationEdge | None",
+                                             "Placement | None"]]:
         """Per-version lineage of a base name, oldest version first."""
-        rows = []
-        for obj in self._objects:
-            parsed = parse_name(obj)
-            if parsed.base != base:
-                continue
-            rows.append((parsed.version or 0, obj))
-        return [
-            (obj, self._hops.get(obj), self._commits.get(obj))
-            for _, obj in sorted(rows)
-        ]
+        rows = sorted((parsed.version or 0, obj) for obj in self.objects()
+                      if (parsed := parse_name(obj)).base == base)
+        return [(obj, self.adg.producer(obj), self.placement(obj))
+                for _, obj in rows]
 
     def impact(self, name: str, include_aliases: bool = True) -> list[str]:
-        """Forward closure: everything derived (transitively) from ``name``.
-
-        With ``include_aliases`` the closure also follows memo-reuse links
-        (an alias of an affected version is affected); without them the
-        result is structurally comparable to ``adg.affected_set``.
-        """
-        affected: list[str] = []
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            following = list(self._consumers.get(current, ()))
-            if include_aliases:
-                following.extend(self._aliased_by.get(current, ()))
-            for obj in following:
-                if obj in seen:
-                    continue
-                seen.add(obj)
-                affected.append(obj)
-                stack.append(obj)
-        return sorted(affected)
-
-    def to_adg(self) -> "AugmentedDerivationGraph":
-        """Project the hop set into an :class:`AugmentedDerivationGraph`
-        (cross-check substrate: ``impact`` vs ``affected_set``)."""
-        from repro.core.history import StepRecord
-        from repro.metadata.adg import AugmentedDerivationGraph
-
-        adg = AugmentedDerivationGraph()
-        for hop in self._hops.values():
-            adg.add_step(StepRecord(
-                name=hop.step, tool=hop.tool, options=hop.options,
-                inputs=hop.inputs, outputs=(hop.output,), host=hop.host,
-                started_at=hop.started, completed_at=hop.completed,
-                reused=hop.reused,
-            ), task=hop.task)
-        for alias, source in self._aliases.items():
-            adg.note_alias(alias, source)
-        return adg
+        """Forward closure: everything derived (transitively) from ``name``,
+        memo aliases of affected versions included by default."""
+        return self.adg.affected_set(name, include_aliases)
 
     # -------------------------------------------------------------- exporters
 
@@ -599,14 +379,14 @@ class ProvenanceGraph:
         reuse links dashed."""
         lines = ["digraph provenance {", "  rankdir=LR;",
                  '  node [shape=box, fontsize=10];']
-        for obj in sorted(self._objects):
+        for obj in self.objects():
             lines.append(f'  "{obj}";')
         edges: list[str] = []
-        for output, hop in self._hops.items():
-            for name in hop.inputs:
+        for edge in self.adg.edges():
+            for name in edge.inputs:
                 edges.append(
-                    f'  "{name}" -> "{output}" [label="{hop.tool}"];')
-        for alias, source in self._aliases.items():
+                    f'  "{name}" -> "{edge.output}" [label="{edge.tool}"];')
+        for alias, source in self.adg.reuse_links().items():
             edges.append(
                 f'  "{source}" -> "{alias}" '
                 '[style=dashed, label="reused"];')
@@ -615,49 +395,56 @@ class ProvenanceGraph:
         return "\n".join(lines)
 
     def export_jsonl(self, target: str | IO[str]) -> int:
-        """One JSON object per hop/alias/commit (stable order)."""
+        """One JSON object per edge/alias/commit (stable order)."""
         if isinstance(target, str):
             with open(target, "w", encoding="utf-8") as fh:
                 return self.export_jsonl(fh)
-        count = 0
-        for output in sorted(self._hops):
-            hop = self._hops[output]
-            target.write(json.dumps({
-                "kind": "hop", "output": hop.output,
-                "inputs": list(hop.inputs), "tool": hop.tool,
-                "options": list(hop.options), "step": hop.step,
-                "task": hop.task, "host": hop.host, "pid": hop.pid,
-                "started": hop.started, "completed": hop.completed,
-                "reused": hop.reused, "reused_from": hop.reused_from,
-                "thread": hop.thread, "point": hop.point,
-            }, sort_keys=True) + "\n")
-            count += 1
-        for alias in sorted(self._aliases):
-            target.write(json.dumps({
-                "kind": "alias", "alias": alias,
-                "source": self._aliases[alias],
-            }, sort_keys=True) + "\n")
-            count += 1
-        for name in sorted(self._commits):
-            commit = self._commits[name]
-            target.write(json.dumps({
-                "kind": "commit", "object": name, "thread": commit.thread,
-                "point": commit.point, "task": commit.task,
-                "annotation": commit.annotation,
-                "recorded_at": commit.recorded_at,
-            }, sort_keys=True) + "\n")
-            count += 1
-        return count
+        rows = []
+        for edge in sorted(self.adg.edges(), key=lambda e: e.output):
+            thread, point, _ = self.placement(
+                edge.output, produced=True) or ("", -1, None)
+            rows.append({
+                "kind": "hop", "output": edge.output,
+                "inputs": list(edge.inputs), "tool": edge.tool,
+                "options": list(edge.options), "step": edge.step,
+                "task": edge.task, "host": edge.host,
+                "pid": self._pids.get(edge.output),
+                "started": edge.started, "completed": edge.at,
+                "reused": edge.reused,
+                "reused_from": self.alias_source(edge.output),
+                "thread": thread, "point": point,
+            })
+        for alias, source in sorted(self.adg.reuse_links().items()):
+            rows.append({"kind": "alias", "alias": alias, "source": source})
+        for name in sorted(self._commits.committed()):
+            thread, point, record = self.placement(name)
+            rows.append({
+                "kind": "commit", "object": name, "thread": thread,
+                "point": point, "task": record.task,
+                "annotation": record.annotation,
+                "recorded_at": record.recorded_at,
+            })
+        for row in rows:
+            target.write(json.dumps(row, sort_keys=True) + "\n")
+        return len(rows)
 
 
 # ------------------------------------------------------------------ renderers
 
 
-def _where(graph: ProvenanceGraph, name: str) -> str:
-    commit = graph.commit_of(name)
-    if commit is None or not commit.thread:
+def _where(graph: ProvenanceGraph, name: str, produced: bool = False) -> str:
+    """`` [thread pN]`` of the record that committed ``name``, or ""."""
+    placement = graph.placement(name, produced)
+    if placement is None or not placement[0]:
         return ""
-    return f"{commit.thread} p{commit.point}"
+    return f" [{placement[0]} p{placement[1]}]"
+
+
+def _reused_line(graph: ProvenanceGraph, edge: "DerivationEdge") -> str:
+    source = graph.alias_source(edge.output)
+    if not source:
+        return "      reused (origin unknown)"
+    return f"      reused from {source}{_where(graph, source)}"
 
 
 def render_why(graph: ProvenanceGraph, name: str) -> list[str]:
@@ -676,22 +463,16 @@ def render_why(graph: ProvenanceGraph, name: str) -> list[str]:
         return lines
     for source in graph.primary_sources(name):
         lines.append(f"  source {source}")
-    for index, hop in enumerate(chain, 1):
-        where = f" [{hop.thread} p{hop.point}]" if hop.thread else ""
-        opts = f" opts({' '.join(hop.options)})" if hop.options else ""
+    for index, edge in enumerate(chain, 1):
+        where = _where(graph, edge.output, produced=True)
+        opts = f" opts({' '.join(edge.options)})" if edge.options else ""
         lines.append(
-            f"  {index:2d}. {hop.output} <= {hop.tool}"
-            f"({', '.join(hop.inputs)}){opts}{where} host={hop.host} "
-            f"t={hop.started:.1f}s dur={hop.duration:.1f}s"
+            f"  {index:2d}. {edge.output} <= {edge.tool}"
+            f"({', '.join(edge.inputs)}){opts}{where} host={edge.host} "
+            f"t={edge.started:.1f}s dur={edge.at - edge.started:.1f}s"
         )
-        if hop.reused:
-            if hop.reused_from:
-                origin = _where(graph, hop.reused_from)
-                origin_text = f" [{origin}]" if origin else ""
-                lines.append(
-                    f"      reused from {hop.reused_from}{origin_text}")
-            else:
-                lines.append("      reused (origin unknown)")
+        if edge.reused:
+            lines.append(_reused_line(graph, edge))
     return lines
 
 
@@ -701,21 +482,18 @@ def render_blame(graph: ProvenanceGraph, base: str) -> list[str]:
     if not rows:
         lines.append("  no versions recorded")
         return lines
-    for name, hop, commit in rows:
-        where = f"[{commit.thread} p{commit.point}]" if commit and \
-            commit.thread else "[external]"
-        if hop is None:
+    for name, edge, commit in rows:
+        where = _where(graph, name).strip() or "[external]"
+        if edge is None:
             lines.append(f"  {name:<30} {where} primary source")
             continue
-        detail = (f"task={hop.task} step={hop.step} tool={hop.tool} "
-                  f"host={hop.host} at={hop.completed:.1f}s")
+        detail = (f"task={edge.task} step={edge.step} tool={edge.tool} "
+                  f"host={edge.host} at={edge.at:.1f}s")
         lines.append(f"  {name:<30} {where} {detail}")
-        if hop.reused and hop.reused_from:
-            origin = _where(graph, hop.reused_from)
-            lines.append(f"      reused from {hop.reused_from}"
-                         + (f" [{origin}]" if origin else ""))
-        if commit and commit.annotation:
-            lines.append(f'      note "{commit.annotation}"')
+        if edge.reused and graph.alias_source(edge.output):
+            lines.append(_reused_line(graph, edge))
+        if commit and commit[2].annotation:
+            lines.append(f'      note "{commit[2].annotation}"')
     return lines
 
 
@@ -723,8 +501,9 @@ def render_impact(graph: ProvenanceGraph, name: str) -> list[str]:
     affected = graph.impact(name)
     lines = [f"impact {name}: {len(affected)} affected version(s)"]
     for obj in affected:
-        suffix = " (reused alias)" if graph.alias_source(obj) == name or \
-            obj in graph._aliases and graph._aliases[obj] in affected else ""
+        source = graph.alias_source(obj)
+        suffix = " (reused alias)" if source == name or source in affected \
+            else ""
         lines.append(f"  {obj}{suffix}")
     return lines
 
@@ -732,17 +511,12 @@ def render_impact(graph: ProvenanceGraph, name: str) -> list[str]:
 # ------------------------------------------------------------------ checking
 
 
-def check_lineage(
-    graph: ProvenanceGraph,
-    name: str,
-    adg: "AugmentedDerivationGraph | None" = None,
-) -> list[str]:
+def check_lineage(graph: ProvenanceGraph, name: str) -> list[str]:
     """Validate the lineage invariants for one object; returns problems.
 
     * the ``why`` chain exists and terminates only at primary sources
       (a terminal that is itself a memo alias is a lineage orphan);
-    * every reused hop carries its reuse attribution;
-    * ``impact`` (without alias links) agrees with ``adg.affected_set``.
+    * every reused edge carries its reuse attribution.
     """
     problems: list[str] = []
     chain = graph.why(name)
@@ -754,18 +528,10 @@ def check_lineage(
             problems.append(
                 f"chain terminates at {source}, which is a memo alias "
                 "of a committed version (lineage orphan)")
-    for hop in chain:
-        if hop.reused and not hop.reused_from:
+    for edge in chain:
+        if edge.reused and not graph.alias_source(edge.output):
             problems.append(
-                f"reused hop {hop.output} has no reuse attribution")
-    if adg is not None:
-        for source in graph.primary_sources(name):
-            ours = graph.impact(source, include_aliases=False)
-            theirs = adg.affected_set(source)
-            if ours != theirs:
-                problems.append(
-                    f"impact({source}) disagrees with adg.affected_set: "
-                    f"{sorted(set(ours) ^ set(theirs))}")
+                f"reused hop {edge.output} has no reuse attribution")
     return problems
 
 
@@ -807,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in render_impact(graph, args.object):
             print(line)
     elif args.cmd == "check":
-        problems = check_lineage(graph, args.object, graph.to_adg())
+        problems = check_lineage(graph, args.object)
         for problem in problems:
             print(f"PROBLEM: {problem}")
         if problems:
@@ -816,8 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         reused = sum(1 for h in chain if h.reused)
         print(f"OK: {args.object} derives from "
               f"{len(graph.primary_sources(args.object))} primary source(s) "
-              f"via {len(chain)} hop(s), {reused} reused; impact agrees "
-              "with adg.affected_set")
+              f"via {len(chain)} hop(s), {reused} reused")
     elif args.cmd == "export":
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:

@@ -141,3 +141,23 @@ class TestNotebookCommand:
         assert "Design thread: work" in text
         assert "Padp" in text
         assert "relationships inferred" in text
+
+
+class TestLineageCommands:
+    def test_why_blame_impact_after_erase_on_rework(self, shell):
+        shell.execute("thread work")
+        shell.execute("invoke Create_Logic_Description Spec=shifter.spec "
+                      "-- Outcell=sh.logic")
+        shell.execute("invoke Standard_Cell_PR Incell=sh.logic "
+                      "-- Outcell=sh.sc")
+        assert "  sh.sc@1" in shell.execute("impact shifter.spec@1")
+        shell.execute("move 1 erase")
+        impact = shell.execute("impact shifter.spec@1")
+        assert "  sh.logic@1" in impact and "  sh.sc@1" not in impact
+        assert not any("disagrees" in line for line in impact)
+        assert shell.execute("why sh.sc@1") == [
+            "why sh.sc@1", "  unknown object (no lineage recorded)"]
+        assert shell.execute("blame sh.sc") == [
+            "blame sh.sc", "  no versions recorded"]
+        why = text_of(shell.execute("why sh.logic@1"))
+        assert "source shifter.spec@1" in why and "[work p1]" in why

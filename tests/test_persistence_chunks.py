@@ -323,6 +323,24 @@ class TestPersistentSession:
         assert len(r_thread.stream) == len(thread.stream)
         assert restored.db.is_deleted("b@1") == lwt.db.is_deleted("b@1")
 
+    def test_vertical_aging_replays(self, lwt, tmp_path):
+        thread = lwt.create_thread("alpha", owner="a")
+        session = PersistentSession(lwt, tmp_path / "s")
+        o1 = lwt.db.put("a", {"v": 1})
+        p1 = thread.commit_record(make_record("synth",
+                                              outputs=(str(o1.name),)))
+        session.save()
+        lwt.clock.advance(30 * 24 * 3600.0)
+        Reclaimer(thread).vertical_aging(older_than=7 * 24 * 3600.0)
+        session.save()
+        journal = (tmp_path / "s" / "journal.jsonl").read_text()
+        assert '"op": "abstract"' in journal
+
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        record = restored.thread("alpha").stream.record(p1)
+        assert record.abstracted and record.steps == ()
+
     def test_unjournalable_structure_promotes_to_checkpoint(
             self, lwt, tmp_path):
         from repro.core.thread_ops import fork

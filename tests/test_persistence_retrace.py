@@ -131,8 +131,8 @@ class TestProvenanceRoundTrip:
         save_system(papyrus.lwt, tmp_path / "snap")
         restored = load_system(tmp_path / "snap",
                                LWTSystem(clock=VirtualClock()))
-        after_graph = ProvenanceGraph.from_threads(
-            restored.threads.values(), db=restored.db)
+        after_graph = ProvenanceGraph.from_papyrus(Papyrus(
+            lwt=restored, taskmgr=papyrus.taskmgr, clock=restored.clock))
         assert render_why(after_graph, "s.pla@1") == before
 
     def test_audit_journal_survives_restore(self, session, tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Papyrus, obs
 from repro.activity.reclamation import Reclaimer
@@ -68,12 +68,13 @@ class TestWhy:
         reused = [h for h in chain if h.reused]
         assert reused, "replay chain shows no reused hops"
         for hop in reused:
-            assert hop.reused_from, f"reused hop {hop.output} unattributed"
+            assert graph.alias_source(hop.output), \
+                f"reused hop {hop.output} unattributed"
         assert graph.alias_source("sh.pla@2") == "sh.pla@1"
 
     def test_no_lineage_problems(self, replayed):
         papyrus, graph = replayed
-        assert check_lineage(graph, "sh.pla@2", papyrus.inference.adg) == []
+        assert check_lineage(graph, "sh.pla@2") == []
 
     def test_render_why_deterministic(self, replayed):
         papyrus, graph = replayed
@@ -104,6 +105,72 @@ class TestBlameAndImpact:
         for source in graph.primary_sources("sh.pla@2"):
             assert graph.alias_source(source) is None
             assert adg.reuse_source(source) is None
+
+
+class TestReuseLinksFollowHistory:
+    """A memo alias link lives as long as the record that made it: once the
+    history loses that record, the alias is no longer lineage (the store
+    that joined every database alias kept it)."""
+
+    def test_erased_replay_leaves_no_alias(self, replayed):
+        papyrus, _ = replayed
+        designer = papyrus.activities["work"]
+        replay_tip = designer.thread.current_cursor
+        designer.move_cursor(replay_tip)
+        designer.move_cursor(INITIAL_POINT, erase=True)
+        graph = ProvenanceGraph.from_papyrus(papyrus)
+        assert "sh.pla@2" not in graph
+        assert render_why(graph, "sh.pla@2")[1] == \
+            "  unknown object (no lineage recorded)"
+        assert not any("@2" in name for name in graph.impact("sh.logic@1"))
+        assert graph.adg.reuse_links() == {}
+
+    def test_spliced_rounds_leave_no_alias(self):
+        papyrus = Papyrus.standard(hosts=2)
+        designer = papyrus.open_thread("work", owner="chiueh")
+        designer.invoke("Create_Logic_Description", {"Spec": "parity.spec"},
+                        {"Outcell": "i.logic"})
+        rounds = [designer.invoke("Standard_Cell_PR", {"Incell": "i.logic"},
+                                  {"Outcell": f"i.round{n}"})
+                  for n in range(4)]
+        designer.invoke("Padp", {"Incell": "i.round3"},
+                        {"Outcell": "i.final"})
+        graph = ProvenanceGraph.from_papyrus(papyrus)
+        assert graph.alias_source("i.round1@1") == "i.round0@1"
+        Reclaimer(designer.thread).abstract_iterations(rounds)
+        graph = ProvenanceGraph.from_papyrus(papyrus)
+        for name in ("i.round0@1", "i.round1@1"):
+            assert name not in graph
+            assert graph.impact(name) == []
+        # the kept round still aliases its spliced-out predecessor
+        assert graph.alias_source("i.round3@1") == "i.round2@1"
+        assert graph.impact("i.round2@1") == ["i.final@1", "i.round3@1"]
+
+
+class TestPlacementAcrossThreads:
+    def test_erase_keeps_lineage_another_thread_holds(self):
+        """Cascade shares records; erasing one in the lead thread leaves the
+        lineage placed in the merged thread that still holds it."""
+        papyrus = Papyrus.standard(hosts=2)
+        a = papyrus.open_thread("a", owner="x")
+        p1 = a.invoke("Create_Logic_Description", {"Spec": "shifter.spec"},
+                      {"Outcell": "a.logic"})
+        p2 = a.invoke("PLA_Generation", {"Incell": "a.logic"},
+                      {"Outcell": "a.pla"})
+        b = papyrus.open_thread("b", owner="y")
+        b.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                 {"Outcell": "b.logic"})
+        graph = ProvenanceGraph.from_papyrus(papyrus)
+        assert graph.placement("a.pla@1")[:2] == ("a", p2)
+        papyrus.lwt.adopt_thread(cascade(a.thread, b.thread, "merged"))
+        a.move_cursor(p1, erase=True)
+        graph = ProvenanceGraph.from_papyrus(papyrus)
+        assert graph.placement("a.pla@1")[0] == "merged"
+        assert graph.why("a.pla@1")[-1].output == "a.pla@1"
+        papyrus.lwt.drop_thread("merged")
+        graph = ProvenanceGraph.from_papyrus(papyrus)
+        assert "a.pla@1" not in graph
+        assert graph.impact("a.logic@1") == []
 
 
 class TestExports:
@@ -291,3 +358,66 @@ class TestExactlyOnce:
                                      "replace_region")]
         assert destructive == expected
         assert len(AUDIT) == len(expected)
+
+
+_STEPS = {
+    "logic": ("Create_Logic_Description", {"Spec": "shifter.spec"},
+              {"Outcell": "p.logic"}),
+    "pla": ("PLA_Generation", {"Incell": "p.logic"}, {"Outcell": "p.pla"}),
+    "pad": ("Padp", {"Incell": "p.pla"}, {"Outcell": "p.pad"}),
+}
+
+
+class TestLineageNamesOnlyLiveVersions:
+    """Whatever the history has been through, lineage never names a version
+    the database no longer holds.
+
+    ``reclaim`` runs the background reclaimer of every thread, then
+    collects: intermediates are tombstoned at task commit, so a collection
+    that ran before a thread's records aged would reclaim versions those
+    still-detailed records name.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["logic", "pla", "pad", "rework", "erase", "fork",
+                         "reclaim"]),
+        st.integers(0, 63)), min_size=1, max_size=12))
+    @example(ops=[("logic", 0)] * 3 + [("reclaim", 0)])
+    def test_random_history(self, ops):
+        from repro.activity.manager import ActivityManager
+
+        papyrus = Papyrus.standard(hosts=2)
+        managers = [papyrus.open_thread("t0", owner="x")]
+        db = papyrus.db
+        for index, (op, pick) in enumerate(ops):
+            manager = managers[pick % len(managers)]
+            thread = manager.thread
+            if op in _STEPS:
+                task, inputs, outputs = _STEPS[op]
+                if all(thread.is_visible(name) or name.endswith(".spec")
+                       for name in inputs.values()):
+                    manager.invoke(task, inputs, outputs)
+            elif op == "rework":
+                points = thread.stream.points()
+                manager.move_cursor(points[pick % len(points)])
+            elif op == "erase":
+                above = thread.stream.ancestors(thread.current_cursor)
+                manager.move_cursor(above[pick % len(above)], erase=True)
+            elif op == "fork":
+                child = papyrus.lwt.adopt_thread(
+                    fork(thread, f"f{index}", inherit="state"))
+                managers.append(ActivityManager(child, papyrus.taskmgr))
+            else:
+                papyrus.clock.advance(60 * 24 * 3600.0)
+                for each in managers:
+                    Reclaimer(each.thread).sweep(reclaim_grace=0.0)
+            graph = ProvenanceGraph.from_papyrus(papyrus)
+            adg = papyrus.inference.adg
+            for name in graph.objects():
+                named = set(graph.impact(name)) | set(adg.affected_set(name))
+                for edge in graph.why(name):
+                    named.add(edge.output)
+                    named.update(edge.inputs)
+                missing = sorted(n for n in named if not db.exists(n))
+                assert not missing, (op, name, missing)
