@@ -17,11 +17,15 @@ An entry is keyed by ``(tool, canonical options, input fingerprints)``:
   per-instantiation base names (``name.t{instance}s{scope}``), so raw option
   tokens would never match across instantiations; canonicalization makes the
   key depend on the option *structure*, not the spelled names.
-* **input fingerprints** — content hashes of the resolved input payloads
+* **input fingerprints** — content hashes of the input versions' payloads
   (not version names).  Version numbers also differ across instantiations
   (a re-derived intermediate is a fresh version with identical content), so
   name-based fingerprints would break every chain after its first step;
-  content hashes let a hit on step N feed a hit on step N+1.
+  content hashes let a hit on step N feed a hit on step N+1.  A version is
+  single-assignment, so its fingerprint is a per-version property of the
+  database (``DesignDatabase.fingerprint``): computed once, on first use,
+  and inherited by aliases — step N's aliased output keys step N+1 without
+  rehashing anything.
 
 Values carry the committed output versions (base + versioned name, in the
 step's output order) and the recorded cost, so a hit can alias the old
@@ -92,12 +96,6 @@ def canonical_options(
 
 def _stable_hash(payload: Any, digest: "hashlib._Hash") -> None:
     """Feed a stable, structure-aware serialization of ``payload``."""
-    if getattr(payload, "is_lazy_payload", False):
-        # A not-yet-decoded chunk handle (duck-typed: memo must not import
-        # the chunk store).  Hash the real payload so warm and cold
-        # fingerprints agree — hashing the handle would silently fall to
-        # repr() and break every memo key built from restored objects.
-        payload = payload.materialize()
     if is_dataclass(payload) and not isinstance(payload, type):
         digest.update(b"D" + type(payload).__name__.encode())
         for f in fields(payload):
@@ -183,12 +181,13 @@ class DerivationCache:
         tool: str,
         options: tuple[str, ...],
         input_names: tuple[str, ...],
-        input_payloads: tuple[Any, ...],
         output_bases: tuple[str, ...],
+        db: "DesignDatabase",
     ) -> MemoKey | None:
-        """The memo key for one dispatch-ready call (None if unhashable)."""
+        """The memo key for one call over input versions ``input_names``
+        (None if an input is reclaimed or its payload unhashable)."""
         try:
-            prints = tuple(fingerprint(p) for p in input_payloads)
+            prints = tuple(db.fingerprint(name) for name in input_names)
         except Exception:
             return None
         return (tool,
@@ -287,7 +286,7 @@ class DerivationCache:
         status) never seed, and aborted tasks never reach here at all.
         ``keys`` are the steps' memo keys from dispatch, aligned with
         ``record.steps``; a step without one (an interactive tool, or a
-        record restored from disk) is keyed here from its input payloads.
+        record restored from disk) is keyed here from its input versions.
         Returns the number of entries added.
         """
         added = 0
@@ -297,15 +296,10 @@ class DerivationCache:
                 continue
             output_bases = tuple(parse_name(n).base for n in step.outputs)
             if key is None:
-                try:
-                    payloads = tuple(db.get(name).payload
-                                     for name in step.inputs)
-                except Exception:
-                    continue                 # inputs reclaimed: not cacheable
                 key = self.key_for(step.tool, step.options, step.inputs,
-                                   payloads, output_bases)
+                                   output_bases, db)
             if key is None:
-                continue
+                continue                     # inputs reclaimed: not cacheable
             self.store(key, MemoEntry(
                 tool=step.tool,
                 outputs=tuple(zip(output_bases, step.outputs)),

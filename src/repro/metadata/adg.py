@@ -46,6 +46,9 @@ class AugmentedDerivationGraph:
         #: Edges per observed record instance: what :meth:`forget_record`
         #: drops when the history loses the record.
         self._by_record: dict[int, list[DerivationEdge]] = {}
+        #: Output → the record instance whose edge produced it (the reverse
+        #: of ``_by_record``, for :meth:`forget_naming`).
+        self._record_of: dict[str, int] = {}
 
     # ----------------------------------------------------------- construction
 
@@ -90,12 +93,15 @@ class AugmentedDerivationGraph:
         for step in record.steps:
             edges.extend(self.add_step(step, task=record.task))
         self._by_record.setdefault(record.instance, []).extend(edges)
+        for edge in edges:
+            self._record_of[edge.output] = record.instance
         return edges
 
     def forget_record(self, instance: int) -> None:
         """Drop the edges, and their reuse links, that one observed record
         added: the history erased, spliced out, collapsed or abstracted it."""
         for edge in self._by_record.pop(instance, ()):
+            self._record_of.pop(edge.output, None)
             if self._producer.get(edge.output) is edge:
                 del self._producer[edge.output]
             for name in set(edge.inputs):
@@ -109,6 +115,17 @@ class AugmentedDerivationGraph:
                 self._reused_by[source].remove(edge.output)
                 if not self._reused_by[source]:
                     del self._reused_by[source]
+
+    def forget_naming(self, name: str) -> None:
+        """``name`` was physically reclaimed: drop the step detail, and with
+        it the reuse links, of every observed record whose edges name it
+        (as vertical aging would)."""
+        edges = list(self._consumers.get(name, ()))
+        if name in self._producer:
+            edges.append(self._producer[name])
+        for instance in {self._record_of.get(e.output) for e in edges}:
+            if instance is not None:
+                self.forget_record(instance)
 
     def note_alias(self, alias: str, source: str) -> None:
         """Attach a reuse link: ``alias`` is a fresh version materialized

@@ -109,6 +109,10 @@ class MetadataInferenceEngine:
         self._synced: dict[str, tuple[object, int]] = {}
         self._order: dict[str, int] = {}
         self._dirty: dict[int, HistoryRecord] = {}
+        #: Versions reclaimed since the last sync; their lineage goes then.
+        self._reclaimed: list[str] = []
+        db.reclaim_listeners.append(
+            lambda names: self._reclaimed.extend(map(str, names)))
 
     # ---------------------------------------------------------- type probing
 
@@ -170,7 +174,10 @@ class MetadataInferenceEngine:
         Each stream is scanned only from its first unseen point number.
         Destructive mutations arrive through each thread's lineage hook as
         they happen; a record that no thread holds any more, or whose steps
-        vertical aging forgot, leaves the ADG here.
+        vertical aging forgot, leaves the ADG here.  So does the step detail
+        of a record naming a version the database has since reclaimed: task
+        commit leaves intermediates unpinned, and any thread's collection
+        can reclaim them before this record's own thread ages it.
         """
         for name in set(self._synced) - set(threads):
             self._unplace_thread(name)
@@ -199,6 +206,11 @@ class MetadataInferenceEngine:
                     if not self._committed[name]:
                         del self._committed[name]
         self._dirty.clear()
+        # After placing new records: one committed before a reclamation
+        # but first observed here must lose its step detail too.
+        for name in self._reclaimed:
+            self.adg.forget_naming(name)
+        self._reclaimed.clear()
 
     def _place(self, thread: str, point: int, record: HistoryRecord) -> None:
         self._placed[(thread, point)] = record

@@ -408,6 +408,14 @@ def utilization(model: TraceModel,
         last_ts = max(last_ts, ts)
         if first_ts is None:
             first_ts = ts
+        if event["name"] == "cluster.host":
+            # Inventory: the host exists, and whether its owner is at the
+            # console from here on (until a ``cluster.owner`` transition).
+            host_name = args.get("host", "?")
+            timeline(host_name)
+            if args.get("busy"):
+                owner_state[host_name] = (ts, True)
+            continue
         if event["name"] == "cluster.owner":
             host_name = args.get("host", "?")
             tl = timeline(host_name)

@@ -21,6 +21,18 @@ args       object with string keys (JSON-serialisable values)
 dur        spans only: duration in virtual seconds, float >= 0
 id         spans only: unique span id, int >= 1
 =========  ========================================================
+
+A few events carry arguments other tooling depends on; their keys are
+part of the contract (:data:`EVENT_ARGS`):
+
+================  ==================================================
+event             required args
+================  ==================================================
+``cluster.host``  ``host`` (str), ``busy`` (bool): one per host as the
+                  cluster is built, with its owner console state (the
+                  host inventory), so a trace replay of scheduler gaps
+                  knows hosts no process or owner event ever names
+================  ==================================================
 """
 
 from __future__ import annotations
@@ -32,6 +44,10 @@ from typing import Any
 REQUIRED_FIELDS = ("kind", "name", "cat", "ts", "seq", "parent", "args")
 SPAN_FIELDS = ("dur", "id")
 KINDS = ("span", "event")
+#: Event name → the arguments it must carry and their types.
+EVENT_ARGS: dict[str, dict[str, type]] = {
+    "cluster.host": {"host": str, "busy": bool},
+}
 
 
 def validate_event(event: Any, line: int | None = None) -> list[str]:
@@ -67,6 +83,12 @@ def validate_event(event: Any, line: int | None = None) -> list[str]:
             errors.append(f"{where}args must be an object")
         elif any(not isinstance(k, str) for k in args):
             errors.append(f"{where}args keys must be strings")
+        else:
+            required = EVENT_ARGS.get(event.get("name"), {})
+            for key, kind in required.items():
+                if not isinstance(args.get(key), kind) or args[key] == "":
+                    errors.append(f"{where}{event['name']} needs a "
+                                  f"{kind.__name__} arg {key!r}")
     if kind == "span":
         for field in SPAN_FIELDS:
             if field not in event:

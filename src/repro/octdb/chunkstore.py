@@ -3,10 +3,12 @@
 Every payload is encoded once into a chunk file named by its content digest
 (``objects/<digest[:2]>/<digest>``), so identical payloads — across versions,
 across aliases, even across saves — occupy a single chunk on disk.  The
-digest is the same sha-based structural fingerprint the derivation cache
-(:mod:`repro.core.memo`) already computes over payloads, applied to the
-encoded JSON blob, so the memo layer and the store agree about content
-identity by construction.
+chunk address is the digest of the *encoded blob*, not the payload
+fingerprint the derivation cache keys on (``DesignDatabase.fingerprint``).
+The two notions of identity differ on purpose: the payload fingerprint
+hashes a list and a tuple alike, while the codec stores a tuple as its
+``repr``, so addressing chunks by payload fingerprint would dedupe two
+different encodings into one chunk and decode one of them wrongly.
 
 Restore is lazy: manifests reference chunks by digest, and the database is
 rebuilt with :class:`LazyPayload` handles that decode their chunk on first
@@ -36,11 +38,13 @@ def canonical_chunk_bytes(blob: Any) -> bytes:
 
 
 def chunk_digest(blob: Any) -> str:
-    """Content digest of an encoded payload blob.
+    """Content digest of an encoded payload blob (the chunk address).
 
-    Reuses the derivation cache's structural fingerprint (sha1 over a
-    stable, structure-aware walk) so persistence and memoization share one
-    notion of content identity.
+    The structural sha1 walk of :func:`repro.core.memo.fingerprint`, applied
+    to the encoded blob rather than the payload: the blob is what the chunk
+    holds, so equal digests mean byte-identical chunks.  A payload
+    fingerprint would not do — it cannot tell a list from a tuple, which
+    the codec encodes differently.
     """
     return fingerprint(blob)
 
@@ -55,10 +59,6 @@ class LazyPayload:
     """
 
     __slots__ = ("store", "digest", "_value", "_loaded")
-
-    #: Duck-typing marker so layers that must not import this module
-    #: (e.g. :mod:`repro.core.memo`) can still recognize and unwrap handles.
-    is_lazy_payload = True
 
     def __init__(self, store: "ChunkStore", digest: str):
         self.store = store

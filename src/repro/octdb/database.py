@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
+from repro.core.memo import fingerprint
 from repro.errors import ObjectNotFound, VersionConflict
 from repro.obs import METRICS, TRACER
 from repro.octdb.chunkstore import LazyPayload
@@ -65,6 +66,7 @@ class _Entry:
     deleted_at: float | None = None   # tombstone time; None = live
     last_access: float = 0.0
     pinned: bool = False              # protected from reclamation
+    fingerprint: str | None = None    # content hash; computed on first use
 
 
 class DesignDatabase:
@@ -87,6 +89,10 @@ class DesignDatabase:
         #: state change (put/alias/delete/undelete/pin/reclaim).  A
         #: persistent session uses it to append write-ahead journal entries.
         self.on_mutation: Callable[[str, dict[str, Any]], None] | None = None
+        #: Called with the names of every physical reclamation, so lineage
+        #: kept elsewhere (the metadata engine's ADG) can drop what names
+        #: versions that no longer exist.
+        self.reclaim_listeners: list[Callable[[list[ObjectName]], None]] = []
 
     def _mutated(self, kind: str, **details: Any) -> None:
         if self.on_mutation is not None:
@@ -148,7 +154,8 @@ class DesignDatabase:
         removed at task commit) but must not be physically reclaimed.
         """
         oname = parse_name(name) if isinstance(name, str) else name
-        source = self._entry(existing).obj
+        source_entry = self._entry(existing)
+        source = source_entry.obj
         chain = self._versions.setdefault(oname.base, [])
         obj = VersionedObject(
             name=ObjectName(oname.base, len(chain) + 1),
@@ -157,7 +164,10 @@ class DesignDatabase:
             creator=source.creator,
             size=0,
         )
-        chain.append(_Entry(obj=obj, last_access=self.clock.now))
+        # Same payload object, same content: the alias inherits the source's
+        # fingerprint (or computes its own on first use if it has none yet).
+        chain.append(_Entry(obj=obj, last_access=self.clock.now,
+                            fingerprint=source_entry.fingerprint))
         self._note_alias(str(obj.name), str(source.name))
         METRICS.counter("db.versions_aliased").inc()
         if TRACER.enabled:
@@ -220,6 +230,20 @@ class DesignDatabase:
                 entry.obj, payload=entry.obj.payload.materialize()
             )
         return entry.obj
+
+    def fingerprint(self, name: str | ObjectName) -> str:
+        """Content fingerprint of one version (see :func:`memo.fingerprint`).
+
+        Versions are single-assignment, so a version's fingerprint can never
+        change: it is computed once, on first use and through :meth:`get`
+        (a lazily restored payload is decoded first), then kept on the
+        version.  Raises :class:`ObjectNotFound` for a reclaimed version.
+        """
+        entry = self._entry(name)
+        if entry.fingerprint is None:
+            entry.fingerprint = fingerprint(self.get(entry.obj.name).payload)
+            METRICS.counter("db.fingerprints").inc()
+        return entry.fingerprint
 
     def exists(self, name: str | ObjectName) -> bool:
         try:
@@ -322,6 +346,8 @@ class DesignDatabase:
                 TRACER.event("db.reclaim", cat="db", count=len(reclaimed))
             self._mutated("reclaim",
                           names=[str(name) for name in reclaimed])
+            for listener in self.reclaim_listeners:
+                listener(reclaimed)
         return reclaimed
 
     # ------------------------------------------------------------- statistics

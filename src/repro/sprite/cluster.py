@@ -159,6 +159,12 @@ class Cluster:
         self.hosts[host.name] = host
         self._hosts_sorted.append(host)
         self._hosts_sorted.sort(key=lambda h: h.name)
+        if TRACER.enabled:
+            # The host inventory, with each console's state: trace replay
+            # must know a host exists even if no process or owner
+            # transition ever names it.
+            TRACER.event("cluster.host", cat="cluster", host=host.name,
+                         busy=host.is_owner_busy(self.clock.now))
         return host
 
     @classmethod

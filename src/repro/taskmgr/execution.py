@@ -620,8 +620,8 @@ class TaskExecution:
             METRICS.counter("memo.bypasses").inc()
             return False
         key = pending.memo_key = memo.key_for(
-            call.tool, call.options, call.input_names, call.inputs,
-            call.output_names)
+            call.tool, call.options, call.input_names, call.output_names,
+            self.db)
         if key is None:
             METRICS.counter("memo.bypasses").inc()
             return False

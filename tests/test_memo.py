@@ -10,7 +10,7 @@ session restore.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.activity import ActivityManager
 from repro.activity.persistence import load_system, save_system
@@ -18,7 +18,7 @@ from repro.cad import default_registry
 from repro.clock import VirtualClock
 from repro.core import LWTSystem
 from repro.core.control_stream import INITIAL_POINT
-from repro.core.memo import canonical_options, fingerprint
+from repro.core.memo import DerivationCache, canonical_options, fingerprint
 from repro.core.thread_ops import fork
 from repro.errors import TaskAborted
 from repro.obs import METRICS
@@ -58,23 +58,68 @@ def record_at(am: ActivityManager, point: int):
 
 
 class TestReuse:
+    @staticmethod
+    def _spy_fingerprints(monkeypatch) -> list[str]:
+        """Record every version whose fingerprint is actually computed."""
+        from repro.octdb.database import DesignDatabase
+
+        computed: list[str] = []
+        real = DesignDatabase.fingerprint
+
+        def spy(db, name):
+            before = counter("db.fingerprints")
+            value = real(db, name)
+            if counter("db.fingerprints") > before:
+                computed.append(str(db.get(name).name))
+            return value
+
+        monkeypatch.setattr(DesignDatabase, "fingerprint", spy)
+        return computed
+
     def test_replay_fingerprints_each_input_once(self, env, monkeypatch):
-        """A step's memo key is computed once, at dispatch; the commit
-        stores that key instead of fingerprinting every input again."""
-        from repro.core import memo as memo_module
+        """Each input version is fingerprinted at most once, ever: a version
+        keeps its fingerprint, an alias inherits its source's, and the key
+        computed at dispatch travels to the commit.  An immediate second
+        replay hashes only what it had to execute again: the interactive
+        ``edit`` step always runs, and its fresh output is the one new
+        input version."""
         from tests.test_activity import shifter_scenario
 
         am, lwt, seed, _ = env
-        shifter_scenario(am)
-        am.move_cursor(INITIAL_POINT)
-        prints = []
-        real = memo_module.fingerprint
-        monkeypatch.setattr(memo_module, "fingerprint",
-                            lambda payload: prints.append(1) or real(payload))
-        replay = shifter_scenario(am)
-        steps = [s for p in replay.values() for s in record_at(am, p).steps]
-        assert sum(s.reused for s in steps) >= 0.8 * len(steps)
-        assert len(prints) == sum(len(s.inputs) for s in steps)
+        computed = self._spy_fingerprints(monkeypatch)
+        inputs: set[str] = set()
+        for run in range(3):                 # cold, replay, replay again
+            if run:
+                am.move_cursor(INITIAL_POINT)
+            start = len(computed)
+            points = shifter_scenario(am)
+            steps = [s for p in points.values()
+                     for s in record_at(am, p).steps]
+            inputs.update(name for s in steps for name in s.inputs)
+            if run:
+                assert sum(s.reused for s in steps) >= 0.8 * len(steps)
+        executed = {name for s in steps if not s.reused for name in s.outputs}
+        assert len(computed) == len(set(computed))      # at most once each
+        assert set(computed) <= inputs
+        assert computed[start:] and set(computed[start:]) <= executed
+
+    def test_second_replay_fingerprints_nothing(self, env, monkeypatch):
+        """A task whose every step is served from history fingerprints
+        nothing when it is replayed again: its inputs were hashed the first
+        time, and each reused output is an alias carrying its source's
+        fingerprint."""
+        am, lwt, seed, _ = env
+        computed = self._spy_fingerprints(monkeypatch)
+        for run in range(3):
+            if run:
+                am.move_cursor(INITIAL_POINT)
+            start = len(computed)
+            point = am.invoke("PLA_Generation", {"Incell": "decoder.net"},
+                              {"Outcell": "dec.pla"})
+            assert all(s.reused for s in record_at(am, point).steps) == \
+                bool(run)
+        assert computed and len(computed) == len(set(computed))
+        assert computed[start:] == []
 
     def test_rework_reuses_unchanged_step(self, env):
         am, lwt, seed, _ = env
@@ -315,6 +360,70 @@ def test_restored_session_reuses_history(tmp_path):
     assert all(s.reused for s in thread2.stream.record(point).steps)
 
 
+# -------------------------------------------------------- content identity
+
+
+def _cached_fingerprints(db) -> list[tuple[str, str]]:
+    """(version, fingerprint) for every version that has computed one.
+    Walks only built chains: a version still parked in a lazy restore has
+    not been touched, so it cannot hold a fingerprint."""
+    return [(str(entry.obj.name), entry.fingerprint)
+            for chain in dict.values(db._versions) for entry in chain
+            if entry.obj is not None and entry.fingerprint is not None]
+
+
+def _reopen(lwt, directory):
+    """Save the installation, restore it into a fresh one, reattach."""
+    save_system(lwt, directory)
+    clk = VirtualClock()
+    lwt = load_system(directory, LWTSystem(clock=clk))
+    tm = TaskManager(
+        lwt.db, default_registry(), standard_library(),
+        cluster=Cluster.homogeneous(4, clock=clk),
+        attrdb=standard_computers(AttributeDatabase(lwt.db)), clock=clk,
+    )
+    return ActivityManager(lwt.thread("T"), tm), lwt
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.lists(st.tuples(
+    st.sampled_from(["invoke", "pad", "rework", "erase", "reclaim",
+                     "reopen"]),
+    st.integers(0, 63)), min_size=1, max_size=10))
+@example(ops=[("invoke", 0), ("pad", 0)])
+@example(ops=[("invoke", 0), ("reopen", 0), ("rework", 0), ("invoke", 0),
+              ("pad", 0), ("erase", 1), ("reclaim", 0), ("invoke", 1)])
+def test_cached_fingerprint_matches_fresh_hash(ops, tmp_path_factory):
+    """Property: whatever the history has been through — invoke, rework,
+    erase, reclaim, save and restore — every fingerprint a version holds
+    equals a fresh hash of its payload.  A tool that mutated a committed
+    payload in place would break this (and silently poison memo keys)."""
+    from repro.activity.reclamation import Reclaimer
+
+    am, lwt, _seed, _clk = make_env()
+    for index, (op, pick) in enumerate(ops):
+        thread = am.thread
+        if op == "invoke":
+            task, inputs, outputs = TASKS[pick % len(TASKS)]
+            am.invoke(task, dict(inputs), dict(outputs))
+        elif op == "pad" and thread.is_visible("o.sc"):
+            am.invoke("Padp", {"Incell": "o.sc"}, {"Outcell": "o.sc.pad"})
+        elif op == "rework":
+            points = thread.stream.points()
+            am.move_cursor(points[pick % len(points)])
+        elif op == "erase":
+            above = thread.stream.ancestors(thread.current_cursor)
+            if above:
+                am.move_cursor(above[pick % len(above)], erase=True)
+        elif op == "reclaim":
+            lwt.clock.advance(60 * 24 * 3600.0)
+            Reclaimer(thread).sweep(reclaim_grace=0.0)
+        elif op == "reopen":
+            am, lwt = _reopen(lwt, tmp_path_factory.mktemp(f"s{index}"))
+        for name, cached in _cached_fingerprints(lwt.db):
+            assert cached == fingerprint(lwt.db.get(name).payload), name
+
+
 # ------------------------------------------------------------------- units
 
 
@@ -328,6 +437,38 @@ class TestKeying:
         c = canonical_options(("wolfe", "-f", "-o", "y.t9s4", "in.net@7"),
                               ("in.net@7",), ("y.t9s4",))
         assert c != b
+
+    def test_alias_inherits_source_fingerprint(self):
+        """An alias shares its source's payload, so it takes the source's
+        fingerprint instead of hashing the payload again."""
+        from repro.octdb.database import DesignDatabase
+
+        db = DesignDatabase(VirtualClock())
+        db.put("a", {"cells": [1, 2, 3]})
+        source = db.fingerprint("a@1")
+        computed = counter("db.fingerprints")
+        db.alias("b", "a@1")
+        assert db.fingerprint("b@1") == source
+        assert counter("db.fingerprints") == computed
+
+    def test_fingerprint_is_computed_once_per_version(self):
+        from repro.errors import ObjectNotFound
+        from repro.octdb.database import DesignDatabase
+
+        db = DesignDatabase(VirtualClock())
+        db.put("a", {"x": 1})
+        db.alias("b", "a@1")          # the source has no fingerprint yet
+        computed = counter("db.fingerprints")
+        assert db.fingerprint("b@1") == fingerprint({"x": 1})
+        assert db.fingerprint("b") == db.fingerprint("a@1")
+        assert counter("db.fingerprints") == computed + 2
+        db.delete("a@1")
+        db.reclaim()
+        with pytest.raises(ObjectNotFound):
+            db.fingerprint("a@1")
+        # ...so a key over a reclaimed input is no key: the step bypasses.
+        assert DerivationCache().key_for("t", (), ("a@1",), (), db) is None
+        assert DerivationCache().key_for("t", (), ("b@1",), (), db)
 
     def test_fingerprint_is_structural(self):
         assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})

@@ -124,6 +124,23 @@ class TestTracer:
         errors = validate_events(bad)
         assert len(errors) >= 5
 
+    def test_host_inventory_is_traced_and_validated(self, global_tracing,
+                                                    clock: VirtualClock):
+        """A traced cluster lists every host once, with its console state;
+        the schema holds a ``cluster.host`` event to that contract."""
+        from repro.sprite.host import OwnerSchedule, Workstation
+
+        Cluster([Workstation("home"),
+                 Workstation("ws01", schedule=OwnerSchedule(
+                     period=10, busy=5, offset=0))], clock=clock)
+        events = global_tracing.sorted_events()
+        assert [(e["name"], e["args"]) for e in events] == [
+            ("cluster.host", {"host": "home", "busy": False}),
+            ("cluster.host", {"host": "ws01", "busy": True})]
+        assert validate_events(events) == []
+        broken = dict(events[0], args={"busy": "no"})
+        assert len(validate_events([broken])) == 2
+
 
 class TestClockHooks:
     def test_on_advance_fires_with_old_and_new(self, clock: VirtualClock):

@@ -372,10 +372,10 @@ class TestLineageNamesOnlyLiveVersions:
     """Whatever the history has been through, lineage never names a version
     the database no longer holds.
 
-    ``reclaim`` runs the background reclaimer of every thread, then
-    collects: intermediates are tombstoned at task commit, so a collection
-    that ran before a thread's records aged would reclaim versions those
-    still-detailed records name.
+    ``reclaim`` runs one thread's background reclaimer, whose collection
+    is database-wide: intermediates are tombstoned at task commit, so it
+    also reclaims versions that other threads' records, not yet aged, still
+    name in their step detail.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -384,6 +384,7 @@ class TestLineageNamesOnlyLiveVersions:
                          "reclaim"]),
         st.integers(0, 63)), min_size=1, max_size=12))
     @example(ops=[("logic", 0)] * 3 + [("reclaim", 0)])
+    @example(ops=[("fork", 0), ("logic", 1), ("reclaim", 0)])
     def test_random_history(self, ops):
         from repro.activity.manager import ActivityManager
 
@@ -410,8 +411,7 @@ class TestLineageNamesOnlyLiveVersions:
                 managers.append(ActivityManager(child, papyrus.taskmgr))
             else:
                 papyrus.clock.advance(60 * 24 * 3600.0)
-                for each in managers:
-                    Reclaimer(each.thread).sweep(reclaim_grace=0.0)
+                Reclaimer(thread).sweep(reclaim_grace=0.0)
             graph = ProvenanceGraph.from_papyrus(papyrus)
             adg = papyrus.inference.adg
             for name in graph.objects():
@@ -419,5 +419,7 @@ class TestLineageNamesOnlyLiveVersions:
                 for edge in graph.why(name):
                     named.add(edge.output)
                     named.update(edge.inputs)
+                if graph.alias_source(name) is not None:
+                    named.add(graph.alias_source(name))
                 missing = sorted(n for n in named if not db.exists(n))
                 assert not missing, (op, name, missing)
