@@ -8,13 +8,14 @@ installation.
 
 Instruments are created lazily and cached: ``registry.counter("x", host="a")``
 always returns the same object for the same name + labels, so hot paths can
-either keep a reference or re-look-up cheaply (one dict probe).
+keep a reference (:func:`bound_metric`) or re-look-up (one dict probe).
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
+from functools import cached_property
 from typing import Any, Iterable
 
 from repro.errors import PapyrusError
@@ -295,7 +296,7 @@ class MetricsRegistry:
 
     def _get(self, cls, name: str, labels: dict[str, Any],
              **kwargs: Any):
-        key = (name, _label_key(labels))
+        key = (name, _label_key(labels) if labels else ())
         metric = self._metrics.get(key)
         if metric is not None:
             if metric.kind != cls.kind:
@@ -376,6 +377,25 @@ class MetricsRegistry:
         return out
 
     def clear(self) -> None:
-        """Forget every instrument (tests and fresh installations)."""
+        """Forget every instrument (tests and fresh installations).
+
+        Instruments already bound (:func:`bound_metric`) stay with the objects
+        holding them: objects created after a clear bind afresh.
+        """
         self._metrics.clear()
         self._kinds.clear()
+
+
+def bound_metric(registry: MetricsRegistry, kind: str,
+                 name: str) -> cached_property:
+    """A label-less instrument of ``registry`` as a per-object attribute.
+
+    Assigned in a class body (``_issued = bound_metric(METRICS, "counter",
+    "engine.steps_issued")``), it resolves the instrument through the
+    registry on an object's first read and caches it in that object's
+    ``__dict__``, so later reads are plain attribute reads and a hot path
+    pays no registry look-up.  Nothing is registered before its first use,
+    so a snapshot holds the same keys as look-ups at the call site would.
+    An object made after ``registry.clear()`` binds to the fresh instruments.
+    """
+    return cached_property(lambda owner: getattr(registry, kind)(name))

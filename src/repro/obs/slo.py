@@ -6,9 +6,11 @@ hit-rate — from a live session's :class:`~repro.obs.health.HealthMonitor`
 (shell command ``top``), a streamed JSONL trace, or a metrics/BENCH
 snapshot (``python -m repro.obs.slo top FILE [--once]``).  Everything
 rendered derives from virtual-clock quantities, so two runs of the same
-seed produce byte-identical consoles.  The host bars replay the trace's
-``cluster.*`` events (:func:`repro.obs.analysis.replay_gaps`); they are
-display only — alerts and objectives read the cluster's own counters.
+seed produce byte-identical consoles.  Host rows come from the cluster's
+``cluster.busy_seconds``/``cluster.gap_seconds`` counters, live or from a
+snapshot; only an offline trace replays its ``cluster.*`` events
+(:func:`repro.obs.analysis.replay_gaps`), which also gives the utilization
+bars.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class TopView:
     skipped: list[str] = field(default_factory=list)
     #: SLO rows: {name, objective, budget, burns: {label: rate}}.
     slos: list[dict[str, Any]] = field(default_factory=list)
-    #: Host rows: {host, busy_seconds, busy_span, gap_seconds}.
+    #: Host rows: {host, busy_seconds, busy_span, gap_seconds}.  Only a
+    #: trace replay knows ``busy_span``; the other sources leave it None.
     hosts: list[dict[str, Any]] = field(default_factory=list)
     #: (start, end) extent of the host timelines.
     extent: tuple[float, float] = (0.0, 0.0)
@@ -69,7 +72,8 @@ class TopView:
     @classmethod
     def from_monitor(cls, monitor: "HealthMonitor",
                      evaluate: bool = True) -> "TopView":
-        """One frame from a live session's health monitor."""
+        """One frame from a live session's health monitor.  Host rows come
+        from the watched clusters' counters, so they need no trace."""
         summary = (monitor.evaluate(reason="top") if evaluate
                    else monitor.summary())
         view = cls(now=summary["at"], status=summary["status"],
@@ -81,7 +85,9 @@ class TopView:
                 "name": slo.name, "objective": slo.objective,
                 "budget": state.get("budget"),
                 "burns": dict(state.get("burns", {}))})
-        view._fill_hosts(monitor.tracer.events, view.now)
+        view._hosts_from_counters({
+            key: value for registry in monitor.registries
+            for key, value in registry.snapshot().items()})
         hits = monitor._metric_value("memo.hits")
         misses = monitor._metric_value("memo.misses")
         if hits is not None or misses is not None:
@@ -136,7 +142,7 @@ class TopView:
     @classmethod
     def from_metrics(cls, path: str) -> "TopView":
         """One frame from a metrics/BENCH snapshot (gauges only — no
-        trace to replay, so alert values and host gaps are absent)."""
+        trace to replay, so alert values are absent)."""
         from repro.obs.health import load_snapshot
 
         snapshot = load_snapshot(path)
@@ -162,20 +168,35 @@ class TopView:
                         burns[label] = float(bval)
                 view.slos.append({"name": name, "objective": None,
                                   "budget": float(value), "burns": burns})
-            elif key.startswith("cluster.busy_seconds{") and \
-                    isinstance(value, (int, float)):
-                host = key[len("cluster.busy_seconds{"):-1]
-                host = dict(pair.split("=", 1) for pair in
-                            host.split(",")).get("host", host)
-                view.hosts.append({"host": host, "busy_seconds": float(value),
-                                   "busy_span": None, "gap_seconds": None})
+        view._hosts_from_counters(snapshot)
         hits, misses = snapshot.get("memo.hits"), snapshot.get("memo.misses")
         if isinstance(hits, (int, float)) or isinstance(misses, (int, float)):
             view.memo = {"hits": float(hits or 0.0),
                          "misses": float(misses or 0.0)}
         return view
 
+    def _hosts_from_counters(self, snapshot: dict[str, Any]) -> None:
+        """Host rows from ``cluster.busy_seconds{host=...}`` and
+        ``cluster.gap_seconds{host=...}``: the cluster's own state.  A host
+        without a gap counter never sat idle through a gap."""
+        rows: dict[str, dict[str, Any]] = {}
+        for key, value in snapshot.items():
+            name, _, labels = key.partition("{")
+            column = {"cluster.busy_seconds": "busy_seconds",
+                      "cluster.gap_seconds": "gap_seconds"}.get(name)
+            if column is None or not labels or \
+                    not isinstance(value, (int, float)):
+                continue
+            host = dict(pair.split("=", 1) for pair in
+                        labels[:-1].split(",")).get("host", labels[:-1])
+            row = rows.setdefault(host, {"host": host, "busy_seconds": 0.0,
+                                         "busy_span": None,
+                                         "gap_seconds": 0.0})
+            row[column] = float(value)
+        self.hosts = [rows[host] for host in sorted(rows)]
+
     def _fill_hosts(self, events: list[dict[str, Any]], now: float) -> None:
+        """Host rows replayed from an offline trace's cluster events."""
         from repro.obs.analysis import replay_gaps
 
         replay = replay_gaps(events, now)
@@ -235,7 +256,8 @@ def render_top(view: TopView, width: int = 72) -> list[str]:
     if view.hosts:
         start, end = view.extent
         span = max(end - start, 1e-9)
-        lines.append(f"hosts (t = {start:.1f}s .. {end:.1f}s):")
+        lines.append(f"hosts (t = {start:.1f}s .. {end:.1f}s):"
+                     if end > start else "hosts:")
         for row in view.hosts:
             busy_span = row.get("busy_span")
             fraction = None if busy_span is None else busy_span / span

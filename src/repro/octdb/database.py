@@ -17,6 +17,7 @@ from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.core.memo import fingerprint
 from repro.errors import ObjectNotFound, VersionConflict
 from repro.obs import METRICS, TRACER
+from repro.obs.metrics import bound_metric
 from repro.octdb.chunkstore import LazyPayload
 from repro.octdb.naming import ObjectName, parse_name
 
@@ -77,6 +78,12 @@ class DesignDatabase:
     preserves the same guarantee the LWT layer relies on.
     """
 
+    # Per-put/alias/delete counters, bound per database on first use.
+    _created = bound_metric(METRICS, "counter", "db.versions_created")
+    _aliased = bound_metric(METRICS, "counter", "db.versions_aliased")
+    _fingerprinted = bound_metric(METRICS, "counter", "db.fingerprints")
+    _tombstoned = bound_metric(METRICS, "counter", "db.versions_tombstoned")
+
     def __init__(self, clock: VirtualClock | None = None):
         self.clock = clock or GLOBAL_CLOCK
         self._versions: dict[str, list[_Entry]] = {}
@@ -129,7 +136,7 @@ class DesignDatabase:
         )
         chain.append(_Entry(obj=obj, last_access=self.clock.now))
         self._bytes_live += obj.size
-        METRICS.counter("db.versions_created").inc()
+        self._created.inc()
         if TRACER.enabled:
             TRACER.event("db.version", cat="db", object=str(obj.name),
                          creator=creator, size=obj.size)
@@ -169,7 +176,7 @@ class DesignDatabase:
         chain.append(_Entry(obj=obj, last_access=self.clock.now,
                             fingerprint=source_entry.fingerprint))
         self._note_alias(str(obj.name), str(source.name))
-        METRICS.counter("db.versions_aliased").inc()
+        self._aliased.inc()
         if TRACER.enabled:
             TRACER.event("db.alias", cat="db", object=str(obj.name),
                          source=str(source.name))
@@ -242,7 +249,7 @@ class DesignDatabase:
         entry = self._entry(name)
         if entry.fingerprint is None:
             entry.fingerprint = fingerprint(self.get(entry.obj.name).payload)
-            METRICS.counter("db.fingerprints").inc()
+            self._fingerprinted.inc()
         return entry.fingerprint
 
     def exists(self, name: str | ObjectName) -> bool:
@@ -278,7 +285,7 @@ class DesignDatabase:
         entry = self._entry(name)
         if entry.deleted_at is None:
             entry.deleted_at = self.clock.now
-            METRICS.counter("db.versions_tombstoned").inc()
+            self._tombstoned.inc()
             if TRACER.enabled:
                 TRACER.event("db.delete", cat="db",
                              object=str(entry.obj.name))

@@ -9,6 +9,7 @@ fixed-step ticking.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections.abc import Mapping
@@ -22,13 +23,16 @@ from repro.sprite.host import OwnerSchedule, Workstation
 from repro.sprite.process import ProcessState, SimProcess
 
 _EPS = 1e-9
+_DONE = _EPS * 10           # work left at which a process counts as finished
 
 
 class _PerHost(Mapping):
     """Dict-facing view over one ``NAME{host=...}`` instrument per host.
 
     Keeps the ``stats.busy_seconds[host]`` / ``stats.gap_seconds[host]``
-    read API while the storage lives in the metrics registry.
+    read API while the storage lives in the metrics registry.  Each host's
+    instrument is resolved once and kept, so charging a host is one
+    increment.
     """
 
     def __init__(self, make: Callable[..., Any], name: str):
@@ -77,10 +81,8 @@ class ClusterStats:
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(f"cluster.{name}")
-            for name in self.FIELDS
-        }
+        self._counters = {name: self.registry.counter(f"cluster.{name}")
+                          for name in self.FIELDS}
         self.busy_seconds = _PerHost(self.registry.gauge,
                                      "cluster.busy_seconds")
         self.gap_seconds = _PerHost(self.registry.counter,
@@ -90,9 +92,13 @@ class ClusterStats:
     def inc(self, field: str, amount: float = 1.0) -> None:
         self._counters[field].inc(amount)
 
-    def add_busy(self, host: str, seconds: float) -> None:
-        """Accumulate busy time for ``host`` (hot path: cached gauge)."""
-        self.busy_seconds.instrument(host).inc(seconds)
+    def add_busy(self, hosts: list[Workstation], seconds: float) -> None:
+        """Charge ``seconds`` of busy time to each of ``hosts`` as
+        process-seconds: one increment per host of the span times its
+        resident count, not one per resident."""
+        instrument = self.busy_seconds.instrument
+        for host in hosts:
+            instrument(host.name).inc(seconds * len(host.resident))
 
     def add_gap(self, idle_hosts: list[str], seconds: float) -> None:
         """Charge one scheduler-gap span to the total and each idle host."""
@@ -132,6 +138,8 @@ class Cluster:
         #: Name-ordered view of ``hosts``, maintained by ``add_host`` so the
         #: per-submission idle-host scan doesn't re-sort on every event.
         self._hosts_sorted: list[Workstation] = []
+        #: Hosts whose owner ever comes or goes: all owner lookahead asks.
+        self._owned: list[Workstation] = []
         for host in hosts or [Workstation("home")]:
             self.add_host(host)
         self.remigration = remigration
@@ -148,6 +156,10 @@ class Cluster:
         #: inserted at submission, so iteration order is pid order — views
         #: over this dict never need sorting.
         self._procs: dict[int, SimProcess] = {}
+        #: Heap of ``(-priority, pid)`` for migratable processes at home,
+        #: pushed at submission and eviction; entries of processes that
+        #: finished or left home are skipped when popped.
+        self._stranded: list[tuple[int, int]] = []
         self._pid = itertools.count(1)
         self._last_charge = self.clock.now
 
@@ -159,6 +171,8 @@ class Cluster:
         self.hosts[host.name] = host
         self._hosts_sorted.append(host)
         self._hosts_sorted.sort(key=lambda h: h.name)
+        if host.schedule.next_transition(self.clock.now) is not None:
+            self._owned.append(host)
         if TRACER.enabled:
             # The host inventory, with each console's state: trace replay
             # must know a host exists even if no process or owner
@@ -196,21 +210,17 @@ class Cluster:
         return cls(hosts, clock=clock, remigration=remigration,
                    gap_feedback=gap_feedback)
 
-    def is_idle(self, host: Workstation) -> bool:
-        """Sprite's idleness rule: owner away and no resident processes."""
-        if host.name == "home":
-            return False
-        return not host.is_owner_busy(self.clock.now) and host.load() == 0
-
     def find_idle_host(self) -> Workstation | None:
+        """An idle host by Sprite's rule: not ``home``, no resident
+        processes, owner away.  The cheap tests go first: most hosts of a
+        busy cluster have work."""
+        now = self.clock.now
+        idle = (h for h in self._hosts_sorted if not h.resident
+                and h.name != "home" and not h.is_owner_busy(now))
         if self.gap_feedback:
             gaps = self.stats.gap_seconds
-            return min((h for h in self._hosts_sorted if self.is_idle(h)),
-                       key=lambda h: gaps.get(h.name, 0.0), default=None)
-        for host in self._hosts_sorted:
-            if self.is_idle(host):
-                return host
-        return None
+            return min(idle, key=lambda h: gaps.get(h.name, 0.0), default=None)
+        return next(idle, None)
 
     # -------------------------------------------------------------- processes
 
@@ -228,24 +238,13 @@ class Cluster:
         if home not in self.hosts:
             raise SchedulerError(f"unknown home host {home!r}")
         self._charge_elapsed()
-        target = self.hosts[home]
-        migrated = False
-        if migratable:
-            idle = self.find_idle_host()
-            if idle is not None:
-                target = idle
-                migrated = True
-        proc = SimProcess(
-            pid=next(self._pid),
-            label=label,
-            work=max(work, _EPS),
-            home=home,
-            host=target.name,
-            migratable=migratable,
-            priority=priority,
-            payload=payload,
-            started_at=self.clock.now,
-        )
+        idle = self.find_idle_host() if migratable else None
+        target = idle or self.hosts[home]
+        migrated = idle is not None
+        proc = SimProcess(pid=next(self._pid), label=label,
+                          work=max(work, _EPS), home=home, host=target.name,
+                          migratable=migratable, priority=priority,
+                          payload=payload, started_at=self.clock.now)
         target.resident.add(proc.pid)
         self._procs[proc.pid] = proc
         self.stats.inc("submitted")
@@ -255,6 +254,8 @@ class Cluster:
             self.stats.inc("ran_remote")
         else:
             self.stats.inc("ran_at_home")
+        if migratable and proc.is_at_home:
+            self._strand(proc)
         if TRACER.enabled:
             TRACER.event("cluster.submit", cat="cluster", pid=proc.pid,
                          step=label, host=target.name, migrated=migrated,
@@ -280,31 +281,31 @@ class Cluster:
 
     # ------------------------------------------------------------- accounting
 
-    def _charge_elapsed(self, now: float | None = None) -> None:
+    def _charge_elapsed(self, now: float | None = None,
+                        rates: dict[str, float] | None = None) -> None:
         """Charge compute progress (and any scheduler gap) for the span
-        from the last charge to ``now`` (default: the clock's time)."""
+        from the last charge to ``now`` (default: the clock's time), at
+        ``rates`` if the caller already has them (see :meth:`_rates`)."""
         if now is None:
             now = self.clock.now
         span = now - self._last_charge
         if span > _EPS:
-            # Timeshared rates are per *host*, not per process: resolve each
-            # host's rate once per charge instead of once per resident (the
-            # engine's 10k-step graphs make this loop the simulator's
-            # hottest line).
-            rates: dict[str, float] = {}
+            # Timeshared rates are per *host*, not per process: each
+            # occupied host's ``span * rate`` is worked out once, and busy
+            # time is charged once per host (the engine's 10k-step graphs
+            # make this the simulator's hottest loop).
+            occupied = [host for host in self._hosts_sorted if host.resident]
+            done = {name: span * rate
+                    for name, rate in (rates or self._rates()).items()}
             for proc in self._procs.values():
-                rate = rates.get(proc.host)
-                if rate is None:
-                    rate = self.hosts[proc.host].rate()
-                    rates[proc.host] = rate
-                proc.work -= span * rate
-                self.stats.add_busy(proc.host, span)
+                proc.work -= done[proc.host]
+            self.stats.add_busy(occupied, span)
             # No event falls inside a span, so residency and owner state
             # hold throughout it: the same rule as trace replay's
-            # ``repro.obs.analysis.scheduler_gaps``.  ``rates`` holds every
-            # host with a resident, so a gap needs a host outside it.
-            if len(rates) < len(self._hosts_sorted) and any(
-                    len(self.hosts[name].resident) > 1 for name in rates):
+            # ``repro.obs.analysis.scheduler_gaps``.  A gap needs a host
+            # with no resident while another one timeshares.
+            if len(occupied) < len(self._hosts_sorted) and any(
+                    len(host.resident) > 1 for host in occupied):
                 idle = [host.name for host in self._hosts_sorted
                         if not host.resident
                         and not host.is_owner_busy(self._last_charge)]
@@ -312,7 +313,7 @@ class Cluster:
                     self.stats.add_gap(idle, span)
         self._last_charge = now
 
-    def _advance_to(self, when: float) -> None:
+    def _advance_to(self, when: float, rates: dict | None = None) -> None:
         """Charge up to ``when``, move the clock there, and trace every
         console that changed hands on the way.
 
@@ -323,7 +324,7 @@ class Cluster:
         never ran a process at all.
         """
         since = self.clock.now
-        self._charge_elapsed(max(when, since))
+        self._charge_elapsed(max(when, since), rates)
         self.clock.advance_to(when)
         if TRACER.enabled:
             for host in self._hosts_sorted:
@@ -332,15 +333,14 @@ class Cluster:
                     TRACER.event("cluster.owner", cat="cluster",
                                  host=host.name, busy=busy)
 
-    def _next_completion(self) -> tuple[float, SimProcess | None]:
-        best_t, best_p = math.inf, None
-        rates: dict[str, float] = {}
+    def _rates(self) -> dict[str, float]:
+        """Each occupied host's per-process rate, by host name."""
+        return {h.name: h.rate() for h in self._hosts_sorted if h.resident}
+
+    def _next_completion(self, rates: dict) -> tuple[float, SimProcess | None]:
+        best_t, best_p, now = math.inf, None, self.clock.now
         for proc in self._procs.values():
-            rate = rates.get(proc.host)
-            if rate is None:
-                rate = self.hosts[proc.host].rate()
-                rates[proc.host] = rate
-            t = self.clock.now + proc.work / rate
+            t = now + proc.work / rates[proc.host]
             if t < best_t - _EPS or (
                 abs(t - best_t) <= _EPS
                 and (best_p is None or proc.pid < best_p.pid)
@@ -350,7 +350,7 @@ class Cluster:
 
     def _next_owner_transition(self) -> float:
         best = math.inf
-        for host in self.hosts.values():
+        for host in self._owned:
             t = host.schedule.next_transition(self.clock.now)
             if t is not None and t > self.clock.now + _EPS:
                 best = min(best, t)
@@ -376,27 +376,41 @@ class Cluster:
                 self.hosts[proc.home].resident.add(pid)
                 proc.host = proc.home
                 proc.evictions += 1
+                self._strand(proc)
                 self.stats.inc("evictions")
                 if TRACER.enabled:
                     TRACER.event("cluster.evict", cat="cluster", pid=pid,
                                  step=proc.label, host=host.name,
                                  to=proc.home)
 
+    def _strand(self, proc: SimProcess) -> None:
+        """Queue ``proc``, now at home, for re-migration."""
+        if len(self._stranded) > 2 * len(self._procs):   # drop finished ones
+            self._stranded = sorted(e for e in self._stranded
+                                    if e[1] in self._procs)   # still a heap
+        heapq.heappush(self._stranded, (-proc.priority, proc.pid))
+
     def remigrate(self) -> int:
         """Move stranded migratable processes from home to idle hosts
-        (§4.3.3).  Returns how many were moved."""
+        (§4.3.3), highest priority (then lowest pid) first, while an idle
+        host remains.  Only homes timesharing two or more processes when
+        the pass starts strand work.  Returns how many were moved."""
         self._charge_elapsed()
-        moved = 0
-        stranded = sorted(
-            (p for p in self._procs.values()
-             if p.is_at_home and p.migratable
-             and self.hosts[p.home].load() > 1),
-            key=lambda p: (-p.priority, p.pid),
-        )
-        for proc in stranded:
-            idle = self.find_idle_host()
-            if idle is None:
-                break
+        idle = self.find_idle_host()
+        if idle is None or not self._stranded:
+            return 0
+        # Each home's load before any move, read when first needed: a move
+        # only empties its home and fills an idle host (home to none here).
+        loads: dict[str, int] = {}
+        moved, skipped = 0, []
+        while idle is not None and self._stranded:
+            entry = heapq.heappop(self._stranded)
+            proc = self._procs.get(entry[1])
+            if proc is None or not proc.is_at_home:
+                continue
+            if loads.setdefault(proc.home, self.hosts[proc.home].load()) < 2:
+                skipped.append(entry)
+                continue
             source = proc.host
             self.hosts[proc.host].resident.discard(proc.pid)
             idle.resident.add(proc.pid)
@@ -407,6 +421,9 @@ class Cluster:
             if TRACER.enabled:
                 TRACER.event("cluster.remigrate", cat="cluster", pid=proc.pid,
                              step=proc.label, host=source, to=idle.name)
+            idle = self.find_idle_host()
+        for entry in skipped:
+            heapq.heappush(self._stranded, entry)
         return moved
 
     def _owner_transition(self, when: float) -> None:
@@ -425,29 +442,23 @@ class Cluster:
         """
         if not self._procs:
             raise SchedulerError("no running processes to wait for")
-        t_done, proc = self._next_completion()
+        rates = self._rates()         # residency holds until the completion
+        t_done, proc = self._next_completion(rates)
         t_owner = self._next_owner_transition()
         if t_owner < t_done - _EPS:
             self._owner_transition(t_owner)
             return []
         assert proc is not None
-        self._advance_to(t_done)
-        done: list[SimProcess] = []
-        for candidate in list(self._procs.values()):
-            if candidate.work <= _EPS * 10:
-                candidate.state = ProcessState.DONE
-                candidate.finished_at = self.clock.now
-                self.hosts[candidate.host].resident.discard(candidate.pid)
-                del self._procs[candidate.pid]
-                self.stats.inc("completed")
-                done.append(candidate)
-        if not done:  # numeric corner: force the chosen one through
-            proc.state = ProcessState.DONE
-            proc.finished_at = self.clock.now
-            self.hosts[proc.host].resident.discard(proc.pid)
-            del self._procs[proc.pid]
+        self._advance_to(t_done, rates)
+        # The numeric corner (nothing done) forces the chosen one through.
+        done = [p for p in self._procs.values() if p.work <= _DONE] or [proc]
+        now = self.clock.now
+        for finished in done:
+            finished.state = ProcessState.DONE
+            finished.finished_at = now
+            self.hosts[finished.host].resident.discard(finished.pid)
+            del self._procs[finished.pid]
             self.stats.inc("completed")
-            done.append(proc)
         if TRACER.enabled:
             for finished in done:
                 TRACER.event("cluster.complete", cat="cluster",
@@ -486,7 +497,7 @@ class Cluster:
         """
         finished: list[SimProcess] = []
         while self.clock.now < when - _EPS:
-            t_done, _ = self._next_completion()
+            t_done, _ = self._next_completion(self._rates())
             t_next = min(t_done, self._next_owner_transition())
             if t_next <= when + _EPS:
                 if self._procs:

@@ -70,4 +70,4 @@ class Workstation:
 
     def rate(self) -> float:
         """Per-process compute rate under timesharing."""
-        return self.speed / max(1, len(self.resident))
+        return self.speed / (len(self.resident) or 1)

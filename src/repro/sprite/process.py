@@ -13,7 +13,7 @@ class ProcessState(enum.Enum):
     KILLED = "killed"
 
 
-@dataclass
+@dataclass(slots=True)
 class SimProcess:
     """One unit of work (a CAD tool invocation) under simulation."""
 

@@ -36,6 +36,7 @@ from repro.cad.registry import Tool, ToolCall, ToolRegistry, ToolResult
 from repro.core.history import StepRecord
 from repro.core.memo import DerivationCache, MemoEntry, MemoKey
 from repro.obs import METRICS, TRACER
+from repro.obs.metrics import bound_metric
 from repro.errors import (
     RestartSignal,
     TaskAborted,
@@ -157,6 +158,22 @@ class _Pending:
 class TaskExecution:
     """State of one task instantiation (one "task manager process")."""
 
+    # Per-step instruments, bound per engine on first use.
+    _steps_issued = bound_metric(METRICS, "counter", "engine.steps_issued")
+    _steps_suspended = bound_metric(METRICS, "counter",
+                                    "engine.steps_suspended")
+    _wake_checks = bound_metric(METRICS, "counter", "engine.wake_checks")
+    _steps_dispatched = bound_metric(METRICS, "counter",
+                                     "engine.steps_dispatched")
+    _steps_completed = bound_metric(METRICS, "counter",
+                                    "engine.steps_completed")
+    _steps_failed = bound_metric(METRICS, "counter", "engine.steps_failed")
+    _step_seconds = bound_metric(METRICS, "histogram", "engine.step_seconds")
+    _memo_bypasses = bound_metric(METRICS, "counter", "memo.bypasses")
+    _memo_misses = bound_metric(METRICS, "counter", "memo.misses")
+    _memo_hits = bound_metric(METRICS, "counter", "memo.hits")
+    _memo_saved = bound_metric(METRICS, "counter", "memo.saved_seconds")
+
     def __init__(
         self,
         template: TaskTemplate,
@@ -251,6 +268,8 @@ class TaskExecution:
         #: step: (failed node, reason).  A queue, not a single slot — two
         #: failures harvested in one drain must both be honoured (§4.3.4).
         self._pending_restarts: list[tuple[_Pending, str]] = []
+        #: ``step.latency{tool=...}`` histograms, resolved once per tool.
+        self._latency: dict[str, Any] = {}
 
     # ----------------------------------------------------------------- naming
 
@@ -419,7 +438,7 @@ class TaskExecution:
         self._admitted[pending.key] = pending
         self._by_internal[pending.internal_id] = pending
         self._last_admitted = pending
-        METRICS.counter("engine.steps_issued").inc()
+        self._steps_issued.inc()
         if TRACER.enabled:
             TRACER.event("step.issue", cat="step", step=pending.label,
                          task=self.template.name, instance=self.instance)
@@ -443,7 +462,7 @@ class TaskExecution:
     def _suspend(self, pending: _Pending) -> None:
         pending.state = NodeState.PENDING
         self.suspending[pending.key] = pending
-        METRICS.counter("engine.steps_suspended").inc()
+        self._steps_suspended.inc()
         if TRACER.enabled:
             TRACER.event("step.suspend", cat="step", step=pending.label,
                          instance=self.instance)
@@ -514,7 +533,7 @@ class TaskExecution:
         waiters = self._waiters.pop(dep_key, None)
         if not waiters:
             return
-        METRICS.counter("engine.wake_checks").inc(len(waiters))
+        self._wake_checks.inc(len(waiters))
         for node in waiters:
             if node.state is not NodeState.PENDING:
                 continue
@@ -601,7 +620,7 @@ class TaskExecution:
         )
         pending.state = NodeState.RUNNING
         self.active[pending.key] = pending
-        METRICS.counter("engine.steps_dispatched").inc()
+        self._steps_dispatched.inc()
         if TRACER.enabled:
             TRACER.event("step.dispatch", cat="step", step=pending.label,
                          tool=tool_name, host=pending.proc.host,
@@ -617,17 +636,17 @@ class TaskExecution:
         if memo is None or tool.interactive:
             # Interactive tools are user-in-the-loop: their outcome is not a
             # pure function of (options, inputs), so they always execute.
-            METRICS.counter("memo.bypasses").inc()
+            self._memo_bypasses.inc()
             return False
         key = pending.memo_key = memo.key_for(
             call.tool, call.options, call.input_names, call.output_names,
             self.db)
         if key is None:
-            METRICS.counter("memo.bypasses").inc()
+            self._memo_bypasses.inc()
             return False
         entry = memo.lookup(key, self.db)
         if entry is None or len(entry.outputs) != len(pending.spec.outputs):
-            METRICS.counter("memo.misses").inc()
+            self._memo_misses.inc()
             return False
         self._satisfy_from_history(pending, call, entry)
         return True
@@ -675,9 +694,9 @@ class TaskExecution:
         pending.state = NodeState.SUCCESS
         self.completed.append(pending)
         self.completed_ok.add(pending.internal_id)
-        METRICS.counter("memo.hits").inc()
-        METRICS.counter("memo.saved_seconds").inc(entry.cost)
-        METRICS.counter("engine.steps_completed").inc()
+        self._memo_hits.inc()
+        self._memo_saved.inc(entry.cost)
+        self._steps_completed.inc()
         if TRACER.enabled:
             TRACER.complete_span(
                 f"step:{pending.spec.name}", "step", now, now,
@@ -757,12 +776,15 @@ class TaskExecution:
             status=result.status,
         )
         self.completed.append(pending)
-        METRICS.counter("engine.steps_completed").inc()
-        METRICS.histogram("engine.step_seconds").observe(finished - started)
-        METRICS.histogram("step.latency", tool=call.tool).observe(
-            finished - started)
+        self._steps_completed.inc()
+        self._step_seconds.observe(finished - started)
+        latency = self._latency.get(call.tool)
+        if latency is None:
+            latency = self._latency[call.tool] = METRICS.histogram(
+                "step.latency", tool=call.tool)
+        latency.observe(finished - started)
         if not result.ok:
-            METRICS.counter("engine.steps_failed").inc()
+            self._steps_failed.inc()
         if TRACER.enabled:
             TRACER.complete_span(
                 f"step:{pending.spec.name}", "step", started, finished,

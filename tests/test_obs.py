@@ -11,14 +11,16 @@ import pytest
 
 from repro import obs
 from repro.cad import default_registry
+from repro.cad.registry import ToolRegistry, ToolResult
 from repro.clock import VirtualClock
-from repro.obs.metrics import MetricError, MetricsRegistry
+from repro.obs.metrics import MetricError, MetricsRegistry, bound_metric
 from repro.obs.schema import validate_events, validate_jsonl
 from repro.obs.tracer import Tracer, read_jsonl
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
 from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
+from repro.tdl.template import TemplateLibrary
 from repro.workloads import seed_designs, standard_library
 
 
@@ -237,6 +239,92 @@ class TestMetrics:
         registry.histogram("h", host="a").observe(2.0)
         registry.counter("c").inc()
         json.dumps(registry.snapshot(), sort_keys=True)
+
+
+SMALL_DAG = """task Small {Seed} {Final}
+step a {Seed} {x} {mark 1.0}
+step b {Seed} {y} {mark 2.0}
+step j {x y} {Final} {mark 1.0}"""
+
+#: ``obs.METRICS`` keys after one ``SMALL_DAG`` run on a cleared registry,
+#: recorded when every engine and database instrument was looked up at its
+#: use site: binding handles must register nothing more.
+SMALL_DAG_KEYS = {
+    "db.versions_created", "db.versions_tombstoned",
+    "engine.history_records", "engine.step_seconds", "engine.steps_completed",
+    "engine.steps_dispatched", "engine.steps_issued", "engine.steps_suspended",
+    "engine.tasks_completed", "engine.wake_checks", "memo.bypasses",
+    "step.latency{tool=mark}",
+}
+
+
+@pytest.fixture
+def cleared_metrics():
+    """``obs.METRICS`` cleared for the test, its instruments put back after
+    (objects bound to them in other tests keep counting into the same
+    registry)."""
+    saved = dict(obs.METRICS._metrics), dict(obs.METRICS._kinds)
+    obs.METRICS.clear()
+    yield obs.METRICS
+    obs.METRICS._metrics.clear()
+    obs.METRICS._metrics.update(saved[0])
+    obs.METRICS._kinds.clear()
+    obs.METRICS._kinds.update(saved[1])
+
+
+def _run_small_dag() -> None:
+    """A fresh database and engine run ``SMALL_DAG`` once."""
+    clk = VirtualClock()
+    db = DesignDatabase(clock=clk)
+    db.put("seed", "S")
+    tools = ToolRegistry()
+    tools.add("mark", lambda call: ToolResult(
+        outputs={n: "m" for n in call.output_names}),
+        cost=lambda call: float(call.options[0]))
+    library = TemplateLibrary()
+    library.add_source(SMALL_DAG)
+    manager = TaskManager(db, tools, library,
+                          cluster=Cluster.homogeneous(2, clock=clk),
+                          clock=clk)
+    manager.run_task("Small", inputs={"Seed": "seed@1"},
+                     outputs={"Final": "final"})
+
+
+class TestBoundMetric:
+    def test_handles_bind_after_clear(self, cleared_metrics):
+        _run_small_dag()
+        snap = cleared_metrics.snapshot()
+        assert snap["engine.steps_completed"] == 3.0
+        assert snap["db.versions_created"] == 4.0
+        cleared_metrics.clear()
+        _run_small_dag()
+        snap = cleared_metrics.snapshot()
+        assert snap["engine.steps_completed"] == 3.0
+        assert snap["db.versions_created"] == 4.0
+
+    def test_no_extra_instruments(self, cleared_metrics):
+        _run_small_dag()
+        assert set(cleared_metrics.snapshot()) == SMALL_DAG_KEYS
+
+    def test_binds_on_first_read(self):
+        registry = MetricsRegistry()
+
+        class Owner:
+            hits = bound_metric(registry, "counter", "x.hits")
+            latency = bound_metric(registry, "histogram", "x.latency")
+
+        first, second = Owner(), Owner()
+        assert len(registry) == 0
+        first.hits.inc()
+        second.hits.inc()
+        assert registry.snapshot() == {"x.hits": 2.0}
+        assert first.hits is registry.counter("x.hits")
+        assert vars(first) == {"hits": registry.counter("x.hits")}
+        registry.clear()
+        fresh = Owner()
+        fresh.hits.inc()
+        assert registry.snapshot() == {"x.hits": 1.0}
+        assert first.hits is not fresh.hits
 
 
 class TestClusterStatsMigration:

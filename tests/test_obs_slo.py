@@ -574,9 +574,19 @@ class TestConsole:
         assert "scheduler_gap" in text
         assert "ws01" in text and "gap=20.0s" in text
 
+    def test_live_host_rows_with_tracing_off(self):
+        monitor, _clock = run_stall(trace=False)
+        assert not monitor.tracer.events
+        view = TopView.from_monitor(monitor)
+        rows = {row["host"]: row for row in view.hosts}
+        assert set(rows) == {"home", "ws01"}
+        assert rows["ws01"]["gap_seconds"] == 20.0
+        assert rows["home"]["gap_seconds"] == 0.0
+        assert rows["home"]["busy_seconds"] == 160.0     # 4 jobs x 40 s
+        text = "\n".join(render_top(view))
+        assert "ws01" in text and "gap=20.0s" in text
+
     def test_render_is_byte_identical_across_runs(self):
-        # Render each run's frame before the next run clears the global
-        # trace buffer — the view replays cluster events for host rows.
         first, _ = run_stall()
         a = "\n".join(render_top(TopView.from_monitor(first)))
         second, _ = run_stall()

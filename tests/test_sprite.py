@@ -135,6 +135,17 @@ class TestCluster:
         fresh = cluster.submit("q", work=1.0)
         assert fresh.host == proc.host  # host is free again
 
+    def test_busy_seconds_charge_span_times_residents(self):
+        """Busy time is process-seconds: three processes resident on
+        ``home`` for 4 s charge exactly 12.0, once per host per charge."""
+        clock = VirtualClock()
+        cluster = Cluster.homogeneous(1, clock=clock)
+        for label in "abc":
+            cluster.submit(label, work=10.0)
+        cluster.run_until(4.0)
+        assert cluster.stats.busy_seconds["home"] == 12.0
+        assert cluster.stats.busy_seconds.instrument("home").value == 12.0
+
     def test_step_without_processes_raises(self):
         cluster = Cluster.homogeneous(2, clock=VirtualClock())
         with pytest.raises(SchedulerError):
@@ -159,6 +170,21 @@ class TestCluster:
         assert clock.now == pytest.approx(1.0)
         cluster.drain()
 
+    def test_near_tie_goes_to_lower_pid(self):
+        """Finish times within ``_EPS`` of each other tie, and the lower
+        pid's time is the event time; a later pid must finish more than
+        ``_EPS`` sooner to set it."""
+        # (how much sooner the second process finishes, the event time)
+        for sooner, event_at in ((4e-10, 1.0), (2e-9, 1.0 - 2e-9)):
+            clock = VirtualClock()
+            cluster = Cluster.homogeneous(3, clock=clock)
+            first = cluster.submit("first", work=1.0)
+            second = cluster.submit("second", work=1.0 - sooner)
+            assert first.host != second.host
+            # Both are within the completion threshold at the event.
+            assert cluster.wait_any() == [first, second]
+            assert clock.now == event_at
+
     def test_priority_orders_remigration(self):
         clock = VirtualClock()
         hosts = [
@@ -174,6 +200,26 @@ class TestCluster:
         cluster.step()
         assert high.host == "ws01"
         assert low.host == "home"
+        cluster.drain()
+
+    def test_stranded_queue_drops_finished_processes(self):
+        """While no host is idle, processes queued for re-migration finish
+        at home; their queue entries are dropped, not kept forever, and the
+        survivors still move highest priority first."""
+        clock = VirtualClock()
+        hosts = [Workstation("home"),
+                 Workstation("ws01", schedule=OwnerSchedule(period=10_000,
+                                                            busy=500))]
+        cluster = Cluster(hosts, clock=clock)
+        low = cluster.submit("low", work=900.0, priority=1)
+        high = cluster.submit("high", work=900.0, priority=2)
+        for i in range(300):
+            cluster.submit(f"short{i}", work=0.5)
+            cluster.wait_any()
+            assert len(cluster._stranded) < 10      # bounded, not 300
+        assert low.host == high.host == "home"
+        cluster.run_until(501.0)     # the owner leaves ws01 at t=500
+        assert high.host == "ws01" and low.host == "home"
         cluster.drain()
 
     @settings(max_examples=25, deadline=None)
