@@ -138,7 +138,7 @@ class LazyStream(ControlStream):
     restore O(history); parking the raw node documents here keeps a thread
     that is never touched free.  Hydration happens in place — behind the
     ``_nodes``/``_next`` properties — on the first real operation, so every
-    holder of the stream object (scope, derivation cache, audit hooks) sees
+    holder of the stream object (scope, derivation cache, owning thread) sees
     the decoded structure without rebinding.
     """
 
@@ -191,7 +191,6 @@ def thread_to_dict(thread: DesignThread) -> dict:
 def thread_from_dict(data: dict, lwt: LWTSystem) -> DesignThread:
     thread = lwt.create_thread(data["name"], owner=data.get("owner", ""))
     thread.stream = LazyStream(data["stream"])
-    thread.wire_audit()  # the constructor's hook died with the old stream
     thread.scope.stream = thread.stream
     # Rebind the derivation cache and defer its warming: the restored
     # history is exactly the committed-step knowledge it feeds on, but
@@ -565,9 +564,8 @@ _UNJOURNALABLE = frozenset({"append", "append_spliced", "junction", "graft"})
 class PersistentSession:
     """Incremental persistence for one live installation.
 
-    Installing a session hooks every mutation source — the database, the
-    thread registry, each thread's composite operations, each SDS — and
-    buffers typed journal entries in memory.  :meth:`save` then costs only
+    A session subscribes to the installation's change feed and buffers
+    typed journal entries in memory.  :meth:`save` then costs only
     the *new* chunks plus one journal append + fsync; a full re-serialization
     happens only on the first save, after an unjournalable mutation (dirty
     flag), or on an explicit :meth:`compact`.
@@ -587,7 +585,7 @@ class PersistentSession:
         # installation cannot know what changed since the snapshot was
         # written, so its first save is always a full checkpoint.
         self._has_snapshot = snapshot_current and self._snapshot_is_current()
-        self._install_hooks()
+        lwt.db.subscribers.append(self._observe)
 
     @classmethod
     def open(cls, directory: str | Path,
@@ -596,7 +594,7 @@ class PersistentSession:
         lwt = load_system(directory, lwt)
         return cls(lwt, directory, snapshot_current=True)
 
-    # ----------------------------------------------------------------- hooks
+    # ------------------------------------------------------------ change feed
 
     def _snapshot_is_current(self) -> bool:
         history = self.directory / "history.json"
@@ -608,57 +606,37 @@ class PersistentSession:
         except (OSError, ValueError):
             return False
 
-    def _install_hooks(self) -> None:
-        self.lwt.db.on_mutation = self._on_db
-        self.lwt.on_change = self._on_lwt
-        for thread in self.lwt.threads.values():
-            thread.journal_hook = self._on_thread
-        for sds in self.lwt.spaces.values():
-            sds.journal_hook = self._on_sds
-
     def close(self) -> None:
-        """Detach every hook (the installation keeps running unjournaled)."""
-        if self.lwt.db.on_mutation == self._on_db:
-            self.lwt.db.on_mutation = None
-        if self.lwt.on_change == self._on_lwt:
-            self.lwt.on_change = None
-        for thread in self.lwt.threads.values():
-            if thread.journal_hook == self._on_thread:
-                thread.journal_hook = None
-        for sds in self.lwt.spaces.values():
-            if sds.journal_hook == self._on_sds:
-                sds.journal_hook = None
+        """Unsubscribe (the installation keeps running unjournaled)."""
+        if self._observe in self.lwt.db.subscribers:
+            self.lwt.db.subscribers.remove(self._observe)
 
-    def _on_db(self, kind: str, details: dict) -> None:
-        self._buffer.append(("db", kind, details))
-
-    def _on_thread(self, thread_name: str, kind: str, details: dict) -> None:
-        if kind in _UNJOURNALABLE:
-            self._dirty = True
-            return
-        self._buffer.append(("thread", thread_name, kind, details))
-
-    def _on_sds(self, sds_name: str, kind: str, details: dict) -> None:
-        if kind == "unregister" or \
-                (kind == "retrieve" and details.get("propagate")):
-            self._dirty = True
-            return
-        self._buffer.append(("sds", sds_name, kind, details))
-
-    def _on_lwt(self, kind: str, details: dict) -> None:
-        if kind == "thread":
-            details["thread"].journal_hook = self._on_thread
-            self._buffer.append(("lwt", "thread", {
-                "name": details["name"], "owner": details["owner"],
-            }))
-        elif kind == "sds":
-            details["sds"].journal_hook = self._on_sds
-            self._buffer.append(("lwt", "sds", {"name": details["name"]}))
-        elif kind == "adopt":
-            details["thread"].journal_hook = self._on_thread
-            self._dirty = True
-        else:  # drop
-            self._dirty = True
+    def _observe(self, source: Any, kind: str, details: dict) -> None:
+        """Buffer one change of this installation.  Threads and SDSs are
+        journaled only while registered here (an unadopted fork is not)."""
+        lwt = self.lwt
+        if source is lwt.db:
+            self._buffer.append(("db", kind, details))
+        elif source is lwt:
+            if kind in ("thread", "sds"):
+                self._buffer.append(("lwt", kind, details))
+            else:  # adopt, drop
+                self._dirty = True
+        elif isinstance(source, LWTSystem):
+            return  # another registry sharing the database
+        elif lwt.threads.get(source.name) is source:
+            if source.composite_depth:
+                return  # the composite operation publishes its own entry
+            if kind in _UNJOURNALABLE:
+                self._dirty = True
+                return
+            self._buffer.append(("thread", source.name, kind, details))
+        elif lwt.spaces.get(source.name) is source:
+            if kind == "unregister" or \
+                    (kind == "retrieve" and details.get("propagate")):
+                self._dirty = True
+                return
+            self._buffer.append(("sds", source.name, kind, details))
 
     # ----------------------------------------------------------------- state
 
@@ -708,8 +686,13 @@ class PersistentSession:
                         "points": list(d["points"]),
                         "summary": record_to_dict(d["summary"]),
                         "summary_point": d["summary_point"]}
-            if kind in ("cursor", "erase", "splice_out", "annotate",
-                        "check_in", "import", "abstract"):
+            if kind == "erase":
+                return {"op": kind, "thread": thread_name,
+                        "points": d["points"]}
+            if kind in ("splice_out", "abstract"):
+                return {"op": kind, "thread": thread_name,
+                        "point": d["point"]}
+            if kind in ("cursor", "annotate", "check_in", "import"):
                 return {"op": kind, "thread": thread_name, **d}
         elif scope == "sds":
             _, sds_name, kind, d = buffered

@@ -75,10 +75,15 @@ class Reclaimer:
             METRICS.counter("reclaim.objects_swept").inc(swept)
 
     def _referenced_below(self, removed_points: set[int]) -> set[str]:
-        """Object names used as inputs by records outside ``removed_points``
-        or present in any surviving frontier state."""
+        """Object names used as inputs by records outside ``removed_points``,
+        or held in the workspace of another thread of the installation (a
+        fork inherits its source's versions as checked-in objects)."""
         stream = self.thread.stream
         used: set[str] = set()
+        lwt = self.thread.lwt
+        for other in lwt.threads.values() if lwt is not None else ():
+            if other is not self.thread:
+                used |= other.workspace()
         for point in stream.points():
             if point in removed_points:
                 continue

@@ -170,7 +170,6 @@ class Shell:
             "trace report [path]": "critical path + utilization report",
             "trace timeline [path] [width]": "per-host Gantt timeline",
             "trace diff <a.jsonl> <b.jsonl>": "compare two runs' span trees",
-            "trace diff --metrics <a.json> <b.json>": "diff metric snapshots",
             "trace flame [path] [width]": "merge critical paths by step name",
             "health [--rules site.json] [rules|slos]":
                 "evaluate alert rules + SLO burn rates (ok/warn/crit)",
@@ -425,15 +424,8 @@ class Shell:
                 raise ShellError(f"malformed trace {path!r}: {exc}")
 
         if action == "diff":
-            if args and args[0] == "--metrics":
-                # Metrics-snapshot mode: compare the ``metrics`` blocks of
-                # two BENCH json files (or bare snapshot files) instead of
-                # span trees.
-                self._metrics_diff(args[1:])
-                return
             if len(args) != 2:
-                raise ShellError("usage: trace diff <a.jsonl> <b.jsonl> | "
-                                 "trace diff --metrics <a.json> <b.json>")
+                raise ShellError("usage: trace diff <a.jsonl> <b.jsonl>")
             lines = analysis.render_diff(load(args[0]), load(args[1]))
             for line in lines:
                 self._print(line)
@@ -459,20 +451,6 @@ class Shell:
                                           width=width)
             for line in lines:
                 self._print(line)
-
-    def _metrics_diff(self, args: list[str]) -> None:
-        from repro.obs import health
-
-        if len(args) != 2:
-            raise ShellError(
-                "usage: trace diff --metrics <a.json> <b.json>")
-        try:
-            deltas = health.diff_metrics(health.load_snapshot(args[0]),
-                                         health.load_snapshot(args[1]))
-        except (OSError, ValueError, health.HealthError) as exc:
-            raise ShellError(f"cannot diff metrics: {exc}")
-        for line in health.render_metrics_diff(deltas):
-            self._print(line)
 
     def _health_monitor(self, rules_path: str | None = None):
         """The installation's monitor, wired on first use: clock-throttled
@@ -540,7 +518,17 @@ class Shell:
                 self._print(f"  {slo.name:<22} obj {slo.objective:.0%}  "
                             f"{budget_text}  ({windows})")
         elif action == "diff":
-            self._metrics_diff(args[1:])
+            # Compares the ``metrics`` blocks of two BENCH json files (or
+            # bare snapshot files).
+            if len(args) != 3:
+                raise ShellError("usage: health diff <a.json> <b.json>")
+            try:
+                deltas = health.diff_metrics(health.load_snapshot(args[1]),
+                                             health.load_snapshot(args[2]))
+            except (OSError, ValueError, health.HealthError) as exc:
+                raise ShellError(f"cannot diff metrics: {exc}")
+            for line in health.render_metrics_diff(deltas):
+                self._print(line)
         elif action == "gate":
             if len(args) != 3:
                 raise ShellError(usage)

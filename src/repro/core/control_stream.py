@@ -30,6 +30,15 @@ from repro.errors import ThreadError
 #: The design point before any record: an empty thread state.
 INITIAL_POINT = 0
 
+#: The destructive mutations (they remove records or their step detail),
+#: each with the details the audit trail keeps of it.
+DESTRUCTIVE = {
+    "erase": ("points", "records"),
+    "splice_out": ("point", "task"),
+    "abstract": ("point", "task"),
+    "replace_region": ("points", "summary_point", "summary_task"),
+}
+
 
 @dataclass
 class RecordNode:
@@ -55,29 +64,17 @@ class ControlStream:
         self._next = 1
         self._epoch = 0
         self._scope_epoch = 0
-        #: Audit hook: called as ``on_destructive(kind, details)`` after a
-        #: destructive mutation (``remove_points``, ``splice_out``,
-        #: ``replace_region``, ``abstract``) succeeds.  Installing it here —
-        #: at the single choke point every erase/abstraction path funnels
-        #: through — is what makes the audit journal's exactly-once
-        #: guarantee hold no matter which caller (rework, reclamation,
-        #: shell) triggered the mutation.
-        self.on_destructive: Callable[[str, dict], None] | None = None
-        #: Journal hook: called as ``on_mutation(kind, details)`` after *any*
-        #: structural mutation, with replay-grade details (full records where
-        #: the mutation adds them).  A persistent session uses it to build
-        #: the write-ahead journal; unlike :attr:`on_destructive` it also
-        #: fires for additive mutations so the session can detect structure
-        #: it cannot journal entry-by-entry (grafts, junctions).
-        self.on_mutation: Callable[[str, dict], None] | None = None
-
-    def _audit(self, kind: str, **details) -> None:
-        if self.on_destructive is not None:
-            self.on_destructive(kind, details)
+        #: The stream's one hook, set by the thread that owns it: called as
+        #: ``listener(kind, details)`` after every structural mutation, with
+        #: replay-grade details (full records where the mutation adds them).
+        #: Every erase/abstraction path funnels through here, whichever
+        #: caller (rework, reclamation, shell) triggered it, which is what
+        #: makes the audit trail exactly-once.
+        self.listener: Callable[[str, dict], None] | None = None
 
     def _mutated(self, kind: str, **details) -> None:
-        if self.on_mutation is not None:
-            self.on_mutation(kind, details)
+        if self.listener is not None:
+            self.listener(kind, details)
 
     # --------------------------------------------------------------- epochs
 
@@ -285,8 +282,7 @@ class ControlStream:
         # Surviving per-node caches stay valid (no survivor descends from a
         # removed node), but result caches may hold the removed points.
         self._bump(states_changed=True)
-        self._audit("erase", points=sorted(points), records=len(removed))
-        self._mutated("erase", points=sorted(points))
+        self._mutated("erase", points=sorted(points), records=len(removed))
         return removed
 
     def erase_subtree(self, point: int) -> list[HistoryRecord]:
@@ -399,8 +395,7 @@ class ControlStream:
         del self._nodes[point]
         self._drop_cached_scopes(affected)
         self._bump(states_changed=True)
-        self._audit("splice_out", point=point, task=node.record.task)
-        self._mutated("splice_out", point=point)
+        self._mutated("splice_out", point=point, task=node.record.task)
         return node.record
 
     def abstract(self, point: int) -> HistoryRecord:
@@ -409,8 +404,7 @@ class ControlStream:
         cached scope changes."""
         record = self.record(point)
         record.abstract()
-        self._audit("abstract", point=point, task=record.task)
-        self._mutated("abstract", point=point)
+        self._mutated("abstract", point=point, task=record.task)
         return record
 
     def replace_region(
@@ -451,9 +445,7 @@ class ControlStream:
         # (reduced) output set instead of the replaced records' objects.
         self._drop_cached_scopes(self.descendants(summary_node.number))
         self._bump(states_changed=True)
-        self._audit("replace_region", points=sorted(points),
-                    summary_point=summary_node.number,
-                    summary_task=summary.task)
         self._mutated("replace_region", points=sorted(points),
-                      summary_point=summary_node.number, summary=summary)
+                      summary_point=summary_node.number, summary=summary,
+                      summary_task=summary.task)
         return summary_node.number

@@ -6,8 +6,6 @@ examples and scenario drivers deal with one object.
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
 from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.core.sds import SynchronizationDataSpace
 from repro.core.thread import DesignThread
@@ -28,15 +26,6 @@ class LWTSystem:
         self.db = db if db is not None else DesignDatabase(clock=self.clock)
         self.threads: dict[str, DesignThread] = {}
         self.spaces: dict[str, SynchronizationDataSpace] = {}
-        #: Registry observer: ``on_change(kind, details)`` after thread/SDS
-        #: creation, adoption and removal.  A persistent session uses it to
-        #: journal creations and to detect structure (fork/cascade/join
-        #: adoptions) it must checkpoint instead of replay.
-        self.on_change: Callable[[str, dict[str, Any]], None] | None = None
-
-    def _changed(self, kind: str, **details: Any) -> None:
-        if self.on_change is not None:
-            self.on_change(kind, details)
 
     # ---------------------------------------------------------------- threads
 
@@ -44,8 +33,9 @@ class LWTSystem:
         if name in self.threads:
             raise ThreadError(f"thread {name!r} already exists")
         thread = DesignThread(name, db=self.db, owner=owner, clock=self.clock)
+        thread.lwt = self
         self.threads[name] = thread
-        self._changed("thread", name=name, owner=owner, thread=thread)
+        self.db.publish(self, "thread", name=name, owner=owner)
         return thread
 
     def thread(self, name: str) -> DesignThread:
@@ -58,13 +48,14 @@ class LWTSystem:
         """Register a thread produced by fork/cascade/join."""
         if thread.name in self.threads:
             raise ThreadError(f"thread {thread.name!r} already exists")
+        thread.lwt = self
         self.threads[thread.name] = thread
-        self._changed("adopt", name=thread.name, thread=thread)
+        self.db.publish(self, "adopt", name=thread.name)
         return thread
 
     def drop_thread(self, name: str) -> None:
         if self.threads.pop(name, None) is not None:
-            self._changed("drop", name=name)
+            self.db.publish(self, "drop", name=name)
 
     # ------------------------------------------------------------------- SDSs
 
@@ -75,7 +66,7 @@ class LWTSystem:
             raise SdsError(f"SDS {name!r} already exists")
         sds = SynchronizationDataSpace(name, db=self.db, clock=self.clock)
         self.spaces[name] = sds
-        self._changed("sds", name=name, sds=sds)
+        self.db.publish(self, "sds", name=name)
         for thread in members or ():
             sds.register(thread)
         return sds

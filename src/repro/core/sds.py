@@ -69,13 +69,6 @@ class SynchronizationDataSpace:
         self._flags: dict[str, list[_Flag]] = {}   # base name → flags
         self.notifications_sent = 0
         self.notifications_suppressed = 0
-        #: Write-ahead journal hook: ``journal_hook(sds_name, kind,
-        #: details)``, installed by a persistent session.
-        self.journal_hook: Callable[[str, str, dict], None] | None = None
-
-    def _journal(self, kind: str, **details) -> None:
-        if self.journal_hook is not None:
-            self.journal_hook(self.name, kind, details)
 
     # ----------------------------------------------------------- registration
 
@@ -83,11 +76,11 @@ class SynchronizationDataSpace:
         """Admit a thread to this SDS (membership is dynamic)."""
         if thread.thread_id not in self._threads:
             self._threads[thread.thread_id] = thread
-            self._journal("register", thread=thread.name)
+            self.db.publish(self, "register", thread=thread.name)
 
     def unregister(self, thread: "DesignThread") -> None:
         if self._threads.pop(thread.thread_id, None) is not None:
-            self._journal("unregister", thread=thread.name)
+            self.db.publish(self, "unregister", thread=thread.name)
         for flags in self._flags.values():
             flags[:] = [f for f in flags if f.thread is not thread]
 
@@ -133,8 +126,8 @@ class SynchronizationDataSpace:
         resolved = thread.resolve(name)
         previous = self.versions_of(resolved.base)
         self._index_add(resolved)
-        self._journal("contribute", thread=thread.name, name=str(resolved),
-                      at=self.clock.now)
+        self.db.publish(self, "contribute", thread=thread.name,
+                        name=str(resolved), at=self.clock.now)
         METRICS.counter("sds.moves", direction="contribute").inc()
         from repro.obs.provenance import AUDIT  # lazy: obs sits above core
 
@@ -181,8 +174,9 @@ class SynchronizationDataSpace:
             )
         # Propagation flags place future versions into workspaces outside
         # any journaled operation — a session must checkpoint, not replay.
-        self._journal("retrieve", thread=thread.name, name=str(oname),
-                      at=self.clock.now, propagate=propagate)
+        self.db.publish(self, "retrieve", thread=thread.name,
+                        name=str(oname), at=self.clock.now,
+                        propagate=propagate)
         METRICS.counter("sds.moves", direction="retrieve").inc()
         from repro.obs.provenance import AUDIT  # lazy: obs sits above core
 

@@ -14,7 +14,8 @@ import itertools
 from typing import TYPE_CHECKING
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
-from repro.core.control_stream import INITIAL_POINT, ControlStream
+from repro.core.control_stream import (DESTRUCTIVE, INITIAL_POINT,
+                                        ControlStream)
 from repro.core.datascope import DataScope
 from repro.core.history import HistoryRecord
 from repro.core.memo import DerivationCache
@@ -24,6 +25,7 @@ from repro.octdb.database import DesignDatabase
 from repro.octdb.naming import ObjectName, parse_name
 
 if TYPE_CHECKING:
+    from repro.core.lwt import LWTSystem
     from repro.core.sds import Notification
 
 _thread_ids = itertools.count(1)
@@ -44,6 +46,9 @@ class DesignThread:
         self.owner = owner
         self.db = db
         self.clock = clock or GLOBAL_CLOCK
+        #: The installation whose registry holds this thread, set when an
+        #: LWT system creates or adopts it (None for an unadopted fork).
+        self.lwt: "LWTSystem | None" = None
         self.stream = ControlStream()
         self.scope = DataScope(self.stream)
         #: Derivation cache (build avoidance): committed steps seed it, the
@@ -70,52 +75,43 @@ class DesignThread:
         #: Reason attached to the next audited destructive mutation (set via
         #: the :meth:`audit_reason` context manager by rework/reclamation).
         self._audit_reason = ""
-        #: Write-ahead journal hook: ``journal_hook(thread_name, kind,
-        #: details)``, installed by a persistent session.  Composite
-        #: operations (commit, erase-on-rework) suppress the journaling of
-        #: their internal stream mutations and emit one replayable entry.
-        self.journal_hook = None
-        self._journal_suppress = 0
-        #: Lineage hook: ``lineage_hook(thread_name, kind, details)`` after
-        #: each destructive stream mutation, installed by the metadata
-        #: engine so the ADG forgets records the history no longer holds.
-        self.lineage_hook = None
-        self.wire_audit()
+        #: Depth of the composite operations (commit, erase-on-rework) in
+        #: progress.  Each publishes one replayable event of its own, so a
+        #: journal skips the stream mutations nested inside it.
+        self.composite_depth = 0
 
-    # ---------------------------------------------------------------- auditing
+    # ------------------------------------------------------------ change feed
 
-    def wire_audit(self) -> None:
-        """Install the destructive-mutation hook on the current stream.
+    @property
+    def stream(self) -> ControlStream:
+        return self._stream
 
-        Must be re-called whenever ``self.stream`` is *replaced* (cascade,
-        join, persistence restore) — the hook lives on the stream object.
-        """
-        self.stream.on_destructive = self._on_stream_destructive
-        self.stream.on_mutation = self._on_stream_mutation
+    @stream.setter
+    def stream(self, stream: ControlStream) -> None:
+        # The stream's hook reports to its owner, so cascade, join and
+        # restore rewire it by assigning the stream they built.
+        self._stream = stream
+        stream.listener = self._on_stream
 
-    def _on_stream_destructive(self, kind: str, details: dict) -> None:
-        from repro.obs.provenance import AUDIT
+    def _on_stream(self, kind: str, details: dict) -> None:
+        """Audit a destructive stream mutation here, at the choke point
+        every caller goes through, then publish it to the change feed."""
+        audited = DESTRUCTIVE.get(kind)
+        if audited is not None:
+            from repro.obs.provenance import AUDIT
 
-        AUDIT.record(kind, thread=self.name, actor=self.owner,
-                     reason=self._audit_reason, at=self.clock.now, **details)
-        if self.lineage_hook is not None:
-            self.lineage_hook(self.name, kind, details)
-
-    def _on_stream_mutation(self, kind: str, details: dict) -> None:
-        self._journal(kind, **details)
-
-    def _journal(self, kind: str, **details) -> None:
-        if self.journal_hook is not None and self._journal_suppress == 0:
-            self.journal_hook(self.name, kind, details)
+            AUDIT.record(kind, thread=self.name, actor=self.owner,
+                         reason=self._audit_reason, at=self.clock.now,
+                         **{key: details[key] for key in audited})
+        self.db.publish(self, kind, **details)
 
     @contextlib.contextmanager
-    def _suppress_journal(self):
-        """Hide internal stream mutations behind one composite entry."""
-        self._journal_suppress += 1
+    def _composite(self):
+        self.composite_depth += 1
         try:
             yield
         finally:
-            self._journal_suppress -= 1
+            self.composite_depth -= 1
 
     @contextlib.contextmanager
     def audit_reason(self, reason: str):
@@ -152,7 +148,7 @@ class DesignThread:
         if invocation_cursor is None:
             invocation_cursor = self.current_cursor
         record.recorded_at = self.clock.now
-        with self._suppress_journal():
+        with self._composite():
             if follow_path:
                 point = self.stream.append_spliced(record, invocation_cursor)
             else:
@@ -162,10 +158,10 @@ class DesignThread:
         if self.current_cursor in self.stream.node(point).parents:
             self.current_cursor = point
         self.point_access[point] = self.clock.now
-        self._journal("commit", record=record, at_point=invocation_cursor,
-                      spliced=follow_path, point=point,
-                      cursor_after=self.current_cursor,
-                      at=record.recorded_at)
+        self.db.publish(self, "commit", record=record,
+                        at_point=invocation_cursor, spliced=follow_path,
+                        point=point, cursor_after=self.current_cursor,
+                        at=record.recorded_at)
         METRICS.counter("thread.commits").inc()
         if TRACER.enabled:
             TRACER.event("thread.commit", cat="thread", thread=self.name,
@@ -203,8 +199,8 @@ class DesignThread:
                          thread=self.name, src=old_cursor, dst=point,
                          erase=erase)
         if not erasing:
-            self._journal("cursor", point=point, erase=False,
-                          at=self.clock.now)
+            self.db.publish(self, "cursor", point=point, erase=False,
+                            at=self.clock.now)
             return
         on_path = set(self.stream.ancestors(old_cursor))
         doomed: set[int] = set()
@@ -213,7 +209,7 @@ class DesignThread:
                 doomed.add(child)
                 doomed.update(self.stream.descendants(child))
         with self.audit_reason(self._audit_reason or "erase-on-rework"), \
-                self._suppress_journal():
+                self._composite():
             removed = self.stream.remove_points(doomed)
         self.prune_point_access()
         METRICS.counter("thread.branches_erased").inc()
@@ -232,7 +228,8 @@ class DesignThread:
                     continue
                 if self.db.exists(name) and not self.db.is_deleted(name):
                     self.db.delete(name)
-        self._journal("cursor", point=point, erase=True, at=self.clock.now)
+        self.db.publish(self, "cursor", point=point, erase=True,
+                        at=self.clock.now)
 
     def prune_point_access(self) -> None:
         """Drop access times of points no longer in the stream.
@@ -317,7 +314,7 @@ class DesignThread:
         oname = parse_name(name) if isinstance(name, str) else name
         obj = self.db.get(oname)  # must exist
         self.extra_objects.add(str(obj.name))
-        self._journal("check_in", name=str(obj.name))
+        self.db.publish(self, "check_in", name=str(obj.name))
         return obj.name
 
     # ------------------------------------------------------------ annotations
@@ -325,7 +322,7 @@ class DesignThread:
     def annotate(self, point: int, text: str) -> None:
         """Attach an annotation string to a design point's record (§5.2)."""
         self.stream.record(point).annotation = text
-        self._journal("annotate", point=point, text=text)
+        self.db.publish(self, "annotate", point=point, text=text)
 
     def find_annotation(self, text: str) -> int | None:
         return self.stream.find_by_annotation(text)
@@ -344,7 +341,7 @@ class DesignThread:
         if other is self:
             raise ThreadError("a thread cannot import itself")
         self.imports[other.name] = other
-        self._journal("import", other=other.name)
+        self.db.publish(self, "import", other=other.name)
         METRICS.counter("thread.imports").inc()
         if TRACER.enabled:
             TRACER.event("thread.import", cat="thread", thread=self.name,

@@ -99,7 +99,6 @@ def cascade(
     _require_frontier(lead, connector, "cascade")
     merged = DesignThread(name, db=lead.db, owner=lead.owner, clock=lead.clock)
     merged.stream, lead_map = lead.stream.copy()
-    merged.wire_audit()  # the constructor's hook died with the old stream
     merged.scope = DataScope(merged.stream)
     # The copy preserves the lead points' thread states (and carries their
     # per-node stride caches); warm the merged scope's result caches too so
@@ -144,7 +143,6 @@ def join(
     merged = DesignThread(name, db=first.db, owner=first.owner,
                           clock=first.clock)
     merged.stream, first_map = first.stream.copy()
-    merged.wire_audit()  # the constructor's hook died with the old stream
     merged.scope = DataScope(merged.stream)
     merged.scope.seed_from(first.scope, first_map)
     merged.memo = DerivationCache(merged.stream,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.core.control_stream import DESTRUCTIVE
 from repro.core.history import HistoryRecord
 from repro.errors import MetadataError
 from repro.metadata.adg import AugmentedDerivationGraph, DerivationEdge
@@ -111,8 +112,7 @@ class MetadataInferenceEngine:
         self._dirty: dict[int, HistoryRecord] = {}
         #: Versions reclaimed since the last sync; their lineage goes then.
         self._reclaimed: list[str] = []
-        db.reclaim_listeners.append(
-            lambda names: self._reclaimed.extend(map(str, names)))
+        db.subscribers.append(self._observe_change)
 
     # ---------------------------------------------------------- type probing
 
@@ -172,12 +172,13 @@ class MetadataInferenceEngine:
         """Observe every record the threads committed since the last sync.
 
         Each stream is scanned only from its first unseen point number.
-        Destructive mutations arrive through each thread's lineage hook as
-        they happen; a record that no thread holds any more, or whose steps
-        vertical aging forgot, leaves the ADG here.  So does the step detail
-        of a record naming a version the database has since reclaimed: task
-        commit leaves intermediates unpinned, and any thread's collection
-        can reclaim them before this record's own thread ages it.
+        Destructive mutations of a scanned stream arrive through the change
+        feed as they happen; a record that no thread holds any more, or
+        whose steps vertical aging forgot, leaves the ADG here.  So does the
+        step detail of a record naming a version the database has since
+        reclaimed: task commit leaves intermediates unpinned, and any
+        thread's collection can reclaim them before this record's own
+        thread ages it.
         """
         for name in set(self._synced) - set(threads):
             self._unplace_thread(name)
@@ -186,7 +187,6 @@ class MetadataInferenceEngine:
             if stream is not thread.stream:
                 if stream is not None:      # the thread's stream was replaced
                     self._unplace_thread(name)
-                thread.lineage_hook = self._follow
                 stream, mark = thread.stream, 0
             for point in stream.points_since(mark):
                 mark = point + 1
@@ -227,9 +227,18 @@ class MetadataInferenceEngine:
                      {"points": [p for t, p in self._placed if t == thread]})
         self._synced.pop(thread, None)
 
+    def _observe_change(self, source: Any, kind: str, details: dict) -> None:
+        """Change feed subscriber: collect reclaimed versions, and follow
+        the destructive mutations of every stream :meth:`sync` scanned."""
+        if kind == "reclaim" and source is self.db:
+            self._reclaimed.extend(details["names"])
+        elif kind in DESTRUCTIVE and \
+                self._synced.get(source.name, (None,))[0] is source.stream:
+            self._follow(source.name, kind, details)
+
     def _follow(self, thread: str, kind: str, details: dict) -> None:
-        """Lineage hook: drop the placements a destructive mutation removed
-        (an abstracted record keeps its placement but loses its edges)."""
+        """Drop the placements a destructive mutation removed (an
+        abstracted record keeps its placement but loses its edges)."""
         for point in details.get("points", [details.get("point")]):
             record = self._placed.get((thread, point))
             if record is not None:

@@ -22,8 +22,8 @@ control*, the way Papyrus's history model is meant to be used:
   serialized registry snapshots (the stable sorted-series format every
   ``BENCH_*.json`` already carries): per-series deltas with ratio/absolute
   thresholds plus added/removed-series detection.  Surfaced as
-  ``trace diff --metrics`` in the shell and ``python -m repro.obs.health
-  diff`` standalone.
+  ``health diff`` in the shell and ``python -m repro.obs.health diff``
+  standalone.
 * a **baseline-backed perf regression gate** — :func:`gate` checks a
   benchmark's ``BENCH_*.json`` (makespan, critical-path shape, overhead
   fraction, memo reuse, any dotted path) against a committed baseline with

@@ -92,18 +92,14 @@ class DesignDatabase:
         #: memo-materialized version is a lineage orphan — nothing records
         #: which committed computation it reuses.
         self._alias_sources: dict[str, str] = {}
-        #: Journal hook: called as ``on_mutation(kind, details)`` after every
-        #: state change (put/alias/delete/undelete/pin/reclaim).  A
-        #: persistent session uses it to append write-ahead journal entries.
-        self.on_mutation: Callable[[str, dict[str, Any]], None] | None = None
-        #: Called with the names of every physical reclamation, so lineage
-        #: kept elsewhere (the metadata engine's ADG) can drop what names
-        #: versions that no longer exist.
-        self.reclaim_listeners: list[Callable[[list[ObjectName]], None]] = []
+        #: The installation's change feed: each mutation of this database,
+        #: of a thread or SDS on it, or of the registry reaches every
+        #: subscriber once, as ``subscriber(source, kind, details)``.
+        self.subscribers: list[Callable[[Any, str, dict[str, Any]], None]] = []
 
-    def _mutated(self, kind: str, **details: Any) -> None:
-        if self.on_mutation is not None:
-            self.on_mutation(kind, details)
+    def publish(self, source: Any, kind: str, /, **details: Any) -> None:
+        for subscriber in self.subscribers:
+            subscriber(source, kind, details)
 
     # ------------------------------------------------------------------ write
 
@@ -140,9 +136,9 @@ class DesignDatabase:
         if TRACER.enabled:
             TRACER.event("db.version", cat="db", object=str(obj.name),
                          creator=creator, size=obj.size)
-        self._mutated("put", name=str(obj.name), payload=payload,
-                      created_at=obj.created_at, creator=creator,
-                      size=obj.size)
+        self.publish(self, "put", name=str(obj.name), payload=payload,
+                     created_at=obj.created_at, creator=creator,
+                     size=obj.size)
         return obj
 
     def alias(
@@ -180,8 +176,8 @@ class DesignDatabase:
         if TRACER.enabled:
             TRACER.event("db.alias", cat="db", object=str(obj.name),
                          source=str(source.name))
-        self._mutated("alias", name=str(obj.name), source=str(source.name),
-                      created_at=obj.created_at)
+        self.publish(self, "alias", name=str(obj.name),
+                     source=str(source.name), created_at=obj.created_at)
         return obj
 
     def _note_alias(self, alias: str, source: str) -> None:
@@ -289,15 +285,15 @@ class DesignDatabase:
             if TRACER.enabled:
                 TRACER.event("db.delete", cat="db",
                              object=str(entry.obj.name))
-            self._mutated("delete", name=str(entry.obj.name),
-                          at=entry.deleted_at)
+            self.publish(self, "delete", name=str(entry.obj.name),
+                         at=entry.deleted_at)
 
     def undelete(self, name: str | ObjectName) -> None:
         """Resurrect a tombstoned version that has not been reclaimed yet."""
         entry = self._entry(name)
         if entry.deleted_at is not None:
             entry.deleted_at = None
-            self._mutated("undelete", name=str(entry.obj.name))
+            self.publish(self, "undelete", name=str(entry.obj.name))
 
     def is_deleted(self, name: str | ObjectName) -> bool:
         return self._entry(name).deleted_at is not None
@@ -307,7 +303,7 @@ class DesignDatabase:
         entry = self._entry(name)
         if entry.pinned != pinned:
             entry.pinned = pinned
-            self._mutated("pin", name=str(entry.obj.name), pinned=pinned)
+            self.publish(self, "pin", name=str(entry.obj.name), pinned=pinned)
 
     def reclaim(
         self,
@@ -351,10 +347,8 @@ class DesignDatabase:
             METRICS.counter("db.versions_reclaimed").inc(len(reclaimed))
             if TRACER.enabled:
                 TRACER.event("db.reclaim", cat="db", count=len(reclaimed))
-            self._mutated("reclaim",
-                          names=[str(name) for name in reclaimed])
-            for listener in self.reclaim_listeners:
-                listener(reclaimed)
+            self.publish(self, "reclaim",
+                         names=[str(name) for name in reclaimed])
         return reclaimed
 
     # ------------------------------------------------------------- statistics

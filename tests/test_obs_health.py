@@ -562,7 +562,7 @@ class TestCli:
         assert main([]) == 2
         assert main(["diff", a]) == 2
 
-    def test_shell_health_and_trace_diff_metrics(self, tmp_path):
+    def test_shell_health_diff(self, tmp_path):
         from repro.cli import Shell
 
         shell = Shell()
@@ -572,8 +572,6 @@ class TestCli:
         assert "scheduler_gap" in out
         a = self.write(tmp_path, "a.json", {"metrics": SNAP_A})
         b = self.write(tmp_path, "b.json", {"metrics": SNAP_B})
-        out = "\n".join(shell.execute(f"trace diff --metrics {a} {b}"))
-        assert "+ new.this_run" in out
         out = "\n".join(shell.execute(f"health diff {a} {b}"))
         assert "+ new.this_run" in out
         bench = self.write(tmp_path, "BENCH_x.json", BENCH_DOC)

@@ -413,6 +413,45 @@ class TestPersistentSession:
                             LWTSystem(clock=VirtualClock()))
         assert final.db.get("cell@2").payload == {"k": 2}
 
+    def test_two_sessions_on_one_installation_both_journal(
+            self, lwt, tmp_path):
+        thread = lwt.create_thread("alpha", owner="a")
+        first = PersistentSession(lwt, tmp_path / "a")
+        first.save()
+        second = PersistentSession(lwt, tmp_path / "b")
+        second.save()
+        obj = lwt.db.put("x", {"k": 1})
+        thread.commit_record(make_record("synth", outputs=(str(obj.name),)))
+        first.save()
+        second.save()
+        for directory in ("a", "b"):
+            restored = load_system(tmp_path / directory,
+                                   LWTSystem(clock=VirtualClock()))
+            assert restored.db.get("x@1").payload == {"k": 1}
+            assert len(restored.thread("alpha").stream) == 1
+        # Closing one session leaves the other journaling.
+        first.close()
+        lwt.db.put("x", {"k": 2})
+        second.save()
+        assert load_system(tmp_path / "b", LWTSystem(clock=VirtualClock())
+                           ).db.get("x@2").payload == {"k": 2}
+        assert first.pending_entries == 0
+
+    def test_other_registry_on_the_same_database_is_not_journaled(
+            self, lwt, tmp_path):
+        session = PersistentSession(lwt, tmp_path / "s")
+        session.save()
+        other = LWTSystem(db=lwt.db, clock=lwt.clock)
+        elsewhere = other.create_thread("elsewhere")
+        obj = lwt.db.put("x", {"k": 1})
+        elsewhere.commit_record(make_record("synth",
+                                            outputs=(str(obj.name),)))
+        session.save()
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert restored.db.get("x@1").payload == {"k": 1}
+        assert "elsewhere" not in restored.threads
+
 
 # ------------------------------------------------------------- hypothesis
 

@@ -385,6 +385,8 @@ class TestLineageNamesOnlyLiveVersions:
         st.integers(0, 63)), min_size=1, max_size=12))
     @example(ops=[("logic", 0)] * 3 + [("reclaim", 0)])
     @example(ops=[("fork", 0), ("logic", 1), ("reclaim", 0)])
+    @example(ops=[("logic", 0), ("fork", 0), ("logic", 0), ("reclaim", 0),
+                  ("pla", 1)])
     def test_random_history(self, ops):
         from repro.activity.manager import ActivityManager
 
