@@ -38,6 +38,7 @@ from repro.core.memo import DerivationCache, MemoEntry, MemoKey
 from repro.obs import METRICS, TRACER
 from repro.obs.metrics import bound_metric
 from repro.errors import (
+    ObjectNotFound,
     RestartSignal,
     TaskAborted,
     TdlError,
@@ -77,6 +78,15 @@ Navigator = Callable[[StepSpec, list[str]], list[str] | None]
 #: Callback invoked on task restart after an abort; models the user "trying
 #: different parameters" (§3.3.2).  May mutate ``execution.option_overrides``.
 RestartHook = Callable[["TaskExecution", StepSpec], None]
+
+
+def tombstone(db: DesignDatabase, name: str) -> None:
+    """Hide a version this task created.  ``delete`` is a no-op on a
+    tombstone, and a version another actor already reclaimed is gone."""
+    try:
+        db.delete(name)
+    except ObjectNotFound:
+        pass
 
 
 class NodeState(Enum):
@@ -754,7 +764,7 @@ class TaskExecution:
                 obj = self.db.put(
                     slot.base,
                     result.outputs[slot.base],
-                    creator=pending.spec.tool,
+                    creator=call.tool,
                 )
                 slot.version = obj.version
                 slot.producer = pending.internal_id
@@ -952,8 +962,7 @@ class TaskExecution:
                 slot = owner.slots.get(name)
                 if slot is not None and slot.version is not None:
                     actual = slot.actual
-                    if self.db.exists(actual) and not self.db.is_deleted(actual):
-                        self.db.delete(actual)
+                    tombstone(self.db, actual)
                     if actual in self.created:
                         self.created.remove(actual)
                     slot.version = None
@@ -1007,8 +1016,7 @@ class TaskExecution:
             pending.state = NodeState.SKIPPED
         self.suspending.clear()
         for name in self.created:
-            if self.db.exists(name) and not self.db.is_deleted(name):
-                self.db.delete(name)
+            tombstone(self.db, name)
         self.aborted_reason = reason
         METRICS.counter("engine.tasks_aborted").inc()
         if TRACER.enabled:

@@ -18,7 +18,12 @@ from repro.obs import METRICS, TRACER
 from repro.octdb.database import DesignDatabase
 from repro.sprite.cluster import Cluster
 from repro.taskmgr.attrdb import AttributeDatabase
-from repro.taskmgr.execution import Navigator, RestartHook, TaskExecution
+from repro.taskmgr.execution import (
+    Navigator,
+    RestartHook,
+    TaskExecution,
+    tombstone,
+)
 from repro.tdl.template import TemplateLibrary
 
 
@@ -123,8 +128,7 @@ class TaskManager:
             memo.populate(record, self.db, execution.step_keys())
         if not keep_intermediates:
             for name_ in execution.intermediate_names():
-                if self.db.exists(name_) and not self.db.is_deleted(name_):
-                    self.db.delete(name_)
+                tombstone(self.db, name_)
         METRICS.counter("engine.history_records", **self.labels).inc()
         if TRACER.enabled:
             TRACER.event("task.commit", cat="task", task=record.task,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from repro.errors import TdlBreak, TdlContinue, TdlError, TdlReturn
 from repro.tdl import expr as _expr
 from repro.tdl.lists import format_list, parse_list
@@ -316,41 +318,6 @@ def _cmd_info(interp, args):
     raise TdlError(f'bad info operation "{op}"')
 
 
-def install(interp) -> None:
-    for name, func in {
-        "set": _cmd_set,
-        "unset": _cmd_unset,
-        "incr": _cmd_incr,
-        "append": _cmd_append,
-        "global": _cmd_global,
-        "expr": _cmd_expr,
-        "if": _cmd_if,
-        "while": _cmd_while,
-        "for": _cmd_for,
-        "foreach": _cmd_foreach,
-        "break": _cmd_break,
-        "continue": _cmd_continue,
-        "return": _cmd_return,
-        "proc": _cmd_proc,
-        "eval": _cmd_eval,
-        "catch": _cmd_catch,
-        "list": _cmd_list,
-        "lindex": _cmd_lindex,
-        "llength": _cmd_llength,
-        "lappend": _cmd_lappend,
-        "lrange": _cmd_lrange,
-        "concat": _cmd_concat,
-        "join": _cmd_join,
-        "split": _cmd_split,
-        "string": _cmd_string,
-        "format": _cmd_format,
-        "puts": _cmd_puts,
-        "info": _cmd_info,
-    }.items():
-        interp.register(name, func)
-    install_extras(interp)
-
-
 # ------------------------------------------------------------ list extras
 
 
@@ -400,12 +367,40 @@ def _cmd_lreverse(interp, args):
     return format_list(list(reversed(parse_list(args[0]))))
 
 
-def install_extras(interp) -> None:
-    for name, func in {
-        "lsort": _cmd_lsort,
-        "lsearch": _cmd_lsearch,
-        "linsert": _cmd_linsert,
-        "lreplace": _cmd_lreplace,
-        "lreverse": _cmd_lreverse,
-    }.items():
-        interp.register(name, func)
+#: The standard command table, built once; every interpreter starts with a
+#: copy, to which extension layers add their own commands.
+BUILTINS = MappingProxyType({
+    "set": _cmd_set,
+    "unset": _cmd_unset,
+    "incr": _cmd_incr,
+    "append": _cmd_append,
+    "global": _cmd_global,
+    "expr": _cmd_expr,
+    "if": _cmd_if,
+    "while": _cmd_while,
+    "for": _cmd_for,
+    "foreach": _cmd_foreach,
+    "break": _cmd_break,
+    "continue": _cmd_continue,
+    "return": _cmd_return,
+    "proc": _cmd_proc,
+    "eval": _cmd_eval,
+    "catch": _cmd_catch,
+    "list": _cmd_list,
+    "lindex": _cmd_lindex,
+    "llength": _cmd_llength,
+    "lappend": _cmd_lappend,
+    "lrange": _cmd_lrange,
+    "concat": _cmd_concat,
+    "join": _cmd_join,
+    "split": _cmd_split,
+    "string": _cmd_string,
+    "format": _cmd_format,
+    "puts": _cmd_puts,
+    "info": _cmd_info,
+    "lsort": _cmd_lsort,
+    "lsearch": _cmd_lsearch,
+    "linsert": _cmd_linsert,
+    "lreplace": _cmd_lreplace,
+    "lreverse": _cmd_lreverse,
+})

@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import TdlBreak, TdlContinue, TdlError, TdlReturn
+from repro.tdl.builtins import BUILTINS
 from repro.tdl.tokenizer import (
-    BARE,
     BRACED,
-    QUOTED,
     find_substitutions,
     split_words,
     strip_comments_and_split,
@@ -44,14 +43,11 @@ class Interp:
     def __init__(self):
         self._globals = _Frame()
         self._frames: list[_Frame] = [self._globals]
-        self.commands: dict[str, Command] = {}
+        self.commands: dict[str, Command] = dict(BUILTINS)
         self.procs: dict[str, tuple[list[tuple[str, str | None]], str]] = {}
         self.read_traces: dict[str, Callable[["Interp"], None]] = {}
         self.stdout: list[str] = []
         self._executed = 0
-        from repro.tdl import builtins as _builtins
-
-        _builtins.install(self)
 
     # -------------------------------------------------------------- variables
 
@@ -122,11 +118,6 @@ class Interp:
         out.append(unescape(text[pos:]))
         return "".join(out)
 
-    def _expand_word(self, kind: str, text: str) -> str:
-        if kind == BRACED:
-            return text
-        return self.substitute(text)
-
     # ------------------------------------------------------------- evaluation
 
     def eval(self, script: str, top_hook: TopHook | None = None) -> str:
@@ -149,7 +140,13 @@ class Interp:
         self._executed += 1
         if self._executed > self.MAX_COMMANDS:
             raise TdlError("command budget exceeded (runaway script?)")
-        words = [self._expand_word(kind, text) for kind, text in split_words(raw)]
+        words = []
+        for kind, text in split_words(raw):
+            # A braced word, or one with no $, [ or \, is its own value.
+            if kind != BRACED and ("$" in text or "[" in text
+                                   or "\\" in text):
+                text = self.substitute(text)
+            words.append(text)
         if not words:
             return ""
         name, args = words[0], words[1:]

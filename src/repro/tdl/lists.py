@@ -6,19 +6,25 @@ braces grouping elements that themselves contain white space.
 
 from __future__ import annotations
 
-from repro.tdl.tokenizer import BARE, BRACED, QUOTED, split_words, unescape
+import re
+
+from repro.tdl.tokenizer import BRACED, split_list_words, unescape
+
+#: Text without these is a plain blank-separated list.
+_LIST_SPECIAL = re.compile(r'[{}"\\\[]')
+_ELEMENT = re.compile(r"[^ \t\n]+")
 
 
 def parse_list(text: str) -> list[str]:
-    """Split a Tcl list string into its elements (no substitution)."""
-    elements: list[str] = []
-    # Newlines are element separators inside lists.
-    for kind, word in split_words(text.replace("\n", " ")):
-        if kind == BRACED:
-            elements.append(word)
-        else:
-            elements.append(unescape(word))
-    return elements
+    """Split a Tcl list string into its elements (no substitution).
+
+    Elements are separated by spaces, tabs and newlines; a newline inside a
+    braced or quoted element is part of the element.
+    """
+    if _LIST_SPECIAL.search(text) is None:
+        return _ELEMENT.findall(text)
+    return [word if kind == BRACED else unescape(word)
+            for kind, word in split_list_words(text)]
 
 
 def _braces_balanced(text: str) -> bool:

@@ -14,7 +14,42 @@ Faithful to the small core of Tcl the thesis uses:
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import TdlError
+
+#: Word kinds produced by :func:`split_words`.
+BARE, BRACED, QUOTED = "bare", "braced", "quoted"
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"',
+            "$": "$", "[": "[", "]": "]", "{": "{", "}": "}", ";": ";",
+            " ": " ", "\n": " "}
+
+# The scanners below jump from one significant character to the next with a
+# precompiled search, so text without specials costs a few C-level calls.
+_NONBLANK = re.compile(r"[^ \t]")
+#: Inside a bare word: the blank that ends it, or a bracket or escape.
+_BARE_STOP = re.compile(r"[ \t\[\\]")
+#: Lists also separate elements with newlines.
+_LIST_NONBLANK = re.compile(r"[^ \t\n]")
+_LIST_BARE_STOP = re.compile(r"[ \t\n\[\\]")
+#: Inside a braced word: a brace or escape.
+_BRACE_STOP = re.compile(r"[{}\\]")
+#: Inside a quoted word: the closing quote, a bracket or an escape.
+_QUOTE_STOP = re.compile(r'["\[\\]')
+_BRACKET_STOP = re.compile(r"[\[\]\\]")
+#: Splitting a script: outside any grouping, what opens one or ends the
+#: command; inside quotes, the closing quote or an escape.
+_COMMAND_STOP = re.compile(r'[{}\[\]"\\;\n]')
+_QUOTE_END = re.compile(r'["\\]')
+_SUBST_STOP = re.compile(r"[$\[\\]")
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+#: A plain word: braced with nothing nested or escaped, or bare with no
+#: bracket or escape (and so ended by a blank).  A command of plain words
+#: only is split by two regular-expression calls.
+_PLAIN_WORD = r'\{([^{}\\]*)\}|([^ \t{"\[\\][^ \t\[\\]*)(?![^ \t])'
+_PLAIN_WORDS = re.compile(_PLAIN_WORD)
+_PLAIN_COMMAND = re.compile(rf"(?:[ \t]*(?:{_PLAIN_WORD}))*[ \t]*")
 
 
 def strip_comments_and_split(script: str) -> list[str]:
@@ -24,94 +59,78 @@ def strip_comments_and_split(script: str) -> list[str]:
     blank commands and ``#`` comments.
     """
     commands: list[str] = []
-    buf: list[str] = []
-    depth_brace = 0
-    depth_bracket = 0
-    in_quote = False
     i = 0
-    n = len(script)
-    at_command_start = True
-    in_comment = False
-    while i < n:
+    while True:
+        start = _NONBLANK.search(script, i)
+        if start is None:
+            break
+        i = start.start()
         ch = script[i]
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-                at_command_start = True
-            i += 1
+        if ch == "#":
+            newline = script.find("\n", i)
+            if newline < 0:
+                break
+            i = newline + 1
             continue
-        if ch == "\\" and i + 1 < n:
-            buf.append(script[i:i + 2])
-            at_command_start = False
-            i += 2
-            continue
-        if not in_quote:
-            if ch == "{":
-                depth_brace += 1
-            elif ch == "}":
-                depth_brace -= 1
-                if depth_brace < 0:
-                    raise TdlError("unbalanced '}'")
-            elif ch == "[" and depth_brace == 0:
-                depth_bracket += 1
-            elif ch == "]" and depth_brace == 0:
-                depth_bracket = max(0, depth_bracket - 1)
-            elif ch == '"' and depth_brace == 0:
-                in_quote = True
-        elif ch == '"':
-            in_quote = False
-        top = depth_brace == 0 and depth_bracket == 0 and not in_quote
-        if top and ch in "\n;":
-            text = "".join(buf).strip()
-            if text:
-                commands.append(text)
-            buf = []
-            at_command_start = True
-            i += 1
-            continue
-        if top and at_command_start and ch == "#":
-            in_comment = True
-            i += 1
-            continue
-        if at_command_start and ch in " \t":
-            i += 1
-            continue
-        buf.append(ch)
-        if ch not in " \t":
-            at_command_start = False
-        i += 1
-    if depth_brace != 0:
-        raise TdlError("unbalanced '{'")
-    if in_quote:
-        raise TdlError("unterminated quote")
-    text = "".join(buf).strip()
-    if text:
-        commands.append(text)
+        end = _command_end(script, i)
+        text = script[i:end].strip()
+        if text:
+            commands.append(text)
+        i = end + 1
     return commands
 
 
-#: Word kinds produced by :func:`split_words`.
-BARE, BRACED, QUOTED = "bare", "braced", "quoted"
+def _command_end(script: str, i: int) -> int:
+    """Index of the newline or ``;`` that ends the command starting at
+    ``i`` (``len(script)`` for the last command)."""
+    depth_brace = 0
+    depth_bracket = 0
+    in_quote = False
+    while True:
+        if depth_brace:
+            stop = _BRACE_STOP.search(script, i)
+        elif in_quote:
+            stop = _QUOTE_END.search(script, i)
+        else:
+            stop = _COMMAND_STOP.search(script, i)
+        if stop is None:
+            break
+        j = stop.start()
+        ch = stop.group()
+        i = j + 1
+        if ch == "\\":
+            i += 1
+        elif ch == "{":
+            depth_brace += 1
+        elif ch == "}":
+            depth_brace -= 1
+            if depth_brace < 0:
+                raise TdlError("unbalanced '}'")
+        elif ch == '"':
+            in_quote = not in_quote
+        elif ch == "[":
+            depth_bracket += 1
+        elif ch == "]":
+            depth_bracket = max(0, depth_bracket - 1)
+        elif not depth_bracket:
+            return j
+    if depth_brace:
+        raise TdlError("unbalanced '{'")
+    if in_quote:
+        raise TdlError("unterminated quote")
+    return len(script)
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"',
-            "$": "$", "[": "[", "]": "]", "{": "{", "}": "}", ";": ";",
-            " ": " ", "\n": " "}
+
+def _resolve_escape(match: re.Match) -> str:
+    ch = match.group(1)
+    return _ESCAPES.get(ch, ch)
 
 
 def unescape(text: str) -> str:
     """Resolve backslash escapes in bare/quoted word text."""
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append(_ESCAPES.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(_resolve_escape, text)
 
 
 def split_words(command: str) -> list[tuple[str, str]]:
@@ -121,59 +140,72 @@ def split_words(command: str) -> list[tuple[str, str]]:
     ``quoted`` has the quotes removed; ``bare`` is as written.  Substitution
     of ``$`` and ``[...]`` inside bare/quoted words is the interpreter's job.
     """
+    if _PLAIN_COMMAND.fullmatch(command):
+        return [(BARE, bare) if bare else (BRACED, braced)
+                for braced, bare in _PLAIN_WORDS.findall(command)]
+    return _split(command, _NONBLANK, _BARE_STOP)
+
+
+def split_list_words(text: str) -> list[tuple[str, str]]:
+    """:func:`split_words` for a Tcl list, where a newline is a blank too
+    (inside a braced or quoted element it stays part of the element)."""
+    return _split(text, _LIST_NONBLANK, _LIST_BARE_STOP)
+
+
+def _split(command: str, nonblank: re.Pattern,
+           bare_stop: re.Pattern) -> list[tuple[str, str]]:
     words: list[tuple[str, str]] = []
-    i = 0
     n = len(command)
-    while i < n:
-        while i < n and command[i] in " \t":
-            i += 1
-        if i >= n:
-            break
+    start = nonblank.search(command)
+    while start is not None:
+        i = start.start()
         ch = command[i]
         if ch == "{":
             depth = 1
             j = i + 1
-            while j < n and depth:
-                if command[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if command[j] == "{":
+            while depth:
+                stop = _BRACE_STOP.search(command, j)
+                if stop is None:
+                    raise TdlError(f"unbalanced braces in {command!r}")
+                j = stop.end()
+                ch = stop.group()
+                if ch == "\\":
+                    j += 1
+                elif ch == "{":
                     depth += 1
-                elif command[j] == "}":
+                else:
                     depth -= 1
-                j += 1
-            if depth:
-                raise TdlError(f"unbalanced braces in {command!r}")
             words.append((BRACED, command[i + 1:j - 1]))
-            i = j
         elif ch == '"':
             j = i + 1
-            while j < n:
-                if command[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if command[j] == '"':
+            while True:
+                stop = _QUOTE_STOP.search(command, j)
+                if stop is None:
+                    raise TdlError(f"unterminated quote in {command!r}")
+                j = stop.start()
+                ch = stop.group()
+                if ch == '"':
                     break
-                if command[j] == "[":
-                    j = _skip_bracket(command, j)
-                    continue
-                j += 1
-            if j >= n:
-                raise TdlError(f"unterminated quote in {command!r}")
+                j = j + 2 if ch == "\\" else _skip_bracket(command, j)
             words.append((QUOTED, command[i + 1:j]))
-            i = j + 1
+            j += 1
         else:
             j = i
-            while j < n and command[j] not in " \t":
-                if command[j] == "\\" and j + 1 < n:
+            while True:
+                stop = bare_stop.search(command, j)
+                if stop is None:
+                    j = n
+                    break
+                j = stop.start()
+                ch = stop.group()
+                if ch == "\\":
                     j += 2
-                    continue
-                if command[j] == "[":
+                elif ch == "[":
                     j = _skip_bracket(command, j)
-                    continue
-                j += 1
+                else:
+                    break
             words.append((BARE, command[i:j]))
-            i = j
+        start = nonblank.search(command, j)
     return words
 
 
@@ -181,19 +213,20 @@ def _skip_bracket(text: str, start: int) -> int:
     """Index just past the ``]`` matching the ``[`` at ``start``."""
     depth = 0
     i = start
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            i += 2
-            continue
-        if ch == "[":
+    while True:
+        stop = _BRACKET_STOP.search(text, i)
+        if stop is None:
+            raise TdlError(f"unbalanced brackets in {text!r}")
+        i = stop.end()
+        ch = stop.group()
+        if ch == "\\":
+            i += 1
+        elif ch == "[":
             depth += 1
-        elif ch == "]":
+        else:
             depth -= 1
             if depth == 0:
-                return i + 1
-        i += 1
-    raise TdlError(f"unbalanced brackets in {text!r}")
+                return i
 
 
 def find_substitutions(text: str) -> list[tuple[int, int, str, str]]:
@@ -201,33 +234,32 @@ def find_substitutions(text: str) -> list[tuple[int, int, str, str]]:
 
     Returns ``(start, end, kind, payload)`` with kind ``var`` or ``cmd``.
     """
+    if "$" not in text and "[" not in text:
+        return []
     spans: list[tuple[int, int, str, str]] = []
-    i = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
+    stop = _SUBST_STOP.search(text)
+    while stop is not None:
+        i = stop.start()
+        ch = stop.group()
+        if ch == "\\":
             i += 2
-            continue
-        if ch == "[":
+        elif ch == "[":
             end = _skip_bracket(text, i)
             spans.append((i, end, "cmd", text[i + 1:end - 1]))
             i = end
-            continue
-        if ch == "$" and i + 1 < n:
-            if text[i + 1] == "{":
-                close = text.find("}", i + 2)
-                if close < 0:
-                    raise TdlError(f"unterminated ${{ in {text!r}")
-                spans.append((i, close + 1, "var", text[i + 2:close]))
-                i = close + 1
-                continue
+        elif text.startswith("{", i + 1):
+            close = text.find("}", i + 2)
+            if close < 0:
+                raise TdlError(f"unterminated ${{ in {text!r}")
+            spans.append((i, close + 1, "var", text[i + 2:close]))
+            i = close + 1
+        else:
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] in "_."):
                 j += 1
             if j > i + 1:
                 spans.append((i, j, "var", text[i + 1:j]))
-                i = j
-                continue
-        i += 1
+            i = j
+        stop = _SUBST_STOP.search(text, i)
     return spans

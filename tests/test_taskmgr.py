@@ -6,12 +6,14 @@ from __future__ import annotations
 import pytest
 
 from repro.cad import default_registry
+from repro.cad.registry import ToolRegistry, ToolResult
 from repro.clock import VirtualClock
 from repro.errors import TaskAborted, TemplateError
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
 from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
+from repro.tdl.template import TemplateLibrary
 from repro.workloads import seed_designs, standard_library
 from repro.workloads.designs import congested_layout, sparse_layout
 
@@ -432,3 +434,89 @@ class TestVerifiedSynthesis:
         row = probe_ulysses()
         assert row["tool_encapsulation"] and row["tool_navigation"]
         assert not row["data_evolution"]
+
+
+class TestTombstoning:
+    """Commit, undo and abort tombstone each version the task created with
+    one ``delete`` that tolerates a version another actor already deleted
+    or reclaimed."""
+
+    SOURCE = """task Chain {Seed} {Final}
+step A {Seed} {Mid} {make}
+step B {Mid} {Final} {reap}
+"""
+
+    def run(self, reap, extra_body="", max_restarts=3):
+        clk = VirtualClock()
+        db = DesignDatabase(clock=clk)
+        db.put("seed", "S")
+        registry = ToolRegistry()
+        registry.add("make", lambda call: ToolResult(
+            outputs={n: "m" for n in call.output_names}))
+        registry.add("reap", lambda call: reap(db, call))
+        library = TemplateLibrary()
+        library.add_source(self.SOURCE + extra_body)
+        tm = TaskManager(db, registry, library,
+                         cluster=Cluster.homogeneous(2, clock=clk),
+                         clock=clk, max_restarts=max_restarts)
+        deletes = []
+        db.subscribers.append(
+            lambda source, kind, details: kind == "delete"
+            and deletes.append(details["name"]))
+        return tm, db, deletes
+
+    @staticmethod
+    def finish(call):
+        return ToolResult(outputs={n: "f" for n in call.output_names})
+
+    @pytest.mark.parametrize("reclaim", [False, True])
+    def test_commit_after_intermediate_gone(self, reclaim):
+        def reap(db, call):
+            db.delete(call.input_names[0])
+            if reclaim:
+                db.reclaim()
+            return self.finish(call)
+
+        tm, db, deletes = self.run(reap)
+        record = tm.run_task("Chain", inputs={"Seed": "seed@1"},
+                             outputs={"Final": "final"})
+        assert record.outputs == ("final@1",)
+        assert db.get("final@1").payload == "f"
+        mid = record.steps[0].outputs[0]
+        assert deletes == [mid]  # tombstoned once, by the reaper
+        assert db.exists(mid) is not reclaim
+
+    def test_undo_after_intermediate_reclaimed(self):
+        calls = []
+
+        def reap(db, call):
+            calls.append(call.input_names[0])
+            if len(calls) == 1:
+                db.delete(call.input_names[0])
+                db.reclaim()
+                return ToolResult(status=1, log="reaped")
+            return self.finish(call)
+
+        tm, db, deletes = self.run(reap)
+        record = tm.run_task("Chain", inputs={"Seed": "seed@1"},
+                             outputs={"Final": "final"})
+        assert calls[0] != calls[1]
+        assert not db.exists(calls[0])
+        assert record.steps[-1].status == 0
+        assert db.get("final@1").payload == "f"
+        assert deletes.count(calls[0]) == 1
+
+    def test_abort_after_intermediate_reclaimed(self):
+        def reap(db, call):
+            db.delete(call.input_names[0])
+            db.reclaim()
+            return self.finish(call)
+
+        tm, db, deletes = self.run(reap, "if {$status == 0} {abort}\n")
+        with pytest.raises(TaskAborted):
+            tm.run_task("Chain", inputs={"Seed": "seed@1"},
+                        outputs={"Final": "final"})
+        assert db.is_deleted("final@1")
+        assert deletes[-1] == "final@1"
+        assert [o.name for o in db if not db.is_deleted(o.name)] == \
+            [db.get("seed@1").name]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import TdlError, TemplateError
 from repro.tdl import Interp
@@ -60,7 +60,8 @@ class TestListOps:
         elements = ["a", "b c", "", "{d}", "e"]
         assert parse_list(format_list(elements)) == elements
 
-    @given(st.lists(st.text(alphabet="abc {}", min_size=0, max_size=6)))
+    @given(st.lists(st.text(alphabet="abc {}\n", min_size=0, max_size=6)))
+    @example(["a\nb", "c"])
     def test_roundtrip_property(self, elements):
         # restrict to brace-balanced elements, as Tcl itself requires
         def balanced(text):
@@ -76,6 +77,12 @@ class TestListOps:
 
         elements = [e for e in elements if balanced(e)]
         assert parse_list(format_list(elements)) == elements
+
+    def test_newline_kept_inside_braced_and_quoted_elements(self, interp):
+        assert parse_list("{a\nb} c") == ["a\nb", "c"]
+        assert parse_list('"a\nb"\nc') == ["a\nb", "c"]
+        assert parse_list("a\nb\tc") == ["a", "b", "c"]
+        assert interp.eval('lindex [list "a\nb" c] 0') == "a\nb"
 
 
 class TestExpr:
@@ -115,6 +122,16 @@ class TestExpr:
 
 
 class TestInterp:
+    def test_commands_registered_per_interpreter(self):
+        first, second = Interp(), Interp()
+        first.register("step", lambda interp, args: "issued")
+        assert first.eval("step a") == "issued"
+        assert "step" not in second.commands
+        with pytest.raises(TdlError, match="invalid command name"):
+            second.eval("step a")
+        assert "step" not in Interp().commands
+        assert second.eval("llength {a b}") == "2"
+
     def test_variable_substitution_forms(self, interp):
         interp.eval("set a 100; set b fg")
         assert interp.eval("set c Zs${a}d$b") == "Zs100dfg"
