@@ -34,7 +34,12 @@ from repro.obs import METRICS, TRACER
 from repro.octdb.chunkstore import ChunkStore, LazyPayload
 from repro.octdb.database import VersionedObject, _Entry
 from repro.octdb.naming import ObjectName, parse_name
-from repro.octdb.persistence import LazyChainMap, load_database, save_database
+from repro.octdb.persistence import (
+    LazyChainMap,
+    load_database,
+    save_database,
+    stored_chunk,
+)
 
 
 def _audit():
@@ -248,13 +253,20 @@ def save_system(
     :class:`PersistentSession`.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if store is None:
+    if store is None:  # NB: an empty ChunkStore is falsy (it has __len__)
         store = ChunkStore(directory / "objects")
-    save_database(lwt.db, directory / "database.json", store=store)
-    doc = _system_doc(lwt)
+    _write_checkpoint(lwt, directory, store)
+    return directory
+
+
+def _write_checkpoint(lwt: LWTSystem, directory: Path,
+                      store: ChunkStore) -> list[dict[str, Any]]:
+    """Write manifest + system doc, drop the journal; returns the manifest
+    rows written."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = save_database(lwt.db, directory / "database.json", store=store)
     (directory / "history.json").write_text(
-        json.dumps(doc, indent=1, sort_keys=True)
+        json.dumps(_system_doc(lwt), sort_keys=True)
     )
     # A checkpoint supersedes the journal: every journaled mutation is now
     # part of the snapshot, and replaying stale entries on top of it would
@@ -262,16 +274,21 @@ def save_system(
     journal = directory / "journal.jsonl"
     if journal.exists():
         journal.unlink()
-    return directory
+    return rows
 
 
-def load_system(directory: str | Path, lwt: LWTSystem | None = None) -> LWTSystem:
+def load_system(directory: str | Path, lwt: LWTSystem | None = None,
+                status: dict[str, bool] | None = None) -> LWTSystem:
     """Restore an installation saved by :func:`save_system`.
 
     Import links and notification flags are session state in the thesis and
     are not persisted; everything else (streams, cursors, SDS contents and
     memberships) round-trips.  Format-2 layouts restore lazily (payloads
     decode on first access) and finish with a write-ahead journal replay.
+
+    ``status``, when given, receives ``appendable``: whether the directory
+    holds a format-2 snapshot whose journal ends on a line boundary, so that
+    a journal save may append to it as it is.
     """
     directory = Path(directory)
     lwt = lwt if lwt is not None else LWTSystem()
@@ -301,12 +318,17 @@ def load_system(directory: str | Path, lwt: LWTSystem | None = None) -> LWTSyste
         for import_name in thread_doc.get("imports", ()):
             if import_name in lwt.threads:
                 thread.import_thread(lwt.threads[import_name])
+    appendable = False
     if fmt == FORMAT_VERSION:
         assert store is not None
-        replayed = replay_journal(lwt, store, directory / "journal.jsonl")
+        entries, appendable = _read_journal(directory / "journal.jsonl")
+        replay_journal(lwt, store, entries)
         if TRACER.enabled:
             TRACER.event("persist.load", cat="persist",
-                         threads=len(lwt.threads), journal_entries=replayed)
+                         threads=len(lwt.threads),
+                         journal_entries=len(entries))
+    if status is not None:
+        status["appendable"] = appendable
     return lwt
 
 
@@ -392,7 +414,8 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
             creator=entry.get("creator", ""),
             size=entry["size"],
         )
-        chain.append(_Entry(obj=obj, last_access=entry["created_at"]))
+        chain.append(_Entry(obj=obj, last_access=entry["created_at"],
+                            chunk=entry["chunk"]))
         db._bytes_live += obj.size
     elif op == "db.alias":
         oname = parse_name(entry["name"])
@@ -412,7 +435,8 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
             creator=source.obj.creator,
             size=0,
         )
-        chain.append(_Entry(obj=obj, last_access=entry["created_at"]))
+        chain.append(_Entry(obj=obj, last_access=entry["created_at"],
+                            chunk=source.chunk))
         db._note_alias(entry["name"], entry["source"])
     elif op == "db.delete":
         row = _parked_row(db, entry["name"])
@@ -528,27 +552,49 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
         raise PersistenceError(f"unknown journal entry op {op!r}")
 
 
+def _read_journal(path: str | Path) -> tuple[list[dict[str, Any]], bool]:
+    """The entries of a write-ahead journal, and whether it ends on a line
+    boundary (true for a missing journal).
+
+    A final line without its newline that does not parse is the torn tail
+    of a save that never finished: it is dropped and counted as
+    ``persist.journal_torn_tail``.  Any other line that does not parse
+    raises :class:`PersistenceError`.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return [], True
+    lines = data.split(b"\n")
+    tail = lines.pop()  # empty when the journal ends with a newline
+    entries: list[dict[str, Any]] = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                entries.append(json.loads(line))
+            except ValueError as exc:
+                raise PersistenceError(
+                    f"journal {path} line {number} is not valid JSON: {exc}"
+                ) from None
+    if tail.strip():
+        try:
+            entries.append(json.loads(tail))
+        except ValueError:
+            METRICS.counter("persist.journal_torn_tail").inc()
+    return entries, not tail
+
+
 def replay_journal(lwt: LWTSystem, store: ChunkStore,
-                   path: str | Path) -> int:
-    """Apply a write-ahead journal on top of a restored snapshot.
+                   entries: list[dict[str, Any]]) -> None:
+    """Apply write-ahead journal entries on top of a restored snapshot.
 
     The audit journal is suspended for the duration: replayed mutators
     would otherwise re-record entries the journal's own ``audit`` deltas
     restore verbatim.
     """
-    path = Path(path)
-    if not path.exists():
-        return 0
-    applied = 0
     with _audit().suspended():
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                _replay_entry(lwt, store, json.loads(line))
-                applied += 1
-    return applied
+        for entry in entries:
+            _replay_entry(lwt, store, entry)
 
 
 # ------------------------------------------------------- persistent session
@@ -579,32 +625,25 @@ class PersistentSession:
         self._buffer: list[tuple] = []
         self._dirty = False
         self._audit_seen = len(_audit())
-        # ``snapshot_current`` asserts the in-memory state equals what is on
-        # disk (true right after a load) — only then may the first save be
-        # an incremental journal append.  A session attached to a live
-        # installation cannot know what changed since the snapshot was
-        # written, so its first save is always a full checkpoint.
-        self._has_snapshot = snapshot_current and self._snapshot_is_current()
+        # ``snapshot_current`` asserts the directory holds a format-2
+        # snapshot plus journal equal to the in-memory state, ending on a
+        # line boundary (``load_system`` reports it) — only then may the
+        # first save be an incremental journal append.  A session attached
+        # to a live installation cannot know what changed since the
+        # snapshot was written, so its first save is always a full
+        # checkpoint.
+        self._has_snapshot = snapshot_current
         lwt.db.subscribers.append(self._observe)
 
     @classmethod
     def open(cls, directory: str | Path,
              lwt: LWTSystem | None = None) -> "PersistentSession":
         """Restore a saved installation and attach a session to it."""
-        lwt = load_system(directory, lwt)
-        return cls(lwt, directory, snapshot_current=True)
+        status: dict[str, bool] = {}
+        lwt = load_system(directory, lwt, status=status)
+        return cls(lwt, directory, snapshot_current=status["appendable"])
 
     # ------------------------------------------------------------ change feed
-
-    def _snapshot_is_current(self) -> bool:
-        history = self.directory / "history.json"
-        if not history.exists():
-            return False
-        try:
-            return json.loads(history.read_text()).get("format") \
-                == FORMAT_VERSION
-        except (OSError, ValueError):
-            return False
 
     def close(self) -> None:
         """Unsubscribe (the installation keeps running unjournaled)."""
@@ -657,7 +696,7 @@ class PersistentSession:
             _, kind, d = buffered
             if kind == "put":
                 return {"op": "db.put", "name": d["name"],
-                        "chunk": self.store.put_payload(d["payload"]),
+                        "chunk": self._put_chunk(d),
                         "size": d["size"], "created_at": d["created_at"],
                         "creator": d["creator"]}
             if kind == "alias":
@@ -711,6 +750,15 @@ class PersistentSession:
             return {"op": kind, **d}
         raise PersistenceError(f"unserializable journal entry {buffered[:2]}")
 
+    def _put_chunk(self, details: dict[str, Any]) -> str:
+        """Store a journaled put's payload; its version keeps the address,
+        so the next checkpoint does not encode it again."""
+        oname = parse_name(details["name"])
+        entry = self.lwt.db._versions[oname.base][oname.version - 1]
+        if entry.obj is None:  # reclaimed before this save
+            return self.store.put_payload(details["payload"])
+        return stored_chunk(entry, self.store)
+
     # ------------------------------------------------------------------ save
 
     def save(self) -> Path:
@@ -736,12 +784,13 @@ class PersistentSession:
                          chunk_bytes=self.store.bytes_written - bytes_before)
         return self.directory
 
-    def _checkpoint(self) -> None:
-        save_system(self.lwt, self.directory, store=self.store)
+    def _checkpoint(self) -> list[dict[str, Any]]:
+        rows = _write_checkpoint(self.lwt, self.directory, self.store)
         self._buffer.clear()
         self._dirty = False
         self._has_snapshot = True
         self._audit_seen = len(_audit())
+        return rows
 
     def _flush_journal(self) -> None:
         lines = [json.dumps({"op": "clock", "now": self.lwt.clock.now},
@@ -768,16 +817,19 @@ class PersistentSession:
     def compact(self) -> int:
         """Checkpoint, then garbage-collect unreferenced chunks.
 
-        After the checkpoint the journal is empty, so the manifest alone
-        defines liveness; anything else in ``objects/`` is unreachable
-        (reclaimed versions, superseded journal writes) and is deleted.
-        Returns the number of chunks removed.
+        After the checkpoint the journal is empty, so the manifest rows just
+        written alone define liveness; anything else in ``objects/`` is
+        unreachable (reclaimed versions, superseded journal writes) and is
+        deleted.  Returns the number of chunks removed.
         """
-        self._checkpoint()
-        deleted = self.store.gc(live_digests(self.directory))
+        deleted = self.store.gc(_row_chunks(self._checkpoint()))
         if TRACER.enabled:
             TRACER.event("persist.gc", cat="persist", chunks_deleted=deleted)
         return deleted
+
+
+def _row_chunks(rows: list[dict[str, Any]]) -> set[str]:
+    return {row["chunk"] for row in rows if row.get("chunk")}
 
 
 def live_digests(directory: str | Path) -> set[str]:
@@ -788,19 +840,10 @@ def live_digests(directory: str | Path) -> set[str]:
     if manifest.exists():
         doc = json.loads(manifest.read_text())
         if doc.get("format") == FORMAT_VERSION:
-            for record in doc.get("objects", ()):
-                chunk = record.get("chunk")
-                if chunk:
-                    live.add(chunk)
-    journal = directory / "journal.jsonl"
-    if journal.exists():
-        for line in journal.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            if entry.get("op") == "db.put":
-                live.add(entry["chunk"])
+            live = _row_chunks(doc.get("objects", []))
+    entries, _ = _read_journal(directory / "journal.jsonl")
+    live.update(entry["chunk"] for entry in entries
+                if entry.get("op") == "db.put")
     return live
 
 

@@ -22,11 +22,7 @@ import shlex
 from typing import Callable
 
 from repro import Papyrus, obs
-from repro.activity.persistence import (
-    PersistentSession,
-    compact_store,
-    load_system,
-)
+from repro.activity.persistence import PersistentSession, compact_store
 from repro.activity.reclamation import Reclaimer
 from repro.activity.viewport import render_stream
 from repro.core.lwt import LWTSystem
@@ -634,7 +630,9 @@ class Shell:
     def _cmd_load(self, args: list[str]) -> None:
         if len(args) != 1:
             raise ShellError("usage: load <directory>")
-        lwt = load_system(args[0], LWTSystem(clock=VirtualClock()))
+        session = PersistentSession.open(args[0],
+                                         LWTSystem(clock=VirtualClock()))
+        lwt = session.lwt
         papyrus = Papyrus(lwt=lwt, taskmgr=self.papyrus.taskmgr,
                           clock=lwt.clock)
         papyrus.taskmgr.db = lwt.db
@@ -648,8 +646,7 @@ class Shell:
         self.current = next(iter(lwt.threads), None)
         if self._session is not None:
             self._session.close()
-        self._session = PersistentSession(lwt, args[0],
-                                          snapshot_current=True)
+        self._session = session
         self._print(f"loaded {len(lwt.threads)} threads from {args[0]}")
 
     def _cmd_compact(self, args: list[str]) -> None:

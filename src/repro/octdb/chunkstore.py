@@ -3,12 +3,18 @@
 Every payload is encoded once into a chunk file named by its content digest
 (``objects/<digest[:2]>/<digest>``), so identical payloads — across versions,
 across aliases, even across saves — occupy a single chunk on disk.  The
-chunk address is the digest of the *encoded blob*, not the payload
-fingerprint the derivation cache keys on (``DesignDatabase.fingerprint``).
-The two notions of identity differ on purpose: the payload fingerprint
-hashes a list and a tuple alike, while the codec stores a tuple as its
-``repr``, so addressing chunks by payload fingerprint would dedupe two
-different encodings into one chunk and decode one of them wrongly.
+chunk address is the sha1 of the chunk's *bytes* (the canonical encoding of
+the payload blob), not the payload fingerprint the derivation cache keys on
+(``DesignDatabase.fingerprint``).  The two notions of identity differ on
+purpose: the payload fingerprint hashes a list and a tuple alike, while the
+codec stores a tuple as its ``repr``, so addressing chunks by payload
+fingerprint would dedupe two different encodings into one chunk and decode
+one of them wrongly.
+
+Every read checks the bytes against their address.  Chunks written before
+addresses were byte hashes were named by the structural walk of
+:func:`repro.core.memo.fingerprint` over the decoded blob; they still load,
+and are copied between stores under the address they already have.
 
 Restore is lazy: manifests reference chunks by digest, and the database is
 rebuilt with :class:`LazyPayload` handles that decode their chunk on first
@@ -17,11 +23,13 @@ digest, so N versions sharing one chunk decode it once and share the decoded
 payload object — the in-memory mirror of the on-disk structural sharing.
 
 Metrics: ``persist.chunks_written`` / ``persist.chunks_deduped`` (put side),
-``persist.lazy_decodes`` (restore side), ``persist.chunks_deleted`` (GC).
+``persist.lazy_decodes`` / ``persist.chunk_corrupt`` (read side),
+``persist.chunks_deleted`` (GC).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -30,6 +38,7 @@ from typing import Any, Iterator
 from repro.core.memo import fingerprint
 from repro.errors import PersistenceError
 from repro.obs import METRICS
+from repro.obs.metrics import bound_metric
 
 
 def canonical_chunk_bytes(blob: Any) -> bytes:
@@ -37,16 +46,23 @@ def canonical_chunk_bytes(blob: Any) -> bytes:
     return json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()
 
 
-def chunk_digest(blob: Any) -> str:
-    """Content digest of an encoded payload blob (the chunk address).
+def chunk_digest(data: bytes) -> str:
+    """The address of a chunk: the sha1 of its bytes.
 
-    The structural sha1 walk of :func:`repro.core.memo.fingerprint`, applied
-    to the encoded blob rather than the payload: the blob is what the chunk
-    holds, so equal digests mean byte-identical chunks.  A payload
-    fingerprint would not do — it cannot tell a list from a tuple, which
-    the codec encodes differently.
+    The bytes encode the payload blob, never the payload itself, so a list
+    and a tuple (which the codec encodes differently) get different
+    addresses, and equal addresses mean byte-identical chunks.
     """
-    return fingerprint(blob)
+    return hashlib.sha1(data).hexdigest()
+
+
+def _is_legacy_chunk(data: bytes, digest: str) -> bool:
+    """Whether ``data`` is a chunk addressed the way the first format-2
+    writer did it: by the structural fingerprint of the decoded blob."""
+    try:
+        return fingerprint(json.loads(data)) == digest
+    except ValueError:
+        return False
 
 
 class LazyPayload:
@@ -91,6 +107,9 @@ def unwrap_payload(payload: Any) -> Any:
 class ChunkStore:
     """A content-addressed chunk directory (``objects/aa/aabbcc...``)."""
 
+    _deduped = bound_metric(METRICS, "counter", "persist.chunks_deduped")
+    _written = bound_metric(METRICS, "counter", "persist.chunks_written")
+
     def __init__(self, root: str | Path):
         self.root = Path(root)
         #: Digest → decoded payload object.  Bounds lazy decodes by the
@@ -110,6 +129,14 @@ class ChunkStore:
             return True
         if self._path(digest).exists():
             self._known.add(digest)
+            return True
+        return False
+
+    def dedupe(self, digest: str) -> bool:
+        """Whether ``digest`` is stored already; a hit counts as
+        ``persist.chunks_deduped``."""
+        if self.has(digest):
+            self._deduped.inc()
             return True
         return False
 
@@ -134,45 +161,63 @@ class ChunkStore:
         An unmaterialized :class:`LazyPayload` is a pure digest reference:
         its chunk is already on disk, so no encode happens at all — this is
         what makes re-saving a lazily restored installation O(new data).
+        Saving into another store copies the chunk's bytes across.
         """
         if isinstance(payload, LazyPayload) and not payload.loaded:
-            if self.has(payload.digest):
-                METRICS.counter("persist.chunks_deduped").inc()
-                return payload.digest
-            # Saving into a different store (or a damaged one):
-            # reference alone would dangle, so copy the raw chunk bytes
-            # across.
-            return self.put_blob(payload.store.load_blob(payload.digest))
+            return self.copy_chunk(payload.store, payload.digest)
         from repro.octdb.persistence import encode_payload
 
-        blob = encode_payload(unwrap_payload(payload))
-        return self.put_blob(blob)
+        return self.put_blob(encode_payload(unwrap_payload(payload)))
 
     def put_blob(self, blob: Any) -> str:
-        digest = chunk_digest(blob)
-        if self.has(digest):
-            METRICS.counter("persist.chunks_deduped").inc()
-            return digest
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         data = canonical_chunk_bytes(blob)
-        path.write_bytes(data)
+        digest = chunk_digest(data)
+        if not self.dedupe(digest):
+            self._write(digest, data)
+        return digest
+
+    def copy_chunk(self, source: "ChunkStore", digest: str) -> str:
+        """Make ``digest`` present here, copying its bytes from ``source``
+        under the same address (whichever scheme that address uses)."""
+        if not self.dedupe(digest):
+            self._write(digest, source.read_chunk(digest))
+        return digest
+
+    def _write(self, digest: str, data: bytes) -> None:
+        path = self._path(digest)
+        try:
+            path.write_bytes(data)
+        except FileNotFoundError:
+            # First chunk of its shard (or the shard was pruned by GC).
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
         self._known.add(digest)
         self.bytes_written += len(data)
-        METRICS.counter("persist.chunks_written").inc()
-        return digest
+        self._written.inc()
 
     # ------------------------------------------------------------------- read
 
-    def load_blob(self, digest: str) -> Any:
-        path = self._path(digest)
+    def read_chunk(self, digest: str) -> bytes:
+        """The bytes of one chunk, checked against their address.
+
+        Raises :class:`PersistenceError` for a missing chunk, and for one
+        whose bytes match neither the sha1 address nor the legacy
+        structural one (counted as ``persist.chunk_corrupt``).
+        """
         try:
-            return json.loads(path.read_text())
+            data = self._path(digest).read_bytes()
         except FileNotFoundError:
             raise PersistenceError(
                 f"chunk {digest} is referenced but missing from "
                 f"{self.root}"
             ) from None
+        if chunk_digest(data) != digest and not _is_legacy_chunk(data,
+                                                                  digest):
+            METRICS.counter("persist.chunk_corrupt").inc()
+            raise PersistenceError(
+                f"chunk {digest} in {self.root} does not match its address"
+            )
+        return data
 
     def load_payload(self, digest: str) -> Any:
         """Decode one chunk into a payload (memoized per digest)."""
@@ -180,7 +225,7 @@ class ChunkStore:
             return self._decoded[digest]
         from repro.octdb.persistence import decode_payload
 
-        payload = decode_payload(self.load_blob(digest))
+        payload = decode_payload(json.loads(self.read_chunk(digest)))
         self._decoded[digest] = payload
         METRICS.counter("persist.lazy_decodes").inc()
         return payload
@@ -207,7 +252,8 @@ class ChunkStore:
             deleted += 1
         if deleted:
             METRICS.counter("persist.chunks_deleted").inc(deleted)
-        # prune empty shard directories so the tree stays tidy
+        # Prune empty shard directories so the tree stays tidy; a later
+        # write into a pruned shard recreates it (see ``_write``).
         if self.root.exists():
             for shard in self.root.iterdir():
                 if shard.is_dir() and not any(shard.iterdir()):

@@ -68,6 +68,7 @@ class _Entry:
     last_access: float = 0.0
     pinned: bool = False              # protected from reclamation
     fingerprint: str | None = None    # content hash; computed on first use
+    chunk: str | None = None          # chunk address; set when first stored
 
 
 class DesignDatabase:
@@ -168,9 +169,11 @@ class DesignDatabase:
             size=0,
         )
         # Same payload object, same content: the alias inherits the source's
-        # fingerprint (or computes its own on first use if it has none yet).
+        # fingerprint and chunk (or gets its own on first use if it has none
+        # yet).
         chain.append(_Entry(obj=obj, last_access=self.clock.now,
-                            fingerprint=source_entry.fingerprint))
+                            fingerprint=source_entry.fingerprint,
+                            chunk=source_entry.chunk))
         self._note_alias(str(obj.name), str(source.name))
         self._aliased.inc()
         if TRACER.enabled:

@@ -96,11 +96,26 @@ def decode_payload(blob: Any) -> Any:
 # --------------------------------------------------------------------- saving
 
 
+def stored_chunk(entry: _Entry, store: ChunkStore) -> str:
+    """The address of one version's chunk in ``store``, storing it there if
+    needed.
+
+    A version is single-assignment, so it remembers the address the first
+    time it is stored (``_Entry.chunk``): a later save into a store that
+    already holds the chunk encodes and hashes nothing.
+    """
+    chunk = entry.chunk
+    if chunk is not None and store.dedupe(chunk):
+        return chunk
+    entry.chunk = store.put_payload(entry.obj.payload)
+    return entry.chunk
+
+
 def save_database(db: DesignDatabase, path: str | Path,
-                  store: ChunkStore) -> None:
+                  store: ChunkStore) -> list[dict[str, Any]]:
     """Serialize the database (including tombstones) as a format-2 manifest
     at ``path``, with payloads written to ``store`` as content-addressed
-    chunks."""
+    chunks.  Returns the manifest rows written."""
     # Deterministic row order (sorted base, then version) makes the manifest
     # byte-identical across save → load → save round trips.
     objects: list[dict[str, Any]] = []
@@ -113,10 +128,7 @@ def save_database(db: DesignDatabase, path: str | Path,
             for row in chains.pending_rows(base):
                 chunk = row.get("chunk")
                 if chunk:
-                    if store.has(chunk):
-                        METRICS.counter("persist.chunks_deduped").inc()
-                    else:
-                        store.put_blob(chains.store.load_blob(chunk))
+                    store.copy_chunk(chains.store, chunk)
                 objects.append(row)
             continue
         for index, entry in enumerate(chains[base]):
@@ -129,15 +141,12 @@ def save_database(db: DesignDatabase, path: str | Path,
                     "deleted_at": entry.deleted_at,
                 })
                 continue
-            # An unmaterialized LazyPayload short-circuits to its digest —
-            # re-saving an untouched restored object encodes nothing.
-            digest = store.put_payload(entry.obj.payload)
             objects.append({
                 "base": base,
                 "version": version,
                 "created_at": entry.obj.created_at,
                 "creator": entry.obj.creator,
-                "chunk": digest,
+                "chunk": stored_chunk(entry, store),
                 "size": entry.obj.size,
                 "deleted_at": entry.deleted_at,
                 "pinned": entry.pinned,
@@ -148,7 +157,10 @@ def save_database(db: DesignDatabase, path: str | Path,
         "objects": objects,
         "aliases": db.aliases(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+    # No ``indent``: it would force the standard library's pure-Python
+    # encoder.
+    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    return objects
 
 
 # -------------------------------------------------------------------- loading
@@ -271,7 +283,8 @@ def _entries_from_rows(base: str, rows: list[dict[str, Any]],
             size=row["size"],
         )
         chain.append(_Entry(obj=obj, deleted_at=row["deleted_at"],
-                            pinned=row.get("pinned", False)))
+                            pinned=row.get("pinned", False),
+                            chunk=row["chunk"]))
     return chain
 
 

@@ -25,10 +25,11 @@ from repro.core.history import HistoryRecord, StepRecord
 from repro.errors import PersistenceError
 from repro.obs import METRICS
 from repro.octdb import DesignDatabase
-from repro.octdb.chunkstore import ChunkStore, LazyPayload
+from repro.octdb.chunkstore import ChunkStore, LazyPayload, unwrap_payload
 from repro.octdb.persistence import load_database, save_database
 
 FORMAT1_DIR = Path(__file__).parent / "fixtures" / "format1"
+LEGACY_V2_DIR = Path(__file__).parent / "fixtures" / "legacy_v2"
 
 
 def make_record(task: str, inputs=(), outputs=(), at: float = 0.0) -> HistoryRecord:
@@ -88,6 +89,52 @@ class TestChunkStore:
         assert store.gc({keep}) == 1
         assert store.has(keep)
         assert not store.has(drop)
+
+    def test_chunk_address_is_sha1_of_its_bytes(self, tmp_path):
+        import hashlib
+
+        store = ChunkStore(tmp_path / "objects")
+        digest = store.put_payload({"netlist": [1, 2, 3]})
+        data = (tmp_path / "objects" / digest[:2] / digest).read_bytes()
+        assert hashlib.sha1(data).hexdigest() == digest
+
+    def test_corrupt_chunk_bytes_raise_on_read(self, tmp_path):
+        store = ChunkStore(tmp_path / "objects")
+        digest = store.put_payload({"area_um2": 12345})
+        path = tmp_path / "objects" / digest[:2] / digest
+        path.write_bytes(path.read_bytes().replace(b"12345", b"12346"))
+        before = counter("persist.chunk_corrupt")
+        with pytest.raises(PersistenceError, match="does not match"):
+            LazyPayload(ChunkStore(tmp_path / "objects"), digest).materialize()
+        assert counter("persist.chunk_corrupt") == before + 1
+
+    def test_corrupt_chunk_fails_a_restored_get(self, lwt, tmp_path):
+        lwt.db.put("cell", {"pins": 40})
+        save_system(lwt, tmp_path / "s")
+        manifest = json.loads((tmp_path / "s" / "database.json").read_text())
+        digest = manifest["objects"][0]["chunk"]
+        path = tmp_path / "s" / "objects" / digest[:2] / digest
+        path.write_bytes(path.read_bytes().replace(b"40", b"41"))
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        with pytest.raises(PersistenceError):
+            restored.db.get("cell@1")
+
+    def test_gc_pruned_shard_takes_new_chunks(self, tmp_path):
+        store = ChunkStore(tmp_path / "objects")
+        first = store.put_payload({"n": 0})
+        # Another payload whose chunk lands in the same shard.
+        n = 1
+        while store.put_payload({"n": n})[:2] != first[:2]:
+            n += 1
+        assert store.gc(set()) == n + 1
+        assert not (tmp_path / "objects" / first[:2]).exists()
+        again = store.put_payload({"n": n})
+        assert again[:2] == first[:2]
+        assert ChunkStore(tmp_path / "objects").load_payload(again) == \
+            {"n": n}
+        assert store.put_payload({"n": 0}) == first
+        assert store.load_payload(first) == {"n": 0}
 
 
 # ------------------------------------------------------- database round-trip
@@ -451,6 +498,196 @@ class TestPersistentSession:
                                LWTSystem(clock=VirtualClock()))
         assert restored.db.get("x@1").payload == {"k": 1}
         assert "elsewhere" not in restored.threads
+
+
+class TestJournalTail:
+    @staticmethod
+    def journaled(lwt, directory: Path) -> Path:
+        """A checkpoint of ``cell@1`` plus one journal save of ``cell@2``."""
+        thread = lwt.create_thread("alpha", owner="a")
+        session = PersistentSession(lwt, directory)
+        obj = lwt.db.put("cell", {"k": 1})
+        thread.commit_record(make_record("synth", outputs=(str(obj.name),)))
+        session.save()
+        lwt.clock.advance(5)
+        lwt.db.put("cell", {"k": 2})
+        session.save()
+        session.close()
+        return directory / "journal.jsonl"
+
+    def test_torn_tail_is_dropped(self, lwt, tmp_path):
+        journal = self.journaled(lwt, tmp_path / "s")
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write('{"chunk": "ab12", "created_at": 5.0, "op": "db.pu')
+        before = counter("persist.journal_torn_tail")
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert counter("persist.journal_torn_tail") == before + 1
+        assert restored.db.get("cell@2").payload == {"k": 2}
+        assert restored.db.latest_version("cell") == 2
+
+    def test_session_on_a_torn_journal_checkpoints_first(self, lwt, tmp_path):
+        journal = self.journaled(lwt, tmp_path / "s")
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write('{"op": "clo')
+        session = PersistentSession.open(tmp_path / "s",
+                                         LWTSystem(clock=VirtualClock()))
+        session.lwt.db.put("cell", {"k": 3})
+        session.save()
+        # Appending after the torn bytes would have corrupted the journal.
+        assert not journal.exists()
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert restored.db.get("cell@3").payload == {"k": 3}
+
+    def test_unterminated_last_line_that_parses_is_applied(self, lwt,
+                                                           tmp_path):
+        journal = self.journaled(lwt, tmp_path / "s")
+        journal.write_text(journal.read_text().rstrip("\n"))
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert restored.db.get("cell@2").payload == {"k": 2}
+
+    @pytest.mark.parametrize("garbage", ["{not json", '{"op": "clo'])
+    def test_unparseable_line_before_the_end_raises(self, lwt, tmp_path,
+                                                     garbage):
+        journal = self.journaled(lwt, tmp_path / "s")
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines[:1] + [garbage] + lines[1:])
+                           + "\n")
+        with pytest.raises(PersistenceError, match="line 2"):
+            load_system(tmp_path / "s", LWTSystem(clock=VirtualClock()))
+        # A garbage last line that did get its newline is not a torn tail.
+        journal.write_text("\n".join(lines + [garbage]) + "\n")
+        with pytest.raises(PersistenceError):
+            load_system(tmp_path / "s", LWTSystem(clock=VirtualClock()))
+
+    def test_offline_gc_skips_a_torn_tail(self, lwt, tmp_path):
+        journal = self.journaled(lwt, tmp_path / "s")
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write('{"chunk": "ab12", "op": "db.put", "na')
+        assert compact_store(tmp_path / "s") == 0
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert restored.db.get("cell@2").payload == {"k": 2}
+
+
+# ------------------------------------------------------- format-2 legacy
+
+
+def legacy_scenario(directory: Path) -> LWTSystem:
+    """The installation saved in ``tests/fixtures/legacy_v2``: a checkpoint
+    followed by one journal save.
+
+    The fixture was written by the format-2 writer that named chunks by the
+    structural fingerprint of the encoded blob, before chunk addresses were
+    the sha1 of the chunk bytes; today's writer cannot regenerate it.  The
+    tests rebuild this same installation live to compare against.
+    """
+    from repro.cad import BehavioralSpec
+
+    lwt = LWTSystem(clock=VirtualClock())
+    db, clock = lwt.db, lwt.clock
+    alpha = lwt.create_thread("alpha", owner="ann")
+    beta = lwt.create_thread("beta", owner="bob")
+    lwt.create_sds("lib", [alpha, beta])
+    session = PersistentSession(lwt, directory)
+    spec = db.put("spec", BehavioralSpec(name="s", kind="shifter", width=4),
+                  creator="ann").name
+    nets = []
+    for i in range(3):
+        clock.advance(1)
+        nets.append(db.put("net", {"gates": [i, i + 1], "pins": ["a", "b"]},
+                           creator="synth").name)
+        alpha.commit_record(make_record(f"synth{i}", inputs=(str(spec),),
+                                        outputs=(str(nets[-1]),),
+                                        at=clock.now))
+    db.put("copy", {"gates": [0, 1], "pins": ["a", "b"]})  # shares net@1's
+    db.put("note", "plain text", creator="bob")
+    db.alias("final", nets[2])
+    db.pin(nets[0])
+    db.put("scratch", {"tmp": True})
+    db.delete("scratch@1")
+    db.delete(nets[1])
+    clock.advance(100)
+    db.reclaim(grace_seconds=50.0)
+    db.put("scratch", {"tmp": False})
+    db.delete("scratch@2")
+    beta.check_in("note@1")
+    lwt.sds("lib").contribute(alpha, nets[2])
+    session.save()  # checkpoint
+
+    clock.advance(10)
+    net4 = db.put("net", {"gates": [9], "pins": []}, creator="synth").name
+    beta.commit_record(make_record("route", inputs=("note@1",),
+                                   outputs=(str(net4),), at=clock.now))
+    db.put("spec", BehavioralSpec(name="s", kind="adder", width=8))
+    db.alias("final", net4)
+    db.put("fresh", {"only": "in the journal"})
+    session.save()  # journal
+    session.close()
+    return lwt
+
+
+def installation_state(lwt: LWTSystem) -> tuple:
+    """Every version (payload and bookkeeping), alias, thread history and
+    SDS index of an installation, in comparable form."""
+    db = lwt.db
+    versions = {}
+    for base in db.bases():
+        for version in range(1, db.latest_version(base) + 1):
+            name = f"{base}@{version}"
+            if not db.exists(name):
+                versions[name] = None
+                continue
+            obj = db.get(name)
+            versions[name] = (unwrap_payload(obj.payload), obj.created_at,
+                              obj.creator, obj.size, db.is_deleted(name),
+                              db._entry(name).pinned)
+    threads = {
+        name: ([(r.task, r.inputs, r.outputs, r.recorded_at)
+                for r in thread.stream.records()],
+               thread.current_cursor, sorted(thread.extra_objects))
+        for name, thread in lwt.threads.items()
+    }
+    spaces = {name: sds.objects() for name, sds in lwt.spaces.items()}
+    return versions, db.aliases(), threads, spaces, lwt.clock.now
+
+
+class TestLegacyFormat2:
+    def test_fixture_is_the_scenario(self, tmp_path):
+        live = legacy_scenario(tmp_path / "live")
+        restored = load_system(LEGACY_V2_DIR, LWTSystem(clock=VirtualClock()))
+        assert installation_state(restored) == installation_state(live)
+        doc = json.loads((LEGACY_V2_DIR / "database.json").read_text())
+        assert doc["format"] == FORMAT_VERSION
+        assert (LEGACY_V2_DIR / "journal.jsonl").exists()
+
+    def test_resave_into_a_fresh_directory_roundtrips(self, tmp_path):
+        live = legacy_scenario(tmp_path / "live")
+        restored = load_system(LEGACY_V2_DIR, LWTSystem(clock=VirtualClock()))
+        # Decode one version, build another's chain without decoding it,
+        # and leave the rest parked as manifest rows.
+        restored.db.get("spec@1")
+        restored.db._versions["copy"]
+        save_system(restored, tmp_path / "copy")
+        reloaded = load_system(tmp_path / "copy",
+                               LWTSystem(clock=VirtualClock()))
+        assert installation_state(reloaded) == installation_state(live)
+
+        # Untouched rows keep their legacy addresses, and their chunks were
+        # copied byte for byte.
+        def rows(directory):
+            doc = json.loads((directory / "database.json").read_text())
+            return {(r["base"], r["version"]): r for r in doc["objects"]}
+
+        old, new = rows(LEGACY_V2_DIR), rows(tmp_path / "copy")
+        for key in [("copy", 1), ("note", 1), ("net", 1), ("net", 3)]:
+            assert new[key] == old[key]
+            chunk = old[key]["chunk"]
+            assert (tmp_path / "copy" / "objects" / chunk[:2] / chunk
+                    ).read_bytes() == (LEGACY_V2_DIR / "objects" / chunk[:2]
+                                       / chunk).read_bytes()
 
 
 # ------------------------------------------------------------- hypothesis
