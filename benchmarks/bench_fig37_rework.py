@@ -18,7 +18,7 @@ from repro import obs
 from repro.core.control_stream import INITIAL_POINT
 
 from benchmarks.common import (banner, export_observability, fresh_papyrus,
-                               table, trace_out)
+                               table)
 
 
 def explore():
@@ -114,6 +114,8 @@ def measure_memoized_replay() -> dict:
     (the ``edit`` entry step is user-in-the-loop and always re-runs), so the
     replay's simulated makespan collapses to the interactive residue.
     """
+    fingerprints_before = obs.METRICS.value("db.fingerprints")
+    created_before = obs.METRICS.value("db.versions_created")
     papyrus = fresh_papyrus(hosts=4)
     designer = papyrus.open_thread("Shifter-replay", owner="chiueh")
     hits_before = obs.METRICS.counter("memo.hits").value
@@ -156,14 +158,20 @@ def measure_memoized_replay() -> dict:
         "memo_saved_seconds":
             obs.METRICS.counter("memo.saved_seconds").value,
         "cold_steps": len(cold_steps),
+        "fingerprints":
+            obs.METRICS.value("db.fingerprints") - fingerprints_before,
+        "versions_created":
+            obs.METRICS.value("db.versions_created") - created_before,
     }
 
 
 def check_memoized_replay(result: dict) -> None:
-    """The acceptance gate: an unchanged replay must reuse >=80% of its
-    steps and cost materially fewer simulated seconds than the cold run."""
+    """Acceptance for the unchanged replay.  The virtual-clock makespans
+    are a cold run of 24.385s and a warm replay of 3.0s with 8 of 9 steps
+    reused; each may move 5% in the wrong direction.  Lineage credits the
+    reused steps, and no version is hashed twice."""
     assert result["memo_hits"] > 0, "memo.hits stayed zero — cache regression"
-    assert result["reused_fraction"] >= 0.8, (
+    assert result["reused_fraction"] >= 0.8888 * 0.95, (
         f"only {result['reused_fraction']:.0%} of replayed steps reused"
     )
     assert result["warm_makespan_seconds"] < \
@@ -171,6 +179,11 @@ def check_memoized_replay(result: dict) -> None:
         f"replay makespan {result['warm_makespan_seconds']:.1f}s not "
         f"materially below cold {result['cold_makespan_seconds']:.1f}s"
     )
+    assert result["cold_makespan_seconds"] <= 24.385 * 1.05, result
+    assert result["warm_makespan_seconds"] <= 3.0 * 1.05, result
+    assert result["speedup"] >= 8.12 * 0.95, result
+    assert result["fingerprints"] <= result["versions_created"], (
+        "a version hashed twice")
     assert result["provenance_hops"] > 0, (
         f"no derivation chain for {result['provenance_target']}"
     )
@@ -206,7 +219,6 @@ if __name__ == "__main__":
     # is not materially cheaper.  With PAPYRUS_TRACE_OUT set the trace and
     # a BENCH_fig37_rework_memo.json sidecar (carrying the reuse stats)
     # are written next to it.
-    path = trace_out()
     result = measure_memoized_replay()
     print(f"replay: {result['reused_steps']}/{result['steps']} steps reused "
           f"({result['reused_fraction']:.0%}), makespan "
@@ -218,5 +230,4 @@ if __name__ == "__main__":
           f"{result['provenance_reused_hops']} reused, sources "
           f"{', '.join(result['provenance_sources'])}")
     check_memoized_replay(result)
-    if path:
-        export_observability("fig37_rework_memo", {"rework": result})
+    export_observability("fig37_rework_memo", {"rework": result})

@@ -21,14 +21,11 @@ from repro import Papyrus, obs
 #: ``wall_seconds`` meta key (real process time).
 _T0 = time.perf_counter()
 
-#: Run metadata embedded as the ``meta`` block of every ``BENCH_*.json`` —
-#: what the perf gate needs to decide two runs are comparable (schema
-#: version, host count, workload seed).  Benchmarks add keys via
+#: Run metadata embedded as the ``meta`` block of every ``BENCH_*.json``
+#: (host count, workload seed).  Benchmarks add keys via
 #: :func:`note_run_meta`; :func:`fresh_papyrus` records the host count.
 #: ``wall_seconds`` and ``max_rss_bytes`` are refreshed on every call so
-#: the meta block always carries real-clock figures (the gate only compares
-#: ``hosts``/``schema``, so these machine-varying keys never break
-#: comparability).
+#: the meta block always carries real-clock figures.
 _RUN_META: dict = {}
 
 
@@ -85,17 +82,18 @@ def fresh_papyrus(hosts: int = 4, **kwargs) -> Papyrus:
     return papyrus
 
 
-def export_observability(bench_name: str, extra: dict | None = None) -> Path | None:
+def export_observability(bench_name: str, extra: dict | None = None) -> dict | None:
     """Write the trace to ``--trace-out`` and a ``BENCH_*.json`` snapshot
     next to it: metrics, plus a profile summary (critical-path shape,
     per-host utilization, overhead fraction) computed by
     ``repro.obs.analysis`` — so each benchmark's perf trajectory is
-    self-explaining.  A no-op when tracing is not requested."""
+    self-explaining.  Asserts the bounded trace buffer dropped nothing.
+    Returns the written document; a no-op (``None``) when tracing is not
+    requested."""
     path = trace_out()
     if not path:
         return None
     from repro.obs.analysis import TraceModel, profile_summary
-    from repro.obs.health import SNAPSHOT_SCHEMA
 
     if obs.TRACER.stream_path == path:
         # Streaming wrote the file already; just flush and count.
@@ -106,7 +104,7 @@ def export_observability(bench_name: str, extra: dict | None = None) -> Path | N
     note_run_meta()    # refresh wall_seconds / max_rss_bytes at export time
     payload = {
         "bench": bench_name,
-        "meta": {"schema": SNAPSHOT_SCHEMA, **_RUN_META},
+        "meta": dict(_RUN_META),
         "metrics": obs.metrics_snapshot(),
         "profile": profile_summary(TraceModel.from_tracer(obs.TRACER)),
         "trace": {"path": path, "events": events_written,
@@ -118,7 +116,9 @@ def export_observability(bench_name: str, extra: dict | None = None) -> Path | N
     out = Path(path).with_name(f"BENCH_{bench_name}.json")
     out.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
     print(f"\n[obs] trace -> {path}  metrics -> {out}")
-    return out
+    assert obs.TRACER.dropped == 0, (
+        f"trace buffer dropped {obs.TRACER.dropped} events")
+    return payload
 
 
 def banner(title: str) -> None:

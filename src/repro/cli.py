@@ -169,10 +169,6 @@ class Shell:
             "trace flame [path] [width]": "merge critical paths by step name",
             "health [--rules site.json] [rules|slos]":
                 "evaluate alert rules + SLO burn rates (ok/warn/crit)",
-            "health diff <a.json> <b.json>": "diff two metrics snapshots",
-            "health gate <BENCH.json> <baseline.json>": "perf regression gate",
-            "health bands <baseline> <BENCH>... [--write]":
-                "regenerate gate bands from trailing green runs",
             "top": "live operational console (health, SLO budgets, hosts)",
             "stats": "print the metrics registry snapshot",
             "spans [n]": "show the trace span/event tree (last n events)",
@@ -471,11 +467,7 @@ class Shell:
 
     def _cmd_health(self, args: list[str]) -> None:
         usage = ("usage: health [--rules site.json] | health rules | "
-                 "health slos | health diff <a.json> <b.json> | "
-                 "health gate <BENCH.json> <baseline.json> | "
-                 "health bands <baseline.json> <BENCH.json>... [--write]")
-        from repro.obs import health
-
+                 "health slos")
         rules_path = None
         if "--rules" in args:
             index = args.index("--rules")
@@ -513,53 +505,6 @@ class Shell:
                                    for w in slo.windows)
                 self._print(f"  {slo.name:<22} obj {slo.objective:.0%}  "
                             f"{budget_text}  ({windows})")
-        elif action == "diff":
-            # Compares the ``metrics`` blocks of two BENCH json files (or
-            # bare snapshot files).
-            if len(args) != 3:
-                raise ShellError("usage: health diff <a.json> <b.json>")
-            try:
-                deltas = health.diff_metrics(health.load_snapshot(args[1]),
-                                             health.load_snapshot(args[2]))
-            except (OSError, ValueError, health.HealthError) as exc:
-                raise ShellError(f"cannot diff metrics: {exc}")
-            for line in health.render_metrics_diff(deltas):
-                self._print(line)
-        elif action == "gate":
-            if len(args) != 3:
-                raise ShellError(usage)
-            try:
-                lines, _ok = health.gate_files(args[1], args[2])
-            except (OSError, ValueError, health.HealthError) as exc:
-                raise ShellError(f"cannot gate: {exc}")
-            for line in lines:
-                self._print(line)
-        elif action == "bands":
-            import json as _json
-
-            write = "--write" in args
-            files = [a for a in args[1:] if a != "--write"]
-            if len(files) < 2:
-                raise ShellError(usage)
-            try:
-                with open(files[0], "r", encoding="utf-8") as fh:
-                    baseline = _json.load(fh)
-                runs = []
-                for run_path in files[1:]:
-                    with open(run_path, "r", encoding="utf-8") as fh:
-                        runs.append(_json.load(fh))
-                regenerated = health.regenerate_bands(baseline, runs)
-            except (OSError, ValueError, health.HealthError) as exc:
-                raise ShellError(f"cannot regenerate bands: {exc}")
-            rendered = _json.dumps(regenerated, indent=2, sort_keys=True)
-            if write:
-                with open(files[0], "w", encoding="utf-8") as fh:
-                    fh.write(rendered + "\n")
-                self._print(f"bands: rewrote {files[0]} from "
-                            f"{len(runs)} run(s)")
-            else:
-                for line in rendered.splitlines():
-                    self._print(line)
         else:
             raise ShellError(usage)
 

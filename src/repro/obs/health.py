@@ -1,34 +1,22 @@
 """``repro.obs.health`` — closing the observability loop.
 
-Three PRs of recording (tracer, metrics, analytics) still left a human
-eyeballing every trace.  This module turns the record into *detection and
-control*, the way Papyrus's history model is meant to be used:
-
-* **one alert engine** — :class:`HealthMonitor` evaluates threshold
-  :class:`AlertRule` predicates and windowed :class:`SLO` objectives in one
-  pass, on the virtual clock (:meth:`HealthMonitor.attach_clock`) and at
-  every task commit (:meth:`HealthMonitor.attach_taskmgr`).  A rule fires
-  when ``signal OP threshold`` holds; an objective fires when its error
-  budget burns at least ``factor`` times the sustainable rate over *both*
-  a short and a long trailing window (the SRE multi-window burn-rate
-  alert).  Transitions emit ``alert.fired`` / ``alert.cleared`` events into
-  the trace and roll up into an ok/warn/crit ``health`` summary; objectives
-  also publish ``slo.burn_rate{slo=,window=}`` and
-  ``slo.budget_remaining{slo=}`` gauges and ``slo.sample`` trace events.
-  :func:`default_ruleset` and :func:`default_slos` ship rules and
-  objectives for the whole Papyrus stack; :func:`load_ruleset` reads a site
-  file (JSON, or TOML where ``tomllib`` exists) merged over them.
-* **metrics-snapshot diffing** — :func:`diff_metrics` compares two
-  serialized registry snapshots (the stable sorted-series format every
-  ``BENCH_*.json`` already carries): per-series deltas with ratio/absolute
-  thresholds plus added/removed-series detection.  Surfaced as
-  ``health diff`` in the shell and ``python -m repro.obs.health diff``
-  standalone.
-* a **baseline-backed perf regression gate** — :func:`gate` checks a
-  benchmark's ``BENCH_*.json`` (makespan, critical-path shape, overhead
-  fraction, memo reuse, any dotted path) against a committed baseline with
-  tolerance bands; ``python -m repro.obs.health gate`` exits nonzero on
-  regression, which CI runs as the ``perf-gate`` job.
+The alert engine turns the record (tracer, metrics) into *detection and
+control*, the way Papyrus's history model is meant to be used.
+:class:`HealthMonitor` evaluates threshold :class:`AlertRule` predicates and
+windowed :class:`SLO` objectives in one pass, on the virtual clock
+(:meth:`HealthMonitor.attach_clock`) and at every task commit
+(:meth:`HealthMonitor.attach_taskmgr`).  A rule fires when
+``signal OP threshold`` holds; an objective fires when its error budget
+burns at least ``factor`` times the sustainable rate over *both* a short
+and a long trailing window (the SRE multi-window burn-rate alert).
+Transitions emit ``alert.fired`` / ``alert.cleared`` events into the trace
+and roll up into an ok/warn/crit ``health`` summary; objectives also
+publish ``slo.burn_rate{slo=,window=}`` and ``slo.budget_remaining{slo=}``
+gauges and ``slo.sample`` trace events.  :func:`default_ruleset` and
+:func:`default_slos` ship rules and objectives for the whole Papyrus stack;
+:func:`load_ruleset` reads a site file (JSON, or TOML where ``tomllib``
+exists) merged over them, and ``python -m repro.obs.health rules`` prints
+the merged set.
 
 Scheduler-gap seconds — time a host sat idle while another host timeshared
 two or more processes — are cluster state, not a trace replay: the
@@ -82,10 +70,6 @@ if TYPE_CHECKING:
     from repro.clock import VirtualClock
     from repro.sprite.cluster import Cluster
     from repro.taskmgr.manager import TaskManager
-
-#: Version stamp for serialized snapshots / BENCH metadata (bump when the
-#: snapshot or BENCH layout changes incompatibly).
-SNAPSHOT_SCHEMA = 2
 
 #: Virtual seconds of windowed samples kept (the longest stock window is
 #: an hour; twice that bounds a long-lived session's record).
@@ -839,447 +823,34 @@ def load_ruleset(path: str) -> tuple[list[AlertRule], list[SLO]]:
     return _parse_config(document, source=path)
 
 
-# ------------------------------------------------------- snapshot diffing
-
-
-@dataclass
-class MetricDelta:
-    """One changed/added/removed series between two metrics snapshots."""
-
-    key: str
-    kind: str                    # "added" | "removed" | "changed"
-    a: float | None = None
-    b: float | None = None
-
-    @property
-    def delta(self) -> float | None:
-        if self.a is None or self.b is None:
-            return None
-        return self.b - self.a
-
-    @property
-    def ratio(self) -> float | None:
-        """Relative change |delta| / |a| (None when a == 0 or not a pair)."""
-        if self.a is None or self.b is None or self.a == 0:
-            return None
-        return abs(self.b - self.a) / abs(self.a)
-
-
-def _representative(value: Any) -> float | None:
-    """Scalar stand-in for one snapshot value (histograms → their count)."""
-    if isinstance(value, dict):
-        count = value.get("count")
-        return float(count) if isinstance(count, (int, float)) else None
-    if isinstance(value, (int, float)):
-        return float(value)
-    return None
-
-
-def _subfields(value: dict[str, Any]) -> dict[str, float]:
-    """The comparable scalar facets of a histogram snapshot."""
-    out: dict[str, float] = {}
-    for facet in ("count", "sum", "mean", "min", "max"):
-        facet_value = value.get(facet)
-        if isinstance(facet_value, (int, float)):
-            out[facet] = float(facet_value)
-    return out
-
-
-def diff_metrics(a: dict[str, Any], b: dict[str, Any],
-                 ratio_threshold: float = 0.0,
-                 abs_threshold: float = 0.0) -> list[MetricDelta]:
-    """Compare two metrics snapshots series by series.
-
-    ``a``/``b`` are registry snapshots (``name{labels}`` → scalar or
-    histogram dict), the format ``MetricsRegistry.snapshot()`` emits and
-    every ``BENCH_*.json`` embeds.  Returns added / removed series and, for
-    common series, per-value deltas (histograms compare their
-    count/sum/mean/min/max facets as ``name#facet`` entries).  A change is
-    reported only when ``|delta| > abs_threshold`` *and* (when the old
-    value is nonzero) the relative change exceeds ``ratio_threshold`` —
-    both default to 0, i.e. report every change.  ``diff_metrics(s, s)``
-    is always empty.
-    """
-    deltas: list[MetricDelta] = []
-    for key in sorted(set(b) - set(a)):
-        deltas.append(MetricDelta(key, "added", b=_representative(b[key])))
-    for key in sorted(set(a) - set(b)):
-        deltas.append(MetricDelta(key, "removed", a=_representative(a[key])))
-
-    def changed(key: str, va: float, vb: float) -> None:
-        if va == vb:
-            return
-        entry = MetricDelta(key, "changed", a=va, b=vb)
-        if abs(entry.delta) <= abs_threshold:
-            return
-        if entry.ratio is not None and entry.ratio <= ratio_threshold:
-            return
-        deltas.append(entry)
-
-    for key in sorted(set(a) & set(b)):
-        va, vb = a[key], b[key]
-        if isinstance(va, dict) and isinstance(vb, dict):
-            fa, fb = _subfields(va), _subfields(vb)
-            for facet in sorted(set(fa) & set(fb)):
-                changed(f"{key}#{facet}", fa[facet], fb[facet])
-        else:
-            ra, rb = _representative(va), _representative(vb)
-            if ra is not None and rb is not None:
-                changed(key, ra, rb)
-    deltas.sort(key=lambda d: d.key)
-    return deltas
-
-
-def render_metrics_diff(deltas: list[MetricDelta]) -> list[str]:
-    if not deltas:
-        return ["no metric deltas"]
-    lines = []
-    for entry in deltas:
-        if entry.kind == "added":
-            lines.append(f"  + {entry.key}  = {entry.b:g}")
-        elif entry.kind == "removed":
-            lines.append(f"  - {entry.key}  (was {entry.a:g})")
-        else:
-            relative = (f", {entry.delta / entry.a:+.1%}"
-                        if entry.a else "")
-            lines.append(f"  ~ {entry.key}  {entry.a:g} -> {entry.b:g}  "
-                         f"({entry.delta:+g}{relative})")
-    return lines
-
-
-def write_snapshot(path: str,
-                   registry: MetricsRegistry | None = None) -> dict[str, Any]:
-    """Serialize a registry to the stable snapshot format and write it."""
-    document = {
-        "schema": SNAPSHOT_SCHEMA,
-        "metrics": (registry if registry is not None else METRICS).snapshot(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return document
-
-
-def load_snapshot(path: str) -> dict[str, Any]:
-    """Read a metrics snapshot from any of the shapes we emit.
-
-    Accepts a bare ``{"name{labels}": value}`` mapping, the
-    :func:`write_snapshot` envelope, or a full ``BENCH_*.json`` (whose
-    ``metrics`` block is exactly the snapshot format).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
-    if not isinstance(document, dict):
-        raise HealthError(f"{path}: not a JSON object")
-    if isinstance(document.get("metrics"), dict):
-        return document["metrics"]
-    return document
-
-
-# ------------------------------------------------------------------ the gate
-
-
-def resolve_path(document: Any, path: str) -> Any:
-    """Look up a dotted path, longest-key-first (keys may contain dots:
-    ``metrics.memo.hits`` resolves as ``["metrics"]["memo.hits"]``)."""
-    parts = path.split(".")
-
-    def walk(node: Any, remaining: list[str]) -> Any:
-        if not remaining:
-            return node
-        if not isinstance(node, dict):
-            raise KeyError(path)
-        for i in range(len(remaining), 0, -1):
-            key = ".".join(remaining[:i])
-            if key in node:
-                try:
-                    return walk(node[key], remaining[i:])
-                except KeyError:
-                    continue
-        raise KeyError(path)
-
-    return walk(document, parts)
-
-
-def gate(document: dict[str, Any],
-         baseline: dict[str, Any]) -> tuple[list[str], bool]:
-    """Check one BENCH document against a committed baseline.
-
-    The baseline maps dotted paths into the BENCH json to bands::
-
-        {"bench": "fig37_rework_memo",
-         "meta": {"hosts": 4},
-         "checks": {
-           "rework.cold_makespan_seconds":
-               {"value": 24.4, "direction": "lower", "tolerance": 0.10},
-           "rework.reused_fraction": {"min": 0.8},
-           "profile.scheduler_gap_seconds": {"max": 5.0}}}
-
-    ``direction: lower`` means lower-is-better — the observed value may
-    exceed ``value`` by at most ``tolerance`` (relative); ``higher`` is the
-    mirror.  ``min``/``max`` are absolute bounds.  A missing path is a
-    failure (a silently vanished measurement must not pass).  Returns the
-    report lines and an overall ok flag.
-    """
-    lines: list[str] = []
-    ok = True
-
-    def fail(text: str) -> None:
-        nonlocal ok
-        ok = False
-        lines.append(f"  FAIL {text}")
-
-    expected_meta = baseline.get("meta", {})
-    document_meta = document.get("meta", {})
-    for key in ("hosts", "schema"):
-        want = expected_meta.get(key)
-        if want is not None and document_meta.get(key) != want:
-            fail(f"meta.{key}: run has {document_meta.get(key)!r}, "
-                 f"baseline expects {want!r} (runs not comparable)")
-
-    checks = baseline.get("checks", {})
-    if not checks:
-        fail("baseline has no checks")
-    for path, band in sorted(checks.items()):
-        try:
-            observed = resolve_path(document, path)
-        except KeyError:
-            fail(f"{path}: missing from the benchmark output")
-            continue
-        if not isinstance(observed, (int, float)) or \
-                isinstance(observed, bool):
-            fail(f"{path}: not numeric ({observed!r})")
-            continue
-        bounds: list[tuple[str, float, bool]] = []   # (desc, bound, is_max)
-        if "value" in band:
-            value = float(band["value"])
-            tolerance = float(band.get("tolerance", 0.1))
-            direction = band.get("direction", "lower")
-            if direction == "lower":
-                bounds.append((f"<= {value:g} +{tolerance:.0%}",
-                               value * (1 + tolerance), True))
-            elif direction == "higher":
-                bounds.append((f">= {value:g} -{tolerance:.0%}",
-                               value * (1 - tolerance), False))
-            else:
-                fail(f"{path}: unknown direction {direction!r}")
-                continue
-        if "max" in band:
-            bounds.append((f"<= {float(band['max']):g}",
-                           float(band["max"]), True))
-        if "min" in band:
-            bounds.append((f">= {float(band['min']):g}",
-                           float(band["min"]), False))
-        if not bounds:
-            fail(f"{path}: baseline band has no value/min/max")
-            continue
-        for description, bound, is_max in bounds:
-            if (observed > bound) if is_max else (observed < bound):
-                fail(f"{path} = {observed:g}, want {description}")
-            else:
-                lines.append(f"  ok   {path} = {observed:g}  "
-                             f"({description})")
-    lines.append("gate: " + ("PASS" if ok else "REGRESSION DETECTED"))
-    return lines, ok
-
-
-def gate_files(bench_path: str, baseline_path: str) -> tuple[list[str], bool]:
-    with open(bench_path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    header = [f"gating {bench_path} against {baseline_path}"]
-    lines, ok = gate(document, baseline)
-    return header + lines, ok
-
-
-# ------------------------------------------------------- band regeneration
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def regenerate_bands(baseline: dict[str, Any],
-                     runs: list[dict[str, Any]],
-                     min_tolerance: float = 0.05) -> dict[str, Any]:
-    """Re-derive a baseline's tolerance bands from N trailing green runs.
-
-    Hand-edited bands rot: a legitimate perf improvement leaves stale slack,
-    a noisy measurement causes hand-widening.  This recomputes each band
-    from the observed distribution across ``runs`` (their ``BENCH_*.json``
-    documents, which must all be green — the caller gates them first):
-
-    * ``value`` bands keep their ``direction`` and move to the median,
-      with ``tolerance = max(min_tolerance, 2 * spread/|median|)``;
-    * ``min`` bands become ``min_obs - max(spread, min_tolerance*|min_obs|)``;
-    * ``max`` bands become ``max_obs + max(spread, min_tolerance*|max_obs|)``
-
-    where ``spread = max_obs - min_obs``.  Every run must be for the
-    baseline's ``bench`` and contain every checked path — a vanished
-    measurement is an error here exactly as it is a failure in the gate.
-    Returns a new baseline document (meta/comment preserved).
-    """
-    if not runs:
-        raise HealthError("band regeneration needs at least one run")
-    bench = baseline.get("bench")
-    checks = baseline.get("checks", {})
-    if not checks:
-        raise HealthError("baseline has no checks to regenerate")
-    observations: dict[str, list[float]] = {path: [] for path in checks}
-    for run in runs:
-        run_bench = run.get("bench")
-        if bench is not None and run_bench != bench:
-            raise HealthError(f"run is for bench {run_bench!r}, baseline "
-                              f"expects {bench!r} (not comparable)")
-        for path in checks:
-            try:
-                observed = resolve_path(run, path)
-            except KeyError:
-                raise HealthError(f"{path}: missing from a trailing run")
-            if not isinstance(observed, (int, float)) or \
-                    isinstance(observed, bool):
-                raise HealthError(f"{path}: not numeric in a trailing run "
-                                  f"({observed!r})")
-            observations[path].append(float(observed))
-
-    def tidy(value: float) -> float:
-        rounded = round(value, 6)
-        return rounded if rounded != int(rounded) else float(int(rounded))
-
-    new_checks: dict[str, Any] = {}
-    for path, band in checks.items():
-        values = observations[path]
-        low, high = min(values), max(values)
-        spread = high - low
-        center = _median(values)
-        new_band = dict(band)
-        if "value" in band:
-            relative = spread / abs(center) if center else 0.0
-            new_band["value"] = tidy(center)
-            new_band["tolerance"] = tidy(max(min_tolerance, 2.0 * relative))
-        if "min" in band:
-            new_band["min"] = tidy(
-                low - max(spread, min_tolerance * abs(low)))
-        if "max" in band:
-            new_band["max"] = tidy(
-                high + max(spread, min_tolerance * abs(high)))
-        new_checks[path] = new_band
-    regenerated = dict(baseline)
-    regenerated["checks"] = new_checks
-    return regenerated
-
-
 # --------------------------------------------------------------- entry point
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    usage = ("usage: python -m repro.obs.health "
-             "diff <a.json> <b.json> [--ratio R] [--abs D] | "
-             "gate <BENCH.json> --baseline <baseline.json> | "
-             "bands <baseline.json> <BENCH.json>... [--write] "
-             "[--min-tolerance T] | rules [--rules site.json]")
-    if not argv:
-        print(usage, file=sys.stderr)
+    if argv[:1] != ["rules"] or len(argv) not in (1, 3) or \
+            (len(argv) == 3 and argv[1] != "--rules"):
+        print("usage: python -m repro.obs.health rules [--rules site.json]",
+              file=sys.stderr)
         return 2
-    command, rest = argv[0], argv[1:]
+    path = argv[2] if len(argv) == 3 else None
     try:
-        if command == "diff":
-            ratio = abs_threshold = 0.0
-            files = []
-            i = 0
-            while i < len(rest):
-                if rest[i] == "--ratio" and i + 1 < len(rest):
-                    ratio = float(rest[i + 1])
-                    i += 2
-                elif rest[i] == "--abs" and i + 1 < len(rest):
-                    abs_threshold = float(rest[i + 1])
-                    i += 2
-                else:
-                    files.append(rest[i])
-                    i += 1
-            if len(files) != 2:
-                print(usage, file=sys.stderr)
-                return 2
-            deltas = diff_metrics(load_snapshot(files[0]),
-                                  load_snapshot(files[1]),
-                                  ratio_threshold=ratio,
-                                  abs_threshold=abs_threshold)
-            for line in render_metrics_diff(deltas):
-                print(line)
-            return 0
-        if command == "gate":
-            if len(rest) != 3 or rest[1] != "--baseline":
-                print(usage, file=sys.stderr)
-                return 2
-            lines, ok = gate_files(rest[0], rest[2])
-            for line in lines:
-                print(line)
-            return 0 if ok else 1
-        if command == "bands":
-            write = False
-            min_tolerance = 0.05
-            files = []
-            i = 0
-            while i < len(rest):
-                if rest[i] == "--write":
-                    write = True
-                    i += 1
-                elif rest[i] == "--min-tolerance" and i + 1 < len(rest):
-                    min_tolerance = float(rest[i + 1])
-                    i += 2
-                else:
-                    files.append(rest[i])
-                    i += 1
-            if len(files) < 2:
-                print(usage, file=sys.stderr)
-                return 2
-            baseline_path, run_paths = files[0], files[1:]
-            with open(baseline_path, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-            runs = []
-            for run_path in run_paths:
-                with open(run_path, "r", encoding="utf-8") as fh:
-                    runs.append(json.load(fh))
-            regenerated = regenerate_bands(baseline, runs,
-                                           min_tolerance=min_tolerance)
-            rendered = json.dumps(regenerated, indent=2, sort_keys=True)
-            if write:
-                with open(baseline_path, "w", encoding="utf-8") as fh:
-                    fh.write(rendered + "\n")
-                print(f"bands: rewrote {baseline_path} from "
-                      f"{len(runs)} run(s)")
-            else:
-                print(rendered)
-            return 0
-        if command == "rules":
-            if rest and (len(rest) != 2 or rest[0] != "--rules"):
-                print(usage, file=sys.stderr)
-                return 2
-            path = rest[1] if rest else None
-            monitor = HealthMonitor.from_config(path)
-            print(f"ruleset: {path or 'default'}  ({len(monitor.rules)} "
-                  f"rules, {len(monitor.slos)} slos)")
-            for rule in monitor.rules:
-                print(f"  rule {rule.name:<22} [{rule.severity:<4}] "
-                      f"{rule.signal} {rule.op} {rule.threshold:g}  "
-                      f"{rule.description}")
-            for slo in monitor.slos:
-                windows = " ".join(f"{w.label}x{w.factor:g}({w.severity})"
-                                   for w in slo.windows)
-                print(f"  slo  {slo.name:<22} obj {slo.objective:.0%}  "
-                      f"bad={slo.bad}  {windows}  {slo.description}")
-            return 0
-    except (OSError, json.JSONDecodeError, HealthError, ValueError) as exc:
+        monitor = HealthMonitor.from_config(path)
+    except (OSError, HealthError, ValueError) as exc:
         print(f"health: {exc}", file=sys.stderr)
         return 2
-    print(usage, file=sys.stderr)
-    return 2
+    print(f"ruleset: {path or 'default'}  ({len(monitor.rules)} "
+          f"rules, {len(monitor.slos)} slos)")
+    for rule in monitor.rules:
+        print(f"  rule {rule.name:<22} [{rule.severity:<4}] "
+              f"{rule.signal} {rule.op} {rule.threshold:g}  "
+              f"{rule.description}")
+    for slo in monitor.slos:
+        windows = " ".join(f"{w.label}x{w.factor:g}({w.severity})"
+                           for w in slo.windows)
+        print(f"  slo  {slo.name:<22} obj {slo.objective:.0%}  "
+              f"bad={slo.bad}  {windows}  {slo.description}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - console entry point

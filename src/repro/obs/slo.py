@@ -141,11 +141,16 @@ class TopView:
 
     @classmethod
     def from_metrics(cls, path: str) -> "TopView":
-        """One frame from a metrics/BENCH snapshot (gauges only — no
-        trace to replay, so alert values are absent)."""
-        from repro.obs.health import load_snapshot
-
-        snapshot = load_snapshot(path)
+        """One frame from a metrics snapshot: a bare ``{"name{labels}":
+        value}`` mapping or a ``BENCH_*.json``, whose ``metrics`` block is
+        that mapping (gauges only — no trace to replay, so alert values
+        are absent)."""
+        with open(path, "r", encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        if not isinstance(snapshot, dict):
+            raise HealthError(f"{path}: not a JSON object")
+        if isinstance(snapshot.get("metrics"), dict):
+            snapshot = snapshot["metrics"]
         view = cls(source=path)
         status_gauge = snapshot.get("health.status")
         if isinstance(status_gauge, (int, float)):

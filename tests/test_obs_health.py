@@ -1,12 +1,9 @@
 """Tests for ``repro.obs.health``: the alert-rule engine (firing/clearing
-under the virtual clock, trace-derived signals, task-commit hook), metrics
-snapshot diffing, the baseline-backed perf regression gate and its CLI, and
-the satellite fixes that feed them (histogram quantiles on degenerate
-series, the bounded derivation cache, gap-aware placement)."""
+under the virtual clock, trace-derived signals, task-commit hook), its
+``rules`` CLI, and the satellite fixes that feed it (histogram quantiles on
+degenerate series, the bounded derivation cache, gap-aware placement)."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,15 +16,8 @@ from repro.obs.health import (
     AlertRule,
     HealthError,
     HealthMonitor,
-    MetricDelta,
     default_ruleset,
-    diff_metrics,
-    gate,
-    load_snapshot,
     main,
-    render_metrics_diff,
-    resolve_path,
-    write_snapshot,
 )
 from repro.obs.analysis import replay_gaps
 from repro.obs.metrics import MetricsRegistry
@@ -369,217 +359,22 @@ class TestGapCounters:
             {host: s for host, s in per_host.items() if s > 1e-9})
 
 
-# ------------------------------------------------------- snapshot diffing
-
-
-SNAP_A = {
-    "memo.hits": 4.0,
-    "cluster.evictions": 2.0,
-    "gone.next_run": 1.0,
-    "step.latency{tool=a}": {"count": 3, "sum": 30.0, "mean": 10.0,
-                             "min": 5.0, "max": 15.0, "buckets": {}},
-}
-SNAP_B = {
-    "memo.hits": 9.0,
-    "cluster.evictions": 2.0,
-    "new.this_run": 7.0,
-    "step.latency{tool=a}": {"count": 5, "sum": 80.0, "mean": 16.0,
-                             "min": 5.0, "max": 40.0, "buckets": {}},
-}
-
-
-class TestDiffMetrics:
-    def test_added_removed_changed(self):
-        deltas = {d.key: d for d in diff_metrics(SNAP_A, SNAP_B)}
-        assert deltas["new.this_run"].kind == "added"
-        assert deltas["new.this_run"].b == 7.0
-        assert deltas["gone.next_run"].kind == "removed"
-        assert deltas["memo.hits"].delta == 5.0
-        assert deltas["memo.hits"].ratio == pytest.approx(1.25)
-        # unchanged series are not reported
-        assert "cluster.evictions" not in deltas
-        # histograms compare facet-wise
-        assert deltas["step.latency{tool=a}#count"].delta == 2
-        assert deltas["step.latency{tool=a}#max"].b == 40.0
-        assert "step.latency{tool=a}#min" not in deltas
-
-    def test_thresholds_filter_small_changes(self):
-        a, b = {"x": 100.0, "y": 100.0}, {"x": 104.0, "y": 150.0}
-        kept = diff_metrics(a, b, ratio_threshold=0.10)
-        assert [d.key for d in kept] == ["y"]
-        kept = diff_metrics(a, b, abs_threshold=10.0)
-        assert [d.key for d in kept] == ["y"]
-        # a zero old value is always reported (new activity)...
-        assert [d.key for d in
-                diff_metrics({"z": 0.0}, {"z": 1.0}, ratio_threshold=9.9)] \
-            == ["z"]
-        # ...unless the absolute threshold swallows it
-        assert diff_metrics({"z": 0.0}, {"z": 1.0}, abs_threshold=2.0) == []
-
-    def test_render_and_empty(self):
-        assert render_metrics_diff([]) == ["no metric deltas"]
-        lines = "\n".join(render_metrics_diff(diff_metrics(SNAP_A, SNAP_B)))
-        assert "+ new.this_run" in lines
-        assert "- gone.next_run" in lines
-        assert "~ memo.hits  4 -> 9" in lines
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.dictionaries(
-        st.text(st.characters(min_codepoint=33, max_codepoint=126),
-                min_size=1, max_size=12),
-        st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False, width=32),
-            st.fixed_dictionaries({
-                "count": st.integers(0, 1000),
-                "sum": st.floats(allow_nan=False, allow_infinity=False,
-                                 width=32),
-            })),
-        max_size=8))
-    def test_self_diff_is_always_empty(self, snapshot):
-        assert diff_metrics(snapshot, snapshot) == []
-
-    def test_snapshot_roundtrip(self, registry, tmp_path):
-        registry.counter("a.b").inc(3)
-        registry.histogram("h").observe(2.0)
-        path = tmp_path / "snap.json"
-        write_snapshot(str(path), registry)
-        loaded = load_snapshot(str(path))
-        assert diff_metrics(registry.snapshot(), loaded) == []
-        # BENCH-shaped and bare mappings load identically
-        bare = tmp_path / "bare.json"
-        bare.write_text(json.dumps(registry.snapshot()))
-        assert load_snapshot(str(bare)) == loaded
-
-    def test_live_registry_diff(self, registry):
-        before = registry.snapshot()
-        registry.counter("memo.hits").inc(2)
-        registry.gauge("memo.size").set(5)
-        deltas = diff_metrics(before, registry.snapshot())
-        assert {d.key for d in deltas} == {"memo.hits", "memo.size"}
-        assert all(d.kind == "added" for d in deltas)
-
-
-# --------------------------------------------------------------- the gate
-
-
-BENCH_DOC = {
-    "bench": "fig37_rework_memo",
-    "meta": {"schema": 2, "hosts": 4},
-    "metrics": {"memo.hits": 5.0, "memo.evictions": 0.0},
-    "profile": {"scheduler_gap_seconds": 0.0,
-                "critical_path": {"makespan_seconds": 24.4,
-                                  "overhead_fraction": 0.05}},
-    "rework": {"cold_makespan_seconds": 24.4,
-               "warm_makespan_seconds": 2.4, "reused_fraction": 0.83},
-}
-
-
-class TestGate:
-    def test_dotted_paths_resolve_through_metric_keys(self):
-        assert resolve_path(BENCH_DOC, "metrics.memo.hits") == 5.0
-        assert resolve_path(
-            BENCH_DOC, "profile.critical_path.makespan_seconds") == 24.4
-        with pytest.raises(KeyError):
-            resolve_path(BENCH_DOC, "metrics.memo.nope")
-
-    def test_pass_within_tolerance(self):
-        baseline = {
-            "meta": {"hosts": 4},
-            "checks": {
-                "rework.cold_makespan_seconds":
-                    {"value": 24.0, "direction": "lower", "tolerance": 0.10},
-                "rework.reused_fraction":
-                    {"value": 0.85, "direction": "higher",
-                     "tolerance": 0.05},
-                "profile.scheduler_gap_seconds": {"max": 5.0},
-                "metrics.memo.hits": {"min": 1},
-            },
-        }
-        lines, ok = gate(BENCH_DOC, baseline)
-        assert ok, lines
-        assert lines[-1] == "gate: PASS"
-
-    def test_tightened_baseline_fails(self):
-        baseline = {"checks": {
-            "rework.cold_makespan_seconds":
-                {"value": 20.0, "direction": "lower", "tolerance": 0.05}}}
-        lines, ok = gate(BENCH_DOC, baseline)
-        assert not ok
-        assert any("FAIL rework.cold_makespan_seconds" in l for l in lines)
-        assert lines[-1] == "gate: REGRESSION DETECTED"
-
-    def test_missing_path_and_meta_mismatch_fail(self):
-        baseline = {"meta": {"hosts": 8},
-                    "checks": {"rework.vanished": {"max": 1}}}
-        lines, ok = gate(BENCH_DOC, baseline)
-        assert not ok
-        text = "\n".join(lines)
-        assert "meta.hosts" in text
-        assert "missing from the benchmark output" in text
-        # an empty checks block can never pass
-        assert not gate(BENCH_DOC, {"checks": {}})[1]
-
-    def test_direction_higher_catches_drop(self):
-        baseline = {"checks": {
-            "rework.reused_fraction":
-                {"value": 0.95, "direction": "higher", "tolerance": 0.02}}}
-        assert not gate(BENCH_DOC, baseline)[1]
-
-
 class TestCli:
-    def write(self, tmp_path, name, doc):
-        path = tmp_path / name
-        path.write_text(json.dumps(doc))
-        return str(path)
+    def test_rules_cli_and_shell(self, capsys):
+        from repro.cli import Shell, ShellError
 
-    def test_gate_exit_codes(self, tmp_path, capsys):
-        bench = self.write(tmp_path, "BENCH_x.json", BENCH_DOC)
-        good = self.write(tmp_path, "good.json", {"checks": {
-            "rework.cold_makespan_seconds":
-                {"value": 24.4, "direction": "lower", "tolerance": 0.10}}})
-        # a baseline whose makespan was tightened below the observed run
-        tight = self.write(tmp_path, "tight.json", {"checks": {
-            "rework.cold_makespan_seconds":
-                {"value": 10.0, "direction": "lower", "tolerance": 0.10}}})
-        assert main(["gate", bench, "--baseline", good]) == 0
-        assert "PASS" in capsys.readouterr().out
-        assert main(["gate", bench, "--baseline", tight]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        assert main(["gate", bench, "--baseline",
-                     str(tmp_path / "absent.json")]) == 2
-
-    def test_diff_cli(self, tmp_path, capsys):
-        a = self.write(tmp_path, "a.json", {"metrics": SNAP_A})
-        b = self.write(tmp_path, "b.json", {"metrics": SNAP_B})
-        assert main(["diff", a, b]) == 0
-        out = capsys.readouterr().out
-        assert "+ new.this_run" in out and "~ memo.hits" in out
-        assert main(["diff", a, b, "--ratio", "99"]) == 0
-        out = capsys.readouterr().out
-        assert "memo.hits" not in out      # filtered; added/removed remain
         assert main(["rules"]) == 0
         assert "scheduler_gap" in capsys.readouterr().out
         assert main([]) == 2
-        assert main(["diff", a]) == 2
-
-    def test_shell_health_diff(self, tmp_path):
-        from repro.cli import Shell
-
+        assert main(["rules", "--rules"]) == 2
+        assert main(["gate", "BENCH_x.json", "--baseline", "b.json"]) == 2
         shell = Shell()
         out = "\n".join(shell.execute("health"))
         assert "health: ok" in out
         out = "\n".join(shell.execute("health rules"))
         assert "scheduler_gap" in out
-        a = self.write(tmp_path, "a.json", {"metrics": SNAP_A})
-        b = self.write(tmp_path, "b.json", {"metrics": SNAP_B})
-        out = "\n".join(shell.execute(f"health diff {a} {b}"))
-        assert "+ new.this_run" in out
-        bench = self.write(tmp_path, "BENCH_x.json", BENCH_DOC)
-        tight = self.write(tmp_path, "tight.json", {"checks": {
-            "rework.cold_makespan_seconds":
-                {"value": 10.0, "direction": "lower"}}})
-        out = "\n".join(shell.execute(f"health gate {bench} {tight}"))
-        assert "REGRESSION DETECTED" in out
+        with pytest.raises(ShellError, match="usage: health"):
+            shell.execute("health diff a.json b.json")
 
 
 # ----------------------------------------------- satellite: quantile fixes
@@ -741,16 +536,3 @@ class TestGapAwarePlacement:
         self.stall(cluster, "ws02", 1.0)
         cluster.submit("pin", work=100.0)                # lands on ws02
         assert cluster.find_idle_host().name == "ws01"
-
-
-# -------------------------------------------------- MetricDelta mechanics
-
-
-class TestMetricDelta:
-    def test_derived_fields(self):
-        changed = MetricDelta("k", "changed", a=4.0, b=9.0)
-        assert changed.delta == 5.0
-        assert changed.ratio == pytest.approx(1.25)
-        assert MetricDelta("k", "changed", a=0.0, b=2.0).ratio is None
-        added = MetricDelta("k", "added", b=1.0)
-        assert added.delta is None and added.ratio is None

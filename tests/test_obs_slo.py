@@ -1,9 +1,9 @@
 """Tests for objectives and the ``papyrus top`` console: the windowed
 series substrate, burn-rate and error-budget math in ``HealthMonitor``
 (with a hypothesis integral property), ruleset/SLO config loading, the
-stall scenario end to end, the band-regeneration satellite, the tracer's
-self-observability metrics, and ``repro.obs.slo``'s console (including
-byte-identical renders across identical runs)."""
+stall scenario end to end, the tracer's self-observability metrics, and
+``repro.obs.slo``'s console (including byte-identical renders across
+identical runs)."""
 
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.clock import VirtualClock
 from repro.obs.health import (SLO, BurnWindow, HealthError, HealthMonitor,
-                              default_ruleset, default_slos, load_ruleset,
-                              regenerate_bands)
+                              default_ruleset, default_slos, load_ruleset)
 from repro.obs.health import main as health_main
 from repro.obs.metrics import MetricError, MetricsRegistry, WindowedSeries
 from repro.obs.slo import TopView, main, render_top, view_from_file
@@ -617,6 +616,13 @@ class TestConsole:
         rows = {r["name"]: r for r in view.slos}
         assert "scheduler_gap" in rows
         render_top(view)                         # must not raise
+        # a bare snapshot (no BENCH envelope) reads the same
+        bare = tmp_path / "metrics.json"
+        bare.write_text(json.dumps(obs.METRICS.snapshot()))
+        assert TopView.from_metrics(str(bare)).slos == view.slos
+        (tmp_path / "list.json").write_text("[]")
+        with pytest.raises(HealthError, match="not a JSON object"):
+            TopView.from_metrics(str(tmp_path / "list.json"))
 
     def test_empty_view_renders(self):
         lines = render_top(TopView())
@@ -661,66 +667,6 @@ class TestShellIntegration:
         assert "scheduler_gap" in out and "> 5" in out
         assert shell._health is not first
         assert shell._health.slos
-
-    def test_health_bands_command(self, tmp_path):
-        from repro.cli import Shell
-
-        baseline = {"bench": "b", "checks": {"x": {"min": 1.0}}}
-        run = {"bench": "b", "x": 5.0}
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps(baseline))
-        run_path = tmp_path / "run.json"
-        run_path.write_text(json.dumps(run))
-        shell = Shell()
-        out = "\n".join(shell.execute(
-            f"health bands {baseline_path} {run_path} --write"))
-        assert "rewrote" in out
-        rewritten = json.loads(baseline_path.read_text())
-        assert rewritten["checks"]["x"]["min"] == pytest.approx(4.75)
-
-
-# -------------------------------------------------------- band regeneration
-
-
-class TestRegenerateBands:
-    def test_value_band_median_and_tolerance(self):
-        baseline = {"bench": "b", "checks": {
-            "m": {"value": 10.0, "direction": "lower", "tolerance": 0.5}}}
-        runs = [{"bench": "b", "m": v} for v in (9.0, 10.0, 11.0)]
-        out = regenerate_bands(baseline, runs, min_tolerance=0.05)
-        band = out["checks"]["m"]
-        assert band["value"] == 10.0
-        assert band["direction"] == "lower"
-        assert band["tolerance"] == pytest.approx(0.4)   # 2 * (2/10)
-
-    def test_min_max_bands_widen_by_spread(self):
-        baseline = {"bench": "b", "checks": {"m": {"min": 0.0, "max": 1.0}}}
-        runs = [{"bench": "b", "m": v} for v in (4.0, 6.0)]
-        out = regenerate_bands(baseline, runs)
-        assert out["checks"]["m"]["min"] == pytest.approx(2.0)
-        assert out["checks"]["m"]["max"] == pytest.approx(8.0)
-
-    def test_min_tolerance_floors_tight_distributions(self):
-        baseline = {"bench": "b", "checks": {
-            "m": {"value": 40.0, "direction": "lower"}}}
-        runs = [{"bench": "b", "m": 40.0}] * 3
-        out = regenerate_bands(baseline, runs, min_tolerance=0.05)
-        assert out["checks"]["m"]["tolerance"] == 0.05
-
-    def test_bench_mismatch_and_missing_path_fail(self):
-        baseline = {"bench": "b", "checks": {"m": {"min": 0.0}}}
-        with pytest.raises(HealthError):
-            regenerate_bands(baseline, [{"bench": "other", "m": 1.0}])
-        with pytest.raises(HealthError):
-            regenerate_bands(baseline, [{"bench": "b"}])
-        with pytest.raises(HealthError):
-            regenerate_bands(baseline, [])
-
-    def test_preserves_meta_and_comment(self):
-        baseline = {"bench": "b", "meta": {"hosts": 4}, "comment": "hi",
-                    "checks": {"m": {"min": 0.0}}}
-        out = regenerate_bands(baseline, [{"bench": "b", "m": 3.0}])
-        assert out["meta"] == {"hosts": 4} and out["comment"] == "hi"
 
 
 # --------------------------------------------- tracer self-observability
