@@ -63,9 +63,14 @@ class Reclaimer:
 
     # ------------------------------------------------------------ primitives
 
-    def _delete_objects(self, names, report: ReclamationReport) -> None:
+    def _delete_objects(self, names, report: ReclamationReport,
+                        keep: set[str] = frozenset()) -> None:
+        """Tombstone ``names``, except those in ``keep`` (still referenced
+        by surviving records or by another thread's workspace)."""
         swept = 0
         for name in names:
+            if name in keep:
+                continue
             if self.db.exists(name) and not self.db.is_deleted(name):
                 self.db.pin(name, False)
                 self.db.delete(name)
@@ -238,6 +243,7 @@ class Reclaimer:
         ):
             report.denied += 1
             return report
+        still_needed = self._referenced_below(set(doomed))
         for point in doomed:
             if point == self.thread.current_cursor:
                 self.thread.current_cursor = INITIAL_POINT
@@ -245,9 +251,8 @@ class Reclaimer:
             # and bumps the scope epoch itself.
             with self.thread.audit_reason("iteration abstraction"):
                 record = stream.splice_out(point)
-            self._delete_objects(
-                record.outputs + record.intermediates(), report
-            )
+            self._delete_objects(record.outputs + record.intermediates(),
+                                 report, keep=still_needed)
             report.records_pruned += 1
         self.thread.prune_point_access()
         return report
@@ -299,12 +304,13 @@ class Reclaimer:
             ):
                 report.denied += 1
                 continue
+            still_needed = self._referenced_below(set(branch))
             for point in branch:
                 record = stream.node(point).record
                 if record is not None:
                     self._delete_objects(
-                        record.outputs + record.intermediates(), report
-                    )
+                        record.outputs + record.intermediates(), report,
+                        keep=still_needed)
             with self.thread.audit_reason("dead-end branch pruning"):
                 stream.remove_points(set(branch))
             self.thread.prune_point_access()

@@ -5,7 +5,7 @@ as inputs or created as outputs by the records on the point's backward
 closure.  The current cursor's thread state is the *data scope* — the default
 context in which object names are resolved.
 
-Computation is a backward traversal with memoization on three levels:
+Computation is a backward traversal with memoization on two levels:
 
 1. **Stride caches** — selected design points store their thread state on
    their :class:`~repro.core.control_stream.RecordNode` (every
@@ -15,28 +15,33 @@ Computation is a backward traversal with memoization on three levels:
 2. **Epoch-keyed result cache** — the full thread state of recently queried
    points, valid while :attr:`ControlStream.scope_epoch` is unchanged.
    Repeated ``thread_state``/``data_scope()`` calls between mutations (the
-   rework/context-switch ping-pong the traces showed dominating
-   ``bench_scale``) are O(1) dictionary hits.
-3. **Incremental visible-versions index** — ``resolve`` used to re-parse
-   the whole frozenset on every call; now a per-point ``base → versions``
-   index is cached, and a fresh point with a cached parent derives its index
-   by applying the record's ``touched`` delta instead of re-parsing.
+   rework/context-switch ping-pong) are O(1) dictionary hits, and an append
+   below a cached point visits only its own node.
+
+The thread state is the only representation of the scope: resolution
+probes it.  The database allocates every version number (§3.2), so an
+unversioned ``base`` resolves to the first ``base@v`` found in the state,
+probing ``v`` from ``db.latest_version(base)`` down to 0 (version 0 covers
+externally numbered check-ins); a versioned name is visible when its string
+is in the state.
 
 Invalidation is centralized: every public entry point synchronizes against
-the stream's ``scope_epoch`` and drops the epoch-keyed caches when any
-state-changing mutation happened — callers never need ad-hoc
-``invalidate()`` calls around stream mutations.
+the stream's ``scope_epoch`` and drops the result cache when any
+state-changing mutation happened — callers never invalidate by hand.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import defaultdict
+from collections.abc import Collection, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.control_stream import INITIAL_POINT, ControlStream
 from repro.errors import ObjectNotFound
 from repro.obs import METRICS
 from repro.octdb.naming import ObjectName, parse_name
+
+if TYPE_CHECKING:
+    from repro.octdb.database import DesignDatabase
 
 
 class DataScope:
@@ -45,7 +50,7 @@ class DataScope:
     #: Cache the thread state of every CACHE_STRIDE-th record on a path.
     CACHE_STRIDE = 8
 
-    #: Bound on the epoch-keyed result caches (LRU eviction): enough to keep
+    #: Bound on the epoch-keyed result cache (LRU eviction): enough to keep
     #: every frontier cursor of a busy thread warm without letting a long
     #: linear history accumulate O(n) full states.
     RESULT_CACHE_SIZE = 128
@@ -53,84 +58,65 @@ class DataScope:
     def __init__(
         self,
         stream: ControlStream,
+        db: "DesignDatabase | None" = None,
         cache_stride: int | None = None,
         result_cache_size: int | None = None,
     ):
         self.stream = stream
+        #: The database that allocated the stream's versions: resolution
+        #: probes versions up to its ``latest_version``.  Thread states
+        #: alone need none.
+        self.db = db
         self.cache_stride = cache_stride if cache_stride is not None \
             else self.CACHE_STRIDE
-        #: 0 disables the epoch-keyed result caches (stride-layer ablations).
+        #: 0 disables the epoch-keyed result cache (stride-layer ablations).
         self.result_cache_size = result_cache_size \
             if result_cache_size is not None else self.RESULT_CACHE_SIZE
         #: Traversal-cost instrumentation for the caching benchmark.
         self.nodes_visited = 0
         #: Epoch-keyed full-result cache: point → thread state.
         self._state_cache: dict[int, frozenset[str]] = {}
-        #: Epoch-keyed resolution index: point → {base: sorted versions}.
-        self._vv_cache: dict[int, dict[str, list[int]]] = {}
         self._seen_stream: ControlStream | None = None
         self._seen_scope_epoch = -1
 
     # ----------------------------------------------------------- invalidation
 
     def _sync(self) -> None:
-        """Centralized invalidation: drop epoch-keyed caches if the stream
+        """Centralized invalidation: drop the result cache if the stream
         mutated underneath us (or the scope was rebound to a new stream)."""
         stream = self.stream
         if (stream is self._seen_stream
                 and stream.scope_epoch == self._seen_scope_epoch):
             return
-        if self._state_cache or self._vv_cache:
+        if self._state_cache:
             METRICS.counter("datascope.invalidations").inc()
         self._state_cache.clear()
-        self._vv_cache.clear()
         self._seen_stream = stream
         self._seen_scope_epoch = stream.scope_epoch
 
-    def invalidate(self, point: int | None = None) -> None:
-        """Drop cached states (all, or on the forward closure of a point).
-
-        Stream mutators invalidate their own damage now (epoch contract in
-        :mod:`repro.core.control_stream`); this remains for callers that
-        mutate records in place (e.g. editing ``touched`` sets directly).
-        """
-        if point is None:
-            targets = self.stream.points()
-        else:
-            targets = [point] + self.stream.descendants(point)
-        for p in targets:
-            if p in self.stream:
-                self.stream.node(p).cached_scope = None
-        self._state_cache.clear()
-        self._vv_cache.clear()
-
     def seed_from(self, other: "DataScope",
                   mapping: dict[int, int]) -> None:
-        """Warm this scope's epoch-keyed caches from another scope.
+        """Warm this scope's result cache from another scope.
 
         ``mapping`` translates the other stream's point numbers to this
         stream's (the result of :meth:`ControlStream.copy` or a root graft).
         Only valid when the mapped points' thread states are preserved — the
         caller guarantees that (cascade/join copy the lead stream verbatim).
-        Seeded values are plain state sets / version indexes, so no aliasing
-        hazard exists: both sides treat them as immutable.
+        Seeded values are frozensets, so no aliasing hazard exists.
         """
         self._sync()
         other._sync()
         for point, state in other._state_cache.items():
             target = mapping.get(point)
             if target is not None and target in self.stream:
-                self._remember(self._state_cache, target, state)
-        for point, index in other._vv_cache.items():
-            target = mapping.get(point)
-            if target is not None and target in self.stream:
-                self._remember(self._vv_cache, target, index)
+                self._remember(target, state)
 
-    def _remember(self, cache: dict, key: int, value) -> None:
+    def _remember(self, point: int, state: frozenset[str]) -> None:
         if not self.result_cache_size:
             return
-        cache.pop(key, None)
-        cache[key] = value
+        cache = self._state_cache
+        cache.pop(point, None)
+        cache[point] = state
         if len(cache) > self.result_cache_size:
             cache.pop(next(iter(cache)))
 
@@ -151,7 +137,7 @@ class DataScope:
             self._sync()
             hit = self._state_cache.get(point)
             if hit is not None:
-                self._remember(self._state_cache, point, hit)  # LRU touch
+                self._remember(point, hit)  # LRU touch
                 METRICS.counter("datascope.cache_hits").inc()
                 return hit
             METRICS.counter("datascope.cache_misses").inc()
@@ -198,75 +184,45 @@ class DataScope:
         result = resolved(point)
         assert result is not None
         if use_cache:
-            self._remember(self._state_cache, point, result)
+            self._remember(point, result)
         return result
 
     # ------------------------------------------------------------- resolution
 
-    def _parse_index(self, state: frozenset[str]) -> dict[str, list[int]]:
-        versions: dict[str, list[int]] = defaultdict(list)
-        for text in state:
-            name = parse_name(text)
-            if name.version is not None:
-                versions[name.base].append(name.version)
-        return {base: sorted(set(v)) for base, v in versions.items()}
+    def visible_versions(self, point: int, base: str,
+                         extras: Collection[str] = ()) -> Iterator[int]:
+        """The versions of ``base`` visible at ``point``, newest first.
 
-    def visible_versions(self, point: int) -> dict[str, list[int]]:
-        """Map of base name → sorted visible version numbers at ``point``.
-
-        Cached per point while the ``scope_epoch`` holds; a point whose sole
-        parent is cached derives its index by applying the record's
-        ``touched`` names as a delta instead of re-parsing the whole thread
-        state.  Callers must treat the result as read-only.
+        Probes ``base@v`` against the thread state (and ``extras``, a
+        thread's checked-in objects) from the database's latest version
+        down to 0, lazily: ``resolve`` stops at the first hit.
         """
-        self._sync()
-        hit = self._vv_cache.get(point)
-        if hit is not None:
-            self._remember(self._vv_cache, point, hit)  # LRU touch
-            METRICS.counter("datascope.cache_hits").inc()
-            return hit
-        METRICS.counter("datascope.cache_misses").inc()
-        node = self.stream.node(point)
-        index: dict[str, list[int]] | None = None
-        if node.record is not None and len(node.parents) == 1:
-            parent_index = self._vv_cache.get(node.parents[0])
-            if parent_index is not None:
-                index = {base: v[:] for base, v in parent_index.items()}
-                for text in node.record.touched:
-                    name = parse_name(text)
-                    if name.version is None:
-                        continue
-                    bucket = index.setdefault(name.base, [])
-                    if name.version not in bucket:
-                        insort(bucket, name.version)
-        if index is None:
-            index = self._parse_index(self.thread_state(point))
-        self._remember(self._vv_cache, point, index)
-        return index
+        state = self.thread_state(point)
+        for version in range(self.db.latest_version(base), -1, -1):
+            text = f"{base}@{version}"
+            if text in state or text in extras:
+                yield version
 
-    def resolve(self, point: int, name: str | ObjectName) -> ObjectName:
+    def resolve(self, point: int, name: str | ObjectName,
+                extras: Collection[str] = ()) -> ObjectName:
         """Resolve a (possibly unversioned) name against the data scope.
 
         Unversioned names resolve to the most recent visible version (§5.2);
-        explicitly versioned names must themselves be visible.
+        explicitly versioned names must themselves be visible.  ``extras``
+        are versioned names visible in addition to the thread state.
         """
         oname = parse_name(name) if isinstance(name, str) else name
-        versions = self.visible_versions(point).get(oname.base, [])
         if oname.version is None:
-            if not versions:
+            newest = next(self.visible_versions(point, oname.base, extras),
+                          None)
+            if newest is None:
                 raise ObjectNotFound(
                     f"{oname.base!r} is not visible from design point {point}"
                 )
-            return oname.at(versions[-1])
-        if oname.version not in versions:
+            return oname.at(newest)
+        text = str(oname)
+        if text not in self.thread_state(point) and text not in extras:
             raise ObjectNotFound(
                 f"{oname} is not visible from design point {point}"
             )
         return oname
-
-    def is_visible(self, point: int, name: str | ObjectName) -> bool:
-        try:
-            self.resolve(point, name)
-            return True
-        except ObjectNotFound:
-            return False

@@ -50,7 +50,7 @@ class DesignThread:
         #: LWT system creates or adopts it (None for an unadopted fork).
         self.lwt: "LWTSystem | None" = None
         self.stream = ControlStream()
-        self.scope = DataScope(self.stream)
+        self.scope = DataScope(self.stream, db)
         #: Derivation cache (build avoidance): committed steps seed it, the
         #: task execution engine consults it at dispatch.  Fork/cascade/join
         #: chain caches along lineage; set to None to force re-execution.
@@ -59,12 +59,6 @@ class DesignThread:
         #: Objects checked in from outside (paths, SDS retrievals): visible
         #: from every design point of this thread.
         self.extra_objects: set[str] = set()
-        #: Lazily rebuilt index over ``extra_objects`` (base → versions),
-        #: keyed by the set's size: ``resolve`` used to re-parse every extra
-        #: on every call, which dominated lookups in forked threads that
-        #: inherit large workspaces.
-        self._extras_index: dict[str, list[int]] = {}
-        self._extras_index_size = -1
         #: Read-only imported threads (§3.3.4.2), name → live reference.
         self.imports: dict[str, "DesignThread"] = {}
         #: Change notifications delivered by synchronization data spaces.
@@ -260,46 +254,11 @@ class DesignThread:
     def resolve(self, name: str | ObjectName) -> ObjectName:
         """Resolve an object name in the current data scope (§5.2).
 
-        Unversioned names get the most recent visible version; explicit
-        versions must be visible.  Checked-in extras resolve to their latest
-        checked-in version.
+        Unversioned names get the most recent version visible at the cursor
+        or checked in; explicit versions must be one or the other.
         """
-        oname = parse_name(name) if isinstance(name, str) else name
-        extra_versions = self._extra_versions(oname.base)
-        try:
-            resolved = self.scope.resolve(self.current_cursor, oname)
-            if oname.version is None and extra_versions:
-                return oname.at(max(resolved.version, extra_versions[-1]))
-            return resolved
-        except ObjectNotFound:
-            if oname.version is None and extra_versions:
-                return oname.at(extra_versions[-1])
-            if oname.version is not None and oname.version in extra_versions:
-                return oname
-            raise
-
-    def _extra_versions(self, base: str) -> list[int]:
-        """Sorted checked-in versions of ``base`` (index rebuilt lazily).
-
-        The index is keyed on the set's size: every in-tree mutation either
-        adds names (``check_in``, SDS retrieval, fork inheritance) or
-        replaces the set on a freshly created thread (persistence load), so
-        a size match means the index is current.  Entries without a version
-        are skipped: an extra checked in at version 0 (legal for externally
-        numbered objects) is a real version, distinct from an unversioned
-        entry (which names no version at all).
-        """
-        if self._extras_index_size != len(self.extra_objects):
-            index: dict[str, list[int]] = {}
-            for text in self.extra_objects:
-                name = parse_name(text)
-                if name.version is not None:
-                    index.setdefault(name.base, []).append(name.version)
-            for versions in index.values():
-                versions.sort()
-            self._extras_index = index
-            self._extras_index_size = len(self.extra_objects)
-        return self._extras_index.get(base, [])
+        return self.scope.resolve(self.current_cursor, name,
+                                  self.extra_objects)
 
     def is_visible(self, name: str | ObjectName) -> bool:
         try:

@@ -99,9 +99,9 @@ def cascade(
     _require_frontier(lead, connector, "cascade")
     merged = DesignThread(name, db=lead.db, owner=lead.owner, clock=lead.clock)
     merged.stream, lead_map = lead.stream.copy()
-    merged.scope = DataScope(merged.stream)
+    merged.scope = DataScope(merged.stream, merged.db)
     # The copy preserves the lead points' thread states (and carries their
-    # per-node stride caches); warm the merged scope's result caches too so
+    # per-node stride caches); warm the merged scope's result cache too so
     # the first lookups after a cascade are O(1) instead of full traversals.
     merged.scope.seed_from(lead.scope, lead_map)
     merged.memo = DerivationCache(merged.stream,
@@ -143,7 +143,7 @@ def join(
     merged = DesignThread(name, db=first.db, owner=first.owner,
                           clock=first.clock)
     merged.stream, first_map = first.stream.copy()
-    merged.scope = DataScope(merged.stream)
+    merged.scope = DataScope(merged.stream, merged.db)
     merged.scope.seed_from(first.scope, first_map)
     merged.memo = DerivationCache(merged.stream,
                                   parents=_lineage(first, second))

@@ -21,6 +21,7 @@ from repro.cad import default_registry
 from repro.clock import VirtualClock
 from repro.core import LWTSystem
 from repro.core.control_stream import INITIAL_POINT
+from repro.core.thread_ops import fork
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
 from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
@@ -422,6 +423,18 @@ class TestReclamation:
             assert point not in am.thread.stream
         assert am.thread.is_visible("i.final")
         assert "i.round0@1" in report.objects_deleted
+
+    def test_iteration_abstraction_spares_versions_a_fork_holds(self, env):
+        am, lwt, seed, clk = env
+        rounds = [am.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                            {"Outcell": "p.logic"}) for _ in range(3)]
+        child = lwt.adopt_thread(fork(am.thread, "F", inherit="state"))
+        assert {"p.logic@1", "p.logic@2"} <= child.workspace()
+        report = Reclaimer(am.thread).abstract_iterations(rounds)
+        assert report.records_pruned == 2
+        lwt.db.reclaim(grace_seconds=0)
+        assert all(lwt.db.exists(name) for name in child.workspace())
+        assert lwt.db.get(child.resolve("p.logic@1")).payload is not None
 
     def test_dead_branch_pruning(self, env):
         am, lwt, seed, clk = env

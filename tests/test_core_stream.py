@@ -9,11 +9,22 @@ from repro.core.control_stream import INITIAL_POINT, ControlStream
 from repro.core.datascope import DataScope
 from repro.core.history import HistoryRecord, StepRecord
 from repro.errors import ThreadError
+from repro.octdb.database import DesignDatabase
 
 
 def rec(task="t", ins=(), outs=(), steps=()):
     return HistoryRecord(task=task, inputs=tuple(ins), outputs=tuple(outs),
                          steps=tuple(steps))
+
+
+def _db_holding(versions: dict[str, int]) -> DesignDatabase:
+    """A database that has allocated ``versions[base]`` versions of each
+    base: resolution probes versions up to the database's latest."""
+    db = DesignDatabase()
+    for base, count in versions.items():
+        for _ in range(count):
+            db.put(base, f"payload:{base}")
+    return db
 
 
 class TestHistoryRecord:
@@ -234,7 +245,7 @@ class TestDataScope:
         cs = ControlStream()
         p1 = cs.append(rec("a", outs=["x@1"]), INITIAL_POINT)
         p2 = cs.append(rec("b", ins=["x@1"], outs=["x@2"]), p1)
-        scope = DataScope(cs)
+        scope = DataScope(cs, _db_holding({"x": 2}))
         assert scope.resolve(p2, "x").version == 2
         assert scope.resolve(p1, "x").version == 1
         assert scope.resolve(p2, "x@1").version == 1
@@ -244,21 +255,13 @@ class TestDataScope:
 
         cs = ControlStream()
         p1 = cs.append(rec("a", outs=["x@1"]), INITIAL_POINT)
-        scope = DataScope(cs)
+        scope = DataScope(cs, _db_holding({"x": 1, "y": 1}))
         with pytest.raises(ObjectNotFound):
             scope.resolve(p1, "y")
         with pytest.raises(ObjectNotFound):
             scope.resolve(p1, "x@9")
         with pytest.raises(ObjectNotFound):
             scope.resolve(INITIAL_POINT, "x")
-
-    def test_invalidate(self):
-        cs, points = self._linear(16)
-        scope = DataScope(cs, cache_stride=2)
-        scope.thread_state(points[-1])
-        assert any(cs.node(p).cached_scope is not None for p in points)
-        scope.invalidate()
-        assert all(cs.node(p).cached_scope is None for p in points)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=100),

@@ -387,6 +387,8 @@ class TestLineageNamesOnlyLiveVersions:
     @example(ops=[("fork", 0), ("logic", 1), ("reclaim", 0)])
     @example(ops=[("logic", 0), ("fork", 0), ("logic", 0), ("reclaim", 0),
                   ("pla", 1)])
+    @example(ops=[("logic", 0), ("fork", 0), ("rework", 0), ("reclaim", 0),
+                  ("pla", 1)])
     def test_random_history(self, ops):
         from repro.activity.manager import ActivityManager
 

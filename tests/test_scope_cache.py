@@ -1,7 +1,7 @@
 """Epoch-keyed data-scope caching: invalidation contract + bugfix sweep.
 
-Covers the ControlStream mutation epochs, the DataScope result /
-visible-versions caches, centralized invalidation, and regression tests for
+Covers the ControlStream mutation epochs, the DataScope result cache and
+probed resolution, centralized invalidation, and regression tests for
 the cache-consistency bugs the sweep fixed:
 
 * ``splice_out`` leaving deleted objects resolvable through stale caches;
@@ -23,6 +23,8 @@ from repro.core.control_stream import INITIAL_POINT, ControlStream
 from repro.core.datascope import DataScope
 from repro.errors import ObjectNotFound, ThreadError
 from repro.obs import METRICS
+from repro.octdb.database import DesignDatabase
+from repro.octdb.naming import parse_name
 
 
 def rec(task="t", ins=(), outs=()):
@@ -33,6 +35,18 @@ def rec(task="t", ins=(), outs=()):
 @pytest.fixture
 def system():
     return LWTSystem(clock=VirtualClock())
+
+
+def _newest_versions(state) -> dict[str, int]:
+    """Reference resolution, by parsing: base → newest version in a
+    thread state."""
+    newest: dict[str, int] = {}
+    for text in state:
+        name = parse_name(text)
+        if name.version is not None:
+            newest[name.base] = max(name.version,
+                                    newest.get(name.base, name.version))
+    return newest
 
 
 def make_rec(system, task, ins=(), outs=()):
@@ -150,14 +164,19 @@ class TestResultCache:
         scope.stream = other
         assert scope.thread_state(other.frontier()[0]) >= {"extra@1", "o7@1"}
 
-    def test_visible_versions_delta_matches_full_parse(self):
+    def test_visible_versions_probes_one_base(self):
+        db = DesignDatabase()
+        for base in ("x", "x", "y"):
+            db.put(base, f"payload:{base}")
         cs = ControlStream()
         p1 = cs.append(rec("a", outs=["x@1"]), INITIAL_POINT)
-        scope = DataScope(cs)
-        assert scope.visible_versions(p1) == {"x": [1]}
+        scope = DataScope(cs, db)
+        assert list(scope.visible_versions(p1, "x")) == [1]
         p2 = cs.append(rec("b", ins=["x@1"], outs=["x@2", "y@1"]), p1)
-        # p1's index is cached: p2's must be derived by delta, and agree.
-        assert scope.visible_versions(p2) == {"x": [1, 2], "y": [1]}
+        # p1's state is cached: p2's extends it, and both bases probe right.
+        assert list(scope.visible_versions(p2, "x")) == [2, 1]
+        assert list(scope.visible_versions(p2, "y")) == [1]
+        assert list(scope.visible_versions(p1, "y")) == []
         assert scope.resolve(p2, "x").version == 2
         assert scope.resolve(p1, "x").version == 1
 
@@ -311,11 +330,13 @@ class TestMutatorCacheConsistency:
     )
     def test_cached_equals_uncached_after_any_mutation(self, ops, stride):
         cs = ControlStream()
-        scope = DataScope(cs, cache_stride=stride)
+        db = DesignDatabase()
+        scope = DataScope(cs, db, cache_stride=stride)
         counter = itertools.count()
 
         def fresh_rec():
             i = next(counter)
+            db.put(f"o{i}", i)
             return rec(f"t{i}", outs=[f"o{i}@1"])
 
         for code, pick in ops:
@@ -358,5 +379,10 @@ class TestMutatorCacheConsistency:
             for p in cs.points():
                 expected = scope.thread_state(p, use_cache=False)
                 assert scope.thread_state(p, use_cache=True) == expected
-                assert scope.visible_versions(p) == \
-                    scope._parse_index(expected)
+                newest = _newest_versions(expected)
+                for base in db.bases():
+                    if base in newest:
+                        assert scope.resolve(p, base).version == newest[base]
+                    else:
+                        with pytest.raises(ObjectNotFound):
+                            scope.resolve(p, base)
