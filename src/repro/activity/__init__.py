@@ -10,12 +10,10 @@ time/annotation random access, and runs the storage reclaimer.
 
 from repro.activity.manager import ActivityManager, PendingInvocation
 from repro.activity.viewport import Viewport, grid_layout, render_stream
-from repro.activity.access import HourIndex
 from repro.activity.reclamation import Reclaimer, ReclamationReport
 
 __all__ = [
     "ActivityManager",
-    "HourIndex",
     "PendingInvocation",
     "ReclamationReport",
     "Reclaimer",

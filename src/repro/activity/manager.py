@@ -4,14 +4,13 @@ One activity manager per design thread.  Users (or scripted designers) invoke
 tasks by name with user-format object names; the manager resolves names
 against the current data scope, captures the invocation path, spawns a task
 manager, and attaches the committed history record per the §5.3 insertion
-rule.  Task filtering (§5.4) and display/index maintenance also live here.
+rule.  Task filtering (§5.4) and display maintenance also live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.activity.access import HourIndex
 from repro.activity.viewport import GridPlacement, Viewport
 # Kept importable here: the e2e benchmark traces grid_layout as bound here.
 from repro.activity.viewport import grid_layout  # noqa: F401
@@ -45,10 +44,10 @@ class ActivityManager:
         #: Task names the activity manager does not maintain history for
         #: ("facility" tasks such as printing, §5.4).
         self.filters: set[str] = set()
-        self.viewport = Viewport()
+        self._viewport = Viewport()
+        self._viewport_epoch = thread.stream.scope_epoch
         #: Places each committed record's cell once, incrementally.
         self._placement = GridPlacement(thread.stream)
-        self.hour_index = HourIndex()
         #: In-flight invocation paths: maps a PendingInvocation to the tip of
         #: its logical path, advanced as its records commit.
         self._pending: list[PendingInvocation] = []
@@ -57,6 +56,23 @@ class ActivityManager:
         #: same cursor chain on one logical path only within an epoch; a
         #: rework starts a new path (the thesis's "path number").
         self._path_epoch = 0
+
+    @property
+    def viewport(self) -> Viewport:
+        """The display model, without the points that left the stream.
+
+        Every removal (erase, reclamation, journal replay) bumps the
+        stream's ``scope_epoch``; the items and placement rows of vanished
+        points are dropped lazily on the first read after it moves.
+        """
+        stream = self.thread.stream
+        if stream.scope_epoch != self._viewport_epoch:
+            self._viewport_epoch = stream.scope_epoch
+            for point in [p for p in self._viewport._items
+                          if p not in stream]:
+                self._viewport.remove_item(point)
+                self._placement.rows.pop(point, None)
+        return self._viewport
 
     # ------------------------------------------------------------ invocation
 
@@ -159,7 +175,6 @@ class ActivityManager:
         placement = self._placement
         self.viewport.add_item(point, placement.place(
             point, placement.rows.get(parent, 0)))
-        self.hour_index.add(point, record.recorded_at)
         return point
 
     # ------------------------------------------------------------ navigation
@@ -167,18 +182,11 @@ class ActivityManager:
     def move_cursor(self, point: int, erase: bool = False) -> None:
         self._path_epoch += 1
         self.thread.move_cursor(point, erase=erase)
-        if erase:
-            for missing in [
-                p for p in list(self.viewport._items) if p not in
-                self.thread.stream
-            ]:
-                self.viewport.remove_item(missing)
-                self._placement.rows.pop(missing, None)
-                self.hour_index.remove(missing)
 
     def go_to_time(self, when: float) -> int | None:
-        """Move the cursor via the hour-resolution time index (§5.2)."""
-        point = self.hour_index.lookup(when)
+        """Hour-resolution random access (§5.2): move the cursor to the
+        first record of ``when``'s hour, else the next closest after it."""
+        point = self.thread.find_time(when // 3600 * 3600)
         if point is not None:
             self.move_cursor(point)
         return point

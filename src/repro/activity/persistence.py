@@ -515,13 +515,9 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
         lwt.clock.advance_to(entry["at"])
         thread.move_cursor(entry["point"], erase=entry["erase"])
     elif op == "erase":
-        thread = lwt.thread(entry["thread"])
-        thread.stream.remove_points(set(entry["points"]))
-        thread.prune_point_access()
+        lwt.thread(entry["thread"]).stream.remove_points(set(entry["points"]))
     elif op == "splice_out":
-        thread = lwt.thread(entry["thread"])
-        thread.stream.splice_out(entry["point"])
-        thread.prune_point_access()
+        lwt.thread(entry["thread"]).stream.splice_out(entry["point"])
     elif op == "replace_region":
         thread = lwt.thread(entry["thread"])
         summary = record_from_dict(entry["summary"])
@@ -531,9 +527,6 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
                 "journal replay diverged: replace_region summary landed on "
                 f"point {point}, journal says {entry['summary_point']}"
             )
-        thread.prune_point_access()
-        if thread.current_cursor not in thread.stream:
-            thread.current_cursor = INITIAL_POINT
     elif op == "annotate":
         lwt.thread(entry["thread"]).stream.record(
             entry["point"]).annotation = entry["text"]

@@ -44,6 +44,12 @@ class ReclamationReport:
     objects_deleted: list[str] = field(default_factory=list)
     denied: int = 0
 
+    def swept(self, names: list[str]) -> None:
+        """Count the versions a pass retired."""
+        self.objects_deleted += names
+        if names:
+            METRICS.counter("reclaim.objects_swept").inc(len(names))
+
     def __add__(self, other: "ReclamationReport") -> "ReclamationReport":
         return ReclamationReport(
             self.records_abstracted + other.records_abstracted,
@@ -60,42 +66,6 @@ class Reclaimer:
         self.thread = thread
         self.db = thread.db
         self.approve = approve
-
-    # ------------------------------------------------------------ primitives
-
-    def _delete_objects(self, names, report: ReclamationReport,
-                        keep: set[str] = frozenset()) -> None:
-        """Tombstone ``names``, except those in ``keep`` (still referenced
-        by surviving records or by another thread's workspace)."""
-        swept = 0
-        for name in names:
-            if name in keep:
-                continue
-            if self.db.exists(name) and not self.db.is_deleted(name):
-                self.db.pin(name, False)
-                self.db.delete(name)
-                report.objects_deleted.append(name)
-                swept += 1
-        if swept:
-            METRICS.counter("reclaim.objects_swept").inc(swept)
-
-    def _referenced_below(self, removed_points: set[int]) -> set[str]:
-        """Object names used as inputs by records outside ``removed_points``,
-        or held in the workspace of another thread of the installation (a
-        fork inherits its source's versions as checked-in objects)."""
-        stream = self.thread.stream
-        used: set[str] = set()
-        lwt = self.thread.lwt
-        for other in lwt.threads.values() if lwt is not None else ():
-            if other is not self.thread:
-                used |= other.workspace()
-        for point in stream.points():
-            if point in removed_points:
-                continue
-            node = stream.node(point)
-            if node.record is not None:
-                used.update(node.record.inputs)
-        return used
 
     # -------------------------------------------------------- vertical aging
 
@@ -116,7 +86,7 @@ class Reclaimer:
             if not self.approve(f"abstract record {record.task}#{record.instance}"):
                 report.denied += 1
                 continue
-            self._delete_objects(record.intermediates(), report)
+            report.swept(self.thread.retire(record.intermediates()))
             with self.thread.audit_reason("vertical aging"):
                 self.thread.stream.abstract(point)
             report.records_abstracted += 1
@@ -128,9 +98,10 @@ class Reclaimer:
         """Collapse the root-anchored region of records past their age into a
         single archived summary (Fig 5.8's ``*`` marker).
 
-        Outputs of pruned records that later records still read survive (the
-        summary carries them, keeping every thread state consistent); the
-        rest are deleted.
+        Outputs of pruned records that are still held (read by later
+        records or in another thread's workspace) survive: the summary
+        carries them, keeping every thread state consistent.  The rest
+        retire.
         """
         report = ReclamationReport()
         stream = self.thread.stream
@@ -159,16 +130,11 @@ class Reclaimer:
         if not self.approve(description):
             report.denied += 1
             return report
-        still_needed = self._referenced_below(old)
-        kept: list[str] = []
-        doomed: list[str] = []
-        for point in old:
-            record = stream.node(point).record
-            assert record is not None
-            for name in record.outputs + record.intermediates():
-                (kept if name in still_needed else doomed).append(name)
+        names = [name for point in old
+                 for name in stream.record(point).created]
+        kept = self.thread.held(excluding=old).intersection(names)
         summary = HistoryRecord(
-            task="*", inputs=(), outputs=tuple(sorted(set(kept))), steps=(),
+            task="*", inputs=(), outputs=tuple(sorted(kept)), steps=(),
             annotation="archived by horizontal aging",
         )
         summary.recorded_at = now
@@ -177,11 +143,9 @@ class Reclaimer:
         # contract) — no ad-hoc scope.invalidate() needed.
         with self.thread.audit_reason("horizontal aging"):
             stream.replace_region(old, summary)
-        self.thread.prune_point_access()
-        self._delete_objects(doomed, report)
+        # The summary now touches the kept names, so only the rest retire.
+        report.swept(self.thread.retire(names))
         report.records_pruned += len(old)
-        if self.thread.current_cursor not in stream:
-            self.thread.current_cursor = INITIAL_POINT
         return report
 
     # ------------------------------------------------- iteration abstraction
@@ -243,18 +207,15 @@ class Reclaimer:
         ):
             report.denied += 1
             return report
-        still_needed = self._referenced_below(set(doomed))
+        names: list[str] = []
         for point in doomed:
-            if point == self.thread.current_cursor:
-                self.thread.current_cursor = INITIAL_POINT
             # splice_out invalidates the forward closure's cached scopes
             # and bumps the scope epoch itself.
             with self.thread.audit_reason("iteration abstraction"):
                 record = stream.splice_out(point)
-            self._delete_objects(record.outputs + record.intermediates(),
-                                 report, keep=still_needed)
-            report.records_pruned += 1
-        self.thread.prune_point_access()
+            names += record.created
+        report.swept(self.thread.retire(names))
+        report.records_pruned += len(doomed)
         return report
 
     # ------------------------------------------------- dead-end branch GC
@@ -304,16 +265,10 @@ class Reclaimer:
             ):
                 report.denied += 1
                 continue
-            still_needed = self._referenced_below(set(branch))
-            for point in branch:
-                record = stream.node(point).record
-                if record is not None:
-                    self._delete_objects(
-                        record.outputs + record.intermediates(), report,
-                        keep=still_needed)
             with self.thread.audit_reason("dead-end branch pruning"):
-                stream.remove_points(set(branch))
-            self.thread.prune_point_access()
+                removed = stream.remove_points(set(branch))
+            report.swept(self.thread.retire(
+                [name for record in removed for name in record.created]))
             report.records_pruned += len(branch)
         return report
 

@@ -1,6 +1,6 @@
 """Virtual clock shared by all Papyrus subsystems.
 
-The thesis timestamps history records, drives hour-resolution time indexes,
+The thesis timestamps history records, drives hour-resolution random access,
 and ages objects for reclamation.  Real wall-clock time would make every test
 and benchmark nondeterministic, so all subsystems read time from a
 :class:`VirtualClock` that only advances when told to.  The cluster simulator
@@ -92,10 +92,6 @@ class VirtualClock:
             if self.on_advance:
                 self._notify_advance(old)
         return self._now
-
-    def hour(self) -> int:
-        """The hour bucket of the current time (used by the history index)."""
-        return int(self._now // 3600)
 
 
 #: Default clock used when a subsystem is constructed without an explicit one.

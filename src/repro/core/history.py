@@ -71,6 +71,11 @@ class HistoryRecord:
                     seen.append(name)
         return tuple(seen)
 
+    @property
+    def created(self) -> tuple[str, ...]:
+        """Every version the task created: outputs, then intermediates."""
+        return self.outputs + self.intermediates()
+
     def summary(self) -> str:
         return (
             f"{self.task}#{self.instance} "

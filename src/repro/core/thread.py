@@ -88,8 +88,18 @@ class DesignThread:
         stream.listener = self._on_stream
 
     def _on_stream(self, kind: str, details: dict) -> None:
-        """Audit a destructive stream mutation here, at the choke point
-        every caller goes through, then publish it to the change feed."""
+        """React to a stream mutation here, at the choke point every caller
+        (rework, reclamation, journal replay, shell) goes through: forget
+        the access times of removed points, move a cursor left on one to
+        the initial point, audit a destructive mutation, then publish it
+        to the change feed."""
+        if kind in ("erase", "replace_region", "splice_out"):
+            gone = details["points"] if "points" in details \
+                else (details["point"],)
+            for point in gone:
+                self.point_access.pop(point, None)
+            if self.current_cursor not in self._stream:
+                self.current_cursor = INITIAL_POINT
         audited = DESTRUCTIVE.get(kind)
         if audited is not None:
             from repro.obs.provenance import AUDIT
@@ -205,36 +215,51 @@ class DesignThread:
         with self.audit_reason(self._audit_reason or "erase-on-rework"), \
                 self._composite():
             removed = self.stream.remove_points(doomed)
-        self.prune_point_access()
         METRICS.counter("thread.branches_erased").inc()
         if TRACER.enabled:
             TRACER.event("thread.erase", cat="thread", thread=self.name,
                          points=len(removed))
-        # Reference-aware deletion: erasing a branch must never tombstone a
-        # version that a surviving record still claims as an output (records
-        # imported, grafted or spliced from elsewhere can share names).
-        surviving: set[str] = set()
-        for record in self.stream.records():
-            surviving.update(record.outputs)
-        for record in removed:
-            for name in record.outputs + record.intermediates():
-                if name in surviving:
-                    continue
-                if self.db.exists(name) and not self.db.is_deleted(name):
-                    self.db.delete(name)
+        self.retire([name for record in removed for name in record.created])
         self.db.publish(self, "cursor", point=point, erase=True,
                         at=self.clock.now)
 
-    def prune_point_access(self) -> None:
-        """Drop access times of points no longer in the stream.
+    # ------------------------------------------------------------- retirement
 
-        Erase and reclamation paths remove design points; without pruning,
-        the dead-end-branch GC's input (``point_access``) grows unboundedly
-        with stale point ids.
-        """
-        stale = [p for p in self.point_access if p not in self.stream]
-        for p in stale:
-            del self.point_access[p]
+    def held(self, excluding: set[int] | frozenset[int] = frozenset()
+             ) -> set[str]:
+        """Versions still needed: touched by a record of this stream outside
+        the points ``excluding``, held in the workspace of another thread of
+        the installation (a fork inherits its source's versions), or in one
+        of its synchronization data spaces (any member may retrieve it)."""
+        names: set[str] = set()
+        for point in self.stream.points():
+            record = self.stream.node(point).record
+            if record is not None and point not in excluding:
+                names.update(record.touched)
+        lwt = self.lwt
+        if lwt is not None:
+            for other in lwt.threads.values():
+                if other is not self:
+                    names |= other.workspace()
+            for space in lwt.spaces.values():
+                names |= space.objects()
+        return names
+
+    def retire(self, names: list[str] | tuple[str, ...]) -> list[str]:
+        """The one retirement rule for versions whose history is removed
+        (erase-on-rework and every §5.4 reclamation pass): unpin and
+        tombstone each live version of ``names`` that :meth:`held` does
+        not name, so ``db.reclaim`` frees it.  Returns the names retired."""
+        live = [name for name in dict.fromkeys(names)
+                if self.db.exists(name) and not self.db.is_deleted(name)]
+        if not live:
+            return []
+        keep = self.held()
+        retired = [name for name in live if name not in keep]
+        for name in retired:
+            self.db.pin(name, False)
+            self.db.delete(name)
+        return retired
 
     # ------------------------------------------------------------- visibility
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.activity import ActivityManager, Reclaimer, render_stream
-from repro.activity.access import HourIndex
 from repro.activity.viewport import (
     GRID,
     EagerViewport,
@@ -21,6 +20,7 @@ from repro.cad import default_registry
 from repro.clock import VirtualClock
 from repro.core import LWTSystem
 from repro.core.control_stream import INITIAL_POINT
+from repro.core.history import HistoryRecord
 from repro.core.thread_ops import fork
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
@@ -172,22 +172,51 @@ class TestInvocation:
         assert any("sh.sc.pad" in n for n in ws)
 
 
-class TestAccess:
-    def test_hour_index_lookup(self):
-        index = HourIndex()
-        index.add(1, 100.0)          # hour 0
-        index.add(2, 3700.0)         # hour 1
-        index.add(3, 3800.0)         # hour 1, later
-        assert index.lookup(0.0) == 1
-        assert index.lookup(3650.0) == 2    # first record within hour 1
-        assert index.lookup(7300.0) is None  # nothing at/after hour 2
-        assert index.hours() == [0, 1]
+def hour_records(am, clk, times):
+    """Commit one bare record at each virtual time, in a chain."""
+    points = []
+    for at in times:
+        clk.advance(at - clk.now)
+        points.append(am.commit(HistoryRecord(
+            task="t", inputs=(), outputs=(), steps=())))
+    return points
 
-    def test_hour_index_next_closest(self):
-        index = HourIndex()
-        index.add(5, 2 * 3600.0 + 10)
+
+class TestAccess:
+    def test_hour_index_lookup(self, env):
+        am, lwt, seed, clk = env
+        p1, p2, _ = hour_records(am, clk, [100.0, 3700.0, 3800.0])
+        assert am.go_to_time(0.0) == p1
+        assert am.go_to_time(3650.0) == p2  # first record within hour 1
+        assert am.go_to_time(7300.0) is None  # nothing at/after hour 2
+        assert am.thread.current_cursor == p2
+
+    def test_hour_index_next_closest(self, env):
+        am, lwt, seed, clk = env
+        (point,) = hour_records(am, clk, [2 * 3600.0 + 10])
         # empty hour 1 -> next closest after
-        assert index.lookup(3600.0) == 5
+        assert am.go_to_time(3600.0) == point
+
+    def test_go_to_time_after_iteration_abstraction(self, env):
+        am, lwt, seed, clk = env
+        rounds = [am.invoke("Create_Logic_Description",
+                            {"Spec": "adder.spec"}, {"Outcell": "g.logic"})
+                  for _ in range(3)]
+        Reclaimer(am.thread).abstract_iterations(rounds)
+        assert am.go_to_time(0.0) == rounds[-1]
+
+    def test_go_to_time_after_erasing_a_sibling(self, env):
+        am, lwt, seed, clk = env
+        first = am.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                          {"Outcell": "s.logic"})
+        am.move_cursor(INITIAL_POINT)
+        second = am.invoke("Create_Logic_Description",
+                           {"Spec": "adder.spec"}, {"Outcell": "t.logic"})
+        assert all(am.thread.stream.record(p).recorded_at < 3600
+                   for p in (first, second))
+        am.move_cursor(first)
+        am.move_cursor(INITIAL_POINT, erase=True)
+        assert am.go_to_time(0.0) == second
 
     def test_go_to_time_and_annotation(self, env):
         am, lwt, seed, clk = env
@@ -309,6 +338,15 @@ class TestViewport:
             parent = stream.node(point).parents[0]
             parent_x = cells[parent][0] if parent in cells else 0
             assert x == parent_x + GRID
+
+    def test_viewport_drops_points_reclamation_removed(self, env):
+        am, lwt, seed, clk = env
+        rounds = [am.invoke("Create_Logic_Description",
+                            {"Spec": "adder.spec"}, {"Outcell": "v.logic"})
+                  for _ in range(3)]
+        Reclaimer(am.thread).abstract_iterations(rounds)
+        assert set(am.viewport._items) == {rounds[-1]}
+        assert set(am._placement.rows) == {rounds[-1]}
 
     def test_render_stream(self, env):
         am, lwt, seed, _ = env
@@ -435,6 +473,38 @@ class TestReclamation:
         lwt.db.reclaim(grace_seconds=0)
         assert all(lwt.db.exists(name) for name in child.workspace())
         assert lwt.db.get(child.resolve("p.logic@1")).payload is not None
+
+    def test_erase_on_rework_frees_the_erased_outputs(self, env):
+        am, lwt, seed, clk = env
+        am.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                  {"Outcell": "p.logic"})
+        am.move_cursor(INITIAL_POINT, erase=True)
+        clk.advance(60 * 24 * 3600)
+        Reclaimer(am.thread).sweep(reclaim_grace=0)
+        lwt.db.reclaim(grace_seconds=0)
+        assert not lwt.db.exists("p.logic@1")
+
+    def test_erase_on_rework_spares_versions_a_fork_holds(self, env):
+        am, lwt, seed, clk = env
+        am.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                  {"Outcell": "p.logic"})
+        child = lwt.adopt_thread(fork(am.thread, "F", inherit="state"))
+        am.move_cursor(INITIAL_POINT, erase=True)
+        assert str(child.resolve("p.logic")) == "p.logic@1"
+        assert not lwt.db.is_deleted("p.logic@1")
+        lwt.db.reclaim(grace_seconds=0)
+        assert lwt.db.get("p.logic@1").payload is not None
+
+    def test_erase_on_rework_spares_versions_an_sds_holds(self, env):
+        am, lwt, seed, clk = env
+        am.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                  {"Outcell": "q.logic"})
+        other = lwt.create_thread("U", owner="u")
+        space = lwt.create_sds("S", [am.thread, other])
+        space.contribute(am.thread, "q.logic")
+        am.move_cursor(INITIAL_POINT, erase=True)
+        lwt.db.reclaim(grace_seconds=0)
+        assert not lwt.db.is_deleted(space.retrieve(other, "q.logic"))
 
     def test_dead_branch_pruning(self, env):
         am, lwt, seed, clk = env

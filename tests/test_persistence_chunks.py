@@ -388,6 +388,24 @@ class TestPersistentSession:
         record = restored.thread("alpha").stream.record(p1)
         assert record.abstracted and record.steps == ()
 
+    def test_cursor_on_a_spliced_out_round_replays(self, lwt, tmp_path):
+        thread = lwt.create_thread("alpha", owner="a")
+        session = PersistentSession(lwt, tmp_path / "s")
+        session.save()
+        rounds = []
+        for _ in range(3):
+            out = lwt.db.put("p.logic", {"v": len(rounds)})
+            rounds.append(thread.commit_record(make_record(
+                "Create_Logic_Description", outputs=(str(out.name),))))
+        thread.move_cursor(rounds[1])
+        session.save()
+        Reclaimer(thread).abstract_iterations(rounds)
+        session.save()
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert thread.current_cursor == 0
+        assert restored.thread("alpha").current_cursor == 0
+
     def test_unjournalable_structure_promotes_to_checkpoint(
             self, lwt, tmp_path):
         from repro.core.thread_ops import fork

@@ -389,6 +389,7 @@ class TestLineageNamesOnlyLiveVersions:
                   ("pla", 1)])
     @example(ops=[("logic", 0), ("fork", 0), ("rework", 0), ("reclaim", 0),
                   ("pla", 1)])
+    @example(ops=[("logic", 0), ("pla", 0), ("fork", 0), ("erase", 2)])
     def test_random_history(self, ops):
         from repro.activity.manager import ActivityManager
 
@@ -427,3 +428,11 @@ class TestLineageNamesOnlyLiveVersions:
                     named.add(graph.alias_source(name))
                 missing = sorted(n for n in named if not db.exists(n))
                 assert not missing, (op, name, missing)
+            # No thread can see a retired version, and no thread keeps a
+            # cursor or an access time on a point that left its stream.
+            for each in papyrus.lwt.threads.values():
+                retired = sorted(n for n in each.workspace()
+                                 if not db.exists(n) or db.is_deleted(n))
+                assert not retired, (op, each.name, retired)
+                assert each.current_cursor in each.stream
+                assert set(each.point_access) <= set(each.stream.points())
