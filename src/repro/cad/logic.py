@@ -29,7 +29,7 @@ class Cube(str):
     __slots__ = ()
 
     def __new__(cls, text: str) -> "Cube":
-        if not text or any(ch not in "01-" for ch in text):
+        if not text or text.strip("01-"):
             raise ValueError(f"bad cube {text!r}")
         return super().__new__(cls, text)
 
@@ -40,17 +40,17 @@ class Cube(str):
     @property
     def literals(self) -> int:
         """Number of care positions."""
-        return sum(1 for ch in self if ch != "-")
+        return len(self) - self.count("-")
 
-    def covers_minterm(self, minterm: int) -> bool:
-        """Does this cube contain the given minterm (bit 0 = input 0)?"""
-        for i, ch in enumerate(self):
-            bit = (minterm >> i) & 1
-            if ch == "0" and bit:
-                return False
-            if ch == "1" and not bit:
-                return False
-        return True
+    def table(self, inputs: list[int], full: int) -> int:
+        """The AND of this cube's literals, given its inputs' truth tables."""
+        result = full
+        for ch, x in zip(self, inputs):
+            if ch == "1":
+                result &= x
+            elif ch == "0":
+                result &= ~x
+        return result
 
     def covers_cube(self, other: "Cube") -> bool:
         """Does this cube contain every minterm of ``other``?"""
@@ -61,40 +61,22 @@ class Cube(str):
                 return False
         return True
 
-    def minterms(self) -> list[int]:
-        """All minterms covered by this cube."""
-        free = [i for i, ch in enumerate(self) if ch == "-"]
-        base = 0
-        for i, ch in enumerate(self):
-            if ch == "1":
-                base |= 1 << i
-        result = []
-        for bits in range(1 << len(free)):
-            m = base
-            for j, pos in enumerate(free):
-                if (bits >> j) & 1:
-                    m |= 1 << pos
-            result.append(m)
-        return result
 
-    def merge(self, other: "Cube") -> "Cube | None":
-        """Combine two cubes differing in exactly one care position (QM step)."""
-        if len(self) != len(other):
-            raise ValueError("cube width mismatch")
-        diff = -1
-        for i, (a, b) in enumerate(zip(self, other)):
-            if a != b:
-                if a == "-" or b == "-" or diff >= 0:
-                    return None
-                diff = i
-        if diff < 0:
-            return None
-        return Cube(self[:diff] + "-" + self[diff + 1:])
+def support_tables(k: int) -> tuple[int, list[int]]:
+    """``(full, inputs)``: the truth tables of ``k`` inputs over ``2**k`` rows.
+
+    Row ``m`` is the assignment whose bit ``i`` is input ``i``, so bit ``m``
+    of input ``i``'s table is bit ``i`` of ``m``.  A function of those inputs
+    is then one ``2**k``-bit int (``full`` is the constant 1): a cube is the
+    AND of its literals' tables, a cover the OR of its cubes.
+    """
+    full = (1 << (1 << k)) - 1
+    return full, [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k)]
 
 
-def minterm_cube(minterm: int, width: int) -> Cube:
-    """The fully-specified cube for one minterm."""
-    return Cube("".join("1" if (minterm >> i) & 1 else "0" for i in range(width)))
+def table_minterms(table: int) -> list[int]:
+    """The rows a truth table is 1 on (its on-set), lowest first."""
+    return [m for m, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
 
 
 # -------------------------------------------------------------------- covers
@@ -129,22 +111,28 @@ class Cover:
 
     # -- function semantics
 
-    def evaluate(self, assignment: int) -> bool:
-        """Value of the function on one input assignment (bit i = input i)."""
-        return any(cube.covers_minterm(assignment) for cube in self.cubes)
+    def table(self, inputs: list[int], full: int) -> int:
+        """The OR of the cubes, given the inputs' truth tables."""
+        result = 0
+        for cube in self.cubes:
+            result |= cube.table(inputs, full)
+        return result
+
+    def truth_table(self) -> int:
+        """The function over its own inputs (see :func:`support_tables`)."""
+        if self.num_inputs > 16:
+            raise ToolUsageError("cover", "truth tables only supported up to 16 inputs")
+        full, inputs = support_tables(self.num_inputs)
+        return self.table(inputs, full)
 
     def on_set(self) -> frozenset[int]:
         """The set of minterms on which the cover is 1 (exponential in width)."""
-        if self.num_inputs > 16:
-            raise ToolUsageError("cover", "on_set() only supported up to 16 inputs")
-        return frozenset(
-            m for m in range(1 << self.num_inputs) if self.evaluate(m)
-        )
+        return frozenset(table_minterms(self.truth_table()))
 
     def equivalent(self, other: "Cover") -> bool:
         if self.num_inputs != other.num_inputs:
             return False
-        return self.on_set() == other.on_set()
+        return self.truth_table() == other.truth_table()
 
     # -- cost metrics (what chip attributes derive from)
 
@@ -182,10 +170,11 @@ class Cover:
     def from_minterms(
         cls, num_inputs: int, minterms: set[int] | frozenset[int]
     ) -> "Cover":
-        return cls(
-            num_inputs=num_inputs,
-            cubes=[minterm_cube(m, num_inputs) for m in sorted(minterms)],
-        )
+        rows = range(num_inputs)
+        return cls(num_inputs=num_inputs, cubes=[
+            Cube("".join("01"[(m >> i) & 1] for i in rows))
+            for m in sorted(minterms)
+        ])
 
 
 # ------------------------------------------------------------------ networks
@@ -265,18 +254,29 @@ class BooleanNetwork:
         levels = self.levelize()
         return sorted(self.nodes, key=lambda n: (levels[n], n))
 
+    def table(self, name: str, known: dict[str, int], full: int) -> int:
+        """Truth table of signal ``name``, computed from its fanins' tables.
+
+        ``known`` holds the support signals' tables (the leaves) and keeps
+        every table computed on the way; ``full`` is the constant 1.
+        """
+        result = known.get(name)
+        if result is None:
+            node = self.nodes[name]
+            fanins = [self.table(f, known, full) for f in node.fanins]
+            fanins += [0] * (node.cover.num_inputs - len(fanins))  # unwired: 0
+            result = known[name] = node.cover.table(fanins, full)
+        return result
+
     def evaluate(self, assignment: dict[str, bool]) -> dict[str, bool]:
         """Simulate one input vector; returns values of every signal."""
         values = dict(assignment)
         for missing in self.inputs:
             values.setdefault(missing, False)
+        known = {sig: int(bool(v)) for sig, v in values.items()
+                 if sig not in self.nodes}
         for name in self.topo_order():
-            node = self.nodes[name]
-            idx = 0
-            for i, fanin in enumerate(node.fanins):
-                if values[fanin]:
-                    idx |= 1 << i
-            values[name] = node.cover.evaluate(idx)
+            values[name] = self.table(name, known, 1) == 1
         return values
 
     # -- cost metrics

@@ -5,13 +5,20 @@ prime implicants are generated exactly, then a cover is selected with the
 classic essential-prime + greedy set-cover heuristic.  The result is always
 equivalent to the input function and never has more literals than the
 naive minterm cover.
+
+Inside, a cube over ``width`` inputs is an integer pair ``(care, value)``:
+bit ``i`` of ``care`` is set where input ``i`` is a literal, and bit ``i`` of
+``value`` (a subset of ``care``) is that literal's polarity.  Minterm ``m`` is
+``(2**width - 1, m)``.  Sets of minterms are truth-table ints (see
+:func:`repro.cad.logic.support_tables`).  Cubes leave this module as sorted
+:class:`Cube` strings.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.cad.logic import Cover, Cube, minterm_cube
+from repro.cad.logic import Cover, Cube, support_tables
 
 
 def prime_implicants(
@@ -26,29 +33,32 @@ def prime_implicants(
     """
     if not on_set:
         return []
-    current: set[str] = {
-        str(minterm_cube(m, width)) for m in set(on_set) | set(dc_set)
-    }
-    primes: set[str] = set()
+    # Cubes of one level, grouped by ``care``: care -> values.
+    current = {(1 << width) - 1: set(on_set) | set(dc_set)}
+    primes: list[tuple[int, int]] = []
     while current:
-        merged: set[str] = set()
-        used: set[str] = set()
-        # Two cubes combine iff they are identical except at one care
-        # position where one has '0' and the other '1' (same dash pattern).
-        # Instead of scanning pairs, flip each '0' and look the partner up —
-        # O(n * width) per level instead of O(n^2).
-        for cube in current:
-            for i, ch in enumerate(cube):
-                if ch != "0":
-                    continue
-                partner = cube[:i] + "1" + cube[i + 1:]
-                if partner in current:
-                    merged.add(cube[:i] + "-" + cube[i + 1:])
-                    used.add(cube)
-                    used.add(partner)
-        primes |= current - used
+        merged: dict[int, set[int]] = defaultdict(set)
+        for care, values in current.items():
+            used: set[int] = set()
+            # Two cubes combine iff they share ``care`` and differ in one
+            # ``value`` bit.  Instead of scanning pairs, set each zero
+            # literal and look the partner up: O(n * width) per level.
+            for value in values:
+                zeros = care & ~value
+                while zeros:
+                    bit = zeros & -zeros
+                    zeros ^= bit
+                    if value | bit in values:
+                        merged[care ^ bit].add(value)
+                        used.add(value)
+                        used.add(value | bit)
+            primes.extend((care, value) for value in values - used)
         current = merged
-    return sorted(Cube(p) for p in primes)
+    return sorted(
+        Cube("".join("-" if not (care >> i) & 1 else "01"[(value >> i) & 1]
+                     for i in range(width)))
+        for care, value in primes
+    )
 
 
 def select_cover(
@@ -61,33 +71,37 @@ def select_cover(
     Essential primes first, then greedy largest-coverage selection.  Don't-care
     minterms need not be covered.
     """
-    remaining = set(on_set)
-    coverage: dict[Cube, set[int]] = {
-        p: {m for m in p.minterms() if m in remaining} for p in primes
-    }
-    coverage = {p: ms for p, ms in coverage.items() if ms}
+    remaining = 0
+    for m in on_set:
+        remaining |= 1 << m
+    full, inputs = support_tables(width)
+    coverage: dict[Cube, int] = {}
+    for prime in primes:
+        covered = prime.table(inputs, full) & remaining
+        if covered:
+            coverage[prime] = covered
 
     chosen: list[Cube] = []
 
     # Essential primes: a minterm covered by exactly one prime forces it in.
-    by_minterm: dict[int, list[Cube]] = defaultdict(list)
-    for prime, minterms in coverage.items():
-        for m in minterms:
-            by_minterm[m].append(prime)
-    essentials = {cubes[0] for cubes in by_minterm.values() if len(cubes) == 1}
-    for prime in sorted(essentials):
+    once = twice = 0
+    for covered in coverage.values():
+        twice |= once & covered
+        once |= covered
+    single = once & ~twice
+    for prime in sorted(p for p, covered in coverage.items() if covered & single):
         chosen.append(prime)
-        remaining -= coverage[prime]
+        remaining &= ~coverage[prime]
 
     # Greedy cover for what's left: prefer widest coverage, then fewest
     # literals, then lexical order for determinism.
     while remaining:
         best = max(
             (p for p in coverage if coverage[p] & remaining),
-            key=lambda p: (len(coverage[p] & remaining), -p.literals, p),
+            key=lambda p: ((coverage[p] & remaining).bit_count(), -p.literals, p),
         )
         chosen.append(best)
-        remaining -= coverage[best]
+        remaining &= ~coverage[best]
 
     return sorted(set(chosen))
 

@@ -20,6 +20,8 @@ from repro.cad.logic import (
     Cube,
     Node,
     Pla,
+    support_tables,
+    table_minterms,
 )
 from repro.cad.registry import Tool, ToolCall, ToolRegistry, ToolResult
 from repro.errors import ToolUsageError
@@ -269,34 +271,6 @@ def _bdsyn(call: ToolCall) -> ToolResult:
 
 # -- misII internals
 
-
-def _node_function(
-    net: BooleanNetwork, name: str, support: list[str]
-) -> frozenset[int]:
-    """On-set of signal ``name`` as a function of ``support`` (exhaustive)."""
-    on: set[int] = set()
-    for assignment in range(1 << len(support)):
-        values = {
-            sig: bool((assignment >> i) & 1) for i, sig in enumerate(support)
-        }
-        if _eval_signal(net, name, values):
-            on.add(assignment)
-    return frozenset(on)
-
-
-def _eval_signal(net: BooleanNetwork, name: str, values: dict[str, bool]) -> bool:
-    if name in values:
-        return values[name]
-    node = net.nodes[name]
-    idx = 0
-    for i, fanin in enumerate(node.fanins):
-        if _eval_signal(net, fanin, values):
-            idx |= 1 << i
-    result = node.cover.evaluate(idx)
-    values[name] = result
-    return result
-
-
 _ELIMINATE_FANIN_LIMIT = 8
 _MINIMIZE_FANIN_LIMIT = 10
 
@@ -345,8 +319,10 @@ def optimize_network(net: BooleanNetwork) -> BooleanNetwork:
                 ))
                 if len(merged_support) > _ELIMINATE_FANIN_LIMIT:
                     continue
-                on = _node_support_function(net, node, merged_support)
-                cover = qm.minimize_minterms(len(merged_support), on)
+                full, leaves = support_tables(len(merged_support))
+                on = net.table(name, dict(zip(merged_support, leaves)), full)
+                cover = qm.minimize_minterms(
+                    len(merged_support), table_minterms(on))
                 # misII's value test: only eliminate when the collapsed node
                 # is no costlier than the two nodes it replaces.
                 if cover.num_literals > (node.cover.num_literals
@@ -376,24 +352,6 @@ def optimize_network(net: BooleanNetwork) -> BooleanNetwork:
     return net
 
 
-def _node_support_function(
-    net: BooleanNetwork, node: Node, support: list[str]
-) -> frozenset[int]:
-    """On-set of a node's function over an arbitrary small support set."""
-    on: set[int] = set()
-    for assignment in range(1 << len(support)):
-        base = {
-            sig: bool((assignment >> i) & 1) for i, sig in enumerate(support)
-        }
-        idx = 0
-        for i, fanin in enumerate(node.fanins):
-            if _eval_signal(net, fanin, dict(base)):
-                idx |= 1 << i
-        if node.cover.evaluate(idx):
-            on.add(assignment)
-    return frozenset(on)
-
-
 def _misII(call: ToolCall) -> ToolResult:
     """``misII`` — multi-level logic optimization."""
     net = call.input(0)
@@ -416,10 +374,10 @@ def collapse_to_pla(net: BooleanNetwork, max_inputs: int = 12) -> Pla:
             "espresso",
             f"cannot collapse {len(net.inputs)}-input network to two levels",
         )
-    covers: dict[str, Cover] = {}
-    for out in net.outputs:
-        on = _node_function(net, out, net.inputs)
-        covers[out] = Cover.from_minterms(len(net.inputs), set(on))
+    covers = {
+        out: Cover.from_minterms(len(net.inputs), table_minterms(table))
+        for out, table in _output_tables(net).items()
+    }
     return Pla(name=net.name, input_names=list(net.inputs), covers=covers)
 
 
@@ -469,7 +427,8 @@ def _musa(call: ToolCall) -> ToolResult:
     ``-i <command file>`` supplies the stimulus: a string payload of the form
     ``"random <n> <seed>"`` or explicit ``"vector <bits>"`` lines.  If a
     reference :class:`BehavioralSpec` is among the inputs, simulation results
-    are checked against a freshly compiled golden network.
+    are checked against a freshly compiled golden network; a golden that has
+    other inputs, or none of the network's outputs, fails the run.
     """
     net = None
     stimulus = None
@@ -486,18 +445,33 @@ def _musa(call: ToolCall) -> ToolResult:
     if stimulus and stimulus.split()[:1] == ["cycles"]:
         return _musa_sequential(call, net, stimulus)
     vectors = _parse_stimulus(stimulus or "random 16 1", len(net.inputs))
-    golden = generate_network(golden_spec) if golden_spec else None
+    # Vector j is bit j of every table, so one pass simulates them all.
+    full = (1 << len(vectors)) - 1
+    leaves = {sig: sum(((vec >> i) & 1) << j for j, vec in enumerate(vectors))
+              for i, sig in enumerate(net.inputs)}
+    known = dict(leaves)
+    tables = {out: net.table(out, known, full) for out in net.outputs}
     mismatches = 0
-    for vec in vectors:
-        assignment = {
-            sig: bool((vec >> i) & 1) for i, sig in enumerate(net.inputs)
-        }
-        values = net.evaluate(assignment)
-        if golden is not None and golden.inputs == net.inputs:
-            gvalues = golden.evaluate(assignment)
-            for out in net.outputs:
-                if out in gvalues and values[out] != gvalues[out]:
-                    mismatches += 1
+    if golden_spec is not None:
+        golden = generate_network(golden_spec)
+        shared = [out for out in net.outputs
+                  if out in golden.inputs or out in golden.nodes]
+        problem = None
+        if golden.inputs != net.inputs:
+            problem = "inputs differ"
+        elif not shared:
+            problem = "no output in common"
+        if problem:
+            text = (f"musa: cannot check {net.name} against golden "
+                    f"{golden_spec.kind}[{golden_spec.width}]: {problem}")
+            report = Report("simulation", text, (
+                ("vectors", float(len(vectors))), ("compared", 0.0)))
+            return ToolResult(status=1, log=text, outputs={
+                name: report for name in call.output_names})
+        golden_known = dict(leaves)
+        for out in shared:
+            golden_table = golden.table(out, golden_known, full)
+            mismatches += (tables[out] ^ golden_table).bit_count()
     report = Report(
         kind="simulation",
         text=(
@@ -653,24 +627,27 @@ def install(registry: ToolRegistry) -> None:
     )
 
 
-def _collapse_on_set(payload, tool: str) -> tuple[list[str], frozenset[int], dict[str, frozenset[int]]]:
-    """(input names, dummy, per-output on-sets) of any logic-level payload."""
+def _output_tables(net: BooleanNetwork) -> dict[str, int]:
+    """Each output's truth table over all of the network's inputs."""
+    full, leaves = support_tables(len(net.inputs))
+    known = dict(zip(net.inputs, leaves))
+    return {out: net.table(out, known, full) for out in net.outputs}
+
+
+def _truth_tables(payload, tool: str) -> tuple[list[str], dict[str, int]]:
+    """(input names, per-output truth tables) of any logic-level payload."""
     if isinstance(payload, BehavioralSpec):
         payload = generate_network(payload)
     if isinstance(payload, BooleanNetwork):
         if len(payload.inputs) > 12:
             raise ToolUsageError(tool, "network support too wide to verify")
-        return (
-            list(payload.inputs), frozenset(),
-            {out: _node_function(payload, out, payload.inputs)
-             for out in payload.outputs},
-        )
+        return list(payload.inputs), _output_tables(payload)
     if isinstance(payload, Cover):
-        return (list(payload.input_names), frozenset(),
-                {payload.output_name: payload.on_set()})
+        return (list(payload.input_names),
+                {payload.output_name: payload.truth_table()})
     if isinstance(payload, Pla):
-        return (list(payload.input_names), frozenset(),
-                {out: cover.on_set() for out, cover in payload.covers.items()})
+        return (list(payload.input_names),
+                {out: cover.truth_table() for out, cover in payload.covers.items()})
     raise ToolUsageError(tool, f"cannot verify {type(payload).__name__}")
 
 
@@ -683,8 +660,8 @@ def _octverify(call: ToolCall) -> ToolResult:
     """
     if len(call.inputs) < 2:
         raise ToolUsageError("octverify", "needs two representations")
-    ins_a, _, funcs_a = _collapse_on_set(call.input(0), "octverify")
-    ins_b, _, funcs_b = _collapse_on_set(call.input(1), "octverify")
+    ins_a, funcs_a = _truth_tables(call.input(0), "octverify")
+    ins_b, funcs_b = _truth_tables(call.input(1), "octverify")
     if len(ins_a) != len(ins_b):
         return ToolResult(
             status=1,

@@ -13,10 +13,11 @@ from repro.cad.logic import (
     Cube,
     Node,
     Pla,
-    minterm_cube,
+    support_tables,
 )
 from repro.cad.tools_logic import generate_network
 from repro.errors import ToolUsageError
+from tests import cad_reference as ref
 
 
 class TestCube:
@@ -30,30 +31,42 @@ class TestCube:
         assert Cube("1-0").literals == 2
         assert Cube("---").literals == 0
 
+    # The minterm-loop cube methods now live in tests/cad_reference.py; each
+    # case checks the reference and the truth-table rule that replaced it.
+
     def test_covers_minterm(self):
         cube = Cube("1-0")  # x0=1, x2=0
-        assert cube.covers_minterm(0b001)
-        assert cube.covers_minterm(0b011)
-        assert not cube.covers_minterm(0b101)
-        assert not cube.covers_minterm(0b000)
+        full, inputs = support_tables(3)
+        table = cube.table(inputs, full)
+        for m, inside in ((0b001, True), (0b011, True),
+                          (0b101, False), (0b000, False)):
+            assert ref.covers_minterm(cube, m) is inside
+            assert (table >> m) & 1 == inside
 
     def test_minterms(self):
-        assert sorted(Cube("1-").minterms()) == [1, 3]
-        assert sorted(Cube("--").minterms()) == [0, 1, 2, 3]
+        assert sorted(ref.cube_minterms(Cube("1-"))) == [1, 3]
+        assert sorted(ref.cube_minterms(Cube("--"))) == [0, 1, 2, 3]
+        assert Cover(2, [Cube("1-")]).on_set() == {1, 3}
+        assert Cover(2, [Cube("--")]).on_set() == {0, 1, 2, 3}
 
     def test_merge(self):
-        assert Cube("10").merge(Cube("11")) == "1-"
-        assert Cube("10").merge(Cube("01")) is None
-        assert Cube("1-").merge(Cube("10")) is None
-        assert Cube("1-0").merge(Cube("1-1")) == "1--"
+        assert ref.merge(Cube("10"), Cube("11")) == "1-"
+        assert ref.merge(Cube("10"), Cube("01")) is None
+        assert ref.merge(Cube("1-"), Cube("10")) is None
+        assert ref.merge(Cube("1-0"), Cube("1-1")) == "1--"
+        # the QM merge step: minterms 1 and 3 are one prime, 1 and 2 are not
+        assert qm.prime_implicants(2, {1, 3}) == ["1-"]
+        assert qm.prime_implicants(2, {1, 2}) == ["01", "10"]
 
     def test_covers_cube(self):
         assert Cube("1-").covers_cube(Cube("11"))
         assert not Cube("11").covers_cube(Cube("1-"))
 
     def test_minterm_cube(self):
-        assert minterm_cube(0b101, 3) == "101"
-        assert minterm_cube(0, 2) == "00"
+        assert ref.minterm_cube(0b101, 3) == "101"
+        assert ref.minterm_cube(0, 2) == "00"
+        assert Cover.from_minterms(3, {0b101}).cubes == ["101"]
+        assert Cover.from_minterms(2, {0}).cubes == ["00"]
 
 
 class TestCover:

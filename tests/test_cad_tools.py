@@ -135,6 +135,26 @@ class TestLogicTools:
         assert result.status == 1
         assert result.outputs["rep"].value("mismatches") > 0
 
+    def test_musa_fails_when_golden_inputs_differ(self, registry):
+        net = generate_network(BehavioralSpec("p", "parity", 3))
+        golden = BehavioralSpec("g", "adder", 4)
+        result = run(registry, "musa", [net, "random 16 1", golden],
+                     outputs=("rep",))
+        assert result.status == 1
+        assert "inputs differ" in result.log
+        assert result.outputs["rep"].value("compared") == 0
+
+    def test_musa_fails_when_no_output_is_golden(self, registry):
+        # same inputs a0..a2, but parity's output is not a decoder signal
+        net = generate_network(BehavioralSpec("p", "parity", 3))
+        golden = BehavioralSpec("g", "decoder", 3)
+        assert generate_network(golden).inputs == net.inputs
+        result = run(registry, "musa", [net, "random 16 1", golden],
+                     outputs=("rep",))
+        assert result.status == 1
+        assert "no output in common" in result.log
+        assert result.outputs["rep"].value("compared") == 0
+
     def test_musa_explicit_vectors(self, registry):
         net = generate_network(BehavioralSpec("p", "parity", 2))
         result = run(registry, "musa", [net, "vector 01\nvector 11"],
