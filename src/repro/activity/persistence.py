@@ -414,8 +414,7 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
             creator=entry.get("creator", ""),
             size=entry["size"],
         )
-        chain.append(_Entry(obj=obj, last_access=entry["created_at"],
-                            chunk=entry["chunk"]))
+        chain.append(_Entry(obj=obj, last_access=entry["created_at"]))
         db._bytes_live += obj.size
     elif op == "db.alias":
         oname = parse_name(entry["name"])
@@ -436,7 +435,7 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
             size=0,
         )
         chain.append(_Entry(obj=obj, last_access=entry["created_at"],
-                            chunk=source.chunk))
+                            fingerprint=source.fingerprint))
         db._note_alias(entry["name"], entry["source"])
     elif op == "db.delete":
         row = _parked_row(db, entry["name"])

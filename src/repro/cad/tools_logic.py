@@ -317,7 +317,7 @@ def optimize_network(net: BooleanNetwork) -> BooleanNetwork:
                 merged_support = list(dict.fromkeys(
                     [f for f in node.fanins if f != fanin] + child.fanins
                 ))
-                if len(merged_support) > _ELIMINATE_FANIN_LIMIT:
+                if not 0 < len(merged_support) <= _ELIMINATE_FANIN_LIMIT:
                     continue
                 full, leaves = support_tables(len(merged_support))
                 on = net.table(name, dict(zip(merged_support, leaves)), full)
@@ -335,9 +335,9 @@ def optimize_network(net: BooleanNetwork) -> BooleanNetwork:
                 changed = True
                 break
 
-    # -- node minimize
+    # -- node minimize (a constant node, with no fanins, is left alone)
     for name, node in list(net.nodes.items()):
-        if len(node.fanins) > _MINIMIZE_FANIN_LIMIT:
+        if not 0 < len(node.fanins) <= _MINIMIZE_FANIN_LIMIT:
             continue
         on = node.cover.on_set()
         cover = qm.minimize_minterms(len(node.fanins), on)

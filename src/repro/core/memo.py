@@ -23,9 +23,11 @@ An entry is keyed by ``(tool, canonical options, input fingerprints)``:
   name-based fingerprints would break every chain after its first step;
   content hashes let a hit on step N feed a hit on step N+1.  A version is
   single-assignment, so its fingerprint is a per-version property of the
-  database (``DesignDatabase.fingerprint``): computed once, on first use,
-  and inherited by aliases — step N's aliased output keys step N+1 without
-  rehashing anything.
+  database (``DesignDatabase.fingerprint``): its chunk address, the sha1
+  of the bytes a save writes (``repro.octdb.chunkstore``), so inputs share
+  a key exactly when they share a chunk.  It is computed once, on first use
+  or first save, and inherited by aliases — step N's aliased output keys
+  step N+1 without rehashing anything.
 
 Values carry the committed output versions (base + versioned name, in the
 step's output order) and the recorded cost, so a hit can alias the old
@@ -54,11 +56,13 @@ is about to need again.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.errors import ObjectNotFound
 from repro.obs import METRICS, TRACER
+# A payload's content hash: the identity ``DesignDatabase.fingerprint`` keeps.
+from repro.octdb.chunkstore import payload_digest as fingerprint  # noqa: F401
 from repro.octdb.naming import parse_name
 
 if TYPE_CHECKING:
@@ -92,40 +96,6 @@ def canonical_options(
     for i, name in enumerate(input_names):
         mapping[name] = f"{_IN}{i}"
     return tuple(mapping.get(tok, tok) for tok in options)
-
-
-def _stable_hash(payload: Any, digest: "hashlib._Hash") -> None:
-    """Feed a stable, structure-aware serialization of ``payload``."""
-    if is_dataclass(payload) and not isinstance(payload, type):
-        digest.update(b"D" + type(payload).__name__.encode())
-        for f in fields(payload):
-            digest.update(f.name.encode())
-            _stable_hash(getattr(payload, f.name), digest)
-    elif isinstance(payload, dict):
-        digest.update(b"M")
-        for key in sorted(payload, key=repr):
-            _stable_hash(key, digest)
-            _stable_hash(payload[key], digest)
-    elif isinstance(payload, (list, tuple)):
-        digest.update(b"L")
-        for item in payload:
-            _stable_hash(item, digest)
-    elif isinstance(payload, (set, frozenset)):
-        digest.update(b"S")
-        for item in sorted(payload, key=repr):
-            _stable_hash(item, digest)
-    elif isinstance(payload, bytes):
-        digest.update(b"B" + payload)
-    else:
-        digest.update(repr(payload).encode())
-
-
-def fingerprint(payload: Any) -> str:
-    """Content hash of one input payload (stable across sessions for the
-    deterministic CAD payload dataclasses this repository uses)."""
-    digest = hashlib.sha1()
-    _stable_hash(payload, digest)
-    return digest.hexdigest()
 
 
 @dataclass
@@ -185,10 +155,11 @@ class DerivationCache:
         db: "DesignDatabase",
     ) -> MemoKey | None:
         """The memo key for one call over input versions ``input_names``
-        (None if an input is reclaimed or its payload unhashable)."""
+        (None if an input is reclaimed or the codec cannot write its
+        payload; any other error, such as a codec bug, propagates)."""
         try:
             prints = tuple(db.fingerprint(name) for name in input_names)
-        except Exception:
+        except (ObjectNotFound, TypeError, ValueError):
             return None
         return (tool,
                 canonical_options(options, input_names, output_bases),

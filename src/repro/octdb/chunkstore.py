@@ -1,20 +1,25 @@
-"""Content-addressed payload storage (the format-2 persistence backend).
+"""Content-addressed payload storage, and the content identity of a version.
 
-Every payload is encoded once into a chunk file named by its content digest
-(``objects/<digest[:2]>/<digest>``), so identical payloads — across versions,
-across aliases, even across saves — occupy a single chunk on disk.  The
-chunk address is the sha1 of the chunk's *bytes* (the canonical encoding of
-the payload blob), not the payload fingerprint the derivation cache keys on
-(``DesignDatabase.fingerprint``).  The two notions of identity differ on
-purpose: the payload fingerprint hashes a list and a tuple alike, while the
-codec stores a tuple as its ``repr``, so addressing chunks by payload
-fingerprint would dedupe two different encodings into one chunk and decode
-one of them wrongly.
+Every payload is encoded once, by the codec registered for its class, into a
+chunk file named by its content digest (``objects/<digest[:2]>/<digest>``),
+so identical payloads — across versions, across aliases, even across saves —
+occupy a single chunk on disk.  The address is the sha1 of the chunk's
+*bytes* (the canonical encoding of the payload blob), and it is also the
+payload's content identity (:func:`payload_digest`): the fingerprint
+``DesignDatabase.fingerprint`` returns and the derivation cache keys on.
+Equal fingerprints mean byte-identical chunks.
+
+The identity is only as strict as the JSON codec.  A top-level tuple or set
+is stored as its ``repr``, so it never matches a list; but inside a codec's
+dict or a JSON-native payload a tuple encodes as a list and an int dict key
+as its string, so ``{"a": (1, 2)}`` and ``{"a": [1, 2]}`` share one
+identity, as do ``{1: "x"}`` and ``{"1": "x"}``.  A payload the codec
+cannot write (a nested set, a cycle) raises ``TypeError``/``ValueError``.
 
 Every read checks the bytes against their address.  Chunks written before
-addresses were byte hashes were named by the structural walk of
-:func:`repro.core.memo.fingerprint` over the decoded blob; they still load,
-and are copied between stores under the address they already have.
+addresses were byte hashes were named by a structural walk of the decoded
+blob (:func:`_stable_hash`); they still load, are copied between stores
+under the address they have, and fingerprint as the sha1 of their bytes.
 
 Restore is lazy: manifests reference chunks by digest, and the database is
 rebuilt with :class:`LazyPayload` handles that decode their chunk on first
@@ -24,7 +29,7 @@ payload object — the in-memory mirror of the on-disk structural sharing.
 
 Metrics: ``persist.chunks_written`` / ``persist.chunks_deduped`` (put side),
 ``persist.lazy_decodes`` / ``persist.chunk_corrupt`` (read side),
-``persist.chunks_deleted`` (GC).
+``persist.chunks_deleted`` (GC), ``persist.repr_fallback`` (encode side).
 """
 
 from __future__ import annotations
@@ -32,13 +37,79 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from repro.core.memo import fingerprint
 from repro.errors import PersistenceError
 from repro.obs import METRICS
 from repro.obs.metrics import bound_metric
+
+_ENCODERS: dict[type, tuple[str, Callable[[Any], dict]]] = {}
+_DECODERS: dict[str, Callable[[dict], Any]] = {}
+
+#: Payload type names already warned about falling back to ``repr``.
+_REPR_WARNED: set[str] = set()
+
+
+def register_payload_codec(
+    cls: type,
+    tag: str,
+    encode: Callable[[Any], dict] | None = None,
+    decode: Callable[[dict], Any] | None = None,
+) -> None:
+    """Register (de)serialization for a payload class.
+
+    Defaults to the class's ``to_dict`` / ``from_dict`` methods.
+    """
+    _ENCODERS[cls] = (tag, encode or (lambda obj: obj.to_dict()))
+    _DECODERS[tag] = decode or cls.from_dict  # type: ignore[attr-defined]
+
+
+def _blob(payload: Any) -> Any:
+    """The codec blob of ``payload``: what its chunk stores."""
+    payload = unwrap_payload(payload)
+    for cls, (tag, encode) in _ENCODERS.items():
+        if isinstance(payload, cls):
+            return {"__type__": tag, "data": encode(payload)}
+    if isinstance(payload, (type(None), bool, int, float, str, list, dict)):
+        return {"__type__": "json", "data": payload}
+    return {"__type__": "repr", "data": repr(payload)}
+
+
+def encode_payload(payload: Any) -> Any:
+    """Encode a payload into a JSON-compatible value.
+
+    A payload without a registered codec that is not JSON-native falls back
+    to ``repr`` — which decodes to a *string*, not the original object.  The
+    fallback is counted (``persist.repr_fallback``) and warned about once
+    per type so the loss is never silent.
+    """
+    blob = _blob(payload)
+    if blob["__type__"] != "repr":
+        return blob
+    METRICS.counter("persist.repr_fallback").inc()
+    type_name = type(unwrap_payload(payload)).__name__
+    if type_name not in _REPR_WARNED:
+        _REPR_WARNED.add(type_name)
+        warnings.warn(
+            f"payload of type {type_name!r} has no registered codec and is "
+            f"being persisted as its repr(); it will decode to a string. "
+            f"Register one with register_payload_codec({type_name}, ...).",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return blob
+
+
+def decode_payload(blob: Any) -> Any:
+    tag = blob["__type__"]
+    if tag in ("json", "repr"):
+        return blob["data"]
+    decoder = _DECODERS.get(tag)
+    if decoder is None:
+        raise KeyError(f"no payload codec registered for type tag {tag!r}")
+    return decoder(blob["data"])
 
 
 def canonical_chunk_bytes(blob: Any) -> bytes:
@@ -47,22 +118,44 @@ def canonical_chunk_bytes(blob: Any) -> bytes:
 
 
 def chunk_digest(data: bytes) -> str:
-    """The address of a chunk: the sha1 of its bytes.
-
-    The bytes encode the payload blob, never the payload itself, so a list
-    and a tuple (which the codec encodes differently) get different
-    addresses, and equal addresses mean byte-identical chunks.
-    """
+    """The address of a chunk: the sha1 of its bytes."""
     return hashlib.sha1(data).hexdigest()
 
 
+def payload_digest(payload: Any) -> str:
+    """The content identity of ``payload``: the address of its chunk.
+
+    A lazy handle's is read off its chunk without decoding it.  Hashing is
+    not persisting: a ``repr`` fallback neither warns nor counts.
+    """
+    if isinstance(payload, LazyPayload):
+        return payload.address()
+    return chunk_digest(canonical_chunk_bytes(_blob(payload)))
+
+
+def _stable_hash(value: Any, digest: "hashlib._Hash") -> None:
+    """Feed the structural walk that named legacy chunks (JSON values)."""
+    if isinstance(value, dict):
+        digest.update(b"M")
+        for key in sorted(value, key=repr):
+            _stable_hash(key, digest)
+            _stable_hash(value[key], digest)
+    elif isinstance(value, list):
+        digest.update(b"L")
+        for item in value:
+            _stable_hash(item, digest)
+    else:
+        digest.update(repr(value).encode())
+
+
 def _is_legacy_chunk(data: bytes, digest: str) -> bool:
-    """Whether ``data`` is a chunk addressed the way the first format-2
-    writer did it: by the structural fingerprint of the decoded blob."""
+    """Whether ``data`` is a legacy chunk: named by its blob's walk."""
+    walk = hashlib.sha1()
     try:
-        return fingerprint(json.loads(data)) == digest
+        _stable_hash(json.loads(data), walk)
     except ValueError:
         return False
+    return walk.hexdigest() == digest
 
 
 class LazyPayload:
@@ -91,6 +184,10 @@ class LazyPayload:
     @property
     def loaded(self) -> bool:
         return self._loaded
+
+    def address(self) -> str:
+        """The sha1 of the chunk's checked bytes: ``digest`` unless legacy."""
+        return chunk_digest(self.store.read_chunk(self.digest))
 
     def __repr__(self) -> str:
         state = "decoded" if self._loaded else "lazy"
@@ -165,9 +262,7 @@ class ChunkStore:
         """
         if isinstance(payload, LazyPayload) and not payload.loaded:
             return self.copy_chunk(payload.store, payload.digest)
-        from repro.octdb.persistence import encode_payload
-
-        return self.put_blob(encode_payload(unwrap_payload(payload)))
+        return self.put_blob(encode_payload(payload))
 
     def put_blob(self, blob: Any) -> str:
         data = canonical_chunk_bytes(blob)
@@ -223,8 +318,6 @@ class ChunkStore:
         """Decode one chunk into a payload (memoized per digest)."""
         if digest in self._decoded:
             return self._decoded[digest]
-        from repro.octdb.persistence import decode_payload
-
         payload = decode_payload(json.loads(self.read_chunk(digest)))
         self._decoded[digest] = payload
         METRICS.counter("persist.lazy_decodes").inc()

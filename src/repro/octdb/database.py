@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
-from repro.core.memo import fingerprint
 from repro.errors import ObjectNotFound, VersionConflict
 from repro.obs import METRICS, TRACER
 from repro.obs.metrics import bound_metric
-from repro.octdb.chunkstore import LazyPayload
+from repro.octdb.chunkstore import LazyPayload, payload_digest
 from repro.octdb.naming import ObjectName, parse_name
 
 
@@ -67,8 +66,7 @@ class _Entry:
     deleted_at: float | None = None   # tombstone time; None = live
     last_access: float = 0.0
     pinned: bool = False              # protected from reclamation
-    fingerprint: str | None = None    # content hash; computed on first use
-    chunk: str | None = None          # chunk address; set when first stored
+    fingerprint: str | None = None    # chunk address; set on first use/save
 
 
 class DesignDatabase:
@@ -169,11 +167,9 @@ class DesignDatabase:
             size=0,
         )
         # Same payload object, same content: the alias inherits the source's
-        # fingerprint and chunk (or gets its own on first use if it has none
-        # yet).
+        # fingerprint (or gets its own on first use if it has none yet).
         chain.append(_Entry(obj=obj, last_access=self.clock.now,
-                            fingerprint=source_entry.fingerprint,
-                            chunk=source_entry.chunk))
+                            fingerprint=source_entry.fingerprint))
         self._note_alias(str(obj.name), str(source.name))
         self._aliased.inc()
         if TRACER.enabled:
@@ -231,23 +227,25 @@ class DesignDatabase:
         """
         entry = self._entry(name)
         entry.last_access = self.clock.now
-        if isinstance(entry.obj.payload, LazyPayload):
-            entry.obj = dataclasses.replace(
-                entry.obj, payload=entry.obj.payload.materialize()
-            )
+        payload = entry.obj.payload
+        if isinstance(payload, LazyPayload):
+            entry.obj = dataclasses.replace(entry.obj,
+                                            payload=payload.materialize())
+            if entry.fingerprint is None:   # so a save need not re-encode it
+                entry.fingerprint = payload.address()
         return entry.obj
 
     def fingerprint(self, name: str | ObjectName) -> str:
-        """Content fingerprint of one version (see :func:`memo.fingerprint`).
-
-        Versions are single-assignment, so a version's fingerprint can never
-        change: it is computed once, on first use and through :meth:`get`
-        (a lazily restored payload is decoded first), then kept on the
-        version.  Raises :class:`ObjectNotFound` for a reclaimed version.
+        """Content fingerprint of one version: its payload's chunk address
+        (:func:`~repro.octdb.chunkstore.payload_digest`), computed once, on
+        first use or first save (versions are single-assignment), and kept
+        on the version.  A lazily restored payload is not decoded: its
+        fingerprint is the sha1 of its stored chunk's bytes.  Raises
+        :class:`ObjectNotFound` for a reclaimed version.
         """
         entry = self._entry(name)
         if entry.fingerprint is None:
-            entry.fingerprint = fingerprint(self.get(entry.obj.name).payload)
+            entry.fingerprint = payload_digest(entry.obj.payload)
             self._fingerprinted.inc()
         return entry.fingerprint
 

@@ -22,93 +22,32 @@ Two on-disk database formats are readable:
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import PersistenceError
-from repro.obs import METRICS
-from repro.octdb.chunkstore import ChunkStore, LazyPayload, unwrap_payload
+from repro.octdb.chunkstore import (  # noqa: F401  (the codec, re-exported)
+    ChunkStore, LazyPayload, decode_payload, encode_payload,
+    register_payload_codec)
 from repro.octdb.database import DesignDatabase, VersionedObject, _Entry, _estimate_size
 from repro.octdb.naming import ObjectName, parse_name
-
-_ENCODERS: dict[type, tuple[str, Callable[[Any], dict]]] = {}
-_DECODERS: dict[str, Callable[[dict], Any]] = {}
-
-#: Payload type names already warned about falling back to ``repr``.
-_REPR_WARNED: set[str] = set()
-
-
-def register_payload_codec(
-    cls: type,
-    tag: str,
-    encode: Callable[[Any], dict] | None = None,
-    decode: Callable[[dict], Any] | None = None,
-) -> None:
-    """Register (de)serialization for a payload class.
-
-    Defaults to the class's ``to_dict`` / ``from_dict`` methods.
-    """
-    _ENCODERS[cls] = (tag, encode or (lambda obj: obj.to_dict()))
-    _DECODERS[tag] = decode or cls.from_dict  # type: ignore[attr-defined]
-
-
-def encode_payload(payload: Any) -> Any:
-    """Encode a payload into a JSON-compatible value.
-
-    A payload without a registered codec that is not JSON-native falls back
-    to ``repr`` — which decodes to a *string*, not the original object.  The
-    fallback is counted (``persist.repr_fallback``) and warned about once
-    per type so the loss is never silent.
-    """
-    payload = unwrap_payload(payload)
-    for cls, (tag, encode) in _ENCODERS.items():
-        if isinstance(payload, cls):
-            return {"__type__": tag, "data": encode(payload)}
-    if isinstance(payload, (type(None), bool, int, float, str, list, dict)):
-        return {"__type__": "json", "data": payload}
-    METRICS.counter("persist.repr_fallback").inc()
-    type_name = type(payload).__name__
-    if type_name not in _REPR_WARNED:
-        _REPR_WARNED.add(type_name)
-        warnings.warn(
-            f"payload of type {type_name!r} has no registered codec and is "
-            f"being persisted as its repr(); it will decode to a string. "
-            f"Register one with register_payload_codec({type_name}, ...).",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return {"__type__": "repr", "data": repr(payload)}
-
-
-def decode_payload(blob: Any) -> Any:
-    tag = blob["__type__"]
-    if tag == "json":
-        return blob["data"]
-    if tag == "repr":
-        return blob["data"]
-    decoder = _DECODERS.get(tag)
-    if decoder is None:
-        raise KeyError(f"no payload codec registered for type tag {tag!r}")
-    return decoder(blob["data"])
-
 
 # --------------------------------------------------------------------- saving
 
 
 def stored_chunk(entry: _Entry, store: ChunkStore) -> str:
     """The address of one version's chunk in ``store``, storing it there if
-    needed.
-
-    A version is single-assignment, so it remembers the address the first
-    time it is stored (``_Entry.chunk``): a later save into a store that
-    already holds the chunk encodes and hashes nothing.
-    """
-    chunk = entry.chunk
+    needed.  A fingerprinted version whose chunk ``store`` holds encodes and
+    hashes nothing; the first store of a payload keeps its address as the
+    version's fingerprint, and a lazily restored payload is copied under
+    the address it was saved with."""
+    chunk = entry.fingerprint
     if chunk is not None and store.dedupe(chunk):
         return chunk
-    entry.chunk = store.put_payload(entry.obj.payload)
-    return entry.chunk
+    chunk = store.put_payload(entry.obj.payload)
+    if not isinstance(entry.obj.payload, LazyPayload):
+        entry.fingerprint = chunk
+    return chunk
 
 
 def save_database(db: DesignDatabase, path: str | Path,
@@ -283,8 +222,7 @@ def _entries_from_rows(base: str, rows: list[dict[str, Any]],
             size=row["size"],
         )
         chain.append(_Entry(obj=obj, deleted_at=row["deleted_at"],
-                            pinned=row.get("pinned", False),
-                            chunk=row["chunk"]))
+                            pinned=row.get("pinned", False)))
     return chain
 
 

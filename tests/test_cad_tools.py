@@ -98,6 +98,26 @@ class TestLogicTools:
         opt = optimize_network(net)
         assert "dead" not in opt.nodes
 
+    @pytest.mark.parametrize("cubes", [["1"], []], ids=["cube-1", "empty"])
+    def test_misII_leaves_constant_nodes_alone(self, cubes):
+        """A node with no fanins is a constant (unwired cover inputs read
+        0).  Node minimize used to hand it to QM with zero inputs, which
+        raised ``bad cube ''`` or ``bad input count 0``; eliminating one
+        into a consumer that reads nothing else hit the same wall."""
+        from repro.cad.logic import Cover, Cube, Node
+
+        net = BooleanNetwork("c", inputs=["a", "b"], outputs=["k", "y", "z"])
+        for name in ("k", "j"):
+            net.nodes[name] = Node(name, [], Cover(1, [Cube(c) for c in cubes]))
+        net.nodes["y"] = Node("y", ["a", "k"], Cover(2, [Cube("11")]))
+        net.nodes["z"] = Node("z", ["j"], Cover(1, [Cube("0")]))
+        opt = optimize_network(net)
+        for vec in range(4):
+            assignment = {"a": bool(vec & 1), "b": bool(vec & 2)}
+            before, after = net.evaluate(assignment), opt.evaluate(assignment)
+            assert [after[o] for o in net.outputs] == \
+                [before[o] for o in net.outputs]
+
     def test_espresso_on_network(self, registry):
         net = generate_network(BehavioralSpec("p", "parity", 3))
         result = run(registry, "espresso", [net])

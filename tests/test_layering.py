@@ -1,0 +1,50 @@
+"""The storage layer imports nothing above it.
+
+``repro.octdb`` is the OCT substrate every other subsystem builds on, so it
+may import only itself and the leaf modules beside it: ``repro.obs``
+(metrics and tracing), ``repro.errors`` and ``repro.clock``.  The scan
+reads every import statement of every module, function-local ones
+included, so an import deferred to dodge a cycle still counts.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import repro.octdb
+
+ALLOWED = ("repro.octdb", "repro.obs", "repro.errors", "repro.clock")
+
+
+def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, absolute module name)`` of every import in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:          # relative: inside repro.octdb
+                found.append((node.lineno, "repro.octdb"))
+            else:
+                found.append((node.lineno, node.module or ""))
+    return found
+
+
+def test_octdb_imports_only_lower_layers():
+    package = Path(repro.octdb.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, module in imported_modules(tree):
+            if module.split(".")[0] != "repro":
+                continue                # standard library
+            if not any(module == top or module.startswith(top + ".")
+                       for top in ALLOWED):
+                offenders.append(f"{path.name}:{line} imports {module}")
+    assert not offenders, offenders
+
+
+def test_scan_sees_function_local_imports():
+    tree = ast.parse("def f():\n    from repro.core.memo import fingerprint\n")
+    assert imported_modules(tree) == [(2, "repro.core.memo")]

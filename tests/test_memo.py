@@ -475,3 +475,75 @@ class TestKeying:
         assert fingerprint({"a": 1}) != fingerprint({"a": 2})
         assert fingerprint([1, 2]) != fingerprint([2, 1])
         assert fingerprint({1, 2}) == fingerprint({2, 1})
+
+    def test_identity_is_as_strict_as_the_json_codec(self):
+        """The fingerprint is the chunk address, so it tells apart exactly
+        what the codec writes apart.  Inside a JSON payload a tuple writes
+        as a list (as the structural walk hashed them) and an int dict key
+        as its string."""
+        assert fingerprint({"a": (1, 2)}) == fingerprint({"a": [1, 2]})
+        assert fingerprint({1: "x"}) == fingerprint({"1": "x"})
+        # A top-level tuple has no JSON form: it is written as its repr.
+        assert fingerprint((1, 2)) != fingerprint([1, 2])
+
+    def test_fingerprint_is_the_chunk_address(self, tmp_path):
+        from repro.octdb.chunkstore import ChunkStore
+        from repro.octdb.database import DesignDatabase
+
+        db = DesignDatabase(VirtualClock())
+        db.put("a", {"cells": [1, 2, 3]})
+        store = ChunkStore(tmp_path)
+        assert store.put_payload(db.get("a@1").payload) == \
+            db.fingerprint("a@1")
+
+
+class TestKeyForErrors:
+    """``key_for`` turns exactly two failures into "no key": a reclaimed
+    input and a payload the codec cannot write.  Anything else is a bug
+    and propagates instead of silently disabling the memo."""
+
+    @staticmethod
+    def key(db, name):
+        return DerivationCache().key_for("t", (), (name,), (), db)
+
+    def test_reclaimed_input_has_no_key(self):
+        from repro.octdb.database import DesignDatabase
+
+        db = DesignDatabase(VirtualClock())
+        db.put("a", {"x": 1})
+        db.delete("a@1")
+        db.reclaim()
+        assert self.key(db, "a@1") is None
+
+    def test_payload_the_codec_cannot_write_has_no_key(self, monkeypatch):
+        from repro.octdb import chunkstore
+        from repro.octdb.database import DesignDatabase
+
+        class Cyclic:
+            def to_dict(self):
+                data: dict = {}
+                data["self"] = data
+                return data
+
+        monkeypatch.setitem(chunkstore._ENCODERS, Cyclic,
+                            ("cyclic", Cyclic.to_dict))
+        db = DesignDatabase(VirtualClock())
+        db.put("set", {"members": {1, 2}})   # TypeError: a set is not JSON
+        db.put("cycle", Cyclic())            # ValueError: circular reference
+        assert self.key(db, "set@1") is None
+        assert self.key(db, "cycle@1") is None
+
+    def test_codec_bug_propagates(self, monkeypatch):
+        from repro.octdb import chunkstore
+        from repro.octdb.database import DesignDatabase
+
+        class Broken:
+            def to_dict(self):
+                raise AttributeError("to_dict bug")
+
+        monkeypatch.setitem(chunkstore._ENCODERS, Broken,
+                            ("broken", Broken.to_dict))
+        db = DesignDatabase(VirtualClock())
+        db.put("b", Broken())
+        with pytest.raises(AttributeError, match="to_dict bug"):
+            self.key(db, "b@1")

@@ -256,6 +256,29 @@ class TestReprFallback:
             encode_payload(Opaque())
         assert counter("persist.repr_fallback") == before + 2
 
+    def test_fingerprinting_is_not_persisting(self, tmp_path):
+        """A payload with no codec is fingerprinted from the repr blob a
+        save would write, without the save's warning or count."""
+        import warnings
+
+        from repro.core.memo import fingerprint
+
+        class Unsaved:
+            def __repr__(self):
+                return "<unsaved>"
+
+        before = counter("persist.repr_fallback")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            digest = fingerprint(Unsaved())
+            db = DesignDatabase(clock=VirtualClock())
+            db.put("u", Unsaved())
+            assert db.fingerprint("u@1") == digest
+        assert counter("persist.repr_fallback") == before
+        with pytest.warns(RuntimeWarning, match="Unsaved"):
+            assert ChunkStore(tmp_path).put_payload(Unsaved()) == digest
+        assert counter("persist.repr_fallback") == before + 1
+
 
 # ------------------------------------------------------------ system-level
 
@@ -299,6 +322,23 @@ class TestSystemRoundTripEdges:
         assert len(alpha.stream) == 2 and alpha.current_cursor == 2
         assert restored.sds("lib").objects() == frozenset({"cell@1"})
         assert "alpha" in restored.thread("beta").imports
+
+    def test_restored_fingerprint_is_the_manifest_chunk(self, lwt, tmp_path):
+        obj = lwt.db.put("cell", {"k": 1})
+        save_system(lwt, tmp_path / "snap")
+        row, = json.loads((tmp_path / "snap" / "database.json").read_text()
+                          )["objects"]
+        decodes = counter("persist.lazy_decodes")
+        restored = load_system(tmp_path / "snap",
+                               LWTSystem(clock=VirtualClock()))
+        assert restored.db.fingerprint(obj.name) == row["chunk"] \
+            == lwt.db.fingerprint(obj.name)
+        assert counter("persist.lazy_decodes") == decodes
+        # A version decoded by ``get`` keeps its address too, so the next
+        # save encodes nothing for it.
+        again = load_system(tmp_path / "snap", LWTSystem(clock=VirtualClock()))
+        again.db.get(obj.name)
+        assert again.db._entry(obj.name).fingerprint == row["chunk"]
 
     def test_restore_defers_memo_warming(self, lwt, tmp_path):
         thread = lwt.create_thread("alpha", owner="a")
@@ -680,6 +720,28 @@ class TestLegacyFormat2:
         doc = json.loads((LEGACY_V2_DIR / "database.json").read_text())
         assert doc["format"] == FORMAT_VERSION
         assert (LEGACY_V2_DIR / "journal.jsonl").exists()
+
+    def test_restored_legacy_versions_fingerprint_like_fresh_puts(
+            self, tmp_path):
+        """A legacy address is not the content identity: a restored
+        version fingerprints as the sha1 of its chunk's bytes, the same
+        as its payload put fresh, and nothing is decoded to get there."""
+        from repro.core.memo import fingerprint
+
+        live = legacy_scenario(tmp_path / "live")
+        restored = load_system(LEGACY_V2_DIR, LWTSystem(clock=VirtualClock()))
+        doc = json.loads((LEGACY_V2_DIR / "database.json").read_text())
+        legacy = 0
+        decodes = counter("persist.lazy_decodes")
+        for row in doc["objects"]:
+            name = f"{row['base']}@{row['version']}"
+            if row.get("reclaimed"):
+                continue
+            fresh = fingerprint(live.db.get(name).payload)
+            assert restored.db.fingerprint(name) == fresh, name
+            legacy += row["chunk"] != fresh
+        assert counter("persist.lazy_decodes") == decodes
+        assert legacy            # the fixture does hold legacy addresses
 
     def test_resave_into_a_fresh_directory_roundtrips(self, tmp_path):
         live = legacy_scenario(tmp_path / "live")
