@@ -42,13 +42,6 @@ from repro.octdb.persistence import (
 )
 
 
-def _audit():
-    # Lazy: keeps `python -m repro.obs.provenance` clear of runpy's
-    # double-import warning (importing repro pulls this module in).
-    from repro.obs.provenance import AUDIT
-
-    return AUDIT
-
 FORMAT_V1 = 1
 FORMAT_VERSION = 2
 
@@ -235,7 +228,7 @@ def _system_doc(lwt: LWTSystem) -> dict[str, Any]:
             }
             for sds in lwt.spaces.values()
         ],
-        "audit": _audit().to_dicts(),
+        "audit": lwt.db.audit.to_dicts(),
     }
     return doc
 
@@ -303,7 +296,7 @@ def load_system(directory: str | Path, lwt: LWTSystem | None = None,
         store = ChunkStore(directory / "objects")
     load_database(directory / "database.json", lwt.db, store=store)
     lwt.clock.advance_to(doc.get("now", 0.0))
-    _audit().restore(doc.get("audit", ()))
+    lwt.db.audit.restore(doc.get("audit", ()))
     for thread_doc in doc["threads"]:
         thread_from_dict(thread_doc, lwt)
     for sds_doc in doc["spaces"]:
@@ -414,7 +407,7 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
             creator=entry.get("creator", ""),
             size=entry["size"],
         )
-        chain.append(_Entry(obj=obj, last_access=entry["created_at"]))
+        chain.append(_Entry(obj=obj))
         db._bytes_live += obj.size
     elif op == "db.alias":
         oname = parse_name(entry["name"])
@@ -434,8 +427,7 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
             creator=source.obj.creator,
             size=0,
         )
-        chain.append(_Entry(obj=obj, last_access=entry["created_at"],
-                            fingerprint=source.fingerprint))
+        chain.append(_Entry(obj=obj, fingerprint=source.fingerprint))
         db._note_alias(entry["name"], entry["source"])
     elif op == "db.delete":
         row = _parked_row(db, entry["name"])
@@ -539,7 +531,7 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
     elif op == "abstract":
         lwt.thread(entry["thread"]).stream.abstract(entry["point"])
     elif op == "audit":
-        _audit().append_dicts(entry["entries"])
+        lwt.db.audit.append_dicts(entry["entries"])
     else:
         raise PersistenceError(f"unknown journal entry op {op!r}")
 
@@ -584,7 +576,7 @@ def replay_journal(lwt: LWTSystem, store: ChunkStore,
     would otherwise re-record entries the journal's own ``audit`` deltas
     restore verbatim.
     """
-    with _audit().suspended():
+    with lwt.db.audit.suspended():
         for entry in entries:
             _replay_entry(lwt, store, entry)
 
@@ -616,7 +608,7 @@ class PersistentSession:
         self.store = ChunkStore(self.directory / "objects")
         self._buffer: list[tuple] = []
         self._dirty = False
-        self._audit_seen = len(_audit())
+        self._audit_seen = len(self.lwt.db.audit)
         # ``snapshot_current`` asserts the directory holds a format-2
         # snapshot plus journal equal to the in-memory state, ending on a
         # line boundary (``load_system`` reports it) — only then may the
@@ -781,7 +773,7 @@ class PersistentSession:
         self._buffer.clear()
         self._dirty = False
         self._has_snapshot = True
-        self._audit_seen = len(_audit())
+        self._audit_seen = len(self.lwt.db.audit)
         return rows
 
     def _flush_journal(self) -> None:
@@ -790,7 +782,7 @@ class PersistentSession:
         for buffered in self._buffer:
             lines.append(json.dumps(self._serialize(buffered),
                                     sort_keys=True))
-        audit_delta = _audit().to_dicts()[self._audit_seen:]
+        audit_delta = self.lwt.db.audit.to_dicts()[self._audit_seen:]
         if audit_delta:
             lines.append(json.dumps(
                 {"op": "audit", "entries": audit_delta}, sort_keys=True))
@@ -802,7 +794,7 @@ class PersistentSession:
             os.fsync(fh.fileno())
         METRICS.counter("persist.journal_entries").inc(len(lines))
         self._buffer.clear()
-        self._audit_seen = len(_audit())
+        self._audit_seen = len(self.lwt.db.audit)
 
     # --------------------------------------------------------------- compact
 

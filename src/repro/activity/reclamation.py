@@ -313,11 +313,7 @@ class Reclaimer:
             METRICS.counter("reclaim.versions_erased").inc(len(reclaimed))
         if bytes_reclaimed:
             METRICS.counter("reclaim.bytes_reclaimed").inc(bytes_reclaimed)
-        # Lazy: keeps `python -m repro.obs.provenance` clear of runpy's
-        # double-import warning (importing repro pulls this module in).
-        from repro.obs.provenance import AUDIT
-
-        AUDIT.record(
+        self.db.audit.record(
             "reclaim", thread=self.thread.name, actor=self.thread.owner,
             reason="background sweep", at=self.thread.clock.now,
             objects_swept=len(report.objects_deleted),

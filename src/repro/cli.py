@@ -332,7 +332,7 @@ class Shell:
         if args and args[0] == "export":
             if len(args) != 2:
                 raise ShellError(usage)
-            count = provenance.AUDIT.export_jsonl(args[1])
+            count = self.papyrus.db.audit.export_jsonl(args[1])
             self._print(f"wrote {count} audit entries to {args[1]}")
             return
         kind = None
@@ -345,7 +345,7 @@ class Shell:
             if not args[0].isdigit():
                 raise ShellError(usage)
             limit = int(args[0])
-        lines = provenance.AUDIT.render(limit=limit, kind=kind)
+        lines = self.papyrus.db.audit.render(limit=limit, kind=kind)
         if not lines:
             self._print("audit journal is empty")
             return

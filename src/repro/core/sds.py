@@ -129,11 +129,9 @@ class SynchronizationDataSpace:
         self.db.publish(self, "contribute", thread=thread.name,
                         name=str(resolved), at=self.clock.now)
         METRICS.counter("sds.moves", direction="contribute").inc()
-        from repro.obs.provenance import AUDIT  # lazy: obs sits above core
-
-        AUDIT.record("move", thread=thread.name, actor=thread.owner,
-                     at=self.clock.now, direction="contribute",
-                     sds=self.name, object=str(resolved))
+        self.db.audit.record("move", thread=thread.name, actor=thread.owner,
+                             at=self.clock.now, direction="contribute",
+                             sds=self.name, object=str(resolved))
         if TRACER.enabled:
             TRACER.event("sds.move", cat="sds", direction="contribute",
                          sds=self.name, thread=thread.name,
@@ -178,11 +176,9 @@ class SynchronizationDataSpace:
                         name=str(oname), at=self.clock.now,
                         propagate=propagate)
         METRICS.counter("sds.moves", direction="retrieve").inc()
-        from repro.obs.provenance import AUDIT  # lazy: obs sits above core
-
-        AUDIT.record("move", thread=thread.name, actor=thread.owner,
-                     at=self.clock.now, direction="retrieve",
-                     sds=self.name, object=str(oname))
+        self.db.audit.record("move", thread=thread.name, actor=thread.owner,
+                             at=self.clock.now, direction="retrieve",
+                             sds=self.name, object=str(oname))
         if TRACER.enabled:
             TRACER.event("sds.move", cat="sds", direction="retrieve",
                          sds=self.name, thread=thread.name,

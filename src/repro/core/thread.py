@@ -102,11 +102,9 @@ class DesignThread:
                 self.current_cursor = INITIAL_POINT
         audited = DESTRUCTIVE.get(kind)
         if audited is not None:
-            from repro.obs.provenance import AUDIT
-
-            AUDIT.record(kind, thread=self.name, actor=self.owner,
-                         reason=self._audit_reason, at=self.clock.now,
-                         **{key: details[key] for key in audited})
+            self.db.audit.record(kind, thread=self.name, actor=self.owner,
+                                 reason=self._audit_reason, at=self.clock.now,
+                                 **{key: details[key] for key in audited})
         self.db.publish(self, kind, **details)
 
     @contextlib.contextmanager

@@ -16,15 +16,6 @@ from repro.errors import ThreadError
 from repro.obs import METRICS, TRACER
 
 
-def _audit():
-    # Imported lazily: provenance sits above core in the layer diagram, and
-    # a module-level import would also make `python -m repro.obs.provenance`
-    # trip runpy's re-import warning.
-    from repro.obs.provenance import AUDIT
-
-    return AUDIT
-
-
 def _lineage(*threads: DesignThread) -> tuple[DerivationCache, ...]:
     """The non-None derivation caches of the given threads, in order."""
     return tuple(t.memo for t in threads if t.memo is not None)
@@ -60,8 +51,9 @@ def fork(
     # reads through to the parent's (writes stay local to the child).
     child.memo = DerivationCache(child.stream, parents=_lineage(source))
     METRICS.counter("thread.forks").inc()
-    _audit().record("fork", thread=name, actor=child.owner,
-                    at=source.clock.now, source=source.name, inherit=inherit)
+    source.db.audit.record("fork", thread=name, actor=child.owner,
+                           at=source.clock.now, source=source.name,
+                           inherit=inherit)
     if TRACER.enabled:
         TRACER.event("thread.fork", cat="thread", source=source.name,
                      child=name, inherit=inherit)
@@ -114,8 +106,8 @@ def cascade(
                       if p in trail_map]
     merged.current_cursor = max(trail_frontier, default=lead_map[connector])
     METRICS.counter("thread.cascades").inc()
-    _audit().record("cascade", thread=name, actor=merged.owner,
-                    at=lead.clock.now, lead=lead.name, trail=trail.name)
+    lead.db.audit.record("cascade", thread=name, actor=merged.owner,
+                         at=lead.clock.now, lead=lead.name, trail=trail.name)
     if TRACER.enabled:
         TRACER.event("thread.cascade", cat="thread", lead=lead.name,
                      trail=trail.name, merged=name)
@@ -153,9 +145,9 @@ def join(
     merged.scope.seed_from(second.scope, second_map)
     merged.extra_objects = set(first.extra_objects) | set(second.extra_objects)
     METRICS.counter("thread.joins").inc()
-    _audit().record("join", thread=name, actor=merged.owner,
-                    at=first.clock.now, first=first.name, second=second.name,
-                    at_end=at_end)
+    first.db.audit.record("join", thread=name, actor=merged.owner,
+                          at=first.clock.now, first=first.name,
+                          second=second.name, at_end=at_end)
     if TRACER.enabled:
         TRACER.event("thread.join", cat="thread", first=first.name,
                      second=second.name, merged=name, at_end=at_end)

@@ -16,6 +16,7 @@ from typing import Any, Callable, Iterator
 from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.errors import ObjectNotFound, VersionConflict
 from repro.obs import METRICS, TRACER
+from repro.obs.audit import AuditJournal
 from repro.obs.metrics import bound_metric
 from repro.octdb.chunkstore import LazyPayload, payload_digest
 from repro.octdb.naming import ObjectName, parse_name
@@ -64,7 +65,6 @@ class VersionedObject:
 class _Entry:
     obj: VersionedObject
     deleted_at: float | None = None   # tombstone time; None = live
-    last_access: float = 0.0
     pinned: bool = False              # protected from reclamation
     fingerprint: str | None = None    # chunk address; set on first use/save
 
@@ -95,6 +95,9 @@ class DesignDatabase:
         #: of a thread or SDS on it, or of the registry reaches every
         #: subscriber once, as ``subscriber(source, kind, details)``.
         self.subscribers: list[Callable[[Any, str, dict[str, Any]], None]] = []
+        #: The installation's audit trail: every destructive history
+        #: mutation on this database, or on a thread or SDS on it.
+        self.audit = AuditJournal()
 
     def publish(self, source: Any, kind: str, /, **details: Any) -> None:
         for subscriber in self.subscribers:
@@ -129,7 +132,7 @@ class DesignDatabase:
             creator=creator,
             size=_estimate_size(payload),
         )
-        chain.append(_Entry(obj=obj, last_access=self.clock.now))
+        chain.append(_Entry(obj=obj))
         self._bytes_live += obj.size
         self._created.inc()
         if TRACER.enabled:
@@ -168,8 +171,7 @@ class DesignDatabase:
         )
         # Same payload object, same content: the alias inherits the source's
         # fingerprint (or gets its own on first use if it has none yet).
-        chain.append(_Entry(obj=obj, last_access=self.clock.now,
-                            fingerprint=source_entry.fingerprint))
+        chain.append(_Entry(obj=obj, fingerprint=source_entry.fingerprint))
         self._note_alias(str(obj.name), str(source.name))
         self._aliased.inc()
         if TRACER.enabled:
@@ -226,7 +228,6 @@ class DesignDatabase:
         proportional to the objects actually touched.
         """
         entry = self._entry(name)
-        entry.last_access = self.clock.now
         payload = entry.obj.payload
         if isinstance(payload, LazyPayload):
             entry.obj = dataclasses.replace(entry.obj,

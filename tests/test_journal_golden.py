@@ -2,7 +2,7 @@
 
 ``tests/fixtures/journal_golden.json`` holds, for a scenario that writes
 every write-ahead journal op, the journal text after each save, the audit
-trail (``AUDIT.to_dicts()``), and the bytes of the final ``history.json``
+trail (``lwt.db.audit.to_dicts()``), and the bytes of the final ``history.json``
 and ``database.json``.  Whatever carries mutations to the session and the
 audit trail, both must come out byte for byte the same.
 
@@ -33,7 +33,6 @@ from repro.clock import VirtualClock
 from repro.core import LWTSystem, history
 from repro.core.history import HistoryRecord, StepRecord
 from repro.core.thread_ops import fork
-from repro.obs.provenance import AUDIT
 
 GOLDEN = Path(__file__).parent / "fixtures" / "journal_golden.json"
 DAY = 24 * 3600.0
@@ -56,11 +55,10 @@ def _record(task: str, inputs, outputs, at: float,
 
 @contextlib.contextmanager
 def fresh_counters():
-    """Restart the process-global record counter and audit trail, so the
-    output does not depend on what ran before it in the process."""
+    """Restart the process-global record counter, so the output does not
+    depend on what ran before it in the process."""
     saved = history._record_counter
     history._record_counter = itertools.count(1)
-    AUDIT.clear()
     try:
         yield
     finally:
@@ -158,7 +156,7 @@ def scenario(directory: Path) -> dict:
     save()
     return {
         "journals": journals,
-        "audit": AUDIT.to_dicts(),
+        "audit": lwt.db.audit.to_dicts(),
         "history.json": (directory / "history.json").read_text(),
         "database.json": (directory / "database.json").read_text(),
     }

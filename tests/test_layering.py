@@ -2,14 +2,22 @@
 
 ``repro.octdb`` is the OCT substrate every other subsystem builds on, so it
 may import only itself and the leaf modules beside it: ``repro.obs``
-(metrics and tracing), ``repro.errors`` and ``repro.clock``.  The scan
-reads every import statement of every module, function-local ones
-included, so an import deferred to dodge a cycle still counts.
+(metrics, tracing and the audit journal), ``repro.errors`` and
+``repro.clock``.  The scan reads every import statement of every module,
+function-local ones included, so an import deferred to dodge a cycle still
+counts.
+
+Importing ``repro.obs`` must not import ``repro.obs.provenance``: runpy
+warns when the module ``python -m repro.obs.provenance`` runs is already
+loaded, and CI's provenance smoke runs that entry point.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro.octdb
@@ -48,3 +56,13 @@ def test_octdb_imports_only_lower_layers():
 def test_scan_sees_function_local_imports():
     tree = ast.parse("def f():\n    from repro.core.memo import fingerprint\n")
     assert imported_modules(tree) == [(2, "repro.core.memo")]
+
+
+def test_provenance_cli_runs_without_a_reimport_warning():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.obs.provenance", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -464,18 +464,17 @@ class TestPersistentSession:
         assert "alpha-fork" in restored.threads
 
     def test_audit_trail_survives_journal_restore(self, lwt, tmp_path):
-        from repro.obs.provenance import AUDIT
-
         thread = lwt.create_thread("alpha", owner="a")
         session = PersistentSession(lwt, tmp_path / "s")
         session.save()
         obj = lwt.db.put("cell", {"k": 1})
         thread.commit_record(make_record("synth", outputs=(str(obj.name),)))
         session.save()
-        trail = AUDIT.to_dicts()
+        trail = lwt.db.audit.to_dicts()
 
-        load_system(tmp_path / "s", LWTSystem(clock=VirtualClock()))
-        assert AUDIT.to_dicts() == trail
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert restored.db.audit.to_dicts() == trail
 
     def test_compact_collects_reclaimed_chunks(self, lwt, tmp_path):
         thread = lwt.create_thread("alpha", owner="a")

@@ -136,41 +136,36 @@ class TestProvenanceRoundTrip:
         assert render_why(after_graph, "s.pla@1") == before
 
     def test_audit_journal_survives_restore(self, session, tmp_path):
-        from repro.obs.provenance import AUDIT
-
         papyrus, designer = session
-        AUDIT.clear()
         sc_point = designer.thread.find_annotation("the SC attempt")
         designer.move_cursor(sc_point)
         parent = designer.thread.stream.node(sc_point).parents[0]
         designer.move_cursor(parent, erase=True)
-        assert AUDIT.entries(kind="erase")
-        entries_before = AUDIT.to_dicts()
+        assert papyrus.db.audit.entries(kind="erase")
+        entries_before = papyrus.db.audit.to_dicts()
 
         save_system(papyrus.lwt, tmp_path / "snap")
-        AUDIT.clear()
-        load_system(tmp_path / "snap", LWTSystem(clock=VirtualClock()))
-        assert AUDIT.to_dicts() == entries_before
+        restored = load_system(tmp_path / "snap",
+                               LWTSystem(clock=VirtualClock()))
+        audit = restored.db.audit
+        assert audit.to_dicts() == entries_before
         # the sequence counter continues past the restored entries
-        AUDIT.record("reclaim", thread="work", actor="chiueh")
-        assert AUDIT.to_dicts()[-1]["seq"] == entries_before[-1]["seq"] + 1
+        audit.record("reclaim", thread="work", actor="chiueh")
+        assert audit.to_dicts()[-1]["seq"] == entries_before[-1]["seq"] + 1
 
     def test_restored_stream_still_audits(self, session, tmp_path):
         """The destructive-mutation hook must be rewired onto the stream
         object rebuilt by thread_from_dict."""
-        from repro.obs.provenance import AUDIT
-
         papyrus, designer = session
         save_system(papyrus.lwt, tmp_path / "snap")
         restored = load_system(tmp_path / "snap",
                                LWTSystem(clock=VirtualClock()))
-        AUDIT.clear()
         thread = restored.thread("work")
         sc_point = thread.find_annotation("the SC attempt")
         thread.move_cursor(sc_point)
         parent = thread.stream.node(sc_point).parents[0]
         thread.move_cursor(parent, erase=True)
-        erased = AUDIT.entries(kind="erase")
+        erased = restored.db.audit.entries(kind="erase")
         assert len(erased) == 1
         assert erased[0].thread == "work"
 

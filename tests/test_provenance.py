@@ -8,12 +8,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import Papyrus, obs
+from repro.activity.persistence import (PersistentSession, load_system,
+                                        save_system)
 from repro.activity.reclamation import Reclaimer
+from repro.clock import VirtualClock
 from repro.core.control_stream import INITIAL_POINT
 from repro.core.history import HistoryRecord
+from repro.core.lwt import LWTSystem
 from repro.core.thread import DesignThread
 from repro.core.thread_ops import cascade, fork, join
-from repro.obs.provenance import (AUDIT, ProvenanceGraph, check_lineage,
+from repro.obs.audit import AuditJournal
+from repro.obs.provenance import (ProvenanceGraph, check_lineage,
                                   render_blame, render_impact, render_why)
 from repro.octdb import DesignDatabase
 
@@ -216,7 +221,6 @@ class TestExports:
 
 class TestAuditJournal:
     def test_thread_ops_audited(self):
-        AUDIT.clear()
         papyrus = Papyrus.standard(hosts=2)
         a = papyrus.open_thread("a", owner="x")
         a.invoke("Create_Logic_Description", {"Spec": "shifter.spec"},
@@ -227,12 +231,12 @@ class TestAuditJournal:
                  {"Outcell": "b.logic"})
         cascade(a.thread, b.thread, "merged")
         join(a.thread, b.thread, "joined")
-        assert [e.kind for e in AUDIT] == ["fork", "cascade", "join"]
+        assert [e.kind for e in papyrus.db.audit] == \
+            ["fork", "cascade", "join"]
 
     def test_merged_thread_still_audits(self):
         """cascade/join replace the merged thread's stream object; the
         destructive hook must be rewired onto the replacement."""
-        AUDIT.clear()
         papyrus = Papyrus.standard(hosts=2)
         a = papyrus.open_thread("a", owner="x")
         a.invoke("Create_Logic_Description", {"Spec": "shifter.spec"},
@@ -241,39 +245,35 @@ class TestAuditJournal:
         b.invoke("Create_Logic_Description", {"Spec": "shifter.spec"},
                  {"Outcell": "b.logic"})
         merged = cascade(a.thread, b.thread, "merged")
-        AUDIT.clear()
         tip = merged.stream.frontier()[0]
         merged.stream.remove_points({tip})
-        erased = AUDIT.entries(kind="erase")
+        erased = papyrus.db.audit.entries(kind="erase")
         assert len(erased) == 1 and erased[0].thread == "merged"
 
     def test_sds_moves_audited(self):
-        AUDIT.clear()
         papyrus = Papyrus.standard(hosts=2)
         a = papyrus.open_thread("a", owner="x")
         a.invoke("Create_Logic_Description", {"Spec": "shifter.spec"},
                  {"Outcell": "a.logic"})
         b = papyrus.open_thread("b", owner="y")
         sds = papyrus.lwt.create_sds("X", [a.thread, b.thread])
-        AUDIT.clear()
         sds.contribute(a.thread, "a.logic")
         sds.retrieve(b.thread, "a.logic")
-        moves = AUDIT.entries(kind="move")
+        moves = papyrus.db.audit.entries(kind="move")
         assert [m.details["direction"] for m in moves] == \
             ["contribute", "retrieve"]
         assert moves[0].details["sds"] == "X"
 
     def test_reclamation_audited_and_metered(self):
-        AUDIT.clear()
         papyrus = Papyrus.standard(hosts=2)
         designer = papyrus.open_thread("work", owner="chiueh")
         _flow(designer)
         swept_before = obs.METRICS.counter("reclaim.objects_swept").value
         papyrus.clock.advance(365 * 24 * 3600.0)
         report = Reclaimer(designer.thread).sweep(reclaim_grace=0.0)
-        kinds = {e.kind for e in AUDIT}
+        kinds = {e.kind for e in papyrus.db.audit}
         assert "reclaim" in kinds
-        sweeps = AUDIT.entries(kind="reclaim")
+        sweeps = papyrus.db.audit.entries(kind="reclaim")
         assert sweeps[-1].details["records_abstracted"] == \
             report.records_abstracted
         if report.objects_deleted:
@@ -287,25 +287,70 @@ class TestAuditJournal:
         assert "reclaim_churn" in names
 
     def test_render_and_export_roundtrip(self, tmp_path):
-        AUDIT.clear()
-        AUDIT.record("erase", thread="t", actor="u", reason="why not",
+        audit = AuditJournal()
+        audit.record("erase", thread="t", actor="u", reason="why not",
                      at=1.0, points=[3, 4])
-        AUDIT.record("move", thread="t", actor="u", at=2.0,
+        audit.record("move", thread="t", actor="u", at=2.0,
                      direction="contribute", sds="X", object="a@1")
-        lines = AUDIT.render()
+        lines = audit.render()
         assert len(lines) == 2 and "erase" in lines[0]
         path = tmp_path / "audit.jsonl"
-        assert AUDIT.export_jsonl(str(path)) == 2
+        assert audit.export_jsonl(str(path)) == 2
         dumped = [json.loads(line) for line in
                   path.read_text().splitlines()]
-        saved = AUDIT.to_dicts()
-        AUDIT.clear()
-        AUDIT.restore(dumped)
-        assert AUDIT.to_dicts() == saved
+        saved = audit.to_dicts()
+        restored = AuditJournal()
+        restored.restore(dumped)
+        assert restored.to_dicts() == saved
+
+    # Two installations in one process keep two trails: one's erase never
+    # reaches the other's saves, and loading one never rewrites the other.
+
+    def test_checkpoint_writes_only_its_own_trail(self, tmp_path):
+        alice, work, first = _installation("alice")
+        bob, _, _ = _installation("bob")
+        work.move_cursor(first, erase=True)
+        save_system(bob, tmp_path / "bob")
+        doc = json.loads((tmp_path / "bob" / "history.json").read_text())
+        assert doc["audit"] == []
+        assert [e.kind for e in alice.db.audit] == ["erase"]
+
+    def test_journal_save_carries_only_its_own_trail(self, tmp_path):
+        _, work, first = _installation("alice")
+        bob, bob_work, _ = _installation("bob")
+        session = PersistentSession(bob, tmp_path / "bob")
+        session.save()
+        work.move_cursor(first, erase=True)
+        bob_work.commit_record(_rec("route"))
+        session.save()
+        journal = (tmp_path / "bob" / "journal.jsonl").read_text()
+        ops = [json.loads(line)["op"] for line in journal.splitlines()]
+        assert "commit" in ops
+        assert "audit" not in ops
+
+    def test_loading_another_installation_keeps_this_trail(self, tmp_path):
+        alice, work, first = _installation("alice")
+        bob, _, _ = _installation("bob")
+        save_system(bob, tmp_path / "bob")
+        work.move_cursor(first, erase=True)
+        trail = alice.db.audit.to_dicts()
+        load_system(tmp_path / "bob", LWTSystem(clock=VirtualClock()))
+        assert len(trail) == 1
+        assert alice.db.audit.to_dicts() == trail
 
 
 def _rec(task: str = "t") -> HistoryRecord:
     return HistoryRecord(task=task, inputs=(), outputs=(), steps=())
+
+
+def _installation(owner: str) -> tuple[LWTSystem, DesignThread, int]:
+    """An installation whose one thread holds two committed records;
+    returns it, the thread and the first record's point."""
+    lwt = LWTSystem(clock=VirtualClock())
+    thread = lwt.create_thread("work", owner=owner)
+    first = thread.commit_record(_rec("synth"))
+    thread.commit_record(_rec("place"))
+    return lwt, thread, first
 
 
 class TestExactlyOnce:
@@ -317,7 +362,6 @@ class TestExactlyOnce:
                                      "collapse"]),
                     min_size=1, max_size=12))
     def test_random_mutation_sequence(self, ops):
-        AUDIT.clear()
         thread = DesignThread("w", db=DesignDatabase(), owner="x")
         stream = thread.stream
         tip = INITIAL_POINT
@@ -353,11 +397,12 @@ class TestExactlyOnce:
                                         steps=())
                 stream.replace_region({oldest}, summary)
                 expected.append("replace_region")
-        destructive = [e.kind for e in AUDIT
+        audit = thread.db.audit
+        destructive = [e.kind for e in audit
                        if e.kind in ("erase", "splice_out",
                                      "replace_region")]
         assert destructive == expected
-        assert len(AUDIT) == len(expected)
+        assert len(audit) == len(expected)
 
 
 _STEPS = {
