@@ -10,10 +10,11 @@ session restarts.  Two generations of the on-disk layout coexist:
   over a content-addressed ``objects/`` chunk store, ``history.json`` holds
   the thread/SDS/audit snapshot, and ``journal.jsonl`` is a write-ahead
   journal of typed mutation entries.  :func:`load_system` restores from
-  *snapshot + journal replay* with lazily materialized payloads, so restore
-  cost is O(touched objects), and a :class:`PersistentSession` turns
-  ``save`` into "write new chunks + fsync the journal" instead of
-  re-serializing the world.
+  *snapshot + journal replay*: it builds every version slot and history
+  node — O(versions) small objects — while payloads decode on first
+  access, so decoding is O(touched objects); and a
+  :class:`PersistentSession` turns ``save`` into "write new chunks + fsync
+  the journal" instead of re-serializing the world.
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.control_stream import INITIAL_POINT, ControlStream
+from repro.core.control_stream import INITIAL_POINT, ControlStream, RecordNode
 from repro.core.history import HistoryRecord, StepRecord
-from repro.core.memo import DerivationCache
 from repro.core.lwt import LWTSystem
 from repro.core.thread import DesignThread
 from repro.errors import PersistenceError, ThreadError
 from repro.obs import METRICS, TRACER
-from repro.octdb.chunkstore import ChunkStore, LazyPayload
+from repro.octdb.chunkstore import ChunkStore
 from repro.octdb.database import VersionedObject, _Entry
-from repro.octdb.naming import ObjectName, parse_name
+from repro.octdb.naming import parse_name
 from repro.octdb.persistence import (
-    LazyChainMap,
+    _version_slot,
     load_database,
+    restore_version,
     save_database,
     stored_chunk,
 )
@@ -112,8 +113,6 @@ def stream_to_dict(stream: ControlStream) -> dict:
 
 
 def _nodes_from_doc(data: dict) -> tuple[dict, int]:
-    from repro.core.control_stream import RecordNode
-
     nodes: dict[int, RecordNode] = {}
     for nd in data["nodes"]:
         node = RecordNode(
@@ -127,48 +126,6 @@ def _nodes_from_doc(data: dict) -> tuple[dict, int]:
     if INITIAL_POINT not in nodes:
         raise ThreadError("persisted stream lacks the initial design point")
     return nodes, data["next"]
-
-
-class LazyStream(ControlStream):
-    """A restored control stream that decodes its nodes on first access.
-
-    Rebuilding every :class:`HistoryRecord` of every thread up front makes
-    restore O(history); parking the raw node documents here keeps a thread
-    that is never touched free.  Hydration happens in place — behind the
-    ``_nodes``/``_next`` properties — on the first real operation, so every
-    holder of the stream object (scope, derivation cache, owning thread) sees
-    the decoded structure without rebinding.
-    """
-
-    _raw: dict | None = None
-
-    def __init__(self, doc: dict):
-        super().__init__()
-        self._raw = doc
-
-    def _hydrate(self) -> None:
-        raw, self._raw = self._raw, None
-        self.__dict__["_nodes"], self.__dict__["_next"] = _nodes_from_doc(raw)
-
-    @property
-    def _nodes(self) -> dict:
-        if self._raw is not None:
-            self._hydrate()
-        return self.__dict__["_nodes"]
-
-    @_nodes.setter
-    def _nodes(self, value: dict) -> None:
-        self.__dict__["_nodes"] = value
-
-    @property
-    def _next(self) -> int:
-        if self._raw is not None:
-            self._hydrate()
-        return self.__dict__["_next"]
-
-    @_next.setter
-    def _next(self, value: int) -> None:
-        self.__dict__["_next"] = value
 
 
 # ----------------------------------------------------------------- threads
@@ -188,15 +145,12 @@ def thread_to_dict(thread: DesignThread) -> dict:
 
 def thread_from_dict(data: dict, lwt: LWTSystem) -> DesignThread:
     thread = lwt.create_thread(data["name"], owner=data.get("owner", ""))
-    thread.stream = LazyStream(data["stream"])
-    thread.scope.stream = thread.stream
-    # Rebind the derivation cache and defer its warming: the restored
-    # history is exactly the committed-step knowledge it feeds on, but
-    # fingerprinting every historical input payload up front would make
-    # restore O(history) — and force-decode every chunk.  The loader runs
-    # on the cache's first use instead, so a session that never reworks
-    # never pays for it.
-    thread.memo = DerivationCache(thread.stream)
+    thread.stream._nodes, thread.stream._next = _nodes_from_doc(data["stream"])
+    # Defer warming the derivation cache: the restored history is exactly
+    # the committed-step knowledge it feeds on, but fingerprinting every
+    # historical input payload up front would make restore O(history) —
+    # and force-decode every chunk.  The loader runs on the cache's first
+    # use instead, so a session that never reworks never pays for it.
     db = lwt.db
     thread.memo.defer_populate(
         lambda cache: sum(cache.populate(r, db)
@@ -328,34 +282,6 @@ def load_system(directory: str | Path, lwt: LWTSystem | None = None,
 # ------------------------------------------------------------ journal replay
 
 
-def _db_slot(lwt: LWTSystem, name: str) -> _Entry:
-    oname = parse_name(name)
-    chain = lwt.db._versions.get(oname.base)
-    if chain is None or oname.version is None \
-            or not 1 <= oname.version <= len(chain):
-        raise PersistenceError(
-            f"journal references unknown version {name!r}"
-        )
-    return chain[oname.version - 1]
-
-
-def _parked_row(db, name: str) -> dict[str, Any] | None:
-    """The raw (unbuilt) manifest row for ``name``, when its base is still
-    parked in a :class:`LazyChainMap` — lets journal replay mutate state
-    without materializing chains it only brushes past."""
-    oname = parse_name(name)
-    chains = db._versions
-    if not isinstance(chains, LazyChainMap) \
-            or not chains.is_pending(oname.base):
-        return None
-    rows = chains.pending_rows(oname.base)
-    if oname.version is None or not 1 <= oname.version <= len(rows):
-        raise PersistenceError(
-            f"journal references unknown version {name!r}"
-        )
-    return rows[oname.version - 1]
-
-
 def _replay_entry(lwt: LWTSystem, store: ChunkStore,
                   entry: dict[str, Any]) -> None:
     """Apply one journal entry.
@@ -373,55 +299,21 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
         lwt.clock.advance_to(entry["now"])
     elif op == "db.put":
         oname = parse_name(entry["name"])
-        chains = db._versions
-        if isinstance(chains, LazyChainMap) and chains.is_pending(oname.base):
-            rows = chains.pending_rows(oname.base)
-            if len(rows) >= (oname.version or 0):
-                return
-            if oname.version != len(rows) + 1:
-                raise PersistenceError(
-                    f"journal put of {entry['name']!r} does not extend the "
-                    f"version chain (next is {len(rows) + 1})"
-                )
-            rows.append({
-                "base": oname.base, "version": oname.version,
-                "created_at": entry["created_at"],
-                "creator": entry.get("creator", ""),
-                "chunk": entry["chunk"], "size": entry["size"],
-                "deleted_at": None, "pinned": False,
-            })
-            db._bytes_live += entry["size"]
-            return
-        chain = chains.setdefault(oname.base, [])
-        if len(chain) >= (oname.version or 0):
-            return
-        if oname.version != len(chain) + 1:
-            raise PersistenceError(
-                f"journal put of {entry['name']!r} does not extend the "
-                f"version chain (next is {len(chain) + 1})"
-            )
-        obj = VersionedObject(
-            name=ObjectName(oname.base, oname.version),
-            payload=LazyPayload(store, entry["chunk"]),
-            created_at=entry["created_at"],
-            creator=entry.get("creator", ""),
-            size=entry["size"],
-        )
-        chain.append(_Entry(obj=obj))
-        db._bytes_live += obj.size
+        if db.latest_version(oname.base) < (oname.version or 0):
+            restore_version(db, oname, entry, store)
     elif op == "db.alias":
         oname = parse_name(entry["name"])
         chain = db._versions.setdefault(oname.base, [])
         if len(chain) >= (oname.version or 0):
             return
-        source = _db_slot(lwt, entry["source"])
+        source = _version_slot(db, entry["source"])
         if source.obj is None:
             raise PersistenceError(
                 f"journal alias {entry['name']!r} references reclaimed "
                 f"source {entry['source']!r}"
             )
         obj = VersionedObject(
-            name=ObjectName(oname.base, oname.version),
+            name=oname,
             payload=source.obj.payload,
             created_at=entry["created_at"],
             creator=source.obj.creator,
@@ -430,41 +322,16 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
         chain.append(_Entry(obj=obj, fingerprint=source.fingerprint))
         db._note_alias(entry["name"], entry["source"])
     elif op == "db.delete":
-        row = _parked_row(db, entry["name"])
-        if row is not None:
-            if not row.get("reclaimed") and row.get("deleted_at") is None:
-                row["deleted_at"] = entry["at"]
-            return
-        slot = _db_slot(lwt, entry["name"])
+        slot = _version_slot(db, entry["name"])
         if slot.obj is not None and slot.deleted_at is None:
             slot.deleted_at = entry["at"]
     elif op == "db.undelete":
-        row = _parked_row(db, entry["name"])
-        if row is not None:
-            if not row.get("reclaimed"):
-                row["deleted_at"] = None
-            return
-        _db_slot(lwt, entry["name"]).deleted_at = None
+        _version_slot(db, entry["name"]).deleted_at = None
     elif op == "db.pin":
-        row = _parked_row(db, entry["name"])
-        if row is not None:
-            if not row.get("reclaimed"):
-                row["pinned"] = entry["pinned"]
-            return
-        _db_slot(lwt, entry["name"]).pinned = entry["pinned"]
+        _version_slot(db, entry["name"]).pinned = entry["pinned"]
     elif op == "db.reclaim":
         for name in entry["names"]:
-            row = _parked_row(db, name)
-            if row is not None:
-                if not row.get("reclaimed"):
-                    db._bytes_live -= row["size"]
-                    doomed = dict(base=row["base"], version=row["version"],
-                                  reclaimed=True,
-                                  deleted_at=row.get("deleted_at"))
-                    row.clear()
-                    row.update(doomed)
-                continue
-            slot = _db_slot(lwt, name)
+            slot = _version_slot(db, name)
             if slot.obj is not None:
                 db._bytes_live -= slot.obj.size
                 slot.obj = None  # type: ignore[assignment]
@@ -782,7 +649,7 @@ class PersistentSession:
         for buffered in self._buffer:
             lines.append(json.dumps(self._serialize(buffered),
                                     sort_keys=True))
-        audit_delta = self.lwt.db.audit.to_dicts()[self._audit_seen:]
+        audit_delta = self.lwt.db.audit.dicts_from(self._audit_seen)
         if audit_delta:
             lines.append(json.dumps(
                 {"op": "audit", "entries": audit_delta}, sort_keys=True))

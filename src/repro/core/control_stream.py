@@ -131,7 +131,7 @@ class ControlStream:
     def __bool__(self) -> bool:
         # A stream with zero records is still a stream; without this,
         # truthiness falls through to ``__len__`` — wrong for emptiness
-        # tests, and a forced hydration for lazily restored streams.
+        # tests, and a walk over every node.
         return True
 
     def points(self) -> list[int]:

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable
 
-from repro.clock import GLOBAL_CLOCK
+from repro.clock import VirtualClock
 from repro.obs import METRICS, TRACER
 
 
@@ -78,7 +78,9 @@ class AuditJournal:
     loaded.
     """
 
-    def __init__(self):
+    def __init__(self, clock: VirtualClock):
+        #: Stamps an entry recorded without an explicit time.
+        self.clock = clock
         self._entries: list[AuditEntry] = []
         self._seq = itertools.count(1)
         self._suspended = 0
@@ -119,7 +121,7 @@ class AuditJournal:
         entry = AuditEntry(
             seq=next(self._seq),
             kind=kind,
-            at=GLOBAL_CLOCK.now if at is None else at,
+            at=self.clock.now if at is None else at,
             actor=actor,
             thread=thread,
             reason=reason,
@@ -155,6 +157,11 @@ class AuditJournal:
 
     def to_dicts(self) -> list[dict[str, Any]]:
         return [e.to_dict() for e in self._entries]
+
+    def dicts_from(self, start: int) -> list[dict[str, Any]]:
+        """The persisted form of the entries after the first ``start``: a
+        journal save's delta, converted without touching the older trail."""
+        return [e.to_dict() for e in self._entries[start:]]
 
     def restore(self, dicts: Iterable[dict[str, Any]]) -> None:
         """Replace the journal with a persisted trail (session restore)."""

@@ -21,11 +21,13 @@ addresses were byte hashes were named by a structural walk of the decoded
 blob (:func:`_stable_hash`); they still load, are copied between stores
 under the address they have, and fingerprint as the sha1 of their bytes.
 
-Restore is lazy: manifests reference chunks by digest, and the database is
-rebuilt with :class:`LazyPayload` handles that decode their chunk on first
-access (``DesignDatabase.get`` materializes them).  Decoding is memoized per
-digest, so N versions sharing one chunk decode it once and share the decoded
-payload object — the in-memory mirror of the on-disk structural sharing.
+Restore decodes lazily: manifests reference chunks by digest, and every
+restored version carries its chunk's :class:`LazyPayload` handle, which
+decodes the chunk on first access (``DesignDatabase.get`` materializes it).
+A store hands out one handle per chunk (:meth:`ChunkStore.handle`), so N
+versions sharing one chunk share one handle, decode it once and share the
+decoded payload object — the in-memory mirror of the on-disk structural
+sharing.
 
 Metrics: ``persist.chunks_written`` / ``persist.chunks_deduped`` (put side),
 ``persist.lazy_decodes`` / ``persist.chunk_corrupt`` (read side),
@@ -163,8 +165,9 @@ class LazyPayload:
 
     Restored objects carry these instead of decoded payloads; the database
     swaps the handle for the real payload the first time the object is
-    fetched.  Aliases share the handle (and therefore the decoded object),
-    preserving payload identity across save/restore.
+    fetched.  Every version of one chunk — aliases included — shares its
+    store's handle (and therefore the decoded object), preserving payload
+    identity across save/restore.
     """
 
     __slots__ = ("store", "digest", "_value", "_loaded")
@@ -180,10 +183,6 @@ class LazyPayload:
             self._value = self.store.load_payload(self.digest)
             self._loaded = True
         return self._value
-
-    @property
-    def loaded(self) -> bool:
-        return self._loaded
 
     def address(self) -> str:
         """The sha1 of the chunk's checked bytes: ``digest`` unless legacy."""
@@ -212,6 +211,8 @@ class ChunkStore:
         #: Digest → decoded payload object.  Bounds lazy decodes by the
         #: number of *unique* chunks, not the number of versions touched.
         self._decoded: dict[str, Any] = {}
+        #: Digest → the one lazy handle restored versions of it share.
+        self._handles: dict[str, LazyPayload] = {}
         #: Digests known to exist on disk (avoids a stat per dedup hit).
         self._known: set[str] = set()
         self.bytes_written = 0
@@ -255,12 +256,12 @@ class ChunkStore:
     def put_payload(self, payload: Any) -> str:
         """Store one payload, returning its digest (no write when present).
 
-        An unmaterialized :class:`LazyPayload` is a pure digest reference:
-        its chunk is already on disk, so no encode happens at all — this is
-        what makes re-saving a lazily restored installation O(new data).
-        Saving into another store copies the chunk's bytes across.
+        A :class:`LazyPayload` is a digest reference: its chunk is already
+        on disk, so no encode happens at all — this is what makes re-saving
+        a restored installation O(new data).  Saving into another store
+        copies the chunk's bytes across, under the address they have.
         """
-        if isinstance(payload, LazyPayload) and not payload.loaded:
+        if isinstance(payload, LazyPayload):
             return self.copy_chunk(payload.store, payload.digest)
         return self.put_blob(encode_payload(payload))
 
@@ -314,6 +315,14 @@ class ChunkStore:
             )
         return data
 
+    def handle(self, digest: str) -> LazyPayload:
+        """The lazy handle of one chunk: one per digest, shared by every
+        restored version that references it."""
+        handle = self._handles.get(digest)
+        if handle is None:
+            handle = self._handles[digest] = LazyPayload(self, digest)
+        return handle
+
     def load_payload(self, digest: str) -> Any:
         """Decode one chunk into a payload (memoized per digest)."""
         if digest in self._decoded:
@@ -342,6 +351,7 @@ class ChunkStore:
                 continue
             self._known.discard(digest)
             self._decoded.pop(digest, None)
+            self._handles.pop(digest, None)
             deleted += 1
         if deleted:
             METRICS.counter("persist.chunks_deleted").inc(deleted)

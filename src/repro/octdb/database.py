@@ -38,7 +38,7 @@ def _estimate_size(payload: Any) -> int:
     return 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionedObject:
     """One immutable version of a design object."""
 
@@ -61,7 +61,7 @@ class VersionedObject:
         return str(self.name)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     obj: VersionedObject
     deleted_at: float | None = None   # tombstone time; None = live
@@ -97,7 +97,7 @@ class DesignDatabase:
         self.subscribers: list[Callable[[Any, str, dict[str, Any]], None]] = []
         #: The installation's audit trail: every destructive history
         #: mutation on this database, or on a thread or SDS on it.
-        self.audit = AuditJournal()
+        self.audit = AuditJournal(self.clock)
 
     def publish(self, source: Any, kind: str, /, **details: Any) -> None:
         for subscriber in self.subscribers:
@@ -222,10 +222,10 @@ class DesignDatabase:
         Tombstoned versions remain fetchable by explicit version until they
         are physically reclaimed — this is what makes "undelete" possible.
 
-        A lazily restored entry carries a :class:`LazyPayload` handle; this
-        is the choke point where it is swapped for the decoded payload, so
-        every caller of ``get`` sees real payloads and restore cost stays
-        proportional to the objects actually touched.
+        A restored entry carries its chunk's :class:`LazyPayload` handle;
+        this is the choke point where it is swapped for the decoded payload,
+        so every caller of ``get`` sees real payloads and a restore decodes
+        only the objects actually touched.
         """
         entry = self._entry(name)
         payload = entry.obj.payload

@@ -14,9 +14,10 @@ Two on-disk database formats are readable:
   digests.  Payloads live in a content-addressed
   :class:`~repro.octdb.chunkstore.ChunkStore`
   (``objects/<digest[:2]>/<digest>``) and the manifest records only
-  ``(base, version, chunk, size, ...)`` rows.  Loading rebuilds the database
-  with :class:`~repro.octdb.chunkstore.LazyPayload` handles, so restore cost
-  is O(touched objects), not O(history).
+  ``(base, version, chunk, size, ...)`` rows.  Loading builds every
+  version's slot — O(versions) small objects — whose payload is its chunk's
+  shared :class:`~repro.octdb.chunkstore.LazyPayload` handle, so payload
+  decoding is O(touched objects), not O(history).
 """
 
 from __future__ import annotations
@@ -60,16 +61,6 @@ def save_database(db: DesignDatabase, path: str | Path,
     objects: list[dict[str, Any]] = []
     chains = db._versions
     for base in sorted(chains):
-        if isinstance(chains, LazyChainMap) and chains.is_pending(base):
-            # Untouched since restore: the parked manifest rows are already
-            # exactly what this save would produce — emit them verbatim,
-            # copying chunk bytes only when saving into a different store.
-            for row in chains.pending_rows(base):
-                chunk = row.get("chunk")
-                if chunk:
-                    store.copy_chunk(chains.store, chunk)
-                objects.append(row)
-            continue
         for index, entry in enumerate(chains[base]):
             version = index + 1
             if entry.obj is None:
@@ -133,18 +124,43 @@ def _version_slot(db: DesignDatabase, name: str) -> _Entry:
     """The raw chain slot for a *versioned* name; reclaimed slots allowed.
 
     Raises :class:`PersistenceError` when the reference does not resolve —
-    a saved alias pointing at a version the snapshot never stored means the
-    snapshot is corrupt, and loading it silently would double-count storage
-    and lose reuse lineage.
+    a saved alias or journal entry pointing at a version the save never
+    stored means the save is corrupt, and loading it silently would
+    double-count storage and lose reuse lineage.
     """
     oname = parse_name(name)
     chain = db._versions.get(oname.base)
     if chain is None or oname.version is None \
             or not 1 <= oname.version <= len(chain):
         raise PersistenceError(
-            f"alias reference {name!r} does not resolve to a stored version"
+            f"saved reference {name!r} does not resolve to a stored version"
         )
     return chain[oname.version - 1]
+
+
+def restore_version(db: DesignDatabase, name: ObjectName,
+                    row: dict[str, Any], store: ChunkStore) -> None:
+    """Append the slot of one saved version — a manifest row or a journaled
+    put — to its chain, with its chunk's shared handle as the payload.
+
+    Raises :class:`PersistenceError` unless ``name`` is the chain's next
+    version: a gap or a repeat means the save is corrupt.
+    """
+    chain = db._versions.setdefault(name.base, [])
+    if name.version != len(chain) + 1:
+        raise PersistenceError(
+            f"saved version {name} does not extend its version chain "
+            f"(next is {name.base}@{len(chain) + 1})"
+        )
+    if row.get("reclaimed"):
+        chain.append(_Entry(obj=None, deleted_at=row["deleted_at"]))  # type: ignore[arg-type]
+        return
+    obj = VersionedObject(name=name, payload=store.handle(row["chunk"]),
+                          created_at=row["created_at"],
+                          creator=row.get("creator", ""), size=row["size"])
+    chain.append(_Entry(obj=obj, deleted_at=row.get("deleted_at"),
+                        pinned=row.get("pinned", False)))
+    db._bytes_live += obj.size
 
 
 def _restore_aliases(db: DesignDatabase, aliases: dict[str, str],
@@ -152,8 +168,8 @@ def _restore_aliases(db: DesignDatabase, aliases: dict[str, str],
     """Re-establish alias lineage (and, for format 1, payload sharing).
 
     An alias entry shares its source's payload and accounts zero storage.
-    In format 2 the sharing falls out of the chunk store's decoded-payload
-    cache (alias and source reference the same digest), so only lineage
+    In format 2 the sharing falls out of the chunk store's one handle per
+    digest (alias and source reference the same chunk), so only lineage
     needs restoring; format 1 embedded a *copy* of the payload, so the
     alias entry must be rebound to the source's decoded object.
 
@@ -206,139 +222,11 @@ def _load_v1(doc: dict[str, Any], db: DesignDatabase) -> DesignDatabase:
     return db
 
 
-def _entries_from_rows(base: str, rows: list[dict[str, Any]],
-                       store: ChunkStore) -> list[_Entry]:
-    """Build one base's chain slots from its manifest rows."""
-    chain: list[_Entry] = []
-    for row in rows:
-        if row.get("reclaimed"):
-            chain.append(_Entry(obj=None, deleted_at=row["deleted_at"]))  # type: ignore[arg-type]
-            continue
-        obj = VersionedObject(
-            name=ObjectName(base, row["version"]),
-            payload=LazyPayload(store, row["chunk"]),
-            created_at=row["created_at"],
-            creator=row.get("creator", ""),
-            size=row["size"],
-        )
-        chain.append(_Entry(obj=obj, deleted_at=row["deleted_at"],
-                            pinned=row.get("pinned", False)))
-    return chain
-
-
-class LazyChainMap(dict):
-    """``{base: [slot, ...]}`` that builds chains from manifest rows lazily.
-
-    This is what makes restore O(touched): a format-2 load parks each
-    base's raw manifest rows here instead of constructing every entry
-    object up front, and a chain is built only when something touches that
-    base — a ``get``, a ``put`` extending the chain, a replayed delete.
-    Whole-database scans (``save``, ``find``, ``reclaim``) materialize
-    everything through ``values()``/``items()``; key-only iteration
-    (``sorted(db._versions)``, ``len``) stays lazy.
-
-    The journal replay path reads and mutates parked rows directly (see
-    ``repro.activity.persistence``), so replaying a journal does not force
-    chains to materialize either.
-    """
-
-    def __init__(self, store: ChunkStore):
-        super().__init__()
-        self.store = store
-        self._pending: dict[str, list[dict[str, Any]]] = {}
-
-    # ---------------------------------------------------- pending management
-
-    def park(self, base: str, rows: list[dict[str, Any]]) -> None:
-        self._pending[base] = rows
-
-    def is_pending(self, base: str) -> bool:
-        return base in self._pending
-
-    def pending_rows(self, base: str) -> list[dict[str, Any]]:
-        return self._pending[base]
-
-    def _build(self, base: str) -> list[_Entry]:
-        chain = _entries_from_rows(base, self._pending.pop(base), self.store)
-        dict.__setitem__(self, base, chain)
-        return chain
-
-    def materialize_all(self) -> None:
-        for base in list(self._pending):
-            self._build(base)
-
-    # --------------------------------------------------------- dict protocol
-
-    def __missing__(self, base: str) -> list[_Entry]:
-        if base in self._pending:
-            return self._build(base)
-        raise KeyError(base)
-
-    def __contains__(self, base: object) -> bool:
-        return dict.__contains__(self, base) or base in self._pending
-
-    def __len__(self) -> int:
-        return dict.__len__(self) + len(self._pending)
-
-    def __iter__(self):
-        yield from dict.__iter__(self)
-        yield from self._pending
-
-    def get(self, base, default=None):
-        if dict.__contains__(self, base):
-            return dict.__getitem__(self, base)
-        if base in self._pending:
-            return self._build(base)
-        return default
-
-    def setdefault(self, base, default=None):
-        if dict.__contains__(self, base):
-            return dict.__getitem__(self, base)
-        if base in self._pending:
-            return self._build(base)
-        dict.__setitem__(self, base, default)
-        return default
-
-    def keys(self):
-        return list(self)
-
-    def values(self):
-        self.materialize_all()
-        return dict.values(self)
-
-    def items(self):
-        self.materialize_all()
-        return dict.items(self)
-
-
 def _load_v2(doc: dict[str, Any], db: DesignDatabase,
              store: ChunkStore) -> DesignDatabase:
     db.clock.advance_to(doc.get("now", 0.0))
-    chains = LazyChainMap(store)
-    for base, chain in db._versions.items():
-        dict.__setitem__(chains, base, chain)
-    db._versions = chains
-    rows_by_base: dict[str, list[dict[str, Any]]] = {}
-    for record in doc["objects"]:
-        rows_by_base.setdefault(record["base"], []).append(record)
-    for base, rows in rows_by_base.items():
-        prior = (dict.__getitem__(chains, base)
-                 if dict.__contains__(chains, base) else None)
-        offset = len(prior) if prior is not None else 0
-        for index, row in enumerate(rows):
-            if row["version"] != offset + index + 1:
-                raise PersistenceError(
-                    f"manifest rows for {base!r} are not a contiguous "
-                    f"version chain (got version {row['version']}, "
-                    f"expected {offset + index + 1})"
-                )
-        if prior is not None:
-            # Loading on top of an already-populated base (rare): extend
-            # the built chain eagerly.
-            prior.extend(_entries_from_rows(base, rows, store))
-        else:
-            chains.park(base, rows)
-        db._bytes_live += sum(0 if row.get("reclaimed") else row["size"]
-                              for row in rows)
+    for row in doc["objects"]:
+        restore_version(db, ObjectName(row["base"], row["version"]), row,
+                        store)
     _restore_aliases(db, doc.get("aliases", {}), rebind=False)
     return db

@@ -365,8 +365,8 @@ def test_restored_session_reuses_history(tmp_path):
 
 def _cached_fingerprints(db) -> list[tuple[str, str]]:
     """(version, fingerprint) for every version that has computed one.
-    Walks only built chains: a version still parked in a lazy restore has
-    not been touched, so it cannot hold a fingerprint."""
+    A restored version nothing has touched since holds none: its payload is
+    still the chunk's lazy handle."""
     return [(str(entry.obj.name), entry.fingerprint)
             for chain in dict.values(db._versions) for entry in chain
             if entry.obj is not None and entry.fingerprint is not None]

@@ -286,8 +286,13 @@ class TestAuditJournal:
         names = [rule.name for rule in default_ruleset()]
         assert "reclaim_churn" in names
 
+    def test_record_without_a_time_stamps_the_installation_clock(self):
+        lwt = LWTSystem(clock=VirtualClock())
+        lwt.clock.advance(100)
+        assert lwt.db.audit.record("reclaim", thread="t").at == 100.0
+
     def test_render_and_export_roundtrip(self, tmp_path):
-        audit = AuditJournal()
+        audit = AuditJournal(VirtualClock())
         audit.record("erase", thread="t", actor="u", reason="why not",
                      at=1.0, points=[3, 4])
         audit.record("move", thread="t", actor="u", at=2.0,
@@ -299,7 +304,7 @@ class TestAuditJournal:
         dumped = [json.loads(line) for line in
                   path.read_text().splitlines()]
         saved = audit.to_dicts()
-        restored = AuditJournal()
+        restored = AuditJournal(VirtualClock())
         restored.restore(dumped)
         assert restored.to_dicts() == saved
 
