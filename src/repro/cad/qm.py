@@ -1,10 +1,10 @@
 """Quine–McCluskey two-level minimization.
 
-This is the engine behind the ``espresso`` tool stub.  It is a real minimizer:
-prime implicants are generated exactly, then a cover is selected with the
-classic essential-prime + greedy set-cover heuristic.  The result is always
-equivalent to the input function and never has more literals than the
-naive minterm cover.
+This is the engine behind the ``espresso`` tool stub and misII's eliminate
+and node-minimize passes.  It is a real minimizer: prime implicants are
+generated exactly, then a cover is selected with the classic essential-prime
++ greedy set-cover heuristic.  The result is always equivalent to the input
+function and never has more literals than the naive minterm cover.
 
 Inside, a cube over ``width`` inputs is an integer pair ``(care, value)``:
 bit ``i`` of ``care`` is set where input ``i`` is a literal, and bit ``i`` of
@@ -12,13 +12,41 @@ bit ``i`` of ``care`` is set where input ``i`` is a literal, and bit ``i`` of
 ``(2**width - 1, m)``.  Sets of minterms are truth-table ints (see
 :func:`repro.cad.logic.support_tables`).  Cubes leave this module as sorted
 :class:`Cube` strings.
+
+Every minimization — :func:`minimize_table` (misII's eliminate and
+node-minimize passes), :func:`minimize` (espresso) and
+:func:`minimize_minterms` — goes through one process-wide table.  Its key
+is ``(width, on, dc)`` as truth-table ints (``dc`` without the on-set rows),
+checked before any lookup: a minterm beyond ``2**width`` raises
+:class:`ToolUsageError`.  Its value is the selected cubes, a tuple of
+immutable :class:`Cube` strings; each call builds a fresh :class:`Cover`
+from them, so no caller shares table state.  A hit cannot change a result:
+:func:`prime_implicants` and :func:`select_cover` are pure functions of the
+key, so a hit returns the cubes a miss computes.  Bit-sliced designs
+re-derive the same few small node functions over and over (a design session
+solves 25 distinct functions in 16k minimizations, across many networks),
+which is why the table lives for the whole process rather than one call.
+
+The table holds at most :data:`TABLE_SIZE` functions of at most
+:data:`TABLE_WIDTH` inputs, least recently used evicted first; wider
+functions are solved on every call.  A worst-case entry (8 inputs) holds two
+256-bit keys and at most 256 cubes of about 105 bytes each, under 30 KiB,
+so the table never holds more than about 30 MiB.  The functions the tools
+repeat have a few cubes each, well under 1 KiB an entry.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 
-from repro.cad.logic import Cover, Cube, support_tables
+from repro.cad.logic import Cover, Cube, support_tables, table_minterms
+from repro.errors import ToolUsageError
+
+#: Most functions the minimization table holds.
+TABLE_SIZE = 1024
+#: Widest function the minimization table holds.
+TABLE_WIDTH = 8
 
 
 def prime_implicants(
@@ -106,6 +134,45 @@ def select_cover(
     return sorted(set(chosen))
 
 
+def _solve(width: int, on: int, dc: int) -> tuple[Cube, ...]:
+    """The cubes QM selects for the function ``on`` with don't-cares ``dc``."""
+    on_set = table_minterms(on)
+    primes = prime_implicants(width, on_set, table_minterms(dc))
+    return tuple(select_cover(width, on_set, primes))
+
+
+_table = functools.lru_cache(maxsize=TABLE_SIZE)(_solve)
+
+
+def _cubes(width: int, on: int, dc: int) -> tuple[Cube, ...]:
+    """The table's entry: check the function, then look it up or solve it."""
+    if width < 1:
+        raise ToolUsageError("qm", f"bad input count {width}")
+    beyond = (on | dc) >> (1 << width)
+    if beyond:
+        minterm = (1 << width) + (beyond & -beyond).bit_length() - 1
+        raise ToolUsageError(
+            "qm", f"minterm {minterm} is out of range for width {width}")
+    solve = _table if width <= TABLE_WIDTH else _solve
+    return solve(width, on, dc & ~on)
+
+
+def _minterm_table(minterms: frozenset[int] | set[int]) -> int:
+    """The truth table whose on-set is ``minterms``."""
+    table = 0
+    for m in minterms:
+        if m < 0:
+            raise ToolUsageError("qm", f"minterm {m} is negative")
+        table |= 1 << m
+    return table
+
+
+def minimize_table(width: int, on: int, dc: int) -> Cover:
+    """Minimize the ``width``-input function whose on-set and don't-care set
+    are the truth tables ``on`` and ``dc`` (used by misII)."""
+    return Cover(num_inputs=width, cubes=list(_cubes(width, on, dc)))
+
+
 def minimize(
     cover: Cover,
     dc_set: frozenset[int] | set[int] = frozenset(),
@@ -115,12 +182,10 @@ def minimize(
     Returns a new, equivalent cover; the input is untouched (single-assignment
     discipline extends down into the tools).
     """
-    on_set = cover.on_set() - set(dc_set)
-    primes = prime_implicants(cover.num_inputs, on_set, dc_set)
-    selected = select_cover(cover.num_inputs, on_set, primes)
+    dc = _minterm_table(dc_set)
     result = Cover(
         num_inputs=cover.num_inputs,
-        cubes=selected,
+        cubes=list(_cubes(cover.num_inputs, cover.truth_table() & ~dc, dc)),
         input_names=list(cover.input_names),
         output_name=cover.output_name,
     )
@@ -140,7 +205,5 @@ def minimize_minterms(
     on_set: frozenset[int] | set[int],
     dc_set: frozenset[int] | set[int] = frozenset(),
 ) -> Cover:
-    """Minimize directly from an on-set (used by node-local optimization)."""
-    primes = prime_implicants(width, on_set, dc_set)
-    selected = select_cover(width, set(on_set), primes)
-    return Cover(num_inputs=width, cubes=selected)
+    """Minimize from minterm sets instead of truth tables."""
+    return minimize_table(width, _minterm_table(on_set), _minterm_table(dc_set))

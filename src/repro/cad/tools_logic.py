@@ -321,8 +321,7 @@ def optimize_network(net: BooleanNetwork) -> BooleanNetwork:
                     continue
                 full, leaves = support_tables(len(merged_support))
                 on = net.table(name, dict(zip(merged_support, leaves)), full)
-                cover = qm.minimize_minterms(
-                    len(merged_support), table_minterms(on))
+                cover = qm.minimize_table(len(merged_support), on, 0)
                 # misII's value test: only eliminate when the collapsed node
                 # is no costlier than the two nodes it replaces.
                 if cover.num_literals > (node.cover.num_literals
@@ -339,15 +338,10 @@ def optimize_network(net: BooleanNetwork) -> BooleanNetwork:
     for name, node in list(net.nodes.items()):
         if not 0 < len(node.fanins) <= _MINIMIZE_FANIN_LIMIT:
             continue
-        on = node.cover.on_set()
-        cover = qm.minimize_minterms(len(node.fanins), on)
+        cover = qm.minimize_table(len(node.fanins), node.cover.truth_table(), 0)
         if cover.num_literals <= node.cover.num_literals:
             net.nodes[name] = Node(
-                name=name, fanins=list(node.fanins),
-                cover=Cover(
-                    num_inputs=max(len(node.fanins), 1), cubes=list(cover.cubes)
-                ),
-            )
+                name=name, fanins=list(node.fanins), cover=cover)
     net.validate()
     return net
 

@@ -10,7 +10,9 @@ payload's content identity (:func:`payload_digest`): the fingerprint
 Equal fingerprints mean byte-identical chunks.
 
 The identity is only as strict as the JSON codec.  A top-level tuple or set
-is stored as its ``repr``, so it never matches a list; but inside a codec's
+is stored as its ``repr``, so it never matches a list; it restores as a
+:class:`ReprPayload`, that repr string, which keeps the chunk's identity
+(a plain string of the same text would not); but inside a codec's
 dict or a JSON-native payload a tuple encodes as a list and an int dict key
 as its string, so ``{"a": (1, 2)}`` and ``{"a": [1, 2]}`` share one
 identity, as do ``{1: "x"}`` and ``{"1": "x"}``.  A payload the codec
@@ -68,9 +70,21 @@ def register_payload_codec(
     _DECODERS[tag] = decode or cls.from_dict  # type: ignore[attr-defined]
 
 
+class ReprPayload(str):
+    """What a ``repr`` chunk decodes to: the repr text, equal to that string.
+
+    It encodes back to the ``repr`` blob it came from, so a restored
+    version's payload fingerprints as the chunk it was read from.
+    """
+
+    __slots__ = ()
+
+
 def _blob(payload: Any) -> Any:
     """The codec blob of ``payload``: what its chunk stores."""
     payload = unwrap_payload(payload)
+    if isinstance(payload, ReprPayload):
+        return {"__type__": "repr", "data": str(payload)}
     for cls, (tag, encode) in _ENCODERS.items():
         if isinstance(payload, cls):
             return {"__type__": tag, "data": encode(payload)}
@@ -83,15 +97,17 @@ def encode_payload(payload: Any) -> Any:
     """Encode a payload into a JSON-compatible value.
 
     A payload without a registered codec that is not JSON-native falls back
-    to ``repr`` — which decodes to a *string*, not the original object.  The
-    fallback is counted (``persist.repr_fallback``) and warned about once
-    per type so the loss is never silent.
+    to ``repr`` — which decodes to a *string* (a :class:`ReprPayload`), not
+    the original object.  The fallback is counted (``persist.repr_fallback``)
+    and warned about once per type so the loss is never silent; re-saving a
+    decoded ``ReprPayload`` loses nothing more and does neither.
     """
+    payload = unwrap_payload(payload)
     blob = _blob(payload)
-    if blob["__type__"] != "repr":
+    if blob["__type__"] != "repr" or isinstance(payload, ReprPayload):
         return blob
     METRICS.counter("persist.repr_fallback").inc()
-    type_name = type(unwrap_payload(payload)).__name__
+    type_name = type(payload).__name__
     if type_name not in _REPR_WARNED:
         _REPR_WARNED.add(type_name)
         warnings.warn(
@@ -106,8 +122,10 @@ def encode_payload(payload: Any) -> Any:
 
 def decode_payload(blob: Any) -> Any:
     tag = blob["__type__"]
-    if tag in ("json", "repr"):
+    if tag == "json":
         return blob["data"]
+    if tag == "repr":
+        return ReprPayload(blob["data"])
     decoder = _DECODERS.get(tag)
     if decoder is None:
         raise KeyError(f"no payload codec registered for type tag {tag!r}")

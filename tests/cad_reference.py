@@ -237,6 +237,21 @@ def minimize_minterms(
     return Cover(num_inputs=width, cubes=selected)
 
 
+def minimize(cover: Cover, dc_set: frozenset[int] | set[int] = frozenset()) -> Cover:
+    """The espresso entry point: never costlier than the input."""
+    on = on_set(cover) - set(dc_set)
+    selected = select_cover(cover.num_inputs, on,
+                            prime_implicants(cover.num_inputs, on, dc_set))
+    result = Cover(num_inputs=cover.num_inputs, cubes=selected,
+                   input_names=list(cover.input_names),
+                   output_name=cover.output_name)
+    if result.num_literals > cover.num_literals:
+        return Cover(num_inputs=cover.num_inputs, cubes=list(cover.cubes),
+                     input_names=list(cover.input_names),
+                     output_name=cover.output_name)
+    return result
+
+
 # ---------------------------------------------------------------------- misII
 
 

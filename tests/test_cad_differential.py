@@ -7,6 +7,14 @@ the same on-set for every signal over every support, the same prime
 implicants and selected cover cube for cube, the same ``misII`` network, and
 the same ``musa`` mismatch count.  Networks, on-sets and stimuli are random
 and small.
+
+Every minimization goes through ``qm``'s process-wide table, so the QM
+tests also check that a tabled result (a hit) equals the reference like a
+fresh one (a miss), that a caller cannot change the table through the cover
+it gets, and that the table keeps to its bound.  The QM and ``misII`` tests
+take their budget from the active hypothesis profile:
+``pytest --hypothesis-profile=deep`` (registered in ``tests/conftest.py``)
+runs them with 20 times their default examples.
 """
 
 from __future__ import annotations
@@ -128,7 +136,7 @@ def test_evaluate_unwired_cover_inputs():
         assert net.evaluate({"a": a}) == ref.evaluate(net, {"a": a})
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
 @given(on_sets_with_dont_cares())
 def test_qm_cube_for_cube(case):
     width, on, dc = case
@@ -140,13 +148,68 @@ def test_qm_cube_for_cube(case):
             == ref.minimize_minterms(width, on, dc).cubes)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def covers_with_dont_cares(draw):
+    cover = draw(covers(max_width=6))
+    dc = draw(st.frozensets(
+        st.integers(min_value=0, max_value=(1 << cover.num_inputs) - 1)))
+    return cover, dc
+
+
+@settings(max_examples=settings.default.max_examples, deadline=None)
+@given(on_sets_with_dont_cares(), covers_with_dont_cares())
+def test_qm_table_miss_and_hit_match_the_reference(case, cover_case):
+    # Every minimization is a table lookup: the first call solves the
+    # function (a miss), the repeat returns the tabled cubes (a hit).
+    width, on, dc = case
+    cover, cover_dc = cover_case
+    for minimize, want in (
+        (lambda: qm.minimize_minterms(width, on, dc),
+         ref.minimize_minterms(width, on, dc)),
+        (lambda: qm.minimize(cover, cover_dc), ref.minimize(cover, cover_dc)),
+    ):
+        qm._table.cache_clear()
+        assert minimize().to_dict() == want.to_dict()
+        assert qm._table.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert minimize().to_dict() == want.to_dict()
+        assert qm._table.cache_info()[:2] == (1, 1)
+
+
+def test_qm_table_hands_out_fresh_covers():
+    on = {0, 1, 2, 5, 6, 7}
+    first = qm.minimize_minterms(3, on)
+    want = list(first.cubes)
+    first.cubes[0] = Cube("111")
+    first.cubes.append(Cube("000"))
+    assert qm.minimize_minterms(3, on).cubes == want
+    cover = Cover.from_minterms(3, on)
+    qm.minimize(cover).cubes.clear()
+    assert qm.minimize(cover).cubes == want
+    qm.minimize_table(3, cover.truth_table(), 0).cubes.reverse()
+    assert qm.minimize_table(3, cover.truth_table(), 0).cubes == want
+
+
+def test_qm_table_stays_within_its_bound():
+    qm._table.cache_clear()
+    for on in range(1, qm.TABLE_SIZE + 100):
+        qm.minimize_table(5, on, 0)
+        assert qm._table.cache_info().currsize <= qm.TABLE_SIZE
+    assert qm._table.cache_info().currsize == qm.TABLE_SIZE
+    # a function wider than the table's is solved without it
+    wide = qm.TABLE_WIDTH + 1
+    before = qm._table.cache_info()
+    assert qm.minimize_table(wide, 0b1011, 0).cubes == ref.minimize_minterms(
+        wide, {0, 1, 3}).cubes
+    assert qm._table.cache_info() == before
+
+
+@settings(max_examples=settings.default.max_examples * 3 // 5, deadline=None)
 @given(networks())
 def test_optimize_network_random(net):
     assert optimize_network(net).to_dict() == ref.optimize_network(net).to_dict()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=settings.default.max_examples * 3 // 10, deadline=None)
 @given(st.sampled_from(BehavioralSpec.KINDS), st.integers(min_value=1, max_value=4))
 def test_optimize_network_generated(kind, width):
     net = generate_network(BehavioralSpec("c", kind, width))

@@ -123,6 +123,18 @@ class TestQuineMcCluskey:
         without = qm.minimize_minterms(2, {1})
         assert with_dc.num_literals < without.num_literals
 
+    def test_out_of_range_minterm_is_a_usage_error(self):
+        with pytest.raises(ToolUsageError, match="minterm 5 .* width 2"):
+            qm.minimize_minterms(2, {5})
+        with pytest.raises(ToolUsageError, match="minterm 4 .* width 2"):
+            qm.minimize_minterms(2, {1}, dc_set={4, 7})
+        with pytest.raises(ToolUsageError, match="minterm 8 .* width 3"):
+            qm.minimize(Cover.from_minterms(3, {1}), dc_set={8})
+        with pytest.raises(ToolUsageError, match="minterm 16 .* width 4"):
+            qm.minimize_table(4, 1 << 16 | 1, 0)
+        with pytest.raises(ToolUsageError, match="minterm -1 is negative"):
+            qm.minimize_minterms(2, {-1, 1})
+
     def test_prime_implicants_complete(self):
         primes = qm.prime_implicants(2, {0, 1, 2})
         assert set(primes) == {"0-", "-0"}

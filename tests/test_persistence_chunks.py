@@ -296,6 +296,30 @@ class TestReprFallback:
             assert ChunkStore(tmp_path).put_payload(Unsaved()) == digest
         assert counter("persist.repr_fallback") == before + 1
 
+    def test_restored_repr_payload_keeps_its_identity(self, lwt, tmp_path):
+        """A payload saved as its repr restores as that string, and
+        fingerprints and re-saves as the chunk it was read from."""
+        import warnings
+
+        from repro.core.memo import fingerprint
+
+        lwt.db.put("t", (1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            save_system(lwt, tmp_path / "snap")
+        restored = load_system(tmp_path / "snap",
+                               LWTSystem(clock=VirtualClock()))
+        payload = restored.db.get("t@1").payload
+        assert payload == "(1, 2)"
+        digest = lwt.db.fingerprint("t@1")
+        assert restored.db.fingerprint("t@1") == digest
+        assert fingerprint(payload) == digest
+        before = counter("persist.repr_fallback")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ChunkStore(tmp_path / "again").put_payload(payload) == digest
+        assert counter("persist.repr_fallback") == before
+
 
 # ------------------------------------------------------------ system-level
 
