@@ -30,7 +30,7 @@ def run(task: str) -> dict:
     point = designer.invoke(task, {"Incell": "alu.net"},
                             {"Outcell": "alu.routed"})
     record = designer.thread.stream.record(point)
-    execution = papyrus.taskmgr.executions[-1]
+    execution = papyrus.taskmgr.last_execution
     stats = papyrus.taskmgr.cluster.stats
     return {
         "task": task,

@@ -56,7 +56,7 @@ def main() -> None:
     point = designer.invoke("Macro_Place_Route", {"Incell": "alu.net"},
                             {"Outcell": "alu.routed"})
     record = designer.thread.stream.record(point)
-    execution = papyrus.taskmgr.executions[-1]
+    execution = papyrus.taskmgr.last_execution
     print(f"  restarts: {execution.restarts}")
     print("  final trace (floorplanning/placement ran exactly once):")
     for step in record.steps:

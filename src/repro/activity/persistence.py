@@ -46,6 +46,10 @@ from repro.octdb.persistence import (
 FORMAT_V1 = 1
 FORMAT_VERSION = 2
 
+_SAVE_SECONDS = METRICS.counter("persist.save_seconds")
+_JOURNAL_ENTRIES = METRICS.counter("persist.journal_entries")
+_JOURNAL_TORN_TAIL = METRICS.counter("persist.journal_torn_tail")
+
 
 # ----------------------------------------------------------------- records
 
@@ -431,7 +435,7 @@ def _read_journal(path: str | Path) -> tuple[list[dict[str, Any]], bool]:
         try:
             entries.append(json.loads(tail))
         except ValueError:
-            METRICS.counter("persist.journal_torn_tail").inc()
+            _JOURNAL_TORN_TAIL.inc()
     return entries, not tail
 
 
@@ -628,7 +632,7 @@ class PersistentSession:
         else:
             self._flush_journal()
         elapsed = time.perf_counter() - start
-        METRICS.counter("persist.save_seconds").inc(elapsed)
+        _SAVE_SECONDS.inc(elapsed)
         if TRACER.enabled:
             TRACER.event("persist.save", cat="persist", mode=mode,
                          seconds=round(elapsed, 6),
@@ -659,7 +663,7 @@ class PersistentSession:
             fh.write("\n".join(lines) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        METRICS.counter("persist.journal_entries").inc(len(lines))
+        _JOURNAL_ENTRIES.inc(len(lines))
         self._buffer.clear()
         self._audit_seen = len(self.lwt.db.audit)
 

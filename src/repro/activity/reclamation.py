@@ -26,6 +26,9 @@ from repro.core.history import HistoryRecord
 from repro.core.thread import DesignThread
 from repro.obs import METRICS
 
+_OBJECTS_SWEPT = METRICS.counter("reclaim.objects_swept")
+_VERSIONS_ERASED = METRICS.counter("reclaim.versions_erased")
+_BYTES_RECLAIMED = METRICS.counter("reclaim.bytes_reclaimed")
 
 #: Approval callback: given a human-readable description, allow or deny.
 Approval = Callable[[str], bool]
@@ -48,7 +51,7 @@ class ReclamationReport:
         """Count the versions a pass retired."""
         self.objects_deleted += names
         if names:
-            METRICS.counter("reclaim.objects_swept").inc(len(names))
+            _OBJECTS_SWEPT.inc(len(names))
 
     def __add__(self, other: "ReclamationReport") -> "ReclamationReport":
         return ReclamationReport(
@@ -310,9 +313,9 @@ class Reclaimer:
                                     max_versions=max_versions)
         bytes_reclaimed = max(0, bytes_before - self.db.bytes_live)
         if reclaimed:
-            METRICS.counter("reclaim.versions_erased").inc(len(reclaimed))
+            _VERSIONS_ERASED.inc(len(reclaimed))
         if bytes_reclaimed:
-            METRICS.counter("reclaim.bytes_reclaimed").inc(bytes_reclaimed)
+            _BYTES_RECLAIMED.inc(bytes_reclaimed)
         self.db.audit.record(
             "reclaim", thread=self.thread.name, actor=self.thread.owner,
             reason="background sweep", at=self.thread.clock.now,

@@ -334,11 +334,14 @@ def optimize_network(net: BooleanNetwork) -> BooleanNetwork:
                 changed = True
                 break
 
-    # -- node minimize (a constant node, with no fanins, is left alone)
+    # -- node minimize (a constant node, with no fanins, is left alone; a
+    # cover input with no fanin wired to it reads 0, as in ``evaluate``)
     for name, node in list(net.nodes.items()):
         if not 0 < len(node.fanins) <= _MINIMIZE_FANIN_LIMIT:
             continue
-        cover = qm.minimize_table(len(node.fanins), node.cover.truth_table(), 0)
+        full, leaves = support_tables(len(node.fanins))
+        on = node.cover.table(leaves + [0] * node.cover.num_inputs, full)
+        cover = qm.minimize_table(len(node.fanins), on, 0)
         if cover.num_literals <= node.cover.num_literals:
             net.nodes[name] = Node(
                 name=name, fanins=list(node.fanins), cover=cover)

@@ -43,6 +43,10 @@ from repro.octdb.naming import ObjectName, parse_name
 if TYPE_CHECKING:
     from repro.octdb.database import DesignDatabase
 
+_CACHE_HITS = METRICS.counter("datascope.cache_hits")
+_CACHE_MISSES = METRICS.counter("datascope.cache_misses")
+_INVALIDATIONS = METRICS.counter("datascope.invalidations")
+
 
 class DataScope:
     """Computes and caches thread states over one control stream."""
@@ -89,7 +93,7 @@ class DataScope:
                 and stream.scope_epoch == self._seen_scope_epoch):
             return
         if self._state_cache:
-            METRICS.counter("datascope.invalidations").inc()
+            _INVALIDATIONS.inc()
         self._state_cache.clear()
         self._seen_stream = stream
         self._seen_scope_epoch = stream.scope_epoch
@@ -138,9 +142,9 @@ class DataScope:
             hit = self._state_cache.get(point)
             if hit is not None:
                 self._remember(point, hit)  # LRU touch
-                METRICS.counter("datascope.cache_hits").inc()
+                _CACHE_HITS.inc()
                 return hit
-            METRICS.counter("datascope.cache_misses").inc()
+            _CACHE_MISSES.inc()
         # Cache hits return above in O(1); the backward traversal below is
         # the cost the stride/result caches exist to amortize.
         memo: dict[int, frozenset[str]] = {}

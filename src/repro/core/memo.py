@@ -81,6 +81,11 @@ _OUT = "\x00out"
 #: alarm on (a workload that keeps evicting entries it is about to need).
 DEFAULT_MAX_ENTRIES = 4096
 
+_DEFERRED_WARMS = METRICS.counter("memo.deferred_warms")
+_INVALIDATIONS = METRICS.counter("memo.invalidations")
+_EVICTIONS = METRICS.counter("memo.evictions")
+_SIZE = METRICS.gauge("memo.size")   # live entries across *all* caches
+
 MemoKey = tuple[str, tuple[str, ...], tuple[str, ...]]
 
 
@@ -138,12 +143,6 @@ class DerivationCache:
         self._resolve_deferred()
         return len(self._entries)
 
-    @staticmethod
-    def _size_gauge():
-        """``memo.size`` tracks live entries across *all* caches (threads
-        fork and join; the thrash signal is installation-wide)."""
-        return METRICS.gauge("memo.size")
-
     # ---------------------------------------------------------------- keying
 
     def key_for(
@@ -187,7 +186,7 @@ class DerivationCache:
         for loader in pending:
             warmed += int(loader(self) or 0)
         if warmed:
-            METRICS.counter("memo.deferred_warms").inc(warmed)
+            _DEFERRED_WARMS.inc(warmed)
 
     # ---------------------------------------------------------------- lookup
 
@@ -205,8 +204,8 @@ class DerivationCache:
         for key in stale:
             del self._entries[key]
         if stale:
-            METRICS.counter("memo.invalidations").inc(len(stale))
-            self._size_gauge().dec(len(stale))
+            _INVALIDATIONS.inc(len(stale))
+            _SIZE.dec(len(stale))
 
     def lookup(self, key: MemoKey, db: "DesignDatabase") -> MemoEntry | None:
         """Find a valid entry for ``key`` (own store first, then lineage).
@@ -224,8 +223,8 @@ class DerivationCache:
                 self._entries[key] = self._entries.pop(key)
                 return entry
             del self._entries[key]
-            METRICS.counter("memo.invalidations").inc()
-            self._size_gauge().dec()
+            _INVALIDATIONS.inc()
+            _SIZE.dec()
         for parent in self.parents:
             found = parent.lookup(key, db)
             if found is not None:
@@ -240,13 +239,13 @@ class DerivationCache:
         if key in self._entries:
             self._entries.pop(key)          # overwrite refreshes recency
         else:
-            self._size_gauge().inc()
+            _SIZE.inc()
             if self.max_entries is not None and \
                     len(self._entries) >= self.max_entries:
                 victim = next(iter(self._entries))
                 del self._entries[victim]
-                METRICS.counter("memo.evictions").inc()
-                self._size_gauge().dec()
+                _EVICTIONS.inc()
+                _SIZE.dec()
         self._entries[key] = entry
 
     def populate(self, record: "HistoryRecord", db: "DesignDatabase",

@@ -26,6 +26,15 @@ if TYPE_CHECKING:
 #: A notification predicate: (new version, previous version or None) -> bool.
 Predicate = Callable[[VersionedObject, VersionedObject | None], bool]
 
+_CONTRIBUTES = METRICS.counter("sds.moves", direction="contribute")
+_RETRIEVES = METRICS.counter("sds.moves", direction="retrieve")
+_PREDICATE_EVALS = METRICS.counter("sds.predicate_evals")
+_NOTIFICATIONS_SENT = METRICS.counter("sds.notifications_sent")
+_NOTIFICATIONS_SUPPRESSED = METRICS.counter("sds.notifications_suppressed")
+#: Fan-out bucket boundaries: notification counts, not durations.
+_NOTIFY_FANOUT = METRICS.histogram(
+    "sds.notify_fanout", buckets=(0, 1, 2, 4, 8, 16, 32, 64, float("inf")))
+
 
 @dataclass(frozen=True)
 class Notification:
@@ -128,7 +137,7 @@ class SynchronizationDataSpace:
         self._index_add(resolved)
         self.db.publish(self, "contribute", thread=thread.name,
                         name=str(resolved), at=self.clock.now)
-        METRICS.counter("sds.moves", direction="contribute").inc()
+        _CONTRIBUTES.inc()
         self.db.audit.record("move", thread=thread.name, actor=thread.owner,
                              at=self.clock.now, direction="contribute",
                              sds=self.name, object=str(resolved))
@@ -175,7 +184,7 @@ class SynchronizationDataSpace:
         self.db.publish(self, "retrieve", thread=thread.name,
                         name=str(oname), at=self.clock.now,
                         propagate=propagate)
-        METRICS.counter("sds.moves", direction="retrieve").inc()
+        _RETRIEVES.inc()
         self.db.audit.record("move", thread=thread.name, actor=thread.owner,
                              at=self.clock.now, direction="retrieve",
                              sds=self.name, object=str(oname))
@@ -187,14 +196,10 @@ class SynchronizationDataSpace:
 
     # ----------------------------------------------------------- notification
 
-    #: Fan-out bucket boundaries: notification counts, not durations.
-    FANOUT_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, float("inf"))
-
     def _notify(self, new_name: ObjectName, prev_name: ObjectName | None) -> None:
         flags = self._flags.get(new_name.base, ())
         if not flags:
-            METRICS.histogram("sds.notify_fanout",
-                              buckets=self.FANOUT_BUCKETS).observe(0)
+            _NOTIFY_FANOUT.observe(0)
             return
         new_obj = self.db.get(new_name)
         prev_obj = self.db.get(prev_name) if prev_name is not None else None
@@ -204,13 +209,13 @@ class SynchronizationDataSpace:
                 continue
             matched = True
             for pred in flag.predicates:
-                METRICS.counter("sds.predicate_evals").inc()
+                _PREDICATE_EVALS.inc()
                 if not pred(new_obj, prev_obj):
                     matched = False
                     break
             if not matched:
                 self.notifications_suppressed += 1
-                METRICS.counter("sds.notifications_suppressed").inc()
+                _NOTIFICATIONS_SUPPRESSED.inc()
                 continue
             if flag.propagate:
                 flag.thread.extra_objects.add(str(new_name))
@@ -225,14 +230,13 @@ class SynchronizationDataSpace:
             ))
             delivered.add(flag.thread.thread_id)
             self.notifications_sent += 1
-            METRICS.counter("sds.notifications_sent").inc()
+            _NOTIFICATIONS_SENT.inc()
             if TRACER.enabled:
                 TRACER.event("sds.notify", cat="sds", sds=self.name,
                              thread=flag.thread.name,
                              object=str(new_name),
                              propagated=flag.propagate)
-        METRICS.histogram("sds.notify_fanout",
-                          buckets=self.FANOUT_BUCKETS).observe(len(delivered))
+        _NOTIFY_FANOUT.observe(len(delivered))
 
 
 # ---------------------------------------------------------------- predicates

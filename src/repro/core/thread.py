@@ -30,6 +30,11 @@ if TYPE_CHECKING:
 
 _thread_ids = itertools.count(1)
 
+_COMMITS = METRICS.counter("thread.commits")
+_CURSOR_MOVES = METRICS.counter("thread.cursor_moves")
+_BRANCHES_ERASED = METRICS.counter("thread.branches_erased")
+_IMPORTS = METRICS.counter("thread.imports")
+
 
 class DesignThread:
     """One open-ended design activity with its own context."""
@@ -164,7 +169,7 @@ class DesignThread:
                         at_point=invocation_cursor, spliced=follow_path,
                         point=point, cursor_after=self.current_cursor,
                         at=record.recorded_at)
-        METRICS.counter("thread.commits").inc()
+        _COMMITS.inc()
         if TRACER.enabled:
             TRACER.event("thread.commit", cat="thread", thread=self.name,
                          point=point, task=record.task,
@@ -195,7 +200,7 @@ class DesignThread:
             )
         self.current_cursor = point
         self.point_access[point] = self.clock.now
-        METRICS.counter("thread.cursor_moves").inc()
+        _CURSOR_MOVES.inc()
         if TRACER.enabled:
             TRACER.event("thread.cursor_move", cat="thread",
                          thread=self.name, src=old_cursor, dst=point,
@@ -213,7 +218,7 @@ class DesignThread:
         with self.audit_reason(self._audit_reason or "erase-on-rework"), \
                 self._composite():
             removed = self.stream.remove_points(doomed)
-        METRICS.counter("thread.branches_erased").inc()
+        _BRANCHES_ERASED.inc()
         if TRACER.enabled:
             TRACER.event("thread.erase", cat="thread", thread=self.name,
                          points=len(removed))
@@ -324,7 +329,7 @@ class DesignThread:
             raise ThreadError("a thread cannot import itself")
         self.imports[other.name] = other
         self.db.publish(self, "import", other=other.name)
-        METRICS.counter("thread.imports").inc()
+        _IMPORTS.inc()
         if TRACER.enabled:
             TRACER.event("thread.import", cat="thread", thread=self.name,
                          imported=other.name)

@@ -15,6 +15,10 @@ from repro.core.thread import DesignThread
 from repro.errors import ThreadError
 from repro.obs import METRICS, TRACER
 
+_FORKS = METRICS.counter("thread.forks")
+_CASCADES = METRICS.counter("thread.cascades")
+_JOINS = METRICS.counter("thread.joins")
+
 
 def _lineage(*threads: DesignThread) -> tuple[DerivationCache, ...]:
     """The non-None derivation caches of the given threads, in order."""
@@ -50,7 +54,7 @@ def fork(
     # Cross-thread reuse along fork lineage: the child's derivation cache
     # reads through to the parent's (writes stay local to the child).
     child.memo = DerivationCache(child.stream, parents=_lineage(source))
-    METRICS.counter("thread.forks").inc()
+    _FORKS.inc()
     source.db.audit.record("fork", thread=name, actor=child.owner,
                            at=source.clock.now, source=source.name,
                            inherit=inherit)
@@ -105,7 +109,7 @@ def cascade(
     trail_frontier = [trail_map[p] for p in trail.stream.frontier()
                       if p in trail_map]
     merged.current_cursor = max(trail_frontier, default=lead_map[connector])
-    METRICS.counter("thread.cascades").inc()
+    _CASCADES.inc()
     lead.db.audit.record("cascade", thread=name, actor=merged.owner,
                          at=lead.clock.now, lead=lead.name, trail=trail.name)
     if TRACER.enabled:
@@ -144,7 +148,7 @@ def join(
     # A head join preserves the second stream's states as well.
     merged.scope.seed_from(second.scope, second_map)
     merged.extra_objects = set(first.extra_objects) | set(second.extra_objects)
-    METRICS.counter("thread.joins").inc()
+    _JOINS.inc()
     first.db.audit.record("join", thread=name, actor=merged.owner,
                           at=first.clock.now, first=first.name,
                           second=second.name, at_end=at_end)

@@ -7,8 +7,10 @@ Two process-wide singletons thread through every subsystem:
   instrumentation site guards with ``if TRACER.enabled:`` so the disabled
   cost is one attribute read.
 * :data:`METRICS` — a :class:`~repro.obs.metrics.MetricsRegistry` of named
-  counters/gauges/histograms.  Always live (increments are one dict probe
-  plus a float add); snapshot with :func:`metrics_snapshot`.
+  counters/gauges/histograms.  Always live: an instrument with a fixed name
+  is a module-level handle created at import, so it reads 0 before its
+  first update and an update is one float add; snapshot with
+  :func:`metrics_snapshot`.
 
 Both singletons are mutated in place (``TRACER.enable()``), never rebound,
 so ``from repro.obs import TRACER`` is safe at module level everywhere.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from repro.clock import VirtualClock
 from repro.obs.metrics import (
+    METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -61,10 +64,6 @@ __all__ = [
 
 #: The process-wide tracer every subsystem reports to.
 TRACER = Tracer()
-
-#: The process-wide metrics registry (subsystem-local registries — e.g. one
-#: per cluster — exist too; this one holds cross-cutting engine counters).
-METRICS = MetricsRegistry()
 
 
 def enable_tracing(clock: VirtualClock | None = None,

@@ -49,9 +49,12 @@ is bounded at sample times.  The scheduler-gap rule is
 ``delta:cluster.gap_seconds:120`` and the gap objective's ``bad`` is
 ``metric:cluster.gap_seconds``.
 
-A signal that cannot be evaluated yet (instrument never touched, empty
-histogram, fewer than two samples, zero denominator) yields ``None`` and
-the rule is *skipped* — never compared against a phantom zero.
+A signal that cannot be evaluated yet (instrument absent from every
+watched registry, empty histogram, fewer than two samples, zero
+denominator) yields ``None`` and the rule is *skipped* — never compared
+against a phantom zero.  A fixed-name instrument of ``repro.obs.METRICS``
+exists at 0 from import, so a rule or objective over it counts from its
+first sample; absent means a run-time label set not seen yet.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ if TYPE_CHECKING:
 RETENTION = 7200.0
 
 SEVERITIES = ("warn", "crit")
+
+_EVALUATIONS = METRICS.counter("health.evaluations")
+_STATUS = METRICS.gauge("health.status")
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
     ">": lambda v, t: v > t,
@@ -240,9 +246,8 @@ class SLO:
     ``objective`` is the target good fraction (0..1); the error budget is
     ``1 - objective``.  Either ``good`` (total = good + bad) or ``total``
     (the denominator directly, e.g. ``elapsed`` for time-fraction SLOs)
-    must be given.  Sources carry labels through the usual
-    ``{k=v}`` reference syntax, so a multi-tenant deployment scopes an
-    objective per tenant by pointing it at labelled series.
+    must be given.  Sources name labelled series with the usual
+    ``{k=v}`` reference syntax.
     """
 
     name: str
@@ -640,9 +645,8 @@ class HealthMonitor:
             self._evaluate_slo(slo, now, firing, skipped)
         status = ("crit" if any(f["severity"] == "crit" for f in firing)
                   else "warn" if firing else "ok")
-        METRICS.counter("health.evaluations").inc()
-        METRICS.gauge("health.status").set(
-            {"ok": 0, "warn": 1, "crit": 2}[status])
+        _EVALUATIONS.inc()
+        _STATUS.set({"ok": 0, "warn": 1, "crit": 2}[status])
         self.last = {"status": status, "at": now, "reason": reason,
                      "firing": firing, "skipped": skipped,
                      "rules": len(self.rules), "slos": len(self.slos)}

@@ -6,16 +6,22 @@ JSON — so benchmarks can attach a metrics snapshot to their ``BENCH_*.json``
 outputs and the shell's ``stats`` command can print one view of the whole
 installation.
 
-Instruments are created lazily and cached: ``registry.counter("x", host="a")``
-always returns the same object for the same name + labels, so hot paths can
-keep a reference (:func:`bound_metric`) or re-look-up (one dict probe).
+``registry.counter("x", host="a")`` creates an instrument on its first call
+and returns the same object for the same name + labels after that.  An
+instrument of :data:`METRICS` with a fixed name and fixed labels is created
+once, at module level beside its use (``_STEPS_ISSUED =
+METRICS.counter("engine.steps_issued")``), so it exists at 0 from import and
+a hot path updates it with no look-up.  Only instruments whose label values
+are computed at run time (``step.latency{tool=...}``) are looked up where
+they are used.  So an instrument that is absent from a registry is either a
+run-time label set not seen yet or an instrument of another registry (a
+cluster's ``ClusterStats``, a monitor's windowed samples).
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from functools import cached_property
 from typing import Any, Iterable
 
 from repro.errors import PapyrusError
@@ -341,16 +347,16 @@ class MetricsRegistry:
     # --------------------------------------------------------------- queries
 
     def value(self, name: str, **labels: Any) -> Any:
-        """The snapshot value of one instrument (0.0 if never touched)."""
+        """The snapshot value of one instrument (0.0 if absent)."""
         metric = self._metrics.get((name, _label_key(labels)))
         return metric.snapshot() if metric is not None else 0.0
 
     def get(self, name: str, **labels: Any) -> Any | None:
-        """The instrument itself, or None if it was never created.
+        """The instrument itself, or None if this registry does not hold it.
 
         Unlike :meth:`value` this distinguishes "missing" from 0.0, which
-        the health engine needs: a rule over a metric that has never been
-        touched is skipped, not compared against zero.
+        the health engine needs: a rule over an absent instrument is
+        skipped, not compared against zero.
         """
         return self._metrics.get((name, _label_key(labels)))
 
@@ -376,26 +382,7 @@ class MetricsRegistry:
                 out[name] = metric.snapshot()
         return out
 
-    def clear(self) -> None:
-        """Forget every instrument (tests and fresh installations).
 
-        Instruments already bound (:func:`bound_metric`) stay with the objects
-        holding them: objects created after a clear bind afresh.
-        """
-        self._metrics.clear()
-        self._kinds.clear()
-
-
-def bound_metric(registry: MetricsRegistry, kind: str,
-                 name: str) -> cached_property:
-    """A label-less instrument of ``registry`` as a per-object attribute.
-
-    Assigned in a class body (``_issued = bound_metric(METRICS, "counter",
-    "engine.steps_issued")``), it resolves the instrument through the
-    registry on an object's first read and caches it in that object's
-    ``__dict__``, so later reads are plain attribute reads and a hot path
-    pays no registry look-up.  Nothing is registered before its first use,
-    so a snapshot holds the same keys as look-ups at the call site would.
-    An object made after ``registry.clear()`` binds to the fresh instruments.
-    """
-    return cached_property(lambda owner: getattr(registry, kind)(name))
+#: The process-wide registry, re-exported as ``repro.obs.METRICS``.  It lives
+#: here, beside its class, so the tracer can import it at module level.
+METRICS = MetricsRegistry()

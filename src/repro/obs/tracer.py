@@ -22,6 +22,7 @@ import time as _time
 from typing import IO, Any, Iterator
 
 from repro.clock import VirtualClock
+from repro.obs.metrics import METRICS
 
 #: Event categories used by the built-in instrumentation (an open set: the
 #: schema validator accepts any non-empty string, these are the conventions).
@@ -54,6 +55,15 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+# Self-observability: the tracer's own cost and drop risk are metrics like
+# everything else, so an SLO can watch the watcher — trace.emit_seconds is
+# wall time (emission is real work even when the clock is virtual),
+# trace.buffer_fill the 0..1 fraction of capacity in use, trace.events the
+# total emitted.
+_EMIT_SECONDS = METRICS.counter("trace.emit_seconds")
+_EVENTS = METRICS.counter("trace.events")
+_BUFFER_FILL = METRICS.gauge("trace.buffer_fill")
 
 
 class _StreamHandle:
@@ -145,7 +155,6 @@ class Tracer:
         #: the overhead of tracing itself, mirrored to the
         #: ``trace.emit_seconds`` counter).
         self.emit_seconds = 0.0
-        self._self_metrics: tuple[Any, Any, Any] | None = None
         self._atexit_registered = False
 
     # ------------------------------------------------------------- lifecycle
@@ -168,8 +177,7 @@ class Tracer:
         self.events.clear()
         self.dropped = 0
         self._stack.clear()
-        if self._self_metrics is not None:
-            self._self_metrics[2].set(0.0)
+        _BUFFER_FILL.set(0.0)
         if self._stream is None:
             self._ids = itertools.count(1)
             self._seq = itertools.count(1)
@@ -248,22 +256,11 @@ class Tracer:
             self.events.append(record)
         else:
             self.dropped += 1
-        # Self-observability: the tracer's own cost and drop risk are
-        # metrics like everything else, so an SLO can watch the watcher —
-        # trace.emit_seconds is wall time (emission is real work even when
-        # the clock is virtual), trace.buffer_fill the 0..1 fraction of
-        # capacity in use, trace.events the total emitted.
-        if self._self_metrics is None:
-            from repro.obs import METRICS
-            self._self_metrics = (METRICS.counter("trace.emit_seconds"),
-                                  METRICS.counter("trace.events"),
-                                  METRICS.gauge("trace.buffer_fill"))
-        emit_counter, event_counter, fill_gauge = self._self_metrics
         elapsed = _time.perf_counter() - t0
         self.emit_seconds += elapsed
-        emit_counter.inc(elapsed)
-        event_counter.inc()
-        fill_gauge.set(len(self.events) / self.capacity)
+        _EMIT_SECONDS.inc(elapsed)
+        _EVENTS.inc()
+        _BUFFER_FILL.set(len(self.events) / self.capacity)
 
     def span(self, name: str, cat: str = "task", **args: Any) -> Span | _NullSpan:
         """Open a hierarchical span (use as a context manager)."""

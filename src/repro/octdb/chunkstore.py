@@ -47,13 +47,19 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import PersistenceError
 from repro.obs import METRICS
-from repro.obs.metrics import bound_metric
 
 _ENCODERS: dict[type, tuple[str, Callable[[Any], dict]]] = {}
 _DECODERS: dict[str, Callable[[dict], Any]] = {}
 
 #: Payload type names already warned about falling back to ``repr``.
 _REPR_WARNED: set[str] = set()
+
+_CHUNKS_WRITTEN = METRICS.counter("persist.chunks_written")
+_CHUNKS_DEDUPED = METRICS.counter("persist.chunks_deduped")
+_CHUNKS_DELETED = METRICS.counter("persist.chunks_deleted")
+_CHUNK_CORRUPT = METRICS.counter("persist.chunk_corrupt")
+_LAZY_DECODES = METRICS.counter("persist.lazy_decodes")
+_REPR_FALLBACK = METRICS.counter("persist.repr_fallback")
 
 
 def register_payload_codec(
@@ -106,7 +112,7 @@ def encode_payload(payload: Any) -> Any:
     blob = _blob(payload)
     if blob["__type__"] != "repr" or isinstance(payload, ReprPayload):
         return blob
-    METRICS.counter("persist.repr_fallback").inc()
+    _REPR_FALLBACK.inc()
     type_name = type(payload).__name__
     if type_name not in _REPR_WARNED:
         _REPR_WARNED.add(type_name)
@@ -221,9 +227,6 @@ def unwrap_payload(payload: Any) -> Any:
 class ChunkStore:
     """A content-addressed chunk directory (``objects/aa/aabbcc...``)."""
 
-    _deduped = bound_metric(METRICS, "counter", "persist.chunks_deduped")
-    _written = bound_metric(METRICS, "counter", "persist.chunks_written")
-
     def __init__(self, root: str | Path):
         self.root = Path(root)
         #: Digest → decoded payload object.  Bounds lazy decodes by the
@@ -252,7 +255,7 @@ class ChunkStore:
         """Whether ``digest`` is stored already; a hit counts as
         ``persist.chunks_deduped``."""
         if self.has(digest):
-            self._deduped.inc()
+            _CHUNKS_DEDUPED.inc()
             return True
         return False
 
@@ -307,7 +310,7 @@ class ChunkStore:
             path.write_bytes(data)
         self._known.add(digest)
         self.bytes_written += len(data)
-        self._written.inc()
+        _CHUNKS_WRITTEN.inc()
 
     # ------------------------------------------------------------------- read
 
@@ -327,7 +330,7 @@ class ChunkStore:
             ) from None
         if chunk_digest(data) != digest and not _is_legacy_chunk(data,
                                                                   digest):
-            METRICS.counter("persist.chunk_corrupt").inc()
+            _CHUNK_CORRUPT.inc()
             raise PersistenceError(
                 f"chunk {digest} in {self.root} does not match its address"
             )
@@ -347,7 +350,7 @@ class ChunkStore:
             return self._decoded[digest]
         payload = decode_payload(json.loads(self.read_chunk(digest)))
         self._decoded[digest] = payload
-        METRICS.counter("persist.lazy_decodes").inc()
+        _LAZY_DECODES.inc()
         return payload
 
     # --------------------------------------------------------------------- GC
@@ -372,7 +375,7 @@ class ChunkStore:
             self._handles.pop(digest, None)
             deleted += 1
         if deleted:
-            METRICS.counter("persist.chunks_deleted").inc(deleted)
+            _CHUNKS_DELETED.inc(deleted)
         # Prune empty shard directories so the tree stays tidy; a later
         # write into a pruned shard recreates it (see ``_write``).
         if self.root.exists():

@@ -17,9 +17,14 @@ from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.errors import ObjectNotFound, VersionConflict
 from repro.obs import METRICS, TRACER
 from repro.obs.audit import AuditJournal
-from repro.obs.metrics import bound_metric
 from repro.octdb.chunkstore import LazyPayload, payload_digest
 from repro.octdb.naming import ObjectName, parse_name
+
+_VERSIONS_CREATED = METRICS.counter("db.versions_created")
+_VERSIONS_ALIASED = METRICS.counter("db.versions_aliased")
+_VERSIONS_TOMBSTONED = METRICS.counter("db.versions_tombstoned")
+_VERSIONS_RECLAIMED = METRICS.counter("db.versions_reclaimed")
+_FINGERPRINTS = METRICS.counter("db.fingerprints")
 
 
 def _estimate_size(payload: Any) -> int:
@@ -77,12 +82,6 @@ class DesignDatabase:
     preserves the same guarantee the LWT layer relies on.
     """
 
-    # Per-put/alias/delete counters, bound per database on first use.
-    _created = bound_metric(METRICS, "counter", "db.versions_created")
-    _aliased = bound_metric(METRICS, "counter", "db.versions_aliased")
-    _fingerprinted = bound_metric(METRICS, "counter", "db.fingerprints")
-    _tombstoned = bound_metric(METRICS, "counter", "db.versions_tombstoned")
-
     def __init__(self, clock: VirtualClock | None = None):
         self.clock = clock or GLOBAL_CLOCK
         self._versions: dict[str, list[_Entry]] = {}
@@ -134,7 +133,7 @@ class DesignDatabase:
         )
         chain.append(_Entry(obj=obj))
         self._bytes_live += obj.size
-        self._created.inc()
+        _VERSIONS_CREATED.inc()
         if TRACER.enabled:
             TRACER.event("db.version", cat="db", object=str(obj.name),
                          creator=creator, size=obj.size)
@@ -173,7 +172,7 @@ class DesignDatabase:
         # fingerprint (or gets its own on first use if it has none yet).
         chain.append(_Entry(obj=obj, fingerprint=source_entry.fingerprint))
         self._note_alias(str(obj.name), str(source.name))
-        self._aliased.inc()
+        _VERSIONS_ALIASED.inc()
         if TRACER.enabled:
             TRACER.event("db.alias", cat="db", object=str(obj.name),
                          source=str(source.name))
@@ -247,7 +246,7 @@ class DesignDatabase:
         entry = self._entry(name)
         if entry.fingerprint is None:
             entry.fingerprint = payload_digest(entry.obj.payload)
-            self._fingerprinted.inc()
+            _FINGERPRINTS.inc()
         return entry.fingerprint
 
     def exists(self, name: str | ObjectName) -> bool:
@@ -283,7 +282,7 @@ class DesignDatabase:
         entry = self._entry(name)
         if entry.deleted_at is None:
             entry.deleted_at = self.clock.now
-            self._tombstoned.inc()
+            _VERSIONS_TOMBSTONED.inc()
             if TRACER.enabled:
                 TRACER.event("db.delete", cat="db",
                              object=str(entry.obj.name))
@@ -346,7 +345,7 @@ class DesignDatabase:
                 continue
             break
         if reclaimed:
-            METRICS.counter("db.versions_reclaimed").inc(len(reclaimed))
+            _VERSIONS_RECLAIMED.inc(len(reclaimed))
             if TRACER.enabled:
                 TRACER.event("db.reclaim", cat="db", count=len(reclaimed))
             self.publish(self, "reclaim",

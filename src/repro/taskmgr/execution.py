@@ -36,7 +36,6 @@ from repro.cad.registry import Tool, ToolCall, ToolRegistry, ToolResult
 from repro.core.history import StepRecord
 from repro.core.memo import DerivationCache, MemoEntry, MemoKey
 from repro.obs import METRICS, TRACER
-from repro.obs.metrics import bound_metric
 from repro.errors import (
     ObjectNotFound,
     RestartSignal,
@@ -70,6 +69,22 @@ InternalId = tuple[int, ...]
 DepKey = tuple
 
 _instances = itertools.count(1)
+
+_STEPS_ISSUED = METRICS.counter("engine.steps_issued")
+_STEPS_SUSPENDED = METRICS.counter("engine.steps_suspended")
+_WAKE_CHECKS = METRICS.counter("engine.wake_checks")
+_STEPS_DISPATCHED = METRICS.counter("engine.steps_dispatched")
+_STEPS_COMPLETED = METRICS.counter("engine.steps_completed")
+_STEPS_FAILED = METRICS.counter("engine.steps_failed")
+_STEPS_UNDONE = METRICS.counter("engine.steps_undone")
+_STEP_SECONDS = METRICS.histogram("engine.step_seconds")
+_RESTARTS = METRICS.counter("engine.restarts")
+_TASKS_ABORTED = METRICS.counter("engine.tasks_aborted")
+_TASKS_COMPLETED = METRICS.counter("engine.tasks_completed")
+_MEMO_BYPASSES = METRICS.counter("memo.bypasses")
+_MEMO_MISSES = METRICS.counter("memo.misses")
+_MEMO_HITS = METRICS.counter("memo.hits")
+_MEMO_SAVED = METRICS.counter("memo.saved_seconds")
 
 #: Callback invoked before each step is dispatched; may return replacement /
 #: additional option tokens (the GUI "New Options" box of §4.3.1).
@@ -167,22 +182,6 @@ class _Pending:
 
 class TaskExecution:
     """State of one task instantiation (one "task manager process")."""
-
-    # Per-step instruments, bound per engine on first use.
-    _steps_issued = bound_metric(METRICS, "counter", "engine.steps_issued")
-    _steps_suspended = bound_metric(METRICS, "counter",
-                                    "engine.steps_suspended")
-    _wake_checks = bound_metric(METRICS, "counter", "engine.wake_checks")
-    _steps_dispatched = bound_metric(METRICS, "counter",
-                                     "engine.steps_dispatched")
-    _steps_completed = bound_metric(METRICS, "counter",
-                                    "engine.steps_completed")
-    _steps_failed = bound_metric(METRICS, "counter", "engine.steps_failed")
-    _step_seconds = bound_metric(METRICS, "histogram", "engine.step_seconds")
-    _memo_bypasses = bound_metric(METRICS, "counter", "memo.bypasses")
-    _memo_misses = bound_metric(METRICS, "counter", "memo.misses")
-    _memo_hits = bound_metric(METRICS, "counter", "memo.hits")
-    _memo_saved = bound_metric(METRICS, "counter", "memo.saved_seconds")
 
     def __init__(
         self,
@@ -448,7 +447,7 @@ class TaskExecution:
         self._admitted[pending.key] = pending
         self._by_internal[pending.internal_id] = pending
         self._last_admitted = pending
-        self._steps_issued.inc()
+        _STEPS_ISSUED.inc()
         if TRACER.enabled:
             TRACER.event("step.issue", cat="step", step=pending.label,
                          task=self.template.name, instance=self.instance)
@@ -472,7 +471,7 @@ class TaskExecution:
     def _suspend(self, pending: _Pending) -> None:
         pending.state = NodeState.PENDING
         self.suspending[pending.key] = pending
-        self._steps_suspended.inc()
+        _STEPS_SUSPENDED.inc()
         if TRACER.enabled:
             TRACER.event("step.suspend", cat="step", step=pending.label,
                          instance=self.instance)
@@ -543,7 +542,7 @@ class TaskExecution:
         waiters = self._waiters.pop(dep_key, None)
         if not waiters:
             return
-        self._wake_checks.inc(len(waiters))
+        _WAKE_CHECKS.inc(len(waiters))
         for node in waiters:
             if node.state is not NodeState.PENDING:
                 continue
@@ -630,7 +629,7 @@ class TaskExecution:
         )
         pending.state = NodeState.RUNNING
         self.active[pending.key] = pending
-        self._steps_dispatched.inc()
+        _STEPS_DISPATCHED.inc()
         if TRACER.enabled:
             TRACER.event("step.dispatch", cat="step", step=pending.label,
                          tool=tool_name, host=pending.proc.host,
@@ -646,17 +645,17 @@ class TaskExecution:
         if memo is None or tool.interactive:
             # Interactive tools are user-in-the-loop: their outcome is not a
             # pure function of (options, inputs), so they always execute.
-            self._memo_bypasses.inc()
+            _MEMO_BYPASSES.inc()
             return False
         key = pending.memo_key = memo.key_for(
             call.tool, call.options, call.input_names, call.output_names,
             self.db)
         if key is None:
-            self._memo_bypasses.inc()
+            _MEMO_BYPASSES.inc()
             return False
         entry = memo.lookup(key, self.db)
         if entry is None or len(entry.outputs) != len(pending.spec.outputs):
-            self._memo_misses.inc()
+            _MEMO_MISSES.inc()
             return False
         self._satisfy_from_history(pending, call, entry)
         return True
@@ -704,9 +703,9 @@ class TaskExecution:
         pending.state = NodeState.SUCCESS
         self.completed.append(pending)
         self.completed_ok.add(pending.internal_id)
-        self._memo_hits.inc()
-        self._memo_saved.inc(entry.cost)
-        self._steps_completed.inc()
+        _MEMO_HITS.inc()
+        _MEMO_SAVED.inc(entry.cost)
+        _STEPS_COMPLETED.inc()
         if TRACER.enabled:
             TRACER.complete_span(
                 f"step:{pending.spec.name}", "step", now, now,
@@ -786,15 +785,15 @@ class TaskExecution:
             status=result.status,
         )
         self.completed.append(pending)
-        self._steps_completed.inc()
-        self._step_seconds.observe(finished - started)
+        _STEPS_COMPLETED.inc()
+        _STEP_SECONDS.observe(finished - started)
         latency = self._latency.get(call.tool)
         if latency is None:
             latency = self._latency[call.tool] = METRICS.histogram(
                 "step.latency", tool=call.tool)
         latency.observe(finished - started)
         if not result.ok:
-            self._steps_failed.inc()
+            _STEPS_FAILED.inc()
         if TRACER.enabled:
             TRACER.complete_span(
                 f"step:{pending.spec.name}", "step", started, finished,
@@ -914,7 +913,7 @@ class TaskExecution:
             )
         self.restarts += 1
         resumed = self._resumed_internal_id(pending)
-        METRICS.counter("engine.restarts").inc()
+        _RESTARTS.inc()
         if TRACER.enabled:
             TRACER.event("task.abort", cat="task", step=pending.label,
                          reason=reason, restart=self.restarts,
@@ -949,7 +948,7 @@ class TaskExecution:
         unbound: set[tuple[int, str]] = set()
         undone_ids: set[InternalId] = set()
         for node in [p for p in self.completed if later(p.internal_id)]:
-            METRICS.counter("engine.steps_undone").inc()
+            _STEPS_UNDONE.inc()
             if TRACER.enabled:
                 TRACER.event("step.undo", cat="step", step=node.label,
                              instance=self.instance)
@@ -1018,7 +1017,7 @@ class TaskExecution:
         for name in self.created:
             tombstone(self.db, name)
         self.aborted_reason = reason
-        METRICS.counter("engine.tasks_aborted").inc()
+        _TASKS_ABORTED.inc()
         if TRACER.enabled:
             TRACER.event("task.aborted", cat="task", task=self.template.name,
                          reason=reason, instance=self.instance)
@@ -1038,7 +1037,7 @@ class TaskExecution:
                 try:
                     self._interpret()
                     self._finish()
-                    METRICS.counter("engine.tasks_completed").inc()
+                    _TASKS_COMPLETED.inc()
                     return
                 except RestartSignal:
                     continue

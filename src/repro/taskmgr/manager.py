@@ -13,7 +13,7 @@ from repro.cad.registry import ToolRegistry
 from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.core.history import HistoryRecord
 from repro.core.memo import DerivationCache
-from repro.errors import TaskAborted
+from repro.errors import RestartSignal, TaskAborted
 from repro.obs import METRICS, TRACER
 from repro.octdb.database import DesignDatabase
 from repro.sprite.cluster import Cluster
@@ -25,6 +25,8 @@ from repro.taskmgr.execution import (
     tombstone,
 )
 from repro.tdl.template import TemplateLibrary
+
+_HISTORY_RECORDS = METRICS.counter("engine.history_records")
 
 
 class TaskManager:
@@ -41,7 +43,6 @@ class TaskManager:
         navigator: Navigator | None = None,
         on_restart: RestartHook | None = None,
         max_restarts: int = 3,
-        labels: dict[str, str] | None = None,
     ):
         self.db = db
         self.registry = registry
@@ -52,13 +53,10 @@ class TaskManager:
         self.navigator = navigator
         self.on_restart = on_restart
         self.max_restarts = max_restarts
-        self.executions: list[TaskExecution] = []
-        #: Metric labels stamped on this manager's instruments (e.g.
-        #: ``{"tenant": "alice"}``) — a multi-tenant server gives each
-        #: session its own label set so SLO objectives written as
-        #: ``metric:engine.history_records{tenant=alice}`` scope per
-        #: tenant.  Empty by default: unlabelled series, as before.
-        self.labels: dict[str, str] = dict(labels or {})
+        #: The most recent task instantiation (its restarts, completed
+        #: steps); earlier ones are released once a later one starts, as a
+        #: task's operation history lives only until its commit (§4.1).
+        self.last_execution: TaskExecution | None = None
         #: Optional ``repro.obs.health.HealthMonitor``: when attached (via
         #: ``monitor.attach_taskmgr(self)``) every task commit triggers an
         #: alert-rule evaluation, so regressions surface at the history
@@ -85,36 +83,33 @@ class TaskManager:
         history record; raises :class:`TaskAborted` if the task could not be
         completed.
         """
-        template = self.library.get(name)
-        execution = TaskExecution(
-            template=template,
-            inputs=inputs or {},
-            outputs=outputs or {},
-            db=self.db,
-            registry=self.registry,
-            cluster=self.cluster,
-            library=self.library,
-            attrdb=self.attrdb,
-            navigator=self.navigator,
-            on_restart=self.on_restart,
-            max_restarts=self.max_restarts,
-            memo=memo,
-        )
-        self.executions.append(execution)
+        execution = self._instantiate(name, inputs, outputs, memo)
         execution.run()   # raises TaskAborted on failure
+        return self._commit(execution, keep_intermediates, memo)
+
+    def _instantiate(self, name: str, inputs: dict[str, str] | None,
+                     outputs: dict[str, str] | None,
+                     memo: DerivationCache | None) -> TaskExecution:
+        """A new instantiation of template ``name``; it becomes
+        :attr:`last_execution`, which releases the previous one."""
+        self.last_execution = TaskExecution(
+            template=self.library.get(name), inputs=inputs or {},
+            outputs=outputs or {}, db=self.db, registry=self.registry,
+            cluster=self.cluster, library=self.library, attrdb=self.attrdb,
+            navigator=self.navigator, on_restart=self.on_restart,
+            max_restarts=self.max_restarts, memo=memo,
+        )
+        return self.last_execution
+
+    def _commit(self, execution: TaskExecution, keep_intermediates: bool,
+                memo: DerivationCache | None) -> HistoryRecord:
         record = HistoryRecord(
-            task=template.name,
+            task=execution.template.name,
             inputs=execution.task_inputs(),
             outputs=execution.task_outputs(),
             steps=execution.step_records(),
             recorded_at=self.clock.now,
         )
-        self._commit(execution, record, keep_intermediates, memo)
-        return record
-
-    def _commit(self, execution: TaskExecution, record: HistoryRecord,
-                keep_intermediates: bool,
-                memo: DerivationCache | None = None) -> None:
         # Maintain the task abstraction (§4.3.5): hide internal side effects
         # by removing intermediates; protect the real outputs.
         for output in record.outputs:
@@ -129,7 +124,7 @@ class TaskManager:
         if not keep_intermediates:
             for name_ in execution.intermediate_names():
                 tombstone(self.db, name_)
-        METRICS.counter("engine.history_records", **self.labels).inc()
+        _HISTORY_RECORDS.inc()
         if TRACER.enabled:
             TRACER.event("task.commit", cat="task", task=record.task,
                          steps=len(record.steps),
@@ -137,6 +132,7 @@ class TaskManager:
                          instance=execution.instance)
         if self.health is not None:
             self.health.evaluate(reason="commit")
+        return record
 
     def run_concurrent(
         self,
@@ -152,20 +148,8 @@ class TaskManager:
         with completions routed to their owning instantiations.  Returns one
         history record per request, in request order.
         """
-        from repro.errors import RestartSignal
-
-        executions: list[TaskExecution] = []
-        for name, inputs, outputs in requests:
-            template = self.library.get(name)
-            execution = TaskExecution(
-                template=template, inputs=inputs or {}, outputs=outputs or {},
-                db=self.db, registry=self.registry, cluster=self.cluster,
-                library=self.library, attrdb=self.attrdb,
-                navigator=self.navigator, on_restart=self.on_restart,
-                max_restarts=self.max_restarts, memo=memo,
-            )
-            self.executions.append(execution)
-            executions.append(execution)
+        executions = [self._instantiate(name, inputs, outputs, memo)
+                      for name, inputs, outputs in requests]
         # Phase 1: interpret every body (issues steps; may already drain).
         for execution in executions:
             while True:
@@ -188,13 +172,6 @@ class TaskManager:
                             break
                         except RestartSignal:
                             continue
-            record = HistoryRecord(
-                task=execution.template.name,
-                inputs=execution.task_inputs(),
-                outputs=execution.task_outputs(),
-                steps=execution.step_records(),
-                recorded_at=self.clock.now,
-            )
-            self._commit(execution, record, keep_intermediates, memo)
-            records.append(record)
+            records.append(
+                self._commit(execution, keep_intermediates, memo))
         return records

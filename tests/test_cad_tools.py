@@ -118,6 +118,21 @@ class TestLogicTools:
             assert [after[o] for o in net.outputs] == \
                 [before[o] for o in net.outputs]
 
+    def test_misII_reads_unwired_cover_inputs_as_zero(self):
+        """A cover wider than its fanins: the unwired input reads 0, as in
+        ``evaluate``.  Node minimize used to hand QM the cover's own truth
+        table, whose rows with the unwired input set are out of range for
+        a one-fanin node (``qm: minterm 2 is out of range for width 1``)."""
+        from repro.cad.logic import Cover, Cube, Node
+
+        net = BooleanNetwork("x", ["a"], ["j"], {
+            "j": Node("j", ["a"], Cover(2, [Cube("-1"), Cube("10")]))})
+        opt = optimize_network(net)
+        for a in (False, True):
+            assert opt.evaluate({"a": a})["j"] == net.evaluate({"a": a})["j"]
+        assert opt.nodes["j"].cover.num_inputs == 1
+        assert opt.num_literals < net.num_literals
+
     def test_espresso_on_network(self, registry):
         net = generate_network(BehavioralSpec("p", "parity", 3))
         result = run(registry, "espresso", [net])

@@ -131,7 +131,7 @@ class TestAbortPathRegressions:
         manager, _, runs = make_env([template])
         record = manager.run_task("TwoFail", inputs={"In": "seed@1"},
                                   outputs={"Out": "result"})
-        execution = manager.executions[-1]
+        execution = manager.last_execution
         assert execution.restarts == 1
         assert [s.status for s in record.steps] == [0, 0, 0, 0]
         # Both failed steps re-executed after the (single) restart.
@@ -168,7 +168,7 @@ class TestAbortPathRegressions:
         record = manager.run_task("Outer", inputs={"In": "seed@1"},
                                   outputs={"Out": "result"})
         assert repaired == ["Inner"]
-        assert manager.executions[-1].restarts == 1
+        assert manager.last_execution.restarts == 1
         assert all(s.status == 0 for s in record.steps)
         assert db.get("result@1").payload.endswith("fin")
 
@@ -191,7 +191,7 @@ class TestAbortPathRegressions:
         record = manager.run_task("Latest", inputs={"In": "seed@1"},
                                   outputs={"Out": "result"})
         assert all(s.status == 0 for s in record.steps)
-        assert manager.executions[-1].restarts == 1
+        assert manager.last_execution.restarts == 1
         assert runs["F"] == 2              # failed once, retried once
         assert runs["S1"] == 1 and runs["S2"] == 1   # never undone
 

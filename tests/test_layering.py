@@ -10,6 +10,10 @@ counts.
 Importing ``repro.obs`` must not import ``repro.obs.provenance``: runpy
 warns when the module ``python -m repro.obs.provenance`` runs is already
 loaded, and CI's provenance smoke runs that entry point.
+
+``repro.obs.metrics`` is the leaf every module-level instrument handle
+comes from, so it imports nothing from ``repro`` but ``repro.errors``; the
+tracer imports the registry at module level, never inside a function.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import repro.obs.metrics
+import repro.obs.tracer
 import repro.octdb
 
 ALLOWED = ("repro.octdb", "repro.obs", "repro.errors", "repro.clock")
@@ -53,9 +59,38 @@ def test_octdb_imports_only_lower_layers():
     assert not offenders, offenders
 
 
+def function_local_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """The imports of ``tree`` made inside a function body."""
+    return sorted({found for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                   for found in imported_modules(node)})
+
+
+def _tree(module) -> ast.AST:
+    path = Path(module.__file__)
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_metrics_imports_only_errors():
+    tree = _tree(repro.obs.metrics)
+    imports = [module for _, module in imported_modules(tree)
+               if module.split(".")[0] == "repro"]
+    assert imports == ["repro.errors"], imports
+
+
+def test_tracer_makes_no_function_local_repro_import():
+    offenders = [f"tracer.py:{line} imports {module}" for line, module
+                 in function_local_imports(_tree(repro.obs.tracer))
+                 if module.split(".")[0] == "repro"]
+    assert not offenders, offenders
+
+
 def test_scan_sees_function_local_imports():
     tree = ast.parse("def f():\n    from repro.core.memo import fingerprint\n")
     assert imported_modules(tree) == [(2, "repro.core.memo")]
+    assert function_local_imports(tree) == [(2, "repro.core.memo")]
+    assert function_local_imports(ast.parse("import repro.errors\n")) == []
 
 
 def test_provenance_cli_runs_without_a_reimport_warning():

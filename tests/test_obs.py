@@ -6,14 +6,20 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.cad import default_registry
 from repro.cad.registry import ToolRegistry, ToolResult
 from repro.clock import VirtualClock
-from repro.obs.metrics import MetricError, MetricsRegistry, bound_metric
+from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.obs.schema import validate_events, validate_jsonl
 from repro.obs.tracer import Tracer, read_jsonl
 from repro.octdb import DesignDatabase
@@ -246,30 +252,29 @@ step a {Seed} {x} {mark 1.0}
 step b {Seed} {y} {mark 2.0}
 step j {x y} {Final} {mark 1.0}"""
 
-#: ``obs.METRICS`` keys after one ``SMALL_DAG`` run on a cleared registry,
-#: recorded when every engine and database instrument was looked up at its
-#: use site: binding handles must register nothing more.
-SMALL_DAG_KEYS = {
-    "db.versions_created", "db.versions_tombstoned",
-    "engine.history_records", "engine.step_seconds", "engine.steps_completed",
-    "engine.steps_dispatched", "engine.steps_issued", "engine.steps_suspended",
-    "engine.tasks_completed", "engine.wake_checks", "memo.bypasses",
-    "step.latency{tool=mark}",
-}
+#: Fixed-name instruments of ``obs.METRICS``, one or more per subsystem:
+#: each is a module-level handle, so it exists at 0 before anything runs.
+FIXED_NAMES = (
+    "db.versions_created", "engine.history_records", "engine.restarts",
+    "engine.step_seconds", "engine.steps_completed", "engine.steps_failed",
+    "datascope.cache_hits", "health.evaluations", "memo.evictions",
+    "memo.size", "persist.chunks_written", "persist.journal_entries",
+    "reclaim.objects_swept", "sds.moves{direction=contribute}",
+    "sds.notify_fanout", "thread.commits", "thread.forks",
+    "trace.buffer_fill", "trace.events",
+)
 
 
-@pytest.fixture
-def cleared_metrics():
-    """``obs.METRICS`` cleared for the test, its instruments put back after
-    (objects bound to them in other tests keep counting into the same
-    registry)."""
-    saved = dict(obs.METRICS._metrics), dict(obs.METRICS._kinds)
-    obs.METRICS.clear()
-    yield obs.METRICS
-    obs.METRICS._metrics.clear()
-    obs.METRICS._metrics.update(saved[0])
-    obs.METRICS._kinds.clear()
-    obs.METRICS._kinds.update(saved[1])
+def _fresh_interpreter(source: str) -> dict:
+    """Run ``source`` in a new interpreter, so no earlier test has touched
+    ``obs.METRICS``, and return the JSON object it prints."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def _run_small_dag() -> None:
@@ -290,41 +295,88 @@ def _run_small_dag() -> None:
                      outputs={"Final": "final"})
 
 
-class TestBoundMetric:
-    def test_handles_bind_after_clear(self, cleared_metrics):
+class TestInstrumentsFromImport:
+    def test_fixed_names_exist_at_zero_before_any_run(self):
+        snap = _fresh_interpreter("""
+            import json
+            import repro, repro.activity.persistence, repro.core.thread_ops
+            import repro.obs.health
+            from repro import obs
+            print(json.dumps(obs.METRICS.snapshot()))
+        """)
+        missing = [name for name in FIXED_NAMES if name not in snap]
+        assert not missing, missing
+        for name in FIXED_NAMES:
+            value = snap[name]
+            assert (value["count"] if isinstance(value, dict) else value) \
+                == 0, name
+
+    def test_first_failure_is_charged_to_the_step_success_budget(self):
+        # Fresh interpreter: at the first failure ``engine.steps_failed``
+        # must already have a sample at 0, or the failure is never charged.
+        out = _fresh_interpreter("""
+            import json
+            from repro import obs
+            from repro.cad.registry import ToolRegistry, ToolResult
+            from repro.clock import VirtualClock
+            from repro.obs.health import HealthMonitor, default_slos
+            from repro.octdb import DesignDatabase
+            from repro.sprite import Cluster
+            from repro.taskmgr import TaskManager
+            from repro.tdl.template import TemplateLibrary
+
+            attempts = []
+
+            def flaky(call):
+                attempts.append(call.tool)
+                status = 1 if len(attempts) == 1 else 0
+                return ToolResult(status=status, outputs={
+                    n: "f" for n in call.output_names if not status})
+
+            clock = VirtualClock()
+            db = DesignDatabase(clock=clock)
+            db.put("seed", "S")
+            tools = ToolRegistry()
+            tools.add("mark", lambda call: ToolResult(
+                outputs={n: "m" for n in call.output_names}),
+                cost=lambda call: 1.0)
+            tools.add("flaky", flaky, cost=lambda call: 2.0)
+            library = TemplateLibrary()
+            library.add_source(
+                "task Retry {In} {Out}\\n"
+                "step {1 A} {In} {a} {mark In}\\n"
+                "step {2 F} {a} {Out} {flaky a} {ResumedStep 1}")
+            manager = TaskManager(db, tools, library,
+                                  cluster=Cluster.homogeneous(1, clock=clock),
+                                  clock=clock)
+            monitor = HealthMonitor(rules=[], slos=default_slos())
+            monitor.attach_taskmgr(manager)
+            monitor.evaluate()
+            manager.run_task("Retry", inputs={"In": "seed@1"},
+                             outputs={"Out": "out"})
+            print(json.dumps({
+                "attempts": len(attempts),
+                "failed": obs.METRICS.value("engine.steps_failed"),
+                "completed": obs.METRICS.value("engine.steps_completed"),
+                "budget": monitor.state["step_success"]["budget"],
+            }))
+        """)
+        assert out["attempts"] == 2 and out["failed"] == 1
+        bad_fraction = out["failed"] / (out["completed"] + out["failed"])
+        assert out["budget"] == pytest.approx(1.0 - bad_fraction / 0.05)
+
+    def test_small_dag_adds_only_its_tool_latency(self):
+        before = obs.METRICS.snapshot()
         _run_small_dag()
-        snap = cleared_metrics.snapshot()
-        assert snap["engine.steps_completed"] == 3.0
-        assert snap["db.versions_created"] == 4.0
-        cleared_metrics.clear()
-        _run_small_dag()
-        snap = cleared_metrics.snapshot()
-        assert snap["engine.steps_completed"] == 3.0
-        assert snap["db.versions_created"] == 4.0
-
-    def test_no_extra_instruments(self, cleared_metrics):
-        _run_small_dag()
-        assert set(cleared_metrics.snapshot()) == SMALL_DAG_KEYS
-
-    def test_binds_on_first_read(self):
-        registry = MetricsRegistry()
-
-        class Owner:
-            hits = bound_metric(registry, "counter", "x.hits")
-            latency = bound_metric(registry, "histogram", "x.latency")
-
-        first, second = Owner(), Owner()
-        assert len(registry) == 0
-        first.hits.inc()
-        second.hits.inc()
-        assert registry.snapshot() == {"x.hits": 2.0}
-        assert first.hits is registry.counter("x.hits")
-        assert vars(first) == {"hits": registry.counter("x.hits")}
-        registry.clear()
-        fresh = Owner()
-        fresh.hits.inc()
-        assert registry.snapshot() == {"x.hits": 1.0}
-        assert first.hits is not fresh.hits
+        after = obs.METRICS.snapshot()
+        assert after["engine.steps_completed"] \
+            - before["engine.steps_completed"] == 3.0
+        assert after["db.versions_created"] \
+            - before["db.versions_created"] == 4.0
+        assert set(after) - set(before) <= {"step.latency{tool=mark}"}
+        assert after["step.latency{tool=mark}"]["count"] \
+            - before.get("step.latency{tool=mark}", {"count": 0})["count"] \
+            == 3
 
 
 class TestClusterStatsMigration:

@@ -87,7 +87,7 @@ step Urgent {Incell} {Outcell} {floorplan Incell -o Outcell} {Priority 9}
 """)
         designer = papyrus.open_thread("t")
         designer.invoke("Prio", {"Incell": "alu.net"}, {"Outcell": "p.out"})
-        execution = papyrus.taskmgr.executions[-1]
+        execution = papyrus.taskmgr.last_execution
         pending = execution.completed[0]
         assert pending.spec.priority == 9
         assert pending.proc.priority == 9

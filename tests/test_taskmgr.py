@@ -3,6 +3,9 @@ abort, history recording, attribute management."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cad import default_registry
@@ -120,6 +123,21 @@ class TestBasicExecution:
         assert not set(rec1.intermediates()) & set(rec2.intermediates())
 
 
+    def test_finished_execution_is_released(self, env):
+        """The manager keeps only its latest instantiation: an earlier
+        one, with its operation history, is freed once a later task
+        commits."""
+        tm, _, seed, _ = env
+        tm.run_task("Padp", inputs={"Incell": seed["shifter.net"]},
+                    outputs={"Outcell": "first"})
+        first = weakref.ref(tm.last_execution)
+        tm.run_task("Padp", inputs={"Incell": seed["shifter.net"]},
+                    outputs={"Outcell": "second"})
+        gc.collect()
+        assert first() is None
+        assert tm.last_execution is not None
+
+
 class TestParallelism:
     def test_control_dependency_honored(self, env):
         tm, _, seed, _ = env
@@ -210,7 +228,7 @@ class TestProgrammableAbort:
         # floorplanning/placement ran once; history holds the final trace
         assert names.count("Floor_Planning") == 1
         assert names.count("Placement") == 1
-        execution = tm.executions[-1]
+        execution = tm.last_execution
         assert execution.restarts == 1
 
     def test_gives_up_after_max_restarts(self, env):
@@ -281,7 +299,7 @@ abort
         rec = tm.run_task("PLA_Generation",
                           inputs={"Incell": seed["decoder.net"]},
                           outputs={"Outcell": "dec.pla"})
-        ex = tm.executions[-1]
+        ex = tm.last_execution
         assert ex.restarts == 1
         # Two_Level_Minimization ran once (preserved); folding re-ran
         assert [s.name for s in rec.steps].count("Two_Level_Minimization") == 1
