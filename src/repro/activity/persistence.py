@@ -13,8 +13,11 @@ session restarts.  Two generations of the on-disk layout coexist:
   *snapshot + journal replay*: it builds every version slot and history
   node — O(versions) small objects — while payloads decode on first
   access, so decoding is O(touched objects); and a
-  :class:`PersistentSession` turns ``save`` into "write new chunks + fsync
-  the journal" instead of re-serializing the world.
+  :class:`PersistentSession` turns ``save`` into "append the new chunks to
+  the pack + fsync the journal" instead of re-serializing the world.  A
+  session opened on a directory restores through the one store it then
+  saves to, and its ``compact`` rewrites the pack without the chunks no
+  version references.
 """
 
 from __future__ import annotations
@@ -229,13 +232,15 @@ def _write_checkpoint(lwt: LWTSystem, directory: Path,
 
 
 def load_system(directory: str | Path, lwt: LWTSystem | None = None,
-                status: dict[str, bool] | None = None) -> LWTSystem:
+                status: dict[str, bool] | None = None,
+                store: ChunkStore | None = None) -> LWTSystem:
     """Restore an installation saved by :func:`save_system`.
 
     Import links and notification flags are session state in the thesis and
     are not persisted; everything else (streams, cursors, SDS contents and
     memberships) round-trips.  Format-2 layouts restore lazily (payloads
-    decode on first access) and finish with a write-ahead journal replay.
+    decode on first access, from ``store``: by default a new store over the
+    directory's ``objects/``) and finish with a write-ahead journal replay.
 
     ``status``, when given, receives ``appendable``: whether the directory
     holds a format-2 snapshot whose journal ends on a line boundary, so that
@@ -249,8 +254,7 @@ def load_system(directory: str | Path, lwt: LWTSystem | None = None,
         raise ThreadError(
             f"unsupported history format {doc.get('format')!r}"
         )
-    store: ChunkStore | None = None
-    if fmt == FORMAT_VERSION:
+    if fmt == FORMAT_VERSION and store is None:
         store = ChunkStore(directory / "objects")
     load_database(directory / "database.json", lwt.db, store=store)
     lwt.clock.advance_to(doc.get("now", 0.0))
@@ -493,10 +497,15 @@ class PersistentSession:
     @classmethod
     def open(cls, directory: str | Path,
              lwt: LWTSystem | None = None) -> "PersistentSession":
-        """Restore a saved installation and attach a session to it."""
+        """Restore a saved installation and attach a session to it; the
+        restored versions read their chunks from the store the session
+        writes to."""
         status: dict[str, bool] = {}
-        lwt = load_system(directory, lwt, status=status)
-        return cls(lwt, directory, snapshot_current=status["appendable"])
+        store = ChunkStore(Path(directory) / "objects")
+        lwt = load_system(directory, lwt, status=status, store=store)
+        session = cls(lwt, directory, snapshot_current=status["appendable"])
+        session.store = store
+        return session
 
     # ------------------------------------------------------------ change feed
 
@@ -673,9 +682,9 @@ class PersistentSession:
         """Checkpoint, then garbage-collect unreferenced chunks.
 
         After the checkpoint the journal is empty, so the manifest rows just
-        written alone define liveness; anything else in ``objects/`` is
-        unreachable (reclaimed versions, superseded journal writes) and is
-        deleted.  Returns the number of chunks removed.
+        written alone define liveness; any other chunk is unreachable
+        (reclaimed versions, superseded journal writes) and is deleted: the
+        pack is rewritten without it.  Returns the number of chunks removed.
         """
         deleted = self.store.gc(_row_chunks(self._checkpoint()))
         if TRACER.enabled:

@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.tracer import Tracer, read_jsonl
+from repro.obs.tracer import Tracer, quiet_when_stdout_closes, read_jsonl
 
 #: Two intervals closer than this are considered contiguous (the virtual
 #: clock's quantum; the simulator's own epsilon is 1e-9).
@@ -906,6 +906,7 @@ def profile_summary(model: TraceModel) -> dict[str, Any]:
 # --------------------------------------------------------------- entry point
 
 
+@quiet_when_stdout_closes
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     usage = ("usage: python -m repro.obs.analysis "
@@ -918,6 +919,8 @@ def main(argv: list[str] | None = None) -> int:
     command, rest = argv[0], argv[1:]
     try:
         return _dispatch(command, rest, usage)
+    except BrokenPipeError:
+        raise  # the reader went away; the trace was readable
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2

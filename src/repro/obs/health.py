@@ -288,9 +288,10 @@ def default_slos() -> list[SLO]:
     or extends these (see :func:`load_ruleset`).
     """
     return [
+        # Every executed step counts as completed, failed ones too.
         SLO("step_success", objective=0.95,
-            good="metric:engine.steps_completed",
             bad="metric:engine.steps_failed",
+            total="metric:engine.steps_completed",
             description="at most 5% of dispatched CAD steps may fail"),
         SLO("memo_hit", objective=0.50,
             good="metric:memo.hits", bad="metric:memo.misses",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from typing import IO, TYPE_CHECKING
 
+from repro.obs.tracer import quiet_when_stdout_closes, read_jsonl
 from repro.octdb.naming import parse_name
 
 if TYPE_CHECKING:
@@ -86,7 +87,6 @@ class ProvenanceGraph:
         """
         from repro.core.history import HistoryRecord, StepRecord
         from repro.metadata.adg import AugmentedDerivationGraph
-        from repro.obs.tracer import read_jsonl
 
         events = read_jsonl(path)
         adg = AugmentedDerivationGraph()
@@ -353,6 +353,7 @@ def check_lineage(graph: ProvenanceGraph, name: str) -> list[str]:
 # ------------------------------------------------------------ module CLI
 
 
+@quiet_when_stdout_closes
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.obs.provenance CMD trace.jsonl ...`` (CI smoke)."""
     import argparse

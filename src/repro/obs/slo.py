@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.health import HealthError
-from repro.obs.tracer import read_jsonl
+from repro.obs.tracer import quiet_when_stdout_closes, read_jsonl
 
 if TYPE_CHECKING:
     from repro.obs.health import HealthMonitor
@@ -304,6 +304,7 @@ def view_from_file(path: str) -> TopView:
 # --------------------------------------------------------------- entry point
 
 
+@quiet_when_stdout_closes
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     usage = ("usage: python -m repro.obs.slo "
@@ -345,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
                     _time.sleep(interval)
                 except KeyboardInterrupt:  # pragma: no cover - interactive
                     return 0
+    except BrokenPipeError:
+        raise  # the reader went away; the input was readable
     except (OSError, json.JSONDecodeError, HealthError, ValueError) as exc:
         print(f"slo: {exc}", file=sys.stderr)
         return 2

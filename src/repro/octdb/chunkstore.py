@@ -1,9 +1,9 @@
 """Content-addressed payload storage, and the content identity of a version.
 
 Every payload is encoded once, by the codec registered for its class, into a
-chunk file named by its content digest (``objects/<digest[:2]>/<digest>``),
-so identical payloads — across versions, across aliases, even across saves —
-occupy a single chunk on disk.  The address is the sha1 of the chunk's
+chunk addressed by its content digest, so identical payloads — across
+versions, across aliases, even across saves — occupy a single chunk on
+disk.  The address is the sha1 of the chunk's
 *bytes* (the canonical encoding of the payload blob), and it is also the
 payload's content identity (:func:`payload_digest`): the fingerprint
 ``DesignDatabase.fingerprint`` returns and the derivation cache keys on.
@@ -18,6 +18,20 @@ as its string, so ``{"a": (1, 2)}`` and ``{"a": [1, 2]}`` share one
 identity, as do ``{1: "x"}`` and ``{"1": "x"}``.  A payload the codec
 cannot write (a nested set, a cycle) raises ``TypeError``/``ValueError``.
 
+A store writes every new chunk as one record appended to its pack
+(``objects/pack``): the chunk's address as 20 binary bytes, the length of
+its bytes as a 4-byte big-endian integer, then the bytes.  On first use a
+store indexes the pack (digest → offset and length) by one scan that reads
+the record headers and only the final record's bytes; a final record that
+is cut short, zero-filled or does not match its address is left out of the
+index and truncated away before the next append, so a torn save never
+misframes a later record.  ``gc`` rewrites the pack without its dead
+records and renames the copy over it; a store that finds its pack replaced
+(a new inode: another store collected it, for example the reclaimer's
+offline ``compact_store``) re-indexes it before reading or appending.
+Loose chunk files (``objects/<digest[:2]>/<digest>``), the layout earlier
+saves wrote, are still read and collected but never written.
+
 Every read checks the bytes against their address.  Chunks written before
 addresses were byte hashes were named by a structural walk of the decoded
 blob (:func:`_stable_hash`); they still load, are copied between stores
@@ -31,7 +45,8 @@ versions sharing one chunk share one handle, decode it once and share the
 decoded payload object — the in-memory mirror of the on-disk structural
 sharing.
 
-Metrics: ``persist.chunks_written`` / ``persist.chunks_deduped`` (put side),
+Metrics: ``persist.chunks_written`` (records appended) /
+``persist.chunks_deduped`` (put side),
 ``persist.lazy_decodes`` / ``persist.chunk_corrupt`` (read side),
 ``persist.chunks_deleted`` (GC), ``persist.repr_fallback`` (encode side).
 """
@@ -41,9 +56,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, BinaryIO, Callable
 
 from repro.errors import PersistenceError
 from repro.obs import METRICS
@@ -60,6 +76,10 @@ _CHUNKS_DELETED = METRICS.counter("persist.chunks_deleted")
 _CHUNK_CORRUPT = METRICS.counter("persist.chunk_corrupt")
 _LAZY_DECODES = METRICS.counter("persist.lazy_decodes")
 _REPR_FALLBACK = METRICS.counter("persist.repr_fallback")
+
+#: A pack record's header: the chunk's address as 20 binary bytes, then the
+#: length of the chunk bytes that follow it.
+_HEADER = struct.Struct(">20sI")
 
 
 def register_payload_codec(
@@ -184,6 +204,12 @@ def _is_legacy_chunk(data: bytes, digest: str) -> bool:
     return walk.hexdigest() == digest
 
 
+def _matches(data: bytes, digest: str) -> bool:
+    """Whether ``data`` are the bytes ``digest`` addresses, by either
+    scheme."""
+    return chunk_digest(data) == digest or _is_legacy_chunk(data, digest)
+
+
 class LazyPayload:
     """A payload handle that decodes its chunk on first access.
 
@@ -225,31 +251,95 @@ def unwrap_payload(payload: Any) -> Any:
 
 
 class ChunkStore:
-    """A content-addressed chunk directory (``objects/aa/aabbcc...``)."""
+    """A content-addressed chunk directory: one append-only pack
+    (``objects/pack``) that takes every new chunk, plus the read-only loose
+    chunks of older saves (``objects/aa/aabbcc...``)."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        #: Every new chunk is appended here, directly under the root.
+        self._pack = self.root / "pack"
         #: Digest → decoded payload object.  Bounds lazy decodes by the
         #: number of *unique* chunks, not the number of versions touched.
         self._decoded: dict[str, Any] = {}
         #: Digest → the one lazy handle restored versions of it share.
         self._handles: dict[str, LazyPayload] = {}
-        #: Digests known to exist on disk (avoids a stat per dedup hit).
-        self._known: set[str] = set()
+        #: Digest → (offset, length) of its bytes in the pack; built by one
+        #: scan of the pack on first use (``None`` until then).
+        self._index: dict[str, tuple[int, int]] | None = None
+        #: Digests of the loose chunk files, listed on first use too.
+        self._loose: set[str] = set()
+        #: The indexed pack's inode, and the offset just past its last good
+        #: record: where the next record goes.
+        self._inode: int | None = None
+        self._end = 0
+        #: Bytes this store appended to the pack, record headers included.
         self.bytes_written = 0
 
-    # ------------------------------------------------------------------ paths
+    # ------------------------------------------------------------------ index
 
-    def _path(self, digest: str) -> Path:
+    def _loose_path(self, digest: str) -> Path:
         return self.root / digest[:2] / digest
 
+    def _chunks(self) -> dict[str, tuple[int, int]]:
+        """The pack index (built on first use, with the loose listing)."""
+        if self._index is None:
+            self._index = {}
+            if self.root.is_dir():
+                self._loose = {chunk.name for shard in self.root.iterdir()
+                               if shard.is_dir() for chunk in shard.iterdir()}
+                try:
+                    with open(self._pack, "rb") as fh:
+                        self._sync(fh)
+                except FileNotFoundError:
+                    pass
+        return self._index
+
+    def _sync(self, fh: BinaryIO) -> None:
+        """Bring the index up to date with the open pack ``fh``: re-index a
+        pack replaced underneath the store (by its inode) or cut below the
+        indexed end, and index records appended past it.
+
+        A record cut short, one whose header claims no bytes (a zero-filled
+        tail) and a final record whose bytes do not match its address are
+        not indexed; ``_end`` stays before them, so the next append
+        truncates them away.  Only the final record's bytes are read here:
+        every read checks its own.
+        """
+        index = self._index
+        assert index is not None, "index the pack with _chunks() first"
+        stat = os.fstat(fh.fileno())
+        if stat.st_ino != self._inode or stat.st_size < self._end:
+            index.clear()
+            self._inode, self._end = stat.st_ino, 0
+        if stat.st_size == self._end:
+            return
+        offset = self._end
+        final: tuple[str, int, int] | None = None
+        fh.seek(offset)
+        while offset + _HEADER.size <= stat.st_size:
+            address, length = _HEADER.unpack(fh.read(_HEADER.size))
+            start = offset + _HEADER.size
+            if not length or start + length > stat.st_size:
+                break
+            if final is not None:
+                index[final[0]] = final[1:]
+            final = (address.hex(), start, length)
+            fh.seek(length, os.SEEK_CUR)
+            offset = start + length
+        if final is not None:
+            digest, start, length = final
+            fh.seek(start)
+            if _matches(fh.read(length), digest):
+                index[digest] = (start, length)
+            else:
+                offset = start - _HEADER.size
+        self._end = offset
+
     def has(self, digest: str) -> bool:
-        if digest in self._known:
-            return True
-        if self._path(digest).exists():
-            self._known.add(digest)
-            return True
-        return False
+        """Whether ``digest`` is indexed in the pack or a loose file (no
+        file system call after the first use)."""
+        return digest in self._chunks() or digest in self._loose
 
     def dedupe(self, digest: str) -> bool:
         """Whether ``digest`` is stored already; a hit counts as
@@ -259,18 +349,9 @@ class ChunkStore:
             return True
         return False
 
-    def digests(self) -> Iterator[str]:
-        """All chunk digests currently on disk."""
-        if not self.root.exists():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for chunk in sorted(shard.iterdir()):
-                yield chunk.name
-
     def __len__(self) -> int:
-        return sum(1 for _ in self.digests())
+        """The number of stored chunks, packed and loose."""
+        return len(self._chunks().keys() | self._loose)
 
     # ------------------------------------------------------------------ write
 
@@ -278,7 +359,7 @@ class ChunkStore:
         """Store one payload, returning its digest (no write when present).
 
         A :class:`LazyPayload` is a digest reference: its chunk is already
-        on disk, so no encode happens at all — this is what makes re-saving
+        stored, so no encode happens at all — this is what makes re-saving
         a restored installation O(new data).  Saving into another store
         copies the chunk's bytes across, under the address they have.
         """
@@ -290,29 +371,50 @@ class ChunkStore:
         data = canonical_chunk_bytes(blob)
         digest = chunk_digest(data)
         if not self.dedupe(digest):
-            self._write(digest, data)
+            self._append(digest, data)
         return digest
 
     def copy_chunk(self, source: "ChunkStore", digest: str) -> str:
         """Make ``digest`` present here, copying its bytes from ``source``
         under the same address (whichever scheme that address uses)."""
         if not self.dedupe(digest):
-            self._write(digest, source.read_chunk(digest))
+            self._append(digest, source.read_chunk(digest))
         return digest
 
-    def _write(self, digest: str, data: bytes) -> None:
-        path = self._path(digest)
+    def _append(self, digest: str, data: bytes) -> None:
+        """Append one record to the pack (creating it, and the store's
+        directory, on the first write)."""
+        index = self._chunks()
         try:
-            path.write_bytes(data)
+            fh = open(self._pack, "a+b")
         except FileNotFoundError:
-            # First chunk of its shard (or the shard was pruned by GC).
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
-        self._known.add(digest)
-        self.bytes_written += len(data)
+            self.root.mkdir(parents=True, exist_ok=True)
+            fh = open(self._pack, "a+b")
+        with fh:
+            self._sync(fh)
+            if fh.seek(0, os.SEEK_END) > self._end:
+                fh.truncate(self._end)  # a torn tail: never frame after it
+            fh.write(_HEADER.pack(bytes.fromhex(digest), len(data)) + data)
+        index[digest] = (self._end + _HEADER.size, len(data))
+        self._end += _HEADER.size + len(data)
+        self.bytes_written += _HEADER.size + len(data)
         _CHUNKS_WRITTEN.inc()
 
     # ------------------------------------------------------------------- read
+
+    def _read_packed(self, digest: str) -> bytes | None:
+        index = self._chunks()
+        try:
+            fh = open(self._pack, "rb")
+        except FileNotFoundError:
+            return None
+        with fh:
+            self._sync(fh)
+            where = index.get(digest)
+            if where is None:
+                return None
+            fh.seek(where[0])
+            return fh.read(where[1])
 
     def read_chunk(self, digest: str) -> bytes:
         """The bytes of one chunk, checked against their address.
@@ -321,15 +423,16 @@ class ChunkStore:
         whose bytes match neither the sha1 address nor the legacy
         structural one (counted as ``persist.chunk_corrupt``).
         """
-        try:
-            data = self._path(digest).read_bytes()
-        except FileNotFoundError:
-            raise PersistenceError(
-                f"chunk {digest} is referenced but missing from "
-                f"{self.root}"
-            ) from None
-        if chunk_digest(data) != digest and not _is_legacy_chunk(data,
-                                                                  digest):
+        data = self._read_packed(digest)
+        if data is None:
+            try:
+                data = self._loose_path(digest).read_bytes()
+            except FileNotFoundError:
+                raise PersistenceError(
+                    f"chunk {digest} is referenced but missing from "
+                    f"{self.root}"
+                ) from None
+        if not _matches(data, digest):
             _CHUNK_CORRUPT.inc()
             raise PersistenceError(
                 f"chunk {digest} in {self.root} does not match its address"
@@ -358,28 +461,54 @@ class ChunkStore:
     def gc(self, live: set[str]) -> int:
         """Delete chunks whose digest is not in ``live``; returns count.
 
+        A dead packed chunk makes the pack be rewritten with only the live
+        records (to ``pack.tmp``, then ``os.replace``d over the pack); a
+        dead loose chunk is unlinked.
+
         Safe only when ``live`` covers every digest reachable from the
         current manifests *and* the journal (the session's ``compact``
         computes that set after a checkpoint, when the journal is empty).
         """
-        deleted = 0
-        for digest in list(self.digests()):
-            if digest in live:
-                continue
+        index = self._chunks()
+        dead = self._loose - live
+        for digest in dead:
             try:
-                os.unlink(self._path(digest))
+                os.unlink(self._loose_path(digest))
             except FileNotFoundError:  # pragma: no cover - racing GC
-                continue
-            self._known.discard(digest)
+                pass
+        # Prune the shard directories that emptied, so the tree stays tidy.
+        for shard in {self._loose_path(digest).parent for digest in dead}:
+            if not any(shard.iterdir()):
+                shard.rmdir()
+        self._loose -= dead
+        try:
+            fh = open(self._pack, "rb")
+        except FileNotFoundError:
+            pass
+        else:
+            with fh:
+                self._sync(fh)
+                if not index.keys() <= live:
+                    dead |= index.keys() - live
+                    self._rewrite(fh, live)
+        for digest in dead:
             self._decoded.pop(digest, None)
             self._handles.pop(digest, None)
-            deleted += 1
-        if deleted:
-            _CHUNKS_DELETED.inc(deleted)
-        # Prune empty shard directories so the tree stays tidy; a later
-        # write into a pruned shard recreates it (see ``_write``).
-        if self.root.exists():
-            for shard in self.root.iterdir():
-                if shard.is_dir() and not any(shard.iterdir()):
-                    shard.rmdir()
-        return deleted
+        if dead:
+            _CHUNKS_DELETED.inc(len(dead))
+        return len(dead)
+
+    def _rewrite(self, fh: BinaryIO, live: set[str]) -> None:
+        """Replace the open pack ``fh`` with a copy of its live records."""
+        index: dict[str, tuple[int, int]] = {}
+        temp = self._pack.with_name("pack.tmp")
+        with open(temp, "wb") as out:
+            for digest, (start, length) in self._chunks().items():
+                if digest in live:
+                    fh.seek(start - _HEADER.size)
+                    index[digest] = (out.tell() + _HEADER.size, length)
+                    out.write(fh.read(_HEADER.size + length))
+            self._inode = os.fstat(out.fileno()).st_ino
+            self._end = out.tell()
+        os.replace(temp, self._pack)
+        self._index = index

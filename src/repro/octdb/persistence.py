@@ -12,8 +12,9 @@ Two on-disk database formats are readable:
   saved sessions keep loading.
 * **format 2** — the only format written: a thin manifest of content
   digests.  Payloads live in a content-addressed
-  :class:`~repro.octdb.chunkstore.ChunkStore`
-  (``objects/<digest[:2]>/<digest>``) and the manifest records only
+  :class:`~repro.octdb.chunkstore.ChunkStore` (new chunks appended to
+  ``objects/pack``; older saves' loose ``objects/<digest[:2]>/<digest>``
+  files still read) and the manifest records only
   ``(base, version, chunk, size, ...)`` rows.  Loading builds every
   version's slot — O(versions) small objects — whose payload is its chunk's
   shared :class:`~repro.octdb.chunkstore.LazyPayload` handle, so payload

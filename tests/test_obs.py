@@ -4,6 +4,7 @@ tracer's stream lifecycle, and the benchmark harness's run metadata."""
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -295,6 +296,59 @@ def _run_small_dag() -> None:
                      outputs={"Final": "final"})
 
 
+@functools.lru_cache(maxsize=None)
+def _retry_with_one_failure() -> dict:
+    """One ``Retry`` task in a fresh interpreter under the stock SLOs: step
+    A, then F, which fails once and succeeds on its retry."""
+    return _fresh_interpreter("""
+        import json
+        from repro import obs
+        from repro.cad.registry import ToolRegistry, ToolResult
+        from repro.clock import VirtualClock
+        from repro.obs.health import HealthMonitor, default_slos
+        from repro.octdb import DesignDatabase
+        from repro.sprite import Cluster
+        from repro.taskmgr import TaskManager
+        from repro.tdl.template import TemplateLibrary
+
+        attempts = []
+
+        def flaky(call):
+            attempts.append(call.tool)
+            status = 1 if len(attempts) == 1 else 0
+            return ToolResult(status=status, outputs={
+                n: "f" for n in call.output_names if not status})
+
+        clock = VirtualClock()
+        db = DesignDatabase(clock=clock)
+        db.put("seed", "S")
+        tools = ToolRegistry()
+        tools.add("mark", lambda call: ToolResult(
+            outputs={n: "m" for n in call.output_names}),
+            cost=lambda call: 1.0)
+        tools.add("flaky", flaky, cost=lambda call: 2.0)
+        library = TemplateLibrary()
+        library.add_source(
+            "task Retry {In} {Out}\\n"
+            "step {1 A} {In} {a} {mark In}\\n"
+            "step {2 F} {a} {Out} {flaky a} {ResumedStep 1}")
+        manager = TaskManager(db, tools, library,
+                              cluster=Cluster.homogeneous(1, clock=clock),
+                              clock=clock)
+        monitor = HealthMonitor(rules=[], slos=default_slos())
+        monitor.attach_taskmgr(manager)
+        monitor.evaluate()
+        manager.run_task("Retry", inputs={"In": "seed@1"},
+                         outputs={"Out": "out"})
+        print(json.dumps({
+            "attempts": len(attempts),
+            "failed": obs.METRICS.value("engine.steps_failed"),
+            "completed": obs.METRICS.value("engine.steps_completed"),
+            "budget": monitor.state["step_success"]["budget"],
+        }))
+    """)
+
+
 class TestInstrumentsFromImport:
     def test_fixed_names_exist_at_zero_before_any_run(self):
         snap = _fresh_interpreter("""
@@ -314,56 +368,19 @@ class TestInstrumentsFromImport:
     def test_first_failure_is_charged_to_the_step_success_budget(self):
         # Fresh interpreter: at the first failure ``engine.steps_failed``
         # must already have a sample at 0, or the failure is never charged.
-        out = _fresh_interpreter("""
-            import json
-            from repro import obs
-            from repro.cad.registry import ToolRegistry, ToolResult
-            from repro.clock import VirtualClock
-            from repro.obs.health import HealthMonitor, default_slos
-            from repro.octdb import DesignDatabase
-            from repro.sprite import Cluster
-            from repro.taskmgr import TaskManager
-            from repro.tdl.template import TemplateLibrary
-
-            attempts = []
-
-            def flaky(call):
-                attempts.append(call.tool)
-                status = 1 if len(attempts) == 1 else 0
-                return ToolResult(status=status, outputs={
-                    n: "f" for n in call.output_names if not status})
-
-            clock = VirtualClock()
-            db = DesignDatabase(clock=clock)
-            db.put("seed", "S")
-            tools = ToolRegistry()
-            tools.add("mark", lambda call: ToolResult(
-                outputs={n: "m" for n in call.output_names}),
-                cost=lambda call: 1.0)
-            tools.add("flaky", flaky, cost=lambda call: 2.0)
-            library = TemplateLibrary()
-            library.add_source(
-                "task Retry {In} {Out}\\n"
-                "step {1 A} {In} {a} {mark In}\\n"
-                "step {2 F} {a} {Out} {flaky a} {ResumedStep 1}")
-            manager = TaskManager(db, tools, library,
-                                  cluster=Cluster.homogeneous(1, clock=clock),
-                                  clock=clock)
-            monitor = HealthMonitor(rules=[], slos=default_slos())
-            monitor.attach_taskmgr(manager)
-            monitor.evaluate()
-            manager.run_task("Retry", inputs={"In": "seed@1"},
-                             outputs={"Out": "out"})
-            print(json.dumps({
-                "attempts": len(attempts),
-                "failed": obs.METRICS.value("engine.steps_failed"),
-                "completed": obs.METRICS.value("engine.steps_completed"),
-                "budget": monitor.state["step_success"]["budget"],
-            }))
-        """)
+        out = _retry_with_one_failure()
         assert out["attempts"] == 2 and out["failed"] == 1
-        bad_fraction = out["failed"] / (out["completed"] + out["failed"])
+        bad_fraction = out["failed"] / out["completed"]
         assert out["budget"] == pytest.approx(1.0 - bad_fraction / 0.05)
+
+    def test_step_success_charges_one_failure_in_three_steps_as_a_third(
+            self):
+        # A, F (failed), F (retried): three executed steps, one failed.
+        # ``engine.steps_completed`` counts the failed one too, so it is
+        # the objective's total, not its good count (which read 1/4).
+        out = _retry_with_one_failure()
+        assert (out["completed"], out["failed"]) == (3, 1)
+        assert (1.0 - out["budget"]) * 0.05 == pytest.approx(1 / 3)
 
     def test_small_dag_adds_only_its_tool_latency(self):
         before = obs.METRICS.snapshot()
@@ -572,3 +589,48 @@ class TestBenchMeta:
         from benchmarks.common import max_rss_bytes
 
         assert max_rss_bytes() > 1 << 20   # a Python process exceeds 1 MiB
+
+
+class TestCliPipes:
+    """The trace CLIs are piped into readers that stop early (CI runs
+    ``provenance impact … | grep -q``): a closed stdout ends them with
+    status 0 and nothing on stderr."""
+
+    STEPS = 1500   # output far beyond a pipe's buffer, so writes block
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory) -> str:
+        clk = VirtualClock()
+        tracer = Tracer(clock=clk, enabled=True)
+        with tracer.span("task:Chain", cat="task"):
+            for i in range(self.STEPS):
+                tracer.event("cluster.host", cat="cluster",
+                             host=f"ws{i:04d}")
+                tracer.complete_span(
+                    "step:s", "step", float(i), i + 1.0, host=f"ws{i:04d}",
+                    pid=i, status=0, tool="t", inputs=[f"x@{i + 1}"],
+                    outputs=[f"x@{i + 2}"])
+            clk.advance(float(self.STEPS))
+        path = str(tmp_path_factory.mktemp("pipes") / "chain.jsonl")
+        tracer.export_jsonl(path)
+        return path
+
+    @pytest.mark.parametrize("module, args", [
+        ("repro.obs.provenance", ["blame", "{trace}", "x@1"]),
+        ("repro.obs.analysis", ["timeline", "{trace}"]),
+        ("repro.obs.slo", ["top", "{trace}", "--once"]),
+    ])
+    def test_reader_closing_after_the_first_line_is_not_an_error(
+            self, trace, module, args):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        argv = [a.format(trace=trace) for a in args]
+        child = subprocess.Popen([sys.executable, "-m", module, *argv],
+                                 env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+        assert child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 0, stderr
+        assert stderr == ""

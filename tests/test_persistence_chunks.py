@@ -25,7 +25,8 @@ from repro.core.history import HistoryRecord, StepRecord
 from repro.errors import PersistenceError
 from repro.obs import METRICS
 from repro.octdb import DesignDatabase
-from repro.octdb.chunkstore import ChunkStore, LazyPayload, unwrap_payload
+from repro.octdb.chunkstore import (ChunkStore, LazyPayload, payload_digest,
+                                    unwrap_payload)
 from repro.octdb.naming import parse_name
 from repro.octdb.persistence import load_database, save_database
 
@@ -54,6 +55,18 @@ def counter(name: str) -> float:
     return METRICS.counter(name).value
 
 
+def corrupt_record(pack: Path, offset: int, old: bytes, new: bytes) -> None:
+    """Replace ``old`` by ``new`` in the bytes of the pack record at
+    ``offset``, leaving its header alone."""
+    data = pack.read_bytes()
+    start = offset + 24
+    length = int.from_bytes(data[offset + 20:start], "big")
+    record = data[start:start + length]
+    assert old in record
+    pack.write_bytes(data[:start] + record.replace(old, new)
+                     + data[start + length:])
+
+
 # --------------------------------------------------------------- chunk store
 
 
@@ -65,10 +78,21 @@ class TestChunkStore:
         assert d1 == d2
         assert len(store) == 1
 
-    def test_chunk_path_is_sharded_by_digest_prefix(self, tmp_path):
+    def test_pack_record_is_address_then_length_then_bytes(self, tmp_path):
         store = ChunkStore(tmp_path / "objects")
-        digest = store.put_payload({"x": 1})
-        assert (tmp_path / "objects" / digest[:2] / digest).exists()
+        digests = [store.put_payload({"x": 1}),
+                   store.put_payload({"y": [1, 2]})]
+        assert [p.name for p in (tmp_path / "objects").iterdir()] == ["pack"]
+        pack = (tmp_path / "objects" / "pack").read_bytes()
+        offset = 0
+        for digest in digests:
+            data = store.read_chunk(digest)
+            assert pack[offset:offset + 20] == bytes.fromhex(digest)
+            assert pack[offset + 20:offset + 24] == \
+                len(data).to_bytes(4, "big")
+            assert pack[offset + 24:offset + 24 + len(data)] == data
+            offset += 24 + len(data)
+        assert offset == len(pack)
 
     def test_missing_chunk_raises(self, tmp_path):
         store = ChunkStore(tmp_path / "objects")
@@ -96,14 +120,15 @@ class TestChunkStore:
 
         store = ChunkStore(tmp_path / "objects")
         digest = store.put_payload({"netlist": [1, 2, 3]})
-        data = (tmp_path / "objects" / digest[:2] / digest).read_bytes()
+        data = ChunkStore(tmp_path / "objects").read_chunk(digest)
         assert hashlib.sha1(data).hexdigest() == digest
 
     def test_corrupt_chunk_bytes_raise_on_read(self, tmp_path):
         store = ChunkStore(tmp_path / "objects")
         digest = store.put_payload({"area_um2": 12345})
-        path = tmp_path / "objects" / digest[:2] / digest
-        path.write_bytes(path.read_bytes().replace(b"12345", b"12346"))
+        # A later record: the scan checks only the final one's bytes.
+        store.put_payload({"area_um2": 1})
+        corrupt_record(tmp_path / "objects" / "pack", 0, b"12345", b"12346")
         before = counter("persist.chunk_corrupt")
         with pytest.raises(PersistenceError, match="does not match"):
             LazyPayload(ChunkStore(tmp_path / "objects"), digest).materialize()
@@ -113,9 +138,8 @@ class TestChunkStore:
         lwt.db.put("cell", {"pins": 40})
         save_system(lwt, tmp_path / "s")
         manifest = json.loads((tmp_path / "s" / "database.json").read_text())
-        digest = manifest["objects"][0]["chunk"]
-        path = tmp_path / "s" / "objects" / digest[:2] / digest
-        path.write_bytes(path.read_bytes().replace(b"40", b"41"))
+        assert manifest["objects"][0]["chunk"]
+        corrupt_record(tmp_path / "s" / "objects" / "pack", 0, b"40", b"41")
         restored = load_system(tmp_path / "s",
                                LWTSystem(clock=VirtualClock()))
         with pytest.raises(PersistenceError):
@@ -722,6 +746,145 @@ class TestJournalTail:
         assert restored.db.get("cell@2").payload == {"k": 2}
 
 
+# ------------------------------------------------------------------ the pack
+
+
+def pack_files(objects: Path) -> list[str]:
+    return sorted(str(p.relative_to(objects)) for p in objects.rglob("*"))
+
+
+class TestPack:
+    def test_journal_save_appends_one_record_and_creates_no_file(
+            self, lwt, tmp_path):
+        session = PersistentSession(lwt, tmp_path / "s")
+        lwt.db.put("cell", {"k": 1})
+        session.save()                      # checkpoint
+        objects = tmp_path / "s" / "objects"
+        files = pack_files(objects)
+        size = (objects / "pack").stat().st_size
+        lwt.db.put("cell", {"k": 2})        # the one new payload
+        lwt.db.put("other", {"k": 1})       # deduplicated
+        session.save()                      # journal
+        assert pack_files(objects) == files == ["pack"]
+        data = ChunkStore(objects).read_chunk(lwt.db.fingerprint("cell@2"))
+        assert (objects / "pack").stat().st_size == size + 24 + len(data)
+
+    @pytest.mark.parametrize("offline", [False, True])
+    def test_restored_session_reads_through_a_rewritten_pack(
+            self, lwt, tmp_path, offline):
+        thread = lwt.create_thread("alpha", owner="a")
+        session = PersistentSession(lwt, tmp_path / "s")
+        names = [str(lwt.db.put(base, {base: 1}).name)
+                 for base in ("doomed", "keep", "touched")]
+        thread.commit_record(make_record("synth", outputs=names))
+        session.save()
+        session.close()
+        restored = PersistentSession.open(tmp_path / "s",
+                                          LWTSystem(clock=VirtualClock()))
+        db = restored.lwt.db
+        keep = db._versions["keep"][0].obj.payload
+        assert keep.store is restored.store
+        # Index the pack before the collection; leave keep@1 undecoded.
+        assert unwrap_payload(db.get("touched@1").payload) == {"touched": 1}
+        pack = tmp_path / "s" / "objects" / "pack"
+        inode, size = pack.stat().st_ino, pack.stat().st_size
+        db.delete("doomed@1")
+        restored.lwt.clock.advance(100)
+        db.reclaim(grace_seconds=1.0)
+        if offline:
+            save_system(restored.lwt, tmp_path / "s", restored.store)
+            assert compact_store(tmp_path / "s") == 1
+        else:
+            assert restored.compact() == 1
+        assert pack.stat().st_ino != inode
+        # Another writer grows the new pack past the old one's end, so
+        # only the inode tells the session its offsets are stale.
+        ChunkStore(pack.parent).put_payload({"later": "x" * 100})
+        assert pack.stat().st_size > size
+        assert isinstance(db._versions["keep"][0].obj.payload, LazyPayload)
+        assert unwrap_payload(db.get("keep@1").payload) == \
+            lwt.db.get("keep@1").payload
+        assert not ChunkStore(pack.parent).has(
+            lwt.db.fingerprint("doomed@1"))
+
+
+PAYLOADS = st.lists(st.dictionaries(st.sampled_from("abc"),
+                                    st.integers(0, 10 ** 6), min_size=1),
+                    min_size=1, max_size=4)
+
+
+class TestPackTail:
+    @staticmethod
+    def saved(directory: Path, payloads: list[dict]) -> tuple[list, dict]:
+        """A checkpoint of ``payloads`` plus a journal save whose one new
+        payload is the pack's last record; returns the checkpointed
+        (name, payload) pairs and the last payload."""
+        lwt = LWTSystem(clock=VirtualClock())
+        thread = lwt.create_thread("alpha", owner="a")
+        session = PersistentSession(lwt, directory)
+        earlier = []
+        for i, payload in enumerate(payloads):
+            earlier.append((str(lwt.db.put(f"cell{i}", payload).name),
+                            payload))
+        thread.commit_record(make_record("synth", outputs=[earlier[0][0]]))
+        session.save()
+        last = {"last": len(payloads)}
+        lwt.db.put("tail", last)
+        session.save()
+        session.close()
+        return earlier, last
+
+    @settings(max_examples=settings.default.max_examples // 4,
+              deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payloads=PAYLOADS,
+           cut=st.one_of(st.sampled_from(["record", "bytes"]),
+                         st.integers(0)))
+    def test_torn_last_record(self, payloads, cut, tmp_path):
+        """Cut the pack inside its last record (``cut`` modulo the record
+        length), or zero-fill that record or just its bytes: a fresh
+        restore reads every earlier chunk, the torn chunk is not stored,
+        and the next save appends where the torn record began."""
+        import shutil
+
+        directory = tmp_path / "s"
+        shutil.rmtree(directory, ignore_errors=True)
+        earlier, last = self.saved(directory, payloads)
+        pack = directory / "objects" / "pack"
+        data = pack.read_bytes()
+        digest = payload_digest(last)
+        length = len(ChunkStore(pack.parent).read_chunk(digest))
+        start = len(data) - 24 - length
+        if cut == "record":
+            pack.write_bytes(data[:start] + bytes(24 + length))
+        elif cut == "bytes":
+            pack.write_bytes(data[:start + 24] + bytes(length))
+        else:
+            pack.write_bytes(data[:start + cut % (24 + length)])
+
+        restored = load_system(directory, LWTSystem(clock=VirtualClock()))
+        for name, payload in earlier:
+            assert unwrap_payload(restored.db.get(name).payload) == payload
+        with pytest.raises(PersistenceError):
+            restored.db.get("tail@1")
+        assert not ChunkStore(pack.parent).has(digest)
+
+        session = PersistentSession.open(directory,
+                                         LWTSystem(clock=VirtualClock()))
+        session.lwt.db.put("tail", last)
+        after = session.lwt.db.put("after", {"after": True}).name
+        session.save()
+        assert pack.stat().st_size == start + 2 * 24 + length + len(
+            ChunkStore(pack.parent).read_chunk(
+                session.lwt.db.fingerprint(str(after))))
+        fresh = load_system(directory, LWTSystem(clock=VirtualClock()))
+        assert unwrap_payload(fresh.db.get("tail@2").payload) == last
+        assert unwrap_payload(fresh.db.get(str(after)).payload) == \
+            {"after": True}
+        for name, payload in earlier:
+            assert unwrap_payload(fresh.db.get(name).payload) == payload
+
+
 # ------------------------------------------------------- format-2 legacy
 
 
@@ -854,12 +1017,39 @@ class TestLegacyFormat2:
             return {(r["base"], r["version"]): r for r in doc["objects"]}
 
         old, new = rows(LEGACY_V2_DIR), rows(tmp_path / "copy")
+        copied = ChunkStore(tmp_path / "copy" / "objects")
         for key in [("copy", 1), ("note", 1), ("net", 1), ("net", 3)]:
             assert new[key] == old[key]
             chunk = old[key]["chunk"]
-            assert (tmp_path / "copy" / "objects" / chunk[:2] / chunk
-                    ).read_bytes() == (LEGACY_V2_DIR / "objects" / chunk[:2]
-                                       / chunk).read_bytes()
+            assert copied.read_chunk(chunk) == (
+                LEGACY_V2_DIR / "objects" / chunk[:2] / chunk).read_bytes()
+
+
+    def test_compact_unlinks_a_dead_loose_chunk(self, tmp_path):
+        import shutil
+
+        live = legacy_scenario(tmp_path / "live")
+        shutil.copytree(LEGACY_V2_DIR, tmp_path / "s")
+        session = PersistentSession.open(tmp_path / "s",
+                                         LWTSystem(clock=VirtualClock()))
+        chunk, = [entry["chunk"] for entry in map(json.loads, (
+            tmp_path / "s" / "journal.jsonl").read_text().splitlines())
+            if entry.get("name") == "fresh@1"]
+        loose = tmp_path / "s" / "objects" / chunk[:2] / chunk
+        assert loose.exists()
+        for lwt in (live, session.lwt):
+            lwt.db.delete("fresh@1")
+            lwt.clock.advance(100)
+            reclaimed = lwt.db.reclaim(grace_seconds=1.0)
+        # The scenario's deleted scratch@2 ages out along with fresh@1.
+        assert sorted(map(str, reclaimed)) == ["fresh@1", "scratch@2"]
+        assert session.compact() == 2
+        assert not loose.parent.exists()
+        # Every other chunk was already stored loose: nothing was packed.
+        assert not (tmp_path / "s" / "objects" / "pack").exists()
+        restored = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert installation_state(restored) == installation_state(live)
 
 
 # ------------------------------------------------------------- hypothesis
