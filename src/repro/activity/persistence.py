@@ -35,7 +35,7 @@ from repro.core.thread import DesignThread
 from repro.errors import PersistenceError, ThreadError
 from repro.obs import METRICS, TRACER
 from repro.octdb.chunkstore import ChunkStore
-from repro.octdb.database import VersionedObject, _Entry
+from repro.octdb.database import VersionedObject, _Reclaimed
 from repro.octdb.naming import parse_name
 from repro.octdb.persistence import (
     _version_slot,
@@ -217,6 +217,7 @@ def _write_checkpoint(lwt: LWTSystem, directory: Path,
                       store: ChunkStore) -> list[dict[str, Any]]:
     """Write manifest + system doc, drop the journal; returns the manifest
     rows written."""
+    store.refresh()  # its pack may have been collected since the last save
     directory.mkdir(parents=True, exist_ok=True)
     rows = save_database(lwt.db, directory / "database.json", store=store)
     (directory / "history.json").write_text(
@@ -308,41 +309,37 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
     elif op == "db.put":
         oname = parse_name(entry["name"])
         if db.latest_version(oname.base) < (oname.version or 0):
-            restore_version(db, oname, entry, store)
+            restore_version(db, oname.base, oname.version, entry, store)
     elif op == "db.alias":
         oname = parse_name(entry["name"])
         chain = db._versions.setdefault(oname.base, [])
         if len(chain) >= (oname.version or 0):
             return
         source = _version_slot(db, entry["source"])
-        if source.obj is None:
+        if type(source) is _Reclaimed:
             raise PersistenceError(
                 f"journal alias {entry['name']!r} references reclaimed "
                 f"source {entry['source']!r}"
             )
-        obj = VersionedObject(
-            name=oname,
-            payload=source.obj.payload,
-            created_at=entry["created_at"],
-            creator=source.obj.creator,
-            size=0,
-        )
-        chain.append(_Entry(obj=obj, fingerprint=source.fingerprint))
+        chain.append(VersionedObject(
+            oname.base, oname.version, source.payload, entry["created_at"],
+            source.creator, 0, fingerprint=source.fingerprint))
         db._note_alias(entry["name"], entry["source"])
     elif op == "db.delete":
         slot = _version_slot(db, entry["name"])
-        if slot.obj is not None and slot.deleted_at is None:
+        if type(slot) is VersionedObject and slot.deleted_at is None:
             slot.deleted_at = entry["at"]
     elif op == "db.undelete":
         _version_slot(db, entry["name"]).deleted_at = None
     elif op == "db.pin":
-        _version_slot(db, entry["name"]).pinned = entry["pinned"]
+        slot = _version_slot(db, entry["name"])
+        if type(slot) is VersionedObject:
+            slot.pinned = entry["pinned"]
     elif op == "db.reclaim":
         for name in entry["names"]:
             slot = _version_slot(db, name)
-            if slot.obj is not None:
-                db._bytes_live -= slot.obj.size
-                slot.obj = None  # type: ignore[assignment]
+            if type(slot) is VersionedObject:
+                db._reclaim_slot(slot)
     elif op == "thread":
         if entry["name"] not in lwt.threads:
             lwt.create_thread(entry["name"], owner=entry.get("owner", ""))
@@ -618,10 +615,10 @@ class PersistentSession:
         """Store a journaled put's payload; its version keeps the address,
         so the next checkpoint does not encode it again."""
         oname = parse_name(details["name"])
-        entry = self.lwt.db._versions[oname.base][oname.version - 1]
-        if entry.obj is None:  # reclaimed before this save
+        obj = self.lwt.db._versions[oname.base][oname.version - 1]
+        if type(obj) is _Reclaimed:  # reclaimed before this save
             return self.store.put_payload(details["payload"])
-        return stored_chunk(entry, self.store)
+        return stored_chunk(obj, self.store)
 
     # ------------------------------------------------------------------ save
 
@@ -657,6 +654,7 @@ class PersistentSession:
         return rows
 
     def _flush_journal(self) -> None:
+        self.store.refresh()
         lines = [json.dumps({"op": "clock", "now": self.lwt.clock.now},
                             sort_keys=True)]
         for buffered in self._buffer:

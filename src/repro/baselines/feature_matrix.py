@@ -123,8 +123,8 @@ def probe_papyrus() -> dict[str, bool]:
         sds.contribute(thread, "n.lay")
         sds.retrieve(other, "n.lay")
         new_version = lwt.db.put("n.lay", lwt.db.get("n.lay").payload)
-        thread.extra_objects.add(str(new_version.name))
-        sds.contribute(thread, str(new_version.name))
+        thread.extra_objects.add(str(new_version))
+        sds.contribute(thread, str(new_version))
         return len(other.notifications) >= 1
 
     def distributed() -> bool:

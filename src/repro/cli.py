@@ -279,9 +279,9 @@ class Shell:
         for obj in self.papyrus.db:
             if base is not None and obj.base != base:
                 continue
-            deleted = self.papyrus.db.is_deleted(obj.name)
+            deleted = obj.deleted_at is not None
             self._print(
-                f"  {str(obj.name):<34} {type(obj.payload).__name__:<16}"
+                f"  {str(obj):<34} {type(obj.payload).__name__:<16}"
                 f"{' (deleted)' if deleted else ''}"
             )
 

@@ -300,8 +300,8 @@ class DesignThread:
         of path-format names, §5.2)."""
         oname = parse_name(name) if isinstance(name, str) else name
         obj = self.db.get(oname)  # must exist
-        self.extra_objects.add(str(obj.name))
-        self.db.publish(self, "check_in", name=str(obj.name))
+        self.extra_objects.add(str(obj))
+        self.db.publish(self, "check_in", name=str(obj))
         return obj.name
 
     # ------------------------------------------------------------ annotations

@@ -85,14 +85,14 @@ class Retracer:
                 continue
             obj = self.db.put(output_base, outcome.outputs[output_base],
                               creator=edge.tool)
-            mapping[edge.output] = str(obj.name)
-            result.regenerated[edge.output] = str(obj.name)
+            mapping[edge.output] = str(obj)
+            result.regenerated[edge.output] = str(obj)
             result.steps.append(StepRecord(
                 name=f"retrace:{edge.step}",
                 tool=edge.tool,
                 options=call.options,
                 inputs=new_inputs,
-                outputs=(str(obj.name),),
+                outputs=(str(obj),),
                 completed_at=self.db.clock.now,
             ))
             if self.tombstone_stale and not self.db.is_deleted(edge.output):

@@ -28,7 +28,8 @@ index and truncated away before the next append, so a torn save never
 misframes a later record.  ``gc`` rewrites the pack without its dead
 records and renames the copy over it; a store that finds its pack replaced
 (a new inode: another store collected it, for example the reclaimer's
-offline ``compact_store``) re-indexes it before reading or appending.
+offline ``compact_store``) re-indexes it before reading or appending, and
+each save re-checks it once (:meth:`ChunkStore.refresh`) before deduping.
 Loose chunk files (``objects/<digest[:2]>/<digest>``), the layout earlier
 saves wrote, are still read and collected but never written.
 
@@ -336,10 +337,25 @@ class ChunkStore:
                 offset = start - _HEADER.size
         self._end = offset
 
+    def refresh(self) -> None:
+        """Re-index the pack if it was replaced (a new inode), cut, grown or
+        removed underneath the store since it was indexed."""
+        if self._index is not None:
+            try:
+                with open(self._pack, "rb") as fh:
+                    self._sync(fh)
+            except FileNotFoundError:
+                self._index.clear()
+                self._inode, self._end = None, 0
+
     def has(self, digest: str) -> bool:
-        """Whether ``digest`` is indexed in the pack or a loose file (no
-        file system call after the first use)."""
-        return digest in self._chunks() or digest in self._loose
+        """Whether ``digest`` is indexed in the pack or is a loose file
+        still on disk (the pack is not looked at: see :meth:`refresh`)."""
+        if digest in self._chunks():
+            return True
+        if digest in self._loose and not self._loose_path(digest).is_file():
+            self._loose.discard(digest)
+        return digest in self._loose
 
     def dedupe(self, digest: str) -> bool:
         """Whether ``digest`` is stored already; a hit counts as

@@ -9,8 +9,7 @@ reclaimer, until which point they can be undeleted.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
@@ -18,7 +17,7 @@ from repro.errors import ObjectNotFound, VersionConflict
 from repro.obs import METRICS, TRACER
 from repro.obs.audit import AuditJournal
 from repro.octdb.chunkstore import LazyPayload, payload_digest
-from repro.octdb.naming import ObjectName, parse_name
+from repro.octdb.naming import VERSION_SEP, ObjectName, parse_name
 
 _VERSIONS_CREATED = METRICS.counter("db.versions_created")
 _VERSIONS_ALIASED = METRICS.counter("db.versions_aliased")
@@ -28,50 +27,66 @@ _FINGERPRINTS = METRICS.counter("db.fingerprints")
 
 
 def _estimate_size(payload: Any) -> int:
-    """Best-effort storage footprint of a payload, in abstract bytes."""
-    probe = getattr(payload, "size_estimate", None)
-    if callable(probe):
-        return int(probe())
-    if isinstance(payload, (bytes, bytearray, str)):
+    """Best-effort storage footprint of a payload, in abstract bytes; any
+    payload but an exact built-in type is asked for its ``size_estimate``."""
+    kind = type(payload)
+    if kind is str or kind is bytes:
         return len(payload)
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return 8 + sum(_estimate_size(item) for item in payload)
+    if kind is int or kind is float or kind is bool or payload is None:
+        return 8
+    if kind is not dict and kind is not list and kind is not tuple:
+        probe = getattr(payload, "size_estimate", None)
+        if callable(probe):
+            return int(probe())
+        if isinstance(payload, (bytes, bytearray, str)):
+            return len(payload)
+        if not isinstance(payload, (list, tuple, set, frozenset, dict)):
+            return 8
+    total = 8
     if isinstance(payload, dict):
-        return 8 + sum(
-            _estimate_size(k) + _estimate_size(v) for k, v in payload.items()
-        )
-    return 8
+        for key, value in payload.items():
+            total += _estimate_size(key) + _estimate_size(value)
+    else:
+        for item in payload:
+            total += _estimate_size(item)
+    return total
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class VersionedObject:
-    """One immutable version of a design object."""
+    """One version of a design object: the database's only object for it.
 
-    name: ObjectName          # always carries an explicit version
+    The first six fields never change (single assignment), except that
+    ``get`` swaps a restored :class:`LazyPayload` for its decoded value.
+    The database owns the last three: ``deleted_at`` (tombstone time; None
+    while live), ``pinned`` (protected from reclamation) and
+    ``fingerprint`` (the chunk address, set on first use or save).
+    Reclaiming a version replaces its chain slot, not the object."""
+
+    base: str
+    version: int
     payload: Any              # CAD data structure (netlist, layout, report...)
     created_at: float         # virtual-clock timestamp
     creator: str = ""         # tool / step that produced this version
     size: int = 0
+    deleted_at: float | None = None
+    pinned: bool = False
+    fingerprint: str | None = None
 
     @property
-    def base(self) -> str:
-        return self.name.base
-
-    @property
-    def version(self) -> int:
-        assert self.name.version is not None
-        return self.name.version
+    def name(self) -> ObjectName:
+        return ObjectName(self.base, self.version)
 
     def __str__(self) -> str:
-        return str(self.name)
+        return f"{self.base}{VERSION_SEP}{self.version}"
 
 
 @dataclass(slots=True)
-class _Entry:
-    obj: VersionedObject
-    deleted_at: float | None = None   # tombstone time; None = live
-    pinned: bool = False              # protected from reclamation
-    fingerprint: str | None = None    # chunk address; set on first use/save
+class _Reclaimed:
+    """A physically reclaimed version's chain slot: only its tombstone time
+    remains (the manifest keeps it)."""
+
+    deleted_at: float | None
 
 
 class DesignDatabase:
@@ -84,7 +99,7 @@ class DesignDatabase:
 
     def __init__(self, clock: VirtualClock | None = None):
         self.clock = clock or GLOBAL_CLOCK
-        self._versions: dict[str, list[_Entry]] = {}
+        self._versions: dict[str, list[VersionedObject | _Reclaimed]] = {}
         self._bytes_live = 0
         #: Reuse back-links: alias version → source version.  Without them a
         #: memo-materialized version is a lineage orphan — nothing records
@@ -124,20 +139,16 @@ class DesignDatabase:
                 f"{oname.base}: next version is {next_version}, "
                 f"cannot create version {oname.version}"
             )
-        obj = VersionedObject(
-            name=ObjectName(oname.base, next_version),
-            payload=payload,
-            created_at=self.clock.now,
-            creator=creator,
-            size=_estimate_size(payload),
-        )
-        chain.append(_Entry(obj=obj))
+        obj = VersionedObject(oname.base, next_version, payload,
+                              self.clock.now, creator,
+                              _estimate_size(payload))
+        chain.append(obj)
         self._bytes_live += obj.size
         _VERSIONS_CREATED.inc()
         if TRACER.enabled:
-            TRACER.event("db.version", cat="db", object=str(obj.name),
+            TRACER.event("db.version", cat="db", object=str(obj),
                          creator=creator, size=obj.size)
-        self.publish(self, "put", name=str(obj.name), payload=payload,
+        self.publish(self, "put", name=str(obj), payload=payload,
                      created_at=obj.created_at, creator=creator,
                      size=obj.size)
         return obj
@@ -158,26 +169,21 @@ class DesignDatabase:
         removed at task commit) but must not be physically reclaimed.
         """
         oname = parse_name(name) if isinstance(name, str) else name
-        source_entry = self._entry(existing)
-        source = source_entry.obj
+        source = self._entry(existing)
         chain = self._versions.setdefault(oname.base, [])
-        obj = VersionedObject(
-            name=ObjectName(oname.base, len(chain) + 1),
-            payload=source.payload,
-            created_at=self.clock.now,
-            creator=source.creator,
-            size=0,
-        )
         # Same payload object, same content: the alias inherits the source's
         # fingerprint (or gets its own on first use if it has none yet).
-        chain.append(_Entry(obj=obj, fingerprint=source_entry.fingerprint))
-        self._note_alias(str(obj.name), str(source.name))
+        obj = VersionedObject(oname.base, len(chain) + 1, source.payload,
+                              self.clock.now, source.creator, 0,
+                              fingerprint=source.fingerprint)
+        chain.append(obj)
+        self._note_alias(str(obj), str(source))
         _VERSIONS_ALIASED.inc()
         if TRACER.enabled:
-            TRACER.event("db.alias", cat="db", object=str(obj.name),
-                         source=str(source.name))
-        self.publish(self, "alias", name=str(obj.name),
-                     source=str(source.name), created_at=obj.created_at)
+            TRACER.event("db.alias", cat="db", object=str(obj),
+                         source=str(source))
+        self.publish(self, "alias", name=str(obj), source=str(source),
+                     created_at=obj.created_at)
         return obj
 
     def _note_alias(self, alias: str, source: str) -> None:
@@ -197,23 +203,23 @@ class DesignDatabase:
 
     # ------------------------------------------------------------------- read
 
-    def _entry(self, name: str | ObjectName) -> _Entry:
+    def _entry(self, name: str | ObjectName) -> VersionedObject:
         oname = parse_name(name) if isinstance(name, str) else name
         chain = self._versions.get(oname.base)
         if not chain:
             raise ObjectNotFound(f"no object named {oname.base!r}")
         if oname.version is None:
             # Latest live version.
-            for entry in reversed(chain):
-                if entry.obj is not None and entry.deleted_at is None:
-                    return entry
+            for obj in reversed(chain):
+                if obj.deleted_at is None and type(obj) is VersionedObject:
+                    return obj
             raise ObjectNotFound(f"all versions of {oname.base!r} are deleted")
         if not 1 <= oname.version <= len(chain):
             raise ObjectNotFound(f"{oname.base!r} has no version {oname.version}")
-        entry = chain[oname.version - 1]
-        if entry.obj is None:
+        obj = chain[oname.version - 1]
+        if type(obj) is _Reclaimed:
             raise ObjectNotFound(f"{oname} has been reclaimed")
-        return entry
+        return obj
 
     def get(self, name: str | ObjectName) -> VersionedObject:
         """Fetch an object version (latest live version if unversioned).
@@ -221,19 +227,18 @@ class DesignDatabase:
         Tombstoned versions remain fetchable by explicit version until they
         are physically reclaimed — this is what makes "undelete" possible.
 
-        A restored entry carries its chunk's :class:`LazyPayload` handle;
-        this is the choke point where it is swapped for the decoded payload,
-        so every caller of ``get`` sees real payloads and a restore decodes
-        only the objects actually touched.
+        A restored version carries its chunk's :class:`LazyPayload` handle;
+        this is the choke point where it is swapped, in place, for the
+        decoded payload, so every caller of ``get`` sees real payloads and a
+        restore decodes only the objects actually touched.
         """
-        entry = self._entry(name)
-        payload = entry.obj.payload
+        obj = self._entry(name)
+        payload = obj.payload
         if isinstance(payload, LazyPayload):
-            entry.obj = dataclasses.replace(entry.obj,
-                                            payload=payload.materialize())
-            if entry.fingerprint is None:   # so a save need not re-encode it
-                entry.fingerprint = payload.address()
-        return entry.obj
+            obj.payload = payload.materialize()
+            if obj.fingerprint is None:   # so a save need not re-encode it
+                obj.fingerprint = payload.address()
+        return obj
 
     def fingerprint(self, name: str | ObjectName) -> str:
         """Content fingerprint of one version: its payload's chunk address
@@ -243,11 +248,11 @@ class DesignDatabase:
         fingerprint is the sha1 of its stored chunk's bytes.  Raises
         :class:`ObjectNotFound` for a reclaimed version.
         """
-        entry = self._entry(name)
-        if entry.fingerprint is None:
-            entry.fingerprint = payload_digest(entry.obj.payload)
+        obj = self._entry(name)
+        if obj.fingerprint is None:
+            obj.fingerprint = payload_digest(obj.payload)
             _FINGERPRINTS.inc()
-        return entry.fingerprint
+        return obj.fingerprint
 
     def exists(self, name: str | ObjectName) -> bool:
         try:
@@ -262,15 +267,14 @@ class DesignDatabase:
 
     def versions(self, base: str) -> list[VersionedObject]:
         """All non-reclaimed versions of ``base``, oldest first."""
-        return [
-            e.obj for e in self._versions.get(base, ()) if e.obj is not None
-        ]
+        return [obj for obj in self._versions.get(base, ())
+                if type(obj) is VersionedObject]
 
     def __iter__(self) -> Iterator[VersionedObject]:
         for chain in self._versions.values():
-            for entry in chain:
-                if entry.obj is not None:
-                    yield entry.obj
+            for obj in chain:
+                if type(obj) is VersionedObject:
+                    yield obj
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -279,32 +283,30 @@ class DesignDatabase:
 
     def delete(self, name: str | ObjectName) -> None:
         """Tombstone a version (make it invisible); reclaimable later."""
-        entry = self._entry(name)
-        if entry.deleted_at is None:
-            entry.deleted_at = self.clock.now
+        obj = self._entry(name)
+        if obj.deleted_at is None:
+            obj.deleted_at = self.clock.now
             _VERSIONS_TOMBSTONED.inc()
             if TRACER.enabled:
-                TRACER.event("db.delete", cat="db",
-                             object=str(entry.obj.name))
-            self.publish(self, "delete", name=str(entry.obj.name),
-                         at=entry.deleted_at)
+                TRACER.event("db.delete", cat="db", object=str(obj))
+            self.publish(self, "delete", name=str(obj), at=obj.deleted_at)
 
     def undelete(self, name: str | ObjectName) -> None:
         """Resurrect a tombstoned version that has not been reclaimed yet."""
-        entry = self._entry(name)
-        if entry.deleted_at is not None:
-            entry.deleted_at = None
-            self.publish(self, "undelete", name=str(entry.obj.name))
+        obj = self._entry(name)
+        if obj.deleted_at is not None:
+            obj.deleted_at = None
+            self.publish(self, "undelete", name=str(obj))
 
     def is_deleted(self, name: str | ObjectName) -> bool:
         return self._entry(name).deleted_at is not None
 
     def pin(self, name: str | ObjectName, pinned: bool = True) -> None:
         """Protect a version from physical reclamation (e.g. task outputs)."""
-        entry = self._entry(name)
-        if entry.pinned != pinned:
-            entry.pinned = pinned
-            self.publish(self, "pin", name=str(entry.obj.name), pinned=pinned)
+        obj = self._entry(name)
+        if obj.pinned != pinned:
+            obj.pinned = pinned
+            self.publish(self, "pin", name=str(obj), pinned=pinned)
 
     def reclaim(
         self,
@@ -326,21 +328,18 @@ class DesignDatabase:
         now = self.clock.now
         reclaimed: list[ObjectName] = []
         for chain in self._versions.values():
-            for entry in chain:
+            for obj in chain:
                 if max_versions is not None and \
                         len(reclaimed) >= max_versions:
                     break
-                if entry.obj is None or entry.pinned:
+                if obj.deleted_at is None or type(obj) is _Reclaimed:
                     continue
-                if entry.deleted_at is None:
-                    continue
-                if now - entry.deleted_at < grace_seconds:
+                if obj.pinned or now - obj.deleted_at < grace_seconds:
                     continue
                 if archive is not None:
-                    archive(entry.obj)
-                reclaimed.append(entry.obj.name)
-                self._bytes_live -= entry.obj.size
-                entry.obj = None  # type: ignore[assignment]
+                    archive(obj)
+                reclaimed.append(obj.name)
+                self._reclaim_slot(obj)
             else:
                 continue
             break
@@ -352,6 +351,12 @@ class DesignDatabase:
                          names=[str(name) for name in reclaimed])
         return reclaimed
 
+    def _reclaim_slot(self, obj: VersionedObject) -> None:
+        """Replace ``obj``'s chain slot with its reclaimed marker; the object
+        itself is left as it is, for whoever still holds it."""
+        self._versions[obj.base][obj.version - 1] = _Reclaimed(obj.deleted_at)
+        self._bytes_live -= obj.size
+
     # ------------------------------------------------------------- statistics
 
     @property
@@ -362,10 +367,10 @@ class DesignDatabase:
     def stats(self) -> dict[str, int]:
         live = deleted = reclaimed = 0
         for chain in self._versions.values():
-            for entry in chain:
-                if entry.obj is None:
+            for obj in chain:
+                if type(obj) is _Reclaimed:
                     reclaimed += 1
-                elif entry.deleted_at is not None:
+                elif obj.deleted_at is not None:
                     deleted += 1
                 else:
                     live += 1
@@ -396,7 +401,7 @@ class DesignDatabase:
         names expose only their ``cell`` component.
         """
         matches: list[VersionedObject] = []
-        for base, chain in self._versions.items():
+        for base in self._versions:
             name = ObjectName(base)
             if cell is not None and name.cell != cell:
                 continue
@@ -404,10 +409,6 @@ class DesignDatabase:
                 continue
             if facet is not None and name.facet != facet:
                 continue
-            for entry in chain:
-                if entry.obj is None:
-                    continue
-                if live_only and entry.deleted_at is not None:
-                    continue
-                matches.append(entry.obj)
+            matches.extend(obj for obj in self.versions(base)
+                           if not live_only or obj.deleted_at is None)
         return sorted(matches, key=lambda o: (o.base, o.version))

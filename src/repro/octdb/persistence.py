@@ -31,24 +31,25 @@ from repro.errors import PersistenceError
 from repro.octdb.chunkstore import (  # noqa: F401  (the codec, re-exported)
     ChunkStore, LazyPayload, decode_payload, encode_payload,
     register_payload_codec)
-from repro.octdb.database import DesignDatabase, VersionedObject, _Entry, _estimate_size
-from repro.octdb.naming import ObjectName, parse_name
+from repro.octdb.database import (
+    DesignDatabase, VersionedObject, _estimate_size, _Reclaimed)
+from repro.octdb.naming import parse_name
 
 # --------------------------------------------------------------------- saving
 
 
-def stored_chunk(entry: _Entry, store: ChunkStore) -> str:
+def stored_chunk(obj: VersionedObject, store: ChunkStore) -> str:
     """The address of one version's chunk in ``store``, storing it there if
     needed.  A fingerprinted version whose chunk ``store`` holds encodes and
     hashes nothing; the first store of a payload keeps its address as the
     version's fingerprint, and a lazily restored payload is copied under
     the address it was saved with."""
-    chunk = entry.fingerprint
+    chunk = obj.fingerprint
     if chunk is not None and store.dedupe(chunk):
         return chunk
-    chunk = store.put_payload(entry.obj.payload)
-    if not isinstance(entry.obj.payload, LazyPayload):
-        entry.fingerprint = chunk
+    chunk = store.put_payload(obj.payload)
+    if not isinstance(obj.payload, LazyPayload):
+        obj.fingerprint = chunk
     return chunk
 
 
@@ -62,25 +63,25 @@ def save_database(db: DesignDatabase, path: str | Path,
     objects: list[dict[str, Any]] = []
     chains = db._versions
     for base in sorted(chains):
-        for index, entry in enumerate(chains[base]):
+        for index, obj in enumerate(chains[base]):
             version = index + 1
-            if entry.obj is None:
+            if type(obj) is _Reclaimed:
                 objects.append({
                     "base": base,
                     "version": version,
                     "reclaimed": True,
-                    "deleted_at": entry.deleted_at,
+                    "deleted_at": obj.deleted_at,
                 })
                 continue
             objects.append({
                 "base": base,
                 "version": version,
-                "created_at": entry.obj.created_at,
-                "creator": entry.obj.creator,
-                "chunk": stored_chunk(entry, store),
-                "size": entry.obj.size,
-                "deleted_at": entry.deleted_at,
-                "pinned": entry.pinned,
+                "created_at": obj.created_at,
+                "creator": obj.creator,
+                "chunk": stored_chunk(obj, store),
+                "size": obj.size,
+                "deleted_at": obj.deleted_at,
+                "pinned": obj.pinned,
             })
     doc: dict[str, Any] = {
         "format": 2,
@@ -121,7 +122,8 @@ def load_database(
     raise PersistenceError(f"unknown database format {fmt!r} in {path}")
 
 
-def _version_slot(db: DesignDatabase, name: str) -> _Entry:
+def _version_slot(db: DesignDatabase,
+                  name: str) -> VersionedObject | _Reclaimed:
     """The raw chain slot for a *versioned* name; reclaimed slots allowed.
 
     Raises :class:`PersistenceError` when the reference does not resolve —
@@ -139,29 +141,28 @@ def _version_slot(db: DesignDatabase, name: str) -> _Entry:
     return chain[oname.version - 1]
 
 
-def restore_version(db: DesignDatabase, name: ObjectName,
+def restore_version(db: DesignDatabase, base: str, version: int,
                     row: dict[str, Any], store: ChunkStore) -> None:
     """Append the slot of one saved version — a manifest row or a journaled
     put — to its chain, with its chunk's shared handle as the payload.
 
-    Raises :class:`PersistenceError` unless ``name`` is the chain's next
+    Raises :class:`PersistenceError` unless ``version`` is the chain's next
     version: a gap or a repeat means the save is corrupt.
     """
-    chain = db._versions.setdefault(name.base, [])
-    if name.version != len(chain) + 1:
+    chain = db._versions.setdefault(base, [])
+    if version != len(chain) + 1:
         raise PersistenceError(
-            f"saved version {name} does not extend its version chain "
-            f"(next is {name.base}@{len(chain) + 1})"
+            f"saved version {base}@{version} does not extend its version "
+            f"chain (next is {base}@{len(chain) + 1})"
         )
     if row.get("reclaimed"):
-        chain.append(_Entry(obj=None, deleted_at=row["deleted_at"]))  # type: ignore[arg-type]
+        chain.append(_Reclaimed(row["deleted_at"]))
         return
-    obj = VersionedObject(name=name, payload=store.handle(row["chunk"]),
-                          created_at=row["created_at"],
-                          creator=row.get("creator", ""), size=row["size"])
-    chain.append(_Entry(obj=obj, deleted_at=row.get("deleted_at"),
-                        pinned=row.get("pinned", False)))
-    db._bytes_live += obj.size
+    chain.append(VersionedObject(
+        base, version, store.handle(row["chunk"]),
+        row["created_at"], row.get("creator", ""), row["size"],
+        row.get("deleted_at"), row.get("pinned", False)))
+    db._bytes_live += row["size"]
 
 
 def _restore_aliases(db: DesignDatabase, aliases: dict[str, str],
@@ -178,22 +179,16 @@ def _restore_aliases(db: DesignDatabase, aliases: dict[str, str],
     died after the alias was cut): the alias keeps its own payload copy.
     Anything else that fails to resolve raises.
     """
-    import dataclasses
-
     for alias, source in aliases.items():
-        alias_entry = _version_slot(db, alias)
-        source_entry = _version_slot(db, source)
+        alias_obj = _version_slot(db, alias)
+        source_obj = _version_slot(db, source)
         db._note_alias(alias, source)
-        if not rebind or alias_entry.obj is None:
+        if not rebind or _Reclaimed in (type(alias_obj), type(source_obj)):
+            # A source reclaimed after aliasing leaves the alias's embedded
+            # copy the only one, so its accounted size stands.
             continue
-        if source_entry.obj is None:
-            # Source reclaimed after aliasing: the alias's embedded copy is
-            # now the only one, so its accounted size stands.
-            continue
-        db._bytes_live -= alias_entry.obj.size
-        alias_entry.obj = dataclasses.replace(
-            alias_entry.obj, payload=source_entry.obj.payload, size=0
-        )
+        db._bytes_live -= alias_obj.size
+        alias_obj.payload, alias_obj.size = source_obj.payload, 0
 
 
 def _load_v1(doc: dict[str, Any], db: DesignDatabase) -> DesignDatabase:
@@ -201,23 +196,15 @@ def _load_v1(doc: dict[str, Any], db: DesignDatabase) -> DesignDatabase:
     for record in doc["objects"]:
         chain = db._versions.setdefault(record["base"], [])
         if record.get("reclaimed"):
-            chain.append(_Entry(obj=None, deleted_at=record["deleted_at"]))  # type: ignore[arg-type]
+            chain.append(_Reclaimed(record["deleted_at"]))
             continue
         payload = decode_payload(record["payload"])
         obj = VersionedObject(
-            name=ObjectName(record["base"], record["version"]),
-            payload=payload,
-            created_at=record["created_at"],
-            creator=record.get("creator", ""),
-            size=_estimate_size(payload),
-        )
-        chain.append(
-            _Entry(
-                obj=obj,
-                deleted_at=record["deleted_at"],
-                pinned=record.get("pinned", False),
-            )
-        )
+            record["base"], record["version"], payload,
+            record["created_at"], record.get("creator", ""),
+            _estimate_size(payload), record["deleted_at"],
+            record.get("pinned", False))
+        chain.append(obj)
         db._bytes_live += obj.size
     _restore_aliases(db, doc.get("aliases", {}), rebind=True)
     return db
@@ -227,7 +214,6 @@ def _load_v2(doc: dict[str, Any], db: DesignDatabase,
              store: ChunkStore) -> DesignDatabase:
     db.clock.advance_to(doc.get("now", 0.0))
     for row in doc["objects"]:
-        restore_version(db, ObjectName(row["base"], row["version"]), row,
-                        store)
+        restore_version(db, row["base"], row["version"], row, store)
     _restore_aliases(db, doc.get("aliases", {}), rebind=False)
     return db

@@ -681,9 +681,9 @@ class TaskExecution:
             cached = self.db.get(cached_name)
             obj = self.db.alias(slot.base, cached_name)
             slot.version = obj.version
-            self.created.append(str(obj.name))
+            self.created.append(str(obj))
             slot.producer = pending.internal_id
-            outputs_created.append(str(obj.name))
+            outputs_created.append(str(obj))
             payloads[slot.base] = cached.payload
         pending.issue_seq = next(self._issue_counter)
         pending.result = ToolResult(status=0, outputs=payloads,
@@ -767,8 +767,8 @@ class TaskExecution:
                 )
                 slot.version = obj.version
                 slot.producer = pending.internal_id
-                self.created.append(str(obj.name))
-                outputs_created.append(str(obj.name))
+                self.created.append(str(obj))
+                outputs_created.append(str(obj))
             self.completed_ok.add(pending.internal_id)
             pending.state = NodeState.SUCCESS
         else:

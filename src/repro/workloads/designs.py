@@ -39,15 +39,15 @@ def seed_designs(db: DesignDatabase) -> dict[str, str]:
     for name, kind, width in STANDARD_DESIGNS:
         spec = BehavioralSpec(name, kind, width)
         obj = db.put(f"{name}.spec", spec, creator="seed")
-        created[f"{name}.spec"] = str(obj.name)
+        created[f"{name}.spec"] = str(obj)
         net = generate_network(spec)
         obj = db.put(f"{name}.net", net, creator="seed")
-        created[f"{name}.net"] = str(obj.name)
+        created[f"{name}.net"] = str(obj)
         placed = place_network(net, rows=2)
         obj = db.put(f"{name}.placed", placed, creator="seed")
-        created[f"{name}.placed"] = str(obj.name)
+        created[f"{name}.placed"] = str(obj)
     obj = db.put("musa.cmd", "random 16 7", creator="seed")
-    created["musa.cmd"] = str(obj.name)
+    created["musa.cmd"] = str(obj)
     return created
 
 

@@ -367,9 +367,9 @@ def _cached_fingerprints(db) -> list[tuple[str, str]]:
     """(version, fingerprint) for every version that has computed one.
     A restored version nothing has touched since holds none: its payload is
     still the chunk's lazy handle."""
-    return [(str(entry.obj.name), entry.fingerprint)
-            for chain in dict.values(db._versions) for entry in chain
-            if entry.obj is not None and entry.fingerprint is not None]
+    return [(str(obj), obj.fingerprint)
+            for chain in dict.values(db._versions) for obj in chain
+            if getattr(obj, "fingerprint", None) is not None]
 
 
 def _reopen(lwt, directory):

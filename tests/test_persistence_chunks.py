@@ -25,7 +25,9 @@ from repro.core.history import HistoryRecord, StepRecord
 from repro.errors import PersistenceError
 from repro.obs import METRICS
 from repro.octdb import DesignDatabase
-from repro.octdb.chunkstore import (ChunkStore, LazyPayload, payload_digest,
+from repro.octdb.chunkstore import (ChunkStore, LazyPayload,
+                                    canonical_chunk_bytes, chunk_digest,
+                                    encode_payload, payload_digest,
                                     unwrap_payload)
 from repro.octdb.naming import parse_name
 from repro.octdb.persistence import load_database, save_database
@@ -204,7 +206,7 @@ class TestDatabaseFormat2:
         db2 = DesignDatabase(clock=VirtualClock())
         load_database(tmp_path / "database.json", db2,
                       store=ChunkStore(tmp_path / "objects"))
-        handles = {id(db2._entry(name).obj.payload)
+        handles = {id(db2._entry(name).payload)
                    for name in ("a@1", "b@1", "c@1")}
         assert len(handles) == 1
         assert db2.get("b@1").payload is db2.get("c@1").payload
@@ -782,7 +784,7 @@ class TestPack:
         restored = PersistentSession.open(tmp_path / "s",
                                           LWTSystem(clock=VirtualClock()))
         db = restored.lwt.db
-        keep = db._versions["keep"][0].obj.payload
+        keep = db._versions["keep"][0].payload
         assert keep.store is restored.store
         # Index the pack before the collection; leave keep@1 undecoded.
         assert unwrap_payload(db.get("touched@1").payload) == {"touched": 1}
@@ -801,11 +803,52 @@ class TestPack:
         # only the inode tells the session its offsets are stale.
         ChunkStore(pack.parent).put_payload({"later": "x" * 100})
         assert pack.stat().st_size > size
-        assert isinstance(db._versions["keep"][0].obj.payload, LazyPayload)
+        assert isinstance(db._versions["keep"][0].payload, LazyPayload)
         assert unwrap_payload(db.get("keep@1").payload) == \
             lwt.db.get("keep@1").payload
         assert not ChunkStore(pack.parent).has(
             lwt.db.fingerprint("doomed@1"))
+
+    def test_save_after_offline_compact_restores_a_collected_chunk(
+            self, lwt, tmp_path):
+        """An offline ``compact_store`` collects b@1's chunk under an open
+        session; a journal save of the same payload must store it again,
+        not deduplicate against the stale index."""
+        thread = lwt.create_thread("alpha", owner="a")
+        session = PersistentSession(lwt, tmp_path / "s")
+        names = [str(lwt.db.put(base, {base: 1})) for base in ("a", "b")]
+        thread.commit_record(make_record("synth", outputs=names))
+        session.save()
+        session.close()
+        restored = PersistentSession.open(tmp_path / "s",
+                                          LWTSystem(clock=VirtualClock()))
+        db = restored.lwt.db
+        assert db.get("a@1").payload == {"a": 1}   # indexes the pack
+        db.delete("b@1")
+        restored.lwt.clock.advance(100)
+        db.reclaim(grace_seconds=1.0)
+        save_system(restored.lwt, tmp_path / "s")
+        assert compact_store(tmp_path / "s") == 1
+        db.put("b", {"b": 1})
+        restored.save()
+        reloaded = load_system(tmp_path / "s",
+                               LWTSystem(clock=VirtualClock()))
+        assert unwrap_payload(reloaded.db.get("b@2").payload) == {"b": 1}
+
+    def test_loose_hit_collected_by_another_store_is_stored_again(
+            self, tmp_path):
+        """A loose chunk (an earlier save's layout) that another store
+        collected is no dedupe hit: a put writes it again, to the pack."""
+        data = canonical_chunk_bytes(encode_payload({"k": 1}))
+        digest = chunk_digest(data)
+        loose = tmp_path / "objects" / digest[:2] / digest
+        loose.parent.mkdir(parents=True)
+        loose.write_bytes(data)
+        store = ChunkStore(tmp_path / "objects")
+        assert store.has(digest)
+        assert ChunkStore(tmp_path / "objects").gc(set()) == 1
+        assert store.put_payload({"k": 1}) == digest
+        assert ChunkStore(tmp_path / "objects").read_chunk(digest) == data
 
 
 PAYLOADS = st.lists(st.dictionaries(st.sampled_from("abc"),
