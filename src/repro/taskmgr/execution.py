@@ -16,12 +16,21 @@ dependents, never a scan of everything suspended.  The thesis's three lists
 * **Suspending** — nodes in PENDING (data or control dependencies unmet),
 * **Result** — objects produced so far, each tagged with its creating node.
 
+A step has one lifecycle: a node while it waits or runs, and a
+:class:`StepRecord` once it is done.  Both ways a step completes — a
+harvested process or a derivation-cache hit — build the record and hand it
+to one completion path (``_complete``); the record is the step's only
+outcome (``$status``, failure handling and the history all read it), plus
+a failing tool's log for the abort reason.
+
 Programmable aborts follow §4.3.4: every top-level command of a template
 body carries an internal ID (subtask bodies get a prefixed ID path);
 aborting a step restarts interpretation from the resumed step's task state
 by cancelling the graph suffix — every node with a larger internal ID is
 killed (RUNNING), dropped (PENDING) or undone (SUCCESS/FAILED) and marked
 SKIPPED — then re-interpreting the template with idempotent admission.
+:meth:`TaskExecution.interpret` and :meth:`TaskExecution.settle` are the
+one restart driver: each re-interprets after every restart.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.cad.registry import Tool, ToolCall, ToolRegistry, ToolResult
+from repro.cad.registry import Tool, ToolCall, ToolRegistry
 from repro.core.history import StepRecord
 from repro.core.memo import DerivationCache, MemoEntry, MemoKey
 from repro.obs import METRICS, TRACER
@@ -115,14 +124,12 @@ class NodeState(Enum):
     SKIPPED = "skipped"      # cancelled/undone by subtree cancellation
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Slot:
     """The binding of one formal object name within one scope."""
 
     base: str                        # actual base name in the database
     version: int | None = None       # set once the object exists
-    kind: str = "intermediate"       # input | output | intermediate | external
-    producer: InternalId | None = None
 
     @property
     def actual(self) -> str:
@@ -152,9 +159,11 @@ class _Scope:
         return scope, name
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Pending:
-    """A step node: admitted, possibly waiting, running or completed."""
+    """A step node: admitted, possibly waiting, running or completed.
+
+    Identity-compared: a node equals only itself."""
 
     spec: StepSpec
     internal_id: InternalId
@@ -163,10 +172,10 @@ class _Pending:
     admit_seq: int = -1                      # global admission order
     state: NodeState = NodeState.PENDING
     unmet: set = field(default_factory=set)  # outstanding DepKeys
-    issue_seq: int = -1                      # set at dispatch
     proc: SimProcess | None = None
-    result: ToolResult | None = None
+    #: The step's outcome, set on completion.
     record: StepRecord | None = None
+    log: str = ""                            # a failing tool's log
     handled_failure: bool = False
     #: Derivation-cache key computed at dispatch, reused at commit.
     memo_key: MemoKey | None = None
@@ -228,12 +237,9 @@ class TaskExecution:
             name = parse_name(inputs[formal])
             if name.version is None:
                 name = name.at(self.db.get(name).version)
-            self.root_scope.slots[formal] = _Slot(
-                base=name.base, version=name.version, kind="input"
-            )
+            self.root_scope.slots[formal] = _Slot(name.base, name.version)
         for formal in template.outputs:
-            base = outputs.get(formal, formal)
-            self.root_scope.slots[formal] = _Slot(base=base, kind="output")
+            self.root_scope.slots[formal] = _Slot(outputs.get(formal, formal))
 
         # The three lists of §4.3.2, stored as admission-ordered node maps
         # keyed by (internal id, occurrence) so membership updates are O(1)
@@ -248,9 +254,7 @@ class TaskExecution:
         self.completed_ok: set[InternalId] = set()
         self.created: list[str] = []            # every object version created
         self.restarts = 0
-        self.aborted_reason: str | None = None
         self.option_overrides: dict[str, list[str]] = {}
-        self._issue_counter = itertools.count()
         self._admit_counter = itertools.count()
         self._current_id: InternalId = (0,)
         self._last_admitted: _Pending | None = None
@@ -288,9 +292,8 @@ class TaskExecution:
         if slot is None:
             # New intermediate: unique base name across concurrent
             # instantiations (§4.3.4's PID-suffix scheme) and across scopes.
-            base = f"{name}.t{self.instance}s{owner.id}"
-            slot = _Slot(base=base, kind="intermediate")
-            owner.slots[name] = slot
+            slot = owner.slots[name] = _Slot(
+                f"{name}.t{self.instance}s{owner.id}")
         return slot
 
     # ------------------------------------------------------------ TDL hooks
@@ -396,11 +399,10 @@ class TaskExecution:
         if last is None:
             interp.set_var("status", "0")
             return
-        self._drain_until(lambda: last.result is not None)
-        assert last.result is not None
-        interp.set_var("status", str(last.result.status))
+        self._drain_until(lambda: last.record is not None)
+        interp.set_var("status", str(last.record.status))
         for pending in self.completed:
-            if pending.result is not None and pending.result.status != 0:
+            if pending.record.status != 0:
                 pending.handled_failure = True
 
     # --------------------------------------------------------------- stepping
@@ -438,8 +440,8 @@ class TaskExecution:
             # Re-interpretation after a restart: this step survived the undo.
             # Keep sequential $status semantics pointing at it.
             self._last_admitted = existing
-            if existing.result is not None:
-                self.interp.set_var("status", str(existing.result.status))
+            if existing.record is not None:
+                self.interp.set_var("status", str(existing.record.status))
             return
         pending = _Pending(spec=spec, internal_id=self._current_id,
                            scope=scope, occurrence=occurrence,
@@ -491,12 +493,7 @@ class TaskExecution:
             if (owner.id, name) not in self.promised:
                 # Neither bound nor promised: maybe a direct database
                 # reference — bind it now, or watch for it to appear.
-                if self.db.exists(name):
-                    owner.slots[name] = _Slot(
-                        base=parse_name(name).base,
-                        version=self.db.get(name).version,
-                        kind="external",
-                    )
+                if self._bind_external(owner, name):
                     continue
                 self._external_waits[dep_key] = (owner, name)
             unmet.add(dep_key)
@@ -561,14 +558,18 @@ class TaskExecution:
             if dep_key not in self._waiters:
                 del self._external_waits[dep_key]
                 continue
-            if self.db.exists(name):
-                owner.slots[name] = _Slot(
-                    base=parse_name(name).base,
-                    version=self.db.get(name).version,
-                    kind="external",
-                )
+            if self._bind_external(owner, name):
                 del self._external_waits[dep_key]
                 self._fire_key(dep_key)
+
+    def _bind_external(self, owner: _Scope, name: str) -> bool:
+        """Bind ``name`` in ``owner`` to the database object of that name,
+        if one exists (a direct database reference)."""
+        if not self.db.exists(name):
+            return False
+        obj = self.db.get(name)
+        owner.slots[name] = _Slot(obj.base, obj.version)
+        return True
 
     def _on_step_success(self, pending: _Pending) -> None:
         """Wake exactly the dependents of one successful completion."""
@@ -618,7 +619,6 @@ class TaskExecution:
         if self._try_memo(pending, call, tool):
             return
         duration = tool.estimate_runtime(call)
-        pending.issue_seq = next(self._issue_counter)
         pending.proc = self.cluster.submit(
             label=pending.label,
             work=duration,
@@ -672,53 +672,19 @@ class TaskExecution:
         abort treat a cache hit exactly like a real step.
         """
         now = self.cluster.clock.now
-        outputs_created: list[str] = []
-        payloads: dict[str, Any] = {}
-        for formal, (cached_base, cached_name) in zip(
-            pending.spec.outputs, entry.outputs
-        ):
+        outputs: list[str] = []
+        for formal, (_, cached_name) in zip(pending.spec.outputs,
+                                            entry.outputs):
             slot = self._slot_for(pending.scope, formal)
-            cached = self.db.get(cached_name)
             obj = self.db.alias(slot.base, cached_name)
             slot.version = obj.version
-            self.created.append(str(obj))
-            slot.producer = pending.internal_id
-            outputs_created.append(str(obj))
-            payloads[slot.base] = cached.payload
-        pending.issue_seq = next(self._issue_counter)
-        pending.result = ToolResult(status=0, outputs=payloads,
-                                    log="reused from history")
-        pending.record = StepRecord(
-            name=pending.spec.name,
-            tool=call.tool,
-            options=call.options,
-            inputs=call.input_names,
-            outputs=tuple(outputs_created),
-            host="(memo)",
-            started_at=now,
-            completed_at=now,
-            status=0,
-            reused=True,
-        )
-        pending.state = NodeState.SUCCESS
-        self.completed.append(pending)
-        self.completed_ok.add(pending.internal_id)
+            outputs.append(str(obj))
+        self.created.extend(outputs)
         _MEMO_HITS.inc()
         _MEMO_SAVED.inc(entry.cost)
-        _STEPS_COMPLETED.inc()
-        if TRACER.enabled:
-            TRACER.complete_span(
-                f"step:{pending.spec.name}", "step", now, now,
-                tool=call.tool, host="(memo)", status=0,
-                step=pending.label, instance=self.instance, reused=True,
-                options=list(call.options), inputs=list(call.input_names),
-                outputs=list(outputs_created),
-            )
-            TRACER.event("step.reused", cat="step", step=pending.label,
-                         tool=call.tool, saved=entry.cost,
-                         outputs=outputs_created, instance=self.instance)
-        self.interp.set_var("status", "0")
-        self._on_step_success(pending)
+        self._complete(pending, self._record(pending, call, outputs, "(memo)",
+                                             now, now, reused=True),
+                       saved=entry.cost)
 
     # ------------------------------------------------------------ completion
 
@@ -753,64 +719,80 @@ class TaskExecution:
             return
         del self.active[pending.key]
         result = self.registry.run(call)
-        pending.result = result
-        started = proc.started_at
-        finished = proc.finished_at or self.cluster.clock.now
-        outputs_created: list[str] = []
+        outputs: list[str] = []
         if result.ok:
             for formal in pending.spec.outputs:
                 slot = self._slot_for(pending.scope, formal)
-                obj = self.db.put(
-                    slot.base,
-                    result.outputs[slot.base],
-                    creator=call.tool,
-                )
+                obj = self.db.put(slot.base, result.outputs[slot.base],
+                                  creator=call.tool)
                 slot.version = obj.version
-                slot.producer = pending.internal_id
-                self.created.append(str(obj))
-                outputs_created.append(str(obj))
-            self.completed_ok.add(pending.internal_id)
-            pending.state = NodeState.SUCCESS
+                outputs.append(str(obj))
+            self.created.extend(outputs)
         else:
-            pending.state = NodeState.FAILED
-        pending.record = StepRecord(
-            name=pending.spec.name,
-            tool=call.tool,
-            options=call.options,
-            inputs=call.input_names,
-            outputs=tuple(outputs_created),
-            host=proc.host,
-            started_at=started,
-            completed_at=finished,
-            status=result.status,
+            pending.log = result.log
+        self._complete(pending, self._record(
+            pending, call, outputs, proc.host, proc.started_at,
+            proc.finished_at or self.cluster.clock.now, result.status))
+
+    @staticmethod
+    def _record(pending: _Pending, call: ToolCall, outputs: list[str],
+                host: str, started: float, finished: float, status: int = 0,
+                reused: bool = False) -> StepRecord:
+        """The record of one completed step: what ran, where and when."""
+        return StepRecord(
+            name=pending.spec.name, tool=call.tool, options=call.options,
+            inputs=call.input_names, outputs=tuple(outputs), host=host,
+            started_at=started, completed_at=finished, status=status,
+            reused=reused,
         )
+
+    def _complete(self, pending: _Pending, record: StepRecord,
+                  saved: float = 0.0) -> None:
+        """The one completion path of a step, run or reused: keep its
+        record, publish it, then wake its dependents or handle its failure.
+
+        A reused step (``saved`` virtual seconds not spent) ran no process,
+        so it adds no step latency."""
+        pending.record = record
         self.completed.append(pending)
         _STEPS_COMPLETED.inc()
-        _STEP_SECONDS.observe(finished - started)
-        latency = self._latency.get(call.tool)
-        if latency is None:
-            latency = self._latency[call.tool] = METRICS.histogram(
-                "step.latency", tool=call.tool)
-        latency.observe(finished - started)
-        if not result.ok:
-            _STEPS_FAILED.inc()
+        if not record.reused:
+            elapsed = record.elapsed
+            _STEP_SECONDS.observe(elapsed)
+            latency = self._latency.get(record.tool)
+            if latency is None:
+                latency = self._latency[record.tool] = METRICS.histogram(
+                    "step.latency", tool=record.tool)
+            latency.observe(elapsed)
         if TRACER.enabled:
+            pid = {} if record.reused else {"pid": pending.proc.pid}
             TRACER.complete_span(
-                f"step:{pending.spec.name}", "step", started, finished,
-                tool=call.tool, host=proc.host, pid=proc.pid,
-                status=result.status, step=pending.label,
+                f"step:{record.name}", "step", record.started_at,
+                record.completed_at, tool=record.tool, host=record.host,
+                **pid, status=record.status, step=pending.label,
                 instance=self.instance,
-                options=list(call.options), inputs=list(call.input_names),
-                outputs=list(outputs_created),
+                **({"reused": True} if record.reused else {}),
+                options=list(record.options), inputs=list(record.inputs),
+                outputs=list(record.outputs),
             )
-            TRACER.event("step.complete", cat="step", step=pending.label,
-                         status=result.status, host=proc.host,
-                         pid=proc.pid, instance=self.instance)
-        self.interp.set_var("status", str(result.status))
-        if not result.ok:
-            self._handle_failure(pending)
-        else:
+            if record.reused:
+                TRACER.event("step.reused", cat="step", step=pending.label,
+                             tool=record.tool, saved=saved,
+                             outputs=list(record.outputs),
+                             instance=self.instance)
+            else:
+                TRACER.event("step.complete", cat="step", step=pending.label,
+                             status=record.status, host=record.host,
+                             **pid, instance=self.instance)
+        self.interp.set_var("status", str(record.status))
+        if record.status == 0:
+            pending.state = NodeState.SUCCESS
+            self.completed_ok.add(pending.internal_id)
             self._on_step_success(pending)
+        else:
+            pending.state = NodeState.FAILED
+            _STEPS_FAILED.inc()
+            self._handle_failure(pending)
 
     # ------------------------------------------------------------------ abort
 
@@ -845,7 +827,7 @@ class TaskExecution:
             # A queue, because one drain can surface several failures, and
             # every programmed abort must eventually be honoured.
             self._pending_restarts.append(
-                (pending, f"step failed: {pending.result.log}")
+                (pending, f"step failed: {pending.log}")
             )
         # Otherwise the failure is deferred: the template may branch on
         # $status; unhandled failures are dealt with at end of body.
@@ -878,7 +860,7 @@ class TaskExecution:
             # would needlessly undo work that is still valid.
             best: InternalId | None = None
             for node in self.completed:
-                if node.result is None or not node.result.ok:
+                if node.record.status != 0:
                     continue
                 if not node.internal_id < pending.internal_id:
                     continue
@@ -965,7 +947,6 @@ class TaskExecution:
                     if actual in self.created:
                         self.created.remove(actual)
                     slot.version = None
-                    slot.producer = None
                     unbound.add((owner.id, name))
                 self.promised.add((owner.id, name))
         # Undone steps must be re-admitted on re-interpretation.
@@ -1016,7 +997,6 @@ class TaskExecution:
         self.suspending.clear()
         for name in self.created:
             tombstone(self.db, name)
-        self.aborted_reason = reason
         _TASKS_ABORTED.inc()
         if TRACER.enabled:
             TRACER.event("task.aborted", cat="task", task=self.template.name,
@@ -1033,26 +1013,37 @@ class TaskExecution:
         """Interpret the template body to completion (or TaskAborted)."""
         with TRACER.span(f"task:{self.template.name}", cat="task",
                          instance=self.instance):
-            while True:
-                try:
-                    self._interpret()
-                    self._finish()
-                    _TASKS_COMPLETED.inc()
-                    return
-                except RestartSignal:
-                    continue
+            self.interpret()
+            self.settle()
 
-    def _interpret(self) -> None:
-        """(Re-)interpret the whole template body from the top.
+    def interpret(self) -> None:
+        """(Re-)interpret the whole template body from the top, again after
+        each restart.
 
         Variables are reset and command-occurrence counters cleared; steps
         that survived the last undo are skipped by idempotent admission, so
         re-interpretation lands exactly on the resumed task state.
         """
-        self.interp.reset_variables()
-        self._occurrence.clear()
-        self._scope_stack = [self.root_scope]
-        self._run_body(self.template.body_commands, self.root_scope)
+        while True:
+            self.interp.reset_variables()
+            self._occurrence.clear()
+            self._scope_stack = [self.root_scope]
+            try:
+                self._run_body(self.template.body_commands, self.root_scope)
+                return
+            except RestartSignal:
+                continue
+
+    def settle(self) -> None:
+        """Drain the steps and settle failures and outputs, re-interpreting
+        after each restart; the task then counts as completed."""
+        while True:
+            try:
+                self._finish()
+                break
+            except RestartSignal:
+                self.interpret()
+        _TASKS_COMPLETED.inc()
 
     def _run_body(self, commands: tuple[str, ...], scope: _Scope) -> None:
         prefix = scope.prefix
@@ -1066,38 +1057,37 @@ class TaskExecution:
             self._scope_stack.pop()
 
     def _finish(self) -> None:
-        """End-of-body: drain the cluster, then settle failures and outputs."""
-        while True:
-            deferred = self._next_pending_restart()
-            if deferred is not None:
-                self._programmable_abort(*deferred)
-            while self.active:
-                self._harvest(self.cluster.wait_any())
-            unhandled = [
-                p for p in self.completed
-                if p.result is not None and p.result.status != 0
-                and not p.handled_failure and p.spec.resumed_step is None
-            ]
-            if unhandled:
-                failed = unhandled[-1]
-                if self.restarts >= self.max_restarts:
-                    self._abort_task(
-                        f"step {failed.spec.name!r} failed and was never "
-                        f"handled: {failed.result.log}"
-                    )
-                # Compulsory abort with the default resumed state (scratch).
-                self.restarts += 1
-                if self.on_restart is not None:
-                    self.on_restart(self, failed.spec)
-                self._undo_after(())
-                raise RestartSignal(prefix=(), index=-1)
-            if self.suspending:
-                names = [p.spec.name for p in self.suspending.values()]
+        """End-of-body: drain the cluster, then settle failures and outputs
+        (raises RestartSignal after a compulsory or programmed abort)."""
+        deferred = self._next_pending_restart()
+        if deferred is not None:
+            self._programmable_abort(*deferred)
+        while self.active:
+            self._harvest(self.cluster.wait_any())
+        unhandled = [
+            p for p in self.completed
+            if p.record.status != 0 and not p.handled_failure
+            and p.spec.resumed_step is None
+        ]
+        if unhandled:
+            failed = unhandled[-1]
+            if self.restarts >= self.max_restarts:
                 self._abort_task(
-                    f"steps never became ready: {names} (missing inputs or "
-                    "failed control dependencies)"
+                    f"step {failed.spec.name!r} failed and was never "
+                    f"handled: {failed.log}"
                 )
-            break
+            # Compulsory abort with the default resumed state (scratch).
+            self.restarts += 1
+            if self.on_restart is not None:
+                self.on_restart(self, failed.spec)
+            self._undo_after(())
+            raise RestartSignal(prefix=(), index=-1)
+        if self.suspending:
+            names = [p.spec.name for p in self.suspending.values()]
+            self._abort_task(
+                f"steps never became ready: {names} (missing inputs or "
+                "failed control dependencies)"
+            )
         missing = [
             formal for formal in self.template.outputs
             if self.root_scope.slots[formal].version is None
@@ -1118,16 +1108,12 @@ class TaskExecution:
         )
 
     def step_records(self) -> tuple[StepRecord, ...]:
-        return tuple(
-            p.record for p in self.completed if p.record is not None
-        )
+        return tuple(p.record for p in self.completed)
 
     def step_keys(self) -> tuple[MemoKey | None, ...]:
         """Each step record's memo key from dispatch (None where the cache
         was not consulted), aligned with :meth:`step_records`."""
-        return tuple(
-            p.memo_key for p in self.completed if p.record is not None
-        )
+        return tuple(p.memo_key for p in self.completed)
 
     def intermediate_names(self) -> list[str]:
         outputs = set(self.task_outputs())

@@ -13,7 +13,6 @@ from repro.cad.registry import ToolRegistry
 from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.core.history import HistoryRecord
 from repro.core.memo import DerivationCache
-from repro.errors import RestartSignal, TaskAborted
 from repro.obs import METRICS, TRACER
 from repro.octdb.database import DesignDatabase
 from repro.sprite.cluster import Cluster
@@ -152,26 +151,11 @@ class TaskManager:
                       for name, inputs, outputs in requests]
         # Phase 1: interpret every body (issues steps; may already drain).
         for execution in executions:
-            while True:
-                try:
-                    execution._interpret()
-                    break
-                except RestartSignal:
-                    continue
+            execution.interpret()
         # Phase 2: settle each task (failures/restarts handled per owner).
         records: list[HistoryRecord] = []
         for execution in executions:
-            while True:
-                try:
-                    execution._finish()
-                    break
-                except RestartSignal:
-                    while True:
-                        try:
-                            execution._interpret()
-                            break
-                        except RestartSignal:
-                            continue
+            execution.settle()
             records.append(
                 self._commit(execution, keep_intermediates, memo))
         return records

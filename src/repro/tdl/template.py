@@ -2,7 +2,7 @@
 
 A task template is an ASCII TDL file (thesis §4.2): its first command is the
 ``task`` header; the remaining commands are the body, interpreted dynamically
-by the task manager.  This module parses headers, holds template sources in a
+by the task manager.  This module parses headers, holds parsed templates in a
 library (templates are plain files — no database round-trip, one of the
 thesis's stated design points), and parses ``step``/``subtask`` argument
 lists into :class:`StepSpec`.
@@ -30,11 +30,6 @@ class TaskTemplate:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     body_commands: tuple[str, ...]
-    source: str
-
-    @property
-    def formals(self) -> tuple[str, ...]:
-        return self.inputs + self.outputs
 
 
 def parse_template(source: str) -> TaskTemplate:
@@ -77,7 +72,6 @@ def parse_template(source: str) -> TaskTemplate:
         inputs=inputs,
         outputs=outputs,
         body_commands=body_commands,
-        source=source,
     )
 
 

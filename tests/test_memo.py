@@ -9,6 +9,8 @@ session restore.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -206,6 +208,17 @@ def test_reused_outputs_identical_to_cold_reexecution(case):
     for name in warm_rec.outputs:
         assert fingerprint(warm_db.get(name).payload) == \
             fingerprint(cold_db.get(name).payload)   # byte-identical
+    # Both completion paths record the same step: intermediates differ only
+    # in their process-global instance suffix (".t<N>s<M>").
+    assert step_shapes(warm_rec) == step_shapes(cold_rec)
+
+
+def step_shapes(record) -> list[tuple]:
+    def norm(names):
+        return tuple(re.sub(r"\.t\d+s\d+", ".t*s*", n) for n in names)
+
+    return sorted((s.name, s.tool, norm(s.options), norm(s.inputs),
+                   norm(s.outputs), s.status) for s in record.steps)
 
 
 # ----------------------------------------------------------------- aborts

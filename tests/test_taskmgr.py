@@ -3,6 +3,7 @@ abort, history recording, attribute management."""
 
 from __future__ import annotations
 
+import collections
 import gc
 import weakref
 
@@ -12,6 +13,7 @@ from repro.cad import default_registry
 from repro.cad.registry import ToolRegistry, ToolResult
 from repro.clock import VirtualClock
 from repro.errors import TaskAborted, TemplateError
+from repro.obs import METRICS
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
@@ -304,6 +306,39 @@ abort
         # Two_Level_Minimization ran once (preserved); folding re-ran
         assert [s.name for s in rec.steps].count("Two_Level_Minimization") == 1
 
+    @staticmethod
+    def failing_manager(body: str, max_restarts: int) -> TaskManager:
+        """A task whose ``Route`` step always fails with log "no route"."""
+        clk = VirtualClock()
+        db = DesignDatabase(clock=clk)
+        db.put("seed", "S")
+        registry = ToolRegistry()
+        registry.add("make", lambda call: ToolResult(
+            outputs={n: "m" for n in call.output_names}))
+        registry.add("route", lambda call: ToolResult(status=1,
+                                                      log="no route"))
+        library = TemplateLibrary()
+        library.add_source("task Fails {Seed} {Final}\n"
+                           "step {1 Plan} {Seed} {Mid} {make}\n" + body)
+        return TaskManager(db, registry, library,
+                           cluster=Cluster.homogeneous(2, clock=clk),
+                           clock=clk, max_restarts=max_restarts)
+
+    def test_programmed_abort_reason_carries_the_tool_log(self):
+        tm = self.failing_manager(
+            "step Route {Mid} {Final} {route} {ResumedStep 1}\n", 1)
+        with pytest.raises(TaskAborted) as caught:
+            tm.run_task("Fails", inputs={"Seed": "seed@1"})
+        assert "step failed: no route" in caught.value.reason
+        assert "gave up after 1 restarts" in caught.value.reason
+
+    def test_unhandled_failure_reason_carries_the_tool_log(self):
+        tm = self.failing_manager("step Route {Mid} {Final} {route}\n", 0)
+        with pytest.raises(TaskAborted) as caught:
+            tm.run_task("Fails", inputs={"Seed": "seed@1"})
+        assert caught.value.reason == (
+            "step 'Route' failed and was never handled: no route")
+
 
 class TestAttributes:
     def test_attribute_command_in_loop(self, env):
@@ -433,6 +468,68 @@ class TestConcurrentExecution:
         ])
         assert [s.status for s in records[0].steps] == [0, 0, 0, 0]
         assert records[1].outputs == ("cb.pad@1",)
+
+    def test_concurrent_tasks_are_counted(self, env):
+        """Each committed concurrent task counts as completed, exactly as
+        one run by ``run_task`` does."""
+        tm, _, seed, _ = env
+        completed = METRICS.counter("engine.tasks_completed").value
+        committed = METRICS.counter("engine.history_records").value
+        tm.run_concurrent([
+            ("Padp", {"Incell": seed["adder.net"]}, {"Outcell": f"n{i}.pad"})
+            for i in range(3)
+        ])
+        assert METRICS.counter("engine.tasks_completed").value \
+            - completed == 3
+        assert METRICS.counter("engine.history_records").value \
+            - committed == 3
+
+
+class TestStepShape:
+    """A finished step keeps its node and its record, nothing per step
+    beyond them: the tracked objects a chain DAG holds once its body has
+    settled are pinned per step."""
+
+    CHAINS, DEPTH = 10, 200
+
+    def chain_source(self) -> str:
+        lines = ["task Chains {Seed} {Final}"]
+        for c in range(self.CHAINS):
+            prev = "Seed"
+            for i in range(self.DEPTH):
+                lines.append(f"step c{c}s{i} {{{prev}}} {{c{c}_{i}}} {{mark}}")
+                prev = f"c{c}_{i}"
+        tails = " ".join(f"c{c}_{self.DEPTH - 1}" for c in range(self.CHAINS))
+        lines.append(f"step Join {{{tails}}} {{Final}} {{mark}}")
+        return "\n".join(lines)
+
+    def test_tracked_objects_per_step(self):
+        clk = VirtualClock()
+        db = DesignDatabase(clock=clk)
+        db.put("seed", "S")
+        registry = ToolRegistry()
+        registry.add("mark", lambda call: ToolResult(
+            outputs={n: "m" for n in call.output_names}))
+        library = TemplateLibrary()
+        library.add_source(self.chain_source())
+        tm = TaskManager(db, registry, library,
+                         cluster=Cluster.homogeneous(8, clock=clk),
+                         clock=clk)
+        execution = tm._instantiate("Chains", {"Seed": "seed@1"},
+                                    {"Final": "final"}, None)
+
+        def census() -> collections.Counter:
+            gc.collect()
+            return collections.Counter(
+                type(obj).__name__ for obj in gc.get_objects())
+
+        before = census()
+        execution.run()
+        held = census() - before
+        steps = len(execution.step_records())
+        assert steps == self.CHAINS * self.DEPTH + 1
+        assert "ToolResult" not in held
+        assert sum(held.values()) <= 10 * steps + 100
 
 
 class TestVerifiedSynthesis:
