@@ -161,7 +161,7 @@ def thread_from_dict(data: dict, lwt: LWTSystem) -> DesignThread:
     db = lwt.db
     thread.memo.defer_populate(
         lambda cache: sum(cache.populate(r, db)
-                          for r in thread.stream.records())
+                          for r in cache.stream.records())
     )
     thread.current_cursor = data["current_cursor"]
     thread.extra_objects = set(data.get("extra_objects", ()))
@@ -489,7 +489,7 @@ class PersistentSession:
         # snapshot was written, so its first save is always a full
         # checkpoint.
         self._has_snapshot = snapshot_current
-        lwt.db.subscribers.append(self._observe)
+        lwt.db.subscribe(self._observe)
 
     @classmethod
     def open(cls, directory: str | Path,
@@ -508,8 +508,8 @@ class PersistentSession:
 
     def close(self) -> None:
         """Unsubscribe (the installation keeps running unjournaled)."""
-        if self._observe in self.lwt.db.subscribers:
-            self.lwt.db.subscribers.remove(self._observe)
+        db = self.lwt.db
+        db.subscribers = [r for r in db.subscribers if r() != self._observe]
 
     def _observe(self, source: Any, kind: str, details: dict) -> None:
         """Buffer one change of this installation.  Threads and SDSs are

@@ -232,22 +232,23 @@ class BooleanNetwork:
         """Topological levels; raises ToolUsageError on a combinational cycle."""
         levels: dict[str, int] = {name: 0 for name in self.inputs}
         visiting: set[str] = set()
-
-        def level_of(name: str) -> int:
-            if name in levels:
-                return levels[name]
-            if name in visiting:
-                raise ToolUsageError("network", f"combinational cycle at {name!r}")
-            visiting.add(name)
-            node = self.nodes[name]
-            lvl = 1 + max((level_of(f) for f in node.fanins), default=0)
-            visiting.discard(name)
-            levels[name] = lvl
-            return lvl
-
         for name in self.nodes:
-            level_of(name)
+            self._level_of(name, levels, visiting)
         return levels
+
+    def _level_of(self, name: str, levels: dict, visiting: set) -> int:
+        # Not a closure: a recursive inner function is a reference cycle.
+        if name in levels:
+            return levels[name]
+        if name in visiting:
+            raise ToolUsageError("network", f"combinational cycle at {name!r}")
+        visiting.add(name)
+        node = self.nodes[name]
+        lvl = 1 + max((self._level_of(f, levels, visiting)
+                       for f in node.fanins), default=0)
+        visiting.discard(name)
+        levels[name] = lvl
+        return lvl
 
     def topo_order(self) -> list[str]:
         """Internal node names in topological (evaluation) order."""

@@ -64,17 +64,16 @@ class ControlStream:
         self._next = 1
         self._epoch = 0
         self._scope_epoch = 0
-        #: The stream's one hook, set by the thread that owns it: called as
-        #: ``listener(kind, details)`` after every structural mutation, with
-        #: replay-grade details (full records where the mutation adds them).
-        #: Every erase/abstraction path funnels through here, whichever
-        #: caller (rework, reclamation, shell) triggered it, which is what
-        #: makes the audit trail exactly-once.
-        self.listener: Callable[[str, dict], None] | None = None
+        #: The stream's one hook: a weak reference (the thread owns its
+        #: stream) to its thread's ``listener(kind, details)``, called after
+        #: every structural mutation with replay-grade details (full records
+        #: where the mutation adds them).  Every erase/abstraction path, from
+        #: any caller, funnels through here: the audit trail is exactly-once.
+        self.listener: Callable[[], Callable | None] | None = None
 
     def _mutated(self, kind: str, **details) -> None:
-        if self.listener is not None:
-            self.listener(kind, details)
+        if self.listener is not None and (listener := self.listener()):
+            listener(kind, details)
 
     # --------------------------------------------------------------- epochs
 

@@ -6,6 +6,8 @@ examples and scenario drivers deal with one object.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.core.sds import SynchronizationDataSpace
 from repro.core.thread import DesignThread
@@ -33,7 +35,7 @@ class LWTSystem:
         if name in self.threads:
             raise ThreadError(f"thread {name!r} already exists")
         thread = DesignThread(name, db=self.db, owner=owner, clock=self.clock)
-        thread.lwt = self
+        thread.lwt = weakref.ref(self)
         self.threads[name] = thread
         self.db.publish(self, "thread", name=name, owner=owner)
         return thread
@@ -48,7 +50,7 @@ class LWTSystem:
         """Register a thread produced by fork/cascade/join."""
         if thread.name in self.threads:
             raise ThreadError(f"thread {thread.name!r} already exists")
-        thread.lwt = self
+        thread.lwt = weakref.ref(self)
         self.threads[thread.name] = thread
         self.db.publish(self, "adopt", name=thread.name)
         return thread

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
@@ -51,9 +52,9 @@ class DesignThread:
         self.owner = owner
         self.db = db
         self.clock = clock or GLOBAL_CLOCK
-        #: The installation whose registry holds this thread, set when an
-        #: LWT system creates or adopts it (None for an unadopted fork).
-        self.lwt: "LWTSystem | None" = None
+        #: A weak reference (it owns its threads) to the installation whose
+        #: registry holds this thread (None for an unadopted fork).
+        self.lwt: "weakref.ref[LWTSystem] | None" = None
         self.stream = ControlStream()
         self.scope = DataScope(self.stream, db)
         #: Derivation cache (build avoidance): committed steps seed it, the
@@ -90,7 +91,7 @@ class DesignThread:
         # The stream's hook reports to its owner, so cascade, join and
         # restore rewire it by assigning the stream they built.
         self._stream = stream
-        stream.listener = self._on_stream
+        stream.listener = weakref.WeakMethod(self._on_stream)
 
     def _on_stream(self, kind: str, details: dict) -> None:
         """React to a stream mutation here, at the choke point every caller
@@ -239,8 +240,7 @@ class DesignThread:
             record = self.stream.node(point).record
             if record is not None and point not in excluding:
                 names.update(record.touched)
-        lwt = self.lwt
-        if lwt is not None:
+        if self.lwt is not None and (lwt := self.lwt()) is not None:
             for other in lwt.threads.values():
                 if other is not self:
                     names |= other.workspace()

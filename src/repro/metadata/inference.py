@@ -112,7 +112,7 @@ class MetadataInferenceEngine:
         self._dirty: dict[int, HistoryRecord] = {}
         #: Versions reclaimed since the last sync; their lineage goes then.
         self._reclaimed: list[str] = []
-        db.subscribers.append(self._observe_change)
+        db.subscribe(self._observe_change)
 
     # ---------------------------------------------------------- type probing
 

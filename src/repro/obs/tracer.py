@@ -46,6 +46,7 @@ class _NullSpan:
     """The context manager returned when tracing is disabled."""
 
     __slots__ = ()
+    span_id = None
 
     def __enter__(self) -> "_NullSpan":
         return self

@@ -59,6 +59,7 @@ import json
 import os
 import struct
 import warnings
+import weakref
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
@@ -221,7 +222,7 @@ class LazyPayload:
     identity across save/restore.
     """
 
-    __slots__ = ("store", "digest", "_value", "_loaded")
+    __slots__ = ("store", "digest", "_value", "_loaded", "__weakref__")
 
     def __init__(self, store: "ChunkStore", digest: str):
         self.store = store
@@ -263,8 +264,8 @@ class ChunkStore:
         #: Digest → decoded payload object.  Bounds lazy decodes by the
         #: number of *unique* chunks, not the number of versions touched.
         self._decoded: dict[str, Any] = {}
-        #: Digest → the one lazy handle restored versions of it share.
-        self._handles: dict[str, LazyPayload] = {}
+        #: Digest → the handle its versions share (weak: it holds the store).
+        self._handles = weakref.WeakValueDictionary()
         #: Digest → (offset, length) of its bytes in the pack; built by one
         #: scan of the pack on first use (``None`` until then).
         self._index: dict[str, tuple[int, int]] | None = None

@@ -9,6 +9,7 @@ reclaimer, until which point they can be undeleted.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -106,16 +107,23 @@ class DesignDatabase:
         #: which committed computation it reuses.
         self._alias_sources: dict[str, str] = {}
         #: The installation's change feed: each mutation of this database,
-        #: of a thread or SDS on it, or of the registry reaches every
-        #: subscriber once, as ``subscriber(source, kind, details)``.
-        self.subscribers: list[Callable[[Any, str, dict[str, Any]], None]] = []
+        #: of a thread or SDS on it, or of the registry reaches every live
+        #: subscriber once, as ``subscriber(source, kind, details)``; held
+        #: weakly (:meth:`subscribe`), as a subscriber holds the database.
+        self.subscribers: list[weakref.WeakMethod] = []
         #: The installation's audit trail: every destructive history
         #: mutation on this database, or on a thread or SDS on it.
         self.audit = AuditJournal(self.clock)
 
+    def subscribe(self, method: Callable[[Any, str, dict], None]) -> None:
+        """Add a bound method to the change feed (weakly)."""
+        self.subscribers = [ref for ref in self.subscribers if ref()]
+        self.subscribers.append(weakref.WeakMethod(method))
+
     def publish(self, source: Any, kind: str, /, **details: Any) -> None:
-        for subscriber in self.subscribers:
-            subscriber(source, kind, details)
+        for ref in self.subscribers:
+            if subscriber := ref():
+                subscriber(source, kind, details)
 
     # ------------------------------------------------------------------ write
 

@@ -23,6 +23,11 @@ to one completion path (``_complete``); the record is the step's only
 outcome (``$status``, failure handling and the history all read it), plus
 a failing tool's log for the abort reason.
 
+A released execution is freed by reference counting: a node holds its
+process (whose payload names the execution) only while RUNNING, and each
+interpretation builds its own interpreter (``Interp.MAX_COMMANDS`` budgets
+one; ``info exists status`` reads 0 until its first ``$status`` read).
+
 Programmable aborts follow §4.3.4: every top-level command of a template
 body carries an internal ID (subtask bodies get a prefixed ID path);
 aborting a step restarts interpretation from the resumed step's task state
@@ -143,11 +148,9 @@ class _Scope:
 
     _ids = itertools.count(1)
 
-    def __init__(self, prefix: InternalId,
-                 parent: "_Scope | None" = None):
+    def __init__(self, prefix: InternalId):
         self.id = next(self._ids)
         self.prefix = prefix
-        self.parent = parent
         self.aliases: dict[str, tuple["_Scope", str]] = {}
         self.slots: dict[str, _Slot] = {}
 
@@ -172,7 +175,7 @@ class _Pending:
     admit_seq: int = -1                      # global admission order
     state: NodeState = NodeState.PENDING
     unmet: set = field(default_factory=set)  # outstanding DepKeys
-    proc: SimProcess | None = None
+    proc: SimProcess | None = None           # held only while RUNNING
     #: The step's outcome, set on completion.
     record: StepRecord | None = None
     log: str = ""                            # a failing tool's log
@@ -218,14 +221,6 @@ class TaskExecution:
         self.max_restarts = max_restarts
         self.memo = memo
         self.instance = next(_instances)
-
-        self.interp = Interp()
-        self.interp.register("step", self._cmd_step)
-        self.interp.register("subtask", self._cmd_subtask)
-        self.interp.register("abort", self._cmd_abort)
-        self.interp.register("attribute", self._cmd_attribute)
-        self.interp.register("task", self._cmd_nested_task_header)
-        self.interp.read_traces["status"] = self._status_trace
 
         self.root_scope = _Scope(prefix=())
         missing = [f for f in template.inputs if f not in inputs]
@@ -283,6 +278,9 @@ class TaskExecution:
         self._pending_restarts: list[tuple[_Pending, str]] = []
         #: ``step.latency{tool=...}`` histograms, resolved once per tool.
         self._latency: dict[str, Any] = {}
+        #: The ``task:`` span, entered while the task runs: its steps' parent.
+        self.span = TRACER.span(f"task:{template.name}", cat="task",
+                                instance=self.instance)
 
     # ----------------------------------------------------------------- naming
 
@@ -328,7 +326,7 @@ class TaskExecution:
         scope_key = (child_prefix, occurrence)
         child_scope = self._scopes.get(scope_key)
         if child_scope is None:
-            child_scope = _Scope(prefix=child_prefix, parent=parent_scope)
+            child_scope = _Scope(prefix=child_prefix)
             self._scopes[scope_key] = child_scope
             for child_formal, parent_formal in zip(
                 child_template.inputs + child_template.outputs,
@@ -341,7 +339,7 @@ class TaskExecution:
                                     self._current_id)
         # In-line expansion (§4.2.2): interpret the child body here, with
         # internal IDs prefixed by this command's ID.
-        self._run_body(child_template.body_commands, child_scope)
+        self._run_body(interp, child_template.body_commands, child_scope)
         return ""
 
     def _cmd_abort(self, interp: Interp, args: list[str]) -> str:
@@ -440,8 +438,6 @@ class TaskExecution:
             # Re-interpretation after a restart: this step survived the undo.
             # Keep sequential $status semantics pointing at it.
             self._last_admitted = existing
-            if existing.record is not None:
-                self.interp.set_var("status", str(existing.record.status))
             return
         pending = _Pending(spec=spec, internal_id=self._current_id,
                            scope=scope, occurrence=occurrence,
@@ -753,6 +749,7 @@ class TaskExecution:
 
         A reused step (``saved`` virtual seconds not spent) ran no process,
         so it adds no step latency."""
+        proc, pending.proc = pending.proc, None
         pending.record = record
         self.completed.append(pending)
         _STEPS_COMPLETED.inc()
@@ -765,10 +762,11 @@ class TaskExecution:
                     "step.latency", tool=record.tool)
             latency.observe(elapsed)
         if TRACER.enabled:
-            pid = {} if record.reused else {"pid": pending.proc.pid}
+            pid = {} if proc is None else {"pid": proc.pid}
             TRACER.complete_span(
                 f"step:{record.name}", "step", record.started_at,
-                record.completed_at, tool=record.tool, host=record.host,
+                record.completed_at, parent=self.span.span_id,
+                tool=record.tool, host=record.host,
                 **pid, status=record.status, step=pending.label,
                 instance=self.instance,
                 **({"reused": True} if record.reused else {}),
@@ -784,7 +782,6 @@ class TaskExecution:
                 TRACER.event("step.complete", cat="step", step=pending.label,
                              status=record.status, host=record.host,
                              **pid, instance=self.instance)
-        self.interp.set_var("status", str(record.status))
         if record.status == 0:
             pending.state = NodeState.SUCCESS
             self.completed_ok.add(pending.internal_id)
@@ -919,9 +916,7 @@ class TaskExecution:
 
         for key, node in [(k, n) for k, n in self.active.items()
                           if later(n.internal_id)]:
-            if node.proc is not None:
-                self.cluster.kill(node.proc)
-            node.state = NodeState.SKIPPED
+            self._kill(node)
             del self.active[key]
         for key, node in [(k, n) for k, n in self.suspending.items()
                           if later(n.internal_id)]:
@@ -959,6 +954,12 @@ class TaskExecution:
             self._rearm_survivors(unbound, undone_ids)
         self._last_admitted = None
 
+    def _kill(self, node: _Pending) -> None:
+        """Cancel a RUNNING node: kill its process and let go of it."""
+        self.cluster.kill(node.proc)
+        node.proc = None
+        node.state = NodeState.SKIPPED
+
     def _rearm_survivors(self, unbound: set[tuple[int, str]],
                          undone_ids: set[InternalId]) -> None:
         """Re-register wait keys that the undo invalidated.
@@ -988,9 +989,7 @@ class TaskExecution:
     def _abort_task(self, reason: str) -> None:
         """Remove every side effect and terminate the instantiation."""
         for pending in self.active.values():
-            if pending.proc is not None:
-                self.cluster.kill(pending.proc)
-            pending.state = NodeState.SKIPPED
+            self._kill(pending)
         self.active.clear()
         for pending in self.suspending.values():
             pending.state = NodeState.SKIPPED
@@ -1011,8 +1010,7 @@ class TaskExecution:
 
     def run(self) -> None:
         """Interpret the template body to completion (or TaskAborted)."""
-        with TRACER.span(f"task:{self.template.name}", cat="task",
-                         instance=self.instance):
+        with self.span:
             self.interpret()
             self.settle()
 
@@ -1020,16 +1018,22 @@ class TaskExecution:
         """(Re-)interpret the whole template body from the top, again after
         each restart.
 
-        Variables are reset and command-occurrence counters cleared; steps
-        that survived the last undo are skipped by idempotent admission, so
-        re-interpretation lands exactly on the resumed task state.
+        Each builds a fresh interpreter and clears the command-occurrence
+        counters; steps that survived the last undo are skipped by idempotent
+        admission, so re-interpretation lands on the resumed task state.
         """
         while True:
-            self.interp.reset_variables()
+            interp = Interp()
+            interp.commands.update(
+                step=self._cmd_step, subtask=self._cmd_subtask,
+                abort=self._cmd_abort, attribute=self._cmd_attribute,
+                task=self._cmd_nested_task_header)
+            interp.read_traces["status"] = self._status_trace
             self._occurrence.clear()
             self._scope_stack = [self.root_scope]
             try:
-                self._run_body(self.template.body_commands, self.root_scope)
+                self._run_body(interp, self.template.body_commands,
+                               self.root_scope)
                 return
             except RestartSignal:
                 continue
@@ -1045,13 +1049,13 @@ class TaskExecution:
                 self.interpret()
         _TASKS_COMPLETED.inc()
 
-    def _run_body(self, commands: tuple[str, ...], scope: _Scope) -> None:
+    def _run_body(self, interp: Interp, body: tuple, scope: _Scope) -> None:
         prefix = scope.prefix
         self._scope_stack.append(scope)
         try:
-            for index, command in enumerate(commands):
+            for index, command in enumerate(body):
                 self._current_id = prefix + (index,)
-                self.interp.eval_command(command)
+                interp.eval_command(command)
                 self._current_id = prefix + (index,)
         finally:
             self._scope_stack.pop()

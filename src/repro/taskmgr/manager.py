@@ -144,8 +144,8 @@ class TaskManager:
 
         All templates are interpreted first — out-of-order issue floods the
         cluster with every ready step from every task — then the pool drains
-        with completions routed to their owning instantiations.  Returns one
-        history record per request, in request order.
+        with completions routed to their owning instantiations (each task's
+        span covers both phases).  Returns one record per request, in order.
         """
         executions = [self._instantiate(name, inputs, outputs, memo)
                       for name, inputs, outputs in requests]
@@ -155,7 +155,7 @@ class TaskManager:
         # Phase 2: settle each task (failures/restarts handled per owner).
         records: list[HistoryRecord] = []
         for execution in executions:
-            execution.settle()
-            records.append(
-                self._commit(execution, keep_intermediates, memo))
+            with execution.span:
+                execution.settle()
+            records.append(self._commit(execution, keep_intermediates, memo))
         return records

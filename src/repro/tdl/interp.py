@@ -89,11 +89,6 @@ class Interp:
         if self.frame is not self._globals:
             self.frame.linked.add(name)
 
-    def reset_variables(self) -> None:
-        """Drop all variables (used on restart-from-scratch)."""
-        self._globals.vars.clear()
-        self._frames = [self._globals]
-
     # ------------------------------------------------------------ commands
 
     def register(self, name: str, func: Command) -> None:

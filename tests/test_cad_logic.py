@@ -18,6 +18,7 @@ from repro.cad.logic import (
 from repro.cad.tools_logic import generate_network
 from repro.errors import ToolUsageError
 from tests import cad_reference as ref
+from tests.cycles import collector_off, repro_garbage
 
 
 class TestCube:
@@ -200,6 +201,23 @@ class TestBooleanNetwork:
         net.nodes["z"] = Node("z", ["m", "a"], Cover(2, [Cube("1-")]))
         assert net.depth == 2
         assert net.levelize()["m"] == 1
+
+    def test_levelize_leaves_no_cyclic_garbage(self):
+        """Levels and the cycle error come from reference counting alone:
+        with the collector off, a levelized network leaves nothing behind
+        once dropped."""
+        with collector_off():
+            net = BooleanNetwork(name="d", inputs=["a", "b"], outputs=["z"])
+            net.nodes["z"] = Node("z", ["m", "a"], Cover(2, [Cube("1-")]))
+            net.nodes["m"] = Node("m", ["a", "b"], Cover(2, [Cube("11")]))
+            assert net.levelize() == {"a": 0, "b": 0, "m": 1, "z": 2}
+            loop = BooleanNetwork(name="c", inputs=["a"], outputs=["p"])
+            loop.nodes["p"] = Node("p", ["q"], Cover(1, [Cube("1")]))
+            loop.nodes["q"] = Node("q", ["p"], Cover(1, [Cube("1")]))
+            with pytest.raises(ToolUsageError, match="cycle at 'p'"):
+                loop.levelize()
+            del net, loop
+            assert not repro_garbage()
 
     def test_serialization_roundtrip(self):
         net = self._xor_net()

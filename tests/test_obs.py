@@ -461,6 +461,27 @@ class TestIntegrationTrace:
         assert step_span["parent"] == task_span["id"]
         assert step_span["dur"] > 0
 
+    def test_concurrent_steps_hang_off_their_task_span(self, taskenv,
+                                                        global_tracing):
+        """``run_concurrent`` opens one ``task:`` span per request, and each
+        step span names its own task's span as parent."""
+        tm, db, seed, clk = taskenv
+        global_tracing.enable(clock=clk)
+        tm.run_concurrent([
+            ("Padp", {"Incell": seed["adder.net"]}, {"Outcell": f"n{i}.pad"})
+            for i in range(2)
+        ])
+        task_spans = [s for s in global_tracing.spans()
+                      if s["name"] == "task:Padp"]
+        step_spans = [s for s in global_tracing.spans()
+                      if s["name"] == "step:Pads_Placement"]
+        assert len(task_spans) == len(step_spans) == 2
+        by_instance = {s["args"]["instance"]: s["id"] for s in task_spans}
+        for step in step_spans:
+            assert step["parent"] == by_instance[step["args"]["instance"]]
+        for task in task_spans:
+            assert task["dur"] >= max(s["dur"] for s in step_spans)
+
     def test_abort_chain_trace(self, taskenv, global_tracing):
         """A programmable abort shows the full §4.3.4 chain in the trace:
         issue → dispatch → (failing) complete → abort → undo → re-issue."""

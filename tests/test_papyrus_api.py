@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro import Papyrus
+from repro.core.thread_ops import fork
 from repro.errors import SdsError, ThreadError
 from repro.workloads.scenarios import (
     DAY,
@@ -12,6 +15,7 @@ from repro.workloads.scenarios import (
     shifter_exploration,
     team_modules,
 )
+from tests.cycles import collector_off, repro_garbage
 
 
 class TestPapyrusFacade:
@@ -58,6 +62,34 @@ class TestPapyrusFacade:
         manager.invoke("Padp", {"Incell": "a.pad"}, {"Outcell": "a.pad2"})
         papyrus.observe_history(manager)
         assert len(papyrus.inference.adg) > first
+
+    def test_dropped_installation_is_freed(self):
+        """Ownership is a tree with weak back-references: an installation
+        its caller drops is freed by reference counting alone, whatever it
+        did (invokes, an erasing rework, SDS moves, an adopted fork,
+        observed history)."""
+        with collector_off():
+            papyrus = Papyrus.standard(hosts=2)
+            alice = papyrus.open_thread("alice", owner="a")
+            bob = papyrus.open_thread("bob", owner="b")
+            alice.invoke("Padp", {"Incell": "adder.net"},
+                         {"Outcell": "a.pad"})
+            first = alice.thread.current_cursor
+            alice.invoke("Padp", {"Incell": "a.pad"}, {"Outcell": "b.pad"})
+            alice.move_cursor(first, erase=True)
+            sds = papyrus.lwt.create_sds("shared",
+                                         members=[alice.thread, bob.thread])
+            sds.contribute(alice.thread, "a.pad")
+            sds.retrieve(bob.thread, "a.pad")
+            papyrus.lwt.adopt_thread(fork(alice.thread, "alice.2",
+                                          inherit="state"))
+            papyrus.observe_history(alice)
+            installation = weakref.ref(papyrus)
+            db = weakref.ref(papyrus.db)
+            del papyrus, alice, bob, sds
+            assert installation() is None
+            assert db() is None
+            assert not repro_garbage()
 
     def test_owner_activity_wiring(self):
         papyrus = Papyrus.standard(hosts=3, owner_period=50, owner_busy=10)

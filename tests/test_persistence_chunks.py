@@ -5,6 +5,7 @@ format never had to face."""
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from repro.octdb.chunkstore import (ChunkStore, LazyPayload,
                                     unwrap_payload)
 from repro.octdb.naming import parse_name
 from repro.octdb.persistence import load_database, save_database
+from tests.cycles import collector_off, repro_garbage
 
 FORMAT1_DIR = Path(__file__).parent / "fixtures" / "format1"
 LEGACY_V2_DIR = Path(__file__).parent / "fixtures" / "legacy_v2"
@@ -674,6 +676,30 @@ class TestPersistentSession:
                                LWTSystem(clock=VirtualClock()))
         assert restored.db.get("x@1").payload == {"k": 1}
         assert "elsewhere" not in restored.threads
+
+
+class TestDroppedSession:
+    def test_dropped_restored_session_is_freed(self, lwt, tmp_path):
+        """A restored session, its installation and its chunk store are
+        freed by reference counting alone once the caller drops them:
+        after a lazy get, a journal save and a compact."""
+        thread = lwt.create_thread("alpha", owner="a")
+        obj = lwt.db.put("cell", {"k": 1})
+        thread.commit_record(make_record("synth", outputs=(str(obj.name),)))
+        PersistentSession(lwt, tmp_path / "s").save()
+        with collector_off():
+            session = PersistentSession.open(tmp_path / "s",
+                                             LWTSystem(clock=VirtualClock()))
+            assert session.lwt.db.get("cell@1").payload == {"k": 1}
+            session.lwt.db.put("cell", {"k": 2})
+            session.save()
+            assert (tmp_path / "s" / "journal.jsonl").exists()
+            session.compact()
+            refs = [weakref.ref(session), weakref.ref(session.lwt),
+                    weakref.ref(session.store)]
+            del session
+            assert [ref() for ref in refs] == [None, None, None]
+            assert not repro_garbage()
 
 
 class TestJournalTail:

@@ -85,12 +85,19 @@ class TestPriorities:
 task Prio {Incell} {Outcell}
 step Urgent {Incell} {Outcell} {floorplan Incell -o Outcell} {Priority 9}
 """)
+        cluster = papyrus.taskmgr.cluster
+        original, submitted = cluster.submit, []
+
+        def submit(**kwargs):
+            submitted.append(kwargs["priority"])
+            return original(**kwargs)
+
+        cluster.submit = submit
         designer = papyrus.open_thread("t")
         designer.invoke("Prio", {"Incell": "alu.net"}, {"Outcell": "p.out"})
         execution = papyrus.taskmgr.last_execution
-        pending = execution.completed[0]
-        assert pending.spec.priority == 9
-        assert pending.proc.priority == 9
+        assert execution.completed[0].spec.priority == 9
+        assert submitted == [9]
 
     def test_priority_orders_remigration_between_tasks(self):
         # two jobs stranded at home; when a host frees, the higher-priority

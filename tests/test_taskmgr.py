@@ -21,6 +21,7 @@ from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.tdl.template import TemplateLibrary
 from repro.workloads import seed_designs, standard_library
 from repro.workloads.designs import congested_layout, sparse_layout
+from tests.cycles import collector_off, repro_garbage
 
 
 @pytest.fixture
@@ -127,17 +128,50 @@ class TestBasicExecution:
 
     def test_finished_execution_is_released(self, env):
         """The manager keeps only its latest instantiation: an earlier
-        one, with its operation history, is freed once a later task
-        commits."""
+        one, with its operation history, is freed by reference counting
+        (the collector is off) once a later task commits."""
         tm, _, seed, _ = env
-        tm.run_task("Padp", inputs={"Incell": seed["shifter.net"]},
-                    outputs={"Outcell": "first"})
-        first = weakref.ref(tm.last_execution)
-        tm.run_task("Padp", inputs={"Incell": seed["shifter.net"]},
-                    outputs={"Outcell": "second"})
-        gc.collect()
-        assert first() is None
+        with collector_off():
+            tm.run_task("Padp", inputs={"Incell": seed["shifter.net"]},
+                        outputs={"Outcell": "first"})
+            first = weakref.ref(tm.last_execution)
+            tm.run_task("Padp", inputs={"Incell": seed["shifter.net"]},
+                        outputs={"Outcell": "second"})
+            assert first() is None
         assert tm.last_execution is not None
+
+    @pytest.mark.parametrize("ending",
+                             ["restarted", "aborted", "aborted_running"])
+    def test_ended_execution_is_released(self, env, ending):
+        """However an instantiation ends — committed after a restart,
+        aborted, or aborted while a step still runs (its killed process
+        let go) — reference counting frees it once a later task commits."""
+        tm, _, seed, _ = env
+        tm.library.add_source("""
+task Doomed {Incell} {Outcell}
+step Work {Incell} {Outcell} {floorplan Incell -o Outcell}
+abort
+""")
+        tm.on_restart = lambda ex, spec: ex.option_overrides.setdefault(
+            "Detailed_Routing", []).extend(["-t", "64"])
+        with collector_off():
+            if ending == "restarted":
+                tm.run_task("Macro_Place_Route",
+                            inputs={"Incell": seed["alu.net"]},
+                            outputs={"Outcell": "routed"})
+                assert tm.last_execution.restarts == 1
+            else:
+                name = "Macro_Place_Route" if ending == "aborted" \
+                    else "Doomed"
+                tm.max_restarts = 0
+                with pytest.raises(TaskAborted):
+                    tm.run_task(name, inputs={"Incell": seed["alu.net"]},
+                                outputs={"Outcell": "gone"})
+            ended = weakref.ref(tm.last_execution)
+            tm.run_task("Padp", inputs={"Incell": seed["shifter.net"]},
+                        outputs={"Outcell": "next"})
+            assert ended() is None
+            assert not repro_garbage()
 
 
 class TestParallelism:
@@ -487,8 +521,9 @@ class TestConcurrentExecution:
 
 class TestStepShape:
     """A finished step keeps its node and its record, nothing per step
-    beyond them: the tracked objects a chain DAG holds once its body has
-    settled are pinned per step."""
+    beyond them (its process and tool call go once it stops running): the
+    tracked objects a chain DAG holds once its body has settled are pinned
+    per step."""
 
     CHAINS, DEPTH = 10, 200
 
@@ -528,8 +563,8 @@ class TestStepShape:
         held = census() - before
         steps = len(execution.step_records())
         assert steps == self.CHAINS * self.DEPTH + 1
-        assert "ToolResult" not in held
-        assert sum(held.values()) <= 10 * steps + 100
+        assert not {"ToolResult", "SimProcess", "ToolCall"} & held.keys()
+        assert sum(held.values()) <= 7 * steps + 100
 
 
 class TestVerifiedSynthesis:
@@ -549,6 +584,14 @@ class TestVerifiedSynthesis:
         row = probe_ulysses()
         assert row["tool_encapsulation"] and row["tool_navigation"]
         assert not row["data_evolution"]
+
+
+class DeleteLog(list):
+    """The names a database deleted, in order: a change-feed subscriber."""
+
+    def observe(self, source, kind, details):
+        if kind == "delete":
+            self.append(details["name"])
 
 
 class TestTombstoning:
@@ -574,10 +617,8 @@ step B {Mid} {Final} {reap}
         tm = TaskManager(db, registry, library,
                          cluster=Cluster.homogeneous(2, clock=clk),
                          clock=clk, max_restarts=max_restarts)
-        deletes = []
-        db.subscribers.append(
-            lambda source, kind, details: kind == "delete"
-            and deletes.append(details["name"]))
+        deletes = DeleteLog()
+        db.subscribe(deletes.observe)  # weak: the test holds ``deletes``
         return tm, db, deletes
 
     @staticmethod

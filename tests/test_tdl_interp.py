@@ -245,11 +245,6 @@ class TestInterp:
         with pytest.raises(TdlError):
             interp.eval("while {1} {set x 1}")
 
-    def test_reset_variables(self, interp):
-        interp.eval("set a 1")
-        interp.reset_variables()
-        assert not interp.has_var("a")
-
     def test_escapes(self, interp):
         assert interp.eval(r'set a "x\ty"') == "x\ty"
         interp.eval("set v 9")
