@@ -30,6 +30,9 @@ def main() -> None:
     )
     designer.invoke("PLA_Generation", {"Incell": "decoder.net"},
                     {"Outcell": "decoder.pla.layout"})
+    # The wrapper closes over the manager's own method: drop it, so the
+    # manager is not kept alive by a cycle through itself.
+    del papyrus.taskmgr.run_task
     papyrus.observe_history(designer)
 
     print("=== Inferred object types ===")

@@ -23,6 +23,7 @@ from typing import Callable
 
 from repro import Papyrus, obs
 from repro.activity.persistence import PersistentSession, compact_store
+from repro.activity.upgrade import upgrade_directory
 from repro.activity.reclamation import Reclaimer
 from repro.activity.viewport import render_stream
 from repro.core.lwt import LWTSystem
@@ -97,6 +98,7 @@ class Shell:
             "save": self._cmd_save,
             "load": self._cmd_load,
             "compact": self._cmd_compact,
+            "upgrade": self._cmd_upgrade,
             "quit": self._cmd_quit,
         }
 
@@ -175,6 +177,7 @@ class Shell:
             "advance <seconds>": "advance the virtual clock",
             "save <dir> / load <dir>": "persist / restore everything",
             "compact [dir]": "checkpoint + garbage-collect the chunk store",
+            "upgrade <old-dir> <new-dir>": "convert an older save directory",
             "quit": "leave the shell",
         }
         for usage, summary in summaries.items():
@@ -612,6 +615,12 @@ class Shell:
             f"checkpointed and collected {deleted} unreferenced chunks "
             f"in {self._session.directory}"
         )
+
+    def _cmd_upgrade(self, args: list[str]) -> None:
+        if len(args) != 2:
+            raise ShellError("usage: upgrade <old-dir> <new-dir>")
+        upgrade_directory(*args)
+        self._print(f"upgraded {args[0]} to {args[1]}")
 
     def _cmd_quit(self, args: list[str]) -> None:
         self.done = True

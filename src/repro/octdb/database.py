@@ -245,7 +245,7 @@ class DesignDatabase:
         if isinstance(payload, LazyPayload):
             obj.payload = payload.materialize()
             if obj.fingerprint is None:   # so a save need not re-encode it
-                obj.fingerprint = payload.address()
+                obj.fingerprint = payload.digest
         return obj
 
     def fingerprint(self, name: str | ObjectName) -> str:
@@ -253,7 +253,7 @@ class DesignDatabase:
         (:func:`~repro.octdb.chunkstore.payload_digest`), computed once, on
         first use or first save (versions are single-assignment), and kept
         on the version.  A lazily restored payload is not decoded: its
-        fingerprint is the sha1 of its stored chunk's bytes.  Raises
+        fingerprint is its handle's digest.  Raises
         :class:`ObjectNotFound` for a reclaimed version.
         """
         obj = self._entry(name)

@@ -5,20 +5,12 @@ communication between the task and activity managers (§5.3) and so that
 reclamation can run as an independent process.  Here persistence is JSON:
 payload classes register a codec (``to_dict``/``from_dict``) under a type tag.
 
-Two on-disk database formats are readable:
-
-* **format 1** — the original monolithic snapshot: every payload of every
-  version embedded into one ``database.json``.  No longer written, but old
-  saved sessions keep loading.
-* **format 2** — the only format written: a thin manifest of content
-  digests.  Payloads live in a content-addressed
-  :class:`~repro.octdb.chunkstore.ChunkStore` (new chunks appended to
-  ``objects/pack``; older saves' loose ``objects/<digest[:2]>/<digest>``
-  files still read) and the manifest records only
-  ``(base, version, chunk, size, ...)`` rows.  Loading builds every
-  version's slot — O(versions) small objects — whose payload is its chunk's
-  shared :class:`~repro.octdb.chunkstore.LazyPayload` handle, so payload
-  decoding is O(touched objects), not O(history).
+The database is saved as a format-2 manifest, the only format read: rows of
+``(base, version, chunk, size, ...)`` over a content-addressed
+:class:`~repro.octdb.chunkstore.ChunkStore` that holds the payloads.
+Loading builds every version's slot, whose payload is its chunk's shared
+:class:`~repro.octdb.chunkstore.LazyPayload` handle, so payload decoding is
+O(touched objects), not O(history).
 """
 
 from __future__ import annotations
@@ -29,10 +21,9 @@ from typing import Any
 
 from repro.errors import PersistenceError
 from repro.octdb.chunkstore import (  # noqa: F401  (the codec, re-exported)
-    ChunkStore, LazyPayload, decode_payload, encode_payload,
+    UPGRADE, ChunkStore, decode_payload, encode_payload,
     register_payload_codec)
-from repro.octdb.database import (
-    DesignDatabase, VersionedObject, _estimate_size, _Reclaimed)
+from repro.octdb.database import DesignDatabase, VersionedObject, _Reclaimed
 from repro.octdb.naming import parse_name
 
 # --------------------------------------------------------------------- saving
@@ -42,14 +33,11 @@ def stored_chunk(obj: VersionedObject, store: ChunkStore) -> str:
     """The address of one version's chunk in ``store``, storing it there if
     needed.  A fingerprinted version whose chunk ``store`` holds encodes and
     hashes nothing; the first store of a payload keeps its address as the
-    version's fingerprint, and a lazily restored payload is copied under
-    the address it was saved with."""
+    version's fingerprint (a lazily restored payload's is its handle's)."""
     chunk = obj.fingerprint
     if chunk is not None and store.dedupe(chunk):
         return chunk
-    chunk = store.put_payload(obj.payload)
-    if not isinstance(obj.payload, LazyPayload):
-        obj.fingerprint = chunk
+    chunk = obj.fingerprint = store.put_payload(obj.payload)
     return chunk
 
 
@@ -98,28 +86,54 @@ def save_database(db: DesignDatabase, path: str | Path,
 # -------------------------------------------------------------------- loading
 
 
+def read_json(path: Path) -> Any:
+    """The JSON document in ``path`` (:class:`PersistenceError` if not)."""
+    try:
+        return json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise PersistenceError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_format2(path: Path) -> dict[str, Any]:
+    """A format-2 document; any other format raises, naming the converter."""
+    doc = read_json(path)
+    fmt = doc.get("format", 1) if isinstance(doc, dict) else None
+    if fmt != 2:
+        raise PersistenceError(
+            f"{path} is format {fmt!r}, and only format 2 is read: {UPGRADE}")
+    return doc
+
+
 def load_database(
     path: str | Path,
     db: DesignDatabase | None = None,
     store: ChunkStore | None = None,
 ) -> DesignDatabase:
-    """Reconstruct a saved database (format 1 or format 2).
-
-    Format-2 manifests need their chunk store; when ``store`` is omitted it
-    defaults to the ``objects/`` directory next to the manifest.
-    """
+    """Reconstruct a saved database from its manifest.  The chunk store
+    (by default ``objects/`` beside it) is indexed first, so an older layout
+    is refused before anything is restored."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = read_format2(path)
     if db is None:   # NB: an empty DesignDatabase is falsy (it has __len__)
         db = DesignDatabase()
-    fmt = doc.get("format", 1)
-    if fmt == 1:
-        return _load_v1(doc, db)
-    if fmt == 2:
-        if store is None:
-            store = ChunkStore(path.parent / "objects")
-        return _load_v2(doc, db, store)
-    raise PersistenceError(f"unknown database format {fmt!r} in {path}")
+    if store is None:
+        store = ChunkStore(path.parent / "objects")
+    store.refresh()
+    db.clock.advance_to(doc.get("now", 0.0))
+    try:
+        for row in doc["objects"]:
+            restore_version(db, row["base"], row["version"], row, store)
+    except (KeyError, TypeError) as exc:
+        raise PersistenceError(f"{path} has a malformed row: {exc!r}") \
+            from None
+    # An alias row names its source's chunk, so the two share one handle:
+    # only the lineage is restored.  A reclaimed slot on either side is
+    # legitimate; a name that resolves to no slot raises.
+    for alias, source in doc.get("aliases", {}).items():
+        _version_slot(db, alias)
+        _version_slot(db, source)
+        db._note_alias(alias, source)
+    return db
 
 
 def _version_slot(db: DesignDatabase,
@@ -163,57 +177,3 @@ def restore_version(db: DesignDatabase, base: str, version: int,
         row["created_at"], row.get("creator", ""), row["size"],
         row.get("deleted_at"), row.get("pinned", False)))
     db._bytes_live += row["size"]
-
-
-def _restore_aliases(db: DesignDatabase, aliases: dict[str, str],
-                     rebind: bool) -> None:
-    """Re-establish alias lineage (and, for format 1, payload sharing).
-
-    An alias entry shares its source's payload and accounts zero storage.
-    In format 2 the sharing falls out of the chunk store's one handle per
-    digest (alias and source reference the same chunk), so only lineage
-    needs restoring; format 1 embedded a *copy* of the payload, so the
-    alias entry must be rebound to the source's decoded object.
-
-    A source slot that exists but was reclaimed is legitimate (the source
-    died after the alias was cut): the alias keeps its own payload copy.
-    Anything else that fails to resolve raises.
-    """
-    for alias, source in aliases.items():
-        alias_obj = _version_slot(db, alias)
-        source_obj = _version_slot(db, source)
-        db._note_alias(alias, source)
-        if not rebind or _Reclaimed in (type(alias_obj), type(source_obj)):
-            # A source reclaimed after aliasing leaves the alias's embedded
-            # copy the only one, so its accounted size stands.
-            continue
-        db._bytes_live -= alias_obj.size
-        alias_obj.payload, alias_obj.size = source_obj.payload, 0
-
-
-def _load_v1(doc: dict[str, Any], db: DesignDatabase) -> DesignDatabase:
-    db.clock.advance_to(doc.get("now", 0.0))
-    for record in doc["objects"]:
-        chain = db._versions.setdefault(record["base"], [])
-        if record.get("reclaimed"):
-            chain.append(_Reclaimed(record["deleted_at"]))
-            continue
-        payload = decode_payload(record["payload"])
-        obj = VersionedObject(
-            record["base"], record["version"], payload,
-            record["created_at"], record.get("creator", ""),
-            _estimate_size(payload), record["deleted_at"],
-            record.get("pinned", False))
-        chain.append(obj)
-        db._bytes_live += obj.size
-    _restore_aliases(db, doc.get("aliases", {}), rebind=True)
-    return db
-
-
-def _load_v2(doc: dict[str, Any], db: DesignDatabase,
-             store: ChunkStore) -> DesignDatabase:
-    db.clock.advance_to(doc.get("now", 0.0))
-    for row in doc["objects"]:
-        restore_version(db, row["base"], row["version"], row, store)
-    _restore_aliases(db, doc.get("aliases", {}), rebind=False)
-    return db

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import Shell, ShellError, _parse_bindings
+from repro.errors import PersistenceError
 
 
 @pytest.fixture
@@ -105,6 +106,19 @@ class TestCommands:
         assert "loaded 1 threads" in out
         assert shell.current == "work"
         assert "a.pad@1" in text_of(shell.execute("scope"))
+
+    def test_upgrade_then_load(self, shell, tmp_path):
+        from pathlib import Path
+
+        legacy = Path(__file__).parent / "fixtures" / "legacy_v2"
+        with pytest.raises(PersistenceError, match="upgrade"):
+            shell.execute(f"load {legacy}")
+        out = text_of(shell.execute(f"upgrade {legacy} {tmp_path / 'up'}"))
+        assert out == f"upgraded {legacy} to {tmp_path / 'up'}"
+        out = text_of(shell.execute(f"load {tmp_path / 'up'}"))
+        assert "loaded 2 threads" in out
+        with pytest.raises(ShellError, match="usage"):
+            shell.execute(f"upgrade {legacy}")
 
     def test_move_erase(self, shell):
         shell.execute("thread work")

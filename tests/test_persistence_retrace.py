@@ -9,7 +9,7 @@ from repro.activity.persistence import load_system, save_system
 from repro.cad import default_registry
 from repro.clock import VirtualClock
 from repro.core import LWTSystem
-from repro.errors import MetadataError, ThreadError
+from repro.errors import MetadataError, PersistenceError
 from repro.metadata import MetadataInferenceEngine
 from repro.metadata.retrace import Retracer
 from repro.octdb import DesignDatabase
@@ -115,7 +115,7 @@ class TestPersistence:
         doc = json.loads((directory / "history.json").read_text())
         doc["format"] = 999
         (directory / "history.json").write_text(json.dumps(doc))
-        with pytest.raises(ThreadError):
+        with pytest.raises(PersistenceError, match="format 999"):
             load_system(directory, LWTSystem(clock=VirtualClock()))
 
 
