@@ -144,7 +144,7 @@ def test_journal_pin_on_a_reclaimed_slot_is_skipped(tmp_path):
     lwt.clock.advance(10)
     lwt.db.reclaim()
     replay_journal(lwt, ChunkStore(tmp_path), [
-        {"op": "db.pin", "name": "cell@1", "pinned": True}])
+        (1, {"op": "db.pin", "name": "cell@1", "pinned": True})])
     assert lwt.db.stats()["reclaimed"] == 1
 
 
