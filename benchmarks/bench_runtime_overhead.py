@@ -66,15 +66,19 @@ def measure_overhead(repeats: int = REPEATS,
 
     Minimum (not mean) is the comparison statistic: scheduler noise and
     page-cache state only ever add time, so the minima are the closest
-    observable approximations of each mode's true cost.
+    observable approximations of each mode's true cost.  Each repeat runs
+    the three modes back to back, so a slow spell of the machine (another
+    tenant, a frequency drop) lands on every mode rather than on whichever
+    one was being timed at the time.
     """
     stream_path = stream_path or "_runtime_overhead_trace.jsonl"
     _one_run("off")                                     # warm-up (imports,
     note_run_meta(seed=11)                              # allocator, caches)
-    walls: dict[str, float] = {}
-    for mode in ("off", "on", "streaming"):
-        walls[mode] = min(_one_run(mode, stream_path)
-                          for _ in range(repeats))
+    modes = ("off", "on", "streaming")
+    walls = {mode: float("inf") for mode in modes}
+    for _ in range(repeats):
+        for mode in modes:
+            walls[mode] = min(walls[mode], _one_run(mode, stream_path))
     off, on, streaming = walls["off"], walls["on"], walls["streaming"]
     return {
         "commits": COMMITS,

@@ -9,8 +9,11 @@ chunk store, ``history.json`` holds the thread/SDS/audit snapshot, and
 :func:`load_system` restores *snapshot + journal replay*, decoding payloads
 on first access; a :class:`PersistentSession` turns ``save`` into "append
 the new chunks to the pack + fsync the journal", and its ``compact``
-rewrites the pack without the chunks no version references.  An older
-layout is refused; :mod:`repro.activity.upgrade` converts it once, offline.
+rewrites the pack without the chunks the checkpoint it just wrote does not
+reference.  Journal lines and ``history.json`` are the text of
+``json.dumps(entry, sort_keys=True)``, from the chunk store's one encoder
+built at import.  An older layout is refused; :mod:`repro.activity.upgrade`
+converts it once, offline.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.core.lwt import LWTSystem
 from repro.core.thread import DesignThread
 from repro.errors import PersistenceError, ThreadError
 from repro.obs import METRICS, TRACER
-from repro.octdb.chunkstore import ChunkStore
+from repro.octdb.chunkstore import _JSON, ChunkStore
 from repro.octdb.database import VersionedObject, _Reclaimed
 from repro.octdb.naming import parse_name
 from repro.octdb.persistence import (
@@ -207,22 +210,20 @@ def save_system(
 
 
 def _write_checkpoint(lwt: LWTSystem, directory: Path,
-                      store: ChunkStore) -> list[dict[str, Any]]:
-    """Write manifest + system doc, drop the journal; returns the manifest
-    rows written."""
+                      store: ChunkStore) -> set[str]:
+    """Write manifest + system doc, drop the journal; returns the chunk
+    addresses the manifest references."""
     store.refresh()  # its pack may have been collected since the last save
     directory.mkdir(parents=True, exist_ok=True)
-    rows = save_database(lwt.db, directory / "database.json", store=store)
-    (directory / "history.json").write_text(
-        json.dumps(_system_doc(lwt), sort_keys=True)
-    )
+    chunks = save_database(lwt.db, directory / "database.json", store=store)
+    (directory / "history.json").write_text(_JSON(_system_doc(lwt)))
     # A checkpoint supersedes the journal: every journaled mutation is now
     # part of the snapshot, and replaying stale entries on top of it would
     # corrupt the restore.
     journal = directory / "journal.jsonl"
     if journal.exists():
         journal.unlink()
-    return rows
+    return chunks
 
 
 def load_system(directory: str | Path, lwt: LWTSystem | None = None,
@@ -642,25 +643,22 @@ class PersistentSession:
                          chunk_bytes=self.store.bytes_written - bytes_before)
         return self.directory
 
-    def _checkpoint(self) -> list[dict[str, Any]]:
-        rows = _write_checkpoint(self.lwt, self.directory, self.store)
+    def _checkpoint(self) -> set[str]:
+        chunks = _write_checkpoint(self.lwt, self.directory, self.store)
         self._buffer.clear()
         self._dirty = False
         self._has_snapshot = True
         self._audit_seen = len(self.lwt.db.audit)
-        return rows
+        return chunks
 
     def _flush_journal(self) -> None:
         self.store.refresh()
-        lines = [json.dumps({"op": "clock", "now": self.lwt.clock.now},
-                            sort_keys=True)]
+        lines = [_JSON({"op": "clock", "now": self.lwt.clock.now})]
         for buffered in self._buffer:
-            lines.append(json.dumps(self._serialize(buffered),
-                                    sort_keys=True))
+            lines.append(_JSON(self._serialize(buffered)))
         audit_delta = self.lwt.db.audit.dicts_from(self._audit_seen)
         if audit_delta:
-            lines.append(json.dumps(
-                {"op": "audit", "entries": audit_delta}, sort_keys=True))
+            lines.append(_JSON({"op": "audit", "entries": audit_delta}))
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.directory / "journal.jsonl", "a",
                   encoding="utf-8") as fh:
@@ -676,31 +674,42 @@ class PersistentSession:
     def compact(self) -> int:
         """Checkpoint, then garbage-collect unreferenced chunks.
 
-        After the checkpoint the journal is empty, so the manifest rows just
-        written alone define liveness; any other chunk is unreachable
-        (reclaimed versions, superseded journal writes) and is deleted: the
-        pack is rewritten without it.  Returns the number of chunks removed.
+        After the checkpoint the journal is empty, so the chunks the
+        manifest just written references alone define liveness; any other
+        chunk is unreachable (reclaimed versions, superseded journal writes)
+        and is deleted: the pack is rewritten without it.  Returns the
+        number of chunks removed.
         """
-        deleted = self.store.gc(_row_chunks(self._checkpoint()))
+        deleted = self.store.gc(self._checkpoint())
         if TRACER.enabled:
             TRACER.event("persist.gc", cat="persist", chunks_deleted=deleted)
         return deleted
 
 
-def _row_chunks(rows: list[dict[str, Any]]) -> set[str]:
-    return {row["chunk"] for row in rows if row.get("chunk")}
-
-
 def live_digests(directory: str | Path) -> set[str]:
-    """Every chunk digest reachable from a directory's manifest + journal."""
+    """Every chunk digest reachable from a directory's manifest + journal.
+
+    A journal entry without its ``op``, or a ``db.put`` without its
+    ``chunk``, raises :class:`PersistenceError` naming the journal and
+    line, as :func:`load_system` does.
+    """
     directory = Path(directory)
     live: set[str] = set()
     manifest = directory / "database.json"
     if manifest.exists():
-        live = _row_chunks(read_format2(manifest).get("objects", []))
-    entries, _ = _read_journal(directory / "journal.jsonl")
-    live.update(entry["chunk"] for _, entry in entries
-                if entry.get("op") == "db.put")
+        live = {row["chunk"]
+                for row in read_format2(manifest).get("objects", [])
+                if row.get("chunk")}
+    journal = directory / "journal.jsonl"
+    entries, _ = _read_journal(journal)
+    for number, entry in entries:
+        try:
+            if entry["op"] == "db.put":
+                live.add(entry["chunk"])
+        except (KeyError, TypeError) as exc:
+            raise PersistenceError(
+                f"journal {journal} line {number} is not a valid entry: "
+                f"{exc!r}") from None
     return live
 
 

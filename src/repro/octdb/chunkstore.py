@@ -11,7 +11,11 @@ strict as the JSON codec: a top-level tuple or set is stored as its ``repr``
 and restores as a :class:`ReprPayload` (that repr string, keeping the
 chunk's identity), while inside a dict or list a tuple encodes as a list and
 an int dict key as its string.  A payload the codec cannot write (a nested
-set, a cycle) raises ``TypeError``/``ValueError``.
+set, a cycle) raises ``TypeError``/``ValueError``.  The canonical text is
+``json.dumps(blob, sort_keys=True, separators=(",", ":"))``, written by one
+C encoder built at import (:func:`sorted_json_encoder`), not one per chunk;
+its sibling ``_JSON`` (``json.dumps(obj, sort_keys=True)``) writes the
+manifest, ``history.json`` and the journal.
 
 A store appends every new chunk to its pack (``objects/pack``) as one
 record: the address as 20 binary bytes, the length of the bytes as a 4-byte
@@ -51,6 +55,7 @@ import os
 import struct
 import warnings
 import weakref
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
@@ -154,9 +159,46 @@ def decode_payload(blob: Any) -> Any:
     return decoder(blob["data"])
 
 
+def sorted_json_encoder(
+        separators: tuple[str, str] = (", ", ": ")) -> Callable[[Any], str]:
+    """An encoder whose ``encode(obj)`` is the text of
+    ``json.dumps(obj, sort_keys=True, separators=separators)``, made once.
+
+    ``json.dumps`` with any argument builds a new encoder on every call,
+    about as costly as encoding a journal line itself; this one is the C
+    encoder, built once.  It keeps the circular-reference check (a cycle
+    raises ``ValueError``).  A failed call leaves the containers it was
+    inside marked, so the markers are cleared after one.  The markers are
+    shared by every call: the encoder is not for use by several threads at
+    once.
+    """
+    template = json.JSONEncoder(sort_keys=True, separators=separators)
+    item_separator, key_separator = separators
+    markers: dict[int, Any] = {}
+    chunks = c_make_encoder(markers, template.default,
+                            encode_basestring_ascii, None, key_separator,
+                            item_separator, True, False, True)
+
+    def encode(obj: Any) -> str:
+        try:
+            return "".join(chunks(obj, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encode
+
+
+#: ``json.dumps(obj, sort_keys=True)``: manifests, ``history.json`` and
+#: journal lines.
+_JSON = sorted_json_encoder()
+#: The canonical chunk text: sorted keys, no spaces.
+_CANONICAL_JSON = sorted_json_encoder((",", ":"))
+
+
 def canonical_chunk_bytes(blob: Any) -> bytes:
     """The canonical serialized form of one encoded payload blob."""
-    return json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL_JSON(blob).encode()
 
 
 def chunk_digest(data: bytes) -> str:

@@ -8,20 +8,27 @@ payload classes register a codec (``to_dict``/``from_dict``) under a type tag.
 The database is saved as a format-2 manifest, the only format read: rows of
 ``(base, version, chunk, size, ...)`` over a content-addressed
 :class:`~repro.octdb.chunkstore.ChunkStore` that holds the payloads.
-Loading builds every version's slot, whose payload is its chunk's shared
-:class:`~repro.octdb.chunkstore.LazyPayload` handle, so payload decoding is
-O(touched objects), not O(history).
+
+Both directions are O(versions), so the per-row cost is kept small.  Saving
+streams each row to the file as the sorted-key JSON text ``json.dumps``
+would give it, building no row dict, and a version whose chunk the store
+indexes already (its fingerprint, or a restored handle's digest) is written
+without encoding or hashing its payload.  Loading parses the manifest once
+and builds every version's slot, whose payload is its chunk's shared
+:class:`~repro.octdb.chunkstore.LazyPayload` handle, so payload decoding
+is O(touched objects), not O(history).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import PersistenceError
 from repro.octdb.chunkstore import (  # noqa: F401  (the codec, re-exported)
-    UPGRADE, ChunkStore, decode_payload, encode_payload,
+    _JSON, UPGRADE, ChunkStore, LazyPayload, decode_payload, encode_payload,
     register_payload_codec)
 from repro.octdb.database import DesignDatabase, VersionedObject, _Reclaimed
 from repro.octdb.naming import parse_name
@@ -31,56 +38,83 @@ from repro.octdb.naming import parse_name
 
 def stored_chunk(obj: VersionedObject, store: ChunkStore) -> str:
     """The address of one version's chunk in ``store``, storing it there if
-    needed.  A fingerprinted version whose chunk ``store`` holds encodes and
-    hashes nothing; the first store of a payload keeps its address as the
-    version's fingerprint (a lazily restored payload's is its handle's)."""
+    needed, kept as the version's fingerprint.  A version whose chunk
+    ``store`` holds (its fingerprint, or a lazily restored payload's
+    handle's digest) encodes and hashes nothing."""
     chunk = obj.fingerprint
-    if chunk is not None and store.dedupe(chunk):
-        return chunk
-    chunk = obj.fingerprint = store.put_payload(obj.payload)
+    if chunk is None and type(obj.payload) is LazyPayload:
+        chunk = obj.payload.digest
+    if chunk is None or not store.dedupe(chunk):
+        chunk = store.put_payload(obj.payload)
+    obj.fingerprint = chunk
     return chunk
 
 
 def save_database(db: DesignDatabase, path: str | Path,
-                  store: ChunkStore) -> list[dict[str, Any]]:
+                  store: ChunkStore) -> set[str]:
     """Serialize the database (including tombstones) as a format-2 manifest
     at ``path``, with payloads written to ``store`` as content-addressed
-    chunks.  Returns the manifest rows written."""
-    # Deterministic row order (sorted base, then version) makes the manifest
-    # byte-identical across save → load → save round trips.
-    objects: list[dict[str, Any]] = []
+    chunks.  Returns the chunk addresses the manifest references.
+
+    The manifest's bytes are those of ``json.dumps(doc, sort_keys=True)``
+    of ``{"aliases", "format": 2, "now", "objects"}``, whose ``objects``
+    holds one row per version sorted by base, then version (so a save →
+    load → save round trip is byte-identical).  No row dict is built: each
+    row is written as its sorted-key JSON text (:func:`_write_rows`), to a
+    sibling file that replaces ``path`` once it is whole, so a save that
+    fails (a payload the codec cannot write) leaves the old manifest.
+    """
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"aliases": {_JSON(db._alias_sources)}, '
+                     f'"format": 2, "now": {_JSON(db.clock.now)}, '
+                     f'"objects": [')
+            chunks = _write_rows(fh.write, db, store)
+            fh.write("]}")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return chunks
+
+
+def _write_rows(write: Callable[[str], Any], db: DesignDatabase,
+                store: ChunkStore) -> set[str]:
+    """Write the manifest rows of every version, comma-separated, and
+    return the chunk addresses they reference.
+
+    A live row's keys are ``base, chunk, created_at, creator, deleted_at,
+    pinned, size, version`` and a reclaimed one's ``base, deleted_at,
+    reclaimed, version``, each value as ``json.dumps`` writes it.
+    """
+    chunks: set[str] = set()
+    creators: dict[str, str] = {}
     chains = db._versions
+    sep = ""
     for base in sorted(chains):
-        for index, obj in enumerate(chains[base]):
-            version = index + 1
+        head = f'{{"base": {_JSON(base)}, '
+        for version, obj in enumerate(chains[base], 1):
             if type(obj) is _Reclaimed:
-                objects.append({
-                    "base": base,
-                    "version": version,
-                    "reclaimed": True,
-                    "deleted_at": obj.deleted_at,
-                })
+                write(f'{sep}{head}"deleted_at": {_JSON(obj.deleted_at)}, '
+                      f'"reclaimed": true, "version": {version}}}')
+                sep = ", "
                 continue
-            objects.append({
-                "base": base,
-                "version": version,
-                "created_at": obj.created_at,
-                "creator": obj.creator,
-                "chunk": stored_chunk(obj, store),
-                "size": obj.size,
-                "deleted_at": obj.deleted_at,
-                "pinned": obj.pinned,
-            })
-    doc: dict[str, Any] = {
-        "format": 2,
-        "now": db.clock.now,
-        "objects": objects,
-        "aliases": db.aliases(),
-    }
-    # No ``indent``: it would force the standard library's pure-Python
-    # encoder.
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
-    return objects
+            chunk = stored_chunk(obj, store)
+            chunks.add(chunk)
+            creator = creators.get(obj.creator)
+            if creator is None:
+                creator = creators[obj.creator] = _JSON(obj.creator)
+            # A chunk address is lowercase hex: nothing to escape.
+            write(f'{sep}{head}"chunk": "{chunk}", '
+                  f'"created_at": {_JSON(obj.created_at)}, '
+                  f'"creator": {creator}, '
+                  f'"deleted_at": {_JSON(obj.deleted_at)}, '
+                  f'"pinned": {_JSON(obj.pinned)}, "size": {_JSON(obj.size)}, '
+                  f'"version": {version}}}')
+            sep = ", "
+    return chunks
 
 
 # -------------------------------------------------------------------- loading

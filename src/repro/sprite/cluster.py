@@ -339,12 +339,12 @@ class Cluster:
 
     def _next_completion(self, rates: dict) -> tuple[float, SimProcess | None]:
         best_t, best_p, now = math.inf, None, self.clock.now
+        # ``_procs`` iterates in pid order, so a completion within _EPS of
+        # the best so far has the larger pid and never wins: the lowest pid
+        # wins a tie without comparing pids.
         for proc in self._procs.values():
             t = now + proc.work / rates[proc.host]
-            if t < best_t - _EPS or (
-                abs(t - best_t) <= _EPS
-                and (best_p is None or proc.pid < best_p.pid)
-            ):
+            if t < best_t - _EPS:
                 best_t, best_p = t, proc
         return best_t, best_p
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
 import weakref
 from pathlib import Path
 
@@ -28,9 +29,11 @@ from repro.core.history import HistoryRecord, StepRecord
 from repro.errors import PersistenceError
 from repro.obs import METRICS
 from repro.octdb import DesignDatabase
-from repro.octdb.chunkstore import (ChunkStore, LazyPayload,
+from repro.octdb.chunkstore import (_CANONICAL_JSON, _JSON, ChunkStore,
+                                    LazyPayload, canonical_chunk_bytes,
                                     chunk_digest, payload_digest,
                                     unwrap_payload)
+from repro.octdb.database import _Reclaimed
 from repro.octdb.naming import parse_name
 from repro.octdb.persistence import load_database, save_database
 from tests.cycles import collector_off, repro_garbage
@@ -267,6 +270,22 @@ class TestDatabaseFormat2:
         load_database(tmp_path / "database.json", db2,
                       store=ChunkStore(tmp_path / "objects"))
         assert db2.get("final@1").payload == {"shared": 1}
+
+    def test_a_failed_save_leaves_the_previous_manifest(self, tmp_path):
+        """Rows are streamed to the file as they are made, so a payload the
+        codec cannot write, met part-way, must not cost the manifest the
+        last save wrote."""
+        db = DesignDatabase(clock=VirtualClock())
+        db.put("a", {"v": 1})
+        path = tmp_path / "database.json"
+        save_database(db, path, store=ChunkStore(tmp_path / "objects"))
+        before = path.read_bytes()
+        db.put("b", {"v": {1, 2}})   # a set inside a dict: no JSON form
+        with pytest.raises(TypeError):
+            save_database(db, path, store=ChunkStore(tmp_path / "objects"))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["database.json", "objects"]
 
     def test_dangling_alias_raises_not_swallows(self, tmp_path):
         clock = VirtualClock()
@@ -840,6 +859,27 @@ class TestDecodeErrors:
                 match=f"journal.jsonl line {number + blanks} is not"):
             load_system(tmp_path / "s", LWTSystem(clock=VirtualClock()))
 
+    def test_offline_compact_of_a_journal_put_without_its_chunk(
+            self, lwt, tmp_path):
+        """``compact_store`` reads the journal as ``load_system`` does: a
+        ``db.put`` without its ``chunk`` raises naming its line, and
+        nothing is collected."""
+        journal = TestJournalTail.journaled(lwt, tmp_path / "s")
+        lines = journal.read_text().splitlines()
+        number = next(number for number, line in enumerate(lines, 1)
+                      if '"db.put"' in line)
+        entry = json.loads(lines[number - 1])
+        del entry["chunk"]
+        lines[number - 1] = json.dumps(entry, sort_keys=True)
+        journal.write_text("\n".join(lines) + "\n")
+        pack = (tmp_path / "s" / "objects" / "pack").read_bytes()
+        for action in (compact_store, lambda directory: load_system(
+                directory, LWTSystem(clock=VirtualClock()))):
+            with pytest.raises(PersistenceError,
+                               match=f"journal.jsonl line {number} is not"):
+                action(tmp_path / "s")
+        assert (tmp_path / "s" / "objects" / "pack").read_bytes() == pack
+
     def test_blank_journal_lines_are_skipped(self, lwt, tmp_path):
         journal = TestJournalTail.journaled(lwt, tmp_path / "s")
         journal.write_text("\n" + journal.read_text().replace("\n", "\n\n"))
@@ -1366,6 +1406,140 @@ class TestManifestDeterminism:
         for name in ("database.json", "history.json"):
             assert (tmp_path / "a" / name).read_text() \
                 == (tmp_path / "b" / name).read_text(), name
+
+
+#: Text that JSON escapes, or that is not ASCII: base names (never the
+#: version ``@``, nor white space at an end, which naming strips) and, with
+#: white space, creators and payload strings.
+NAME = st.text(st.sampled_from(['a', 'B', '"', '\\', '/', ':', '\x01', 'é',
+                                '✓', '\U0001f600']), min_size=1, max_size=4)
+TRICKY = st.text(st.sampled_from(['a', '"', '\\', ' ', '\n', '\x01', 'é',
+                                  '\u2028', '\U0001f600']), max_size=4)
+
+#: Nested payload blobs: every JSON type, int and str dict keys, NaN.
+BLOBS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TRICKY,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(TRICKY, inner, max_size=3)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def databases(draw) -> DesignDatabase:
+    """A database whose rows hold every kind of slot and value a manifest
+    writes: tombstoned, pinned and reclaimed versions, aliases, int-valued
+    and float times, and tricky bases and creators."""
+    db = DesignDatabase(clock=VirtualClock())
+    bases = draw(st.lists(NAME, min_size=1, max_size=3, unique=True))
+    for _ in range(draw(st.integers(1, 12))):
+        op, base = draw(st.sampled_from(
+            ["put", "put", "alias", "delete", "pin", "reclaim", "tick",
+             "advance"])), draw(st.sampled_from(bases))
+        latest = db.latest_version(base)
+        if op == "put":
+            db.put(base, draw(BLOBS), creator=draw(TRICKY))
+        elif op == "alias":
+            source = draw(st.sampled_from(bases))
+            if db.latest_version(source) and db.exists(f"{source}@1"):
+                db.alias(base, f"{source}@1")
+        elif op == "delete" and latest and db.exists(f"{base}@{latest}"):
+            db.delete(f"{base}@{latest}")
+        elif op == "pin" and latest and db.exists(f"{base}@1"):
+            db.pin(f"{base}@1")
+        elif op == "reclaim":   # of every tombstoned, unpinned version
+            if latest and db.exists(f"{base}@{latest}"):
+                db.delete(f"{base}@{latest}")
+            db.reclaim()
+        elif op == "tick":   # an int-valued clock: int times in the rows
+            db.clock.advance_to(int(db.clock.now) + draw(st.integers(1, 3)))
+        elif op == "advance":
+            db.clock.advance(draw(st.floats(0.001, 10.0)))
+    return db
+
+
+def reference_manifest(db: DesignDatabase) -> str:
+    """The manifest as a row dict per version through ``json.dumps``: what
+    ``save_database`` wrote before it streamed its rows."""
+    objects: list[dict] = []
+    for base in sorted(db._versions):
+        for version, obj in enumerate(db._versions[base], 1):
+            if type(obj) is _Reclaimed:
+                objects.append({"base": base, "version": version,
+                                "reclaimed": True,
+                                "deleted_at": obj.deleted_at})
+            else:
+                objects.append({"base": base, "version": version,
+                                "created_at": obj.created_at,
+                                "creator": obj.creator,
+                                "chunk": obj.fingerprint, "size": obj.size,
+                                "deleted_at": obj.deleted_at,
+                                "pinned": obj.pinned})
+    return json.dumps({"format": 2, "now": db.clock.now, "objects": objects,
+                       "aliases": db.aliases()}, sort_keys=True)
+
+
+class TestByteIdentity:
+    """The streamed manifest writer and the module-level encoders write the
+    bytes ``json.dumps(..., sort_keys=True)`` writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(db=databases())
+    def test_manifest_is_the_json_dumps_of_its_rows(self, db):
+        live = sum(type(obj) is not _Reclaimed
+                   for chain in db._versions.values() for obj in chain)
+        with tempfile.TemporaryDirectory() as scratch:
+            path, store = Path(scratch) / "database.json", \
+                ChunkStore(Path(scratch) / "objects")
+            deduped, written = (counter("persist.chunks_deduped"),
+                                counter("persist.chunks_written"))
+            chunks = save_database(db, path, store)
+            text = path.read_text()
+            assert text == reference_manifest(db)
+            assert chunks == {row["chunk"]
+                              for row in json.loads(text)["objects"]
+                              if "chunk" in row}
+            assert (counter("persist.chunks_deduped") - deduped
+                    + counter("persist.chunks_written") - written) == live
+            # Again: every chunk is indexed now, and so is every restored
+            # handle's, so each row is a dedupe hit that encodes nothing;
+            # the bytes do not change.
+            deduped = counter("persist.chunks_deduped")
+            assert save_database(db, path, store) == chunks
+            restored = load_database(
+                path, DesignDatabase(clock=VirtualClock()), store=store)
+            assert save_database(restored, path, store) == chunks
+            assert path.read_text() == text
+            assert counter("persist.chunks_deduped") - deduped == 2 * live
+            assert all(obj.fingerprint == obj.payload.digest
+                       for chain in restored._versions.values()
+                       for obj in chain if type(obj) is not _Reclaimed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=BLOBS)
+    def test_encoders_are_json_dumps(self, blob):
+        assert _JSON(blob) == json.dumps(blob, sort_keys=True)
+        assert canonical_chunk_bytes(blob) == json.dumps(
+            blob, sort_keys=True, separators=(",", ":")).encode()
+
+    @pytest.mark.parametrize("encode, separators", [
+        (_JSON, (", ", ": ")), (_CANONICAL_JSON, (",", ":"))])
+    def test_a_cycle_raises_and_the_encoder_still_works(self, encode,
+                                                        separators):
+        cycle: dict = {"a": [1]}
+        cycle["a"].append(cycle)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Circular reference"):
+                encode(cycle)
+            with pytest.raises(ValueError, match="Circular reference"):
+                canonical_chunk_bytes(cycle)
+        # The containers the failed call was inside are not left marked.
+        inner = cycle["a"]
+        cycle["a"] = [2]
+        assert encode(cycle) == json.dumps(cycle, sort_keys=True,
+                                           separators=separators)
+        assert encode(inner) == json.dumps(inner, sort_keys=True,
+                                           separators=separators)
 
 
 # ---------------------------------------------------------- budgeted reclaim

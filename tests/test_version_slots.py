@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import functools
 import gc
+import json
 import tempfile
 from pathlib import Path
 
@@ -126,14 +127,16 @@ def test_restored_get_decodes_in_place(tmp_path):
     the decoded payload and the saved chunk address as its fingerprint."""
     db = DesignDatabase(clock=VirtualClock())
     db.put("cell", {"k": 1})
-    rows = save_database(db, tmp_path / "database.json",
-                         ChunkStore(tmp_path / "objects"))
+    chunks = save_database(db, tmp_path / "database.json",
+                           ChunkStore(tmp_path / "objects"))
+    (row,) = json.loads((tmp_path / "database.json").read_text())["objects"]
+    assert chunks == {row["chunk"]}
     restored = load_database(tmp_path / "database.json",
                              DesignDatabase(clock=VirtualClock()))
     first = restored.get("cell@1")
     assert first is restored.get("cell") is restored._entry("cell@1")
     assert first.payload == {"k": 1}
-    assert first.fingerprint == rows[0]["chunk"]
+    assert first.fingerprint == row["chunk"]
     assert str(first) == "cell@1" and first.name == db.get("cell@1").name
 
 
