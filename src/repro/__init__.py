@@ -29,7 +29,6 @@ from repro.core.lwt import LWTSystem
 from repro.core.thread import DesignThread
 from repro.metadata.inference import MetadataInferenceEngine
 from repro.sprite.cluster import Cluster
-from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.taskmgr.manager import TaskManager
 from repro.tdl.template import TemplateLibrary
 from repro.workloads.designs import seed_designs
@@ -94,7 +93,6 @@ class Papyrus:
             default_registry(),
             library or standard_library(),
             cluster=cluster,
-            attrdb=standard_computers(AttributeDatabase(lwt.db)),
             clock=clock,
         )
         return cls(lwt=lwt, taskmgr=taskmgr, clock=clock)

@@ -231,9 +231,9 @@ def load_system(directory: str | Path, lwt: LWTSystem | None = None,
                 store: ChunkStore | None = None) -> LWTSystem:
     """Restore an installation saved by :func:`save_system`.
 
-    Import links and notification flags are session state in the thesis and
-    are not persisted; everything else (streams, cursors, SDS contents and
-    memberships) round-trips.  Payloads restore lazily (they decode on first
+    Notification flags are session state in the thesis and are not
+    persisted; everything else (streams, cursors, import links, SDS contents
+    and memberships) round-trips.  Payloads restore lazily (they decode on first
     access, from ``store``: by default a new store over the directory's
     ``objects/``) and the restore finishes with a write-ahead journal
     replay.  An older layout raises :class:`PersistenceError`.

@@ -584,7 +584,7 @@ class Shell:
         papyrus = Papyrus(lwt=lwt, taskmgr=self.papyrus.taskmgr,
                           clock=lwt.clock)
         papyrus.taskmgr.db = lwt.db
-        papyrus.taskmgr.cluster.clock = lwt.clock
+        papyrus.taskmgr.clock = papyrus.taskmgr.cluster.clock = lwt.clock
         from repro.activity.manager import ActivityManager
 
         for name, thread in lwt.threads.items():

@@ -65,8 +65,9 @@ class DesignThread:
         #: Objects checked in from outside (paths, SDS retrievals): visible
         #: from every design point of this thread.
         self.extra_objects: set[str] = set()
-        #: Read-only imported threads (§3.3.4.2), name → live reference.
-        self.imports: dict[str, "DesignThread"] = {}
+        #: Read-only imported threads (§3.3.4.2), name → weak reference
+        #: (two threads may import each other; the installation owns both).
+        self.imports: dict[str, "weakref.ref[DesignThread]"] = {}
         #: Change notifications delivered by synchronization data spaces.
         self.notifications: list["Notification"] = []
         #: Last time each design point was visited or created (drives the
@@ -327,7 +328,7 @@ class DesignThread:
         """
         if other is self:
             raise ThreadError("a thread cannot import itself")
-        self.imports[other.name] = other
+        self.imports[other.name] = weakref.ref(other)
         self.db.publish(self, "import", other=other.name)
         _IMPORTS.inc()
         if TRACER.enabled:
@@ -336,7 +337,7 @@ class DesignThread:
 
     def imported_workspace(self, name: str) -> frozenset[str]:
         """Peek at an imported thread's current workspace."""
-        try:
-            return self.imports[name].workspace()
-        except KeyError:
-            raise ThreadError(f"no imported thread named {name!r}") from None
+        ref = self.imports.get(name)
+        if ref is None or (other := ref()) is None:
+            raise ThreadError(f"no imported thread named {name!r}")
+        return other.workspace()

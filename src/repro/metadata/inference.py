@@ -31,6 +31,7 @@ from repro.metadata.typesys import (
     standard_types,
 )
 from repro.octdb.database import DesignDatabase
+from repro.taskmgr.attrdb import AttributeDatabase
 
 if TYPE_CHECKING:
     from repro.core.thread import DesignThread
@@ -56,27 +57,6 @@ class InferenceStats:
         self.relationships[kind] = self.relationships.get(kind, 0) + 1
 
 
-class _AttrStore:
-    """Attribute values keyed by (object, attribute)."""
-
-    def __init__(self):
-        self._values: dict[tuple[str, str], Any] = {}
-
-    def has(self, name: str, attr: str) -> bool:
-        return (name, attr) in self._values
-
-    def get(self, name: str, attr: str) -> Any:
-        try:
-            return self._values[(name, attr)]
-        except KeyError:
-            raise MetadataError(
-                f"attribute {attr!r} of {name!r} has no value"
-            ) from None
-
-    def set(self, name: str, attr: str, value: Any) -> None:
-        self._values[(name, attr)] = value
-
-
 class MetadataInferenceEngine:
     """Builds design metadata as a by-product of observed tool executions."""
 
@@ -93,7 +73,9 @@ class MetadataInferenceEngine:
         self.types = types or standard_types()
         self.adg = AugmentedDerivationGraph()
         self.relationships = standard_rules(RelationshipStore())
-        self.attributes = _AttrStore()
+        #: Attribute values: measured through the attribute database's
+        #: computation tools, or set by inheritance and propagation.
+        self.attributes = AttributeDatabase(db)
         self.object_type: dict[str, str] = {}
         self.object_format: dict[str, str] = {}
         self.stats = InferenceStats()
@@ -299,7 +281,9 @@ class MetadataInferenceEngine:
 
     def _attach_attributes(self, edge: DerivationEdge, tsd, otype: str) -> None:
         spec = self.types.get(otype)
-        if spec is None:
+        # Any thread's collection may reclaim an intermediate before the
+        # record naming it is first observed: there is nothing to measure.
+        if spec is None or not self.db.exists(edge.output):
             return
         for attr in spec.attributes:
             if attr.kind != INTRINSIC:
@@ -321,8 +305,8 @@ class MetadataInferenceEngine:
             immediate = attr.mode == IMMEDIATE or self.force_immediate
             if immediate and not self.force_lazy:
                 try:
-                    value = attr.measure(self.db.get(edge.output).payload)
-                except Exception as exc:  # noqa: BLE001 — tool lied
+                    self.attributes.get(edge.output, attr.name)
+                except MetadataError as exc:
                     # The payload contradicts the TSD-asserted type: a tool
                     # mis-description, reported rather than fatal.
                     self.stats.type_violations.append(
@@ -330,7 +314,6 @@ class MetadataInferenceEngine:
                         f"support {attr.name!r} ({exc})"
                     )
                     continue
-                self.attributes.set(edge.output, attr.name, value)
                 self.stats.immediate_evaluations += 1
             # lazy attributes wait for the first attribute() read
 
@@ -385,8 +368,7 @@ class MetadataInferenceEngine:
             raise MetadataError(f"{name!r} has no inferred type")
         spec = self.types[otype].attribute(attr)
         if spec.kind == INTRINSIC:
-            value = spec.measure(self.db.get(name).payload)
-            self.attributes.set(name, attr, value)
+            value = self.attributes.get(name, attr)
             self.stats.lazy_evaluations += 1
             return value
         # propagated: evaluated through the object's relationships

@@ -141,7 +141,7 @@ def standard_rules(store: RelationshipStore) -> RelationshipStore:
     def hierarchy_area(engine, relationships, target):
         """Area of a composite = its own area plus its components' —
         information propagating UP the configuration hierarchy."""
-        total = float(engine.attributes.get(target, "area"))
+        total = float(engine.attribute(target, "area"))
         for relationship in relationships:
             component = relationship.source
             try:

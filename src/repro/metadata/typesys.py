@@ -1,21 +1,21 @@
 """Object type specifications and attribute declarations (§6.4.1).
 
 A type specification lists the attributes every object of the type carries.
-Intrinsic attributes have a measurement procedure and an evaluation mode —
-*immediate* (data-driven, evaluated when the object appears: constraint and
-index attributes) or *lazy* (demand-driven, evaluated on first read).
-Propagated attributes have no local procedure; their evaluation rules live
-with relationships (see :mod:`repro.metadata.relationships`).
+Intrinsic attributes have an evaluation mode — *immediate* (data-driven,
+evaluated when the object appears: constraint and index attributes) or
+*lazy* (demand-driven, evaluated on first read) — and are measured by the
+attribute database's computation tools (:data:`repro.taskmgr.attrdb.MEASURES`),
+the same ones TDL's ``attribute`` command reads.  Propagated attributes have
+no local procedure; their evaluation rules live with relationships (see
+:mod:`repro.metadata.relationships`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
 
 from repro.errors import MetadataError
-
-Measure = Callable[[Any], Any]
+from repro.taskmgr.attrdb import MEASURES
 
 LAZY, IMMEDIATE = "lazy", "immediate"
 INTRINSIC, PROPAGATED = "intrinsic", "propagated"
@@ -28,16 +28,15 @@ class AttributeSpec:
     name: str
     kind: str = INTRINSIC            # intrinsic | propagated
     mode: str = LAZY                 # lazy | immediate (intrinsic only)
-    measure: Measure | None = None   # the measurement tool (intrinsic only)
 
     def __post_init__(self):
         if self.kind not in (INTRINSIC, PROPAGATED):
             raise MetadataError(f"bad attribute kind {self.kind!r}")
         if self.mode not in (LAZY, IMMEDIATE):
             raise MetadataError(f"bad attribute mode {self.mode!r}")
-        if self.kind == INTRINSIC and self.measure is None:
+        if self.kind == INTRINSIC and self.name not in MEASURES:
             raise MetadataError(
-                f"intrinsic attribute {self.name!r} needs a measure"
+                f"intrinsic attribute {self.name!r} has no computation tool"
             )
 
 
@@ -60,81 +59,27 @@ class TypeSpec:
 
 def standard_types() -> dict[str, TypeSpec]:
     """Type specifications for the synthetic suite's object universe."""
-    from repro.cad.layout import Layout, Report
-    from repro.cad.logic import BehavioralSpec, BooleanNetwork, Cover, Pla
-
-    def width(payload):
-        return float(payload.width)
-
-    def num_inputs(payload):
-        if isinstance(payload, BooleanNetwork):
-            return float(len(payload.inputs))
-        if isinstance(payload, (Pla, Cover)):
-            return float(payload.num_inputs)
-        raise MetadataError("num_inputs undefined")
-
-    def num_outputs(payload):
-        if isinstance(payload, BooleanNetwork):
-            return float(len(payload.outputs))
-        if isinstance(payload, Pla):
-            return float(payload.num_outputs)
-        if isinstance(payload, Cover):
-            return 1.0
-        raise MetadataError("num_outputs undefined")
-
-    def literals(payload):
-        return float(payload.num_literals)
-
-    def minterms(payload):
-        if isinstance(payload, (Pla, Cover)):
-            return float(payload.num_terms)
-        if isinstance(payload, BooleanNetwork):
-            return float(sum(n.cover.num_terms for n in payload.nodes.values()))
-        raise MetadataError("minterms undefined")
-
-    def logic_delay(payload):
-        if isinstance(payload, BooleanNetwork):
-            return float(payload.depth)
-        return 2.0  # two-level structures
-
-    def area(payload):
-        if isinstance(payload, Layout):
-            return float(payload.area)
-        raise MetadataError("area undefined")
-
-    def delay(payload):
-        return payload.critical_delay()
-
-    def power(payload):
-        return payload.power_estimate()
-
-    def cells(payload):
-        return float(len(payload.cells))
-
-    def report_kind(payload):
-        return payload.kind
-
     return {
         "behavioral": TypeSpec("behavioral", (
-            AttributeSpec("width", mode=IMMEDIATE, measure=width),
+            AttributeSpec("width", mode=IMMEDIATE),
         )),
         "logic": TypeSpec("logic", (
             # index attributes are immediate; expensive measures are lazy
-            AttributeSpec("num_inputs", mode=IMMEDIATE, measure=num_inputs),
-            AttributeSpec("num_outputs", mode=IMMEDIATE, measure=num_outputs),
-            AttributeSpec("literals", mode=LAZY, measure=literals),
-            AttributeSpec("minterms", mode=LAZY, measure=minterms),
-            AttributeSpec("delay", mode=LAZY, measure=logic_delay),
+            AttributeSpec("num_inputs", mode=IMMEDIATE),
+            AttributeSpec("num_outputs", mode=IMMEDIATE),
+            AttributeSpec("literals", mode=LAZY),
+            AttributeSpec("minterms", mode=LAZY),
+            AttributeSpec("delay", mode=LAZY),
         )),
         "layout": TypeSpec("layout", (
-            AttributeSpec("area", mode=IMMEDIATE, measure=area),
-            AttributeSpec("cells", mode=IMMEDIATE, measure=cells),
-            AttributeSpec("delay", mode=LAZY, measure=delay),
-            AttributeSpec("power", mode=LAZY, measure=power),
+            AttributeSpec("area", mode=IMMEDIATE),
+            AttributeSpec("cells", mode=IMMEDIATE),
+            AttributeSpec("delay", mode=LAZY),
+            AttributeSpec("power", mode=LAZY),
             # the configuration-hierarchy sum (Fig 6.5's example)
             AttributeSpec("hierarchy_area", kind=PROPAGATED),
         )),
         "report": TypeSpec("report", (
-            AttributeSpec("kind", mode=IMMEDIATE, measure=report_kind),
+            AttributeSpec("kind", mode=IMMEDIATE),
         )),
     }

@@ -21,7 +21,6 @@ import itertools
 import json
 import os
 import sys
-import time as _time
 from typing import IO, Any, Callable, Iterator
 
 from repro.clock import VirtualClock
@@ -60,12 +59,9 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
-# Self-observability: the tracer's own cost and drop risk are metrics like
-# everything else, so an SLO can watch the watcher — trace.emit_seconds is
-# wall time (emission is real work even when the clock is virtual),
-# trace.buffer_fill the 0..1 fraction of capacity in use, trace.events the
-# total emitted.
-_EMIT_SECONDS = METRICS.counter("trace.emit_seconds")
+# Self-observability: the tracer's volume and drop risk are metrics like
+# everything else, so an SLO can watch the watcher — trace.buffer_fill is
+# the 0..1 fraction of capacity in use, trace.events the total emitted.
 _EVENTS = METRICS.counter("trace.events")
 _BUFFER_FILL = METRICS.gauge("trace.buffer_fill")
 
@@ -155,10 +151,6 @@ class Tracer:
         self._stream: IO[str] | None = None
         self._stream_path: str | None = None
         self.streamed = 0
-        #: Wall seconds spent inside :meth:`_append` (self-observability:
-        #: the overhead of tracing itself, mirrored to the
-        #: ``trace.emit_seconds`` counter).
-        self.emit_seconds = 0.0
         self._atexit_registered = False
 
     # ------------------------------------------------------------- lifecycle
@@ -252,7 +244,6 @@ class Tracer:
     # -------------------------------------------------------------- emission
 
     def _append(self, record: dict[str, Any]) -> None:
-        t0 = _time.perf_counter()
         if self._stream is not None:
             self._stream.write(json.dumps(record, sort_keys=True) + "\n")
             self.streamed += 1
@@ -260,9 +251,6 @@ class Tracer:
             self.events.append(record)
         else:
             self.dropped += 1
-        elapsed = _time.perf_counter() - t0
-        self.emit_seconds += elapsed
-        _EMIT_SECONDS.inc(elapsed)
         _EVENTS.inc()
         _BUFFER_FILL.set(len(self.events) / self.capacity)
 

@@ -1,103 +1,120 @@
 """The per-workspace attribute database (§4.3.6).
 
-Objects and attributes are stored separately.  An attribute entry has a name,
-a cached value, and optionally a *computation tool*; values are either
-retrieved directly or computed synchronously on demand and then cached.
+Objects and attributes are stored separately.  An attribute entry has a name
+and a cached value; a value not yet cached is computed synchronously on
+demand by the attribute's *computation tool* and then cached.
+
+:data:`MEASURES` is the one table of computation tools: TDL's ``attribute``
+command reads it through :class:`AttributeDatabase`, and so does the Ch. 6
+type system (:mod:`repro.metadata.typesys`), whose intrinsic attributes are
+the names listed here.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import MetadataError
+from repro.cad.layout import Layout, Report
+from repro.cad.logic import BehavioralSpec, BooleanNetwork, Cover, Pla
+from repro.errors import MetadataError, ObjectNotFound
 from repro.octdb.database import DesignDatabase
 from repro.octdb.naming import parse_name
 
-#: An attribute computer: payload -> value.
-Computer = Callable[[Any], Any]
+#: A computation tool: payload -> value.
+Measure = Callable[[Any], Any]
+
+
+def _pla_area(pla: Pla) -> float:
+    return float((2 * pla.effective_columns + pla.num_outputs)
+                 * (pla.num_terms + 2) * 16)
+
+
+def _network_minterms(network: BooleanNetwork) -> float:
+    return float(sum(node.cover.num_terms for node in network.nodes.values()))
+
+
+def _literals(logic: BooleanNetwork | Cover | Pla) -> float:
+    return float(logic.num_literals)
+
+
+def _terms(two_level: Cover | Pla) -> float:
+    return float(two_level.num_terms)
+
+
+def _two_level_delay(two_level: Cover | Pla) -> float:
+    return 2.0
+
+
+#: Attribute name -> payload class -> the tool that measures it.  A class
+#: missing from an attribute's entry does not have that attribute.
+MEASURES: dict[str, dict[type, Measure]] = {
+    "area": {Layout: lambda layout: float(layout.area), Pla: _pla_area},
+    "cells": {Layout: lambda layout: float(len(layout.cells))},
+    "delay": {
+        Layout: Layout.critical_delay,
+        BooleanNetwork: lambda network: float(network.depth),
+        Cover: _two_level_delay,
+        Pla: _two_level_delay,
+    },
+    "kind": {Report: lambda report: report.kind},
+    "literals": dict.fromkeys((BooleanNetwork, Cover, Pla), _literals),
+    "minterms": {BooleanNetwork: _network_minterms, Cover: _terms, Pla: _terms},
+    "num_inputs": {
+        BooleanNetwork: lambda network: float(len(network.inputs)),
+        Cover: lambda cover: float(cover.num_inputs),
+        Pla: lambda pla: float(pla.num_inputs),
+    },
+    "num_outputs": {
+        BooleanNetwork: lambda network: float(len(network.outputs)),
+        Cover: lambda cover: 1.0,
+        Pla: lambda pla: float(pla.num_outputs),
+    },
+    "power": {Layout: Layout.power_estimate},
+    "width": {BehavioralSpec: lambda spec: float(spec.width)},
+}
 
 
 class AttributeDatabase:
-    """Attribute storage + on-demand computation for one workspace."""
+    """Attribute storage + on-demand computation for one workspace.
+
+    Values belong to versions: an unversioned name is resolved to its latest
+    live version before the cache is consulted.
+    """
 
     def __init__(self, db: DesignDatabase):
         self.db = db
+        #: (versioned name, attribute) -> value
         self._values: dict[tuple[str, str], Any] = {}
-        self._computers: dict[str, Computer] = {}
         self.computations = 0   # instrumentation for the lazy/eager benches
 
-    def register_computer(self, attr: str, computer: Computer) -> None:
-        """Register the tool that evaluates ``attr`` from an object payload."""
-        self._computers[attr] = computer
+    def _version(self, name: str) -> str:
+        oname = parse_name(name)
+        if oname.version is None:
+            return str(self.db.get(oname))
+        return str(oname)
 
     def set(self, name: str, attr: str, value: Any) -> None:
-        key = (str(parse_name(name)), attr)
-        self._values[key] = value
+        self._values[(self._version(name), attr)] = value
 
     def has(self, name: str, attr: str) -> bool:
-        return (str(parse_name(name)), attr) in self._values
+        try:
+            return (self._version(name), attr) in self._values
+        except ObjectNotFound:
+            return False
 
     def get(self, name: str, attr: str) -> Any:
         """Fetch an attribute, computing (and caching) it if necessary."""
-        oname = parse_name(name)
-        key = (str(oname), attr)
+        key = (self._version(name), attr)
         if key in self._values:
             return self._values[key]
-        computer = self._computers.get(attr)
-        if computer is None:
+        payload = self.db.get(key[0]).payload
+        measure = MEASURES.get(attr, {}).get(type(payload))
+        if measure is None:
             raise MetadataError(
                 f"no value or computation tool for attribute {attr!r} "
-                f"of {name!r}"
+                f"of {name!r} (a {type(payload).__name__})"
             )
-        payload = self.db.get(oname).payload
-        value = computer(payload)
+        value = measure(payload)
         self.computations += 1
         self._values[key] = value
         return value
-
-
-def standard_computers(attrdb: AttributeDatabase) -> AttributeDatabase:
-    """Install the computers for the synthetic CAD suite's object types."""
-    from repro.cad.layout import Layout, Report
-    from repro.cad.logic import BooleanNetwork, Cover, Pla
-
-    def area(payload):
-        if isinstance(payload, Layout):
-            return float(payload.area)
-        if isinstance(payload, Pla):
-            return float((2 * payload.effective_columns + payload.num_outputs)
-                         * (payload.num_terms + 2) * 16)
-        raise MetadataError(f"no area for {type(payload).__name__}")
-
-    def delay(payload):
-        if isinstance(payload, Layout):
-            return payload.critical_delay()
-        if isinstance(payload, BooleanNetwork):
-            return float(payload.depth)
-        if isinstance(payload, Pla):
-            return 2.0
-        raise MetadataError(f"no delay for {type(payload).__name__}")
-
-    def power(payload):
-        if isinstance(payload, Layout):
-            return payload.power_estimate()
-        raise MetadataError(f"no power for {type(payload).__name__}")
-
-    def literals(payload):
-        if isinstance(payload, (BooleanNetwork, Cover, Pla)):
-            return float(payload.num_literals)
-        raise MetadataError(f"no literals for {type(payload).__name__}")
-
-    def minterms(payload):
-        if isinstance(payload, Cover):
-            return float(payload.num_terms)
-        if isinstance(payload, Pla):
-            return float(payload.num_terms)
-        raise MetadataError(f"no minterms for {type(payload).__name__}")
-
-    attrdb.register_computer("area", area)
-    attrdb.register_computer("delay", delay)
-    attrdb.register_computer("power", power)
-    attrdb.register_computer("literals", literals)
-    attrdb.register_computer("minterms", minterms)
-    return attrdb

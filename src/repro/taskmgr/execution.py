@@ -44,7 +44,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.cad.registry import Tool, ToolCall, ToolRegistry
 from repro.core.history import StepRecord
@@ -61,6 +61,7 @@ from repro.octdb.database import DesignDatabase
 from repro.octdb.naming import parse_name
 from repro.sprite.cluster import Cluster
 from repro.sprite.process import SimProcess
+from repro.taskmgr.attrdb import AttributeDatabase
 from repro.tdl.interp import Interp
 from repro.tdl.template import (
     StepSpec,
@@ -69,9 +70,6 @@ from repro.tdl.template import (
     parse_step_args,
     parse_subtask_args,
 )
-
-if TYPE_CHECKING:
-    from repro.taskmgr.attrdb import AttributeDatabase
 
 InternalId = tuple[int, ...]
 
@@ -204,7 +202,7 @@ class TaskExecution:
         registry: ToolRegistry,
         cluster: Cluster,
         library: TemplateLibrary,
-        attrdb: "AttributeDatabase | None" = None,
+        attrdb: AttributeDatabase,
         navigator: Navigator | None = None,
         on_restart: RestartHook | None = None,
         max_restarts: int = 3,
@@ -355,8 +353,6 @@ class TaskExecution:
     def _cmd_attribute(self, interp: Interp, args: list[str]) -> str:
         if len(args) != 2:
             raise TdlError("attribute needs: attribute Object_Name Attr_Name")
-        if self.attrdb is None:
-            raise TdlError("no attribute database configured")
         object_name, attr = args
         scope, formal = self._current_scope.resolve(object_name)
         slot = scope.slots.get(formal)

@@ -37,18 +37,16 @@ class TaskManager:
         registry: ToolRegistry,
         library: TemplateLibrary,
         cluster: Cluster | None = None,
-        attrdb: AttributeDatabase | None = None,
         clock: VirtualClock | None = None,
         navigator: Navigator | None = None,
         on_restart: RestartHook | None = None,
         max_restarts: int = 3,
     ):
-        self.db = db
+        self.db = db   # also sets self.attrdb (see the db property)
         self.registry = registry
         self.library = library
         self.clock = clock or GLOBAL_CLOCK
         self.cluster = cluster or Cluster.homogeneous(1, clock=self.clock)
-        self.attrdb = attrdb or AttributeDatabase(db)
         self.navigator = navigator
         self.on_restart = on_restart
         self.max_restarts = max_restarts
@@ -61,6 +59,17 @@ class TaskManager:
         #: alert-rule evaluation, so regressions surface at the history
         #: boundary and not only on the clock-advance throttle.
         self.health = None
+
+    @property
+    def db(self) -> DesignDatabase:
+        return self.attrdb.db
+
+    @db.setter
+    def db(self, db: DesignDatabase) -> None:
+        """Attribute values belong to the database they were measured in:
+        pointing the manager at another database (the shell's ``load``)
+        starts a new attribute database over it."""
+        self.attrdb = AttributeDatabase(db)
 
     def run_task(
         self,

@@ -24,7 +24,6 @@ from repro.core.history import HistoryRecord
 from repro.core.thread_ops import fork
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
-from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.workloads import seed_designs, standard_library
 
 
@@ -35,7 +34,7 @@ def make_env():
     tm = TaskManager(
         lwt.db, default_registry(), standard_library(),
         cluster=Cluster.homogeneous(4, clock=clk),
-        attrdb=standard_computers(AttributeDatabase(lwt.db)), clock=clk,
+        clock=clk,
     )
     thread = lwt.create_thread("T", owner="chiueh")
     return ActivityManager(thread, tm), lwt, seed, clk

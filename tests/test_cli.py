@@ -107,6 +107,18 @@ class TestCommands:
         assert shell.current == "work"
         assert "a.pad@1" in text_of(shell.execute("scope"))
 
+    def test_load_rebinds_the_task_manager(self, shell, tmp_path):
+        from repro.workloads.designs import sparse_layout
+
+        shell.execute(f"save {tmp_path / 'snap'}")
+        shell.execute(f"load {tmp_path / 'snap'}")
+        taskmgr = shell.papyrus.taskmgr
+        assert taskmgr.attrdb.db is taskmgr.db is shell.papyrus.db
+        assert taskmgr.clock is taskmgr.cluster.clock is shell.papyrus.clock
+        fresh = sparse_layout(shell.papyrus.db, name="fresh")
+        assert taskmgr.attrdb.get("fresh.placed", "area") == \
+            float(fresh.payload.area)
+
     def test_upgrade_then_load(self, shell, tmp_path):
         from pathlib import Path
 

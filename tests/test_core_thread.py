@@ -261,6 +261,15 @@ class TestImports:
         with pytest.raises(ThreadError):
             a.imported_workspace("ghost")
 
+    def test_import_of_a_dropped_thread(self, system):
+        a = system.create_thread("a")
+        loose = fork(system.create_thread("b"), "loose")
+        a.import_thread(loose)
+        assert a.imported_workspace("loose") == frozenset()
+        del loose
+        with pytest.raises(ThreadError):
+            a.imported_workspace("loose")
+
 
 class TestSds:
     def _setup(self, system):

@@ -26,7 +26,6 @@ from repro.errors import TaskAborted
 from repro.obs import METRICS
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
-from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.workloads import seed_designs, standard_library
 
 
@@ -37,7 +36,7 @@ def make_env():
     tm = TaskManager(
         lwt.db, default_registry(), standard_library(),
         cluster=Cluster.homogeneous(4, clock=clk),
-        attrdb=standard_computers(AttributeDatabase(lwt.db)), clock=clk,
+        clock=clk,
     )
     thread = lwt.create_thread("T", owner="chiueh")
     return ActivityManager(thread, tm), lwt, seed, clk
@@ -364,7 +363,7 @@ def test_restored_session_reuses_history(tmp_path):
     tm2 = TaskManager(
         lwt2.db, default_registry(), standard_library(),
         cluster=Cluster.homogeneous(4, clock=clk2),
-        attrdb=standard_computers(AttributeDatabase(lwt2.db)), clock=clk2,
+        clock=clk2,
     )
     am2 = ActivityManager(thread2, tm2)
     am2.move_cursor(INITIAL_POINT)
@@ -393,7 +392,7 @@ def _reopen(lwt, directory):
     tm = TaskManager(
         lwt.db, default_registry(), standard_library(),
         cluster=Cluster.homogeneous(4, clock=clk),
-        attrdb=standard_computers(AttributeDatabase(lwt.db)), clock=clk,
+        clock=clk,
     )
     return ActivityManager(lwt.thread("T"), tm), lwt
 

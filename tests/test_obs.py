@@ -26,7 +26,6 @@ from repro.obs.tracer import Tracer, read_jsonl
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
-from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.tdl.template import TemplateLibrary
 from repro.workloads import seed_designs, standard_library
 
@@ -439,7 +438,7 @@ def taskenv():
     cluster = Cluster.homogeneous(4, clock=clk)
     tm = TaskManager(
         db, default_registry(), standard_library(), cluster=cluster,
-        attrdb=standard_computers(AttributeDatabase(db)), clock=clk,
+        clock=clk,
     )
     return tm, db, seed, clk
 

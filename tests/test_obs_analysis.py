@@ -33,7 +33,6 @@ from repro.obs.tracer import Tracer, read_jsonl
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
-from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.workloads import seed_designs, standard_library
 
 
@@ -56,7 +55,7 @@ def taskenv():
     cluster = Cluster.homogeneous(4, clock=clk)
     tm = TaskManager(
         db, default_registry(), standard_library(), cluster=cluster,
-        attrdb=standard_computers(AttributeDatabase(db)), clock=clk,
+        clock=clk,
     )
     return tm, db, seed, clk
 
@@ -239,7 +238,7 @@ class TestDiff:
         tm = TaskManager(
             db, default_registry(), standard_library(),
             cluster=Cluster.homogeneous(4, clock=clk),
-            attrdb=standard_computers(AttributeDatabase(db)), clock=clk,
+            clock=clk,
         )
         obs.TRACER.clear()
         obs.TRACER.enable(clock=clk)

@@ -26,7 +26,6 @@ from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.sprite.host import OwnerSchedule, Workstation
 from repro.taskmgr import TaskManager
-from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.workloads import seed_designs, standard_library
 
 
@@ -242,7 +241,6 @@ class TestTraceSignals:
         seed = seed_designs(db)
         tm = TaskManager(db, default_registry(), standard_library(),
                          cluster=Cluster.homogeneous(4, clock=clk),
-                         attrdb=standard_computers(AttributeDatabase(db)),
                          clock=clk)
         monitor = HealthMonitor(tracer=tracer)
         monitor.attach_taskmgr(tm)

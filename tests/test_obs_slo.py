@@ -678,8 +678,6 @@ class TestTracerSelfObservability:
         before = obs.METRICS.value("trace.events")
         for i in range(10):
             tracer.event(f"e{i}", cat="task")
-        assert tracer.emit_seconds > 0.0
-        assert obs.METRICS.value("trace.emit_seconds") > 0.0
         assert obs.METRICS.value("trace.events") - before == 10
         assert obs.METRICS.value("trace.buffer_fill") == \
             pytest.approx(10 / 100)

@@ -91,6 +91,21 @@ class TestPapyrusFacade:
             assert db() is None
             assert not repro_garbage()
 
+    def test_mutually_importing_threads_are_freed(self):
+        with collector_off():
+            papyrus = Papyrus.standard(hosts=2)
+            alice = papyrus.open_thread("alice", owner="a")
+            bob = papyrus.open_thread("bob", owner="b")
+            alice.invoke("Padp", {"Incell": "adder.net"},
+                         {"Outcell": "a.pad"})
+            alice.thread.import_thread(bob.thread)
+            bob.thread.import_thread(alice.thread)
+            assert "a.pad@1" in bob.thread.imported_workspace("alice")
+            installation = weakref.ref(papyrus)
+            del papyrus, alice, bob
+            assert installation() is None
+            assert not repro_garbage()
+
     def test_owner_activity_wiring(self):
         papyrus = Papyrus.standard(hosts=3, owner_period=50, owner_busy=10)
         schedules = [h.schedule for h in papyrus.taskmgr.cluster.hosts.values()

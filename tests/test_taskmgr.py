@@ -17,7 +17,6 @@ from repro.obs import METRICS
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
-from repro.taskmgr.attrdb import AttributeDatabase, standard_computers
 from repro.tdl.template import TemplateLibrary
 from repro.workloads import seed_designs, standard_library
 from repro.workloads.designs import congested_layout, sparse_layout
@@ -32,7 +31,7 @@ def env():
     cluster = Cluster.homogeneous(4, clock=clk)
     tm = TaskManager(
         db, default_registry(), standard_library(), cluster=cluster,
-        attrdb=standard_computers(AttributeDatabase(db)), clock=clk,
+        clock=clk,
     )
     return tm, db, seed, clk
 
@@ -404,6 +403,29 @@ class TestAttributes:
         tm, _, seed, _ = env
         tm.attrdb.set(seed["alu.net"], "literals", 42.0)
         assert tm.attrdb.get(seed["alu.net"], "literals") == 42.0
+
+    def test_attrdb_unversioned_name_reads_the_latest_version(self, env):
+        tm, db, seed, _ = env
+        first = tm.attrdb.get("adder.placed", "area")
+        newer = sparse_layout(db, name="adder")
+        latest = tm.attrdb.get(str(newer), "area")
+        assert latest != first
+        assert tm.attrdb.get("adder.placed", "area") == latest
+        assert tm.attrdb.get(seed["adder.placed"], "area") == first
+
+    def test_attrdb_has_on_a_reclaimed_version(self, env):
+        tm, db, seed, _ = env
+        db.delete(seed["alu.net"])
+        db.reclaim()
+        assert not tm.attrdb.has(seed["alu.net"], "literals")
+        assert not tm.attrdb.has("alu.net", "literals")
+
+    def test_bare_task_manager_measures(self):
+        db = DesignDatabase(clock=VirtualClock())
+        seed = seed_designs(db)
+        tm = TaskManager(db, default_registry(), standard_library())
+        assert tm.attrdb.db is db
+        assert tm.attrdb.get(seed["adder.net"], "minterms") > 0
 
 
 class TestNavigator:
