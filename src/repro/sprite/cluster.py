@@ -5,6 +5,10 @@ completion, owner transition) the simulator charges elapsed compute to every
 running process at its host's timeshared rate, then recomputes the next event
 time.  This keeps the model exact under arbitrary load changes without
 fixed-step ticking.
+
+Each host keeps its residents ordered by work left (``Workstation.resident``),
+so the next event and the processes that finished are read from the list
+fronts; only the charge itself touches every process.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Mapping
+from operator import attrgetter
 from typing import Any, Callable, Iterator
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
@@ -24,39 +30,46 @@ from repro.sprite.process import ProcessState, SimProcess
 
 _EPS = 1e-9
 _DONE = _EPS * 10           # work left at which a process counts as finished
+_WORK = attrgetter("work")
+_PID = attrgetter("pid")
+
+
+class _Handles(dict):
+    """Host name -> ``NAME{host=...}`` instrument, made on the host's first
+    charge: a host never charged has none (health rules skip it)."""
+
+    def __init__(self, make: Callable[..., Any], name: str):
+        super().__init__()
+        self._make = make                   # registry.gauge / .counter
+        self._name = name
+
+    def __missing__(self, host: str):
+        instrument = self[host] = self._make(self._name, host=host)
+        return instrument
 
 
 class _PerHost(Mapping):
     """Dict-facing view over one ``NAME{host=...}`` instrument per host.
 
     Keeps the ``stats.busy_seconds[host]`` / ``stats.gap_seconds[host]``
-    read API while the storage lives in the metrics registry.  Each host's
-    instrument is resolved once and kept, so charging a host is one
-    increment.
+    read API while the storage lives in the metrics registry; the cluster
+    charges through :attr:`handles`.
     """
 
     def __init__(self, make: Callable[..., Any], name: str):
-        self._make = make                   # registry.gauge / .counter
-        self._name = name
-        self._instruments: dict[str, Any] = {}   # host -> instrument
-
-    def instrument(self, host: str):
-        instrument = self._instruments.get(host)
-        if instrument is None:
-            instrument = self._make(self._name, host=host)
-            self._instruments[host] = instrument
-        return instrument
+        self.handles = _Handles(make, name)
 
     def __getitem__(self, host: str) -> float:
-        if host not in self._instruments:
+        instrument = self.handles.get(host)     # never makes one
+        if instrument is None:
             raise KeyError(host)
-        return self._instruments[host].value
+        return instrument.value
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._instruments))
+        return iter(sorted(self.handles))
 
     def __len__(self) -> int:
-        return len(self._instruments)
+        return len(self.handles)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -89,22 +102,12 @@ class ClusterStats:
                                     "cluster.gap_seconds")
         self._gap_total = self.registry.counter("cluster.gap_seconds")
 
-    def inc(self, field: str, amount: float = 1.0) -> None:
-        self._counters[field].inc(amount)
-
-    def add_busy(self, hosts: list[Workstation], seconds: float) -> None:
-        """Charge ``seconds`` of busy time to each of ``hosts`` as
-        process-seconds: one increment per host of the span times its
-        resident count, not one per resident."""
-        instrument = self.busy_seconds.instrument
-        for host in hosts:
-            instrument(host.name).inc(seconds * len(host.resident))
-
     def add_gap(self, idle_hosts: list[str], seconds: float) -> None:
         """Charge one scheduler-gap span to the total and each idle host."""
         self._gap_total.inc(seconds)
+        gaps = self.gap_seconds.handles
         for host in idle_hosts:
-            self.gap_seconds.instrument(host).inc(seconds)
+            gaps[host].inc(seconds)
 
     def __getattr__(self, name: str) -> int:
         counters = self.__dict__.get("_counters")
@@ -140,6 +143,9 @@ class Cluster:
         self._hosts_sorted: list[Workstation] = []
         #: Hosts whose owner ever comes or goes: all owner lookahead asks.
         self._owned: list[Workstation] = []
+        #: How many hosts have no resident, kept by every placement: with
+        #: none, there is no idle host and no scheduler gap to look for.
+        self._empty = 0
         for host in hosts or [Workstation("home")]:
             self.add_host(host)
         self.remigration = remigration
@@ -152,6 +158,10 @@ class Cluster:
         #: the plain name order.
         self.gap_feedback = gap_feedback
         self.stats = ClusterStats()
+        # The counters' handles, resolved once (in ``FIELDS`` order).
+        (self._submitted, self._completed, self._killed, self._migrations,
+         self._evictions, self._remigrations, self._ran_at_home,
+         self._ran_remote) = self.stats._counters.values()
         #: pid → process.  Pids increase monotonically and entries are
         #: inserted at submission, so iteration order is pid order — views
         #: over this dict never need sorting.
@@ -171,6 +181,7 @@ class Cluster:
         self.hosts[host.name] = host
         self._hosts_sorted.append(host)
         self._hosts_sorted.sort(key=lambda h: h.name)
+        self._empty += not host.resident
         if host.schedule.next_transition(self.clock.now) is not None:
             self._owned.append(host)
         if TRACER.enabled:
@@ -214,6 +225,8 @@ class Cluster:
         """An idle host by Sprite's rule: not ``home``, no resident
         processes, owner away.  The cheap tests go first: most hosts of a
         busy cluster have work."""
+        if not self._empty:
+            return None
         now = self.clock.now
         idle = (h for h in self._hosts_sorted if not h.resident
                 and h.name != "home" and not h.is_owner_busy(now))
@@ -245,15 +258,15 @@ class Cluster:
                           work=max(work, _EPS), home=home, host=target.name,
                           migratable=migratable, priority=priority,
                           payload=payload, started_at=self.clock.now)
-        target.resident.add(proc.pid)
+        self._place(proc, target)
         self._procs[proc.pid] = proc
-        self.stats.inc("submitted")
+        self._submitted.inc()
         if migrated:
             proc.migrations += 1
-            self.stats.inc("migrations")
-            self.stats.inc("ran_remote")
+            self._migrations.inc()
+            self._ran_remote.inc()
         else:
-            self.stats.inc("ran_at_home")
+            self._ran_at_home.inc()
         if migratable and proc.is_at_home:
             self._strand(proc)
         if TRACER.enabled:
@@ -268,9 +281,9 @@ class Cluster:
         self._charge_elapsed()
         proc.state = ProcessState.KILLED
         proc.finished_at = self.clock.now
-        self.hosts[proc.host].resident.discard(proc.pid)
+        self._unplace(proc, self.hosts[proc.host])
         del self._procs[proc.pid]
-        self.stats.inc("killed")
+        self._killed.inc()
         if TRACER.enabled:
             TRACER.event("cluster.kill", cat="cluster", pid=proc.pid,
                          step=proc.label, host=proc.host)
@@ -279,33 +292,46 @@ class Cluster:
         # Insertion order is pid order (see ``_procs``): no per-call sort.
         return list(self._procs.values())
 
+    def _place(self, proc: SimProcess, host: Workstation) -> None:
+        if not host.resident:
+            self._empty -= 1
+        host.admit(proc)
+        proc.host = host.name
+
+    def _unplace(self, proc: SimProcess, host: Workstation) -> None:
+        host.release(proc)
+        if not host.resident:
+            self._empty += 1
+
     # ------------------------------------------------------------- accounting
 
-    def _charge_elapsed(self, now: float | None = None,
-                        rates: dict[str, float] | None = None) -> None:
+    def _charge_elapsed(self, now: float | None = None) -> None:
         """Charge compute progress (and any scheduler gap) for the span
-        from the last charge to ``now`` (default: the clock's time), at
-        ``rates`` if the caller already has them (see :meth:`_rates`)."""
+        from the last charge to ``now`` (default: the clock's time)."""
         if now is None:
             now = self.clock.now
         span = now - self._last_charge
         if span > _EPS:
             # Timeshared rates are per *host*, not per process: each
             # occupied host's ``span * rate`` is worked out once, and busy
-            # time is charged once per host (the engine's 10k-step graphs
-            # make this the simulator's hottest loop).
-            occupied = [host for host in self._hosts_sorted if host.resident]
-            done = {name: span * rate
-                    for name, rate in (rates or self._rates()).items()}
-            for proc in self._procs.values():
-                proc.work -= done[proc.host]
-            self.stats.add_busy(occupied, span)
+            # time is charged once per host as process-seconds.  This
+            # subtraction is the one loop over every process an event makes.
+            busy = self.stats.busy_seconds.handles
+            crowded = False
+            for host in self._hosts_sorted:
+                resident = host.resident
+                if resident:
+                    n = len(resident)
+                    done = span * (host.speed / n)
+                    for proc in resident:
+                        proc.work -= done
+                    busy[host.name].inc(span * n)
+                    crowded = crowded or n > 1
             # No event falls inside a span, so residency and owner state
             # hold throughout it: the same rule as trace replay's
             # ``repro.obs.analysis.scheduler_gaps``.  A gap needs a host
             # with no resident while another one timeshares.
-            if len(occupied) < len(self._hosts_sorted) and any(
-                    len(host.resident) > 1 for host in occupied):
+            if crowded and self._empty:
                 idle = [host.name for host in self._hosts_sorted
                         if not host.resident
                         and not host.is_owner_busy(self._last_charge)]
@@ -313,7 +339,7 @@ class Cluster:
                     self.stats.add_gap(idle, span)
         self._last_charge = now
 
-    def _advance_to(self, when: float, rates: dict | None = None) -> None:
+    def _advance_to(self, when: float) -> None:
         """Charge up to ``when``, move the clock there, and trace every
         console that changed hands on the way.
 
@@ -324,7 +350,7 @@ class Cluster:
         never ran a process at all.
         """
         since = self.clock.now
-        self._charge_elapsed(max(when, since), rates)
+        self._charge_elapsed(max(when, since))
         self.clock.advance_to(when)
         if TRACER.enabled:
             for host in self._hosts_sorted:
@@ -333,19 +359,38 @@ class Cluster:
                     TRACER.event("cluster.owner", cat="cluster",
                                  host=host.name, busy=busy)
 
-    def _rates(self) -> dict[str, float]:
-        """Each occupied host's per-process rate, by host name."""
-        return {h.name: h.rate() for h in self._hosts_sorted if h.resident}
+    def _next_completion(self) -> tuple[float, SimProcess | None]:
+        """The next completion by one rule: let ``m`` be the earliest
+        finish time; of the processes finishing within ``_EPS`` of ``m``,
+        the lowest pid is the event, at its own finish time.
 
-    def _next_completion(self, rates: dict) -> tuple[float, SimProcess | None]:
-        best_t, best_p, now = math.inf, None, self.clock.now
-        # ``_procs`` iterates in pid order, so a completion within _EPS of
-        # the best so far has the larger pid and never wins: the lowest pid
-        # wins a tie without comparing pids.
-        for proc in self._procs.values():
-            t = now + proc.work / rates[proc.host]
-            if t < best_t - _EPS:
-                best_t, best_p = t, proc
+        A host's finish times rise along its work-ordered residents, so
+        ``m`` is among the fronts and the ``_EPS`` window is a prefix of
+        each list.  The window test, ``t - _EPS <= m``, is the pid-order
+        scan's test for keeping a lower pid (``not t_later < t - _EPS``),
+        so two near-tied processes resolve exactly as that scan did.
+        """
+        now = self.clock.now
+        fronts = []
+        m = math.inf
+        for host in self._hosts_sorted:
+            resident = host.resident
+            if resident:
+                rate = host.speed / len(resident)
+                t = now + resident[0].work / rate
+                fronts.append((t, rate, resident))
+                if t < m:
+                    m = t
+        best_t, best_p = math.inf, None
+        for t, rate, resident in fronts:
+            if t - _EPS > m:
+                continue
+            for proc in resident:
+                t = now + proc.work / rate
+                if t - _EPS > m:
+                    break
+                if best_p is None or proc.pid < best_p.pid:
+                    best_t, best_p = t, proc
         return best_t, best_p
 
     def _next_owner_transition(self) -> float:
@@ -364,22 +409,18 @@ class Cluster:
             if not host.resident or host.name == "home" \
                     or not host.is_owner_busy(self.clock.now):
                 continue
-            # Resident pids were inserted in submission (= pid) order only
-            # for fresh processes; evictions/remigrations reshuffle the set,
-            # so order here must come from the pids themselves — but only
-            # for the (rare) owner-busy hosts that actually have residents.
-            for pid in sorted(host.resident):
-                proc = self._procs[pid]
+            # Residents are in work order; evictions go in pid order, but
+            # only the (rare) owner-busy hosts with residents sort.
+            for proc in sorted(host.resident, key=_PID):
                 if proc.home == host.name:
                     continue
-                host.resident.discard(pid)
-                self.hosts[proc.home].resident.add(pid)
-                proc.host = proc.home
+                self._unplace(proc, host)
+                self._place(proc, self.hosts[proc.home])
                 proc.evictions += 1
                 self._strand(proc)
-                self.stats.inc("evictions")
+                self._evictions.inc()
                 if TRACER.enabled:
-                    TRACER.event("cluster.evict", cat="cluster", pid=pid,
+                    TRACER.event("cluster.evict", cat="cluster", pid=proc.pid,
                                  step=proc.label, host=host.name,
                                  to=proc.home)
 
@@ -412,12 +453,11 @@ class Cluster:
                 skipped.append(entry)
                 continue
             source = proc.host
-            self.hosts[proc.host].resident.discard(proc.pid)
-            idle.resident.add(proc.pid)
-            proc.host = idle.name
+            self._unplace(proc, self.hosts[source])
+            self._place(proc, idle)
             proc.migrations += 1
             moved += 1
-            self.stats.inc("remigrations")
+            self._remigrations.inc()
             if TRACER.enabled:
                 TRACER.event("cluster.remigrate", cat="cluster", pid=proc.pid,
                              step=proc.label, host=source, to=idle.name)
@@ -442,23 +482,32 @@ class Cluster:
         """
         if not self._procs:
             raise SchedulerError("no running processes to wait for")
-        rates = self._rates()         # residency holds until the completion
-        t_done, proc = self._next_completion(rates)
+        t_done, proc = self._next_completion()
         t_owner = self._next_owner_transition()
         if t_owner < t_done - _EPS:
             self._owner_transition(t_owner)
             return []
         assert proc is not None
-        self._advance_to(t_done, rates)
-        # The numeric corner (nothing done) forces the chosen one through.
-        done = [p for p in self._procs.values() if p.work <= _DONE] or [proc]
+        self._advance_to(t_done)
+        # What finished is each host's prefix within ``_DONE``.
+        done: list[SimProcess] = []
+        for host in self._hosts_sorted:
+            resident = host.resident
+            if resident and resident[0].work <= _DONE:
+                k = bisect_right(resident, _DONE, key=_WORK)
+                done += resident[:k]
+                del resident[:k]
+                self._empty += not resident
+        if not done:    # the numeric corner forces the chosen one through
+            self._unplace(proc, self.hosts[proc.host])
+            done = [proc]
+        done.sort(key=_PID)
         now = self.clock.now
         for finished in done:
             finished.state = ProcessState.DONE
             finished.finished_at = now
-            self.hosts[finished.host].resident.discard(finished.pid)
             del self._procs[finished.pid]
-            self.stats.inc("completed")
+        self._completed.inc(len(done))
         if TRACER.enabled:
             for finished in done:
                 TRACER.event("cluster.complete", cat="cluster",
@@ -497,7 +546,7 @@ class Cluster:
         """
         finished: list[SimProcess] = []
         while self.clock.now < when - _EPS:
-            t_done, _ = self._next_completion(self._rates())
+            t_done, _ = self._next_completion()
             t_next = min(t_done, self._next_owner_transition())
             if t_next <= when + _EPS:
                 if self._procs:

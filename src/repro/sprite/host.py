@@ -8,7 +8,13 @@ simulation is reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+from repro.sprite.process import SimProcess
+
+_WORK = attrgetter("work")
 
 
 @dataclass(frozen=True)
@@ -59,15 +65,24 @@ class Workstation:
     name: str
     speed: float = 1.0
     schedule: OwnerSchedule = field(default_factory=OwnerSchedule)
-    #: Process ids currently resident (foreign + local).
-    resident: set[int] = field(default_factory=set)
+    #: Processes currently resident (foreign + local), least work left
+    #: first.  The cluster charges every resident of a host the same amount
+    #: per span, and rounding is monotone, so the order survives a charge:
+    #: the list is never re-sorted, only bisected on ``work``.
+    resident: list[SimProcess] = field(default_factory=list)
 
     def is_owner_busy(self, t: float) -> bool:
         return self.schedule.is_busy(t)
 
+    def admit(self, proc: SimProcess) -> None:
+        insort(self.resident, proc, key=_WORK)
+
+    def release(self, proc: SimProcess) -> None:
+        resident = self.resident
+        i = bisect_left(resident, proc.work, key=_WORK)
+        while resident[i] is not proc:      # past residents of equal work
+            i += 1
+        del resident[i]
+
     def load(self) -> int:
         return len(self.resident)
-
-    def rate(self) -> float:
-        """Per-process compute rate under timesharing."""
-        return self.speed / (len(self.resident) or 1)

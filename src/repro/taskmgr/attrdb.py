@@ -78,7 +78,8 @@ class AttributeDatabase:
     """Attribute storage + on-demand computation for one workspace.
 
     Values belong to versions: an unversioned name is resolved to its latest
-    live version before the cache is consulted.
+    live version before the cache is consulted, and a version's values go
+    when the database reclaims it (the change feed's ``reclaim`` event).
     """
 
     def __init__(self, db: DesignDatabase):
@@ -86,6 +87,16 @@ class AttributeDatabase:
         #: (versioned name, attribute) -> value
         self._values: dict[tuple[str, str], Any] = {}
         self.computations = 0   # instrumentation for the lazy/eager benches
+        #: On the change feed from the first cached value on: a task manager
+        #: whose steps never ask for an attribute pays no call per mutation.
+        self._subscribed = False
+
+    def _observe_change(self, source: Any, kind: str, details: dict) -> None:
+        """Change feed subscriber: forget the values of reclaimed versions."""
+        if kind == "reclaim":
+            gone = set(details["names"])
+            self._values = {key: value for key, value in self._values.items()
+                            if key[0] not in gone}
 
     def _version(self, name: str) -> str:
         oname = parse_name(name)
@@ -93,8 +104,14 @@ class AttributeDatabase:
             return str(self.db.get(oname))
         return str(oname)
 
+    def _store(self, key: tuple[str, str], value: Any) -> None:
+        if not self._subscribed:
+            self.db.subscribe(self._observe_change)
+            self._subscribed = True
+        self._values[key] = value
+
     def set(self, name: str, attr: str, value: Any) -> None:
-        self._values[(self._version(name), attr)] = value
+        self._store((self._version(name), attr), value)
 
     def has(self, name: str, attr: str) -> bool:
         try:
@@ -116,5 +133,5 @@ class AttributeDatabase:
             )
         value = measure(payload)
         self.computations += 1
-        self._values[key] = value
+        self._store(key, value)
         return value

@@ -4,6 +4,8 @@ table, :data:`repro.taskmgr.attrdb.MEASURES`."""
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro import Papyrus
@@ -14,11 +16,14 @@ from repro.cad.logic import BehavioralSpec, BooleanNetwork, Cover, Pla
 from repro.clock import VirtualClock
 from repro.errors import MetadataError
 from repro.metadata import AttributeSpec, MetadataInferenceEngine
+from repro.metadata.attrindex import AttributeIndex
 from repro.metadata.typesys import PROPAGATED
 from repro.octdb import DesignDatabase
 from repro.taskmgr import AttributeDatabase, TaskManager
 from repro.taskmgr.attrdb import MEASURES
 from repro.workloads import seed_designs, standard_library
+
+from tests.cycles import collector_off, repro_garbage
 
 #: Every payload class the synthetic CAD suite makes.
 PAYLOAD_CLASSES = (BehavioralSpec, BooleanNetwork, Cover, Pla, Layout, Report)
@@ -120,3 +125,41 @@ def test_output_reclaimed_before_it_is_observed():
     Reclaimer(second.thread).sweep(reclaim_grace=0.0)
     papyrus.observe_history()
     assert papyrus.inference.stats.type_violations == []
+
+
+def test_attribute_values_go_with_their_reclaimed_versions():
+    """A version's cached attribute values go when another thread's
+    collection reclaims it: ``has`` answers False, the cache no longer
+    holds them, and the index does not take them back after a discard.
+    The installation is still freed by reference counting alone."""
+    with collector_off():
+        papyrus = Papyrus.standard(hosts=2)
+        first = papyrus.open_thread("t0", owner="x")
+        second = papyrus.open_thread("t1", owner="y")
+        first.invoke("Create_Logic_Description", {"Spec": "shifter.spec"},
+                     {"Outcell": "p.logic"})
+        second.invoke("Create_Logic_Description", {"Spec": "adder.spec"},
+                      {"Outcell": "q.logic"})
+        papyrus.observe_history()
+        attributes = papyrus.inference.attributes
+        index = AttributeIndex()
+        index.ingest(papyrus.inference)
+        # Each run's intermediate spec (``cell.beh.t<N>s<M>@1``; the numbers
+        # come from a process-wide counter) is tombstoned at its commit.
+        reclaimed = index.in_range("behavioral", "width")
+        assert len(reclaimed) == 2
+        assert all(attributes.has(name, "width") for name in reclaimed)
+        papyrus.clock.advance(60 * 24 * 3600.0)
+        Reclaimer(papyrus.open_thread("t2", owner="z").thread).sweep(
+            reclaim_grace=0.0)
+        assert not any(attributes.has(name, "width") for name in reclaimed)
+        assert not {name for name, _ in attributes._values} & {*reclaimed}
+        assert attributes.has("p.logic@1", "num_inputs")     # not reclaimed
+        for name in reclaimed:
+            index.discard(name)
+        index.ingest(papyrus.inference)
+        assert index.in_range("behavioral", "width") == []
+        installation = weakref.ref(papyrus)
+        del papyrus, first, second, attributes
+        assert installation() is None
+        assert not repro_garbage()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.clock import VirtualClock
 from repro.errors import SchedulerError
 from repro.sprite import Cluster, OwnerSchedule, ProcessState, Workstation
+from repro.sprite.cluster import _EPS
 
 
 class TestOwnerSchedule:
@@ -144,7 +145,8 @@ class TestCluster:
             cluster.submit(label, work=10.0)
         cluster.run_until(4.0)
         assert cluster.stats.busy_seconds["home"] == 12.0
-        assert cluster.stats.busy_seconds.instrument("home").value == 12.0
+        assert cluster.stats.registry.get("cluster.busy_seconds",
+                                          host="home").value == 12.0
 
     def test_step_without_processes_raises(self):
         cluster = Cluster.homogeneous(2, clock=VirtualClock())
@@ -171,9 +173,10 @@ class TestCluster:
         cluster.drain()
 
     def test_near_tie_goes_to_lower_pid(self):
-        """Finish times within ``_EPS`` of each other tie, and the lower
-        pid's time is the event time; a later pid must finish more than
-        ``_EPS`` sooner to set it."""
+        """One rule picks the event: of the processes finishing within
+        ``_EPS`` of the earliest finish time, the lowest pid is the event,
+        at its own finish time; everything within ``_DONE`` then completes
+        with it."""
         # (how much sooner the second process finishes, the event time)
         for sooner, event_at in ((4e-10, 1.0), (2e-9, 1.0 - 2e-9)):
             clock = VirtualClock()
@@ -184,6 +187,16 @@ class TestCluster:
             # Both are within the completion threshold at the event.
             assert cluster.wait_any() == [first, second]
             assert clock.now == event_at
+        # A chain spread over more than ``_EPS``: the third finishes first,
+        # the second within ``_EPS`` of it and the first not, so the event
+        # is the second's finish time (a pid-order scan read the third's).
+        clock = VirtualClock()
+        cluster = Cluster.homogeneous(4, clock=clock)
+        procs = [cluster.submit(f"p{i}", work=1.0 - i * 0.7 * _EPS)
+                 for i in range(3)]
+        assert len({proc.host for proc in procs}) == 3
+        assert cluster.wait_any() == procs
+        assert clock.now == 1.0 - 0.7 * _EPS
 
     def test_priority_orders_remigration(self):
         clock = VirtualClock()
