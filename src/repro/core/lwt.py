@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import weakref
 
-from repro.clock import GLOBAL_CLOCK, VirtualClock
+from repro.clock import VirtualClock
 from repro.core.sds import SynchronizationDataSpace
 from repro.core.thread import DesignThread
 from repro.errors import SdsError, ThreadError
@@ -16,16 +16,20 @@ from repro.octdb.database import DesignDatabase
 
 
 class LWTSystem:
-    """One Papyrus installation: a database plus threads and SDSs."""
+    """One Papyrus installation: a database plus threads and SDSs, all on
+    the database's clock."""
 
     def __init__(
         self,
         db: DesignDatabase | None = None,
         clock: VirtualClock | None = None,
     ):
-        self.clock = clock or GLOBAL_CLOCK
-        # NB: explicit None check — an empty DesignDatabase is falsy
-        self.db = db if db is not None else DesignDatabase(clock=self.clock)
+        if db is None:
+            db = DesignDatabase(clock=clock)
+        elif clock is not None and clock is not db.clock:
+            raise ValueError("an installation runs on its database's clock")
+        self.db = db
+        self.clock = db.clock
         self.threads: dict[str, DesignThread] = {}
         self.spaces: dict[str, SynchronizationDataSpace] = {}
 
@@ -34,7 +38,7 @@ class LWTSystem:
     def create_thread(self, name: str, owner: str = "") -> DesignThread:
         if name in self.threads:
             raise ThreadError(f"thread {name!r} already exists")
-        thread = DesignThread(name, db=self.db, owner=owner, clock=self.clock)
+        thread = DesignThread(name, db=self.db, owner=owner)
         thread.lwt = weakref.ref(self)
         self.threads[name] = thread
         self.db.publish(self, "thread", name=name, owner=owner)
@@ -66,7 +70,7 @@ class LWTSystem:
     ) -> SynchronizationDataSpace:
         if name in self.spaces:
             raise SdsError(f"SDS {name!r} already exists")
-        sds = SynchronizationDataSpace(name, db=self.db, clock=self.clock)
+        sds = SynchronizationDataSpace(name, db=self.db)
         self.spaces[name] = sds
         self.db.publish(self, "sds", name=name)
         for thread in members or ():

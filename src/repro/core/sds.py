@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.errors import SdsError
 from repro.obs import METRICS, TRACER
 from repro.octdb.database import DesignDatabase, VersionedObject
@@ -65,11 +64,10 @@ class SynchronizationDataSpace:
         self,
         name: str,
         db: DesignDatabase,
-        clock: VirtualClock | None = None,
     ):
         self.name = name
         self.db = db
-        self.clock = clock or GLOBAL_CLOCK
+        self.clock = db.clock
         self._threads: dict[int, "DesignThread"] = {}
         self._objects: set[str] = set()            # versioned names
         #: Incremental base-name index: contribute() appends one entry

@@ -14,7 +14,6 @@ import itertools
 import weakref
 from typing import TYPE_CHECKING
 
-from repro.clock import GLOBAL_CLOCK, VirtualClock
 from repro.core.control_stream import (DESTRUCTIVE, INITIAL_POINT,
                                         ControlStream)
 from repro.core.datascope import DataScope
@@ -45,13 +44,12 @@ class DesignThread:
         name: str,
         db: DesignDatabase,
         owner: str = "",
-        clock: VirtualClock | None = None,
     ):
         self.thread_id = next(_thread_ids)
         self.name = name
         self.owner = owner
         self.db = db
-        self.clock = clock or GLOBAL_CLOCK
+        self.clock = db.clock
         #: A weak reference (it owns its threads) to the installation whose
         #: registry holds this thread (None for an unadopted fork).
         self.lwt: "weakref.ref[LWTSystem] | None" = None

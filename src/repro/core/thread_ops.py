@@ -49,8 +49,7 @@ def fork(
     ``"workspace"`` (the source's entire thread workspace).  The new thread
     evolves completely independently of the source.
     """
-    child = DesignThread(name, db=source.db, owner=owner or source.owner,
-                         clock=source.clock)
+    child = DesignThread(name, db=source.db, owner=owner or source.owner)
     # Cross-thread reuse along fork lineage: the child's derivation cache
     # reads through to the parent's (writes stay local to the child).
     child.memo = DerivationCache(child.stream, parents=_lineage(source))
@@ -93,7 +92,7 @@ def cascade(
         raise ThreadError("cascade requires threads on the same database")
     connector = connector if connector is not None else _sole_frontier(lead)
     _require_frontier(lead, connector, "cascade")
-    merged = DesignThread(name, db=lead.db, owner=lead.owner, clock=lead.clock)
+    merged = DesignThread(name, db=lead.db, owner=lead.owner)
     merged.stream, lead_map = lead.stream.copy()
     merged.scope = DataScope(merged.stream, merged.db)
     # The copy preserves the lead points' thread states (and carries their
@@ -136,8 +135,7 @@ def join(
     """
     if first.db is not second.db:
         raise ThreadError("join requires threads on the same database")
-    merged = DesignThread(name, db=first.db, owner=first.owner,
-                          clock=first.clock)
+    merged = DesignThread(name, db=first.db, owner=first.owner)
     merged.stream, first_map = first.stream.copy()
     merged.scope = DataScope(merged.stream, merged.db)
     merged.scope.seed_from(first.scope, first_map)

@@ -431,19 +431,21 @@ class Cluster:
                                     if e[1] in self._procs)   # still a heap
         heapq.heappush(self._stranded, (-proc.priority, proc.pid))
 
-    def remigrate(self) -> int:
+    def _remigrate(self) -> None:
         """Move stranded migratable processes from home to idle hosts
         (§4.3.3), highest priority (then lowest pid) first, while an idle
         host remains.  Only homes timesharing two or more processes when
-        the pass starts strand work.  Returns how many were moved."""
-        self._charge_elapsed()
+        the pass starts strand work.
+
+        Runs only right after ``_advance_to`` has charged up to the clock's
+        time, so it charges nothing itself."""
         idle = self.find_idle_host()
         if idle is None or not self._stranded:
-            return 0
+            return
         # Each home's load before any move, read when first needed: a move
         # only empties its home and fills an idle host (home to none here).
         loads: dict[str, int] = {}
-        moved, skipped = 0, []
+        skipped = []
         while idle is not None and self._stranded:
             entry = heapq.heappop(self._stranded)
             proc = self._procs.get(entry[1])
@@ -456,7 +458,6 @@ class Cluster:
             self._unplace(proc, self.hosts[source])
             self._place(proc, idle)
             proc.migrations += 1
-            moved += 1
             self._remigrations.inc()
             if TRACER.enabled:
                 TRACER.event("cluster.remigrate", cat="cluster", pid=proc.pid,
@@ -464,14 +465,13 @@ class Cluster:
             idle = self.find_idle_host()
         for entry in skipped:
             heapq.heappush(self._stranded, entry)
-        return moved
 
     def _owner_transition(self, when: float) -> None:
         """Advance to an owner arrival/departure: evict, then re-migrate."""
         self._advance_to(when)
         self._evict()
         if self.remigration:
-            self.remigrate()
+            self._remigrate()
 
     def step(self) -> list[SimProcess]:
         """Advance simulated time to the next event; return any completions.
@@ -515,7 +515,7 @@ class Cluster:
                              host=finished.host,
                              elapsed=self.clock.now - finished.started_at)
         if self.remigration:
-            self.remigrate()
+            self._remigrate()
         return done
 
     def wait_any(self) -> list[SimProcess]:

@@ -3,7 +3,8 @@
 One :class:`TaskManager` plays the role of the forked task-manager process:
 it interprets a task template with the TDL interpreter, extracts process-level
 parallelism dynamically (out-of-order issue and completion over the Active /
-Suspending / Result lists), dispatches steps across the simulated workstation
+Suspending / Result lists, each a view of the step nodes' states), dispatches
+steps across the simulated workstation
 network, enforces programmable abort semantics, and packages the committed
 task's operation history into a :class:`repro.core.history.HistoryRecord`.
 """

@@ -14,7 +14,10 @@ dependents, never a scan of everything suspended.  The thesis's three lists
 
 * **Active** — nodes in RUNNING (a process on some workstation),
 * **Suspending** — nodes in PENDING (data or control dependencies unmet),
-* **Result** — objects produced so far, each tagged with its creating node.
+* **Result** — the outputs of the completed records.
+
+A node's state is the only record of which list it is on; the one aggregate
+kept beside it is the count of RUNNING nodes.
 
 A step has one lifecycle: a node while it waits or runs, and a
 :class:`StepRecord` once it is done.  Both ways a step completes — a
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -119,9 +122,9 @@ def tombstone(db: DesignDatabase, name: str) -> None:
 class NodeState(Enum):
     """Lifecycle of one step node in the dependency graph."""
 
-    PENDING = "pending"      # admitted, dependencies unmet (in Suspending)
+    PENDING = "pending"      # admitted, dependencies unmet (Suspending)
     READY = "ready"          # dependencies met, queued for dispatch
-    RUNNING = "running"      # a process on the cluster (in Active)
+    RUNNING = "running"      # a process on the cluster (Active)
     SUCCESS = "success"      # completed with exit status 0
     FAILED = "failed"        # completed with a non-zero exit status
     SKIPPED = "skipped"      # cancelled/undone by subtree cancellation
@@ -172,7 +175,8 @@ class _Pending:
     occurrence: int = 0                      # nth admission of this command
     admit_seq: int = -1                      # global admission order
     state: NodeState = NodeState.PENDING
-    unmet: set = field(default_factory=set)  # outstanding DepKeys
+    #: Outstanding DepKeys while PENDING; None in every other state.
+    unmet: set | None = None
     proc: SimProcess | None = None           # held only while RUNNING
     #: The step's outcome, set on completion.
     record: StepRecord | None = None
@@ -234,18 +238,16 @@ class TaskExecution:
         for formal in template.outputs:
             self.root_scope.slots[formal] = _Slot(outputs.get(formal, formal))
 
-        # The three lists of §4.3.2, stored as admission-ordered node maps
-        # keyed by (internal id, occurrence) so membership updates are O(1)
-        # (Result is implicit in slot versions).
-        self.active: dict[tuple[InternalId, int], _Pending] = {}
-        self.suspending: dict[tuple[InternalId, int], _Pending] = {}
+        # The three lists of §4.3.2 are views of the node states: Active
+        # and Suspending are the admitted nodes in RUNNING and PENDING,
+        # Result the outputs of the completed nodes' records.
         self.completed: list[_Pending] = []     # in completion order
+        self._running = 0                       # nodes in RUNNING
         #: formals promised by an interpreted step: (scope id, formal name)
         self.promised: set[tuple[int, str]] = set()
         #: declared step IDs → internal IDs, per scope prefix
         self.declared: dict[tuple[InternalId, int], InternalId] = {}
         self.completed_ok: set[InternalId] = set()
-        self.created: list[str] = []            # every object version created
         self.restarts = 0
         self.option_overrides: dict[str, list[str]] = {}
         self._admit_counter = itertools.count()
@@ -256,8 +258,6 @@ class TaskExecution:
         self._admitted: dict[tuple[InternalId, int], _Pending] = {}
         self._occurrence: dict[InternalId, int] = {}
         self._scopes: dict[tuple[InternalId, int], _Scope] = {}
-        #: Latest live admission per internal ID (abort-target resolution).
-        self._by_internal: dict[InternalId, _Pending] = {}
         #: Dependency graph edges: DepKey → nodes waiting on it.  These are
         #: the per-node dependent lists — a completion fires only the keys
         #: it satisfies, so wakeup cost is proportional to the dependents.
@@ -375,10 +375,15 @@ class TaskExecution:
             return str(int(value))
         return str(value)
 
+    def _in_state(self, *states: NodeState) -> list[_Pending]:
+        """The admitted nodes in ``states``, in admission order (a scan:
+        only the rare paths ask)."""
+        return [node for node in self._admitted.values()
+                if node.state in states]
+
     def _in_flight_producers(self, scope: _Scope, formal: str) -> bool:
         owner, name = scope.resolve(formal)
-        for pending in list(self.active.values()) + \
-                list(self.suspending.values()):
+        for pending in self._in_state(NodeState.RUNNING, NodeState.PENDING):
             for out in pending.spec.outputs:
                 o_scope, o_name = pending.scope.resolve(out)
                 if o_scope is owner and o_name == name:
@@ -439,7 +444,6 @@ class TaskExecution:
                            scope=scope, occurrence=occurrence,
                            admit_seq=next(self._admit_counter))
         self._admitted[pending.key] = pending
-        self._by_internal[pending.internal_id] = pending
         self._last_admitted = pending
         _STEPS_ISSUED.inc()
         if TRACER.enabled:
@@ -464,7 +468,6 @@ class TaskExecution:
 
     def _suspend(self, pending: _Pending) -> None:
         pending.state = NodeState.PENDING
-        self.suspending[pending.key] = pending
         _STEPS_SUSPENDED.inc()
         if TRACER.enabled:
             TRACER.event("step.suspend", cat="step", step=pending.label,
@@ -498,9 +501,10 @@ class TaskExecution:
         return unmet
 
     def _satisfy(self, node: _Pending, dep_key: DepKey) -> None:
+        """Meet one of a PENDING node's dependencies."""
         node.unmet.discard(dep_key)
-        if not node.unmet and node.state is NodeState.PENDING:
-            self.suspending.pop(node.key, None)
+        if not node.unmet:
+            node.unmet = None
             self._enqueue_ready(node)
 
     def _enqueue_ready(self, node: _Pending) -> None:
@@ -620,7 +624,7 @@ class TaskExecution:
             priority=spec.priority,
         )
         pending.state = NodeState.RUNNING
-        self.active[pending.key] = pending
+        self._running += 1
         _STEPS_DISPATCHED.inc()
         if TRACER.enabled:
             TRACER.event("step.dispatch", cat="step", step=pending.label,
@@ -660,8 +664,8 @@ class TaskExecution:
         is allocated (exactly the version ``put`` would have chosen) sharing
         the committed payload by reference.  Version allocation is therefore
         identical to a cold re-execution, single assignment holds, and the
-        aliases ride the normal ``created`` bookkeeping — undo and task
-        abort treat a cache hit exactly like a real step.
+        aliases are the record's outputs — undo and task abort treat a
+        cache hit exactly like a real step.
         """
         now = self.cluster.clock.now
         outputs: list[str] = []
@@ -671,7 +675,6 @@ class TaskExecution:
             obj = self.db.alias(slot.base, cached_name)
             slot.version = obj.version
             outputs.append(str(obj))
-        self.created.extend(outputs)
         _MEMO_HITS.inc()
         _MEMO_SAVED.inc(entry.cost)
         self._complete(pending, self._record(pending, call, outputs, "(memo)",
@@ -682,7 +685,7 @@ class TaskExecution:
 
     def _drain_until(self, condition: Callable[[], bool]) -> None:
         while not condition():
-            if not self.active:
+            if not self._running:
                 raise TemplateError(
                     "deadlock: waiting on steps that can never complete"
                 )
@@ -707,9 +710,9 @@ class TaskExecution:
 
     def _absorb(self, pending: "_Pending", call: ToolCall,
                 proc: SimProcess) -> None:
-        if self.active.get(pending.key) is not pending:
+        if pending.state is not NodeState.RUNNING:
             return
-        del self.active[pending.key]
+        self._running -= 1
         result = self.registry.run(call)
         outputs: list[str] = []
         if result.ok:
@@ -719,7 +722,6 @@ class TaskExecution:
                                   creator=call.tool)
                 slot.version = obj.version
                 outputs.append(str(obj))
-            self.created.extend(outputs)
         else:
             pending.log = result.log
         self._complete(pending, self._record(
@@ -802,12 +804,12 @@ class TaskExecution:
                 (self._current_scope.prefix, declared))
             if internal is None:
                 return None
-            node = self._by_internal.get(internal)
-            if node is not None and node.state is not NodeState.SKIPPED:
-                return node
-            return None
-        for node in itertools.chain(self.completed, self.active.values(),
-                                    self.suspending.values()):
+            # The latest admission of that command.
+            return max((node for node in self._admitted.values()
+                        if node.internal_id == internal),
+                       key=lambda node: node.occurrence, default=None)
+        for node in (self.completed + self._in_state(NodeState.RUNNING)
+                     + self._in_state(NodeState.PENDING)):
             if node.spec.name == target:
                 return node
         return None
@@ -910,14 +912,9 @@ class TaskExecution:
         def later(candidate: InternalId) -> bool:
             return candidate > internal_id
 
-        for key, node in [(k, n) for k, n in self.active.items()
-                          if later(n.internal_id)]:
-            self._kill(node)
-            del self.active[key]
-        for key, node in [(k, n) for k, n in self.suspending.items()
-                          if later(n.internal_id)]:
-            node.state = NodeState.SKIPPED
-            del self.suspending[key]
+        for node in self._in_state(NodeState.RUNNING, NodeState.PENDING):
+            if later(node.internal_id):
+                self._skip(node)
         unbound: set[tuple[int, str]] = set()
         undone_ids: set[InternalId] = set()
         for node in [p for p in self.completed if later(p.internal_id)]:
@@ -929,31 +926,32 @@ class TaskExecution:
             self.completed_ok.discard(node.internal_id)
             undone_ids.add(node.internal_id)
             node.state = NodeState.SKIPPED
+            # Every version the step made: a loop's earlier occurrence made
+            # one its slot no longer names.
+            for actual in node.record.outputs:
+                tombstone(self.db, actual)
             for formal in node.spec.outputs:
                 owner, name = node.scope.resolve(formal)
                 slot = owner.slots.get(name)
                 if slot is not None and slot.version is not None:
-                    actual = slot.actual
-                    tombstone(self.db, actual)
-                    if actual in self.created:
-                        self.created.remove(actual)
                     slot.version = None
                     unbound.add((owner.id, name))
-                self.promised.add((owner.id, name))
         # Undone steps must be re-admitted on re-interpretation.
         for key in [k for k, p in self._admitted.items()
                     if later(p.internal_id)]:
             del self._admitted[key]
-        for iid in [i for i in self._by_internal if later(i)]:
-            del self._by_internal[iid]
         if unbound or undone_ids:
             self._rearm_survivors(unbound, undone_ids)
         self._last_admitted = None
 
-    def _kill(self, node: _Pending) -> None:
-        """Cancel a RUNNING node: kill its process and let go of it."""
-        self.cluster.kill(node.proc)
-        node.proc = None
+    def _skip(self, node: _Pending) -> None:
+        """Cancel a RUNNING node (kill its process and let go of it) or a
+        PENDING one."""
+        if node.state is NodeState.RUNNING:
+            self.cluster.kill(node.proc)
+            node.proc = None
+            self._running -= 1
+        node.unmet = None
         node.state = NodeState.SKIPPED
 
     def _rearm_survivors(self, unbound: set[tuple[int, str]],
@@ -966,7 +964,7 @@ class TaskExecution:
         re-executed producer.  Aborts are rare and bounded by
         ``max_restarts``, so the one-off scan over Suspending is fine.
         """
-        for node in self.suspending.values():
+        for node in self._in_state(NodeState.PENDING):
             for formal in node.spec.inputs:
                 owner, name = node.scope.resolve(formal)
                 if (owner.id, name) in unbound:
@@ -984,13 +982,9 @@ class TaskExecution:
 
     def _abort_task(self, reason: str) -> None:
         """Remove every side effect and terminate the instantiation."""
-        for pending in self.active.values():
-            self._kill(pending)
-        self.active.clear()
-        for pending in self.suspending.values():
-            pending.state = NodeState.SKIPPED
-        self.suspending.clear()
-        for name in self.created:
+        for node in self._in_state(NodeState.RUNNING, NodeState.PENDING):
+            self._skip(node)
+        for name in self._results():
             tombstone(self.db, name)
         _TASKS_ABORTED.inc()
         if TRACER.enabled:
@@ -1062,7 +1056,7 @@ class TaskExecution:
         deferred = self._next_pending_restart()
         if deferred is not None:
             self._programmable_abort(*deferred)
-        while self.active:
+        while self._running:
             self._harvest(self.cluster.wait_any())
         unhandled = [
             p for p in self.completed
@@ -1082,8 +1076,9 @@ class TaskExecution:
                 self.on_restart(self, failed.spec)
             self._undo_after(())
             raise RestartSignal(prefix=(), index=-1)
-        if self.suspending:
-            names = [p.spec.name for p in self.suspending.values()]
+        waiting = self._in_state(NodeState.PENDING)
+        if waiting:
+            names = [p.spec.name for p in waiting]
             self._abort_task(
                 f"steps never became ready: {names} (missing inputs or "
                 "failed control dependencies)"
@@ -1115,6 +1110,10 @@ class TaskExecution:
         was not consulted), aligned with :meth:`step_records`."""
         return tuple(p.memo_key for p in self.completed)
 
+    def _results(self) -> list[str]:
+        """Result: every object version the completed steps produced."""
+        return [name for p in self.completed for name in p.record.outputs]
+
     def intermediate_names(self) -> list[str]:
         outputs = set(self.task_outputs())
-        return [name for name in self.created if name not in outputs]
+        return [name for name in self._results() if name not in outputs]

@@ -10,7 +10,7 @@ produced (§4.1).
 from __future__ import annotations
 
 from repro.cad.registry import ToolRegistry
-from repro.clock import GLOBAL_CLOCK, VirtualClock
+from repro.clock import VirtualClock
 from repro.core.history import HistoryRecord
 from repro.core.memo import DerivationCache
 from repro.obs import METRICS, TRACER
@@ -45,7 +45,7 @@ class TaskManager:
         self.db = db   # also sets self.attrdb (see the db property)
         self.registry = registry
         self.library = library
-        self.clock = clock or GLOBAL_CLOCK
+        self.clock = clock or db.clock
         self.cluster = cluster or Cluster.homogeneous(1, clock=self.clock)
         self.navigator = navigator
         self.on_restart = on_restart

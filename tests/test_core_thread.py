@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cad import default_registry
 from repro.clock import VirtualClock
 from repro.core import HistoryRecord, LWTSystem
 from repro.core.control_stream import INITIAL_POINT
 from repro.core.sds import attr_improved
 from repro.core.thread_ops import cascade, fork, join
 from repro.errors import ObjectNotFound, SdsError, ThreadError
+from repro.octdb import DesignDatabase
+from repro.taskmgr import TaskManager
+from repro.workloads import standard_library
 
 
 @pytest.fixture
@@ -65,6 +69,30 @@ class TestThreadBasics:
         assert t.find_annotation("The Start of PLA Approach") == p2
         assert t.find_time(1800.0) == p2
         assert t.find_time(0.0) == p1
+
+
+class TestOneClock:
+    def test_installation_reads_its_database_clock(self):
+        """Threads, SDSs, history and a task manager given no clock all read
+        the clock of the database they work on."""
+        c = VirtualClock()
+        c.advance_to(42.0)
+        system = LWTSystem(db=DesignDatabase(clock=c))
+        assert system.clock is c
+        thread = system.create_thread("T")
+        assert thread.clock is c
+        assert system.create_sds("S").clock is c
+        point = thread.commit_record(make_rec(system, "a", outs=["x@1"]))
+        assert thread.stream.record(point).recorded_at == 42.0
+        assert fork(thread, "F").clock is c
+        tm = TaskManager(system.db, default_registry(), standard_library())
+        assert tm.clock is c and tm.cluster.clock is c
+
+    def test_installation_refuses_a_second_clock(self):
+        c = VirtualClock()
+        with pytest.raises(ValueError):
+            LWTSystem(db=DesignDatabase(clock=c), clock=VirtualClock())
+        assert LWTSystem(db=DesignDatabase(clock=c), clock=c).clock is c
 
 
 class TestRework:

@@ -1,7 +1,7 @@
 """DAG execution engine: abort-path regression tests and golden records.
 
-Three regression tests pin the §4.3.4 bugs fixed alongside the DAG rewrite
-(each fails against the pre-fix logic):
+Four regression tests pin §4.3.4 bugs (each fails against the pre-fix
+logic):
 
 * two programmed-abort steps failing in one harvest batch must BOTH be
   honoured (the old engine kept only the last one);
@@ -10,7 +10,9 @@ Three regression tests pin the §4.3.4 bugs fixed alongside the DAG rewrite
   *any* subtask expansion);
 * ``ResumedStep latest`` must resume at the completed-ok step with the
   largest internal ID, not the most recent *completion* (out-of-order
-  harvest makes those differ).
+  harvest makes those differ);
+* undoing a loop's step must delete the output of every occurrence, not
+  only the version its slot names last.
 
 The engine then replays ``tests/fixtures/engine_golden.json``: step
 records, intermediates and final payloads on 24 seeded random templates and
@@ -194,6 +196,32 @@ class TestAbortPathRegressions:
         assert manager.last_execution.restarts == 1
         assert runs["F"] == 2              # failed once, retried once
         assert runs["S1"] == 1 and runs["S2"] == 1   # never undone
+
+    def test_undo_deletes_every_loop_occurrence_output(self):
+        """Undoing a loop's step deletes each occurrence's output version.
+
+        Both occurrences of Gen write slot ``x``, which then names only the
+        second version.  Fin fails, and the restart from scratch undoes
+        both.  Each undone step's versions go at the undo, and the
+        execution's intermediates are the outputs of its recorded steps.
+        The old undo deleted only the version the slot named; the first
+        stayed live until the commit, an intermediate of no recorded step.
+        """
+        template = "\n".join([
+            "task Loop {In} {Out}",
+            "foreach i {1 2} {step Gen {In} {x} {combine -n gen In}}",
+            "step {3 Fin} {x} {Out} {broken -n fin x}",
+        ])
+        manager, db, runs = make_env([template], on_restart=add_fixed_option)
+        record = manager.run_task("Loop", inputs={"In": "seed@1"},
+                                  outputs={"Out": "result"})
+        execution = manager.last_execution
+        assert execution.restarts == 1
+        assert runs["gen"] == 4
+        made = [name for step in record.steps for name in step.outputs]
+        assert execution.intermediate_names() == made[:-1]
+        assert [str(o.name) for o in db if not db.is_deleted(o.name)] == \
+            ["seed@1", "result@1"]
 
 
 class TestDuplicateDeclaredIds:

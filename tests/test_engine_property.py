@@ -8,7 +8,9 @@ of varying size, and checked against the invariants the thesis promises:
   order;
 * results are schedule-independent: the same template produces identical
   output payloads on 1 host and on N hosts;
-* intermediates never outlive the task; outputs always do.
+* intermediates never outlive the task; outputs always do;
+* a settled task leaves no node waiting, queued or running, and no node
+  holding its unmet dependencies.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.clock import VirtualClock
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
 from repro.taskmgr import TaskManager
+from repro.taskmgr.execution import NodeState
 from repro.tdl.template import TemplateLibrary
 
 
@@ -118,14 +121,21 @@ def run_template(steps: list[StepPlan], hosts: int):
     )
     record = manager.run_task("Rand", inputs={"In": "seed@1"},
                               outputs={"Out": "result"})
-    return db, record
+    execution = manager.last_execution
+    assert execution._running == 0
+    unsettled = (NodeState.PENDING, NodeState.READY, NodeState.RUNNING)
+    for node in execution._admitted.values():
+        assert node.state not in unsettled
+        assert node.unmet is None
+    return db, record, execution
 
 
 class TestEngineProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=settings.default.max_examples * 2 // 5,
+              deadline=None)
     @given(dags(), st.integers(min_value=1, max_value=5))
     def test_trace_is_linear_extension(self, steps, hosts):
-        _, record = run_template(steps, hosts)
+        _, record, _ = run_template(steps, hosts)
         position = {s.name: i for i, s in enumerate(record.steps)}
         assert len(position) == len(steps)
         for step in steps:
@@ -139,27 +149,27 @@ class TestEngineProperties:
         times = [s.completed_at for s in record.steps]
         assert times == sorted(times)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=settings.default.max_examples // 4, deadline=None)
     @given(dags())
     def test_results_are_schedule_independent(self, steps):
-        db1, _ = run_template(steps, 1)
-        db4, _ = run_template(steps, 4)
+        db1, _, _ = run_template(steps, 1)
+        db4, _, _ = run_template(steps, 4)
         assert db1.get("result").payload == db4.get("result").payload
         assert db1.get("result").payload == \
             expected_outputs(steps, "S")[len(steps) - 1]
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=settings.default.max_examples // 4, deadline=None)
     @given(dags())
     def test_intermediates_removed_outputs_kept(self, steps):
-        db, record = run_template(steps, 3)
+        db, record, _ = run_template(steps, 3)
         assert not db.is_deleted("result@1")
         for name in record.intermediates():
             assert db.is_deleted(name)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=settings.default.max_examples // 5, deadline=None)
     @given(dags())
     def test_non_migratable_steps_stay_home(self, steps):
-        _, record = run_template(steps, 4)
+        _, record, _ = run_template(steps, 4)
         by_name = {s.name: s for s in record.steps}
         for step in steps:
             if not step.migratable:

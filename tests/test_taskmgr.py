@@ -586,7 +586,7 @@ class TestStepShape:
         steps = len(execution.step_records())
         assert steps == self.CHAINS * self.DEPTH + 1
         assert not {"ToolResult", "SimProcess", "ToolCall"} & held.keys()
-        assert sum(held.values()) <= 7 * steps + 100
+        assert sum(held.values()) <= 6 * steps + 100
 
 
 class TestVerifiedSynthesis:
