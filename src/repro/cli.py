@@ -68,39 +68,6 @@ class Shell:
         #: (or by ``load``); subsequent saves to the same directory are
         #: incremental journal appends instead of full re-serializations.
         self._session: PersistentSession | None = None
-        self._commands: dict[str, Callable[[list[str]], None]] = {
-            "help": self._cmd_help,
-            "tasks": self._cmd_tasks,
-            "tools": self._cmd_tools,
-            "thread": self._cmd_thread,
-            "threads": self._cmd_threads,
-            "invoke": self._cmd_invoke,
-            "render": self._cmd_render,
-            "move": self._cmd_move,
-            "scope": self._cmd_scope,
-            "workspace": self._cmd_workspace,
-            "annotate": self._cmd_annotate,
-            "goto": self._cmd_goto,
-            "man": self._cmd_man,
-            "objects": self._cmd_objects,
-            "notebook": self._cmd_notebook,
-            "reclaim": self._cmd_reclaim,
-            "why": self._cmd_why,
-            "blame": self._cmd_blame,
-            "impact": self._cmd_impact,
-            "audit": self._cmd_audit,
-            "trace": self._cmd_trace,
-            "health": self._cmd_health,
-            "top": self._cmd_top,
-            "stats": self._cmd_stats,
-            "spans": self._cmd_spans,
-            "advance": self._cmd_advance,
-            "save": self._cmd_save,
-            "load": self._cmd_load,
-            "compact": self._cmd_compact,
-            "upgrade": self._cmd_upgrade,
-            "quit": self._cmd_quit,
-        }
 
     # ------------------------------------------------------------- machinery
 
@@ -114,7 +81,10 @@ class Shell:
         if not tokens:
             return self.out
         name, args = tokens[0], tokens[1:]
-        handler = self._commands.get(name)
+        # The handler is looked up per command, never stored: a shell that
+        # held its bound methods would hold itself in a cycle, and with it
+        # the whole installation.
+        handler = getattr(self, f"_cmd_{name}", None)
         if handler is None:
             raise ShellError(f"unknown command {name!r}; try 'help'")
         handler(args)

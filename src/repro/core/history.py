@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 _record_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One completed design step inside a task invocation."""
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import Shell, ShellError, _parse_bindings
 from repro.errors import PersistenceError
+from tests.cycles import collector_off, repro_garbage
 
 
 @pytest.fixture
@@ -35,6 +36,22 @@ class TestParsing:
     def test_empty_line(self, shell):
         assert shell.execute("") == []
         assert shell.execute("# just a comment") == []
+
+
+class TestRelease:
+    def test_dropped_shell_leaves_no_garbage(self, tmp_path):
+        """A shell its caller drops is freed by reference counting alone,
+        with its installation, task manager, last execution and database.
+        A shell that kept its bound command handlers held itself in a
+        cycle and leaked all of them."""
+        with collector_off():
+            shell = Shell()
+            shell.execute("thread work")
+            shell.execute("invoke Padp Incell=adder.net -- Outcell=a.pad")
+            shell.execute(f"save {tmp_path / 'snap'}")
+            shell.execute(f"load {tmp_path / 'snap'}")
+            del shell
+            assert not repro_garbage()
 
 
 class TestCommands:
