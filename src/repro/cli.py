@@ -135,13 +135,14 @@ class Shell:
             "audit [n|kind <k>|export <path>]": "the mutation journal",
             "trace on|off|status|export <path> [chrome]": "control tracing",
             "trace stream <path>": "stream events to a JSONL file live",
-            "trace report [path]": "critical path + utilization report",
+            "trace report [path]": "critical path, utilization and gaps",
             "trace timeline [path] [width]": "per-host Gantt timeline",
             "trace diff <a.jsonl> <b.jsonl>": "compare two runs' span trees",
             "trace flame [path] [width]": "merge critical paths by step name",
             "health [--rules site.json] [rules|slos]":
                 "evaluate alert rules + SLO burn rates (ok/warn/crit)",
-            "top": "live operational console (health, SLO budgets, hosts)",
+            "top [snapshot.json]":
+                "operational console (health, SLO budgets, hosts)",
             "stats": "print the metrics registry snapshot",
             "spans [n]": "show the trace span/event tree (last n events)",
             "advance <seconds>": "advance the virtual clock",
@@ -460,9 +461,14 @@ class Shell:
                 state = ("FIRING" if monitor.firing.get(rule.name)
                          else "ok")
                 self._print(
-                    f"  {rule.name:<20} [{rule.severity:<4}] "
+                    f"  rule {rule.name:<22} [{rule.severity:<4}] "
                     f"{rule.signal} {rule.op} {rule.threshold:g}  "
-                    f"({state})")
+                    f"({state})  {rule.description}")
+            for slo in monitor.slos:
+                windows = " ".join(f"{w.label}x{w.factor:g}({w.severity})"
+                                   for w in slo.windows)
+                self._print(f"  slo  {slo.name:<22} obj {slo.objective:.0%}"
+                            f"  bad={slo.bad}  {windows}  {slo.description}")
         elif action == "slos":
             monitor = self._health_monitor(rules_path)
             if not monitor.slos:
@@ -482,10 +488,25 @@ class Shell:
             raise ShellError(usage)
 
     def _cmd_top(self, args: list[str]) -> None:
-        from repro.obs.slo import TopView, render_top
+        """The console frame: live from the health monitor's registries
+        (after its firing alerts), or from a saved metrics/BENCH snapshot."""
+        from repro.obs.health import HealthError
+        from repro.obs.slo import TopView, read_snapshot, render_top
 
-        monitor = self._health_monitor()
-        for line in render_top(TopView.from_monitor(monitor)):
+        if len(args) > 1:
+            raise ShellError("usage: top [snapshot.json]")
+        if args:
+            try:
+                view = TopView.from_snapshot(read_snapshot(args[0]))
+            except (OSError, ValueError, HealthError) as exc:
+                raise ShellError(f"cannot read snapshot {args[0]!r}: {exc}")
+        else:
+            monitor = self._health_monitor()
+            monitor.evaluate(reason="top")
+            for line in monitor.render() + [""]:
+                self._print(line)
+            view = TopView.from_snapshot(monitor.snapshot())
+        for line in render_top(view):
             self._print(line)
 
     def _cmd_stats(self, args: list[str]) -> None:

@@ -10,8 +10,9 @@ model is meant to be used:
   sum to a task span's makespan, with per-step attribution of queue-wait vs
   run time vs migration/eviction overhead derived from ``cluster.*`` events;
 * :func:`utilization` — per-host busy/idle/evicted timelines reconstructed
-  by replaying ``cluster.*`` events, scheduler-gap detection, and a
-  plain-text Gantt renderer;
+  from ``cluster.*`` events, and a plain-text Gantt renderer (scheduler
+  gaps are not re-derived: the cluster emits each one it charges as a
+  ``cluster.gap`` event, and the report sums those);
 * :func:`diff` — run-to-run comparison: align two runs' span trees by
   (name, cat, structural path) and report added / removed / retimed
   subtrees — the rework-analysis tool the history model exists to enable;
@@ -21,21 +22,21 @@ model is meant to be used:
 
 Everything here is a pure function of the event record: no subsystem is
 imported, so traces from other processes (or other machines) analyse the
-same way as the live buffer.  Command-line entry points::
+same way as the live buffer.  The shell is the front end
+(``python -m repro.cli``)::
 
-    python -m repro.obs.analysis report   trace.jsonl
-    python -m repro.obs.analysis timeline trace.jsonl [width]
-    python -m repro.obs.analysis diff     a.jsonl b.jsonl
-    python -m repro.obs.analysis flame    trace.jsonl [width]
+    trace report   [trace.jsonl]
+    trace timeline [trace.jsonl] [width]
+    trace diff     a.jsonl b.jsonl
+    trace flame    [trace.jsonl] [width]
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.tracer import Tracer, quiet_when_stdout_closes, read_jsonl
+from repro.obs.tracer import Tracer, read_jsonl
 
 #: Two intervals closer than this are considered contiguous (the virtual
 #: clock's quantum; the simulator's own epsilon is 1e-9).
@@ -348,10 +349,6 @@ class HostTimeline:
     #: Timestamps of evictions off / migration arrivals onto this host.
     evictions: list[float] = field(default_factory=list)
     arrivals: list[float] = field(default_factory=list)
-    #: (start, end) windows where the owner was at the console, replayed
-    #: from ``cluster.owner`` transition events.  An owner-busy host is not
-    #: *available* — scheduler-gap detection must not blame it for idling.
-    owner_busy: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def busy_seconds(self) -> float:
@@ -363,18 +360,8 @@ class HostTimeline:
         """Wall seconds with at least one resident process."""
         return sum(b - a for a, b, load in self.intervals if load > 0)
 
-    def load_at(self, t: float) -> int:
-        for a, b, load in self.intervals:
-            if a - _EPS <= t < b:
-                return load
-        return 0
 
-    def owner_busy_at(self, t: float) -> bool:
-        return any(a - _EPS <= t < b for a, b in self.owner_busy)
-
-
-def utilization(model: TraceModel,
-                end: float | None = None) -> dict[str, HostTimeline]:
+def utilization(model: TraceModel) -> dict[str, HostTimeline]:
     """Replay ``cluster.*`` events into per-host load timelines."""
     deltas: dict[str, list[tuple[float, int]]] = {}
     timelines: dict[str, HostTimeline] = {}
@@ -399,41 +386,14 @@ def utilization(model: TraceModel,
         deltas[host].append((ts, -1))
 
     last_ts = 0.0
-    first_ts: float | None = None
-    #: host -> (since, busy) owner console state, from transition events.
-    owner_state: dict[str, tuple[float, bool]] = {}
     for event in model.events(cat="cluster"):
         args, ts = event["args"], event["ts"]
         pid = args.get("pid")
         last_ts = max(last_ts, ts)
-        if first_ts is None:
-            first_ts = ts
-        if event["name"] == "cluster.host":
-            # Inventory: the host exists, and whether its owner is at the
-            # console from here on (until a ``cluster.owner`` transition).
-            host_name = args.get("host", "?")
-            timeline(host_name)
-            if args.get("busy"):
-                owner_state[host_name] = (ts, True)
-            continue
-        if event["name"] == "cluster.owner":
-            host_name = args.get("host", "?")
-            tl = timeline(host_name)
-            busy = bool(args.get("busy"))
-            prev = owner_state.get(host_name)
-            if prev is None:
-                # First transition seen: going not-busy means the owner was
-                # at the console since the start of the record.
-                if not busy and ts > first_ts:
-                    tl.owner_busy.append((first_ts, ts))
-            elif prev[1] and not busy:
-                tl.owner_busy.append((prev[0], ts))
-            owner_state[host_name] = (ts, busy)
-            continue
         if pid is None:
-            # Topology-only events (a host with no process traffic) still
-            # materialize a timeline, so an all-idle host is visible to
-            # scheduler-gap detection instead of silently absent.
+            # Topology-only events (``cluster.host``, the inventory) still
+            # materialize a timeline, so a host no process ever ran on
+            # gets its Gantt row instead of being silently absent.
             if "host" in args:
                 timeline(args["host"])
             continue
@@ -448,12 +408,8 @@ def utilization(model: TraceModel,
             timeline(target).arrivals.append(ts)
         elif event["name"] in ("cluster.complete", "cluster.kill"):
             remove(pid, ts, fallback=args.get("host"))
-    horizon = end if end is not None else last_ts
     for pid, host in where.items():      # still-running at trace end
-        deltas[host].append((horizon, -1))
-    for host_name, (since, busy) in owner_state.items():
-        if busy and horizon > since:     # owner still at the console
-            timelines[host_name].owner_busy.append((since, horizon))
+        deltas[host].append((last_ts, -1))
 
     for host, changes in deltas.items():
         changes.sort(key=lambda c: c[0])
@@ -468,83 +424,11 @@ def utilization(model: TraceModel,
     return timelines
 
 
-@dataclass
-class SchedulerGap:
-    """A window where a host idled while another host was oversubscribed."""
-
-    start: float
-    end: float
-    idle_hosts: tuple[str, ...]
-    max_load: int
-
-    @property
-    def dur(self) -> float:
-        return self.end - self.start
-
-
-def scheduler_gaps(timelines: dict[str, HostTimeline],
-                   min_dur: float = 0.0) -> list[SchedulerGap]:
-    """Windows where work could have spread but didn't: some host has load
-    zero (and no owner at its console) while another host timeshares two or
-    more processes."""
-    cuts = sorted({t for tl in timelines.values()
-                   for a, b, _ in tl.intervals for t in (a, b)} |
-                  {t for tl in timelines.values()
-                   for a, b in tl.owner_busy for t in (a, b)})
-    gaps: list[SchedulerGap] = []
-    for a, b in zip(cuts, cuts[1:]):
-        if b - a <= _EPS:
-            continue
-        mid = (a + b) / 2
-        loads = {h: tl.load_at(mid) for h, tl in timelines.items()}
-        idle = tuple(sorted(h for h, l in loads.items()
-                            if l == 0 and
-                            not timelines[h].owner_busy_at(mid)))
-        max_load = max(loads.values(), default=0)
-        if idle and max_load >= 2:
-            if gaps and abs(gaps[-1].end - a) <= _EPS \
-                    and gaps[-1].idle_hosts == idle \
-                    and gaps[-1].max_load == max_load:
-                gaps[-1] = SchedulerGap(gaps[-1].start, b, idle, max_load)
-            else:
-                gaps.append(SchedulerGap(a, b, idle, max_load))
-    return [g for g in gaps if g.dur >= min_dur]
-
-
-@dataclass
-class GapReplay:
-    """Scheduler-gap seconds up to a time, and the timelines behind them."""
-
-    total: float
-    #: Seconds each host sat idle inside a gap (a gap counts toward every
-    #: host idle through it).
-    per_host: dict[str, float]
-    timelines: dict[str, HostTimeline]
-
-
-def replay_gaps(events: list[dict[str, Any]],
-                now: float) -> GapReplay | None:
-    """Replay the ``cluster`` events up to ``now`` and sum scheduler-gap
-    seconds.
-
-    Replaying up to ``now``, not to the last cluster event, keeps a stall
-    that is still open in the count.  Returns None when there are no cluster
-    events.
-    """
-    cluster_events = [e for e in events if e.get("cat") == "cluster"]
-    if not cluster_events:
-        return None
-    timelines = utilization(TraceModel(cluster_events), end=now)
-    total = 0.0
-    per_host: dict[str, float] = {}
-    for gap in scheduler_gaps(timelines):
-        seconds = min(gap.end, now) - gap.start
-        if seconds <= 0:
-            continue
-        total += seconds
-        for host in gap.idle_hosts:
-            per_host[host] = per_host.get(host, 0.0) + seconds
-    return GapReplay(total, per_host, timelines)
+def gap_seconds(model: TraceModel) -> float:
+    """Scheduler-gap seconds: the cluster's ``cluster.gap`` events summed
+    in emission order, the same float its ``cluster.gap_seconds`` holds."""
+    return sum((event["args"]["dur"]
+                for event in model.events(name="cluster.gap")), 0.0)
 
 
 def render_gantt(timelines: dict[str, HostTimeline], width: int = 64,
@@ -833,15 +717,14 @@ def render_report(model: TraceModel,
                 f"  ({len(tl.arrivals)} arrivals, "
                 f"{len(tl.evictions)} evictions)"
             )
-        gaps = scheduler_gaps(timelines)
+        gaps = model.events(name="cluster.gap")
         if gaps:
-            total = sum(g.dur for g in gaps)
-            worst = max(gaps, key=lambda g: g.dur)
+            worst = max(gaps, key=lambda g: g["args"]["dur"])["args"]
             lines.append(
-                f"  scheduler gaps: {len(gaps)} windows, {total:.1f}s total "
-                f"(worst {worst.dur:.1f}s at {worst.start:.1f}s: "
-                f"{','.join(worst.idle_hosts)} idle under load "
-                f"{worst.max_load})"
+                f"  scheduler gaps: {len(gaps)} spans, "
+                f"{gap_seconds(model):.1f}s total (worst "
+                f"{worst['dur']:.1f}s at {worst['start']:.1f}s: "
+                f"{','.join(worst['hosts'])} idle)"
             )
     return lines
 
@@ -898,63 +781,5 @@ def profile_summary(model: TraceModel) -> dict[str, Any]:
                    "evictions": len(tl.evictions)}
             for host, tl in sorted(timelines.items())
         }
-        gaps = scheduler_gaps(timelines)
-        summary["scheduler_gap_seconds"] = sum(g.dur for g in gaps)
+        summary["scheduler_gap_seconds"] = gap_seconds(model)
     return summary
-
-
-# --------------------------------------------------------------- entry point
-
-
-@quiet_when_stdout_closes
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    usage = ("usage: python -m repro.obs.analysis "
-             "report <trace.jsonl> | timeline <trace.jsonl> [width] | "
-             "diff <a.jsonl> <b.jsonl> | "
-             "flame <trace.jsonl> [width]")
-    if not argv:
-        print(usage, file=sys.stderr)
-        return 2
-    command, rest = argv[0], argv[1:]
-    try:
-        return _dispatch(command, rest, usage)
-    except BrokenPipeError:
-        raise  # the reader went away; the trace was readable
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 2
-
-
-def _dispatch(command: str, rest: list[str], usage: str) -> int:
-    if command == "report" and len(rest) == 1:
-        model = TraceModel.from_jsonl(rest[0])
-        for line in render_report(model):
-            print(line)
-        if not model.task_spans():
-            return 1
-        return 0
-    if command == "timeline" and rest:
-        model = TraceModel.from_jsonl(rest[0])
-        width = int(rest[1]) if len(rest) > 1 else 64
-        timelines = utilization(model)
-        for line in render_gantt(timelines, width=width):
-            print(line)
-        return 0 if timelines else 1
-    if command == "flame" and rest:
-        model = TraceModel.from_jsonl(rest[0])
-        width = int(rest[1]) if len(rest) > 1 else 40
-        for line in render_flame(model, width=width):
-            print(line)
-        return 0 if model.task_spans() else 1
-    if command == "diff" and len(rest) == 2:
-        for line in render_diff(TraceModel.from_jsonl(rest[0]),
-                                TraceModel.from_jsonl(rest[1])):
-            print(line)
-        return 0
-    print(usage, file=sys.stderr)
-    return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - console entry point
-    sys.exit(main())

@@ -15,8 +15,8 @@ publish ``slo.burn_rate{slo=,window=}`` and ``slo.budget_remaining{slo=}``
 gauges and ``slo.sample`` trace events.  :func:`default_ruleset` and
 :func:`default_slos` ship rules and objectives for the whole Papyrus stack;
 :func:`load_ruleset` reads a site file (JSON, or TOML where ``tomllib``
-exists) merged over them, and ``python -m repro.obs.health rules`` prints
-the merged set.
+exists) merged over them, and the shell's ``health rules [--rules FILE]``
+prints the merged set with each rule's and objective's description.
 
 Scheduler-gap seconds — time a host sat idle while another host timeshared
 two or more processes — are cluster state, not a trace replay: the
@@ -60,7 +60,6 @@ first sample; absent means a run-time label set not seen yet.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -691,6 +690,12 @@ class HealthMonitor:
                 budget=(None if budget is None else round(budget, 6)),
                 burns={k: round(v, 6) for k, v in burns.items()})
 
+    def snapshot(self) -> dict[str, Any]:
+        """The watched registries' snapshots merged into one mapping: what
+        the ``top`` console renders."""
+        return {key: value for registry in self.registries
+                for key, value in registry.snapshot().items()}
+
     def summary(self) -> dict[str, Any]:
         """The most recent evaluation (evaluating now if never run)."""
         return self.last if self.last else self.evaluate(reason="summary")
@@ -826,37 +831,3 @@ def load_ruleset(path: str) -> tuple[list[AlertRule], list[SLO]]:
     except (json.JSONDecodeError, ValueError) as exc:
         raise HealthError(f"malformed ruleset {path!r}: {exc}")
     return _parse_config(document, source=path)
-
-
-# --------------------------------------------------------------- entry point
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] != ["rules"] or len(argv) not in (1, 3) or \
-            (len(argv) == 3 and argv[1] != "--rules"):
-        print("usage: python -m repro.obs.health rules [--rules site.json]",
-              file=sys.stderr)
-        return 2
-    path = argv[2] if len(argv) == 3 else None
-    try:
-        monitor = HealthMonitor.from_config(path)
-    except (OSError, HealthError, ValueError) as exc:
-        print(f"health: {exc}", file=sys.stderr)
-        return 2
-    print(f"ruleset: {path or 'default'}  ({len(monitor.rules)} "
-          f"rules, {len(monitor.slos)} slos)")
-    for rule in monitor.rules:
-        print(f"  rule {rule.name:<22} [{rule.severity:<4}] "
-              f"{rule.signal} {rule.op} {rule.threshold:g}  "
-              f"{rule.description}")
-    for slo in monitor.slos:
-        windows = " ".join(f"{w.label}x{w.factor:g}({w.severity})"
-                           for w in slo.windows)
-        print(f"  slo  {slo.name:<22} obj {slo.objective:.0%}  "
-              f"bad={slo.bad}  {windows}  {slo.description}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - console entry point
-    sys.exit(main())

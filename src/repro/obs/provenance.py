@@ -14,10 +14,11 @@ questions a history-based system must answer about any object version:
 * :meth:`ProvenanceGraph.impact` — the forward closure (what breaks if this
   version changes), memo aliases included.
 
-A live view (:meth:`from_papyrus`) reads the ADG the metadata engine keeps
-in step with every thread's history; :meth:`from_jsonl` builds an ADG from a
-streamed trace's step spans, which is what CI uses to prove the trace alone
-carries complete lineage.  Exports: DOT and JSONL.
+The view (:meth:`from_papyrus`) reads the ADG the metadata engine keeps in
+step with every thread's history, so lineage comes from the design history
+itself: offline, the shell's ``load <dir>`` restores a saved installation
+and ``why``/``blame``/``impact`` query it as they would the live one.
+Exports: DOT and JSONL.
 
 The audit journal of destructive history mutations lives in
 :mod:`repro.obs.audit`; each design database owns one (``db.audit``), fed
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 from typing import IO, TYPE_CHECKING
 
-from repro.obs.tracer import quiet_when_stdout_closes, read_jsonl
 from repro.octdb.naming import parse_name
 
 if TYPE_CHECKING:
@@ -43,30 +43,16 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------- provenance graph
 
 
-class _TraceCommits(dict):
-    """Commit placements read from a trace: version → placement."""
-
-    def placement(self, name: str,
-                  produced: bool = False) -> "Placement | None":
-        return self.get(name)
-
-    def committed(self) -> list[str]:
-        return list(self)
-
-
 class ProvenanceGraph:
     """Lineage queries over an ADG plus a commit-placement lookup.
 
-    ``commits`` answers ``placement(name, produced)`` and ``committed()``:
-    the metadata engine live, the trace's commit events in
-    :meth:`from_jsonl` (which also fills the trace-only ``pids``).
+    ``commits`` (the metadata engine) answers ``placement(name, produced)``
+    and ``committed()``.
     """
 
-    def __init__(self, adg: "AugmentedDerivationGraph", commits,
-                 pids: dict[str, int] | None = None):
+    def __init__(self, adg: "AugmentedDerivationGraph", commits):
         self.adg = adg
         self._commits = commits
-        self._pids = pids or {}
 
     # ---------------------------------------------------------------- sources
 
@@ -75,73 +61,6 @@ class ProvenanceGraph:
         """The view over a wired installation's ADG, synced first."""
         papyrus.observe_history()
         return cls(papyrus.inference.adg, papyrus.inference)
-
-    @classmethod
-    def from_jsonl(cls, path: str | IO[str]) -> "ProvenanceGraph":
-        """Reconstruct lineage from a streamed JSONL trace alone.
-
-        Requires the enriched instrumentation (step spans carrying
-        ``inputs``/``outputs``/``options``, ``thread.commit`` carrying
-        ``outputs``): the CI smoke proves a streamed run's trace is a
-        complete lineage record with no live objects in hand.
-        """
-        from repro.core.history import HistoryRecord, StepRecord
-        from repro.metadata.adg import AugmentedDerivationGraph
-
-        events = read_jsonl(path)
-        adg = AugmentedDerivationGraph()
-        commits = _TraceCommits()
-        pids: dict[str, int] = {}
-        span_names: dict[int, str] = {}
-        commit_of: dict[str, Placement] = {}
-        task_outputs: dict[int, list[str]] = {}
-        for event in events:
-            name = event.get("name", "")
-            args = event.get("args", {})
-            if event.get("kind") == "span" and event.get("id") is not None:
-                span_names[event["id"]] = name
-            if name == "db.alias":
-                adg.note_alias(args["object"], args["source"])
-            elif name == "thread.commit":
-                placement = (args.get("thread", ""), args.get("point", -1),
-                             HistoryRecord(task=args.get("task", ""),
-                                           inputs=(), outputs=(), steps=(),
-                                           recorded_at=event.get("ts", 0.0)))
-                for output in args.get("outputs", ()):
-                    commit_of.setdefault(output, placement)
-            elif name == "task.commit" and "instance" in args:
-                task_outputs[args["instance"]] = list(args.get("outputs", ()))
-        for event in events:
-            name = str(event.get("name", ""))
-            args = event.get("args", {})
-            if event.get("kind") != "span" or not name.startswith("step:") \
-                    or args.get("status", 0) != 0:
-                continue
-            placement = next(
-                (commit_of[o] for o in task_outputs.get(args.get("instance"),
-                                                        ())
-                 if o in commit_of), None)
-            if placement is None:   # no thread commit: aborted or unbound
-                parent = span_names.get(event.get("parent"), "")
-                task = parent[5:] if parent.startswith("task:") else ""
-                placement = ("", -1, HistoryRecord(task=task, inputs=(),
-                                                   outputs=(), steps=()))
-            started = event.get("ts", 0.0)
-            for output in args.get("outputs", ()):
-                commits.setdefault(output, placement)
-                if adg.producer(output) is not None:
-                    continue
-                if args.get("pid") is not None:
-                    pids[output] = args["pid"]
-                adg.add_step(StepRecord(
-                    name=name[5:], tool=args.get("tool", ""),
-                    options=tuple(args.get("options", ())),
-                    inputs=tuple(args.get("inputs", ())), outputs=(output,),
-                    host=args.get("host", ""), started_at=started,
-                    completed_at=started + event.get("dur", 0.0),
-                    reused=bool(args.get("reused", False)),
-                ), task=placement[2].task)
-        return cls(adg, commits, pids)
 
     # ---------------------------------------------------------------- queries
 
@@ -223,7 +142,6 @@ class ProvenanceGraph:
                 "inputs": list(edge.inputs), "tool": edge.tool,
                 "options": list(edge.options), "step": edge.step,
                 "task": edge.task, "host": edge.host,
-                "pid": self._pids.get(edge.output),
                 "started": edge.started, "completed": edge.at,
                 "reused": edge.reused,
                 "reused_from": self.alias_source(edge.output),
@@ -348,69 +266,3 @@ def check_lineage(graph: ProvenanceGraph, name: str) -> list[str]:
             problems.append(
                 f"reused hop {edge.output} has no reuse attribution")
     return problems
-
-
-# ------------------------------------------------------------ module CLI
-
-
-@quiet_when_stdout_closes
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.obs.provenance CMD trace.jsonl ...`` (CI smoke)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.provenance",
-        description="Query design-history lineage from a streamed trace.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd, help_text in [
-        ("why", "derivation chain back to primary sources"),
-        ("blame", "per-version producing record of a base name"),
-        ("impact", "forward closure of a version"),
-        ("check", "validate lineage invariants (exit 1 on problems)"),
-    ]:
-        cp = sub.add_parser(cmd, help=help_text)
-        cp.add_argument("trace", help="JSONL trace file")
-        cp.add_argument("object", help="object name (versioned)")
-    ep = sub.add_parser("export", help="export the graph (DOT / JSONL)")
-    ep.add_argument("trace")
-    ep.add_argument("--dot", help="write Graphviz DOT here")
-    ep.add_argument("--jsonl", help="write provenance JSONL here")
-    args = parser.parse_args(argv)
-
-    graph = ProvenanceGraph.from_jsonl(args.trace)
-    if args.cmd == "why":
-        for line in render_why(graph, args.object):
-            print(line)
-    elif args.cmd == "blame":
-        for line in render_blame(graph, parse_name(args.object).base):
-            print(line)
-    elif args.cmd == "impact":
-        for line in render_impact(graph, args.object):
-            print(line)
-    elif args.cmd == "check":
-        problems = check_lineage(graph, args.object)
-        for problem in problems:
-            print(f"PROBLEM: {problem}")
-        if problems:
-            return 1
-        chain = graph.why(args.object)
-        reused = sum(1 for h in chain if h.reused)
-        print(f"OK: {args.object} derives from "
-              f"{len(graph.primary_sources(args.object))} primary source(s) "
-              f"via {len(chain)} hop(s), {reused} reused")
-    elif args.cmd == "export":
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(graph.to_dot() + "\n")
-            print(f"wrote DOT to {args.dot}")
-        if args.jsonl:
-            count = graph.export_jsonl(args.jsonl)
-            print(f"wrote {count} provenance records to {args.jsonl}")
-        if not args.dot and not args.jsonl:
-            print(graph.to_dot())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -30,8 +30,12 @@ event             required args
 ================  ==================================================
 ``cluster.host``  ``host`` (str), ``busy`` (bool): one per host as the
                   cluster is built, with its owner console state (the
-                  host inventory), so a trace replay of scheduler gaps
-                  knows hosts no process or owner event ever names
+                  host inventory), so the Gantt timeline has a row for
+                  a host no process ever runs on
+``cluster.gap``   ``start`` (float), ``dur`` (float), ``hosts`` (list):
+                  one scheduler-gap span as the cluster charges it to
+                  ``cluster.gap_seconds``, with the hosts idle through
+                  it; the events sum to that counter
 ================  ==================================================
 """
 
@@ -47,6 +51,7 @@ KINDS = ("span", "event")
 #: Event name → the arguments it must carry and their types.
 EVENT_ARGS: dict[str, dict[str, type]] = {
     "cluster.host": {"host": str, "busy": bool},
+    "cluster.gap": {"start": float, "dur": float, "hosts": list},
 }
 
 

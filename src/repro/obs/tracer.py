@@ -16,12 +16,9 @@ off pays one attribute read per site and nothing more.
 from __future__ import annotations
 
 import atexit
-import functools
 import itertools
 import json
-import os
-import sys
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any
 
 from repro.clock import VirtualClock
 from repro.obs.metrics import METRICS
@@ -421,22 +418,3 @@ def read_jsonl(target: str | IO[str]) -> list[dict[str, Any]]:
         with open(target, "r", encoding="utf-8") as fh:
             return [json.loads(line) for line in fh if line.strip()]
     return [json.loads(line) for line in target if line.strip()]
-
-
-def quiet_when_stdout_closes(
-        main: Callable[[list[str] | None], int],
-) -> Callable[[list[str] | None], int]:
-    """Wrap a trace CLI's ``main`` so that a reader that stops early
-    (``| head``, ``| grep -q``) ends it with status 0 and no traceback."""
-    @functools.wraps(main)
-    def run(argv: list[str] | None = None) -> int:
-        try:
-            status = main(argv)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # Point stdout at devnull so the interpreter's final flush does
-            # not raise again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
-        return status
-    return run

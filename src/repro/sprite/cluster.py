@@ -87,6 +87,8 @@ class ClusterStats:
     some host timeshared two or more processes while another host sat
     empty with its owner away.  The label-less counter adds each such span
     once; ``stats.gap_seconds[host]`` adds it to every host idle through it.
+    With tracing on, the cluster also emits each span as one ``cluster.gap``
+    event, so a trace's gap events sum to these counters.
     """
 
     FIELDS = ("submitted", "completed", "killed", "migrations", "evictions",
@@ -185,9 +187,8 @@ class Cluster:
         if host.schedule.next_transition(self.clock.now) is not None:
             self._owned.append(host)
         if TRACER.enabled:
-            # The host inventory, with each console's state: trace replay
-            # must know a host exists even if no process or owner
-            # transition ever names it.
+            # The host inventory, with each console's state: the Gantt
+            # timeline shows a host even if no process ever runs there.
             TRACER.event("cluster.host", cat="cluster", host=host.name,
                          busy=host.is_owner_busy(self.clock.now))
         return host
@@ -328,36 +329,28 @@ class Cluster:
                     busy[host.name].inc(span * n)
                     crowded = crowded or n > 1
             # No event falls inside a span, so residency and owner state
-            # hold throughout it: the same rule as trace replay's
-            # ``repro.obs.analysis.scheduler_gaps``.  A gap needs a host
-            # with no resident while another one timeshares.
+            # hold throughout it.  A gap needs a host with no resident and
+            # no owner at its console while another one timeshares.
             if crowded and self._empty:
                 idle = [host.name for host in self._hosts_sorted
                         if not host.resident
                         and not host.is_owner_busy(self._last_charge)]
                 if idle:
                     self.stats.add_gap(idle, span)
+                    if TRACER.enabled:
+                        TRACER.event("cluster.gap", cat="cluster",
+                                     start=float(self._last_charge),
+                                     dur=float(span), hosts=idle)
         self._last_charge = now
 
     def _advance_to(self, when: float) -> None:
-        """Charge up to ``when``, move the clock there, and trace every
-        console that changed hands on the way.
+        """Charge up to ``when``, then move the clock there.
 
         Charging first means clock observers (a health monitor's throttled
-        evaluation) read counters that already cover the span.  The
-        ``cluster.owner`` events let trace replay tell an *available* idle
-        host from one whose owner is at the keyboard, and see hosts that
-        never ran a process at all.
+        evaluation) read counters that already cover the span.
         """
-        since = self.clock.now
-        self._charge_elapsed(max(when, since))
+        self._charge_elapsed(max(when, self.clock.now))
         self.clock.advance_to(when)
-        if TRACER.enabled:
-            for host in self._hosts_sorted:
-                busy = host.is_owner_busy(self.clock.now)
-                if busy != host.is_owner_busy(since):
-                    TRACER.event("cluster.owner", cat="cluster",
-                                 host=host.name, busy=busy)
 
     def _next_completion(self) -> tuple[float, SimProcess | None]:
         """The next completion by one rule: let ``m`` be the earliest

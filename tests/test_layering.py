@@ -7,10 +7,6 @@ may import only itself and the leaf modules beside it: ``repro.obs``
 function-local ones included, so an import deferred to dodge a cycle still
 counts.
 
-Importing ``repro.obs`` must not import ``repro.obs.provenance``: runpy
-warns when the module ``python -m repro.obs.provenance`` runs is already
-loaded, and CI's provenance smoke runs that entry point.
-
 ``repro.obs.metrics`` is the leaf every module-level instrument handle
 comes from, so it imports nothing from ``repro`` but ``repro.errors``; the
 tracer imports the registry at module level, never inside a function.
@@ -19,9 +15,6 @@ tracer imports the registry at module level, never inside a function.
 from __future__ import annotations
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import repro.obs.metrics
@@ -91,13 +84,3 @@ def test_scan_sees_function_local_imports():
     assert imported_modules(tree) == [(2, "repro.core.memo")]
     assert function_local_imports(tree) == [(2, "repro.core.memo")]
     assert function_local_imports(ast.parse("import repro.errors\n")) == []
-
-
-def test_provenance_cli_runs_without_a_reimport_warning():
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(repro.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning",
-         "-m", "repro.obs.provenance", "--help"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr

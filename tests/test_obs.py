@@ -609,48 +609,3 @@ class TestBenchMeta:
         from benchmarks.common import max_rss_bytes
 
         assert max_rss_bytes() > 1 << 20   # a Python process exceeds 1 MiB
-
-
-class TestCliPipes:
-    """The trace CLIs are piped into readers that stop early (CI runs
-    ``provenance impact … | grep -q``): a closed stdout ends them with
-    status 0 and nothing on stderr."""
-
-    STEPS = 1500   # output far beyond a pipe's buffer, so writes block
-
-    @pytest.fixture(scope="class")
-    def trace(self, tmp_path_factory) -> str:
-        clk = VirtualClock()
-        tracer = Tracer(clock=clk, enabled=True)
-        with tracer.span("task:Chain", cat="task"):
-            for i in range(self.STEPS):
-                tracer.event("cluster.host", cat="cluster",
-                             host=f"ws{i:04d}")
-                tracer.complete_span(
-                    "step:s", "step", float(i), i + 1.0, host=f"ws{i:04d}",
-                    pid=i, status=0, tool="t", inputs=[f"x@{i + 1}"],
-                    outputs=[f"x@{i + 2}"])
-            clk.advance(float(self.STEPS))
-        path = str(tmp_path_factory.mktemp("pipes") / "chain.jsonl")
-        tracer.export_jsonl(path)
-        return path
-
-    @pytest.mark.parametrize("module, args", [
-        ("repro.obs.provenance", ["blame", "{trace}", "x@1"]),
-        ("repro.obs.analysis", ["timeline", "{trace}"]),
-        ("repro.obs.slo", ["top", "{trace}", "--once"]),
-    ])
-    def test_reader_closing_after_the_first_line_is_not_an_error(
-            self, trace, module, args):
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(repro.__file__).parent.parent))
-        argv = [a.format(trace=trace) for a in args]
-        child = subprocess.Popen([sys.executable, "-m", module, *argv],
-                                 env=env, stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE)
-        assert child.stdout.readline()
-        child.stdout.close()
-        stderr = child.stderr.read().decode()
-        child.stderr.close()
-        assert child.wait(timeout=120) == 0, stderr
-        assert stderr == ""

@@ -1,6 +1,7 @@
 """Tests for the trace analytics layer (``repro.obs.analysis``): critical
 path, per-host utilization timelines, run-to-run diff, streaming JSONL
-export, per-host Chrome tracks, and the new engine/SDS histograms."""
+export, per-host Chrome tracks, the engine/SDS histograms, and the shell's
+``trace`` commands that front them."""
 
 from __future__ import annotations
 
@@ -24,14 +25,13 @@ from repro.obs.analysis import (
     render_flame,
     render_gantt,
     render_report,
-    scheduler_gaps,
     utilization,
 )
-from repro.obs.analysis import main as analysis_main
 from repro.obs.schema import validate_events, validate_jsonl
 from repro.obs.tracer import Tracer, read_jsonl
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
+from repro.sprite.host import OwnerSchedule, Workstation
 from repro.taskmgr import TaskManager
 from repro.workloads import seed_designs, standard_library
 
@@ -190,16 +190,45 @@ class TestUtilization:
         assert ws01.busy_seconds == pytest.approx(20.0)
         assert home.evictions == [20.0]
         assert ws01.arrivals == [20.0]
-        assert home.load_at(15.0) == 2
-        assert home.load_at(35.0) == 0
 
-    def test_scheduler_gap_detection(self, clock: VirtualClock):
-        timelines = utilization(self._hand_trace(clock))
-        (gap,) = scheduler_gaps(timelines)
-        # while home timeshared two processes, ws01 sat idle
-        assert (gap.start, gap.end) == (10.0, 20.0)
-        assert gap.idle_hosts == ("ws01",)
-        assert gap.max_load == 2
+    def test_scheduler_gap_detection(self, clock: VirtualClock,
+                                     global_tracing):
+        """The report and the profile read the gaps the cluster charged
+        (its ``cluster.gap`` events); they do not re-derive them."""
+        hosts = [Workstation("home"),
+                 Workstation("ws01",
+                             schedule=OwnerSchedule(period=40, busy=20))]
+        cluster = Cluster(hosts, clock=clock, remigration=False)
+        for i in range(4):
+            cluster.submit(f"job{i}", work=10.0)
+        cluster.drain()
+        model = TraceModel.from_tracer(global_tracing)
+        # while home timeshared four processes, ws01 sat idle from t=20
+        gaps = [e["args"] for e in model.events(name="cluster.gap")]
+        assert {tuple(g["hosts"]) for g in gaps} == {("ws01",)}
+        assert gaps[0]["start"] == 20.0
+        report = "\n".join(render_report(model))
+        assert f"scheduler gaps: {len(gaps)} spans, 20.0s total" in report
+        assert "ws01 idle" in report
+        assert profile_summary(model)["scheduler_gap_seconds"] == \
+            cluster.stats.registry.value("cluster.gap_seconds") == 20.0
+
+    def test_idle_host_keeps_its_gantt_row(self, clock: VirtualClock,
+                                           global_tracing):
+        """The ``cluster.host`` inventory gives a host no process ever ran
+        on its timeline row; a run without gaps has no gap line and a zero
+        profile total."""
+        cluster = Cluster.homogeneous(3, clock=clock)
+        cluster.submit("only", work=10.0)
+        cluster.drain()
+        model = TraceModel.from_tracer(global_tracing)
+        timelines = utilization(model)
+        assert set(timelines) == {"home", "ws01", "ws02"}
+        assert timelines["ws02"].intervals == []
+        rows = [line.split()[0] for line in render_gantt(timelines)[1:-1]]
+        assert rows == ["home", "ws01", "ws02"]
+        assert "scheduler gaps" not in "\n".join(render_report(model))
+        assert profile_summary(model)["scheduler_gap_seconds"] == 0.0
 
     def test_gantt_renders_markers(self, clock: VirtualClock):
         timelines = utilization(self._hand_trace(clock))
@@ -444,27 +473,8 @@ class TestReportsAndCli:
         assert summary["utilization"]
         json.dumps(summary, sort_keys=True)          # BENCH_*.json payload
 
-    def test_analysis_cli_exit_codes(self, clock: VirtualClock, tmp_path,
-                                     capsys):
-        traced = build_chain_trace(clock)
-        good = str(tmp_path / "good.jsonl")
-        traced.export_jsonl(good)
-        empty = str(tmp_path / "empty.jsonl")
-        Tracer(clock=VirtualClock(), enabled=True).export_jsonl(empty)
-
-        assert analysis_main(["report", good]) == 0
-        assert "critical path of task:T" in capsys.readouterr().out
-        assert analysis_main(["report", empty]) == 1
-        assert analysis_main(["timeline", good, "32"]) == 0
-        assert "legend" in capsys.readouterr().out
-        assert analysis_main(["diff", good, good]) == 0
-        assert "no structural or timing differences" in \
-            capsys.readouterr().out
-        assert analysis_main([]) == 2
-        assert analysis_main(["report"]) == 2
-        assert analysis_main(["report", str(tmp_path / "missing.jsonl")]) == 2
-
-    def test_shell_trace_analytics_commands(self, tmp_path):
+    def test_shell_trace_analytics_commands(self, clock: VirtualClock,
+                                            tmp_path):
         from repro.cli import Shell
 
         obs.TRACER.clear()
@@ -492,6 +502,19 @@ class TestReportsAndCli:
                 shell.execute("trace report missing.jsonl")
             with pytest.raises(ShellError, match="cannot read trace"):
                 shell.execute(f"trace diff {path} missing.jsonl")
+            with pytest.raises(ShellError, match="usage: trace diff"):
+                shell.execute(f"trace diff {path}")
+            # a hand-built trace file, and one with no task spans
+            good = str(tmp_path / "good.jsonl")
+            build_chain_trace(clock).export_jsonl(good)
+            empty = str(tmp_path / "empty.jsonl")
+            Tracer(clock=VirtualClock(), enabled=True).export_jsonl(empty)
+            report = "\n".join(shell.execute(f"trace report {good}"))
+            assert "critical path of task:T" in report
+            assert "no task spans in trace" in \
+                "\n".join(shell.execute(f"trace report {empty}"))
+            assert "legend" in \
+                "\n".join(shell.execute(f"trace timeline {good} 32"))
         finally:
             obs.TRACER.disable()
             obs.TRACER.clear()
@@ -570,15 +593,10 @@ class TestFlame:
         assert sorted(seg.label for seg in path.steps) == ["A[0]", "B[1]"]
         assert all(seg.reused for seg in path.steps)
 
-    def test_flame_cli_and_shell(self, clock: VirtualClock, tmp_path,
-                                 capsys):
+    def test_flame_cli_and_shell(self, clock: VirtualClock, tmp_path):
         traced = build_chain_trace(clock)
         good = str(tmp_path / "good.jsonl")
         traced.export_jsonl(good)
-        assert analysis_main(["flame", good]) == 0
-        out = capsys.readouterr().out
-        assert "critical-path time by step" in out
-        assert "A[0]" in out and "C[2]" in out
 
         from repro.cli import Shell
 
@@ -587,5 +605,6 @@ class TestFlame:
             shell = Shell()
             lines = "\n".join(shell.execute(f"trace flame {good} 20"))
             assert "critical-path time by step" in lines
+            assert "A[0]" in lines and "C[2]" in lines
         finally:
             obs.TRACER.clear()

@@ -1,7 +1,9 @@
 """Tests for ``repro.obs.health``: the alert-rule engine (firing/clearing
-under the virtual clock, trace-derived signals, task-commit hook), its
-``rules`` CLI, and the satellite fixes that feed it (histogram quantiles on
-degenerate series, the bounded derivation cache, gap-aware placement)."""
+under the virtual clock, trace-derived signals, task-commit hook), the
+shell's ``health rules``, the cluster's gap counters and the ``cluster.gap``
+events that mirror them, and the satellite fixes that feed it (histogram
+quantiles on degenerate series, the bounded derivation cache, gap-aware
+placement)."""
 
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ from repro.obs.health import (
     HealthError,
     HealthMonitor,
     default_ruleset,
-    main,
 )
-from repro.obs.analysis import replay_gaps
+from repro.obs.analysis import TraceModel, profile_summary
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.schema import validate_events
 from repro.obs.tracer import Tracer
 from repro.octdb import DesignDatabase
 from repro.sprite import Cluster
@@ -296,25 +298,6 @@ class TestGapCounters:
         rule = next(r for r in monitor.rules if r.name == "scheduler_gap")
         assert monitor.signal_value(rule.signal, clock.now) == 0.0
 
-    def test_replay_sees_owner_arrival_at_completion(self, clock):
-        coincident_arrival(clock)
-        owner = [(e["ts"], e["args"]["busy"]) for e in obs.TRACER.events
-                 if e["name"] == "cluster.owner"]
-        assert owner == [(10.0, True)]
-        assert replay_gaps(obs.TRACER.events, 18.0).per_host == {}
-
-    def test_idle_run_until_traces_owner_transitions(self, clock):
-        hosts = [Workstation("home"),
-                 Workstation("ws01", schedule=OwnerSchedule(period=40,
-                                                            busy=20,
-                                                            offset=10))]
-        cluster = Cluster(hosts, clock=clock)
-        cluster.run_until(50.0)
-        owner = [(e["ts"], e["args"]["busy"]) for e in obs.TRACER.events
-                 if e["name"] == "cluster.owner"]
-        assert owner == [(10.0, True), (30.0, False), (50.0, True)]
-        assert clock.now == 50.0
-
     @settings(max_examples=150, deadline=None)
     @given(
         schedules=st.lists(
@@ -326,15 +309,17 @@ class TestGapCounters:
             st.tuples(st.lists(st.integers(1, 20), min_size=1, max_size=6),
                       st.one_of(st.none(), st.integers(1, 40))),
             min_size=1, max_size=4))
-    # ws03 sits idle through both jobs' eviction home at t=1, but no
-    # process or owner event names it: only the host inventory does.
+    # ws03 sits idle through both jobs' eviction home at t=1, and no
+    # process ever names it: its gap seconds come only from the gap events.
     @example(schedules=[(10, 0.5, 1), (10, 0.5, 1), (10, 0.5, 4)],
              remigration=False, batches=[([2, 2], None)])
     def test_counters_match_trace_replay(self, schedules, remigration,
                                          batches):
-        """The cluster's gap counters and an offline replay of its trace
-        agree, per host and in total: the trace records every owner
-        transition the simulator crosses."""
+        """The trace's ``cluster.gap`` events, summed in emission order,
+        are the cluster's gap counters exactly (``repr``-equal), in total
+        and per host, and the benchmark profile reports the same total:
+        the trace exports the gaps the cluster charged, it does not
+        re-derive them."""
         clock = VirtualClock()
         obs.TRACER.clear()
         obs.TRACER.enable(clock=clock)
@@ -350,29 +335,62 @@ class TestGapCounters:
                 cluster.drain()
             else:
                 cluster.run_until(clock.now + run_for)
-        replay = replay_gaps(obs.TRACER.events, clock.now)
+        event_total, event_hosts = 0.0, {}
+        for event in obs.TRACER.events:
+            if event["name"] == "cluster.gap":
+                event_total += event["args"]["dur"]
+                for host in event["args"]["hosts"]:
+                    event_hosts[host] = (event_hosts.get(host, 0.0)
+                                         + event["args"]["dur"])
         total, per_host = gap_counters(cluster)
-        assert (replay.total if replay else 0.0) == pytest.approx(total)
-        assert (replay.per_host if replay else {}) == pytest.approx(
-            {host: s for host, s in per_host.items() if s > 1e-9})
+        assert repr(event_total) == repr(total)
+        assert repr(dict(sorted(event_hosts.items()))) == repr(per_host)
+        profile = profile_summary(TraceModel.from_tracer(obs.TRACER))
+        assert repr(profile["scheduler_gap_seconds"]) == repr(total)
+
+    def test_gap_events_follow_the_schema(self, clock):
+        """``cluster.gap`` is part of the trace contract: ``start``,
+        ``dur`` and the idle ``hosts`` in name order."""
+        hosts = [Workstation("home"), Workstation("ws02"),
+                 Workstation("ws01",
+                             schedule=OwnerSchedule(period=40, busy=20))]
+        cluster = Cluster(hosts, clock=clock, remigration=False)
+        cluster.submit("a", work=5.0)               # ws02 runs it
+        for i in range(3):
+            cluster.submit(f"b{i}", work=10.0)      # home timeshares
+        cluster.drain()
+        gaps = [e for e in obs.TRACER.events if e["name"] == "cluster.gap"]
+        assert gaps and validate_events(obs.TRACER.events) == []
+        assert {tuple(e["args"]["hosts"]) for e in gaps} >= {("ws02",)}
+        assert all(e["args"]["hosts"] == sorted(e["args"]["hosts"])
+                   for e in gaps)
+        broken = dict(gaps[0], args={"start": 0.0, "dur": 1.0})
+        assert validate_events([broken]) == [
+            "line 1: cluster.gap needs a list arg 'hosts'"]
 
 
 class TestCli:
-    def test_rules_cli_and_shell(self, capsys):
+    def test_rules_cli_and_shell(self):
         from repro.cli import Shell, ShellError
 
-        assert main(["rules"]) == 0
-        assert "scheduler_gap" in capsys.readouterr().out
-        assert main([]) == 2
-        assert main(["rules", "--rules"]) == 2
-        assert main(["gate", "BENCH_x.json", "--baseline", "b.json"]) == 2
         shell = Shell()
         out = "\n".join(shell.execute("health"))
         assert "health: ok" in out
         out = "\n".join(shell.execute("health rules"))
-        assert "scheduler_gap" in out
+        assert "rule scheduler_gap" in out
+        assert "placement failed to spread work" in out     # description
+        assert "slo  scheduler_gap" in out and "obj 75%" in out
+        with pytest.raises(ShellError, match="usage: health"):
+            shell.execute("health rules --rules")
         with pytest.raises(ShellError, match="usage: health"):
             shell.execute("health diff a.json b.json")
+
+    def test_rules_from_missing_file_is_a_shell_error(self, tmp_path):
+        from repro.cli import Shell, ShellError
+
+        shell = Shell()
+        with pytest.raises(ShellError, match="cannot read ruleset"):
+            shell.execute(f"health rules --rules {tmp_path / 'nope.json'}")
 
 
 # ----------------------------------------------- satellite: quantile fixes

@@ -2,8 +2,9 @@
 series substrate, burn-rate and error-budget math in ``HealthMonitor``
 (with a hypothesis integral property), ruleset/SLO config loading, the
 stall scenario end to end, the tracer's self-observability metrics, and
-``repro.obs.slo``'s console (including byte-identical renders across
-identical runs)."""
+``repro.obs.slo``'s console: one frame builder over a metrics snapshot,
+live in the shell or from a saved file (including byte-identical renders
+across identical runs)."""
 
 from __future__ import annotations
 
@@ -17,9 +18,8 @@ from repro import obs
 from repro.clock import VirtualClock
 from repro.obs.health import (SLO, BurnWindow, HealthError, HealthMonitor,
                               default_ruleset, default_slos, load_ruleset)
-from repro.obs.health import main as health_main
 from repro.obs.metrics import MetricError, MetricsRegistry, WindowedSeries
-from repro.obs.slo import TopView, main, render_top, view_from_file
+from repro.obs.slo import TopView, read_snapshot, render_top
 from repro.obs.tracer import Tracer
 from repro.sprite import Cluster
 from repro.sprite.host import OwnerSchedule, Workstation
@@ -432,7 +432,7 @@ def run_stall(rules_path: str | None = SITE_RULESET, work: float = 10.0,
               trace: bool = True) -> tuple[HealthMonitor, VirtualClock]:
     """The deterministic induced-stall scenario (mirrors
     benchmarks.bench_scale.measure_stall).  With ``trace`` the cluster
-    emits to the global tracer, which the console's host rows replay."""
+    emits to the global tracer."""
     clock = VirtualClock()
     obs.TRACER.clear()
     if trace:
@@ -509,16 +509,7 @@ class TestMonitorIntegration:
 class TestNotLoadBearing:
     """Signals the system acts on come from state it maintains: with the
     tracer off, the gap alert, the gap objective and gap-aware placement
-    still work, and evaluation never replays the trace."""
-
-    @pytest.fixture(autouse=True)
-    def _no_replay(self, monkeypatch):
-        from repro.obs import analysis
-
-        def replay(*args, **kwargs):
-            raise AssertionError("health evaluation replayed the trace")
-
-        monkeypatch.setattr(analysis, "replay_gaps", replay)
+    still work."""
 
     def test_stall_alert_and_budget_with_tracing_off(self):
         monitor, clock = run_stall(trace=False)
@@ -563,11 +554,14 @@ class TestNotLoadBearing:
 # ------------------------------------------------------------ the console
 
 
+def frame(monitor: HealthMonitor) -> str:
+    return "\n".join(render_top(TopView.from_snapshot(monitor.snapshot())))
+
+
 class TestConsole:
     def test_render_from_live_monitor(self):
         monitor, _clock = run_stall()
-        lines = render_top(TopView.from_monitor(monitor))
-        text = "\n".join(lines)
+        text = frame(monitor)
         assert "health: WARN" in text
         assert "slo error budgets:" in text
         assert "scheduler_gap" in text
@@ -576,7 +570,7 @@ class TestConsole:
     def test_live_host_rows_with_tracing_off(self):
         monitor, _clock = run_stall(trace=False)
         assert not monitor.tracer.events
-        view = TopView.from_monitor(monitor)
+        view = TopView.from_snapshot(monitor.snapshot())
         rows = {row["host"]: row for row in view.hosts}
         assert set(rows) == {"home", "ws01"}
         assert rows["ws01"]["gap_seconds"] == 20.0
@@ -587,61 +581,84 @@ class TestConsole:
 
     def test_render_is_byte_identical_across_runs(self):
         first, _ = run_stall()
-        a = "\n".join(render_top(TopView.from_monitor(first)))
+        a = frame(first)
         second, _ = run_stall()
-        b = "\n".join(render_top(TopView.from_monitor(second)))
-        assert a == b
-
-    def test_render_from_streamed_trace(self, tmp_path):
-        monitor, _clock = run_stall()
-        path = tmp_path / "stall.jsonl"
-        monitor.tracer.export_jsonl(str(path))
-        view = view_from_file(str(path))
-        assert view.now == 40.0
-        assert view.status == "warn"
-        text = "\n".join(render_top(view))
-        assert "slo:scheduler_gap:5s/20s" in text
-        assert "budget" in text.lower()
-        # budget replayed from slo.sample events matches the live value
-        gap_row = next(r for r in view.slos if r["name"] == "scheduler_gap")
-        assert gap_row["budget"] == pytest.approx(1.0 - (20 / 35) / 0.25,
-                                                  abs=1e-4)
+        assert a == frame(second)
 
     def test_render_from_metrics_snapshot(self, tmp_path):
         monitor, _clock = run_stall()
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(
             {"bench": "x", "metrics": obs.METRICS.snapshot()}))
-        view = view_from_file(str(path))
+        view = TopView.from_snapshot(read_snapshot(str(path)))
         rows = {r["name"]: r for r in view.slos}
-        assert "scheduler_gap" in rows
+        assert rows["scheduler_gap"]["budget"] == pytest.approx(
+            1.0 - (20 / 35) / 0.25)
+        assert view.status == "warn"
         render_top(view)                         # must not raise
         # a bare snapshot (no BENCH envelope) reads the same
         bare = tmp_path / "metrics.json"
         bare.write_text(json.dumps(obs.METRICS.snapshot()))
-        assert TopView.from_metrics(str(bare)).slos == view.slos
+        assert read_snapshot(str(bare)) == read_snapshot(str(path))
         (tmp_path / "list.json").write_text("[]")
         with pytest.raises(HealthError, match="not a JSON object"):
-            TopView.from_metrics(str(tmp_path / "list.json"))
+            read_snapshot(str(tmp_path / "list.json"))
+
+    def test_burn_rates_belong_to_their_own_slo(self):
+        """``slo=gap`` must not take ``slo=gap_long``'s burn rates: labels
+        are parsed, not matched as substrings."""
+        view = TopView.from_snapshot({
+            "slo.budget_remaining{slo=gap}": 0.5,
+            "slo.budget_remaining{slo=gap_long}": 0.25,
+            "slo.burn_rate{slo=gap,window=5s}": 1.0,
+            "slo.burn_rate{slo=gap_long,window=5s}": 7.0,
+        })
+        burns = {row["name"]: row["burns"] for row in view.slos}
+        assert burns == {"gap": {"5s": 1.0}, "gap_long": {"5s": 7.0}}
+
+    def test_snapshot_status_and_values_it_skips(self):
+        """The status gauge maps 2 to crit; histograms and the unlabelled
+        gap total are not rows, and a burn rate alone still makes one."""
+        view = TopView.from_snapshot({
+            "health.status": 2.0,
+            "cluster.gap_seconds": 5.0,
+            "cluster.gap_seconds{host=ws01}": 5.0,
+            "step.latency{tool=padplace}": {"count": 1, "sum": 2.0},
+            "slo.burn_rate{slo=memo_hit,window=60s/600s}": 0.5,
+        })
+        assert view.status == "crit"
+        assert view.hosts == [{"host": "ws01", "busy_seconds": 0.0,
+                               "gap_seconds": 5.0}]
+        assert view.slos == [{"name": "memo_hit", "budget": None,
+                              "burns": {"60s/600s": 0.5}}]
+        assert view.memo is None
+        text = "\n".join(render_top(view))
+        assert "health: CRIT" in text and "n/a" in text
+
+    def test_cli_top_once_and_rules(self, tmp_path):
+        """The shell is the console's command line: ``top FILE`` renders
+        one frame from a BENCH snapshot, ``health rules --rules`` lists a
+        site file's objectives."""
+        from repro.cli import Shell, ShellError
+
+        run_stall()
+        path = tmp_path / "BENCH_scale_stall.json"
+        path.write_text(json.dumps(
+            {"bench": "scale_stall", "metrics": obs.METRICS.snapshot()}))
+        shell = Shell()
+        out = "\n".join(shell.execute(f"top {path}"))
+        assert "health: WARN" in out and "slo error budgets:" in out
+        assert "scheduler_gap" in out
+        out = "\n".join(shell.execute(f"health rules --rules {SITE_RULESET}"))
+        assert "slo  scheduler_gap" in out
+        with pytest.raises(ShellError, match="usage: top"):
+            shell.execute(f"top {path} {path}")
+        with pytest.raises(ShellError, match="cannot read snapshot"):
+            shell.execute(f"top {tmp_path / 'nope.json'}")
 
     def test_empty_view_renders(self):
         lines = render_top(TopView())
         assert "(no objectives configured)" in "\n".join(lines)
-
-    def test_cli_top_once_and_rules(self, tmp_path, capsys):
-        monitor, _clock = run_stall()
-        path = tmp_path / "stall.jsonl"
-        monitor.tracer.export_jsonl(str(path))
-        assert main(["top", str(path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "papyrus top" in out and "scheduler_gap" in out
-        assert health_main(["rules", "--rules", SITE_RULESET]) == 0
-        out = capsys.readouterr().out
-        assert "slo  scheduler_gap" in out
-        assert main(["rules"]) == 2
-        assert main([]) == 2
-        assert main(["top"]) == 2
-        assert main(["top", str(tmp_path / "nope.jsonl"), "--once"]) == 2
 
 
 # -------------------------------------------------------------- the shell
@@ -656,6 +673,49 @@ class TestShellIntegration:
         assert "step_success" in out
         out = "\n".join(shell.execute("top"))
         assert "papyrus top" in out and "slo error budgets:" in out
+
+    def test_live_top_is_top_of_its_own_snapshot(self, tmp_path):
+        """One builder: the live frame is the frame of the session's
+        exported snapshot, after the monitor's own summary lines."""
+        from repro.cli import Shell
+
+        shell = Shell()
+        shell.execute("thread work")
+        shell.execute("invoke Padp Incell=adder.net -- Outcell=a.pad")
+        live = shell.execute("top")
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(shell._health.snapshot()))
+        saved = shell.execute(f"top {path}")
+        summary = shell._health.render()
+        assert live == summary + [""] + saved
+        assert any(line.startswith("  ws01 ") for line in saved)
+        assert any(line.startswith("memo: ") for line in saved)
+
+    def test_live_top_prints_firing_alerts(self, tmp_path):
+        """The frame has no alert section: live ``top`` prints the
+        monitor's summary and firing alerts above it."""
+        from repro.cli import Shell
+
+        rules = tmp_path / "always.json"
+        rules.write_text(json.dumps({"merge_default": False, "rules": [
+            {"name": "always", "signal": "elapsed", "threshold": -1,
+             "severity": "crit"}]}))
+        shell = Shell()
+        shell.execute(f"health --rules {rules}")
+        out = shell.execute("top")
+        assert out[0].startswith("health: crit")
+        assert out[1].startswith("  [crit] always: elapsed = ")
+        assert "papyrus top — health: CRIT" in out
+
+    def test_top_rejects_a_malformed_snapshot(self, tmp_path):
+        from repro.cli import Shell, ShellError
+
+        shell = Shell()
+        for name, text in [("list.json", "[]"), ("torn.json", "{\"a\": "),
+                           ("label.json", json.dumps({"m{host}": 1.0}))]:
+            (tmp_path / name).write_text(text)
+            with pytest.raises(ShellError, match="cannot read snapshot"):
+                shell.execute(f"top {tmp_path / name}")
 
     def test_health_rules_flag_swaps_ruleset(self):
         from repro.cli import Shell

@@ -135,6 +135,33 @@ class TestProvenanceRoundTrip:
             lwt=restored, taskmgr=papyrus.taskmgr, clock=restored.clock))
         assert render_why(after_graph, "s.pla@1") == before
 
+    def test_shell_lineage_after_load_matches_live(self, tmp_path):
+        """Offline lineage is the saved history: after ``save`` and a
+        fresh shell's ``load``, ``why``/``blame``/``impact`` print what
+        the live session printed (the Fig 3.7 memoized replay)."""
+        from repro.cli import Shell
+
+        queries = ["why sh.pla.pad@2", "blame sh.pla.pad",
+                   "impact shifter.spec@1"]
+        flow = ["invoke Create_Logic_Description Spec=shifter.spec"
+                " -- Outcell=sh.logic",
+                "invoke PLA_Generation Incell=sh.logic -- Outcell=sh.pla",
+                "invoke Padp Incell=sh.pla -- Outcell=sh.pla.pad"]
+        live = Shell()
+        for line in ["thread Shifter-replay", *flow, "move 0", *flow]:
+            live.execute(line)
+        before = [live.execute(query) for query in queries]
+        live.execute(f"save {tmp_path / 'store'}")
+
+        fresh = Shell()
+        fresh.execute(f"load {tmp_path / 'store'}")
+        assert [fresh.execute(query) for query in queries] == before
+        why = "\n".join(before[0])
+        assert "reused from sh.pla.pad@1" in why
+        assert "source shifter.spec@1" in why
+        assert "affected version" in before[2][0]
+        assert any("sh.pla.pad@2" in line for line in before[1])
+
     def test_audit_journal_survives_restore(self, session, tmp_path):
         papyrus, designer = session
         sc_point = designer.thread.find_annotation("the SC attempt")

@@ -197,27 +197,6 @@ class TestExports:
                  for line in first.read_text().splitlines()}
         assert kinds <= {"hop", "alias", "commit"}
 
-    def test_from_jsonl_matches_live(self, tmp_path):
-        obs.TRACER.clear()
-        papyrus = Papyrus.standard(hosts=2)
-        obs.TRACER.enable(clock=papyrus.clock)
-        try:
-            designer = papyrus.open_thread("work", owner="chiueh")
-            _flow(designer)
-            designer.move_cursor(INITIAL_POINT)
-            _flow(designer)
-            path = tmp_path / "trace.jsonl"
-            obs.TRACER.export_jsonl(str(path))
-        finally:
-            obs.TRACER.disable()
-            obs.TRACER.clear()
-        live = ProvenanceGraph.from_papyrus(papyrus)
-        streamed = ProvenanceGraph.from_jsonl(str(path))
-        assert render_why(streamed, "sh.pla@2") == \
-            render_why(live, "sh.pla@2")
-        assert streamed.impact("shifter.spec@1") == \
-            live.impact("shifter.spec@1")
-
 
 class TestAuditJournal:
     def test_thread_ops_audited(self):
