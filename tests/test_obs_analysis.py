@@ -473,8 +473,32 @@ class TestReportsAndCli:
         assert summary["utilization"]
         json.dumps(summary, sort_keys=True)          # BENCH_*.json payload
 
-    def test_shell_trace_analytics_commands(self, clock: VirtualClock,
-                                            tmp_path):
+    def test_analysis_cli_exit_codes(self, clock: VirtualClock, tmp_path):
+        """The offline analysis front end is the shell's trace commands:
+        a good file reports, an empty one says so, a missing file or a
+        missing argument is a shell error rather than a crashed REPL."""
+        from repro.cli import Shell, ShellError
+
+        good = str(tmp_path / "good.jsonl")
+        build_chain_trace(clock).export_jsonl(good)
+        empty = str(tmp_path / "empty.jsonl")
+        Tracer(clock=VirtualClock(), enabled=True).export_jsonl(empty)
+        shell = Shell()
+
+        report = "\n".join(shell.execute(f"trace report {good}"))
+        assert "critical path of task:T" in report
+        assert "no task spans in trace" in \
+            "\n".join(shell.execute(f"trace report {empty}"))
+        assert "legend" in \
+            "\n".join(shell.execute(f"trace timeline {good} 32"))
+        assert "no structural or timing differences" in \
+            "\n".join(shell.execute(f"trace diff {good} {good}"))
+        with pytest.raises(ShellError, match="usage: trace diff"):
+            shell.execute(f"trace diff {good}")
+        with pytest.raises(ShellError, match="cannot read trace"):
+            shell.execute(f"trace report {tmp_path / 'missing.jsonl'}")
+
+    def test_shell_trace_analytics_commands(self, tmp_path):
         from repro.cli import Shell
 
         obs.TRACER.clear()
@@ -502,19 +526,6 @@ class TestReportsAndCli:
                 shell.execute("trace report missing.jsonl")
             with pytest.raises(ShellError, match="cannot read trace"):
                 shell.execute(f"trace diff {path} missing.jsonl")
-            with pytest.raises(ShellError, match="usage: trace diff"):
-                shell.execute(f"trace diff {path}")
-            # a hand-built trace file, and one with no task spans
-            good = str(tmp_path / "good.jsonl")
-            build_chain_trace(clock).export_jsonl(good)
-            empty = str(tmp_path / "empty.jsonl")
-            Tracer(clock=VirtualClock(), enabled=True).export_jsonl(empty)
-            report = "\n".join(shell.execute(f"trace report {good}"))
-            assert "critical path of task:T" in report
-            assert "no task spans in trace" in \
-                "\n".join(shell.execute(f"trace report {empty}"))
-            assert "legend" in \
-                "\n".join(shell.execute(f"trace timeline {good} 32"))
         finally:
             obs.TRACER.disable()
             obs.TRACER.clear()
